@@ -51,7 +51,6 @@ from .agents import (
     default_handshake_length,
     handshake_decode,
     handshake_encode,
-    mw_update,
     protocol_threshold,
     register_agent_kind,
     theorem26_params,

@@ -93,24 +93,6 @@ def default_eta(N: int, T: int, form: str = "corrected") -> float:
     raise GameError(f"unknown eta form {form!r}")
 
 
-def mw_update(weights, opp_action: int, game_row: np.ndarray, eta: float):
-    """One multiplicative-weights step: new weight(a) ~ w(a) exp(eta G[a, opp]).
-
-    The exponent uses +eta times the *payoff* (equivalently, -eta times the
-    loss 1 - payoff; the normalization is identical).  Done in log space so
-    long horizons cannot overflow.
-    """
-    if eta < 0:
-        raise GameError(f"eta must be >= 0, got {eta}")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise GameError("weights must be strictly positive and finite")
-    logw = np.log(w) + eta * np.asarray(game_row, dtype=float)[:, opp_action]
-    logw -= logw.max()
-    out = np.exp(logw)
-    return out / out.sum()
-
-
 def default_handshake_length(num_types: int, N: int) -> int:
     """Minimal k with N^k >= num_types."""
     if num_types <= 1:
@@ -383,8 +365,11 @@ class BestResponderAgent(Agent):
 
 
 class MWAgent(Agent):
-    """Multiplicative-weights / Hedge over the agent's own payoff matrix,
-    kept in log space with per-act renormalization."""
+    """Multiplicative-weights / Hedge over the agent's own payoff matrix:
+    weight(a) ~ exp(eta * cumulative payoff of a against the opponent's
+    actions).  The exponent uses +eta times the *payoff* (equivalently, -eta
+    times the loss 1 - payoff; the normalization is identical).  Kept in log
+    space with per-act renormalization, so long horizons cannot overflow."""
 
     def __init__(self, game_matrix: np.ndarray, eta: float):
         self.matrix = [list(map(float, row)) for row in np.asarray(game_matrix, float)]

@@ -69,13 +69,12 @@ def _load_mu(path: str | None, ts: TypeSpace) -> TypeDistribution:
 
 @click.group()
 @click.option("--seed", default=0, show_default=True, help="Master random seed.")
-@click.option("--jobs", default=1, show_default=True, help="Worker count (reserved; runs are single-process for exact reproducibility).")
 @click.option("--out-dir", default="results", show_default=True, help="Directory for CSV artifacts.")
 @click.pass_context
-def main(ctx, seed, jobs, out_dir):
+def main(ctx, seed, out_dir):
     """Repeated-game cooperation toolkit."""
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, jobs=jobs, out_dir=out_dir)
+    ctx.obj.update(seed=seed, out_dir=out_dir)
 
 
 @main.command("gen-data")

@@ -48,7 +48,8 @@ def check_mixed(probs, n: int | None = None) -> np.ndarray:
         raise GameError(f"mixed strategy has length {p.shape[0]}, expected {n}")
     if np.any(p < -PROB_TOL):
         raise GameError(f"mixed strategy has negative entries: {p}")
-    if abs(p.sum() - 1.0) > 1e-9:
+    # Written so that a NaN sum fails too.
+    if not abs(p.sum() - 1.0) <= 1e-9:
         raise GameError(f"mixed strategy sums to {p.sum()}, not 1")
     return p
 
@@ -62,7 +63,7 @@ def check_joint(probs, n: int | None = None) -> np.ndarray:
         raise GameError(f"joint strategy has size {z.shape[0]}, expected {n}")
     if np.any(z < -PROB_TOL):
         raise GameError("joint strategy has negative entries")
-    if abs(z.sum() - 1.0) > 1e-9:
+    if not abs(z.sum() - 1.0) <= 1e-9:
         raise GameError(f"joint strategy sums to {z.sum()}, not 1")
     return z
 
@@ -161,6 +162,8 @@ class TypeSpace:
             m = np.asarray(self.payoff_table[t], dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise GameError(f"payoff matrix for type {t!r} must be square")
+            if not np.all(np.isfinite(m)):
+                raise GameError(f"payoff matrix for type {t!r} has NaN or infinite entries")
             if n is None:
                 n = m.shape[0]
             elif m.shape[0] != n:

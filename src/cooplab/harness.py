@@ -2,12 +2,14 @@
 
 Each experiment runs a seeded episode batch, computes the relevant empirical
 statistic, recomputes the corresponding theoretical bound at report time, and
-emits per-episode CSV rows plus a pass/fail verification result.  Heavy
-self-play batches use vectorized fast paths that are exact reproductions of
-the agent semantics (cross-checked in the test suite); episodes that leave
-the vectorizable regime (e.g. a protocol agent tripping its regret threshold)
-are finished stage-by-stage with the real agent classes on the same sampled
-prefix.
+emits per-episode CSV rows plus a pass/fail verification result.  The
+agent-zoo experiments (mw-regret, si-consistency) step all their episodes at
+once on the batched engine (``engine.py``), on the per-episode random streams
+of ``run_episode``.  Protocol self-play uses a vectorized fast path that is an
+exact reproduction of the agent semantics (cross-checked in the test suite);
+episodes that leave the vectorizable regime (a protocol agent tripping its
+regret threshold) are finished stage-by-stage with the real agent classes on
+the same sampled prefix.
 """
 from __future__ import annotations
 
@@ -40,6 +42,15 @@ from .agents import (
     replay_act_fn,
     theorem26_params,
 )
+from .engine import (
+    BatchAdaptive,
+    BatchFixedSequence,
+    BatchMW,
+    EpisodeStreams,
+    RegretKernel,
+    play_batch,
+    stack_agents,
+)
 from .population import (
     Population,
     TypeDistribution,
@@ -47,7 +58,7 @@ from .population import (
     flatten_population,
     generate_dataset,
     play_episode,
-    run_episode,
+    run_episode,  # unused here; kept bindable for the benchmark's tracer
     _sample_action,
 )
 from .imitation_commit import (
@@ -146,46 +157,18 @@ def _rng(cfg_seed: int, *tags: int) -> np.random.Generator:
 MW_ADVERSARIES = ("adaptive-min", "adaptive-regret", "random", "constant", "alternating")
 
 
-def _mw_expected_regret(A: list[list[float]], T: int, eta: float, adversary: str,
-                        rng: np.random.Generator) -> float:
-    """Expected external regret of an MW learner against one opponent
-    sequence; the adaptive adversaries react to the announced strategy."""
-    n = len(A)
-    logw = [0.0] * n
-    cf = [0.0] * n
-    cum_expected = 0.0
-    random_actions = rng.integers(0, n, size=T) if adversary == "random" else None
-    const_action = int(rng.integers(0, n)) if adversary == "constant" else 0
-    for t in range(T):
-        m = max(logw)
-        w = [math.exp(x - m) for x in logw]
-        s = sum(w)
-        sigma = [x / s for x in w]
-        if adversary == "adaptive-min":
-            j = min(
-                range(n),
-                key=lambda jj: sum(sigma[a] * A[a][jj] for a in range(n)),
-            )
-        elif adversary == "adaptive-regret":
-            j = max(
-                range(n),
-                key=lambda jj: max(A[a][jj] for a in range(n))
-                - sum(sigma[a] * A[a][jj] for a in range(n)),
-            )
-        elif adversary == "random":
-            j = int(random_actions[t])
-        elif adversary == "constant":
-            j = const_action
-        else:  # alternating
-            j = t % n
-        exp_pay = 0.0
-        for a in range(n):
-            g = A[a][j]
-            cf[a] += g
-            exp_pay += sigma[a] * g
-            logw[a] += eta * g
-        cum_expected += exp_pay
-    return max(cf) - cum_expected
+def _regret_adversary(kind: str, A: np.ndarray, rngs: list, n: int, T: int):
+    """The batch adversary of one kind for runs with learner matrices A
+    (E, n, n); the scripted kinds draw from each run's generator after A."""
+    if kind in BatchAdaptive.KINDS:
+        return BatchAdaptive(kind, A)
+    if kind == "random":
+        script = [rng.integers(0, n, size=T) for rng in rngs]
+    elif kind == "constant":
+        script = [[int(rng.integers(0, n))] for rng in rngs]
+    else:  # alternating
+        script = [list(range(n))] * len(rngs)
+    return BatchFixedSequence(script, n)
 
 
 def run_mw_regret(cfg: ExperimentConfig):
@@ -193,16 +176,20 @@ def run_mw_regret(cfg: ExperimentConfig):
     T = cfg.horizon
     bound = math.sqrt((T / 2.0) * math.log(n))
     eta = default_eta(n, T)
+    regrets = np.zeros(cfg.episodes)
+    for index, adversary in enumerate(MW_ADVERSARIES):
+        runs = range(index, cfg.episodes, len(MW_ADVERSARIES))
+        if not runs:
+            continue
+        rngs = [_rng(cfg.seed, 0x6D77, n, r) for r in runs]
+        A = np.array([rng.random((n, n)) for rng in rngs])
+        kernel = RegretKernel(A)
+        play_batch(BatchMW(A, eta), _regret_adversary(adversary, A, rngs, n, T), T,
+                   regret=kernel)
+        regrets[runs.start::runs.step] = kernel.regret()
     rows = ["run,adversary,expected_regret,bound"]
-    regrets = []
-    for r in range(cfg.episodes):
-        rng = _rng(cfg.seed, 0x6D77, n, r)
-        A = rng.random((n, n)).tolist()
-        adversary = MW_ADVERSARIES[r % len(MW_ADVERSARIES)]
-        reg = _mw_expected_regret(A, T, eta, adversary, rng)
-        regrets.append(reg)
-        rows.append(f"{r},{adversary},{reg!r},{bound!r}")
-    regrets = np.asarray(regrets)
+    for r, reg in enumerate(regrets.tolist()):
+        rows.append(f"{r},{MW_ADVERSARIES[r % len(MW_ADVERSARIES)]},{reg!r},{bound!r}")
     worst = float(regrets.max())
     result = VerificationResult(
         kind=cfg.kind,
@@ -264,8 +251,8 @@ def run_nash_selfplay(cfg: ExperimentConfig):
     results = []
     for player in ("row", "col"):
         realized, expected = regs[player]
-        for e in range(cfg.episodes):
-            rows.append(f"{e},{player},{realized[e]!r},{expected[e]!r}")
+        for e, (r, x) in enumerate(zip(realized.tolist(), expected.tolist())):
+            rows.append(f"{e},{player},{r!r},{x!r}")
         checks = (
             ("realized regret", realized, thresholds.realized_bound),
             ("expected regret", expected, thresholds.expected_bound),
@@ -460,11 +447,9 @@ def run_si_selfplay(cfg: ExperimentConfig):
                 fallback[e] = fb
 
     rows = ["episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback"]
-    for e in range(cfg.episodes):
+    for e, (pr, pc) in enumerate(zip(avg_pay_row.tolist(), avg_pay_col.tolist())):
         a, b = mu.support[joint_idx[e]]
-        rows.append(
-            f"{e},{a},{b},{avg_pay_row[e]!r},{avg_pay_col[e]!r},{int(fallback[e])}"
-        )
+        rows.append(f"{e},{a},{b},{pr!r},{pc!r},{int(fallback[e])}")
 
     results = []
     fb_freq = float(fallback.mean())
@@ -523,33 +508,32 @@ def run_si_consistency(cfg: ExperimentConfig):
     adversaries = cfg.extra.get("adversaries", CONSISTENCY_ADVERSARIES)
     runs_each = max(1, cfg.episodes // len(adversaries))
     draws = _rng(cfg.seed, 0x434F)
-    from .regret import expected_external_regret
 
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     regrets = []
     run_id = 0
     for adversary in adversaries:
         adv_spec = AgentSpec(adversary, {})
-        for _ in range(runs_each):
-            joint = (
+        joints = [
+            (
                 ts.types[int(draws.integers(len(ts.types)))],
                 ts.types[int(draws.integers(len(ts.types)))],
             )
-            trace = run_episode(
-                proto_spec,
-                adv_spec,
-                ts,
-                joint,
-                T,
-                derive_episode_seed(cfg.seed, 0x434F0000 + run_id),
-                convention_table=ct,
-            )
-            reg = expected_external_regret(trace, ts.game(*joint), "row")
+            for _ in range(runs_each)
+        ]
+        runs = range(run_id, run_id + runs_each)
+        seeds = [derive_episode_seed(cfg.seed, 0x434F0000 + r) for r in runs]
+        protocol = stack_agents(
+            build_agent(proto_spec, ts, T, "row", a, convention_table=ct) for a, _ in joints
+        )
+        opponent = stack_agents(
+            build_agent(adv_spec, ts, T, "col", b, convention_table=ct) for _, b in joints
+        )
+        play_batch(protocol, opponent, T, EpisodeStreams(seeds))
+        for r, (a, b), reg in zip(runs, joints, protocol.kernel.regret().tolist()):
+            rows.append(f"{r},{adversary},{a},{b},{reg!r},{bound!r}")
             regrets.append(reg)
-            rows.append(
-                f"{run_id},{adversary},{joint[0]},{joint[1]},{reg!r},{bound!r}"
-            )
-            run_id += 1
+        run_id += runs_each
     regrets = np.asarray(regrets)
     worst = float(regrets.max())
     result = VerificationResult(
@@ -730,7 +714,9 @@ def run_flatten_check(cfg: ExperimentConfig):
     rows = ["history,prob_population,prob_flattened"]
     for h in sorted(set(mixture) | set(flat_dist)):
         label = "".join(f"{a}{b}" for a, b in h)
-        rows.append(f"{label},{mixture.get(h, 0.0)!r},{flat_dist.get(h, 0.0)!r}")
+        rows.append(
+            f"{label},{float(mixture.get(h, 0.0))!r},{float(flat_dist.get(h, 0.0))!r}"
+        )
     return [result], {"flatten_check.csv": "\n".join(rows) + "\n"}
 
 
@@ -806,7 +792,7 @@ def run_ic_eval(cfg: ExperimentConfig):
             B = ts.payoff_table[joint[1]]
             realized = sum(B[b, a] for a, b in trace.history)
             values[e] = (T * tau_col[joint] - realized) / T
-            rows.append(f"{K},{e},{joint[0]},{joint[1]},{values[e]!r}")
+            rows.append(f"{K},{e},{joint[0]},{joint[1]},{float(values[e])!r}")
         mean_by_K[K] = float(values.mean())
         ci_by_K[K] = _ci99_mean(values)
 

@@ -53,7 +53,7 @@ class Population:
         if len(self.weights) != len(self.members):
             raise GameError("population weights must match member count")
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise GameError("population weights must be a probability vector")
         self.weights = [float(x) for x in w]
 
@@ -92,7 +92,7 @@ class TypeDistribution:
         if len(self.support) != len(self.weights):
             raise GameError("type distribution support/weights length mismatch")
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise GameError("type distribution weights must be a probability vector")
         self.support = [tuple(s) for s in self.support]
         self.weights = [float(x) for x in w]

@@ -19,7 +19,6 @@ from cooplab.agents import (
     handshake_decode,
     handshake_encode,
     handshake_prefix_valid,
-    mw_update,
     protocol_threshold,
     theorem26_params,
 )
@@ -49,27 +48,17 @@ def test_default_eta_frozen_values():
     )
 
 
-def test_mw_update_single_step():
+def test_mw_agent_single_step():
     # Identity payoffs, opponent plays 0, eta=1: weights become (e, 1).
-    new = mw_update([1.0, 1.0], 0, np.eye(2), 1.0)
+    agent = MWAgent(np.eye(2), 1.0)
+    assert agent.act() == [0.5, 0.5]
+    agent.observe(1, 0)
+    new = agent.act()
     e = math.e
     assert new[0] == pytest.approx(e / (e + 1), abs=1e-12)
     assert new[1] == pytest.approx(1 / (e + 1), abs=1e-12)
     with pytest.raises(GameError):
-        mw_update([1.0, 0.0], 0, np.eye(2), 1.0)
-    with pytest.raises(GameError):
-        mw_update([1.0, 1.0], 0, np.eye(2), -0.5)
-
-
-def test_mw_update_matches_agent_state():
-    rng = np.random.default_rng(2)
-    A = rng.random((3, 3))
-    agent = MWAgent(A, eta=0.3)
-    w = np.full(3, 1.0 / 3.0)
-    for opp in [0, 2, 1, 1, 0]:
-        agent.observe(0, opp)
-        w = mw_update(w, opp, A, 0.3)
-    assert np.allclose(agent.act(), w, atol=1e-12)
+        MWAgent(np.eye(2), -0.5)
 
 
 def test_mw_agent_long_horizon_no_overflow():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,10 @@ def test_check_mixed_accepts_valid_and_rejects_invalid():
         check_mixed([-0.1, 1.1])
     with pytest.raises(GameError):
         check_mixed([0.5, 0.5], n=3)
+    # NaN compares false with everything, so it must fail the sum test itself.
+    for bad in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]):
+        with pytest.raises(GameError):
+            check_mixed(bad)
 
 
 def test_check_joint_validation():
@@ -50,6 +56,8 @@ def test_check_joint_validation():
         check_joint([[0.5, 0.5]])
     with pytest.raises(GameError):
         check_joint([[0.9, 0.0], [0.0, 0.2]])
+    with pytest.raises(GameError):
+        check_joint([[math.nan, 0.0], [0.0, math.nan]])
 
 
 def test_payoff_indexing_both_seats():
@@ -147,6 +155,11 @@ def test_type_space_format_errors():
         )
     with pytest.raises(GameError):
         TypeSpace(types=("a", "a"), payoff_table={"a": np.zeros((2, 2))})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GameError):
+            TypeSpace.from_dict(
+                {"num_actions": 2, "types": ["a"], "payoffs": {"a": [1, bad, 0, 1]}}
+            )
 
 
 def test_check_history_bounds():

@@ -10,6 +10,7 @@ from cooplab.agents import (
     theorem26_params,
 )
 from cooplab.harness import (
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     VerificationResult,
     _first_trigger_stage,
@@ -162,3 +163,32 @@ def test_emit_curves_aggregates_groups(tmp_path):
     empty.mkdir()
     with pytest.raises(GameError):
         emit_curves(str(empty))
+
+
+def test_every_artifact_value_parses_as_float(ts2):
+    # Cells that are not labels must be plain numbers: a numpy scalar repr
+    # such as "np.float64(0.5)" makes emit-curves skip the whole file.
+    ts4 = fixture_type_space("typespace_4.json")
+    small = {
+        "mw-regret": dict(episodes=6, horizon=20, num_actions=3),
+        "nash-selfplay": dict(episodes=5, horizon=20),
+        "si-selfplay": dict(episodes=20, horizon=40, k=2, type_space=ts4),
+        "si-consistency": dict(episodes=8, horizon=30, k=2, type_space=ts4),
+        "auth-failure": dict(episodes=50),
+        "mixture-check": dict(episodes=4),
+        "flatten-check": dict(episodes=1),
+        "ic-eval": dict(horizon=12, k=1, tilde_T=4, type_space=ts2,
+                        extra={"K_values": [10, 20], "eval_episodes": 5}),
+    }
+    assert set(small) == set(EXPERIMENT_KINDS)
+    labels = {"adversary", "player", "theta1", "theta2", "theta_protocol",
+              "theta_adversary", "history"}
+    for kind, kw in small.items():
+        _, artifacts = run_experiment(ExperimentConfig(kind=kind, seed=4, **kw))
+        for name, text in artifacts.items():
+            header, *rows = [line.split(",") for line in text.splitlines()]
+            assert rows, name
+            for row in rows:
+                for column, cell in zip(header, row):
+                    if column not in labels:
+                        float(cell)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -41,6 +42,9 @@ def test_population_validation():
         Population(members=[], weights=[])
     with pytest.raises(GameError):
         Population(members=[AgentSpec("UniformRandom", {})], weights=[0.5])
+    for bad in ([math.nan], [math.inf]):
+        with pytest.raises(GameError):
+            Population(members=[AgentSpec("UniformRandom", {})], weights=bad)
     pop = simple_population()
     assert pop.content_hash() == Population.from_dict(pop.to_dict()).content_hash()
 
@@ -48,6 +52,9 @@ def test_population_validation():
 def test_type_distribution_validation(ts2):
     with pytest.raises(GameError):
         TypeDistribution(support=[("gamma", "gamma")], weights=[0.9])
+    for bad in ([math.nan, math.nan], [math.inf, 0.0]):
+        with pytest.raises(GameError):
+            TypeDistribution(support=[("gamma", "gamma"), ("gamma", "delta")], weights=bad)
     mu = TypeDistribution.uniform(ts2)
     assert len(mu.support) == 4
     assert sum(mu.weights) == pytest.approx(1.0)
