@@ -114,14 +114,15 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     # ends on a positive action.
     n = probs.shape[1]
     acc = np.maximum(probs[:, 0], 0.0)
-    actions = (acc <= u).astype(np.intp)
+    below = acc <= u
+    actions = below.astype(np.intp)
     for a in range(1, n):
         acc += np.maximum(probs[:, a], 0.0)
-        actions += acc <= u
-    over = actions == n
-    if np.count_nonzero(over):
-        # The last positive action, or 0 when there is none.
-        actions[over] = ((probs[over] > 0.0) * np.arange(n)).max(axis=1)
+        below = acc <= u
+        actions += below
+    # Draws at or above the total: the last positive action, or 0 if none.
+    if np.count_nonzero(below):
+        actions[below] = ((probs[below] > 0.0) * np.arange(n)).max(axis=1)
     return actions
 
 
@@ -131,15 +132,15 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _rowsum(x: np.ndarray) -> np.ndarray:
-    out = x[..., 0].copy()
-    for a in range(1, x.shape[-1]):
+    out = x[..., 0] + x[..., 1] if x.shape[-1] > 1 else x[..., 0].copy()
+    for a in range(2, x.shape[-1]):
         out += x[..., a]
     return out
 
 
 def _rowmax(x: np.ndarray) -> np.ndarray:
-    out = x[..., 0].copy()
-    for a in range(1, x.shape[-1]):
+    out = np.maximum(x[..., 0], x[..., 1]) if x.shape[-1] > 1 else x[..., 0].copy()
+    for a in range(2, x.shape[-1]):
         np.maximum(out, x[..., a], out=out)
     return out
 
@@ -207,7 +208,7 @@ class BatchFixedSequence(BatchAgent):
     """Scripted pure actions (E, L), cycled as ``FixedSequenceAgent`` does."""
 
     def __init__(self, actions, n: int):
-        self.actions = np.asarray(actions, dtype=np.intp)
+        self.actions = np.asarray(actions)
         self._eye = np.eye(n)
         self.stage = 0
 
@@ -319,6 +320,7 @@ class BatchProtocol(BatchAgent):
         # Single-type spaces need no handshake; otherwise the convention is
         # chosen at stage k.
         self.phase = np.full(E, CONVENTION if self.k == 0 else HANDSHAKE, dtype=np.int8)
+        self.fallen = 0  # episodes in the fallback phase
         self.convention = self.conventions[:, 0]
         self._sigma = None
 
@@ -327,25 +329,28 @@ class BatchProtocol(BatchAgent):
             out = self._eye.take(self.own_code[:, self.stage], axis=0)
         else:
             out = self.convention
-        fallen = self.phase == FALLBACK
-        if np.count_nonzero(fallen):
-            out = np.where(fallen[:, None], self.mw.act(), out)
+        if self.fallen:
+            out = np.where((self.phase == FALLBACK)[:, None], self.mw.act(), out)
         self._sigma = out
         return out
 
     def _fall_back(self, rows: np.ndarray) -> None:
-        if np.count_nonzero(rows):
+        count = np.count_nonzero(rows)
+        if count:
+            self.fallen += count
             self.phase[rows] = FALLBACK
             self.fallback_stage[rows] = self.stage
             self.mw.log_weights[rows] = 0.0
 
     def observe(self, own, opp):
-        active = self.phase != FALLBACK
         payoffs = self.kernel.payoffs(opp)
         self.kernel.update(self._sigma, payoffs)
-        if np.count_nonzero(active) < len(active):
+        if self.fallen:
+            active = self.phase != FALLBACK
             # Rows outside the fallback phase learn too; entering it resets them.
             self.mw.learn(payoffs)
+        else:
+            active = True
         handshake = self.stage < self.k
         self.stage += 1
         if handshake:
@@ -440,14 +445,17 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
     """
     for start in range(0, T, BLOCK):
         stages = min(BLOCK, T - start)
-        u = streams.uniforms(2 * stages) if streams is not None else None
+        # Row s holds stage s's row-seat draws, then its column-seat draws.
+        u = streams.uniforms(2 * stages).reshape(stages, -1) if streams is not None else None
         for s in range(stages):
             p = row.act()
             q = col.act(p)
             if u is None:
                 a, b = None, q.argmax(axis=1)
             else:
-                a, b = sample_actions(p, u[2 * s]), sample_actions(q, u[2 * s + 1])
+                # Both seats in one call: rows of p, then rows of q.
+                actions = sample_actions(np.concatenate((p, q)), u[s])
+                a, b = actions[: len(p)], actions[len(p) :]
             if regret is not None:
                 regret.update(p, regret.payoffs(b))
             row.observe(a, b)
