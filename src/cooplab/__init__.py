@@ -60,6 +60,7 @@ from .population import (
     Population,
     TypeDistribution,
     derive_episode_seed,
+    derive_episode_seeds,
     flatten_population,
     generate_dataset,
     play_episode,
@@ -68,6 +69,7 @@ from .population import (
     write_dataset,
 )
 from .imitation_commit import (
+    BatchIC,
     CommitmentMixture,
     ImitateThenCommitAgent,
     ImitationPolicy,
@@ -75,7 +77,6 @@ from .imitation_commit import (
     bound_report,
     delta_K,
     fit_imitation,
-    ic_strategy,
     mixture_from_joint,
     response_function,
     theorem42_bound,

@@ -9,16 +9,16 @@ stay the reference, so parameters are resolved once, by ``build_agent``.
 Random-stream contract, identical to ``run_episode``: episode e uses
 ``random.Random(seed_e)``; the first two ``getrandbits(63)`` calls go to the
 agent seeds, then each stage draws one ``random()`` for the row seat and one
-for the column seat, in that order.  Actions are sampled by the inverse CDF
-of ``population._sample_action``: zero-probability actions are skipped, the
-first action whose running sum exceeds the draw is taken, and the last
-positive action when rounding leaves the draw above the total.  Sampled
+for the column seat, in that order.  The streams are MT19937, seeded and
+stepped here for all episodes at once, with no ``Random`` object.  Actions
+are sampled by the inverse CDF of ``population._sample_action``:
+zero-probability actions are skipped, the first action whose running sum
+exceeds the draw is taken, and the last positive action when rounding leaves
+the draw above the total.  Sampled
 actions therefore equal the scalar loop's; announced strategies that involve
 ``exp`` may differ from ``math.exp`` in the last bit.
 """
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .game_core import GameError
 from .agents import (
     BestResponderAgent,
     FixedMixedAgent,
+    FixedSequenceAgent,
     GrimTriggerAgent,
     MWAgent,
     ProtocolAgent,
@@ -34,6 +35,11 @@ from .agents import (
 # Stages whose uniforms are drawn at once: memory stays (2 * BLOCK, E)
 # whatever the horizon.
 BLOCK = 16
+
+# Episodes stepped together by dataset generation and ic-eval: the (624, E)
+# generator states and (T, 2, E) action records stay bounded whatever the
+# episode count.
+EPISODE_BATCH = 2000
 
 # ---------------------------------------------------------------------------
 # Random streams: MT19937, the generator behind random.Random, stepped for all
@@ -69,37 +75,82 @@ def _temper(y: np.ndarray) -> np.ndarray:
     return y ^ (y >> 18)
 
 
+# MT19937 seeding: init_genrand(19650218), the state every init_by_array
+# starts from, then init_by_array's two mixing passes.
+_GENRAND = [19650218]
+for _i in range(1, _MT_N):
+    _GENRAND.append((1812433253 * (_GENRAND[-1] ^ (_GENRAND[-1] >> 30)) + _i) & 0xFFFFFFFF)
+_GENRAND = np.array(_GENRAND, dtype=np.uint32)
+
+
+def _seeded(seeds) -> np.ndarray:
+    """The (624, E) states of ``random.Random(seed)`` for seeds in [0, 2**64),
+    before their first draw: ``init_by_array`` on each seed's 32-bit words,
+    one word below 2**32, two above, run for all seeds at once."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    lo = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    # Step s adds key[j] + j with j = s mod (key length): the low word on
+    # even steps, and on odd steps the low word again for one-word keys or
+    # the high word plus one for two-word keys.
+    adds = (lo, np.where(hi > 0, hi + np.uint32(1), lo))
+    mt = np.repeat(_GENRAND[:, None], len(seeds), axis=1)
+    tmp = np.empty(len(seeds), dtype=np.uint32)
+    i = 1
+    for s in range(2 * _MT_N - 1):
+        prev, row = mt[i - 1], mt[i]
+        np.right_shift(prev, 30, out=tmp)
+        tmp ^= prev
+        if s < _MT_N:
+            tmp *= 1664525
+            row ^= tmp
+            row += adds[s & 1]
+        else:
+            tmp *= 1566083941
+            row ^= tmp
+            row -= i
+        i += 1
+        if i == _MT_N:
+            mt[0] = mt[-1]
+            i = 1
+    mt[0] = 0x80000000
+    return mt
+
+
 class EpisodeStreams:
-    """The per-episode ``random.Random(seed)`` streams of E episodes, after
-    the two agent-seed draws, advanced together."""
+    """The per-episode ``random.Random(seed)`` streams of E episodes, seeds
+    in [0, 2**64), advanced together.
 
-    def __init__(self, seeds):
-        # Column e: episode e's 624 state words, then its position.  Filled
-        # one episode at a time, so at most one state is held as Python ints.
-        state = np.empty((_MT_N + 1, len(seeds)), dtype=np.uint32)
-        for e, seed in enumerate(seeds):
-            rng = random.Random(seed)
-            rng.getrandbits(63)
-            rng.getrandbits(63)
-            state[:, e] = rng.getstate()[1]
-        # Every stream was seeded and drawn from alike, so all share one
-        # position.
-        self._mt = state[:_MT_N]
-        self._pos = int(state[_MT_N, 0])
+    By default the first two ``getrandbits(63)`` draws of every stream are
+    taken at once, as ``run_episode`` takes them, and kept as
+    ``agent_seeds`` (2, E): the row and the column agent's seeds."""
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` ``random()`` values of every stream, (count, E)."""
-        words = np.empty((2 * count, self._mt.shape[1]), dtype=np.uint32)
+    def __init__(self, seeds, draw_agent_seeds: bool = True):
+        self._mt = _seeded(seeds)
+        self._pos = _MT_N
+        self.agent_seeds = None
+        if draw_agent_seeds:
+            # getrandbits(63): a full low word, then a high word shifted to 31 bits.
+            w = self._words(4).astype(np.uint64)
+            self.agent_seeds = w[0::2] | ((w[1::2] >> np.uint64(1)) << np.uint64(32))
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit outputs of every stream, (count, E)."""
+        words = np.empty((count, self._mt.shape[1]), dtype=np.uint32)
         filled = 0
-        while filled < len(words):
+        while filled < count:
             if self._pos == _MT_N:
                 _twist(self._mt)
                 self._pos = 0
-            take = min(_MT_N - self._pos, len(words) - filled)
+            take = min(_MT_N - self._pos, count - filled)
             words[filled : filled + take] = self._mt[self._pos : self._pos + take]
             self._pos += take
             filled += take
-        words = _temper(words)
+        return _temper(words)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` ``random()`` values of every stream, (count, E)."""
+        words = self._words(2 * count)
         high = (words[0::2] >> 5).astype(float)
         low = (words[1::2] >> 6).astype(float)
         return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
@@ -120,9 +171,14 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
         acc += np.maximum(probs[:, a], 0.0)
         below = acc <= u
         actions += below
-    # Draws at or above the total: the last positive action, or 0 if none.
+    # Draws at or above the total: the last positive action.  A row with no
+    # positive entry is not a strategy; the scalar loop's EpisodeTrace
+    # rejects the action it samples from one.
     if np.count_nonzero(below):
-        actions[below] = ((probs[below] > 0.0) * np.arange(n)).max(axis=1)
+        positive = probs[below] > 0.0
+        if not positive.any(axis=1).all():
+            raise GameError("announced strategy has no action of positive probability")
+        actions[below] = (positive * np.arange(n)).max(axis=1)
     return actions
 
 
@@ -145,11 +201,24 @@ def _rowmax(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _read(agents, *attrs) -> list[list]:
-    """The named attributes of every agent, one list per attribute.  Reads
-    each agent once, so ``agents`` may build them one at a time."""
-    rows = ([getattr(agent, name) for name in attrs] for agent in agents)
-    return [list(column) for column in zip(*rows)]
+def _read(agents, *attrs):
+    """The named attributes of each distinct agent, one list per attribute,
+    and the row (E,) of each episode's agent in those lists.  An agent that
+    stands for many episodes is read once."""
+    slots, rows, columns = {}, [], []
+    for agent in agents:
+        # Keeping the agent with its slot keeps its id from being reused.
+        slot, _ = slots.setdefault(id(agent), (len(columns), agent))
+        if slot == len(columns):
+            columns.append([getattr(agent, name) for name in attrs])
+        rows.append(slot)
+    return [list(column) for column in zip(*columns)], np.array(rows, dtype=np.intp)
+
+
+def _columns(agents, *attrs, dtype=float) -> list[np.ndarray]:
+    """Per-episode arrays of the named attributes."""
+    columns, rows = _read(agents, *attrs)
+    return [np.array(column, dtype=dtype)[rows] for column in columns]
 
 
 class RegretKernel:
@@ -290,17 +359,18 @@ class BatchProtocol(BatchAgent):
     the end it holds each episode's expected external regret."""
 
     def __init__(self, agents):
-        (ks, seats, type_names, n, matrices, codes, thresholds, etas, tables, own_types) = _read(
+        columns, rows = _read(
             agents, "k", "seat", "type_names", "n", "matrix", "own_code", "threshold",
             "eta_fallback", "convention_table", "own_type",
         )
+        (ks, seats, type_names, n, matrices, codes, thresholds, etas, tables, own_types) = columns
         if len(set(zip(ks, seats, type_names))) != 1:
             raise GameError("batched protocol agents need one k, seat and type space")
         self.k, seat, types = ks[0], seats[0], type_names[0]
-        E = len(matrices)
+        E = len(rows)
         self.n, self.num_types = n[0], len(types)
-        self.own_code = np.array(codes, dtype=np.intp).reshape(E, self.k)
-        self.threshold = np.array(thresholds)
+        self.own_code = np.array(codes, dtype=np.intp)[rows].reshape(E, self.k)
+        self.threshold = np.array(thresholds)[rows]
         # conventions[e, j]: the episode's convention strategy when the
         # partner announces type j.
         self.conventions = np.array(
@@ -308,10 +378,10 @@ class BatchProtocol(BatchAgent):
                 [table.strategy_for((own, t) if seat == "row" else (t, own), seat) for t in types]
                 for table, own in zip(tables, own_types)
             ]
-        )
-        matrices = np.array(matrices, dtype=float)
+        )[rows]
+        matrices = np.array(matrices, dtype=float)[rows]
         self.kernel = RegretKernel(matrices)
-        self.mw = BatchMW(matrices, etas)
+        self.mw = BatchMW(matrices, np.array(etas)[rows])
         self._eye = np.eye(self.n)
         self._rows = np.arange(E)
         self.stage = 0
@@ -395,29 +465,47 @@ class BatchAdaptive(BatchAgent):
 
 
 def _stack_grim_trigger(agents):
-    n, coop, punish, opp_coop = _read(agents, "n", "coop", "punish", "opp_coop")
-    return BatchGrimTrigger(n[0], coop, punish, opp_coop)
+    n, *actions = _columns(agents, "n", "coop", "punish", "opp_coop", dtype=np.intp)
+    return BatchGrimTrigger(n[0], *actions)
+
+
+def _stack_fixed_sequence(agents):
+    (scripts, n), rows = _read(agents, "actions", "n")
+    if len(set(map(len, scripts))) != 1:
+        raise GameError("stacked FixedSequence agents need scripts of one length")
+    return BatchFixedSequence(np.array(scripts)[rows], n[0])
 
 
 _STACKERS = {
-    MWAgent: lambda agents: BatchMW(*_read(agents, "matrix", "eta")),
+    MWAgent: lambda agents: BatchMW(*_columns(agents, "matrix", "eta")),
     ProtocolAgent: BatchProtocol,
     GrimTriggerAgent: _stack_grim_trigger,
-    BestResponderAgent: lambda agents: BatchBestResponder(*_read(agents, "matrix")),
-    FixedMixedAgent: lambda agents: BatchFixedMixed(*_read(agents, "probs")),
+    FixedSequenceAgent: _stack_fixed_sequence,
+    BestResponderAgent: lambda agents: BatchBestResponder(*_columns(agents, "matrix")),
+    FixedMixedAgent: lambda agents: BatchFixedMixed(*_columns(agents, "probs")),
 }
+
+
+def _stacker(cls):
+    return next((_STACKERS[base] for base in cls.__mro__ if base in _STACKERS), None)
+
+
+def has_batch_form(agent) -> bool:
+    """Whether ``stack_agents`` can stack agents of this one's kind."""
+    return _stacker(type(agent)) is not None
 
 
 def stack_agents(agents) -> BatchAgent:
     """One batch agent from the fresh scalar agents of E episodes, all of one
-    kind.  Each agent is read once, so ``agents`` may be a generator that
-    builds them one at a time and only one is alive at once."""
+    kind.  One agent may stand for many episodes: fresh agents of the kinds
+    with a batch form ignore their seed, so one per (spec, seat, own type)
+    will do, and each distinct agent is read once."""
     agents = iter(agents)
     first = next(agents, None)
     if first is None:
         raise GameError("need at least one agent to stack")
     cls = type(first)
-    stacker = next((_STACKERS[base] for base in cls.__mro__ if base in _STACKERS), None)
+    stacker = _stacker(cls)
     if stacker is None:
         raise GameError(f"no batched form for {cls.__name__}")
 
@@ -433,16 +521,18 @@ def stack_agents(agents) -> BatchAgent:
 
 def play_batch(row: BatchAgent, col: BatchAgent, T: int,
                streams: EpisodeStreams | None = None,
-               regret: RegretKernel | None = None) -> None:
+               regret: RegretKernel | None = None) -> np.ndarray | None:
     """Play T stages of E episodes in lockstep.
 
     With ``streams`` both seats' actions are sampled from their announced
-    strategies, row then column, as ``run_episode`` does.  Without, the
-    column seat must announce pure strategies and plays their support, and
-    the row seat's action is not sampled (None): for a learner whose own
-    actions no agent reads, such as MW against the regret adversaries.
+    strategies, row then column, as ``run_episode`` does, and returned as a
+    (T, 2, E) record of (row, col) actions.  Without, the column seat must
+    announce pure strategies and plays their support, and the row seat's
+    action is not sampled (None): for a learner whose own actions no agent
+    reads, such as MW against the regret adversaries; nothing is returned.
     ``regret``, if given, accrues the row seat's expected external regret.
     """
+    record = None
     for start in range(0, T, BLOCK):
         stages = min(BLOCK, T - start)
         # Row s holds stage s's row-seat draws, then its column-seat draws.
@@ -455,8 +545,12 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
             else:
                 # Both seats in one call: rows of p, then rows of q.
                 actions = sample_actions(np.concatenate((p, q)), u[s])
+                if record is None:
+                    record = np.empty((T, 2, len(p)), dtype=np.min_scalar_type(p.shape[1] - 1))
+                record[start + s] = actions.reshape(2, -1)
                 a, b = actions[: len(p)], actions[len(p) :]
             if regret is not None:
                 regret.update(p, regret.payoffs(b))
             row.observe(a, b)
             col.observe(b, a)
+    return record

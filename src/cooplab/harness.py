@@ -3,9 +3,10 @@
 Each experiment runs a seeded episode batch, computes the relevant empirical
 statistic, recomputes the corresponding theoretical bound at report time, and
 emits per-episode CSV rows plus a pass/fail verification result.  The
-agent-zoo experiments (mw-regret, si-consistency) step all their episodes at
-once on the batched engine (``engine.py``), on the per-episode random streams
-of ``run_episode``.  Protocol self-play uses a vectorized fast path that is an
+agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its datasets
+included, step their episodes in batches on the batched engine
+(``engine.py``), on the per-episode random streams of ``run_episode``.
+Protocol self-play uses a vectorized fast path that is an
 exact reproduction of the agent semantics (cross-checked in the test suite);
 episodes that leave the vectorizable regime (a protocol agent tripping its
 regret threshold) are finished stage-by-stage with the real agent classes on
@@ -13,6 +14,7 @@ the same sampled prefix.
 """
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass, field
@@ -43,18 +45,21 @@ from .agents import (
     theorem26_params,
 )
 from .engine import (
+    EPISODE_BATCH,
     BatchAdaptive,
     BatchFixedSequence,
     BatchMW,
     EpisodeStreams,
     RegretKernel,
+    has_batch_form,
     play_batch,
     stack_agents,
 )
 from .population import (
     Population,
     TypeDistribution,
-    derive_episode_seed,
+    derive_episode_seed,  # unused here; kept bindable for the benchmark's tracer
+    derive_episode_seeds,
     flatten_population,
     generate_dataset,
     play_episode,
@@ -62,7 +67,9 @@ from .population import (
     _sample_action,
 )
 from .imitation_commit import (
+    BatchIC,
     ImitateThenCommitAgent,
+    PolicyTrie,
     auth_failure_probability,
     delta_K,
     fit_imitation,
@@ -433,7 +440,9 @@ def run_si_selfplay(cfg: ExperimentConfig):
             pay_c = hpay_c + B[j_acts, i_acts].sum(axis=1)
             avg_pay_row[ids[clean]] = pay_r[clean] / T
             avg_pay_col[ids[clean]] = pay_c[clean] / T
-            for local in np.nonzero(triggered)[0]:
+            finish = np.flatnonzero(triggered)
+            seeds = derive_episode_seeds(cfg.seed, ids[finish]).tolist()
+            for local, seed in zip(finish.tolist(), seeds):
                 e = int(ids[local])
                 pr, pc, fb = _finish_triggered_episode(
                     ts,
@@ -444,7 +453,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
                     params.eps1,
                     i_acts[local],
                     j_acts[local],
-                    derive_episode_seed(cfg.seed, e),
+                    seed,
                 )
                 avg_pay_row[e] = pr
                 avg_pay_col[e] = pc
@@ -521,8 +530,14 @@ def run_si_consistency(cfg: ExperimentConfig):
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     regrets = []
     run_id = 0
+    # Fresh agents of the kinds with a batch form ignore their seed: one
+    # protocol per own type, one adversary per kind and own type.
+    protocols = {t: build_agent(proto_spec, ts, T, "row", t, convention_table=ct) for t in ts.types}
     for adversary in adversaries:
         adv_spec = AgentSpec(adversary, {})
+        opponents = {
+            t: build_agent(adv_spec, ts, T, "col", t, convention_table=ct) for t in ts.types
+        }
         joints = [
             (
                 ts.types[int(draws.integers(len(ts.types)))],
@@ -533,13 +548,9 @@ def run_si_consistency(cfg: ExperimentConfig):
         for start in range(0, runs_each, CONSISTENCY_BATCH):
             batch = joints[start : start + CONSISTENCY_BATCH]
             runs = range(run_id + start, run_id + start + len(batch))
-            seeds = [derive_episode_seed(cfg.seed, 0x434F0000 + r) for r in runs]
-            protocol = stack_agents(
-                build_agent(proto_spec, ts, T, "row", a, convention_table=ct) for a, _ in batch
-            )
-            opponent = stack_agents(
-                build_agent(adv_spec, ts, T, "col", b, convention_table=ct) for _, b in batch
-            )
+            seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(runs.start, runs.stop))
+            protocol = stack_agents(protocols[a] for a, _ in batch)
+            opponent = stack_agents(opponents[b] for _, b in batch)
             play_batch(protocol, opponent, T, EpisodeStreams(seeds))
             for r, (a, b), reg in zip(runs, batch, protocol.kernel.regret().tolist()):
                 rows.append(f"{r},{adversary},{a},{b},{reg!r},{bound!r}")
@@ -554,7 +565,10 @@ def run_si_consistency(cfg: ExperimentConfig):
         bound=bound,
         passed=worst <= bound + 1e-9,
         sample_count=len(regrets),
-        detail=f"violations={int((regrets > bound + 1e-9).sum())}",
+        detail=(
+            f"violations={int((regrets > bound + 1e-9).sum())}; {runs_each} runs per "
+            f"adversary, {len(regrets)} of {cfg.episodes} requested"
+        ),
     )
     return [result], {"si_consistency.csv": "\n".join(rows) + "\n"}
 
@@ -742,6 +756,25 @@ def _default_ic_mu(ts: TypeSpace) -> TypeDistribution:
     )
 
 
+def _scalar_ic_record(policy, tilde_T, T, member, ts, ct, joints, seeds) -> np.ndarray:
+    """(T, 2, E) actions of IC episodes against a partner with no batch
+    form, played one at a time by the scalar agents."""
+    record = np.empty((T, 2, len(joints)), dtype=np.intp)
+    for e, (joint, seed) in enumerate(zip(joints, seeds.tolist())):
+        rng = random.Random(seed)
+        ic_seed = rng.getrandbits(63)
+        partner_seed = rng.getrandbits(63)
+        agent_row = ImitateThenCommitAgent(
+            policy, tilde_T, T, own_type=joint[0], seat="row", seed=ic_seed
+        )
+        agent_col = build_agent(
+            member, ts, T, seat="col", own_type=joint[1], seed=partner_seed, convention_table=ct
+        )
+        trace = play_episode(agent_row, agent_col, T, rng, joint_type=joint)
+        record[:, :, e] = trace.history
+    return record
+
+
 def run_ic_eval(cfg: ExperimentConfig):
     ts = cfg.type_space or fixture_type_space("typespace_2.json")
     n = ts.num_actions
@@ -759,7 +792,8 @@ def run_ic_eval(cfg: ExperimentConfig):
     K_values = list(cfg.extra.get("K_values", (100, 1000, 10000)))
     eval_episodes = int(cfg.extra.get("eval_episodes", 2000))
 
-    tau_col = {joint: worst_pone_payoff(ts.game(*joint), "col") for joint in mu.support}
+    tau_col = np.array([worst_pone_payoff(ts.game(*joint), "col") for joint in mu.support])
+    payoff_col = np.array([ts.payoff_table[joint[1]] for joint in mu.support])
 
     policies = {}
     for K in K_values:
@@ -769,43 +803,67 @@ def run_ic_eval(cfg: ExperimentConfig):
             convention_table=ct,
         )
         policies[K] = fit_imitation(ds, tilde_T, seat="row")
+    tries = {K: PolicyTrie(policy) for K, policy in policies.items()}
 
     # Common random numbers across K: identical type draws, partner draws and
-    # episode seeds, so the curves differ only through the fitted policies.
+    # episode streams, so the curves differ only through the fitted policies.
     draws = _rng(cfg.seed, 0x4556)
     joint_ids = draws.choice(len(mu.support), size=eval_episodes, p=np.asarray(mu.weights))
     partner_ids = draws.choice(len(pop.members), size=eval_episodes, p=np.asarray(pop.weights))
-    episode_seeds = [derive_episode_seed(cfg.seed, 0x45560000 + e) for e in range(eval_episodes)]
+    episode_seeds = derive_episode_seeds(cfg.seed, 0x45560000 + np.arange(eval_episodes))
+
+    values = {K: np.zeros(eval_episodes) for K in K_values}
+    partners = {}  # one fresh partner per (member, own type)
+    for m, member in enumerate(pop.members):
+        group = np.flatnonzero(partner_ids == m)
+        for start in range(0, len(group), EPISODE_BATCH):
+            ids = group[start : start + EPISODE_BATCH]
+            joints = [mu.support[j] for j in joint_ids[ids]]
+            for joint in joints:
+                if (m, joint[1]) not in partners:
+                    partners[(m, joint[1])] = build_agent(
+                        member, ts, T, seat="col", own_type=joint[1], convention_table=ct
+                    )
+            cols = [partners[(m, joint[1])] for joint in joints]
+            batched = has_batch_form(cols[0])
+            if batched:
+                streams = EpisodeStreams(episode_seeds[ids])
+                # The IC agent's own Random(ic_seed) makes one draw, its commitment.
+                ic_streams = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False)
+                commit_draws = ic_streams.uniforms(1)[0]
+            for K in K_values:
+                if batched:
+                    ic = BatchIC(tries[K], tilde_T, T, [a for a, _ in joints], "row", commit_draws)
+                    record = play_batch(ic, stack_agents(cols), T, copy.deepcopy(streams))
+                    # Spot check at the cost of one episode: the scalar agents
+                    # replay the batch's first episode on its stream.
+                    first = _scalar_ic_record(
+                        policies[K], tilde_T, T, member, ts, ct, joints[:1], episode_seeds[ids[:1]]
+                    )
+                    if not np.array_equal(first[:, :, 0], record[:, :, 0]):
+                        raise GameError("batched IC episode differs from its scalar replay")
+                else:
+                    record = _scalar_ic_record(
+                        policies[K], tilde_T, T, member, ts, ct, joints, episode_seeds[ids]
+                    )
+                # Column payoff of every stage, B[own = col action, opp = row action],
+                # summed over the stages in order.
+                stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]
+                realized = np.zeros(len(ids))
+                for pay in stage_pay:
+                    realized += pay
+                values[K][ids] = (T * tau_col[joint_ids[ids]] - realized) / T
 
     rows = ["K,episode,theta1,theta2,avg_altruistic_regret"]
+    labels = [f"{mu.support[j][0]},{mu.support[j][1]}" for j in joint_ids]
     mean_by_K = {}
     ci_by_K = {}
     for K in K_values:
-        values = np.zeros(eval_episodes)
-        for e in range(eval_episodes):
-            joint = mu.support[joint_ids[e]]
-            rng = random.Random(episode_seeds[e])
-            ic_seed = rng.getrandbits(63)
-            partner_seed = rng.getrandbits(63)
-            agent_row = ImitateThenCommitAgent(
-                policies[K], tilde_T, T, own_type=joint[0], seat="row", seed=ic_seed
-            )
-            agent_col = build_agent(
-                pop.members[partner_ids[e]],
-                ts,
-                T,
-                seat="col",
-                own_type=joint[1],
-                seed=partner_seed,
-                convention_table=ct,
-            )
-            trace = play_episode(agent_row, agent_col, T, rng, joint_type=joint)
-            B = ts.payoff_table[joint[1]]
-            realized = sum(B[b, a] for a, b in trace.history)
-            values[e] = (T * tau_col[joint] - realized) / T
-            rows.append(f"{K},{e},{joint[0]},{joint[1]},{float(values[e])!r}")
-        mean_by_K[K] = float(values.mean())
-        ci_by_K[K] = _ci99_mean(values)
+        rows.extend(
+            f"{K},{e},{label},{v!r}" for e, (label, v) in enumerate(zip(labels, values[K].tolist()))
+        )
+        mean_by_K[K] = float(values[K].mean())
+        ci_by_K[K] = _ci99_mean(values[K])
 
     results = []
     means = [mean_by_K[K] for K in K_values]

@@ -13,7 +13,8 @@ import numpy as np
 
 from .game_core import GameError, History, check_joint
 from .agents import Agent, AgentSpec, BuildContext, register_agent_kind
-from .population import Dataset
+from .engine import BatchAgent, sample_actions
+from .population import Dataset, read_dataset
 
 COMPONENT_TOL = 1e-12
 
@@ -56,32 +57,36 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     policy = ImitationPolicy(
         num_actions=n, tilde_T=tilde_T, seat=seat, empty=not dataset.episodes
     )
-    own_idx = 0 if seat == "row" else 1
-    type_idx = 0 if seat == "row" else 1
-    for theta1, theta2, history in dataset.episodes:
-        own_type = (theta1, theta2)[type_idx]
+    # Each episode walks a trie of the prefixes seen so far: a stage costs one
+    # lookup of (node, pair), not a hash of its whole prefix.
+    own = 0 if seat == "row" else 1  # the seat's type and action index
+    nodes: dict = {}  # own type, or (parent node, pair) -> node
+    keys: list = []  # node -> (own type, prefix), in order of first visit
+    visits, actions = [], []
+    for episode in dataset.episodes:
+        own_type, history = episode[own], episode[2]
+        parent = own_type
         for t in range(min(tilde_T, len(history))):
-            key = (own_type, history[:t])
-            c = policy.counts.get(key)
-            if c is None:
-                c = np.zeros(n)
-                policy.counts[key] = c
-            c[history[t][own_idx]] += 1.0
+            node = nodes.get(parent)
+            if node is None:
+                node = nodes[parent] = len(keys)
+                keys.append((own_type, history[:t]))
+            visits.append(node)
+            actions.append(history[t][own])
+            parent = (node, history[t])
+    actions = np.array(actions, dtype=np.intp)
+    if actions.size and not (0 <= actions.min() and actions.max() < n):
+        raise GameError(f"dataset actions must be in [0, {n})")
+    counts = np.bincount(np.array(visits, dtype=np.intp) * n + actions, minlength=len(keys) * n)
+    policy.counts = dict(zip(keys, counts.reshape(len(keys), n).astype(float)))
     return policy
 
 
-def empirical_joint(history, up_to: int) -> np.ndarray:
+def empirical_joint_n(history, up_to: int, n: int) -> np.ndarray:
     """Frequency of each (row, col) action pair over the first ``up_to``
     stages."""
-    if up_to < 1:
-        raise GameError(f"up_to must be >= 1, got {up_to}")
-    if up_to > len(history):
-        raise GameError(f"up_to={up_to} exceeds history length {len(history)}")
-    n = max(max(a, b) for a, b in history[:up_to]) + 1
-    return empirical_joint_n(history, up_to, n)
-
-
-def empirical_joint_n(history, up_to: int, n: int) -> np.ndarray:
+    if not 1 <= up_to <= len(history):
+        raise GameError(f"up_to={up_to} must be in [1, {len(history)}], the history length")
     z = np.zeros((n, n))
     for a, b in history[:up_to]:
         z[a, b] += 1.0
@@ -214,32 +219,102 @@ class ImitateThenCommitAgent(Agent):
         self.stage += 1
 
 
-def ic_strategy(
-    dataset: Dataset,
-    tilde_T: int,
-    T: int,
-    own_type: str,
-    seat: str = "row",
-    seed: int = 0,
-    policy: ImitationPolicy | None = None,
-) -> ImitateThenCommitAgent:
-    if policy is None:
-        policy = fit_imitation(dataset, tilde_T, seat=seat)
-    return ImitateThenCommitAgent(
-        policy, tilde_T, T, own_type=own_type, seat=seat, seed=seed
-    )
+class PolicyTrie:
+    """An ``ImitationPolicy``'s lookups as a trie of node ids, built once per
+    policy.  ``strategies[v]`` is the policy's strategy at node v's (own
+    type, history) and ``children[v, a * N + b]`` the node after the pair
+    (a, b).  Node 0 stands for every history that no key extends: uniform,
+    and its own child, as is every child that leads to no key."""
+
+    def __init__(self, policy: ImitationPolicy):
+        n = self.n = policy.num_actions
+        self.seat = policy.seat
+        nodes: dict[tuple[str, History], int] = {}
+        links = []  # (parent, pair code, child)
+
+        def node(own_type, history) -> int:
+            v = nodes.get((own_type, history))
+            if v is None:
+                v = nodes[(own_type, history)] = len(nodes) + 1
+                if history:
+                    a, b = history[-1]
+                    links.append((node(own_type, history[:-1]), a * n + b, v))
+            return v
+
+        for key in policy.counts:
+            node(*key)
+        self.roots = {own_type: v for (own_type, history), v in nodes.items() if not history}
+        self.strategies = np.array(
+            [np.full(n, 1.0 / n)] + [policy.strategy(*key) for key in nodes]
+        )
+        self.children = np.zeros((len(nodes) + 1, n * n), dtype=np.intp)
+        for parent, code, child in links:
+            self.children[parent, code] = child
+
+
+class BatchIC(BatchAgent):
+    """``ImitateThenCommitAgent`` over E episodes of one policy, either seat.
+
+    For the first ``tilde_T`` stages each episode plays the policy at its
+    trie node.  At ``tilde_T`` it forms the commitment mixture of its
+    empirical joint play, with the float operations of ``empirical_joint_n``
+    and ``mixture_from_joint``, and draws a component with ``draws`` (E,):
+    the first ``random()`` of the episode's ``Random(seed)``, the draw the
+    scalar agent makes.  It holds that strategy to the end."""
+
+    def __init__(self, trie: PolicyTrie, tilde_T: int, T: int, own_types, seat: str, draws):
+        if tilde_T >= T:
+            raise GameError(f"need tilde_T < T, got {tilde_T} >= {T}")
+        if seat != trie.seat:
+            raise GameError(f"policy was fit for seat {trie.seat!r}, agent seated {seat!r}")
+        self.trie = trie
+        self.tilde_T = tilde_T
+        self.seat = seat
+        self.draws = np.asarray(draws, dtype=float)
+        self.node = np.array([trie.roots.get(t, 0) for t in own_types], dtype=np.intp)
+        self._rows = np.arange(len(self.node))
+        self.joint = np.zeros((len(self.node), trie.n, trie.n))  # (row, col) counts
+        self.stage = 0
+        self.commitment = None
+
+    def act(self, partner=None):
+        if self.stage < self.tilde_T:
+            return self.trie.strategies.take(self.node, axis=0)
+        if self.commitment is None:
+            self.commitment = self._commit()
+        return self.commitment
+
+    def _commit(self) -> np.ndarray:
+        z = self.joint / self.tilde_T
+        if self.seat == "col":
+            z = z.transpose(0, 2, 1)  # condition own actions on the opponent's
+        # Component j: own actions given opponent action j, weighted by its
+        # marginal; columns below tolerance dropped, the rest renormalized.
+        marginals = z.sum(axis=1)
+        weights = np.where(marginals > COMPONENT_TOL, marginals, 0.0)
+        total = np.zeros(len(weights))
+        for column in weights.T:  # in order, as sum() adds the components
+            total += column
+        j = sample_actions(weights / total[:, None], self.draws)
+        return z[self._rows, :, j] / marginals[self._rows, j][:, None]
+
+    def observe(self, own, opp):
+        if self.stage < self.tilde_T:
+            a, b = (own, opp) if self.seat == "row" else (opp, own)
+            self.joint[self._rows, a, b] += 1.0
+            self.node = self.trie.children[self.node, a * self.trie.n + b]
+        self.stage += 1
 
 
 def _build_ic(spec: AgentSpec, ctx: BuildContext) -> ImitateThenCommitAgent:
     policy = spec.params.get("policy")
     if policy is None:
-        from .population import read_dataset
-
-        policy = fit_imitation(
-            read_dataset(spec.params["dataset_path"]),
-            spec.params["tilde_T"],
-            seat=ctx.seat,
-        )
+        dataset = read_dataset(spec.params["dataset_path"])
+        if dataset.metadata.get("type_space_hash") != ctx.type_space.content_hash():
+            raise GameError(
+                f"{spec.params['dataset_path']}: dataset was generated on another type space"
+            )
+        policy = fit_imitation(dataset, spec.params["tilde_T"], seat=ctx.seat)
     return ImitateThenCommitAgent(
         policy,
         spec.params["tilde_T"],

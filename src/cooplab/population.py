@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .agents import (
     build_agent,
     register_agent_kind,
 )
+from .engine import EPISODE_BATCH, EpisodeStreams, has_batch_form, play_batch, stack_agents
 
 DATASET_VERSION = 1
 
@@ -35,9 +37,78 @@ _DRAW_STREAM = 0x64726177  # "draw"
 _EPISODE_STREAM = 0x65706973  # "epis"
 
 
+# numpy's SeedSequence (bit_generator.pyx), written over arrays of 32-bit
+# words so that one call seeds many episodes.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _POOL = 0xCA01F9DD, 0x4973F715, 4
+
+
+def _hash(value: np.ndarray, const: int, mult: int):
+    """One hash step of SeedSequence: the hashed words and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & 0xFFFFFFFF
+    value = value * np.uint32(const)
+    return value ^ (value >> 16), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> 16)
+
+
+def _words32(n: int) -> list[int]:
+    """A nonnegative integer as SeedSequence reads it: 32-bit words, least
+    significant first, at least one."""
+    if n < 0:
+        raise GameError(f"seeds must be nonnegative, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _seed_sequence_u64(entropy: list, size: int) -> np.ndarray:
+    """``SeedSequence(words).generate_state(1, np.uint64)`` for ``size``
+    columns of entropy words; each word is an int or a (size,) array."""
+    words = [np.broadcast_to(np.asarray(w, dtype=np.uint32), (size,)) for w in entropy]
+    words += [np.zeros(size, dtype=np.uint32)] * (_POOL - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL]:
+        value, const = _hash(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            value, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    low, const = _hash(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hash(pool[1], const, _MULT_B)
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+
+
+def derive_episode_seeds(master_seed: int, indices) -> np.ndarray:
+    """The seeds of episodes ``indices`` under ``master_seed``, (E,) uint64:
+    ``SeedSequence([_EPISODE_STREAM, master_seed, index])``'s first 64-bit
+    word, bit for bit, for indices in [0, 2**64)."""
+    indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    head = [_EPISODE_STREAM, *_words32(int(master_seed))]
+    low = (indices & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    high = (indices >> np.uint64(32)).astype(np.uint32)
+    seeds = _seed_sequence_u64([*head, low], len(indices))
+    long = high > 0  # indices of two words
+    if long.any():
+        seeds[long] = _seed_sequence_u64([*head, low[long], high[long]], int(long.sum()))
+    return seeds
+
+
 def derive_episode_seed(master_seed: int, index: int) -> int:
-    ss = np.random.SeedSequence([_EPISODE_STREAM, int(master_seed), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(derive_episode_seeds(master_seed, [index])[0])
 
 
 @dataclass
@@ -232,7 +303,12 @@ def generate_dataset(
     convention_table: ConventionTable | None = None,
 ) -> Dataset:
     """Self-play dataset: per episode, two members drawn i.i.d. from the
-    population and a joint type drawn from mu."""
+    population and a joint type drawn from mu.
+
+    Episodes of one (row member, column member) pairing are stepped together
+    on the batched engine, ``EPISODE_BATCH`` at a time, on the streams of
+    ``run_episode``; pairings with a member that has no batch form run
+    ``run_episode`` itself.  Either way the histories are the same."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
     mu.validate_types(type_space)
@@ -241,21 +317,44 @@ def generate_dataset(
     )
     member_idx = draws.choice(len(pop.members), size=(n, 2), p=pop.weights)
     joint_idx = draws.choice(len(mu.support), size=n, p=mu.weights)
-    episodes = []
-    for j in range(n):
-        joint = mu.support[joint_idx[j]]
-        trace = run_episode(
-            pop.members[member_idx[j, 0]],
-            pop.members[member_idx[j, 1]],
-            type_space,
-            joint,
-            T,
-            derive_episode_seed(master_seed, j),
-            convention_table=convention_table,
-        )
-        episodes.append((joint[0], joint[1], trace.history))
+    joints = [mu.support[j] for j in joint_idx.tolist()]
+    seeds = derive_episode_seeds(master_seed, np.arange(n))
+    N = type_space.num_actions
+    pairs = [(a, b) for a in range(N) for b in range(N)]
+    histories = [()] * n
+    # Fresh agents of the kinds with a batch form ignore their seed, so one
+    # agent per (member, seat, own type) stands for every episode.
+    agents = {}
+
+    def agent(member: int, seat: str, own_type: str) -> Agent:
+        key = (member, seat, own_type)
+        if key not in agents:
+            agents[key] = build_agent(pop.members[member], type_space, T, seat=seat,
+                                      own_type=own_type, convention_table=convention_table)
+        return agents[key]
+
+    for r, c in np.unique(member_idx, axis=0).tolist():
+        group = np.flatnonzero((member_idx[:, 0] == r) & (member_idx[:, 1] == c))
+        for start in range(0, len(group), EPISODE_BATCH):
+            ids = group[start : start + EPISODE_BATCH]
+            rows = [agent(r, "row", joints[j][0]) for j in ids]
+            cols = [agent(c, "col", joints[j][1]) for j in ids]
+            if not (has_batch_form(rows[0]) and has_batch_form(cols[0])):
+                for j in ids.tolist():
+                    histories[j] = run_episode(
+                        pop.members[r], pop.members[c], type_space, joints[j], T,
+                        int(seeds[j]), convention_table=convention_table,
+                    ).history
+                continue
+            record = play_batch(stack_agents(rows), stack_agents(cols), T,
+                                EpisodeStreams(seeds[ids]))
+            if record is None:  # T = 0
+                continue
+            codes = record[:, 0].astype(np.intp) * N + record[:, 1]
+            for j, episode in zip(ids.tolist(), codes.T.tolist()):
+                histories[j] = tuple(map(pairs.__getitem__, episode))
     return Dataset(
-        episodes=episodes,
+        episodes=[(a, b, h) for (a, b), h in zip(joints, histories)],
         metadata={
             "version": DATASET_VERSION,
             "T": T,
@@ -273,20 +372,30 @@ def generate_dataset(
 
 
 def write_dataset(dataset: Dataset, path) -> None:
+    lines = [json.dumps(dataset.metadata, sort_keys=True)]
+    lines.extend(
+        json.dumps(
+            {"theta1": theta1, "theta2": theta2, "actions": list(chain.from_iterable(history))},
+            sort_keys=True,
+        )
+        for theta1, theta2, history in dataset.episodes
+    )
+    lines.append("")
     with open(path, "w") as f:
-        json.dump(dataset.metadata, f, sort_keys=True)
-        f.write("\n")
-        for theta1, theta2, history in dataset.episodes:
-            actions = [x for pair in history for x in pair]
-            json.dump(
-                {"theta1": theta1, "theta2": theta2, "actions": actions},
-                f,
-                sort_keys=True,
-            )
-            f.write("\n")
+        f.write("\n".join(lines))
+
+
+def _reject_float(text: str):
+    raise ValueError(f"action {text} is not an integer")
+
+
+# Episode lines hold no JSON floats: every number is an action.
+_EPISODE_DECODER = json.JSONDecoder(parse_float=_reject_float)
 
 
 def read_dataset(path) -> Dataset:
+    """Load a dataset written by ``write_dataset``.  Every action must be an
+    integer in [0, N); histories share one tuple per action pair."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -295,25 +404,36 @@ def read_dataset(path) -> Dataset:
         metadata = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"{path}: line 1: invalid header ({exc})") from exc
-    if metadata.get("version") != DATASET_VERSION:
-        raise GameFormatError(
-            f"{path}: line 1: unsupported version {metadata.get('version')!r}"
-        )
-    T = metadata.get("T")
+    version = metadata.get("version") if isinstance(metadata, dict) else None
+    if version != DATASET_VERSION:
+        raise GameFormatError(f"{path}: line 1: unsupported version {version!r}")
+    T, N = metadata.get("T"), metadata.get("N")
+    for key, value, low in (("T", T, 0), ("N", N, 1)):
+        if type(value) is not int or value < low:
+            raise GameFormatError(
+                f"{path}: line 1: header {key} must be an integer >= {low}, got {value!r}"
+            )
+    # A failed lookup is an action outside [0, N); JSON floats never reach it.
+    pairs = {(a, b): (a, b) for a in range(N) for b in range(N)}
     episodes = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = _EPISODE_DECODER.decode(line)
             actions = rec["actions"]
             if len(actions) != 2 * T:
                 raise ValueError(f"expected {2 * T} actions, got {len(actions)}")
-            history = tuple(
-                (int(actions[2 * t]), int(actions[2 * t + 1])) for t in range(T)
-            )
+            # true and false would pass the lookup as 1 and 0.
+            if ("true" in line or "false" in line) and any(type(x) is bool for x in actions):
+                raise ValueError("actions must be integers, not booleans")
+            it = iter(actions)
+            try:
+                history = tuple(map(pairs.__getitem__, zip(it, it)))
+            except (KeyError, TypeError):
+                raise ValueError(f"actions must be integers in [0, {N})") from None
             episodes.append((rec["theta1"], rec["theta2"], history))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise GameFormatError(f"{path}: line {i}: {exc}") from exc
     if len(episodes) != metadata.get("n"):
         raise GameFormatError(

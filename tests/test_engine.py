@@ -21,6 +21,7 @@ from cooplab.engine import (
     BatchAgent,
     BatchMW,
     EpisodeStreams,
+    _seeded,
     play_batch,
     sample_actions,
     stack_agents,
@@ -33,7 +34,15 @@ from cooplab.harness import (
     fixture_type_space,
     run_experiment,
 )
-from cooplab.population import _sample_action, run_episode
+from cooplab.imitation_commit import BatchIC, ImitateThenCommitAgent, PolicyTrie, fit_imitation
+from cooplab.population import (
+    _EPISODE_STREAM,
+    Dataset,
+    _sample_action,
+    derive_episode_seeds,
+    play_episode,
+    run_episode,
+)
 from cooplab.regret import expected_external_regret
 
 TS4 = fixture_type_space("typespace_4.json")
@@ -86,6 +95,38 @@ def test_streams_reproduce_random_random_across_twists():
         assert got[:, e].tolist() == [rng.random() for _ in range(len(got))]
 
 
+# Keys of one 32-bit word and of two, with the boundaries.
+words = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2**32, max_value=2**64 - 1),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(episode_seeds=st.lists(words, min_size=1, max_size=6))
+def test_vectorized_seeding_matches_random_random(episode_seeds):
+    states = _seeded(episode_seeds)
+    streams = EpisodeStreams(episode_seeds)
+    for e, seed in enumerate(episode_seeds):
+        rng = random.Random(seed)
+        assert states[:, e].tolist() == list(rng.getstate()[1][:624])
+        assert streams.agent_seeds[:, e].tolist() == [rng.getrandbits(63), rng.getrandbits(63)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    master=st.one_of(words, st.integers(min_value=2**64, max_value=2**70)),
+    indices=st.lists(words, min_size=1, max_size=5),
+)
+def test_derive_episode_seeds_matches_seed_sequence(master, indices):
+    expected = [
+        int(np.random.SeedSequence([_EPISODE_STREAM, master, i]).generate_state(1, np.uint64)[0])
+        for i in indices
+    ]
+    assert derive_episode_seeds(master, indices).tolist() == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     probs=st.lists(
@@ -99,11 +140,16 @@ def test_streams_reproduce_random_random_across_twists():
 )
 @example(probs=[[-1e-13, 0.5, 0.5], [0.25, -1e-13, 0.25, 0.5]], u=0.5 - 5e-14)
 def test_sample_actions_matches_scalar_sampler(probs, u):
-    # Rows need not sum to one: rows short of it exercise the rounding guard,
-    # rows of zeros the all-skipped case.  A negative entry within
-    # check_mixed's tolerance is skipped like a zero.
+    # Rows need not sum to one: rows short of it exercise the rounding guard.
+    # A negative entry within check_mixed's tolerance is skipped like a zero.
+    # A row with no positive entry is rejected, as the scalar loop's
+    # EpisodeTrace rejects the action sampled from it.
     n = max(len(row) for row in probs)
     matrix = np.array([row + [0.0] * (n - len(row)) for row in probs])
+    if not (matrix > 0.0).any(axis=1).all():
+        with pytest.raises(GameError, match="no action of positive probability"):
+            sample_actions(matrix, np.full(len(matrix), u))
+        return
     got = sample_actions(matrix, np.full(len(matrix), u))
     assert got.tolist() == [_sample_action(row.tolist(), FixedDraw(u)) for row in matrix]
 
@@ -163,6 +209,57 @@ def test_batched_protocol_matches_scalar_episodes(episodes, adversary, k, extra_
             if agent.phase == "fallback" and first_fallback < 0:
                 first_fallback = t + 1
         assert row.agent.fallback_stage[e] == first_fallback
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=3),
+    T=st.integers(min_value=2, max_value=12),
+    K=st.integers(min_value=0, max_value=25),
+    seat=st.sampled_from(["row", "col"]),
+    episode_seeds=st.lists(seeds, min_size=1, max_size=5),
+)
+def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
+    # Few episodes over three types, of which "c" never occurs: the agents
+    # meet unseen prefixes and unseen types, and K = 0 gives an empty policy.
+    tilde_T = data.draw(st.integers(min_value=1, max_value=T - 1))
+    actions = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    episodes = data.draw(st.lists(
+        st.tuples(st.sampled_from("ab"), st.sampled_from("ab"),
+                  st.lists(actions, min_size=T, max_size=T).map(tuple)),
+        min_size=K, max_size=K,
+    ))
+    dataset = Dataset(episodes, {"version": 1, "T": T, "N": n, "n": K})
+    policy = fit_imitation(dataset, tilde_T, seat=seat)
+    own_types = data.draw(st.lists(st.sampled_from("abc"), min_size=len(episode_seeds),
+                                   max_size=len(episode_seeds)))
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    partner_probs = [w / sum(weights) for w in weights]
+
+    streams = EpisodeStreams(episode_seeds)
+    ic_seeds = streams.agent_seeds[0 if seat == "row" else 1]
+    draws = EpisodeStreams(ic_seeds, draw_agent_seeds=False).uniforms(1)[0]
+    ic = Recorder(BatchIC(PolicyTrie(policy), tilde_T, T, own_types, seat, draws))
+    partner = stack_agents([FixedMixedAgent(partner_probs)] * len(episode_seeds))
+    row, col = (ic, partner) if seat == "row" else (partner, ic)
+    record = play_batch(row, col, T, streams)
+
+    for e, seed in enumerate(episode_seeds):
+        rng = random.Random(seed)
+        agent_seeds = (rng.getrandbits(63), rng.getrandbits(63))
+        agent = ImitateThenCommitAgent(policy, tilde_T, T, own_types[e], seat,
+                                       seed=agent_seeds[0 if seat == "row" else 1])
+        scalar_row, scalar_col = (
+            (agent, FixedMixedAgent(partner_probs)) if seat == "row"
+            else (FixedMixedAgent(partner_probs), agent)
+        )
+        trace = play_episode(scalar_row, scalar_col, T, rng)
+        assert record[:, :, e].tolist() == [list(pair) for pair in trace.history]
+        announced = trace.row_strategies if seat == "row" else trace.col_strategies
+        for t in range(T):
+            assert ic.strategies[t][e].tolist() == announced[t].tolist()
+        assert ic.agent.commitment[e].tolist() == agent.commitment.tolist()
 
 
 def _mw_expected_regret(A, T, eta, adversary, rng):
@@ -241,6 +338,25 @@ def test_batched_mw_matches_agent_state():
             agent.observe(0, j)
         batch.observe(None, np.array(opp))
     assert np.allclose(batch.act(), [agent.act() for agent in agents], rtol=0, atol=1e-12)
+
+
+class Announces(BatchAgent):
+    def __init__(self, probs):
+        self.probs = np.asarray(probs, dtype=float)
+
+    def act(self, partner=None):
+        return self.probs
+
+
+@pytest.mark.parametrize("seat", ["row", "col"])
+def test_play_batch_rejects_a_strategy_with_no_positive_entry(seat):
+    # Episode 1 of the given seat announces no action with positive
+    # probability: the scalar loop's EpisodeTrace rejects such an episode.
+    good = Announces([[0.5, 0.5], [0.5, 0.5]])
+    bad = Announces([[0.5, 0.5], [0.0, -1e-13]])
+    row, col = (bad, good) if seat == "row" else (good, bad)
+    with pytest.raises(GameError, match="no action of positive probability"):
+        play_batch(row, col, 3, EpisodeStreams([5, 2**40]))
 
 
 def test_stack_agents_rejects_mixed_or_unbatched_kinds():

@@ -5,20 +5,26 @@ import pytest
 
 from cooplab.game_core import GameError, TypeSpace
 from cooplab.agents import (
+    AgentSpec,
     ProtocolAgent,
+    build_agent,
     build_convention_table,
     theorem26_params,
 )
+from cooplab.equilibria import worst_pone_payoff
 from cooplab.harness import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
     VerificationResult,
+    _default_ic_mu,
     _first_trigger_stage,
     _handshake_arrays,
     emit_curves,
     fixture_type_space,
     run_experiment,
 )
+from cooplab.imitation_commit import ImitateThenCommitAgent, fit_imitation
+from cooplab.population import Population, derive_episode_seed, generate_dataset, play_episode
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +153,77 @@ def test_small_ic_eval_runs(ts2):
     labels = [r.label for r in results]
     assert any("nonincreasing" in lab for lab in labels)
     assert any("upper bound" in lab for lab in labels)
+
+
+def ic_eval_csv_by_episode_loop(cfg):
+    """ic_eval.csv as run_ic_eval wrote it with its per-episode loop of
+    scalar agents, before the batched engine; kept as its oracle."""
+    ts, T, k, tilde_T = cfg.type_space, cfg.horizon, cfg.k, cfg.tilde_T
+    params = theorem26_params(cfg.delta, T, k, ts.num_actions)
+    ct = build_convention_table(ts)
+    pop = cfg.population or Population(
+        members=[AgentSpec("Protocol", {"eps1": params.eps1, "k": k})], weights=[1.0]
+    )
+    mu = _default_ic_mu(ts)
+    K_values, eval_episodes = cfg.extra["K_values"], cfg.extra["eval_episodes"]
+    tau_col = {joint: worst_pone_payoff(ts.game(*joint), "col") for joint in mu.support}
+    policies = {}
+    for K in K_values:
+        master = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x4943, K]))
+        master = int(master.integers(2**62))
+        ds = generate_dataset(pop, mu, ts, K, T, master_seed=master, convention_table=ct)
+        policies[K] = fit_imitation(ds, tilde_T, seat="row")
+    draws = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x4556]))
+    joint_ids = draws.choice(len(mu.support), size=eval_episodes, p=np.asarray(mu.weights))
+    partner_ids = draws.choice(len(pop.members), size=eval_episodes, p=np.asarray(pop.weights))
+    rows = ["K,episode,theta1,theta2,avg_altruistic_regret"]
+    for K in K_values:
+        for e in range(eval_episodes):
+            joint = mu.support[joint_ids[e]]
+            rng = random.Random(derive_episode_seed(cfg.seed, 0x45560000 + e))
+            ic_seed = rng.getrandbits(63)
+            partner_seed = rng.getrandbits(63)
+            agent_row = ImitateThenCommitAgent(
+                policies[K], tilde_T, T, own_type=joint[0], seat="row", seed=ic_seed
+            )
+            agent_col = build_agent(pop.members[partner_ids[e]], ts, T, seat="col",
+                                    own_type=joint[1], seed=partner_seed, convention_table=ct)
+            trace = play_episode(agent_row, agent_col, T, rng, joint_type=joint)
+            B = ts.payoff_table[joint[1]]
+            realized = sum(B[b, a] for a, b in trace.history)
+            value = (T * tau_col[joint] - realized) / T
+            rows.append(f"{K},{e},{joint[0]},{joint[1]},{float(value)!r}")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("partners", ["protocol", "with-flattened"])
+def test_ic_eval_csv_matches_episode_loop(ts2, partners):
+    # A flattened partner has no batch form, so its episodes take the
+    # scalar path; the protocol partners' take the batched one.
+    population = None
+    if partners == "with-flattened":
+        population = Population(
+            members=[
+                AgentSpec("Protocol", {"eps1": 0.2, "k": 1}),
+                AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
+            ],
+            weights=[0.7, 0.3],
+        )
+    cfg = ExperimentConfig(
+        kind="ic-eval", horizon=14, k=1, tilde_T=5, delta=0.1, seed=6, type_space=ts2,
+        population=population, extra={"K_values": [0, 30, 300], "eval_episodes": 150},
+    )
+    _, artifacts = run_experiment(cfg)
+    assert artifacts["ic_eval.csv"] == ic_eval_csv_by_episode_loop(cfg)
+
+
+def test_si_consistency_reports_the_rounded_run_count():
+    results, artifacts = run_experiment(
+        ExperimentConfig(kind="si-consistency", episodes=10, horizon=20, k=2, seed=1)
+    )
+    assert results[0].sample_count == 8
+    assert "2 runs per adversary, 8 of 10 requested" in results[0].detail
+    assert len(artifacts["si_consistency.csv"].splitlines()) == 9
 
 
 def test_emit_curves_aggregates_groups(tmp_path):

@@ -3,17 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cooplab.game_core import GameError, TypeSpace
 from cooplab.population import Dataset
 from cooplab.imitation_commit import (
     ImitateThenCommitAgent,
+    ImitationPolicy,
     auth_failure_probability,
     bound_report,
     delta_K,
-    empirical_joint,
+    empirical_joint_n,
     fit_imitation,
-    ic_strategy,
     mixture_from_joint,
     response_function,
     theorem42_bound,
@@ -52,6 +53,49 @@ def test_fit_imitation_unseen_keys_uniform_and_col_seat():
     assert policy.strategy("never-seen", ()) == pytest.approx([0.5, 0.5])
 
 
+def fit_by_prefix_loop(dataset, tilde_T, seat):
+    """The counting loop fit_imitation ran before its trie walk, kept as its
+    oracle: one numpy increment per stage, keyed by the whole prefix."""
+    n = dataset.metadata["N"]
+    policy = ImitationPolicy(num_actions=n, tilde_T=tilde_T, seat=seat)
+    own = 0 if seat == "row" else 1
+    for episode in dataset.episodes:
+        history = episode[2]
+        for t in range(min(tilde_T, len(history))):
+            key = (episode[own], history[:t])
+            if key not in policy.counts:
+                policy.counts[key] = np.zeros(n)
+            policy.counts[key][history[t][own]] += 1.0
+    return policy
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=3),
+    T=st.integers(min_value=0, max_value=8),
+    seat=st.sampled_from(["row", "col"]),
+)
+def test_fit_imitation_matches_prefix_loop(data, n, T, seat):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    episodes = data.draw(st.lists(
+        st.tuples(st.sampled_from("ab"), st.sampled_from("ab"),
+                  st.lists(pair, min_size=T, max_size=T).map(tuple)),
+        max_size=30,
+    ))
+    tilde_T = data.draw(st.integers(min_value=0, max_value=T))
+    dataset = make_dataset(episodes, T, n)
+    got = fit_imitation(dataset, tilde_T, seat=seat).counts
+    expected = fit_by_prefix_loop(dataset, tilde_T, seat).counts
+    assert list(got) == list(expected)  # same keys, in the same order
+    assert all(got[key].tolist() == expected[key].tolist() for key in expected)
+
+
+def test_fit_imitation_rejects_actions_outside_the_action_set():
+    with pytest.raises(GameError):
+        fit_imitation(make_dataset([("a", "b", ((0, 2),))], 1), tilde_T=1, seat="col")
+
+
 def test_fit_imitation_rejects_long_cutoff():
     with pytest.raises(GameError):
         fit_imitation(make_dataset([("a", "b", ((0, 0),))], 1), tilde_T=5)
@@ -59,14 +103,15 @@ def test_fit_imitation_rejects_long_cutoff():
 
 def test_empirical_joint_frequencies():
     h = ((0, 1), (0, 1), (1, 0), (0, 1))
-    z = empirical_joint(h, 4)
+    z = empirical_joint_n(h, 4, 2)
     assert z[0, 1] == pytest.approx(0.75)
     assert z[1, 0] == pytest.approx(0.25)
     assert z.sum() == pytest.approx(1.0)
+    assert empirical_joint_n(h, 2, 3).shape == (3, 3)
     with pytest.raises(GameError):
-        empirical_joint(h, 5)
+        empirical_joint_n(h, 5, 2)
     with pytest.raises(GameError):
-        empirical_joint(h, 0)
+        empirical_joint_n(h, 0, 2)
 
 
 def test_mixture_from_joint_components():
@@ -130,7 +175,8 @@ def test_response_function_payoff_identity_random():
 
 def test_ic_agent_imitates_then_commits():
     episodes = [("a", "x", ((0, 0), (0, 1), (1, 1)))] * 5
-    agent = ic_strategy(make_dataset(episodes, 3), tilde_T=2, T=6, own_type="a", seed=3)
+    policy = fit_imitation(make_dataset(episodes, 3), tilde_T=2)
+    agent = ImitateThenCommitAgent(policy, tilde_T=2, T=6, own_type="a", seed=3)
     assert agent.act() == pytest.approx([1.0, 0.0])
     agent.observe(0, 0)
     assert agent.act() == pytest.approx([1.0, 0.0])

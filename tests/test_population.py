@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cooplab.game_core import GameError, GameFormatError, TypeSpace, history_distribution, total_variation
 from cooplab.agents import AgentSpec, build_agent, build_convention_table, replay_act_fn, theorem26_params
@@ -19,7 +20,13 @@ from cooplab.population import (
     run_episode,
     write_dataset,
 )
+from cooplab import population
 from cooplab.harness import fixture_path
+
+
+TS2 = TypeSpace.from_file(fixture_path("typespace_2.json"))
+TS4 = TypeSpace.from_file(fixture_path("typespace_4.json"))
+TABLES = {id(TS2): build_convention_table(TS2), id(TS4): build_convention_table(TS4)}
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +142,39 @@ def test_read_dataset_error_reporting(tmp_path):
         read_dataset(p)
 
 
+@pytest.mark.parametrize("actions", ["[0, 1, 2, 0]", "[0, -1, 1, 0]", "[0, 1.0, 1, 0]",
+                                     '[0, "1", 1, 0]', "[0, true, 1, 0]", "[0, [1], 1, 0]"])
+def test_read_dataset_rejects_actions_outside_the_action_set(tmp_path, actions):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(
+        '{"N": 2, "T": 2, "n": 2, "version": 1}\n'
+        '{"actions": [1, 1, 0, 0], "theta1": "a", "theta2": "b"}\n'
+        f'{{"actions": {actions}, "theta1": "a", "theta2": "b"}}\n'
+    )
+    with pytest.raises(GameFormatError, match="line 3"):
+        read_dataset(p)
+
+
+def test_read_dataset_rejects_a_header_without_action_count(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(
+        '{"T": 1, "n": 1, "version": 1}\n{"actions": [0, 0], "theta1": "a", "theta2": "b"}\n'
+    )
+    with pytest.raises(GameFormatError, match="line 1: header N"):
+        read_dataset(p)
+
+
+def test_ic_agent_rejects_a_dataset_from_another_type_space(ts2, tmp_path):
+    mu = TypeDistribution.uniform(ts2)
+    ds = generate_dataset(simple_population(), mu, ts2, 5, 4, master_seed=1)
+    path = tmp_path / "ds.jsonl"
+    write_dataset(ds, path)
+    spec = AgentSpec("IC", {"dataset_path": str(path), "tilde_T": 2})
+    assert build_agent(spec, ts2, 4, own_type="gamma").act() is not None
+    with pytest.raises(GameError, match="another type space"):
+        build_agent(spec, TS4, 4, own_type="alpha")
+
+
 def test_dataset_sampling_matches_weights_chi_square(ts2):
     # Member-pair draw frequencies should match the product weights; a loose
     # chi-square-style check guards the sampling plumbing.
@@ -209,3 +249,53 @@ def test_protocol_population_dataset_has_handshake_prefix(ts2):
     )
     for _, _, history in ds.episodes:
         assert history[0] == (0, 1)  # gamma announces index 0, delta index 1
+
+MEMBER_SPECS = [
+    AgentSpec("Protocol", {"eps1": 0.3}),
+    AgentSpec("Protocol", {"eps1": 0.0}),
+    AgentSpec("MW", {}),
+    AgentSpec("GrimTrigger", {"coop_action": 1, "punish_action": 0}),
+    AgentSpec("UniformRandom", {}),
+    AgentSpec("FixedSequence", {"actions": [0, 1, 1]}),
+    AgentSpec("BestResponder", {}),
+    AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
+]
+
+
+def dataset_by_run_episode(pop, mu, ts, n, T, master_seed, convention_table):
+    """The per-episode loop generate_dataset ran before the batched engine,
+    kept as its oracle."""
+    draws = np.random.default_rng(np.random.SeedSequence([0x64726177, int(master_seed)]))
+    member_idx = draws.choice(len(pop.members), size=(n, 2), p=pop.weights)
+    joint_idx = draws.choice(len(mu.support), size=n, p=mu.weights)
+    episodes = []
+    for j in range(n):
+        joint = mu.support[joint_idx[j]]
+        trace = run_episode(
+            pop.members[member_idx[j, 0]], pop.members[member_idx[j, 1]], ts, joint, T,
+            derive_episode_seed(master_seed, j), convention_table=convention_table,
+        )
+        episodes.append((joint[0], joint[1], trace.history))
+    return episodes
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    members=st.lists(st.sampled_from(range(len(MEMBER_SPECS))), min_size=1, max_size=4),
+    ts=st.sampled_from([TS2, TS4]),
+    n=st.integers(min_value=0, max_value=40),
+    T=st.integers(min_value=1, max_value=40),
+    master_seed=st.integers(min_value=0, max_value=2**62),
+    batch=st.integers(min_value=1, max_value=8),
+)
+def test_batched_generate_dataset_matches_run_episode_loop(members, ts, n, T, master_seed, batch):
+    pop = Population(
+        members=[MEMBER_SPECS[m] for m in members], weights=[1.0 / len(members)] * len(members)
+    )
+    mu = TypeDistribution.uniform(ts)
+    table = TABLES[id(ts)]
+    # Small batches split each pairing's episodes across several batches.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(population, "EPISODE_BATCH", batch)
+        ds = generate_dataset(pop, mu, ts, n, T, master_seed, convention_table=table)
+    assert ds.episodes == dataset_by_run_episode(pop, mu, ts, n, T, master_seed, table)
