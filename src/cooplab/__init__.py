@@ -69,7 +69,6 @@ from .population import (
     write_dataset,
 )
 from .imitation_commit import (
-    BatchIC,
     CommitmentMixture,
     ImitateThenCommitAgent,
     ImitationPolicy,

@@ -521,18 +521,20 @@ def stack_agents(agents) -> BatchAgent:
 
 def play_batch(row: BatchAgent, col: BatchAgent, T: int,
                streams: EpisodeStreams | None = None,
-               regret: RegretKernel | None = None) -> np.ndarray | None:
+               regret: RegretKernel | None = None,
+               record: bool = False) -> np.ndarray | None:
     """Play T stages of E episodes in lockstep.
 
     With ``streams`` both seats' actions are sampled from their announced
-    strategies, row then column, as ``run_episode`` does, and returned as a
-    (T, 2, E) record of (row, col) actions.  Without, the column seat must
-    announce pure strategies and plays their support, and the row seat's
-    action is not sampled (None): for a learner whose own actions no agent
-    reads, such as MW against the regret adversaries; nothing is returned.
-    ``regret``, if given, accrues the row seat's expected external regret.
+    strategies, row then column, as ``run_episode`` does; with ``record``
+    they are returned as a (T, 2, E) array of (row, col) actions.  Without
+    ``streams``, the column seat must announce pure strategies and plays
+    their support, and the row seat's action is not sampled (None): for a
+    learner whose own actions no agent reads, such as MW against the regret
+    adversaries.  ``regret``, if given, accrues the row seat's expected
+    external regret.
     """
-    record = None
+    out = None
     for start in range(0, T, BLOCK):
         stages = min(BLOCK, T - start)
         # Row s holds stage s's row-seat draws, then its column-seat draws.
@@ -545,12 +547,13 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
             else:
                 # Both seats in one call: rows of p, then rows of q.
                 actions = sample_actions(np.concatenate((p, q)), u[s])
-                if record is None:
-                    record = np.empty((T, 2, len(p)), dtype=np.min_scalar_type(p.shape[1] - 1))
-                record[start + s] = actions.reshape(2, -1)
+                if record:
+                    if out is None:
+                        out = np.empty((T, 2, len(p)), dtype=np.min_scalar_type(p.shape[1] - 1))
+                    out[start + s] = actions.reshape(2, -1)
                 a, b = actions[: len(p)], actions[len(p) :]
             if regret is not None:
                 regret.update(p, regret.payoffs(b))
             row.observe(a, b)
             col.observe(b, a)
-    return record
+    return out

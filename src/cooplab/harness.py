@@ -834,7 +834,9 @@ def run_ic_eval(cfg: ExperimentConfig):
             for K in K_values:
                 if batched:
                     ic = BatchIC(tries[K], tilde_T, T, [a for a, _ in joints], "row", commit_draws)
-                    record = play_batch(ic, stack_agents(cols), T, copy.deepcopy(streams))
+                    record = play_batch(
+                        ic, stack_agents(cols), T, copy.deepcopy(streams), record=True
+                    )
                     # Spot check at the cost of one episode: the scalar agents
                     # replay the batch's first episode on its stream.
                     first = _scalar_ic_record(

@@ -56,18 +56,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> 16)
 
 
-def _words32(n: int) -> list[int]:
-    """A nonnegative integer as SeedSequence reads it: 32-bit words, least
-    significant first, at least one."""
-    if n < 0:
-        raise GameError(f"seeds must be nonnegative, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n >> 32:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
 def _seed_sequence_u64(entropy: list, size: int) -> np.ndarray:
     """``SeedSequence(words).generate_state(1, np.uint64)`` for ``size``
     columns of entropy words; each word is an int or a (size,) array."""
@@ -96,8 +84,13 @@ def derive_episode_seeds(master_seed: int, indices) -> np.ndarray:
     """The seeds of episodes ``indices`` under ``master_seed``, (E,) uint64:
     ``SeedSequence([_EPISODE_STREAM, master_seed, index])``'s first 64-bit
     word, bit for bit, for indices in [0, 2**64)."""
+    master = int(master_seed)
+    if master < 0:
+        raise GameError(f"the master seed must be nonnegative, got {master}")
+    # SeedSequence reads an integer as its 32-bit words, least significant first.
+    shifts = range(0, master.bit_length() or 1, 32)
+    head = [_EPISODE_STREAM] + [master >> shift & 0xFFFFFFFF for shift in shifts]
     indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    head = [_EPISODE_STREAM, *_words32(int(master_seed))]
     low = (indices & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     high = (indices >> np.uint64(32)).astype(np.uint32)
     seeds = _seed_sequence_u64([*head, low], len(indices))
@@ -347,7 +340,7 @@ def generate_dataset(
                     ).history
                 continue
             record = play_batch(stack_agents(rows), stack_agents(cols), T,
-                                EpisodeStreams(seeds[ids]))
+                                EpisodeStreams(seeds[ids]), record=True)
             if record is None:  # T = 0
                 continue
             codes = record[:, 0].astype(np.intp) * N + record[:, 1]

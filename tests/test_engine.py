@@ -243,7 +243,7 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
     ic = Recorder(BatchIC(PolicyTrie(policy), tilde_T, T, own_types, seat, draws))
     partner = stack_agents([FixedMixedAgent(partner_probs)] * len(episode_seeds))
     row, col = (ic, partner) if seat == "row" else (partner, ic)
-    record = play_batch(row, col, T, streams)
+    record = play_batch(row, col, T, streams, record=True)
 
     for e, seed in enumerate(episode_seeds):
         rng = random.Random(seed)
