@@ -15,6 +15,7 @@ the same sampled prefix.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -813,18 +814,17 @@ def run_ic_eval(cfg: ExperimentConfig):
     episode_seeds = derive_episode_seeds(cfg.seed, 0x45560000 + np.arange(eval_episodes))
 
     values = {K: np.zeros(eval_episodes) for K in K_values}
-    partners = {}  # one fresh partner per (member, own type)
+    partner = functools.cache(  # one fresh partner per (member, own type)
+        lambda m, own_type: build_agent(
+            pop.members[m], ts, T, seat="col", own_type=own_type, convention_table=ct
+        )
+    )
     for m, member in enumerate(pop.members):
         group = np.flatnonzero(partner_ids == m)
         for start in range(0, len(group), EPISODE_BATCH):
             ids = group[start : start + EPISODE_BATCH]
             joints = [mu.support[j] for j in joint_ids[ids]]
-            for joint in joints:
-                if (m, joint[1]) not in partners:
-                    partners[(m, joint[1])] = build_agent(
-                        member, ts, T, seat="col", own_type=joint[1], convention_table=ct
-                    )
-            cols = [partners[(m, joint[1])] for joint in joints]
+            cols = [partner(m, b) for _, b in joints]
             batched = has_batch_form(cols[0])
             if batched:
                 streams = EpisodeStreams(episode_seeds[ids])

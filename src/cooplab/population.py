@@ -6,6 +6,7 @@ episode index), so datasets are reproducible under any execution order.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -317,14 +318,12 @@ def generate_dataset(
     histories = [()] * n
     # Fresh agents of the kinds with a batch form ignore their seed, so one
     # agent per (member, seat, own type) stands for every episode.
-    agents = {}
-
-    def agent(member: int, seat: str, own_type: str) -> Agent:
-        key = (member, seat, own_type)
-        if key not in agents:
-            agents[key] = build_agent(pop.members[member], type_space, T, seat=seat,
-                                      own_type=own_type, convention_table=convention_table)
-        return agents[key]
+    agent = functools.cache(
+        lambda member, seat, own_type: build_agent(
+            pop.members[member], type_space, T, seat=seat, own_type=own_type,
+            convention_table=convention_table,
+        )
+    )
 
     for r, c in np.unique(member_idx, axis=0).tolist():
         group = np.flatnonzero((member_idx[:, 0] == r) & (member_idx[:, 1] == c))
