@@ -20,6 +20,8 @@ actions therefore equal the scalar loop's; announced strategies that involve
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .game_core import GameError
@@ -75,12 +77,16 @@ def _temper(y: np.ndarray) -> np.ndarray:
     return y ^ (y >> 18)
 
 
-# MT19937 seeding: init_genrand(19650218), the state every init_by_array
-# starts from, then init_by_array's two mixing passes.
-_GENRAND = [19650218]
-for _i in range(1, _MT_N):
-    _GENRAND.append((1812433253 * (_GENRAND[-1] ^ (_GENRAND[-1] >> 30)) + _i) & 0xFFFFFFFF)
-_GENRAND = np.array(_GENRAND, dtype=np.uint32)
+@functools.cache
+def _genrand() -> np.ndarray:
+    """init_genrand(19650218): the MT19937 state every init_by_array starts
+    from.  Made on first use, not at import."""
+    state = [19650218]
+    for i in range(1, _MT_N):
+        state.append((1812433253 * (state[-1] ^ (state[-1] >> 30)) + i) & 0xFFFFFFFF)
+    state = np.array(state, dtype=np.uint32)
+    state.setflags(write=False)  # shared by every call
+    return state
 
 
 def _seeded(seeds) -> np.ndarray:
@@ -94,7 +100,7 @@ def _seeded(seeds) -> np.ndarray:
     # even steps, and on odd steps the low word again for one-word keys or
     # the high word plus one for two-word keys.
     adds = (lo, np.where(hi > 0, hi + np.uint32(1), lo))
-    mt = np.repeat(_GENRAND[:, None], len(seeds), axis=1)
+    mt = np.repeat(_genrand()[:, None], len(seeds), axis=1)
     tmp = np.empty(len(seeds), dtype=np.uint32)
     i = 1
     for s in range(2 * _MT_N - 1):
