@@ -263,8 +263,9 @@ class BatchIC(BatchAgent):
     scalar agent makes.  It holds that strategy to the end."""
 
     def __init__(self, trie: PolicyTrie, tilde_T: int, T: int, own_types, seat: str, draws):
-        if tilde_T >= T:
-            raise GameError(f"need tilde_T < T, got {tilde_T} >= {T}")
+        # The scalar agent needs tilde_T >= 1 too: its commitment divides by it.
+        if not 0 < tilde_T < T:
+            raise GameError(f"need 0 < tilde_T < T, got tilde_T={tilde_T}, T={T}")
         if seat != trie.seat:
             raise GameError(f"policy was fit for seat {trie.seat!r}, agent seated {seat!r}")
         self.trie = trie

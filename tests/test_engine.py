@@ -262,6 +262,16 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
         assert ic.agent.commitment[e].tolist() == agent.commitment.tolist()
 
 
+def test_batched_ic_rejects_the_horizons_the_scalar_agent_rejects():
+    policy = fit_imitation(Dataset([], {"version": 1, "T": 4, "N": 2, "n": 0}), 2)
+    trie = PolicyTrie(policy)
+    for tilde_T, T in ((0, 4), (4, 4)):
+        with pytest.raises(GameError):
+            BatchIC(trie, tilde_T, T, ["a"], "row", [0.5])
+    with pytest.raises(GameError):
+        BatchIC(trie, 2, 4, ["a"], "col", [0.5])
+
+
 def _mw_expected_regret(A, T, eta, adversary, rng):
     """The scalar mw-regret loop the batched experiment replaced, kept as its
     oracle: expected external regret of an MW learner against one opponent
