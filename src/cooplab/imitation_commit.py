@@ -223,8 +223,9 @@ class PolicyTrie:
     """An ``ImitationPolicy``'s lookups as a trie of node ids, built once per
     policy.  ``strategies[v]`` is the policy's strategy at node v's (own
     type, history) and ``children[v, a * N + b]`` the node after the pair
-    (a, b).  Node 0 stands for every history that no key extends: uniform,
-    and its own child, as is every child that leads to no key."""
+    (a, b).  Node 0 stands for every history that no key extends: its
+    strategy is uniform, its children are itself, and every child that leads
+    to no key is node 0."""
 
     def __init__(self, policy: ImitationPolicy):
         n = self.n = policy.num_actions
