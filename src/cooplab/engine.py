@@ -161,6 +161,31 @@ class EpisodeStreams:
         low = (words[1::2] >> 6).astype(float)
         return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
 
+    def take(self, columns) -> "EpisodeStreams":
+        """A copy of the streams of the episodes at ``columns`` (an index
+        array), at their current position."""
+        out = object.__new__(EpisodeStreams)
+        out._mt = self._mt.take(columns, axis=1)
+        out._pos = self._pos
+        out.agent_seeds = self.agent_seeds
+        if out.agent_seeds is not None:
+            out.agent_seeds = out.agent_seeds.take(columns, axis=1)
+        return out
+
+
+def grouped_batches(keys: np.ndarray, size: int):
+    """Batches of at most ``size`` episodes, the episodes sorted by their
+    ``keys`` (E,) so that a key's episodes share batches: yields each batch's
+    episode indices and, per key in it, the key and its episodes' positions
+    in the batch.  Seeding one batch's streams at once costs the same
+    whatever the number of keys, and a key has as many batches as it needs."""
+    order = np.argsort(keys, kind="stable")
+    for start in range(0, len(order), size):
+        ids = order[start : start + size]
+        values, first, count = np.unique(keys[ids], return_index=True, return_counts=True)
+        yield ids, [(v, np.arange(f, f + c))
+                    for v, f, c in zip(values.tolist(), first.tolist(), count.tolist())]
+
 
 def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample of one action per row of ``probs`` (E, N) from the

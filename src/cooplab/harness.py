@@ -14,7 +14,6 @@ the same sampled prefix.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import random
@@ -52,6 +51,7 @@ from .engine import (
     BatchMW,
     EpisodeStreams,
     RegretKernel,
+    grouped_batches,
     has_batch_form,
     play_batch,
     stack_agents,
@@ -819,26 +819,31 @@ def run_ic_eval(cfg: ExperimentConfig):
             pop.members[m], ts, T, seat="col", own_type=own_type, convention_table=ct
         )
     )
-    for m, member in enumerate(pop.members):
-        group = np.flatnonzero(partner_ids == m)
-        for start in range(0, len(group), EPISODE_BATCH):
-            ids = group[start : start + EPISODE_BATCH]
+    # Each batch of episodes seeds its streams once; each member's partners
+    # step their columns of them, a fresh copy per K.
+    for batch, groups in grouped_batches(partner_ids, EPISODE_BATCH):
+        streams = None
+        for m, local in groups:
+            member = pop.members[m]
+            ids = batch[local]
             joints = [mu.support[j] for j in joint_ids[ids]]
             cols = [partner(m, b) for _, b in joints]
             batched = has_batch_form(cols[0])
-            if batched:
-                streams = EpisodeStreams(episode_seeds[ids])
+            if batched and streams is None:
+                streams = EpisodeStreams(episode_seeds[batch])
                 # The IC agent's own Random(ic_seed) makes one draw, its commitment.
                 ic_streams = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False)
                 commit_draws = ic_streams.uniforms(1)[0]
             for K in K_values:
                 if batched:
-                    ic = BatchIC(tries[K], tilde_T, T, [a for a, _ in joints], "row", commit_draws)
+                    ic = BatchIC(
+                        tries[K], tilde_T, T, [a for a, _ in joints], "row", commit_draws[local]
+                    )
                     record = play_batch(
-                        ic, stack_agents(cols), T, copy.deepcopy(streams), record=True
+                        ic, stack_agents(cols), T, streams.take(local), record=True
                     )
                     # Spot check at the cost of one episode: the scalar agents
-                    # replay the batch's first episode on its stream.
+                    # replay the first episode of the member's batch on its stream.
                     first = _scalar_ic_record(
                         policies[K], tilde_T, T, member, ts, ct, joints[:1], episode_seeds[ids[:1]]
                     )

@@ -33,6 +33,11 @@ class ImitationPolicy:
     seat: str = "row"
     counts: dict[tuple[str, History], np.ndarray] = field(default_factory=dict)
     empty: bool = False
+    # The prefix trie ``fit_imitation`` walked, one entry per key of
+    # ``counts`` in its order: the parent key's index (-1 for an empty
+    # prefix) and the code a * N + b of the pair (a, b) that leads to the key.
+    # None for counts made any other way.
+    links: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def strategy(self, own_type: str, history: History) -> np.ndarray:
         c = self.counts.get((own_type, history))
@@ -62,6 +67,7 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     own = 0 if seat == "row" else 1  # the seat's type and action index
     nodes: dict = {}  # own type, or (parent node, pair) -> node
     keys: list = []  # node -> (own type, prefix), in order of first visit
+    parents, codes = [], []  # node -> its parent node and the pair's code
     visits, actions = [], []
     for episode in dataset.episodes:
         own_type, history = episode[own], episode[2]
@@ -71,6 +77,8 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
             if node is None:
                 node = nodes[parent] = len(keys)
                 keys.append((own_type, history[:t]))
+                parents.append(parent[0] if t else -1)
+                codes.append(parent[1][0] * n + parent[1][1] if t else 0)
             visits.append(node)
             actions.append(history[t][own])
             parent = (node, history[t])
@@ -79,6 +87,7 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
         raise GameError(f"dataset actions must be in [0, {n})")
     counts = np.bincount(np.array(visits, dtype=np.intp) * n + actions, minlength=len(keys) * n)
     policy.counts = dict(zip(keys, counts.reshape(len(keys), n).astype(float)))
+    policy.links = (np.array(parents, dtype=np.intp), np.array(codes, dtype=np.intp))
     return policy
 
 
@@ -230,27 +239,41 @@ class PolicyTrie:
     def __init__(self, policy: ImitationPolicy):
         n = self.n = policy.num_actions
         self.seat = policy.seat
-        nodes: dict[tuple[str, History], int] = {}
-        links = []  # (parent, pair code, child)
-
-        def node(own_type, history) -> int:
-            v = nodes.get((own_type, history))
-            if v is None:
-                v = nodes[(own_type, history)] = len(nodes) + 1
-                if history:
-                    a, b = history[-1]
-                    links.append((node(own_type, history[:-1]), a * n + b, v))
-            return v
-
-        for key in policy.counts:
-            node(*key)
-        self.roots = {own_type: v for (own_type, history), v in nodes.items() if not history}
+        keys = list(policy.counts)
+        if policy.links is not None:
+            parents, codes = policy.links
+        else:
+            keys, parents, codes = _trie_links(keys, n)
+        # Key i is node i + 1.
+        self.roots = {keys[i][0]: i + 1 for i in np.flatnonzero(parents < 0).tolist()}
         self.strategies = np.array(
-            [np.full(n, 1.0 / n)] + [policy.strategy(*key) for key in nodes]
+            [np.full(n, 1.0 / n)] + [policy.strategy(*key) for key in keys]
         )
-        self.children = np.zeros((len(nodes) + 1, n * n), dtype=np.intp)
-        for parent, code, child in links:
-            self.children[parent, code] = child
+        self.children = np.zeros((len(keys) + 1, n * n), dtype=np.intp)
+        inner = np.flatnonzero(parents >= 0)
+        self.children[parents[inner] + 1, codes[inner]] = inner + 1
+
+
+def _trie_links(keys: list, n: int):
+    """The (own type, history) keys with every prefix of theirs added, and
+    each one's parent index and pair code, as ``ImitationPolicy.links``."""
+    index: dict = {}
+    parents, codes = [], []
+
+    def add(key) -> int:
+        i = index.get(key)
+        if i is None:
+            own_type, history = key
+            # The parent comes first, so that its index is known.
+            parent = add((own_type, history[:-1])) if history else -1
+            i = index[key] = len(parents)
+            parents.append(parent)
+            codes.append(history[-1][0] * n + history[-1][1] if history else 0)
+        return i
+
+    for key in keys:
+        add(key)
+    return list(index), np.array(parents, dtype=np.intp), np.array(codes, dtype=np.intp)
 
 
 class BatchIC(BatchAgent):
@@ -312,7 +335,8 @@ def _build_ic(spec: AgentSpec, ctx: BuildContext) -> ImitateThenCommitAgent:
     policy = spec.params.get("policy")
     if policy is None:
         dataset = read_dataset(spec.params["dataset_path"])
-        if dataset.metadata.get("type_space_hash") != ctx.type_space.content_hash():
+        if (dataset.metadata.get("type_space_hash") != ctx.type_space.content_hash()
+                or dataset.metadata["N"] != ctx.type_space.num_actions):
             raise GameError(
                 f"{spec.params['dataset_path']}: dataset was generated on another type space"
             )

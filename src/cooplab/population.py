@@ -29,7 +29,14 @@ from .agents import (
     build_agent,
     register_agent_kind,
 )
-from .engine import EPISODE_BATCH, EpisodeStreams, has_batch_form, play_batch, stack_agents
+from .engine import (
+    EPISODE_BATCH,
+    EpisodeStreams,
+    grouped_batches,
+    has_batch_form,
+    play_batch,
+    stack_agents,
+)
 
 DATASET_VERSION = 1
 
@@ -38,30 +45,31 @@ _DRAW_STREAM = 0x64726177  # "draw"
 _EPISODE_STREAM = 0x65706973  # "epis"
 
 
-# numpy's SeedSequence (bit_generator.pyx), written over arrays of 32-bit
-# words so that one call seeds many episodes.
+# numpy's SeedSequence (bit_generator.pyx) on 32-bit words.  Every word is a
+# Python int or a uint32 array: ints hash one seed, arrays one seed per column,
+# with the same operations.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _POOL = 0xCA01F9DD, 0x4973F715, 4
+_MIX_L, _MIX_R, _POOL, _MASK = 0xCA01F9DD, 0x4973F715, 4, 0xFFFFFFFF
 
 
-def _hash(value: np.ndarray, const: int, mult: int):
+def _hash(value, const: int, mult: int):
     """One hash step of SeedSequence: the hashed words and the next constant."""
-    value = value ^ np.uint32(const)
-    const = const * mult & 0xFFFFFFFF
-    value = value * np.uint32(const)
+    value = value ^ const
+    const = const * mult & _MASK
+    value = value * const & _MASK
     return value ^ (value >> 16), const
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+def _mix(x, y):
+    # Each product is masked first: an int operand must fit a uint32 array's type.
+    out = ((x * _MIX_L & _MASK) - (y * _MIX_R & _MASK)) & _MASK
     return out ^ (out >> 16)
 
 
-def _seed_sequence_u64(entropy: list, size: int) -> np.ndarray:
-    """``SeedSequence(words).generate_state(1, np.uint64)`` for ``size``
-    columns of entropy words; each word is an int or a (size,) array."""
-    words = [np.broadcast_to(np.asarray(w, dtype=np.uint32), (size,)) for w in entropy]
-    words += [np.zeros(size, dtype=np.uint32)] * (_POOL - len(words))
+def _seed_sequence(words: list):
+    """The low and high 32-bit words of
+    ``SeedSequence(words).generate_state(1, np.uint64)[0]``."""
+    words = words + [0] * (_POOL - len(words))
     const = _INIT_A
     pool = []
     for word in words[:_POOL]:
@@ -78,31 +86,44 @@ def _seed_sequence_u64(entropy: list, size: int) -> np.ndarray:
             pool[dst] = _mix(pool[dst], value)
     low, const = _hash(pool[0], _INIT_B, _MULT_B)
     high, _ = _hash(pool[1], const, _MULT_B)
-    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+    return low, high
+
+
+def _episode_head(master_seed: int) -> list[int]:
+    """The entropy words before the episode index: the stream tag, then the
+    master seed's 32-bit words, least significant first, as SeedSequence
+    reads an integer."""
+    master = int(master_seed)
+    if master < 0:
+        raise GameError(f"the master seed must be nonnegative, got {master}")
+    return [_EPISODE_STREAM] + [master >> s & _MASK for s in range(0, master.bit_length() or 1, 32)]
 
 
 def derive_episode_seeds(master_seed: int, indices) -> np.ndarray:
     """The seeds of episodes ``indices`` under ``master_seed``, (E,) uint64:
     ``SeedSequence([_EPISODE_STREAM, master_seed, index])``'s first 64-bit
     word, bit for bit, for indices in [0, 2**64)."""
-    master = int(master_seed)
-    if master < 0:
-        raise GameError(f"the master seed must be nonnegative, got {master}")
-    # SeedSequence reads an integer as its 32-bit words, least significant first.
-    shifts = range(0, master.bit_length() or 1, 32)
-    head = [_EPISODE_STREAM] + [master >> shift & 0xFFFFFFFF for shift in shifts]
+    head = _episode_head(master_seed)
     indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    low = (indices & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    low = (indices & np.uint64(_MASK)).astype(np.uint32)
     high = (indices >> np.uint64(32)).astype(np.uint32)
-    seeds = _seed_sequence_u64([*head, low], len(indices))
+    seeds = np.empty(len(indices), dtype=np.uint64)
     long = high > 0  # indices of two words
-    if long.any():
-        seeds[long] = _seed_sequence_u64([*head, low[long], high[long]], int(long.sum()))
+    for words, at in (([low], ~long), ([low, high], long)):
+        if at.any():
+            lo, hi = _seed_sequence(head + [w[at] for w in words])
+            seeds[at] = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
     return seeds
 
 
 def derive_episode_seed(master_seed: int, index: int) -> int:
-    return int(derive_episode_seeds(master_seed, [index])[0])
+    """``derive_episode_seeds`` for one episode, on Python ints."""
+    index = int(index)
+    if not 0 <= index < 2**64:
+        raise GameError(f"the episode index must be in [0, 2**64), got {index}")
+    words = [index & _MASK] + ([index >> 32] if index >> 32 else [])
+    low, high = _seed_sequence(_episode_head(master_seed) + words)
+    return low | high << 32
 
 
 @dataclass
@@ -299,10 +320,11 @@ def generate_dataset(
     """Self-play dataset: per episode, two members drawn i.i.d. from the
     population and a joint type drawn from mu.
 
-    Episodes of one (row member, column member) pairing are stepped together
-    on the batched engine, ``EPISODE_BATCH`` at a time, on the streams of
-    ``run_episode``; pairings with a member that has no batch form run
-    ``run_episode`` itself.  Either way the histories are the same."""
+    Episodes run on the batched engine ``EPISODE_BATCH`` at a time, on the
+    streams of ``run_episode``, sorted by their (row member, column member)
+    pairing: each batch seeds its streams once, and each pairing in it steps
+    its own columns of them.  Pairings with a member that has no batch form
+    run ``run_episode`` itself.  Either way the histories are the same."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
     mu.validate_types(type_space)
@@ -325,25 +347,30 @@ def generate_dataset(
         )
     )
 
-    for r, c in np.unique(member_idx, axis=0).tolist():
-        group = np.flatnonzero((member_idx[:, 0] == r) & (member_idx[:, 1] == c))
-        for start in range(0, len(group), EPISODE_BATCH):
-            ids = group[start : start + EPISODE_BATCH]
+    M = len(pop.members)
+    pairing = member_idx[:, 0] * M + member_idx[:, 1]
+    for batch, groups in grouped_batches(pairing, EPISODE_BATCH):
+        streams = None
+        for key, local in groups:
+            r, c = divmod(key, M)
+            ids = batch[local].tolist()
             rows = [agent(r, "row", joints[j][0]) for j in ids]
             cols = [agent(c, "col", joints[j][1]) for j in ids]
             if not (has_batch_form(rows[0]) and has_batch_form(cols[0])):
-                for j in ids.tolist():
+                for j in ids:
                     histories[j] = run_episode(
                         pop.members[r], pop.members[c], type_space, joints[j], T,
                         int(seeds[j]), convention_table=convention_table,
                     ).history
                 continue
+            if streams is None:
+                streams = EpisodeStreams(seeds[batch])
             record = play_batch(stack_agents(rows), stack_agents(cols), T,
-                                EpisodeStreams(seeds[ids]), record=True)
+                                streams.take(local), record=True)
             if record is None:  # T = 0
                 continue
             codes = record[:, 0].astype(np.intp) * N + record[:, 1]
-            for j, episode in zip(ids.tolist(), codes.T.tolist()):
+            for j, episode in zip(ids, codes.T.tolist()):
                 histories[j] = tuple(map(pairs.__getitem__, episode))
     return Dataset(
         episodes=[(a, b, h) for (a, b), h in zip(joints, histories)],
@@ -385,6 +412,18 @@ def _reject_float(text: str):
 _EPISODE_DECODER = json.JSONDecoder(parse_float=_reject_float)
 
 
+def _intern_pairs(actions: list, pairs: dict, N: int) -> History:
+    """The history of ``actions``, with each action pair checked to be two
+    integers in [0, N) and added to ``pairs`` if new."""
+    history = []
+    it = iter(actions)
+    for pair in zip(it, it):
+        if not all(type(x) is int and 0 <= x < N for x in pair):
+            raise ValueError(f"actions must be integers in [0, {N})")
+        history.append(pairs.setdefault(pair, pair))
+    return tuple(history)
+
+
 def read_dataset(path) -> Dataset:
     """Load a dataset written by ``write_dataset``.  Every action must be an
     integer in [0, N); histories share one tuple per action pair."""
@@ -405,8 +444,9 @@ def read_dataset(path) -> Dataset:
             raise GameFormatError(
                 f"{path}: line 1: header {key} must be an integer >= {low}, got {value!r}"
             )
-    # A failed lookup is an action outside [0, N); JSON floats never reach it.
-    pairs = {(a, b): (a, b) for a in range(N) for b in range(N)}
+    # Histories share one tuple per action pair.  A pair is checked when it
+    # first occurs, so no table of all N * N pairs is made up front.
+    pairs: dict = {}
     episodes = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -423,7 +463,7 @@ def read_dataset(path) -> Dataset:
             try:
                 history = tuple(map(pairs.__getitem__, zip(it, it)))
             except (KeyError, TypeError):
-                raise ValueError(f"actions must be integers in [0, {N})") from None
+                history = _intern_pairs(actions, pairs, N)
             episodes.append((rec["theta1"], rec["theta2"], history))
         except (KeyError, TypeError, ValueError) as exc:
             raise GameFormatError(f"{path}: line {i}: {exc}") from exc

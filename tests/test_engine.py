@@ -39,6 +39,7 @@ from cooplab.population import (
     _EPISODE_STREAM,
     Dataset,
     _sample_action,
+    derive_episode_seed,
     derive_episode_seeds,
     play_episode,
     run_episode,
@@ -125,6 +126,23 @@ def test_derive_episode_seeds_matches_seed_sequence(master, indices):
         for i in indices
     ]
     assert derive_episode_seeds(master, indices).tolist() == expected
+    assert [derive_episode_seed(master, i) for i in indices] == expected
+
+
+def test_derive_episode_seed_rejects_indices_outside_64_bits():
+    for index in (-1, 2**64):
+        with pytest.raises(GameError):
+            derive_episode_seed(1, index)
+
+
+def test_taken_streams_continue_their_episodes_streams():
+    episode_seeds = [3, 2**40 + 1, 7, 2**33]
+    streams = EpisodeStreams(episode_seeds)
+    streams.uniforms(5)
+    part = streams.take(np.array([3, 1]))
+    assert part.agent_seeds.tolist() == streams.agent_seeds[:, [3, 1]].tolist()
+    got = part.uniforms(700)  # across a regeneration of the state
+    assert got.tolist() == streams.uniforms(700)[:, [3, 1]].tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -164,6 +164,22 @@ def test_read_dataset_rejects_a_header_without_action_count(tmp_path):
         read_dataset(p)
 
 
+def test_read_dataset_with_a_huge_action_count_checks_pairs_as_they_occur(tmp_path):
+    # No table of N * N pairs: a header with N = 10**12 reads at once.
+    p = tmp_path / "huge.jsonl"
+    header = '{"N": 1000000000000, "T": 2, "n": 2, "version": 1}\n'
+    p.write_text(
+        header + '{"actions": [0, 999999999999, 5, 0], "theta1": "a", "theta2": "b"}\n'
+        '{"actions": [5, 0, 0, 999999999999], "theta1": "a", "theta2": "b"}\n'
+    )
+    first, second = (h for _, _, h in read_dataset(p).episodes)
+    assert first == ((0, 999999999999), (5, 0)) and second == ((5, 0), (0, 999999999999))
+    assert first[1] is second[0]  # one shared tuple per pair
+    p.write_text(header + '{"actions": [0, 1000000000000, 5, 0], "theta1": "a", "theta2": "b"}\n')
+    with pytest.raises(GameFormatError, match="line 2"):
+        read_dataset(p)
+
+
 def test_ic_agent_rejects_a_dataset_from_another_type_space(ts2, tmp_path):
     mu = TypeDistribution.uniform(ts2)
     ds = generate_dataset(simple_population(), mu, ts2, 5, 4, master_seed=1)
@@ -173,6 +189,10 @@ def test_ic_agent_rejects_a_dataset_from_another_type_space(ts2, tmp_path):
     assert build_agent(spec, ts2, 4, own_type="gamma").act() is not None
     with pytest.raises(GameError, match="another type space"):
         build_agent(spec, TS4, 4, own_type="alpha")
+    # The type space's hash, but another action count in the header.
+    path.write_text(path.read_text().replace('"N": 2,', '"N": 3,', 1))
+    with pytest.raises(GameError, match="another type space"):
+        build_agent(spec, ts2, 4, own_type="gamma")
 
 
 def test_dataset_sampling_matches_weights_chi_square(ts2):
