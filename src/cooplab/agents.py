@@ -21,7 +21,15 @@ from typing import Callable
 
 import numpy as np
 
-from .game_core import CapacityError, GameError, TypeSpace, check_mixed
+from .game_core import (
+    ActFn,
+    CapacityError,
+    GameError,
+    History,
+    TypeSpace,
+    check_mixed,
+    expected_payoff,
+)
 from .equilibria import (
     EquilibriumProfile,
     PoneSet,
@@ -206,12 +214,13 @@ class ConventionTable:
     def from_dict(cls, data: dict, type_space: TypeSpace) -> "ConventionTable":
         table = {}
         for key, entry in data.items():
-            a, b = key.split("|")
+            types = key.split("|")
+            if len(types) != 2:
+                raise GameError(f"convention key {key!r} is not two type ids joined by '|'")
+            a, b = types
             game = type_space.game(a, b)
             p = check_mixed(entry["sigma_row"], game.num_actions)
             q = check_mixed(entry["sigma_col"], game.num_actions)
-            from .game_core import expected_payoff
-
             table[(a, b)] = EquilibriumProfile(
                 sigma_row=p,
                 sigma_col=q,
@@ -274,7 +283,16 @@ class Agent:
         raise NotImplementedError
 
     def clone(self) -> "Agent":
+        """An independent copy: observing on the clone leaves this agent's
+        ``act()`` unchanged."""
         return copy.deepcopy(self)
+
+    def _copy_with(self, **state) -> "Agent":
+        """A shallow copy with ``state`` replacing some attributes: a cheap
+        ``clone`` for agents whose other attributes no method writes."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **state)
+        return new
 
 
 class FixedMixedAgent(Agent):
@@ -286,6 +304,10 @@ class FixedMixedAgent(Agent):
 
     def observe(self, own_action, opp_action):
         pass
+
+    def clone(self):
+        # Nothing is ever written, so the agent is its own independent copy.
+        return self
 
 
 class UniformRandomAgent(FixedMixedAgent):
@@ -314,6 +336,9 @@ class FixedSequenceAgent(Agent):
     def observe(self, own_action, opp_action):
         self.stage += 1
 
+    def clone(self):
+        return self._copy_with()
+
 
 class GrimTriggerAgent(Agent):
     """Cooperates until the opponent leaves its designated action, then
@@ -336,6 +361,9 @@ class GrimTriggerAgent(Agent):
     def observe(self, own_action, opp_action):
         if opp_action != self.opp_coop:
             self.triggered = True
+
+    def clone(self):
+        return self._copy_with()
 
 
 class BestResponderAgent(Agent):
@@ -362,6 +390,9 @@ class BestResponderAgent(Agent):
 
     def observe(self, own_action, opp_action):
         self.opp_counts[opp_action] += 1
+
+    def clone(self):
+        return self._copy_with(opp_counts=list(self.opp_counts))
 
 
 class MWAgent(Agent):
@@ -391,6 +422,9 @@ class MWAgent(Agent):
         lw = self.log_weights
         for a in range(self.n):
             lw[a] += eta * row[a][opp_action]
+
+    def clone(self):
+        return self._copy_with(log_weights=list(self.log_weights))
 
 
 class ProtocolAgent(Agent):
@@ -476,6 +510,13 @@ class ProtocolAgent(Agent):
 
     def act(self):
         return self._strategy_now()
+
+    def clone(self):
+        return self._copy_with(
+            opp_digits=list(self.opp_digits),
+            cum_counterfactual=list(self.cum_counterfactual),
+            mw=None if self.mw is None else self.mw.clone(),
+        )
 
     @property
     def accumulator(self) -> float:
@@ -622,15 +663,31 @@ def build_agent(
     return AGENT_BUILDERS[spec.kind](spec, ctx)
 
 
-def replay_act_fn(factory: Callable[[], Agent], seat: str = "row"):
-    """Adapter turning a deterministic agent factory into a pure function of
-    the (row, col) history, for the exact tree enumerators."""
+def tree_act_fn(agent: Agent, seat: str = "row") -> ActFn:
+    """Turn an agent into a function of the (row, col) history, for the exact
+    tree walk.
 
-    def fn(history):
-        agent = factory()
-        for a, b in history:
-            own, opp = (a, b) if seat == "row" else (b, a)
-            agent.observe(own, opp)
-        return agent.act()
+    The agent at a history is a clone of the agent at its parent, advanced by
+    the history's last action pair, so a walk that asks for parents before
+    children pays one clone and one ``observe`` per node.  The function keeps
+    every node's agent in its ``nodes`` dict, keyed by history, for as long
+    as the function lives.
+    """
+    if seat not in ("row", "col"):
+        raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
+    nodes: dict[History, Agent] = {(): agent.clone()}
 
-    return fn
+    def agent_at(history: History) -> Agent:
+        found = nodes.get(history)
+        if found is None:
+            found = agent_at(history[:-1]).clone()
+            a, b = history[-1]
+            found.observe(*((a, b) if seat == "row" else (b, a)))
+            nodes[history] = found
+        return found
+
+    def act(history: History):
+        return agent_at(history).act()
+
+    act.nodes = nodes
+    return act

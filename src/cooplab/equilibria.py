@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game_core import BimatrixGame, GameError, CapacityError, expected_payoff
+from .game_core import BimatrixGame, GameError, CapacityError, check_mixed, expected_payoff
 
 BR_TOL = 1e-12
 EQ_TOL = 1e-9
@@ -53,8 +53,6 @@ def best_response(game: BimatrixGame, opponent, player: str):
 
     Returns (sorted action list, best value).
     """
-    from .game_core import check_mixed
-
     q = check_mixed(opponent, game.num_actions)
     if player == "row":
         values = game.payoff_row @ q
@@ -77,8 +75,6 @@ def _deviation_gain(game: BimatrixGame, p: np.ndarray, q: np.ndarray) -> float:
 
 
 def is_nash(game: BimatrixGame, p, q, tol: float = EQ_TOL) -> bool:
-    from .game_core import check_mixed
-
     p = check_mixed(p, game.num_actions)
     q = check_mixed(q, game.num_actions)
     return _deviation_gain(game, p, q) <= tol

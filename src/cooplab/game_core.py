@@ -39,24 +39,41 @@ class GameFormatError(GameError):
     """A game/type-space file does not match the documented schema."""
 
 
+def _float_array(probs, what: str) -> np.ndarray:
+    try:
+        return np.asarray(probs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GameError(f"{what} is not a rectangular array of numbers: {exc}") from None
+
+
+def _check_rows(s: np.ndarray) -> np.ndarray:
+    """Reject a row of the (m, n) array ``s`` that is not a mixed strategy:
+    an entry below -PROB_TOL, or a sum more than 1e-9 from 1."""
+    negative = np.any(s < -PROB_TOL, axis=1)
+    if negative.any():
+        raise GameError(f"mixed strategy has negative entries: {s[negative][0]}")
+    sums = s.sum(axis=1)
+    # Written so that a NaN sum fails too.
+    bad = ~(np.abs(sums - 1.0) <= 1e-9)
+    if bad.any():
+        raise GameError(f"mixed strategy sums to {sums[bad][0]}, not 1")
+    return s
+
+
 def check_mixed(probs, n: int | None = None) -> np.ndarray:
     """Validate a mixed strategy and return it as a float array."""
-    p = np.asarray(probs, dtype=float)
+    p = _float_array(probs, "mixed strategy")
     if p.ndim != 1:
         raise GameError(f"mixed strategy must be a vector, got shape {p.shape}")
     if n is not None and p.shape[0] != n:
         raise GameError(f"mixed strategy has length {p.shape[0]}, expected {n}")
-    if np.any(p < -PROB_TOL):
-        raise GameError(f"mixed strategy has negative entries: {p}")
-    # Written so that a NaN sum fails too.
-    if not abs(p.sum() - 1.0) <= 1e-9:
-        raise GameError(f"mixed strategy sums to {p.sum()}, not 1")
+    _check_rows(p[None, :])
     return p
 
 
 def check_joint(probs, n: int | None = None) -> np.ndarray:
     """Validate a joint strategy (distribution over action pairs)."""
-    z = np.asarray(probs, dtype=float)
+    z = _float_array(probs, "joint strategy")
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise GameError(f"joint strategy must be square, got shape {z.shape}")
     if n is not None and z.shape[0] != n:
@@ -154,6 +171,10 @@ class TypeSpace:
     def __post_init__(self):
         if len(set(self.types)) != len(self.types):
             raise GameError("type identifiers must be unique")
+        # Convention tables key joint types as "row|col".
+        for t in self.types:
+            if not isinstance(t, str) or "|" in t:
+                raise GameError(f"type identifier {t!r} must be a string without '|'")
         if set(self.types) != set(self.payoff_table):
             raise GameError("payoff table keys must match the type list")
         table = {}
@@ -288,11 +309,50 @@ ActFn = Callable[[History], Sequence[float]]
 
 
 def _check_tree_cap(n: int, T: int, cap: int) -> None:
+    if T < 0:
+        raise GameError(f"the horizon must be >= 0, got {T}")
     if n ** (2 * T) > cap:
         raise CapacityError(
             f"history tree has {n}^{2 * T} leaves, above the cap {cap}; "
             "use Monte-Carlo estimation instead"
         )
+
+
+def _check_level(strategies, n: int) -> np.ndarray:
+    """``check_mixed`` for the strategies of every node of one tree level at
+    once; returns them as an (m, n) array."""
+    s = _float_array(strategies, "the mixed strategies of one tree level")
+    if s.ndim != 2 or s.shape[1] != n:
+        raise GameError(
+            f"mixed strategies of one tree level have shape {s.shape[1:]}, expected ({n},)"
+        )
+    return _check_rows(s)
+
+
+def _tree_levels(act_row: ActFn, act_col: ActFn, n: int, T: int, cap: int):
+    """Walk the history tree of two behavioral strategies level by level.
+
+    Yields ``(histories, probs, P, Q)`` for each depth 0..T: the histories
+    reached with positive probability, in lexicographic order, their
+    probabilities, and the (m, n) strategies both agents announce there
+    (``None`` at depth T, the leaves).  Each act function is called once per
+    internal node, parents before children.
+    """
+    _check_tree_cap(n, T, cap)
+    steps = [((i, j),) for i in range(n) for j in range(n)]
+    hs: list[History] = [()]
+    probs = np.ones(1)
+    for _ in range(T):
+        P = _check_level([act_row(h) for h in hs], n)
+        Q = _check_level([act_col(h) for h in hs], n)
+        yield hs, probs, P, Q
+        # (prob * p[i]) * q[j], the float order of a scalar walk.
+        w = ((probs[:, None] * P)[:, :, None] * Q[:, None, :]).reshape(-1)
+        live = np.flatnonzero(w > 0.0)
+        parent, pair = np.divmod(live, n * n)
+        hs = [hs[k] + steps[r] for k, r in zip(parent.tolist(), pair.tolist())]
+        probs = w[live]
+    yield hs, probs, None, None
 
 
 def exact_episode_value(
@@ -304,34 +364,17 @@ def exact_episode_value(
 ) -> tuple[float, float]:
     """Exact expected total payoffs of two behavioral strategies over T stages.
 
-    Recurses over the full history tree, weighting each branch by the
-    announced mixed strategies.  Strategies are queried as functions of the
-    history only, so any deterministically-replayable agent qualifies.
+    Sums each node's probability times its expected stage payoff over the
+    full history tree.  Strategies are queried as functions of the history
+    only, so any deterministically-replayable agent qualifies.
     """
-    n = game.num_actions
-    _check_tree_cap(n, T, cap)
+    v1 = v2 = 0.0
     A, B = game.payoff_row, game.payoff_col
-
-    def rec(h: History, depth: int) -> tuple[float, float]:
-        if depth == T:
-            return 0.0, 0.0
-        p = check_mixed(act_row(h), n)
-        q = check_mixed(act_col(h), n)
-        v1 = float(p @ A @ q)
-        v2 = float(q @ B @ p)
-        for i in range(n):
-            if p[i] <= 0.0:
-                continue
-            for j in range(n):
-                w = p[i] * q[j]
-                if w <= 0.0:
-                    continue
-                r1, r2 = rec(h + ((i, j),), depth + 1)
-                v1 += w * r1
-                v2 += w * r2
-        return v1, v2
-
-    return rec((), 0)
+    for _, probs, P, Q in _tree_levels(act_row, act_col, game.num_actions, T, cap):
+        if P is not None:
+            v1 += float(probs @ ((P @ A) * Q).sum(axis=1))
+            v2 += float(probs @ ((Q @ B) * P).sum(axis=1))
+    return v1, v2
 
 
 def history_distribution(
@@ -341,24 +384,11 @@ def history_distribution(
     T: int,
     cap: int = TREE_CAP,
 ) -> dict[History, float]:
-    """Exact distribution over length-T histories induced by two strategies."""
-    _check_tree_cap(n, T, cap)
-    out: dict[History, float] = {}
-
-    def rec(h: History, prob: float, depth: int) -> None:
-        if depth == T:
-            out[h] = out.get(h, 0.0) + prob
-            return
-        p = check_mixed(act_row(h), n)
-        q = check_mixed(act_col(h), n)
-        for i in range(n):
-            for j in range(n):
-                w = prob * p[i] * q[j]
-                if w > 0.0:
-                    rec(h + ((i, j),), w, depth + 1)
-
-    rec((), 1.0, 0)
-    return out
+    """Exact distribution over length-T histories induced by two strategies,
+    in lexicographic order of the histories with positive probability."""
+    for hs, probs, _, _ in _tree_levels(act_row, act_col, n, T, cap):
+        pass
+    return dict(zip(hs, probs.tolist()))
 
 
 def total_variation(

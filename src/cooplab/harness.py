@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -41,8 +42,8 @@ from .agents import (
     default_eta,
     handshake_encode,
     protocol_threshold,
-    replay_act_fn,
     theorem26_params,
+    tree_act_fn,
 )
 from .engine import (
     EPISODE_BATCH,
@@ -712,22 +713,23 @@ def run_flatten_check(cfg: ExperimentConfig):
     pop = cfg.population or _default_flatten_population()
     probe = cfg.extra.get("probe") or AgentSpec("FixedMixed", {"probs": [0.6, 0.4]})
     own_type = ts.types[0]
+    probe_agent = build_agent(probe, ts, horizon, seat="row", own_type=own_type)
+    walked = 0
 
-    def factory(spec):
-        return lambda: build_agent(spec, ts, horizon, seat="col", own_type=own_type)
+    def walk(spec):
+        """One tree against the probe, with act functions (and node caches)
+        that live only for this walk."""
+        nonlocal walked
+        col = tree_act_fn(build_agent(spec, ts, horizon, seat="col", own_type=own_type), "col")
+        dist = history_distribution(tree_act_fn(probe_agent, "row"), col, n, horizon)
+        walked += len(col.nodes)
+        return dist
 
-    probe_fn = replay_act_fn(
-        lambda: build_agent(probe, ts, horizon, seat="row", own_type=own_type), "row"
-    )
     mixture: dict = {}
     for member, weight in zip(pop.members, pop.weights):
-        dist = history_distribution(probe_fn, replay_act_fn(factory(member), "col"), n, horizon)
-        for h, pr in dist.items():
+        for h, pr in walk(member).items():
             mixture[h] = mixture.get(h, 0.0) + weight * pr
-    flat_spec = flatten_population(pop)
-    flat_dist = history_distribution(
-        probe_fn, replay_act_fn(factory(flat_spec), "col"), n, horizon
-    )
+    flat_dist = walk(flatten_population(pop))
     tv = total_variation(mixture, flat_dist)
     result = VerificationResult(
         kind=cfg.kind,
@@ -736,6 +738,10 @@ def run_flatten_check(cfg: ExperimentConfig):
         bound=1e-9,
         passed=tv <= 1e-9,
         sample_count=len(mixture),
+        detail=(
+            f"leaves: population mixture {len(mixture)}, flattened agent "
+            f"{len(flat_dist)}; nodes walked {walked} in {len(pop.members) + 1} walks"
+        ),
     )
     rows = ["history,prob_population,prob_flattened"]
     for h in sorted(set(mixture) | set(flat_dist)):
@@ -932,8 +938,6 @@ def run_experiment(cfg: ExperimentConfig):
         raise GameError("experiment needs a positive episode count")
     results, artifacts = _RUNNERS[cfg.kind](cfg)
     if cfg.out_dir is not None:
-        import os
-
         os.makedirs(cfg.out_dir, exist_ok=True)
         for name, text in artifacts.items():
             with open(os.path.join(cfg.out_dir, name), "w") as f:
@@ -944,8 +948,6 @@ def run_experiment(cfg: ExperimentConfig):
 def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
     """Aggregate per-episode CSVs into (x, mean, ci) series keyed on each
     file's first column; the value column is the last numeric column."""
-    import os
-
     out_dir = out_dir or results_dir
     emitted = {}
     for name in sorted(os.listdir(results_dir)):

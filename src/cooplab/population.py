@@ -7,6 +7,7 @@ episode index), so datasets are reproducible under any execution order.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -144,8 +145,6 @@ class Population:
         self.weights = [float(x) for x in w]
 
     def content_hash(self) -> str:
-        import hashlib
-
         blob = json.dumps(
             [[m.to_dict() for m in self.members], self.weights],
             sort_keys=True,
@@ -513,6 +512,15 @@ class FlattenedAgent(Agent):
             if self.likelihoods[i] > 0.0:
                 self.likelihoods[i] *= agent.act()[own_action]
             agent.observe(own_action, opp_action)
+
+    def clone(self):
+        # A member of likelihood zero is never asked again and adds nothing
+        # to any sum, so the clone drops it.
+        live = [i for i, like in enumerate(self.likelihoods) if like != 0.0]
+        return self._copy_with(
+            members=[self.members[i].clone() for i in live],
+            likelihoods=[self.likelihoods[i] for i in live],
+        )
 
 
 def _build_flattened(spec: AgentSpec, ctx: BuildContext) -> FlattenedAgent:

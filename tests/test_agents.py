@@ -8,6 +8,7 @@ from cooplab.game_core import GameError, TypeSpace
 from cooplab.agents import (
     AgentSpec,
     BestResponderAgent,
+    ConventionTable,
     FixedSequenceAgent,
     GrimTriggerAgent,
     MWAgent,
@@ -300,3 +301,12 @@ def test_build_agent_unknown_kind_and_missing_type(ts2):
         build_agent(AgentSpec("Telepath", {}), ts2, 10)
     with pytest.raises(GameError):
         build_agent(AgentSpec("MW", {}), ts2, 10)  # no own type anywhere
+
+
+def test_convention_table_rejects_a_key_that_is_not_two_types(ts2):
+    data = build_convention_table(ts2).to_dict()
+    entry = next(iter(data.values()))
+    a, b = ts2.types[:2]
+    for key in (a, f"{a}|{b}|{a}"):
+        with pytest.raises(GameError, match="joined by"):
+            ConventionTable.from_dict({**data, key: entry}, ts2)

@@ -222,3 +222,8 @@ def test_history_distribution_sums_to_one_and_tv():
     assert total_variation(p, p) == 0.0
     q = history_distribution(lambda h: [0.6, 0.4], lambda h: [0.5, 0.5], 2, 2)
     assert 0.0 < total_variation(p, q) <= 1.0
+
+
+def test_type_space_rejects_a_type_id_with_the_key_separator():
+    with pytest.raises(GameError, match="without"):
+        TypeSpace(types=("a|b", "c"), payoff_table={"a|b": np.eye(2), "c": np.eye(2)})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cooplab.game_core import GameError, GameFormatError, TypeSpace, history_distribution, total_variation
-from cooplab.agents import AgentSpec, build_agent, build_convention_table, replay_act_fn, theorem26_params
+from cooplab.agents import AgentSpec, build_agent, build_convention_table, theorem26_params, tree_act_fn
 from cooplab.population import (
     Dataset,
     Population,
@@ -220,9 +220,7 @@ def test_flattened_agent_matches_population_mixture(ts2):
     probe = lambda h: [0.5, 0.5]
 
     def col_fn(spec):
-        return replay_act_fn(
-            lambda: build_agent(spec, ts2, horizon, seat="col", own_type="gamma"), "col"
-        )
+        return tree_act_fn(build_agent(spec, ts2, horizon, seat="col", own_type="gamma"), "col")
 
     mixture = {}
     for member, w in zip(pop.members, pop.weights):
