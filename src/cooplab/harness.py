@@ -6,14 +6,17 @@ emits per-episode CSV rows plus a pass/fail verification result.  The
 agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its datasets
 included, step their episodes in batches on the batched engine
 (``engine.py``), on the per-episode random streams of ``run_episode``.
-Protocol self-play uses a vectorized fast path that is an
-exact reproduction of the agent semantics (cross-checked in the test suite);
-episodes that leave the vectorizable regime (a protocol agent tripping its
-regret threshold) are finished stage-by-stage with the real agent classes on
-the same sampled prefix.
+Equilibrium and protocol self-play run on numpy kernels that stream their
+draws in cache-sized blocks of episodes or stages, with the same random
+numbers and float sums as drawing the whole run at once.  The protocol
+kernel is an exact reproduction of the agent semantics (cross-checked in the
+test suite); episodes that leave the vectorizable regime (a protocol agent
+tripping its regret threshold) are finished stage-by-stage with the real
+agent classes on the same sampled prefix.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import os
@@ -27,6 +30,7 @@ from .game_core import (
     BimatrixGame,
     GameError,
     TypeSpace,
+    check_mixed,
     history_distribution,
     normalize_game,
     total_variation,
@@ -76,11 +80,17 @@ from .imitation_commit import (
     delta_K,
     fit_imitation,
     mixture_from_joint,
-    response_function,
+    _response_functions,
     theorem42_bound,
 )
 
 Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
+
+# The self-play kernels stream their random draws in blocks that stay in
+# cache.  None of these sizes changes a drawn number or a float sum.
+SELFPLAY_CHUNK = 500  # nash-selfplay episodes stepped at a time
+TRIGGER_BLOCK = 64  # stages per block of the si-selfplay trigger scan
+ROW_BLOCK_CELLS = 1 << 18  # cells per block of rows drawn or summed at a time
 
 EXPERIMENT_KINDS = (
     "mw-regret",
@@ -220,28 +230,97 @@ def run_mw_regret(cfg: ExperimentConfig):
 # Equilibrium self-play concentration (vectorized i.i.d. sampling)
 
 
+def _choice_cuts(p: np.ndarray) -> np.ndarray:
+    """The inner cut points of ``Generator.choice(n, p=p)``: its cdf
+    ``p.cumsum() / p.cumsum()[-1]`` without the last entry, which is 1.
+    Entries within ``check_mixed``'s tolerance below 0 count as 0, so the
+    cuts never decrease."""
+    cdf = np.maximum(p, 0.0).cumsum()
+    cdf /= cdf[-1]
+    return cdf[:-1]
+
+
+def _choice(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The actions ``Generator.choice`` makes of its uniforms ``u``: the
+    number of cuts at or below each draw, which is its
+    ``searchsorted(u, side="right")`` (u < 1 never reaches the last cdf
+    entry)."""
+    acts = np.zeros(u.shape, np.min_scalar_type(len(cuts)))
+    for c in cuts:
+        acts += u >= c
+    return acts
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices of at most about ROW_BLOCK_CELLS cells of a (rows, cols) array."""
+    step = max(1, ROW_BLOCK_CELLS // max(cols, 1))
+    return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
+
+
+def _draw_actions(rng: np.random.Generator, cuts: np.ndarray, rows: int, cols: int):
+    """``rng.choice(len(cuts) + 1, size=(rows, cols), p=p)`` for ``cuts =
+    _choice_cuts(p)``, drawn a block of rows at a time."""
+    acts = np.empty((rows, cols), np.min_scalar_type(len(cuts)))
+    for block in _row_blocks(rows, cols):
+        acts[block] = _choice(rng.random((block.stop - block.start, cols)), cuts)
+    return acts
+
+
+def _payoff_sums(m: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
+    """Per-episode sums of ``m[own, opp]`` over the stages of (episodes,
+    stages) action arrays, gathered from the flat matrix a block of rows at a
+    time; each row sums as ``m[own, opp].sum(axis=1)`` does."""
+    n = m.shape[1]
+    flat = m.ravel()
+    scale = np.min_scalar_type(n * n - 1).type(n)
+    out = np.empty(len(own))
+    for block in _row_blocks(*own.shape):
+        index = own[block] * scale
+        index += opp[block]
+        out[block] = flat[index].sum(axis=1)
+    return out
+
+
 def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray,
                       episodes: int, T: int, rng: np.random.Generator):
     """Realized and expected external regrets for both players over i.i.d.
-    self-play episodes of a fixed mixed profile."""
+    self-play episodes of a fixed mixed profile.
+
+    The actions are ``rng.choice(n, size=(episodes, T), p=p)`` for the row
+    player, then the same with ``q`` for the column player, made
+    SELFPLAY_CHUNK episodes at a time: the row draws come from ``rng``, the
+    column draws from a copy of it advanced past every row draw, and ``rng``
+    ends where the two whole-run draws leave it.  The chunks yield action
+    counts and realized payoffs; the counterfactual and expected payoffs are
+    matrix products over all episodes at once, whose rounding BLAS may choose
+    by the number of rows.
+    """
     n = game.num_actions
-    acts_row = rng.choice(n, size=(episodes, T), p=p)
-    acts_col = rng.choice(n, size=(episodes, T), p=q)
+    cuts = {"row": _choice_cuts(p), "col": _choice_cuts(q)}
+    col_rng = copy.deepcopy(rng)
+    col_rng.bit_generator.advance(episodes * T)
+    counts = {player: np.empty((episodes, n)) for player in cuts}
+    realized = {player: np.empty(episodes) for player in cuts}
+    for start in range(0, episodes, SELFPLAY_CHUNK):
+        rows = slice(start, min(start + SELFPLAY_CHUNK, episodes))
+        size = (rows.stop - rows.start, T)
+        acts = {
+            "row": _choice(rng.random(size), cuts["row"]),
+            "col": _choice(col_rng.random(size), cuts["col"]),
+        }
+        for player, other, m in (("row", "col", game.payoff_row), ("col", "row", game.payoff_col)):
+            counts[player][rows] = np.stack(
+                [np.count_nonzero(acts[player] == j, axis=1) for j in range(n)], axis=1
+            )
+            realized[player][rows] = _payoff_sums(m, acts[player], acts[other])
+    rng.bit_generator.state = col_rng.bit_generator.state
     out = {}
-    for player, own, opp, sigma, m in (
-        ("row", acts_row, acts_col, p, game.payoff_row),
-        ("col", acts_col, acts_row, q, game.payoff_col),
+    for player, other, sigma, m in (
+        ("row", "col", p, game.payoff_row),
+        ("col", "row", q, game.payoff_col),
     ):
-        opp_counts = np.stack(
-            [(opp == j).sum(axis=1) for j in range(n)], axis=1
-        ).astype(float)
-        counterfactual = opp_counts @ m.T  # (episodes, n)
-        realized = m[own, opp].sum(axis=1)
-        expected = opp_counts @ (sigma @ m)
-        out[player] = (
-            counterfactual.max(axis=1) - realized,
-            counterfactual.max(axis=1) - expected,
-        )
+        best = (counts[other] @ m.T).max(axis=1)
+        out[player] = (best - realized[player], best - counts[other] @ (sigma @ m))
     return out
 
 
@@ -256,7 +335,8 @@ def run_nash_selfplay(cfg: ExperimentConfig):
         mixed = [p for p in profiles if (p.sigma_row > 0).all() and (p.sigma_col > 0).all()]
         chosen = (mixed or profiles)[-1]
         profile = (chosen.sigma_row, chosen.sigma_col)
-    p, q = np.asarray(profile[0], float), np.asarray(profile[1], float)
+    n = game.num_actions
+    p, q = check_mixed(profile[0], n), check_mixed(profile[1], n)
     T, delta = cfg.horizon, cfg.delta
     thresholds = azuma_thresholds(T, delta)
     regs = _selfplay_regrets(game, p, q, cfg.episodes, T, _rng(cfg.seed, 0x4E45))
@@ -294,6 +374,9 @@ def run_nash_selfplay(cfg: ExperimentConfig):
 
 
 def _handshake_arrays(ts: TypeSpace, joint: tuple[str, str], k: int):
+    """Both codes, the counterfactual payoffs and the payoffs of the
+    handshake.  Handshake play is pure, so each seat's expected payoff is its
+    realized one."""
     n = ts.num_actions
     code_r = handshake_encode(ts.type_index(joint[0]), k, n)
     code_c = handshake_encode(ts.type_index(joint[1]), k, n)
@@ -302,16 +385,13 @@ def _handshake_arrays(ts: TypeSpace, joint: tuple[str, str], k: int):
     ha = np.zeros(n)
     hb = np.zeros(n)
     hexp_r = hexp_c = 0.0
-    hpay_r = hpay_c = 0.0
     for t in range(k):
         i, j = code_r[t], code_c[t]
         ha += A[:, j]
         hb += B[:, i]
         hexp_r += A[i, j]
         hexp_c += B[j, i]
-        hpay_r += A[i, j]
-        hpay_c += B[j, i]
-    return code_r, code_c, ha, hb, hexp_r, hexp_c, hpay_r, hpay_c
+    return code_r, code_c, ha, hb, hexp_r, hexp_c
 
 
 def _finish_triggered_episode(
@@ -366,21 +446,32 @@ def _first_trigger_stage(
 
     ``opp_acts`` is (episodes, stages); the accumulator is
     max_a cum counterfactual(a) - cum expected payoff, seeded with the
-    handshake contributions.
+    handshake contributions.  The stages are scanned TRIGGER_BLOCK at a time,
+    each block laid out stage-major, with the running sums carried into the
+    block's first stage, so every running sum adds its stage payoffs one at a
+    time in stage order, and the handshake's afterwards.
     """
     episodes, stages = opp_acts.shape
     n = m.shape[0]
-    v = sigma @ m  # expected payoff per opponent action
-    cum_cf = np.cumsum(m[:, opp_acts], axis=2)  # (n, episodes, stages)
-    cum_cf += h_cf[:, None, None]
-    cum_exp = np.cumsum(v[opp_acts], axis=1) + h_exp
-    acc = cum_cf.max(axis=0) - cum_exp  # (episodes, stages)
-    exceeded = acc > threshold
-    first = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), -1)
     # A pathological threshold could already be exceeded at the end of the
     # handshake; flag that as stage 0.
     if h_cf.max() - h_exp > threshold:
-        first = np.zeros(episodes, dtype=int)
+        return np.zeros(episodes, dtype=int)
+    first = np.full(episodes, -1)
+    table = np.vstack([m, sigma @ m])  # counterfactual rows, then expected payoff
+    carry = None  # the running sums at the end of the previous block
+    for s0 in range(0, stages, TRIGGER_BLOCK):
+        opp = opp_acts[:, s0 : s0 + TRIGGER_BLOCK].T.astype(np.intp, order="C")
+        run = np.take(table, opp, axis=1)  # (n + 1, width, episodes)
+        if carry is not None:
+            run[:, 0] += carry
+        for s in range(1, len(opp)):
+            np.add(run[:, s - 1], run[:, s], out=run[:, s])
+        carry = run[:, -1]
+        acc = (run[:n] + h_cf[:, None, None]).max(axis=0) - (run[n] + h_exp)
+        hit = (acc.max(axis=0) > threshold) & (first < 0)
+        if hit.any():
+            first[hit] = s0 + (acc[:, hit] > threshold).argmax(axis=0)
     return first
 
 
@@ -402,6 +493,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
     fallback = np.zeros(cfg.episodes, dtype=bool)
 
     chunk = max(1, int(cfg.extra.get("chunk", 2000)))
+    pure_episodes = replayed = 0
     for jt_index, joint in enumerate(mu.support):
         episode_ids = np.nonzero(joint_idx == jt_index)[0]
         if len(episode_ids) == 0:
@@ -410,9 +502,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
         p, q = prof.sigma_row, prof.sigma_col
         A = ts.payoff_table[joint[0]]
         B = ts.payoff_table[joint[1]]
-        code_r, code_c, ha, hb, hexp_r, hexp_c, hpay_r, hpay_c = _handshake_arrays(
-            ts, joint, k
-        )
+        code_r, code_c, ha, hb, hexp_r, hexp_c = _handshake_arrays(ts, joint, k)
         stages = T - k
         pure = (p.max() > 1.0 - 1e-12) and (q.max() > 1.0 - 1e-12)
         if pure:
@@ -425,24 +515,26 @@ def run_si_selfplay(cfg: ExperimentConfig):
             drift_c = (hb + stages * B[:, i_star]).max() - (hexp_c + stages * B[j_star, i_star])
             if max(drift_r, drift_c) > threshold:
                 raise GameError("pure convention profile exceeded the threshold")
-            avg_pay_row[episode_ids] = (hpay_r + stages * A[i_star, j_star]) / T
-            avg_pay_col[episode_ids] = (hpay_c + stages * B[j_star, i_star]) / T
+            avg_pay_row[episode_ids] = (hexp_r + stages * A[i_star, j_star]) / T
+            avg_pay_col[episode_ids] = (hexp_c + stages * B[j_star, i_star]) / T
+            pure_episodes += len(episode_ids)
             continue
         rng_joint = _rng(cfg.seed, 0x5349, 1 + jt_index)
+        cuts_p, cuts_q = _choice_cuts(p), _choice_cuts(q)
         for start in range(0, len(episode_ids), chunk):
             ids = episode_ids[start : start + chunk]
-            m_eps = len(ids)
-            i_acts = rng_joint.choice(n, size=(m_eps, stages), p=p)
-            j_acts = rng_joint.choice(n, size=(m_eps, stages), p=q)
+            i_acts = _draw_actions(rng_joint, cuts_p, len(ids), stages)
+            j_acts = _draw_actions(rng_joint, cuts_q, len(ids), stages)
             trig_r = _first_trigger_stage(A, p, j_acts, ha, hexp_r, threshold)
             trig_c = _first_trigger_stage(B, q, i_acts, hb, hexp_c, threshold)
             triggered = (trig_r >= 0) | (trig_c >= 0)
             clean = ~triggered
-            pay_r = hpay_r + A[i_acts, j_acts].sum(axis=1)
-            pay_c = hpay_c + B[j_acts, i_acts].sum(axis=1)
+            pay_r = hexp_r + _payoff_sums(A, i_acts, j_acts)
+            pay_c = hexp_c + _payoff_sums(B, j_acts, i_acts)
             avg_pay_row[ids[clean]] = pay_r[clean] / T
             avg_pay_col[ids[clean]] = pay_c[clean] / T
             finish = np.flatnonzero(triggered)
+            replayed += len(finish)
             seeds = derive_episode_seeds(cfg.seed, ids[finish]).tolist()
             for local, seed in zip(finish.tolist(), seeds):
                 e = int(ids[local])
@@ -478,6 +570,10 @@ def run_si_selfplay(cfg: ExperimentConfig):
             passed=fb_freq <= delta + ci,
             sample_count=cfg.episodes,
             ci_radius=ci,
+            detail=(
+                f"pure-convention episodes {pure_episodes}, replayed by the agents "
+                f"{replayed}, fallbacks {int(fallback.sum())}"
+            ),
         )
     )
     for jt_index, joint in enumerate(mu.support):
@@ -660,8 +756,7 @@ def run_mixture_check(cfg: ExperimentConfig):
         mixture = mixture_from_joint(z)
         mix_value = 0.0
         br_value = 0.0
-        for c, (x, w) in enumerate(mixture.components):
-            y = response_function(z, c)
+        for (x, w), y in zip(mixture.components, _response_functions(z)):
             mix_value += w * float(y @ B @ x)
             br_value += w * float((B @ x).max())
         id_errors.append(abs(mix_value - col_value))
@@ -743,9 +838,15 @@ def run_flatten_check(cfg: ExperimentConfig):
             f"{len(flat_dist)}; nodes walked {walked} in {len(pop.members) + 1} walks"
         ),
     )
+    # history_distribution gives its leaves in lexicographic order, so they
+    # need no sort when the flattened agent's hold the mixture's.
+    leaves = flat_dist.keys()
+    if not mixture.keys() <= leaves:
+        leaves = sorted(mixture.keys() | leaves)
+    stage_label = {(a, b): f"{a}{b}" for a in range(n) for b in range(n)}.__getitem__
     rows = ["history,prob_population,prob_flattened"]
-    for h in sorted(set(mixture) | set(flat_dist)):
-        label = "".join(f"{a}{b}" for a, b in h)
+    for h in leaves:
+        label = "".join(map(stage_label, h))
         rows.append(
             f"{label},{float(mixture.get(h, 0.0))!r},{float(flat_dist.get(h, 0.0))!r}"
         )

@@ -154,6 +154,22 @@ def _column_partition(z: np.ndarray, tol: float = COMPONENT_TOL) -> list[list[in
     return groups
 
 
+def _response_functions(z) -> list[np.ndarray]:
+    """The partition reply y_P of every mixture component of ``z``, in
+    component order, from one column partition.  Columns of one group share
+    their reply array."""
+    z = check_joint(z)
+    marginals = z.sum(axis=0)
+    replies = {}
+    for grp in _column_partition(z):
+        y = np.zeros(z.shape[1])
+        total = sum(marginals[l] for l in grp)
+        for l in grp:
+            y[l] = marginals[l] / total
+        replies.update(dict.fromkeys(grp, y))
+    return [replies[j] for j in sorted(replies)]
+
+
 def response_function(z, component_index: int) -> np.ndarray:
     """The partition reply y_P for the queried mixture component: column
     probabilities renormalized within the group of columns sharing that
@@ -162,20 +178,10 @@ def response_function(z, component_index: int) -> np.ndarray:
     This is the test oracle whose expected payoff exactly recovers the joint
     strategy's payoff for the column player.
     """
-    z = check_joint(z)
-    marginals = z.sum(axis=0)
-    support = [j for j in range(z.shape[1]) if marginals[j] > COMPONENT_TOL]
-    if component_index < 0 or component_index >= len(support):
+    replies = _response_functions(z)
+    if not 0 <= component_index < len(replies):
         raise GameError(f"no mixture component {component_index}")
-    j = support[component_index]
-    for grp in _column_partition(z):
-        if j in grp:
-            y = np.zeros(z.shape[1])
-            total = sum(marginals[l] for l in grp)
-            for l in grp:
-                y[l] = marginals[l] / total
-            return y
-    raise AssertionError("column not found in its own partition")
+    return replies[component_index]
 
 
 class ImitateThenCommitAgent(Agent):

@@ -14,6 +14,7 @@ from cooplab.agents import (
 from cooplab.equilibria import worst_pone_payoff
 from cooplab.harness import (
     EXPERIMENT_KINDS,
+    TRIGGER_BLOCK,
     ExperimentConfig,
     VerificationResult,
     _default_ic_mu,
@@ -62,18 +63,17 @@ def agent_first_trigger(ts, joint, k, threshold, i_acts, j_acts, seat):
     return -1
 
 
-def test_vectorized_trigger_matches_protocol_agent(ts2):
+def check_trigger_against_protocol_agent(ts, stages):
     # The si-selfplay fast path must flag exactly the stage at which a real
     # protocol agent's accumulator first exceeds its threshold.
     joint = ("gamma", "delta")
     k = 1
-    table = build_convention_table(ts2)
+    table = build_convention_table(ts)
     prof = table.profile(joint)
-    A = ts2.payoff_table["gamma"]
-    B = ts2.payoff_table["delta"]
-    code_r, code_c, ha, hb, hexp_r, hexp_c, _, _ = _handshake_arrays(ts2, joint, k)
+    A = ts.payoff_table["gamma"]
+    B = ts.payoff_table["delta"]
+    code_r, code_c, ha, hb, hexp_r, hexp_c = _handshake_arrays(ts, joint, k)
     rng = np.random.default_rng(17)
-    stages = 40
     for threshold in (0.5, 1.0, 2.0, 5.0):
         i_acts = rng.choice(2, size=(30, stages), p=prof.sigma_row)
         j_acts = rng.choice(2, size=(30, stages), p=prof.sigma_col)
@@ -81,16 +81,26 @@ def test_vectorized_trigger_matches_protocol_agent(ts2):
         trig_col = _first_trigger_stage(B, prof.sigma_col, i_acts, hb, hexp_c, threshold)
         for e in range(30):
             assert trig_row[e] == agent_first_trigger(
-                ts2, joint, k, threshold, i_acts[e], j_acts[e], "row"
+                ts, joint, k, threshold, i_acts[e], j_acts[e], "row"
             )
             assert trig_col[e] == agent_first_trigger(
-                ts2, joint, k, threshold, i_acts[e], j_acts[e], "col"
+                ts, joint, k, threshold, i_acts[e], j_acts[e], "col"
             )
+
+
+def test_vectorized_trigger_matches_protocol_agent(ts2):
+    check_trigger_against_protocol_agent(ts2, stages=40)
+
+
+def test_vectorized_trigger_matches_protocol_agent_beyond_one_block(ts2):
+    # Triggers that fall in later blocks of the stage scan, and its last,
+    # partial block.
+    check_trigger_against_protocol_agent(ts2, stages=2 * TRIGGER_BLOCK + 23)
 
 
 def test_handshake_arrays_match_agent_accumulator(ts2):
     joint = ("gamma", "delta")
-    _, _, ha, _, hexp_r, _, hpay_r, _ = _handshake_arrays(ts2, joint, 1)
+    _, _, ha, _, hexp_r, _ = _handshake_arrays(ts2, joint, 1)
     table = build_convention_table(ts2)
     agent = ProtocolAgent(
         own_type="gamma", seat="row", type_space=ts2, convention_table=table,
@@ -99,7 +109,7 @@ def test_handshake_arrays_match_agent_accumulator(ts2):
     agent.observe(0, 1)  # gamma announces 0, delta announces 1
     assert agent.cum_counterfactual == pytest.approx(list(ha))
     assert agent.cum_expected == pytest.approx(hexp_r)
-    assert hpay_r == pytest.approx(float(ts2.payoff_table["gamma"][0, 1]))
+    assert hexp_r == pytest.approx(float(ts2.payoff_table["gamma"][0, 1]))
 
 
 def test_run_experiment_unknown_kind_and_bad_episode_count():

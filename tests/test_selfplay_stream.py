@@ -1,0 +1,380 @@
+"""The streamed self-play kernels of nash-selfplay and si-selfplay, checked
+against the whole-run kernels they replaced and numpy's ``Generator.choice``,
+which are kept here as reference implementations; and the per-case mixture
+replies and the flatten-check rows, checked against their former code."""
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cooplab import harness
+from cooplab.agents import AgentSpec, build_agent, build_convention_table, tree_act_fn
+from cooplab.game_core import BimatrixGame, GameError, history_distribution
+from cooplab.harness import (
+    ExperimentConfig,
+    _choice,
+    _choice_cuts,
+    _first_trigger_stage,
+    _random_joint,
+    _selfplay_regrets,
+    fixture_type_space,
+    run_experiment,
+)
+from cooplab.imitation_commit import (
+    COMPONENT_TOL,
+    _column_partition,
+    _response_functions,
+    mixture_from_joint,
+)
+from cooplab.population import Population, flatten_population
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the whole-run kernels, the per-component reply
+# and the flatten check's former rows
+
+
+def whole_run_trigger_acc(m, sigma, opp_acts, h_cf, h_exp):
+    """The (episodes, stages) accumulator of the whole-run trigger scan."""
+    v = sigma @ m
+    cum_cf = np.cumsum(m[:, opp_acts], axis=2)
+    cum_cf += h_cf[:, None, None]
+    cum_exp = np.cumsum(v[opp_acts], axis=1) + h_exp
+    return cum_cf.max(axis=0) - cum_exp
+
+
+def whole_run_first_trigger_stage(m, sigma, opp_acts, h_cf, h_exp, threshold):
+    episodes, stages = opp_acts.shape
+    exceeded = whole_run_trigger_acc(m, sigma, opp_acts, h_cf, h_exp) > threshold
+    first = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), -1)
+    if h_cf.max() - h_exp > threshold:
+        first = np.zeros(episodes, dtype=int)
+    return first
+
+
+def whole_run_selfplay_regrets(game, p, q, episodes, T, rng):
+    n = game.num_actions
+    acts_row = rng.choice(n, size=(episodes, T), p=p)
+    acts_col = rng.choice(n, size=(episodes, T), p=q)
+    out = {}
+    for player, own, opp, sigma, m in (
+        ("row", acts_row, acts_col, p, game.payoff_row),
+        ("col", acts_col, acts_row, q, game.payoff_col),
+    ):
+        opp_counts = np.stack(
+            [(opp == j).sum(axis=1) for j in range(n)], axis=1
+        ).astype(float)
+        counterfactual = opp_counts @ m.T
+        realized = m[own, opp].sum(axis=1)
+        expected = opp_counts @ (sigma @ m)
+        out[player] = (
+            counterfactual.max(axis=1) - realized,
+            counterfactual.max(axis=1) - expected,
+        )
+    return out
+
+
+def per_component_reply(z, component_index):
+    marginals = z.sum(axis=0)
+    support = [j for j in range(z.shape[1]) if marginals[j] > COMPONENT_TOL]
+    j = support[component_index]
+    for grp in _column_partition(z):
+        if j in grp:
+            y = np.zeros(z.shape[1])
+            total = sum(marginals[l] for l in grp)
+            for l in grp:
+                y[l] = marginals[l] / total
+            return y
+    raise AssertionError("column not found in its own partition")
+
+
+def sorted_flatten_rows(mixture, flat_dist):
+    rows = ["history,prob_population,prob_flattened"]
+    for h in sorted(set(mixture) | set(flat_dist)):
+        label = "".join(f"{a}{b}" for a, b in h)
+        rows.append(
+            f"{label},{float(mixture.get(h, 0.0))!r},{float(flat_dist.get(h, 0.0))!r}"
+        )
+    return "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+
+
+@st.composite
+def mixed_strategy(draw, n):
+    """A mixed strategy over n actions, often with zero entries."""
+    w = draw(st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.3, 0.5, 1.0, 2.7]), min_size=n, max_size=n))
+    if sum(w) == 0.0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    w = np.asarray(w)
+    return w / w.sum()
+
+
+@st.composite
+def game_and_profile(draw, max_n=4):
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = BimatrixGame(rng.random((n, n)), rng.random((n, n)))
+    return game, draw(mixed_strategy(n)), draw(mixed_strategy(n))
+
+
+# ---------------------------------------------------------------------------
+# The sampler
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    data=st.data(),
+    shape=st.tuples(st.integers(0, 9), st.integers(0, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choice_equals_generator_choice(n, data, shape, seed):
+    p = data.draw(mixed_strategy(n))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    acts = _choice(ours.random(shape), _choice_cuts(p))
+    assert np.array_equal(acts, theirs.choice(n, size=shape, p=p))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert acts.dtype == np.uint8
+
+
+def test_choice_draws_on_a_cut_like_searchsorted():
+    # A draw equal to a cut point takes the action after it, as
+    # searchsorted(side="right") does.
+    p = np.array([0.25, 0.0, 0.5, 0.25])
+    cdf = p.cumsum() / p.cumsum()[-1]
+    u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], -1.0), [0.0]])
+    assert np.array_equal(_choice(u, _choice_cuts(p)), cdf.searchsorted(u, side="right"))
+
+
+def test_choice_never_draws_a_tolerance_level_negative_action():
+    # check_mixed accepts -1e-13; counted as 0, it never wins a draw, even
+    # one that falls between the cuts it would otherwise put out of order.
+    p = np.array([0.5, -1e-13, 0.5 + 1e-13])
+    assert _choice(np.array([0.5 - 1e-13]), _choice_cuts(p)).tolist() == [0]
+    rng = np.random.default_rng(3)
+    acts = _choice(rng.random(5000), _choice_cuts(p))
+    expected = np.random.default_rng(3).choice(3, size=5000, p=np.maximum(p, 0.0))
+    assert np.array_equal(acts, expected)
+
+
+# ---------------------------------------------------------------------------
+# si-selfplay trigger scan
+
+
+def record_stages(acc):
+    """Stages at which some episode's accumulator first rises above every
+    value at earlier stages: a threshold just below that lets it fire there
+    first."""
+    best = acc.max(axis=0)
+    before = np.maximum.accumulate(np.concatenate([[-np.inf], best[:-1]]))
+    return np.flatnonzero(best > before)
+
+
+def threshold_firing_at(acc, stage):
+    """A threshold first exceeded at ``stage``, by some episode."""
+    if stage == 0:
+        return np.nextafter(acc[:, 0].max(), -np.inf)
+    return acc[:, :stage].max()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 3),
+    episodes=st.integers(1, 12),
+    stages=st.one_of(
+        st.integers(1, harness.TRIGGER_BLOCK - 1),
+        st.sampled_from([harness.TRIGGER_BLOCK, 2 * harness.TRIGGER_BLOCK]),
+        st.integers(harness.TRIGGER_BLOCK + 1, 3 * harness.TRIGGER_BLOCK + 5),
+    ),
+    where=st.sampled_from(["first block", "block boundary", "last block", "never"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trigger_scan_equals_whole_run(data, n, episodes, stages, where, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.random((n, n))
+    sigma = data.draw(mixed_strategy(n))
+    opp = rng.integers(0, n, size=(episodes, stages)).astype(np.uint8)
+    # A handshake below the threshold mostly: the scan then decides.
+    h_cf = rng.random(n)
+    h_exp = float(h_cf.max() + rng.random())
+    acc = whole_run_trigger_acc(m, sigma, opp, h_cf, h_exp)
+    width = harness.TRIGGER_BLOCK
+    last = (stages - 1) // width * width
+    regions = {
+        "first block": range(0, min(width, stages)),
+        "block boundary": range(width - 1, min(width + 1, stages)),
+        "last block": range(last, stages),
+    }
+    threshold = float(acc.max())  # never exceeded
+    if where != "never":
+        candidates = [s for s in record_stages(acc).tolist() if s in regions[where]]
+        if candidates:
+            stage = data.draw(st.sampled_from(candidates))
+            threshold = float(threshold_firing_at(acc, stage))
+    first = _first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold)
+    assert np.array_equal(first, whole_run_first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold))
+    if where == "never" and not h_cf.max() - h_exp > threshold:
+        assert (first == -1).all()
+    for block in (1, 3, width + 1, 4 * width):
+        with mock.patch.object(harness, "TRIGGER_BLOCK", block):
+            assert np.array_equal(first, _first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold))
+
+
+def test_trigger_scan_fires_where_the_threshold_says():
+    # The record-stage thresholds of the property test do fire at the stage
+    # they aim at, in each region of the block scan.
+    rng = np.random.default_rng(8)
+    m, sigma = rng.random((2, 2)), np.array([0.4, 0.6])
+    opp = rng.integers(0, 2, size=(20, 3 * harness.TRIGGER_BLOCK + 7)).astype(np.uint8)
+    h_cf, h_exp = np.zeros(2), 0.0
+    acc = whole_run_trigger_acc(m, sigma, opp, h_cf, h_exp)
+    records = record_stages(acc)
+    assert records[-1] >= 3 * harness.TRIGGER_BLOCK  # one in the last, partial block
+    for stage in records.tolist():
+        first = _first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold_firing_at(acc, stage))
+        assert first[first >= 0].min() == stage
+
+
+def test_trigger_scan_flags_a_handshake_over_the_threshold():
+    opp = np.zeros((4, 100), dtype=np.uint8)
+    first = _first_trigger_stage(np.eye(2), np.array([0.5, 0.5]), opp, np.array([3.0, 0.0]), 0.0, 2.0)
+    assert first.tolist() == [0, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# nash-selfplay regrets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gp=game_and_profile(),
+    episodes=st.integers(1, 40),
+    T=st.integers(1, 30),
+    chunk=st.sampled_from([1, 7, 16, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_selfplay_regrets_equal_whole_run(gp, episodes, T, chunk, seed):
+    game, p, q = gp
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(harness, "SELFPLAY_CHUNK", chunk):
+        got = _selfplay_regrets(game, p, q, episodes, T, ours)
+    want = whole_run_selfplay_regrets(game, p, q, episodes, T, theirs)
+    for player in ("row", "col"):
+        for a, b in zip(got[player], want[player]):
+            assert np.array_equal(a, b)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_selfplay_regrets_over_chunks_of_the_default_size():
+    # 1234 episodes: two full chunks and a partial one.
+    rng = np.random.default_rng(0)
+    game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
+    p, q = np.array([0.2, 0.0, 0.8]), np.array([0.5, 0.25, 0.25])
+    assert 1234 % harness.SELFPLAY_CHUNK
+    got = _selfplay_regrets(game, p, q, 1234, 50, np.random.default_rng(4))
+    want = whole_run_selfplay_regrets(game, p, q, 1234, 50, np.random.default_rng(4))
+    for player in ("row", "col"):
+        for a, b in zip(got[player], want[player]):
+            assert np.array_equal(a, b)
+
+
+def test_si_selfplay_csv_is_independent_of_block_sizes():
+    cfg = dict(kind="si-selfplay", episodes=400, horizon=90, delta=0.9, k=2, seed=5,
+               type_space=fixture_type_space("typespace_4.json"), extra={"chunk": 37})
+    _, want = run_experiment(ExperimentConfig(**cfg))
+    with mock.patch.multiple(harness, TRIGGER_BLOCK=5, ROW_BLOCK_CELLS=100):
+        _, got = run_experiment(ExperimentConfig(**cfg))
+    assert got == want
+
+
+def test_si_selfplay_detail_counts_its_episodes():
+    ts = fixture_type_space("typespace_4.json")
+    results, artifacts = run_experiment(
+        ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=60, delta=0.9, k=2,
+                         seed=5, type_space=ts)
+    )
+    rows = [line.split(",") for line in artifacts["si_selfplay.csv"].splitlines()[1:]]
+    fallbacks = sum(row[-1] == "1" for row in rows)
+    assert fallbacks > 0
+    table = build_convention_table(ts)
+    pure = sum(
+        min(table.profile((a, b)).sigma_row.max(), table.profile((a, b)).sigma_col.max()) > 1 - 1e-12
+        for _, a, b, *_ in rows
+    )
+    detail = results[0].detail
+    assert f"pure-convention episodes {pure}," in detail
+    assert f"fallbacks {fallbacks}" in detail
+    replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
+    assert fallbacks <= replayed <= len(rows) - pure
+
+
+# ---------------------------------------------------------------------------
+# Boundary rejection of a nash-selfplay profile
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        ([float("nan"), 0.5], [0.5, 0.5]),
+        ([0.5, 0.5], [1.2, -0.2]),
+        ([0.5, 0.6], [0.5, 0.5]),
+        ([0.5, 0.5], [0.2, 0.3, 0.5]),
+    ],
+    ids=["nan", "negative", "unnormalized", "wrong-length"],
+)
+def test_nash_selfplay_rejects_a_bad_profile(profile):
+    with pytest.raises(GameError):
+        run_experiment(
+            ExperimentConfig(kind="nash-selfplay", episodes=5, horizon=10, extra={"profile": profile})
+        )
+
+
+# ---------------------------------------------------------------------------
+# mixture-check replies and flatten-check rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 5), case=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_response_functions_equal_per_component_replies(n, case, seed):
+    z = _random_joint(np.random.default_rng(seed), n, case)
+    replies = _response_functions(z)
+    assert len(replies) == len(mixture_from_joint(z).components)
+    for c, y in enumerate(replies):
+        assert np.array_equal(y, per_component_reply(z, c))
+
+
+@pytest.mark.parametrize("population", ["default", "zero-weight member first"])
+def test_flatten_check_rows_equal_sorted_rows(population):
+    ts = fixture_type_space("typespace_2.json")
+    pop = harness._default_flatten_population()
+    if population != "default":
+        # The zero-weight member's leaves, all after the other's, come first in
+        # the mixture and are missing from the flattened agent's leaves.
+        pop = Population(
+            members=[AgentSpec("FixedSequence", {"actions": [1, 1, 1]}),
+                     AgentSpec("FixedSequence", {"actions": [0, 0, 0]})],
+            weights=[0.0, 1.0],
+        )
+    _, artifacts = run_experiment(
+        ExperimentConfig(kind="flatten-check", type_space=ts, population=pop,
+                         extra={"flatten_horizon": 3})
+    )
+    probe = build_agent(AgentSpec("FixedMixed", {"probs": [0.6, 0.4]}), ts, 3, "row", ts.types[0])
+
+    def walk(spec):
+        col = build_agent(spec, ts, 3, seat="col", own_type=ts.types[0])
+        return history_distribution(tree_act_fn(probe, "row"), tree_act_fn(col, "col"), 2, 3)
+
+    mixture = {}
+    for member, weight in zip(pop.members, pop.weights):
+        for h, pr in walk(member).items():
+            mixture[h] = mixture.get(h, 0.0) + weight * pr
+    flat = walk(flatten_population(pop))
+    assert artifacts["flatten_check.csv"] == sorted_flatten_rows(mixture, flat)
+    if population != "default":
+        assert not mixture.keys() <= flat.keys()
