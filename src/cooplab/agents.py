@@ -158,14 +158,12 @@ class SocialParams:
 
     ``eps`` is the consistency slack as conventionally stated; its last term
     sqrt(((T-k)/2) ln(1/delta)) grows with the horizon, which makes the
-    average-regret guarantee vacuous for large T.  ``eps_scale_anomaly``
-    flags this so reports can surface it.
+    average-regret guarantee vacuous for large T.
     """
 
     eps0: float
     eps1: float
     eps: float
-    eps_scale_anomaly: bool = True
 
 
 def theorem26_params(delta: float, T: int, k: int, N: int) -> SocialParams:

@@ -75,7 +75,6 @@ from .population import (
 from .imitation_commit import (
     BatchIC,
     ImitateThenCommitAgent,
-    PolicyTrie,
     auth_failure_probability,
     delta_K,
     fit_imitation,
@@ -89,6 +88,7 @@ Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
 # The self-play kernels stream their random draws in blocks that stay in
 # cache.  None of these sizes changes a drawn number or a float sum.
 SELFPLAY_CHUNK = 500  # nash-selfplay episodes stepped at a time
+SI_SELFPLAY_CHUNK = 2000  # si-selfplay episodes drawn at a time per joint type
 TRIGGER_BLOCK = 64  # stages per block of the si-selfplay trigger scan
 ROW_BLOCK_CELLS = 1 << 18  # cells per block of rows drawn or summed at a time
 
@@ -126,6 +126,7 @@ class ExperimentConfig:
     population: Population | None = None
     mu: TypeDistribution | None = None
     out_dir: str | None = None
+    # Kind-specific options; ``run_experiment`` refuses keys its kind does not read.
     extra: dict = field(default_factory=dict)
 
 
@@ -326,7 +327,7 @@ def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray,
 
 def run_nash_selfplay(cfg: ExperimentConfig):
     ts = cfg.type_space or fixture_type_space("coordination_2x2.json")
-    joint = cfg.extra.get("joint_type") or (ts.types[0], ts.types[0])
+    joint = (ts.types[0], ts.types[0])
     game = normalize_game(ts.game(*joint))
     profile = cfg.extra.get("profile")
     if profile is None:
@@ -492,7 +493,6 @@ def run_si_selfplay(cfg: ExperimentConfig):
     avg_pay_col = np.zeros(cfg.episodes)
     fallback = np.zeros(cfg.episodes, dtype=bool)
 
-    chunk = max(1, int(cfg.extra.get("chunk", 2000)))
     pure_episodes = replayed = 0
     for jt_index, joint in enumerate(mu.support):
         episode_ids = np.nonzero(joint_idx == jt_index)[0]
@@ -521,8 +521,8 @@ def run_si_selfplay(cfg: ExperimentConfig):
             continue
         rng_joint = _rng(cfg.seed, 0x5349, 1 + jt_index)
         cuts_p, cuts_q = _choice_cuts(p), _choice_cuts(q)
-        for start in range(0, len(episode_ids), chunk):
-            ids = episode_ids[start : start + chunk]
+        for start in range(0, len(episode_ids), SI_SELFPLAY_CHUNK):
+            ids = episode_ids[start : start + SI_SELFPLAY_CHUNK]
             i_acts = _draw_actions(rng_joint, cuts_p, len(ids), stages)
             j_acts = _draw_actions(rng_joint, cuts_q, len(ids), stages)
             trig_r = _first_trigger_stage(A, p, j_acts, ha, hexp_r, threshold)
@@ -621,8 +621,7 @@ def run_si_consistency(cfg: ExperimentConfig):
     ct = build_convention_table(ts)
     bound = k + params.eps1 * (T - k) + math.sqrt(((T - k) / 2.0) * math.log(n))
     proto_spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
-    adversaries = cfg.extra.get("adversaries", CONSISTENCY_ADVERSARIES)
-    runs_each = max(1, cfg.episodes // len(adversaries))
+    runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
     draws = _rng(cfg.seed, 0x434F)
 
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
@@ -631,7 +630,7 @@ def run_si_consistency(cfg: ExperimentConfig):
     # Fresh agents of the kinds with a batch form ignore their seed: one
     # protocol per own type, one adversary per kind and own type.
     protocols = {t: build_agent(proto_spec, ts, T, "row", t, convention_table=ct) for t in ts.types}
-    for adversary in adversaries:
+    for adversary in CONSISTENCY_ADVERSARIES:
         adv_spec = AgentSpec(adversary, {})
         opponents = {
             t: build_agent(adv_spec, ts, T, "col", t, convention_table=ct) for t in ts.types
@@ -675,17 +674,19 @@ def run_si_consistency(cfg: ExperimentConfig):
 # Authentication failure frequency (lower-bound formulas)
 
 
+AUTH_KS = (2, 3)  # handshake lengths
+AUTH_COVERAGE = (0.0, 0.25, 0.5, 0.75, 1.0)  # observed share of the N^2k histories
+AUTH_TOLERANCE = 0.02  # allowed gap between the empirical and predicted rates
+
+
 def run_auth_failure(cfg: ExperimentConfig):
     n = cfg.num_actions
-    ks = cfg.extra.get("ks", (2, 3))
-    fractions = cfg.extra.get("coverage_fractions", (0.0, 0.25, 0.5, 0.75, 1.0))
     trials = cfg.episodes
-    tol = cfg.extra.get("tolerance", 0.02)
     rows = ["N,k,M,trials,empirical,predicted_corrected,predicted_as_printed"]
     results = []
-    for k in ks:
+    for k in AUTH_KS:
         num_histories = n ** (2 * k)
-        for frac in fractions:
+        for frac in AUTH_COVERAGE:
             M = int(round(frac * num_histories))
             rng = _rng(cfg.seed, 0x4155, k, M)
             observed = rng.choice(num_histories, size=M, replace=False)
@@ -710,8 +711,8 @@ def run_auth_failure(cfg: ExperimentConfig):
                     kind=cfg.kind,
                     label=f"auth failure freq matches product form, k={k}, M={M}",
                     statistic=gap if not exact_zero else emp,
-                    bound=tol if not exact_zero else 0.0,
-                    passed=(gap <= tol) if not exact_zero else (emp == 0.0),
+                    bound=AUTH_TOLERANCE if not exact_zero else 0.0,
+                    passed=(gap <= AUTH_TOLERANCE) if not exact_zero else (emp == 0.0),
                     sample_count=trials,
                     detail=f"empirical={emp:.4f} predicted={pred.corrected:.4f}",
                 )
@@ -742,15 +743,17 @@ def _random_joint(rng: np.random.Generator, n: int, case: int) -> np.ndarray:
     return z / z.sum()
 
 
+MIXTURE_SIZES = (2, 3, 4)  # action counts, in turn
+
+
 def run_mixture_check(cfg: ExperimentConfig):
-    sizes = cfg.extra.get("sizes", (2, 3, 4))
     cases = cfg.episodes
     rows = ["case,N,identity_error,br_slack"]
     id_errors, br_slacks = [], []
     for case in range(cases):
-        n = sizes[case % len(sizes)]
+        n = MIXTURE_SIZES[case % len(MIXTURE_SIZES)]
         rng = _rng(cfg.seed, 0x4D58, case)
-        z = _random_joint(rng, n, case // len(sizes))
+        z = _random_joint(rng, n, case // len(MIXTURE_SIZES))
         B = rng.random((n, n))  # column player's [own, opp] payoff matrix
         col_value = float(sum(z[i, j] * B[j, i] for i in range(n) for j in range(n)))
         mixture = mixture_from_joint(z)
@@ -911,7 +914,6 @@ def run_ic_eval(cfg: ExperimentConfig):
             convention_table=ct,
         )
         policies[K] = fit_imitation(ds, tilde_T, seat="row")
-    tries = {K: PolicyTrie(policy) for K, policy in policies.items()}
 
     # Common random numbers across K: identical type draws, partner draws and
     # episode streams, so the curves differ only through the fitted policies.
@@ -944,7 +946,7 @@ def run_ic_eval(cfg: ExperimentConfig):
             for K in K_values:
                 if batched:
                     ic = BatchIC(
-                        tries[K], tilde_T, T, [a for a, _ in joints], "row", commit_draws[local]
+                        policies[K], tilde_T, T, [a for a, _ in joints], "row", commit_draws[local]
                     )
                     record = play_batch(
                         ic, stack_agents(cols), T, streams.take(local), record=True
@@ -1016,15 +1018,16 @@ def run_ic_eval(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # Dispatch and curve emission
 
+# Each kind's runner and the ``ExperimentConfig.extra`` keys it reads.
 _RUNNERS = {
-    "mw-regret": run_mw_regret,
-    "nash-selfplay": run_nash_selfplay,
-    "si-selfplay": run_si_selfplay,
-    "si-consistency": run_si_consistency,
-    "auth-failure": run_auth_failure,
-    "mixture-check": run_mixture_check,
-    "flatten-check": run_flatten_check,
-    "ic-eval": run_ic_eval,
+    "mw-regret": (run_mw_regret, ()),
+    "nash-selfplay": (run_nash_selfplay, ("profile",)),
+    "si-selfplay": (run_si_selfplay, ()),
+    "si-consistency": (run_si_consistency, ()),
+    "auth-failure": (run_auth_failure, ()),
+    "mixture-check": (run_mixture_check, ()),
+    "flatten-check": (run_flatten_check, ("flatten_horizon", "probe")),
+    "ic-eval": (run_ic_eval, ("K_values", "eval_episodes")),
 }
 
 
@@ -1037,7 +1040,13 @@ def run_experiment(cfg: ExperimentConfig):
         )
     if cfg.episodes <= 0:
         raise GameError("experiment needs a positive episode count")
-    results, artifacts = _RUNNERS[cfg.kind](cfg)
+    runner, accepted = _RUNNERS[cfg.kind]
+    unknown = sorted(set(cfg.extra) - set(accepted))
+    if unknown:
+        raise GameError(
+            f"{cfg.kind} reads no extra {unknown}; it reads {list(accepted) or 'none'}"
+        )
+    results, artifacts = runner(cfg)
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         for name, text in artifacts.items():

@@ -4,7 +4,10 @@ imitate-then-commit agent, and the closed-form bound helpers.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -26,18 +29,20 @@ class ImitationPolicy:
     Lookups of unseen keys return the uniform strategy.  ``seat`` records
     which seat's actions were counted; histories are stored in (row, col)
     order regardless of seat.
+
+    ``fit_imitation`` keeps the prefix trie it walked, which ``BatchIC``
+    steps: ``roots[own_type]`` is a node, ``strategies[v]`` its strategy and
+    ``children[v, a * N + b]`` its child after the pair (a, b).  Node 0, the
+    child of every pair that leads to no key, plays uniformly.
     """
 
     num_actions: int
     tilde_T: int
     seat: str = "row"
     counts: dict[tuple[str, History], np.ndarray] = field(default_factory=dict)
-    empty: bool = False
-    # The prefix trie ``fit_imitation`` walked, one entry per key of
-    # ``counts`` in its order: the parent key's index (-1 for an empty
-    # prefix) and the code a * N + b of the pair (a, b) that leads to the key.
-    # None for counts made any other way.
-    links: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    roots: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    strategies: np.ndarray | None = field(default=None, repr=False, compare=False)
+    children: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def strategy(self, own_type: str, history: History) -> np.ndarray:
         c = self.counts.get((own_type, history))
@@ -59,15 +64,13 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
         raise GameError("dataset metadata missing action count N")
     if dataset.episodes and tilde_T > T:
         raise GameError(f"tilde_T={tilde_T} exceeds dataset horizon T={T}")
-    policy = ImitationPolicy(
-        num_actions=n, tilde_T=tilde_T, seat=seat, empty=not dataset.episodes
-    )
     # Each episode walks a trie of the prefixes seen so far: a stage costs one
-    # lookup of (node, pair), not a hash of its whole prefix.
+    # lookup of (node, pair), not a hash of its whole prefix.  Key i is node i + 1.
     own = 0 if seat == "row" else 1  # the seat's type and action index
     nodes: dict = {}  # own type, or (parent node, pair) -> node
-    keys: list = []  # node -> (own type, prefix), in order of first visit
-    parents, codes = [], []  # node -> its parent node and the pair's code
+    keys: list = []  # (own type, prefix) of each node, in order of first visit
+    roots: dict = {}
+    links = []  # (parent node, pair code a * N + b, node) of every inner node
     visits, actions = [], []
     for episode in dataset.episodes:
         own_type, history = episode[own], episode[2]
@@ -75,20 +78,27 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
         for t in range(min(tilde_T, len(history))):
             node = nodes.get(parent)
             if node is None:
-                node = nodes[parent] = len(keys)
                 keys.append((own_type, history[:t]))
-                parents.append(parent[0] if t else -1)
-                codes.append(parent[1][0] * n + parent[1][1] if t else 0)
+                node = nodes[parent] = len(keys)
+                if t:
+                    links.append((parent[0], parent[1][0] * n + parent[1][1], node))
+                else:
+                    roots[own_type] = node
             visits.append(node)
             actions.append(history[t][own])
             parent = (node, history[t])
     actions = np.array(actions, dtype=np.intp)
     if actions.size and not (0 <= actions.min() and actions.max() < n):
         raise GameError(f"dataset actions must be in [0, {n})")
-    counts = np.bincount(np.array(visits, dtype=np.intp) * n + actions, minlength=len(keys) * n)
-    policy.counts = dict(zip(keys, counts.reshape(len(keys), n).astype(float)))
-    policy.links = (np.array(parents, dtype=np.intp), np.array(codes, dtype=np.intp))
-    return policy
+    tally = np.bincount(np.array(visits, dtype=np.intp) * n + actions,
+                        minlength=(len(keys) + 1) * n).reshape(-1, n).astype(float)
+    tally[0] = 1.0  # node 0: uniform, and its own child
+    children = np.zeros((len(tally), n * n), dtype=np.intp)
+    parents, codes, inner = np.array(links, dtype=np.intp).reshape(-1, 3).T
+    children[parents, codes] = inner
+    strategies = tally / tally.sum(axis=1, keepdims=True)
+    return ImitationPolicy(n, tilde_T, seat, dict(zip(keys, tally[1:])), roots=roots,
+                           strategies=strategies, children=children)
 
 
 def empirical_joint_n(history, up_to: int, n: int) -> np.ndarray:
@@ -226,60 +236,18 @@ class ImitateThenCommitAgent(Agent):
             self.commitment = mixture_from_joint(z).sample(self.rng)
         return [float(x) for x in self.commitment]
 
+    def clone(self):
+        # The policy is shared, and so is the commitment: it is assigned once.
+        rng = random.Random()
+        rng.setstate(self.rng.getstate())
+        return self._copy_with(history=list(self.history), rng=rng)
+
     def observe(self, own_action, opp_action):
         pair = (
             (own_action, opp_action) if self.seat == "row" else (opp_action, own_action)
         )
         self.history.append(pair)
         self.stage += 1
-
-
-class PolicyTrie:
-    """An ``ImitationPolicy``'s lookups as a trie of node ids, built once per
-    policy.  ``strategies[v]`` is the policy's strategy at node v's (own
-    type, history) and ``children[v, a * N + b]`` the node after the pair
-    (a, b).  Node 0 stands for every history that no key extends: its
-    strategy is uniform, its children are itself, and every child that leads
-    to no key is node 0."""
-
-    def __init__(self, policy: ImitationPolicy):
-        n = self.n = policy.num_actions
-        self.seat = policy.seat
-        keys = list(policy.counts)
-        if policy.links is not None:
-            parents, codes = policy.links
-        else:
-            keys, parents, codes = _trie_links(keys, n)
-        # Key i is node i + 1.
-        self.roots = {keys[i][0]: i + 1 for i in np.flatnonzero(parents < 0).tolist()}
-        self.strategies = np.array(
-            [np.full(n, 1.0 / n)] + [policy.strategy(*key) for key in keys]
-        )
-        self.children = np.zeros((len(keys) + 1, n * n), dtype=np.intp)
-        inner = np.flatnonzero(parents >= 0)
-        self.children[parents[inner] + 1, codes[inner]] = inner + 1
-
-
-def _trie_links(keys: list, n: int):
-    """The (own type, history) keys with every prefix of theirs added, and
-    each one's parent index and pair code, as ``ImitationPolicy.links``."""
-    index: dict = {}
-    parents, codes = [], []
-
-    def add(key) -> int:
-        i = index.get(key)
-        if i is None:
-            own_type, history = key
-            # The parent comes first, so that its index is known.
-            parent = add((own_type, history[:-1])) if history else -1
-            i = index[key] = len(parents)
-            parents.append(parent)
-            codes.append(history[-1][0] * n + history[-1][1] if history else 0)
-        return i
-
-    for key in keys:
-        add(key)
-    return list(index), np.array(parents, dtype=np.intp), np.array(codes, dtype=np.intp)
 
 
 class BatchIC(BatchAgent):
@@ -290,27 +258,32 @@ class BatchIC(BatchAgent):
     empirical joint play, with the float operations of ``empirical_joint_n``
     and ``mixture_from_joint``, and draws a component with ``draws`` (E,):
     the first ``random()`` of the episode's ``Random(seed)``, the draw the
-    scalar agent makes.  It holds that strategy to the end."""
+    scalar agent makes.  It holds that strategy to the end.  The policy must
+    carry the trie ``fit_imitation`` builds."""
 
-    def __init__(self, trie: PolicyTrie, tilde_T: int, T: int, own_types, seat: str, draws):
+    def __init__(self, policy: ImitationPolicy, tilde_T: int, T: int, own_types, seat: str,
+                 draws):
         # The scalar agent needs tilde_T >= 1 too: its commitment divides by it.
         if not 0 < tilde_T < T:
             raise GameError(f"need 0 < tilde_T < T, got tilde_T={tilde_T}, T={T}")
-        if seat != trie.seat:
-            raise GameError(f"policy was fit for seat {trie.seat!r}, agent seated {seat!r}")
-        self.trie = trie
+        if seat != policy.seat:
+            raise GameError(f"policy was fit for seat {policy.seat!r}, agent seated {seat!r}")
+        if policy.children is None:
+            raise GameError("policy has no prefix trie: fit it with fit_imitation")
+        self.policy = policy
         self.tilde_T = tilde_T
         self.seat = seat
         self.draws = np.asarray(draws, dtype=float)
-        self.node = np.array([trie.roots.get(t, 0) for t in own_types], dtype=np.intp)
+        self.node = np.array([policy.roots.get(t, 0) for t in own_types], dtype=np.intp)
         self._rows = np.arange(len(self.node))
-        self.joint = np.zeros((len(self.node), trie.n, trie.n))  # (row, col) counts
+        n = policy.num_actions
+        self.joint = np.zeros((len(self.node), n, n))  # (row, col) counts
         self.stage = 0
         self.commitment = None
 
     def act(self, partner=None):
         if self.stage < self.tilde_T:
-            return self.trie.strategies.take(self.node, axis=0)
+            return self.policy.strategies.take(self.node, axis=0)
         if self.commitment is None:
             self.commitment = self._commit()
         return self.commitment
@@ -333,20 +306,31 @@ class BatchIC(BatchAgent):
         if self.stage < self.tilde_T:
             a, b = (own, opp) if self.seat == "row" else (opp, own)
             self.joint[self._rows, a, b] += 1.0
-            self.node = self.trie.children[self.node, a * self.trie.n + b]
+            self.node = self.policy.children[self.node, a * self.policy.num_actions + b]
         self.stage += 1
+
+
+@functools.lru_cache(maxsize=8)
+def _fit_file(path: str, digest: str, tilde_T: int, seat: str):
+    """The header and fitted policy of the dataset file at ``path`` whose
+    bytes have sha256 ``digest``: agents built from one file parse and fit it
+    once per seat.  The key is the contents, not the modification time, which
+    a same-size rewrite within one timestamp tick leaves unchanged."""
+    dataset = read_dataset(path)
+    return dataset.metadata, fit_imitation(dataset, tilde_T, seat=seat)
 
 
 def _build_ic(spec: AgentSpec, ctx: BuildContext) -> ImitateThenCommitAgent:
     policy = spec.params.get("policy")
     if policy is None:
-        dataset = read_dataset(spec.params["dataset_path"])
-        if (dataset.metadata.get("type_space_hash") != ctx.type_space.content_hash()
-                or dataset.metadata["N"] != ctx.type_space.num_actions):
-            raise GameError(
-                f"{spec.params['dataset_path']}: dataset was generated on another type space"
-            )
-        policy = fit_imitation(dataset, spec.params["tilde_T"], seat=ctx.seat)
+        path = spec.params["dataset_path"]
+        with open(path, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        metadata, policy = _fit_file(os.path.realpath(path), digest, spec.params["tilde_T"],
+                                     ctx.seat)
+        if (metadata.get("type_space_hash") != ctx.type_space.content_hash()
+                or metadata["N"] != ctx.type_space.num_actions):
+            raise GameError(f"{path}: dataset was generated on another type space")
     return ImitateThenCommitAgent(
         policy,
         spec.params["tilde_T"],

@@ -107,7 +107,6 @@ def test_theorem26_params_frozen_values():
     assert p.eps0 == pytest.approx(0.07748207205598052, abs=1e-12)
     assert p.eps1 == pytest.approx(0.09711920757770041, abs=1e-12)
     assert p.eps == pytest.approx(33.99387364519354, abs=1e-9)
-    assert p.eps_scale_anomaly
     with pytest.raises(GameError):
         theorem26_params(0.1, 2, 2, 2)
 

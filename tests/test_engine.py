@@ -34,7 +34,12 @@ from cooplab.harness import (
     fixture_type_space,
     run_experiment,
 )
-from cooplab.imitation_commit import BatchIC, ImitateThenCommitAgent, PolicyTrie, fit_imitation
+from cooplab.imitation_commit import (
+    BatchIC,
+    ImitateThenCommitAgent,
+    ImitationPolicy,
+    fit_imitation,
+)
 from cooplab.population import (
     _EPISODE_STREAM,
     Dataset,
@@ -258,7 +263,7 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
     streams = EpisodeStreams(episode_seeds)
     ic_seeds = streams.agent_seeds[0 if seat == "row" else 1]
     draws = EpisodeStreams(ic_seeds, draw_agent_seeds=False).uniforms(1)[0]
-    ic = Recorder(BatchIC(PolicyTrie(policy), tilde_T, T, own_types, seat, draws))
+    ic = Recorder(BatchIC(policy, tilde_T, T, own_types, seat, draws))
     partner = stack_agents([FixedMixedAgent(partner_probs)] * len(episode_seeds))
     row, col = (ic, partner) if seat == "row" else (partner, ic)
     record = play_batch(row, col, T, streams, record=True)
@@ -282,12 +287,20 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
 
 def test_batched_ic_rejects_the_horizons_the_scalar_agent_rejects():
     policy = fit_imitation(Dataset([], {"version": 1, "T": 4, "N": 2, "n": 0}), 2)
-    trie = PolicyTrie(policy)
     for tilde_T, T in ((0, 4), (4, 4)):
         with pytest.raises(GameError):
-            BatchIC(trie, tilde_T, T, ["a"], "row", [0.5])
+            BatchIC(policy, tilde_T, T, ["a"], "row", [0.5])
     with pytest.raises(GameError):
-        BatchIC(trie, 2, 4, ["a"], "col", [0.5])
+        BatchIC(policy, 2, 4, ["a"], "col", [0.5])
+
+
+def test_batched_ic_refuses_a_policy_without_a_trie():
+    # The scalar agent plays a policy made by hand; the batched one needs the
+    # trie that only fit_imitation builds.
+    policy = ImitationPolicy(num_actions=2, tilde_T=2, counts={("a", ()): np.array([1.0, 3.0])})
+    ImitateThenCommitAgent(policy, 2, 4, own_type="a")
+    with pytest.raises(GameError):
+        BatchIC(policy, 2, 4, ["a"], "row", [0.5])
 
 
 def _mw_expected_regret(A, T, eta, adversary, rng):

@@ -119,6 +119,14 @@ def test_run_experiment_unknown_kind_and_bad_episode_count():
         run_experiment(ExperimentConfig(kind="mw-regret", episodes=0))
 
 
+def test_run_experiment_rejects_an_extra_its_kind_does_not_read():
+    # A misspelt K_values would otherwise run the default K values.
+    with pytest.raises(GameError, match=r"'K_value'.*'K_values', 'eval_episodes'"):
+        run_experiment(ExperimentConfig(kind="ic-eval", extra={"K_value": [10]}))
+    with pytest.raises(GameError, match="tolerance"):
+        run_experiment(ExperimentConfig(kind="auth-failure", extra={"tolerance": 0.5}))
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     cfg = ExperimentConfig(
         kind="mixture-check", episodes=12, seed=5, out_dir=str(tmp_path)

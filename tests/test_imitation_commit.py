@@ -10,7 +10,6 @@ from cooplab.population import Dataset
 from cooplab.imitation_commit import (
     ImitateThenCommitAgent,
     ImitationPolicy,
-    PolicyTrie,
     auth_failure_probability,
     bound_report,
     delta_K,
@@ -91,26 +90,23 @@ def test_fit_imitation_matches_prefix_loop(data, n, T, seat):
     got, expected = fitted.counts, oracle.counts
     assert list(got) == list(expected)  # same keys, in the same order
     assert all(got[key].tolist() == expected[key].tolist() for key in expected)
-    # The trie from the fit's links equals the one rebuilt from the counts.
-    via_links, via_counts = PolicyTrie(fitted), PolicyTrie(oracle)
-    assert via_links.roots == via_counts.roots
-    assert via_links.children.tolist() == via_counts.children.tolist()
-    assert via_links.strategies.tolist() == via_counts.strategies.tolist()
-
-
-def test_policy_trie_of_counts_without_their_prefixes():
-    deep = ((0, 1), (1, 1))
-    policy = ImitationPolicy(num_actions=2, tilde_T=3, counts={("a", deep): np.array([1.0, 3.0])})
-    trie = PolicyTrie(policy)
-    node = trie.roots["a"]
-    for t in range(len(deep) + 1):
-        assert trie.strategies[node].tolist() == policy.strategy("a", deep[:t]).tolist()
-        if t < len(deep):
-            node = trie.children[node, deep[t][0] * 2 + deep[t][1]]
-    assert node != 0
-    # Off the key's path: the uniform sentinel, which leads to itself.
-    assert trie.children[trie.roots["a"], 0] == 0
-    assert trie.children[0].tolist() == [0, 0, 0, 0]
+    # The fitted trie: every key's path from its type's root reaches a node of
+    # its own with the key's strategy, and every other pair leads to node 0.
+    assert len(fitted.strategies) == len(expected) + 1
+    assert fitted.strategies[0].tolist() == oracle.strategy("never-seen", ()).tolist()
+    reached = set()
+    for own_type, history in expected:
+        node = fitted.roots[own_type]
+        for a, b in history:
+            node = fitted.children[node, a * n + b]
+        assert node != 0 and fitted.strategies[node].tolist() == (
+            oracle.strategy(own_type, history).tolist()
+        )
+        reached.add(node)
+    assert reached == set(range(1, len(expected) + 1))
+    assert set(fitted.roots) == {own_type for own_type, history in expected if not history}
+    assert np.count_nonzero(fitted.children) == sum(1 for _, history in expected if history)
+    assert fitted.children[0].tolist() == [0] * (n * n)
 
 
 def test_fit_imitation_rejects_actions_outside_the_action_set():

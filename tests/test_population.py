@@ -20,7 +20,7 @@ from cooplab.population import (
     run_episode,
     write_dataset,
 )
-from cooplab import population
+from cooplab import imitation_commit, population
 from cooplab.harness import fixture_path
 
 
@@ -193,6 +193,30 @@ def test_ic_agent_rejects_a_dataset_from_another_type_space(ts2, tmp_path):
     path.write_text(path.read_text().replace('"N": 2,', '"N": 3,', 1))
     with pytest.raises(GameError, match="another type space"):
         build_agent(spec, ts2, 4, own_type="gamma")
+
+
+def test_ic_agents_fit_a_dataset_file_once_per_seat(ts2, tmp_path, monkeypatch):
+    mu = TypeDistribution.uniform(ts2)
+    path = tmp_path / "ds.jsonl"
+    write_dataset(generate_dataset(simple_population(), mu, ts2, 20, 4, master_seed=1), path)
+    reads = []
+    monkeypatch.setattr(imitation_commit, "read_dataset",
+                        lambda p: reads.append(p) or read_dataset(p))
+    ic = AgentSpec("IC", {"dataset_path": str(path), "tilde_T": 2})
+    # Pairings with the IC member run episode by episode, building an agent each.
+    pop = Population(members=[simple_population().members[0], ic], weights=[0.5, 0.5])
+    generate_dataset(pop, mu, ts2, 30, 4, master_seed=2)
+    assert 1 <= len(reads) <= 2  # once per seat
+    build_agent(ic, ts2, 4, own_type="gamma")
+    assert len(reads) <= 2
+    # The type-space check still runs on every build.
+    with pytest.raises(GameError, match="another type space"):
+        build_agent(ic, TS4, 4, own_type="alpha")
+    # A rewritten file is read again.
+    write_dataset(generate_dataset(simple_population(), mu, ts2, 20, 4, master_seed=3), path)
+    before = len(reads)
+    build_agent(ic, ts2, 4, own_type="gamma")
+    assert len(reads) == before + 1
 
 
 def test_dataset_sampling_matches_weights_chi_square(ts2):

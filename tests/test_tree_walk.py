@@ -26,7 +26,8 @@ from cooplab.agents import (
     theorem26_params,
     tree_act_fn,
 )
-from cooplab.population import Population, flatten_population
+from cooplab.population import Dataset, Population, flatten_population
+from cooplab.imitation_commit import fit_imitation
 from cooplab.harness import fixture_path
 
 
@@ -247,6 +248,22 @@ MIXED_POPULATION = Population(
     weights=[0.2, 0.2, 0.2, 0.2, 0.2],
 )
 
+def _ic_specs(tilde_T):
+    """One IC spec per seat, each with a policy fit for that seat on random
+    play of TS2's types."""
+    rng = random.Random(3)
+    episodes = [
+        (rng.choice(TS2.types), rng.choice(TS2.types),
+         tuple((rng.randrange(2), rng.randrange(2)) for _ in range(tilde_T)))
+        for _ in range(40)
+    ]
+    dataset = Dataset(episodes, {"version": 1, "T": tilde_T, "N": 2, "n": len(episodes)})
+    return {
+        seat: AgentSpec("IC", {"policy": fit_imitation(dataset, tilde_T, seat), "tilde_T": tilde_T})
+        for seat in ("row", "col")
+    }
+
+
 AGENTS = {
     "FixedMixed": (AgentSpec("FixedMixed", {"probs": [0.6, 0.4]}), TS2),
     "UniformRandom": (AgentSpec("UniformRandom"), TS2),
@@ -260,6 +277,8 @@ AGENTS = {
     # Small eps1: the tripwire fires within the horizon, so fallback MW runs.
     "Protocol-k1-fallback": (AgentSpec("Protocol", {"eps1": 0.1, "k": 1}), TS2),
     "Flattened": (flatten_population(MIXED_POPULATION), TS2),
+    # Imitates for two stages, then commits: the walks cross tilde_T.
+    "IC": (_ic_specs(tilde_T=2), TS2),
 }
 
 
@@ -268,6 +287,8 @@ TABLES = {id(ts): build_convention_table(ts) for ts in (TS2, TS3, TS4)}
 
 def _build(name, seat, horizon):
     spec, ts = AGENTS[name]
+    if isinstance(spec, dict):  # one spec per seat
+        spec = spec[seat]
     return build_agent(
         spec, ts, horizon, seat=seat, own_type=ts.types[0], convention_table=TABLES[id(ts)]
     )
