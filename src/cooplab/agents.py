@@ -23,6 +23,7 @@ import numpy as np
 
 from .game_core import (
     ActFn,
+    BimatrixGame,
     CapacityError,
     GameError,
     History,
@@ -231,8 +232,7 @@ class ConventionTable:
 
     def validate(self, type_space: TypeSpace, tol: float = 1e-7) -> None:
         for (a, b), prof in self.table.items():
-            game = type_space.game(a, b)
-            pone = pareto_optimal_nash(game)
+            pone = _complete_pone(type_space.game(a, b))
             ok = any(
                 np.allclose(prof.sigma_row, m.sigma_row, atol=tol)
                 and np.allclose(prof.sigma_col, m.sigma_col, atol=tol)
@@ -245,14 +245,26 @@ class ConventionTable:
                 )
 
 
+def _complete_pone(game: BimatrixGame) -> PoneSet:
+    """The PONE set of a joint game; ``GameError`` when the game is degenerate,
+    since its enumeration may have missed equilibria."""
+    pone = pareto_optimal_nash(game)
+    if pone.degenerate:
+        raise GameError(
+            f"joint type {game.joint_type} is a degenerate game; its Pareto-optimal "
+            "Nash set may be incomplete"
+        )
+    return pone
+
+
 def build_convention_table(type_space: TypeSpace) -> ConventionTable:
     """Canonical convention: for each joint type, the welfare-maximizing
     member of the PONE set (ties broken by row value, then enumeration
-    order)."""
+    order).  A degenerate joint game is refused with ``GameError``."""
     table = {}
     for joint in type_space.joint_types():
         game = type_space.game(*joint)
-        pone = pareto_optimal_nash(game)
+        pone = _complete_pone(game)
         if not pone.profiles:
             raise GameError(f"no Pareto-optimal Nash equilibrium for {joint}")
         best = max(

@@ -199,6 +199,10 @@ def enumerate_eq(ts_path, fixture, theta1, theta2):
             f"values=({prof.value_row:.6g}, {prof.value_col:.6g})"
         )
     click.echo("  (* = Pareto-optimal)")
+    if pone.degenerate:
+        click.echo("worst Pareto-optimal payoffs: undefined for a degenerate game, "
+                   "whose equilibrium set may be incomplete")
+        return
     click.echo(
         "worst Pareto-optimal payoffs: "
         f"row={worst_pone_payoff(game, 'row', pone=pone):.6g}, "

@@ -2,8 +2,8 @@
 
 Support enumeration is used (rather than a path-following method) because the
 games here are tiny and the Pareto filter needs *all* equilibria.  Degenerate
-support pairs (singular indifference systems) are skipped and flagged on the
-result instead of being guessed at.
+games (singular indifference systems, repeated profiles) are flagged instead of
+guessed at, and the worst Pareto-optimal payoff refuses them.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ class NashEnumeration:
 @dataclass
 class PoneSet:
     profiles: list[EquilibriumProfile] = field(default_factory=list)
+    degenerate: bool = False  # copied from the enumeration: the set may be incomplete
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -80,83 +81,77 @@ def is_nash(game: BimatrixGame, p, q, tol: float = EQ_TOL) -> bool:
     return _deviation_gain(game, p, q) <= tol
 
 
-def _solve_support(matrix: np.ndarray, own_support, opp_support):
-    """Solve the indifference system: opponent mixes over ``opp_support`` so
-    that every action in ``own_support`` earns the same value.
+def _bordered(m: np.ndarray) -> np.ndarray:
+    """[[m, -1], [1, 0]]: every indifference system is a submatrix of it."""
+    out = np.zeros((len(m) + 1, len(m) + 1))
+    out[:-1, :-1], out[:-1, -1], out[-1, :-1] = m, -1.0, 1.0
+    return out
 
-    ``matrix`` is the *own* player's [own, opp] payoff matrix.  Returns
-    (opponent strategy over opp_support, common value) or None if singular.
-    """
-    s = len(own_support)
-    sub = matrix[np.ix_(own_support, opp_support)]
-    a = np.zeros((s + 1, s + 1))
-    a[:s, :s] = sub
-    a[:s, s] = -1.0
-    a[s, :s] = 1.0
-    b = np.zeros(s + 1)
-    b[s] = 1.0
+
+def _solve_stack(systems: np.ndarray) -> np.ndarray:
+    """Solve every ``a x = e_last`` in the stack; rows of singular ones are NaN."""
+    rhs = np.eye(systems.shape[-1])[-1]
     try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    return sol[:s], float(sol[s])
+        return np.linalg.solve(systems, rhs[:, None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular system fails the whole stack
+        out = np.full(systems.shape[:-1], np.nan)
+        for i, a in enumerate(systems):
+            try:
+                out[i] = np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def enumerate_nash(game: BimatrixGame, max_actions: int = MAX_ACTIONS) -> NashEnumeration:
     """All Nash equilibria of a nondegenerate game via support enumeration.
 
-    Iterates over equal-size support pairs in canonical order, solves the two
-    indifference systems, and keeps solutions that are valid distributions
-    with no profitable outside deviation.  Interior probabilities below
-    ``EQ_TOL`` are rejected (the same equilibrium is found at the smaller
-    support); singular systems set the degeneracy flag.
+    Each support size k is one array pass over its C(n,k)^2 equal-size
+    (row, column) support pairs in canonical order.  Both players' (k+1)x(k+1)
+    indifference systems for all pairs are gathered into one stack and solved
+    together; the column strategy comes from the row player's indifference and
+    vice versa.  Solutions that are valid distributions with no profitable
+    outside deviation are kept.  Interior probabilities below ``EQ_TOL`` are
+    rejected (the same equilibrium is found at the smaller support).  Singular
+    systems and repeated profiles set the degeneracy flag: the set may then be
+    incomplete, so the consumers of the Pareto set refuse it.
     """
     n = game.num_actions
     if n > max_actions:
-        raise CapacityError(
-            f"support enumeration capped at N={max_actions}, got N={n}"
-        )
-    A, B = game.payoff_row, game.payoff_col
+        raise CapacityError(f"support enumeration capped at N={max_actions}, got N={n}")
+    row_sys, col_sys = _bordered(game.payoff_row), _bordered(game.payoff_col)
     result = NashEnumeration(profiles=[])
     seen = set()
     for size in range(1, n + 1):
-        for support_row in itertools.combinations(range(n), size):
-            for support_col in itertools.combinations(range(n), size):
-                # Column strategy from the row player's indifference,
-                # row strategy from the column player's indifference.
-                sol_q = _solve_support(A, support_row, support_col)
-                sol_p = _solve_support(B, support_col, support_row)
-                if sol_q is None or sol_p is None:
-                    if size > 1:
-                        result.degenerate = True
-                    continue
-                q_sub, _ = sol_q
-                p_sub, _ = sol_p
-                if q_sub.min() < EQ_TOL or p_sub.min() < EQ_TOL:
-                    continue
-                p = np.zeros(n)
-                q = np.zeros(n)
-                p[list(support_row)] = p_sub
-                q[list(support_col)] = q_sub
-                p /= p.sum()
-                q /= q.sum()
-                if _deviation_gain(game, p, q) > EQ_TOL:
-                    continue
-                key = tuple(np.round(np.concatenate([p, q]), 9))
-                if key in seen:
-                    result.degenerate = True
-                    continue
-                seen.add(key)
-                result.profiles.append(
-                    EquilibriumProfile(
-                        sigma_row=p,
-                        sigma_col=q,
-                        value_row=expected_payoff(p, q, game, "row"),
-                        value_col=expected_payoff(p, q, game, "col"),
-                    )
-                )
+        # Supports end in the border index n; row supports repeat, column supports tile.
+        supports = np.array([s + (n,) for s in itertools.combinations(range(n), size)])
+        rows = np.repeat(supports, len(supports), axis=0)
+        cols = np.tile(supports, (len(supports), 1))
+        sol = _solve_stack(np.concatenate([  # p solves the column player's systems, q the row's
+            col_sys[cols[:, :, None], rows[:, None, :]],
+            row_sys[rows[:, :, None], cols[:, None, :]],
+        ])).reshape(2, len(rows), size + 1)
+        solved = np.isfinite(sol).all(axis=(0, 2))
+        if size > 1 and not solved.all():
+            result.degenerate = True
+        keep = solved & (sol[..., :size].min(axis=(0, 2)) >= EQ_TOL)
+        pq = np.zeros((2, int(keep.sum()), n))
+        np.put_along_axis(pq, np.stack([rows, cols])[:, keep, :size], sol[:, keep, :size], axis=2)
+        pq /= pq.sum(axis=2, keepdims=True)
+        for p_i, q_i in zip(*pq):
+            if _deviation_gain(game, p_i, q_i) > EQ_TOL:
+                continue
+            key = tuple(np.round(np.concatenate([p_i, q_i]), 9))
+            if key in seen:
+                result.degenerate = True
+                continue
+            seen.add(key)
+            result.profiles.append(EquilibriumProfile(
+                sigma_row=p_i,
+                sigma_col=q_i,
+                value_row=expected_payoff(p_i, q_i, game, "row"),
+                value_col=expected_payoff(p_i, q_i, game, "col"),
+            ))
     return result
 
 
@@ -183,15 +178,20 @@ def pareto_optimal_nash(
             if other is not p
         )
     ]
-    return PoneSet(profiles=kept)
+    return PoneSet(profiles=kept, degenerate=nash.degenerate)
 
 
 def worst_pone_payoff(
     game: BimatrixGame, player: str, pone: PoneSet | None = None
 ) -> float:
-    """Minimum payoff for ``player`` over the Pareto-optimal Nash set."""
+    """Minimum payoff for ``player`` over the Pareto-optimal Nash set of a
+    nondegenerate game; a degenerate one raises ``EquilibriumError``."""
     if pone is None:
         pone = pareto_optimal_nash(game)
+    if pone.degenerate:
+        raise EquilibriumError(
+            f"degenerate game {game.joint_type}: its Nash set may be incomplete"
+        )
     if not pone.profiles:
         raise EquilibriumError(
             f"empty PONE set for game {game.joint_type}; cannot take a minimum"

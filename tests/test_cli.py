@@ -1,0 +1,30 @@
+import json
+
+from click.testing import CliRunner
+
+from cooplab.cli import main
+
+
+def test_enumerate_eq_reports_worst_pareto_payoffs():
+    result = CliRunner().invoke(main, ["enumerate-eq", "--fixture", "coordination"])
+    assert result.exit_code == 0, result.output
+    assert "Nash equilibria: 3\n" in result.output
+    assert "worst Pareto-optimal payoffs: row=2, col=2" in result.output
+
+
+def test_enumerate_eq_on_a_degenerate_game_lists_equilibria_without_worst_payoffs(tmp_path):
+    # Against the flat type every column action pays the same, so the game is
+    # degenerate: its equilibrium set is a continuum.
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps({
+        "num_actions": 2,
+        "types": ["coord", "flat"],
+        "payoffs": {"coord": [2, 0, 0, 1], "flat": [1, 1, 1, 1]},
+    }))
+    result = CliRunner().invoke(
+        main, ["enumerate-eq", "--type-space", str(path), "--theta1", "coord", "--theta2", "flat"]
+    )
+    assert result.exit_code == 0, result.output
+    assert "(degenerate game)" in result.output
+    assert "row=[1, 0] col=[1, 0]" in result.output
+    assert "worst Pareto-optimal payoffs: undefined for a degenerate game" in result.output

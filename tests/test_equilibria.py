@@ -2,11 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cooplab.game_core import BimatrixGame, TypeSpace
+from cooplab.agents import ConventionTable, build_convention_table
+from cooplab.game_core import BimatrixGame, GameError, TypeSpace, expected_payoff
 from cooplab.equilibria import (
+    EQ_TOL,
     CapacityError,
     EquilibriumError,
+    EquilibriumProfile,
+    NashEnumeration,
+    _deviation_gain,
     best_response,
     enumerate_nash,
     is_nash,
@@ -145,7 +152,7 @@ def test_pareto_filter_keeps_undominated_profiles():
 
 def test_pareto_filter_is_antichain_and_idempotent():
     rng = np.random.default_rng(7)
-    from cooplab.equilibria import NashEnumeration, _strongly_dominates
+    from cooplab.equilibria import _strongly_dominates
 
     for _ in range(30):
         g = BimatrixGame(payoff_row=rng.random((2, 2)), payoff_col=rng.random((2, 2)))
@@ -200,3 +207,160 @@ def test_enumeration_capacity_guard():
     g = BimatrixGame(payoff_row=rng.random((6, 6)), payoff_col=rng.random((6, 6)))
     with pytest.raises(CapacityError):
         enumerate_nash(g)
+
+
+# ---------------------------------------------------------------------------
+# The per-support loop, kept as the oracle for the batched enumeration.
+
+
+def _solve_support(matrix, own_support, opp_support):
+    """Solve one indifference system: the opponent mixes over ``opp_support``
+    so that every action in ``own_support`` earns the same value.  Returns
+    (opponent strategy over opp_support, common value) or None if singular."""
+    s = len(own_support)
+    a = np.zeros((s + 1, s + 1))
+    a[:s, :s] = matrix[np.ix_(own_support, opp_support)]
+    a[:s, s] = -1.0
+    a[s, :s] = 1.0
+    b = np.zeros(s + 1)
+    b[s] = 1.0
+    try:
+        sol = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    return sol[:s], float(sol[s])
+
+
+def reference_enumerate_nash(game):
+    """Support enumeration one support pair at a time, in canonical order."""
+    n = game.num_actions
+    A, B = game.payoff_row, game.payoff_col
+    result = NashEnumeration(profiles=[])
+    seen = set()
+    for size in range(1, n + 1):
+        for support_row in itertools.combinations(range(n), size):
+            for support_col in itertools.combinations(range(n), size):
+                sol_q = _solve_support(A, support_row, support_col)
+                sol_p = _solve_support(B, support_col, support_row)
+                if sol_q is None or sol_p is None:
+                    if size > 1:
+                        result.degenerate = True
+                    continue
+                q_sub, _ = sol_q
+                p_sub, _ = sol_p
+                if q_sub.min() < EQ_TOL or p_sub.min() < EQ_TOL:
+                    continue
+                p = np.zeros(n)
+                q = np.zeros(n)
+                p[list(support_row)] = p_sub
+                q[list(support_col)] = q_sub
+                p /= p.sum()
+                q /= q.sum()
+                if _deviation_gain(game, p, q) > EQ_TOL:
+                    continue
+                key = tuple(np.round(np.concatenate([p, q]), 9))
+                if key in seen:
+                    result.degenerate = True
+                    continue
+                seen.add(key)
+                result.profiles.append(
+                    EquilibriumProfile(
+                        sigma_row=p,
+                        sigma_col=q,
+                        value_row=expected_payoff(p, q, game, "row"),
+                        value_col=expected_payoff(p, q, game, "col"),
+                    )
+                )
+    return result
+
+
+def assert_same_enumeration(got, want):
+    assert got.degenerate == want.degenerate
+    assert len(got.profiles) == len(want.profiles)
+    for g, w in zip(got.profiles, want.profiles):
+        # Bit-equal, not approximately equal: the batched solve must not round
+        # differently from the per-system one.
+        assert g.sigma_row.tobytes() == w.sigma_row.tobytes()
+        assert g.sigma_col.tobytes() == w.sigma_col.tobytes()
+        assert (g.value_row, g.value_col) == (w.value_row, w.value_col)
+
+
+@st.composite
+def bimatrix_games(draw):
+    n = draw(st.integers(2, 5))
+    # Small integers produce singular systems and repeated profiles; uniform
+    # floats give nondegenerate games.
+    elements = draw(st.sampled_from([
+        st.floats(0.0, 1.0),
+        st.integers(-2, 2).map(float),
+        st.integers(0, 1).map(float),
+    ]))
+    return BimatrixGame(
+        payoff_row=draw(arrays(np.float64, (n, n), elements=elements)),
+        payoff_col=draw(arrays(np.float64, (n, n), elements=elements)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=bimatrix_games())
+def test_batched_enumeration_equals_per_support_loop(game):
+    assert_same_enumeration(enumerate_nash(game), reference_enumerate_nash(game))
+
+
+def test_batched_enumeration_equals_per_support_loop_on_fixtures():
+    for name in ("typespace_2.json", "typespace_4.json", "coordination_2x2.json",
+                 "prisoners_dilemma.json"):
+        ts = TypeSpace.from_file(fixture_path(name))
+        for joint in ts.joint_types():
+            game = ts.game(*joint)
+            result = enumerate_nash(game)
+            assert not result.degenerate, (name, joint)
+            assert_same_enumeration(result, reference_enumerate_nash(game))
+
+
+def test_singular_system_does_not_hide_an_equilibrium_of_the_same_size():
+    # Matching pennies on actions {0, 1}; the row player's action 2 repeats
+    # action 1, so the size-2 support pair ({1, 2}, {0, 1}) has a singular
+    # system.  A stacked solve fails for the whole size-2 stack, which holds
+    # the true mixed equilibrium ({0, 1}, {0, 1}) too.
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    B = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [-1.0, -1.0, -1.0]])
+    game = BimatrixGame(payoff_row=A, payoff_col=B)
+    result = enumerate_nash(game)
+    assert result.degenerate
+    found = [(p.sigma_row.tolist(), p.sigma_col.tolist()) for p in result.profiles]
+    assert ([0.5, 0.5, 0.0], [0.5, 0.5, 0.0]) in found
+    assert_same_enumeration(result, reference_enumerate_nash(game))
+
+
+def test_degenerate_game_is_flagged_on_the_pareto_set_and_refused():
+    flat = np.ones((2, 2))
+    game = BimatrixGame(payoff_row=flat, payoff_col=flat, joint_type=("a", "b"))
+    pone = pareto_optimal_nash(game)
+    assert pone.degenerate and pone.profiles
+    with pytest.raises(GameError, match=r"\('a', 'b'\)"):
+        worst_pone_payoff(game, "row")
+    with pytest.raises(GameError, match="degenerate"):
+        worst_pone_payoff(game, "col", pone=pone)
+
+
+def test_convention_table_refuses_a_degenerate_type_space():
+    # (coord, coord) is nondegenerate; every game against the flat type is not.
+    ts = TypeSpace(
+        types=("coord", "flat"),
+        payoff_table={"coord": [[2.0, 0.0], [0.0, 1.0]], "flat": [[1.0, 1.0], [1.0, 1.0]]},
+    )
+    assert not enumerate_nash(ts.game("coord", "coord")).degenerate
+    with pytest.raises(GameError, match=r"\('coord', 'flat'\)"):
+        build_convention_table(ts)
+    # Row plays 0 and column (0.7, 0.3) is a Pareto-optimal equilibrium of
+    # (coord, flat) that support enumeration does not list; the table is
+    # refused as degenerate rather than checked against the incomplete set.
+    assert is_nash(ts.game("coord", "flat"), [1.0, 0.0], [0.7, 0.3])
+    entries = {f"{a}|{b}": {"sigma_row": [1.0, 0.0], "sigma_col": [1.0, 0.0]}
+               for a, b in ts.joint_types()}
+    entries["coord|flat"]["sigma_col"] = [0.7, 0.3]
+    with pytest.raises(GameError, match="degenerate"):
+        ConventionTable.from_dict(entries, ts)
