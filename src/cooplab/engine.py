@@ -1,5 +1,5 @@
-"""Batched episode engine: E episodes of one agent pairing stepped in lockstep,
-one numpy operation per stage instead of one Python loop per episode.
+"""Batched episode engine: E episodes stepped in lockstep, one numpy
+operation per stage instead of one Python loop per episode.
 
 Batch agents are array state machines over the episodes: ``act(partner)``
 returns the (E, N) announced strategies and ``observe(own, opp)`` takes the
@@ -21,6 +21,7 @@ actions therefore equal the scalar loop's; announced strategies that involve
 from __future__ import annotations
 
 import functools
+from itertools import chain
 
 import numpy as np
 
@@ -54,9 +55,9 @@ _UPPER, _LOWER, _MATRIX_A = np.uint32(0x80000000), np.uint32(0x7FFFFFFF), np.uin
 # Row slices of the state, updated in this order.  New word i is word
 # i + 397 (mod 624) mixed with old words i and i + 1; for i >= 227 that word
 # is new already, so no slice straddles 227 or spans more than 227 words.
-# Short slices keep the temporaries small.
+# Short slices keep the temporaries small: 64 KB each at 500 episodes.
 _TWIST_SLICES = tuple(
-    (lo, min(lo + 64, hi)) for start, hi in ((0, 227), (227, 623)) for lo in range(start, hi, 64)
+    (lo, min(lo + 32, hi)) for start, hi in ((0, 227), (227, 623)) for lo in range(start, hi, 32)
 )
 
 
@@ -171,20 +172,6 @@ class EpisodeStreams:
         if out.agent_seeds is not None:
             out.agent_seeds = out.agent_seeds.take(columns, axis=1)
         return out
-
-
-def grouped_batches(keys: np.ndarray, size: int):
-    """Batches of at most ``size`` episodes, the episodes sorted by their
-    ``keys`` (E,) so that a key's episodes share batches: yields each batch's
-    episode indices and, per key in it, the key and its episodes' positions
-    in the batch.  Seeding one batch's streams at once costs the same
-    whatever the number of keys, and a key has as many batches as it needs."""
-    order = np.argsort(keys, kind="stable")
-    for start in range(0, len(order), size):
-        ids = order[start : start + size]
-        values, first, count = np.unique(keys[ids], return_index=True, return_counts=True)
-        yield ids, [(v, np.arange(f, f + c))
-                    for v, f, c in zip(values.tolist(), first.tolist(), count.tolist())]
 
 
 def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -495,6 +482,42 @@ class BatchAdaptive(BatchAgent):
         return self._eye.take((self.best - value).argmax(axis=1), axis=0)
 
 
+class BatchGroups(BatchAgent):
+    """One seat of E episodes shared by batch agents of any kinds: ``parts``
+    holds (index, agent) pairs whose indices partition range(E) into nonempty
+    parts.  Each part acts and observes on its own rows only, as in a
+    ``play_batch`` of its own.  A single part is returned as it is."""
+
+    def __new__(cls, parts, n: int):
+        # Plain lists: the check loads no numpy code that play does not.
+        indices = [np.asarray(index, dtype=np.intp).tolist() for index, _ in parts]
+        covered = sorted(chain.from_iterable(indices))
+        if not indices or not all(indices) or covered != list(range(len(covered))):
+            raise GameError("batch groups must partition the episodes into nonempty parts")
+        if len(parts) == 1:
+            return parts[0][1]
+        self = super().__new__(cls)
+        self.shape, self.parts = (len(covered), n), []
+        for index, (_, agent) in zip(indices, parts):
+            # Evenly spaced increasing episodes are read through a view.
+            view = slice(index[0], index[-1] + 1, index[1] - index[0] if len(index) > 1 else 1)
+            self.parts.append((view if covered[view] == index else np.array(index), agent))
+        return self
+
+    def act(self, partner=None):
+        out = np.empty(self.shape)
+        for index, agent in self.parts:
+            p = agent.act(None if partner is None else partner[index])
+            if p.shape[1:] != self.shape[1:]:
+                raise GameError(f"a part announced {p.shape}, not width {self.shape[1]}")
+            out[index] = p
+        return out
+
+    def observe(self, own, opp):
+        for index, agent in self.parts:
+            agent.observe(*(None if x is None else x[index] for x in (own, opp)))
+
+
 def _stack_grim_trigger(agents):
     n, *actions = _columns(agents, "n", "coop", "punish", "opp_coop", dtype=np.intp)
     return BatchGrimTrigger(n[0], *actions)
@@ -517,6 +540,7 @@ _STACKERS = {
 }
 
 
+@functools.cache
 def _stacker(cls):
     return next((_STACKERS[base] for base in cls.__mro__ if base in _STACKERS), None)
 
@@ -548,6 +572,17 @@ def stack_agents(agents) -> BatchAgent:
             yield agent
 
     return stacker(of_one_kind())
+
+
+def stack_groups(agents, keys, n: int) -> BatchAgent:
+    """One batch agent from the fresh scalar agents (E,) of one seat: those of
+    each key (E,), such as a population member, stacked as one part."""
+    if len(set(keys)) == 1:  # one part: nothing to group
+        return stack_agents(agents)
+    groups = {}
+    for e, key in enumerate(keys):
+        groups.setdefault(key, []).append(e)
+    return BatchGroups([(i, stack_agents(map(agents.__getitem__, i))) for i in groups.values()], n)
 
 
 def play_batch(row: BatchAgent, col: BatchAgent, T: int,

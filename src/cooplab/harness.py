@@ -53,13 +53,14 @@ from .engine import (
     EPISODE_BATCH,
     BatchAdaptive,
     BatchFixedSequence,
+    BatchGroups,
     BatchMW,
     EpisodeStreams,
     RegretKernel,
-    grouped_batches,
     has_batch_form,
     play_batch,
     stack_agents,
+    stack_groups,
 )
 from .population import (
     Population,
@@ -177,40 +178,32 @@ def _rng(cfg_seed: int, *tags: int) -> np.random.Generator:
 MW_ADVERSARIES = ("adaptive-min", "adaptive-regret", "random", "constant", "alternating")
 
 
-def _mw_runs(cfg: ExperimentConfig, kind: str, runs: range, n: int, T: int):
-    """Learner matrices (E, n, n) of some mw-regret runs and their batch
-    adversary of one kind.  Each run's generator draws its matrix, then the
-    scripted kinds' actions; runs are drawn one at a time."""
-    A = np.empty((len(runs), n, n))
-    script = np.empty((len(runs), T if kind == "random" else 1), dtype=np.min_scalar_type(n - 1))
-    for i, r in enumerate(runs):
-        rng = _rng(cfg.seed, 0x6D77, n, r)
-        A[i] = rng.random((n, n))
-        if kind == "random":
-            script[i] = rng.integers(0, n, size=T)
-        elif kind == "constant":
-            script[i] = rng.integers(0, n)
-    if kind in BatchAdaptive.KINDS:
-        return A, BatchAdaptive(kind, A)
-    if kind == "alternating":
-        script = np.tile(np.arange(n), (len(runs), 1))
-    return A, BatchFixedSequence(script, n)
-
-
 def run_mw_regret(cfg: ExperimentConfig):
     n = cfg.num_actions
     T = cfg.horizon
     bound = math.sqrt((T / 2.0) * math.log(n))
-    eta = default_eta(n, T)
-    regrets = np.zeros(cfg.episodes)
-    for index, adversary in enumerate(MW_ADVERSARIES):
-        runs = range(index, cfg.episodes, len(MW_ADVERSARIES))
-        if not runs:
-            continue
-        A, opponent = _mw_runs(cfg, adversary, runs, n, T)
-        kernel = RegretKernel(A)
-        play_batch(BatchMW(A, eta), opponent, T, regret=kernel)
-        regrets[runs.start::runs.step] = kernel.regret()
+    # Run r faces kind r mod 5.  Its generator draws its matrix, then the scripted
+    # kinds' actions (random: T, constant: one); alternating plays 0, ..., n - 1.
+    E, kinds = cfg.episodes, len(MW_ADVERSARIES)
+    runs = [np.arange(i, E, kinds) for i in range(kinds)]
+    scripts = [np.empty((len(index), size), np.min_scalar_type(n - 1))
+               for index, size in zip(runs, (0, 0, T, 1, n))]
+    scripts[4][:] = np.arange(n)
+    A = np.empty((E, n, n))
+    for r in range(E):
+        rng = _rng(cfg.seed, 0x6D77, n, r)
+        A[r] = rng.random((n, n))
+        if MW_ADVERSARIES[r % kinds] in ("random", "constant"):
+            script = scripts[r % kinds]
+            script[r // kinds] = rng.integers(0, n, size=script.shape[1])
+    adversaries = BatchGroups([
+        (index, BatchAdaptive(kind, A[index]) if kind in BatchAdaptive.KINDS
+         else BatchFixedSequence(script, n))
+        for index, kind, script in zip(runs, MW_ADVERSARIES, scripts) if len(index)
+    ], n)
+    kernel = RegretKernel(A)
+    play_batch(BatchMW(A, default_eta(n, T)), adversaries, T, regret=kernel)
+    regrets = kernel.regret()
     rows = ["run,adversary,expected_regret,bound"]
     for r, reg in enumerate(regrets.tolist()):
         rows.append(f"{r},{MW_ADVERSARIES[r % len(MW_ADVERSARIES)]},{reg!r},{bound!r}")
@@ -606,10 +599,10 @@ def run_si_selfplay(cfg: ExperimentConfig):
 
 CONSISTENCY_ADVERSARIES = ("GrimTrigger", "BestResponder", "UniformRandom", "MW")
 
-# Episodes stepped together.  Each holds a 2.5 KB generator state; at 125 the
-# peak memory is the scalar loop's, while 250 ran about a third faster but
-# raised peak RSS by 0.5 MB.
-CONSISTENCY_BATCH = 125
+# Runs stepped together, in run order, whatever their adversary kinds.  Each
+# holds a 2.5 KB generator state: 500 ran zoo-loop ~11% faster than 334 but
+# raised its peak RSS ~1.6 MB above 125's, against 0.7 MB; 1000 was no faster.
+CONSISTENCY_BATCH = 334
 
 
 def run_si_consistency(cfg: ExperimentConfig):
@@ -624,36 +617,31 @@ def run_si_consistency(cfg: ExperimentConfig):
     runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
     draws = _rng(cfg.seed, 0x434F)
 
-    rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
-    regrets = []
-    run_id = 0
     # Fresh agents of the kinds with a batch form ignore their seed: one
     # protocol per own type, one adversary per kind and own type.
     protocols = {t: build_agent(proto_spec, ts, T, "row", t, convention_table=ct) for t in ts.types}
-    for adversary in CONSISTENCY_ADVERSARIES:
-        adv_spec = AgentSpec(adversary, {})
-        opponents = {
-            t: build_agent(adv_spec, ts, T, "col", t, convention_table=ct) for t in ts.types
-        }
-        joints = [
-            (
-                ts.types[int(draws.integers(len(ts.types)))],
-                ts.types[int(draws.integers(len(ts.types)))],
-            )
-            for _ in range(runs_each)
-        ]
-        for start in range(0, runs_each, CONSISTENCY_BATCH):
-            batch = joints[start : start + CONSISTENCY_BATCH]
-            runs = range(run_id + start, run_id + start + len(batch))
-            seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(runs.start, runs.stop))
-            protocol = stack_agents(protocols[a] for a, _ in batch)
-            opponent = stack_agents(opponents[b] for _, b in batch)
-            play_batch(protocol, opponent, T, EpisodeStreams(seeds))
-            for r, (a, b), reg in zip(runs, batch, protocol.kernel.regret().tolist()):
-                rows.append(f"{r},{adversary},{a},{b},{reg!r},{bound!r}")
-                regrets.append(reg)
-        run_id += runs_each
-    regrets = np.asarray(regrets)
+    opponents = [
+        {t: build_agent(AgentSpec(adversary, {}), ts, T, "col", t, convention_table=ct)
+         for t in ts.types}
+        for adversary in CONSISTENCY_ADVERSARIES
+    ]
+    kinds = [c for c in range(len(CONSISTENCY_ADVERSARIES)) for _ in range(runs_each)]
+    joints = [
+        (ts.types[int(draws.integers(len(ts.types)))], ts.types[int(draws.integers(len(ts.types)))])
+        for _ in kinds
+    ]
+    regrets = np.empty(len(joints))
+    for start in range(0, len(joints), CONSISTENCY_BATCH):
+        runs = slice(start, start + CONSISTENCY_BATCH)
+        batch = list(zip(kinds[runs], joints[runs]))
+        seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(start, start + len(batch)))
+        protocol = stack_agents(protocols[a] for _, (a, _) in batch)
+        opponent = stack_groups([opponents[c][b] for c, (_, b) in batch], kinds[runs], n)
+        play_batch(protocol, opponent, T, EpisodeStreams(seeds))
+        regrets[runs] = protocol.kernel.regret()
+    rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
+    for r, (c, (a, b), reg) in enumerate(zip(kinds, joints, regrets.tolist())):
+        rows.append(f"{r},{CONSISTENCY_ADVERSARIES[c]},{a},{b},{reg!r},{bound!r}")
     worst = float(regrets.max())
     result = VerificationResult(
         kind=cfg.kind,
@@ -867,11 +855,10 @@ def _default_ic_mu(ts: TypeSpace) -> TypeDistribution:
     )
 
 
-def _scalar_ic_record(policy, tilde_T, T, member, ts, ct, joints, seeds) -> np.ndarray:
-    """(T, 2, E) actions of IC episodes against a partner with no batch
-    form, played one at a time by the scalar agents."""
-    record = np.empty((T, 2, len(joints)), dtype=np.intp)
-    for e, (joint, seed) in enumerate(zip(joints, seeds.tolist())):
+def _scalar_ic_record(policy, tilde_T, T, ts, ct, episodes) -> np.ndarray:
+    """(T, 2, E) actions of IC episodes (partner, joint, seed) by the scalar agents."""
+    record = np.empty((T, 2, len(episodes)), dtype=np.intp)
+    for e, (member, joint, seed) in enumerate(episodes):
         rng = random.Random(seed)
         ic_seed = rng.getrandbits(63)
         partner_seed = rng.getrandbits(63)
@@ -928,47 +915,43 @@ def run_ic_eval(cfg: ExperimentConfig):
             pop.members[m], ts, T, seat="col", own_type=own_type, convention_table=ct
         )
     )
-    # Each batch of episodes seeds its streams once; each member's partners
-    # step their columns of them, a fresh copy per K.
-    for batch, groups in grouped_batches(partner_ids, EPISODE_BATCH):
-        streams = None
-        for m, local in groups:
-            member = pop.members[m]
-            ids = batch[local]
-            joints = [mu.support[j] for j in joint_ids[ids]]
-            cols = [partner(m, b) for _, b in joints]
-            batched = has_batch_form(cols[0])
-            if batched and streams is None:
-                streams = EpisodeStreams(episode_seeds[batch])
-                # The IC agent's own Random(ic_seed) makes one draw, its commitment.
-                ic_streams = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False)
-                commit_draws = ic_streams.uniforms(1)[0]
-            for K in K_values:
-                if batched:
-                    ic = BatchIC(
-                        policies[K], tilde_T, T, [a for a, _ in joints], "row", commit_draws[local]
-                    )
-                    record = play_batch(
-                        ic, stack_agents(cols), T, streams.take(local), record=True
-                    )
-                    # Spot check at the cost of one episode: the scalar agents
-                    # replay the first episode of the member's batch on its stream.
-                    first = _scalar_ic_record(
-                        policies[K], tilde_T, T, member, ts, ct, joints[:1], episode_seeds[ids[:1]]
-                    )
-                    if not np.array_equal(first[:, :, 0], record[:, :, 0]):
-                        raise GameError("batched IC episode differs from its scalar replay")
-                else:
-                    record = _scalar_ic_record(
-                        policies[K], tilde_T, T, member, ts, ct, joints, episode_seeds[ids]
-                    )
-                # Column payoff of every stage, B[own = col action, opp = row action],
-                # summed over the stages in order.
-                stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]
-                realized = np.zeros(len(ids))
-                for pay in stage_pay:
-                    realized += pay
-                values[K][ids] = (T * tau_col[joint_ids[ids]] - realized) / T
+    # Each chunk of episodes seeds its streams once; for each K the IC agents
+    # play one batch against every member's partners, on a fresh copy.
+    for start in range(0, eval_episodes, EPISODE_BATCH):
+        ids = np.arange(start, min(start + EPISODE_BATCH, eval_episodes))
+        joints = [mu.support[j] for j in joint_ids[ids]]
+        members = partner_ids[ids].tolist()
+        cols = [partner(m, b) for m, (_, b) in zip(members, joints)]
+        keep = [e for e, col in enumerate(cols) if has_batch_form(col)]
+        # The scalar agents play the episodes whose partner has no batch
+        # form, and replay each member's first batched one as a spot check.
+        checked = sorted({members[e]: e for e in reversed(keep)}.values())
+        replayed = [e for e, col in enumerate(cols) if not has_batch_form(col)] + checked
+        scalar = [(pop.members[members[e]], joints[e], int(episode_seeds[start + e]))
+                  for e in replayed]
+        if keep:
+            streams = EpisodeStreams(episode_seeds[ids[keep]])
+            # The IC agent's own Random(ic_seed) makes one draw, its commitment.
+            commits = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False).uniforms(1)[0]
+        for K in K_values:
+            record = np.empty((T, 2, len(ids)), dtype=np.min_scalar_type(n - 1))
+            record[:, :, replayed] = _scalar_ic_record(policies[K], tilde_T, T, ts, ct, scalar)
+            replay = record[:, :, checked]
+            if keep:
+                ic = BatchIC(policies[K], tilde_T, T, [joints[e][0] for e in keep], "row", commits)
+                opponent = stack_groups([cols[e] for e in keep], [members[e] for e in keep], n)
+                record[:, :, keep] = play_batch(
+                    ic, opponent, T, streams.take(np.arange(len(keep))), record=True
+                )
+            if not np.array_equal(replay, record[:, :, checked]):
+                raise GameError("batched IC episode differs from its scalar replay")
+            # Column payoff of every stage, B[own = col action, opp = row action],
+            # summed over the stages in order.
+            stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]
+            realized = np.zeros(len(ids))
+            for pay in stage_pay:
+                realized += pay
+            values[K][ids] = (T * tau_col[joint_ids[ids]] - realized) / T
 
     rows = ["K,episode,theta1,theta2,avg_altruistic_regret"]
     labels = [f"{mu.support[j][0]},{mu.support[j][1]}" for j in joint_ids]
@@ -1055,36 +1038,49 @@ def run_experiment(cfg: ExperimentConfig):
     return results, artifacts
 
 
+# Each harness artifact's curve: x columns and y column (None: no curve).  Any
+# other CSV file is keyed on its first column and averages its last.
+_CURVES = {
+    "mw_regret_N": (("adversary",), "expected_regret"),
+    "si_consistency": (("adversary",), "expected_regret"),
+    "nash_selfplay": (("player",), "expected_regret"),
+    "si_selfplay": (("theta1", "theta2"), "avg_payoff_row"),
+    "mixture_check": (("N",), "identity_error"),
+    "ic_eval": (("K",), "avg_altruistic_regret"),
+    "flatten_check": None,
+}
+
+
 def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
-    """Aggregate per-episode CSVs into (x, mean, ci) series keyed on each
-    file's first column; the value column is the last numeric column."""
+    """Aggregate per-episode CSVs into (x, mean, ci) series, the columns of
+    each harness artifact set in ``_CURVES``."""
     out_dir = out_dir or results_dir
     emitted = {}
     for name in sorted(os.listdir(results_dir)):
-        if not name.endswith(".csv"):
+        stem = name[:-4]
+        curve = _CURVES.get(stem.rstrip("0123456789"), ())
+        if not name.endswith(".csv") or curve is None:
             continue
-        with open(os.path.join(results_dir, name)) as f:
-            lines = f.read().splitlines()
-        if len(lines) < 2:
-            continue
-        header = lines[0].split(",")
         groups: dict[str, list[float]] = {}
-        usable = True
-        for line in lines[1:]:
-            parts = line.split(",")
-            try:
-                y = float(parts[-1])
-            except ValueError:
-                usable = False
-                break
-            groups.setdefault(parts[0], []).append(y)
-        if not usable or not groups:
+        try:  # skip an empty file, a missing column or a cell that is no number
+            with open(os.path.join(results_dir, name)) as f:
+                header, *lines = f.read().splitlines()
+            header = header.split(",")
+            xs, y = curve or ((header[0],), header[-1])
+            x_cols, y_col = [header.index(x) for x in xs], header.index(y)
+            for line in lines:
+                parts = line.split(",")
+                key = ",".join(parts[i] for i in x_cols)
+                groups.setdefault(key, []).append(float(parts[y_col]))
+        except ValueError:
             continue
-        rows = [f"{header[0]}\tmean_{header[-1]}\tci99\tcount"]
+        if not groups:
+            continue
+        rows = [f"{','.join(xs)}\tmean_{y}\tci99\tcount"]
         for key in groups:
             vals = np.asarray(groups[key])
             rows.append(f"{key}\t{float(vals.mean())!r}\t{_ci99_mean(vals)!r}\t{len(vals)}")
-        out_name = name[:-4] + "_curve.tsv"
+        out_name = stem + "_curve.tsv"
         text = "\n".join(rows) + "\n"
         with open(os.path.join(out_dir, out_name), "w") as f:
             f.write(text)

@@ -33,10 +33,9 @@ from .agents import (
 from .engine import (
     EPISODE_BATCH,
     EpisodeStreams,
-    grouped_batches,
     has_batch_form,
     play_batch,
-    stack_agents,
+    stack_groups,
 )
 
 DATASET_VERSION = 1
@@ -319,11 +318,10 @@ def generate_dataset(
     """Self-play dataset: per episode, two members drawn i.i.d. from the
     population and a joint type drawn from mu.
 
-    Episodes run on the batched engine ``EPISODE_BATCH`` at a time, on the
-    streams of ``run_episode``, sorted by their (row member, column member)
-    pairing: each batch seeds its streams once, and each pairing in it steps
-    its own columns of them.  Pairings with a member that has no batch form
-    run ``run_episode`` itself.  Either way the histories are the same."""
+    Episodes run on the batched engine ``EPISODE_BATCH`` at a time, in order,
+    on the streams of ``run_episode``, each seat one batch agent grouped by
+    population member.  Episodes with a member that has no batch form run
+    ``run_episode`` itself.  Either way the histories are the same."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
     mu.validate_types(type_space)
@@ -346,31 +344,31 @@ def generate_dataset(
         )
     )
 
-    M = len(pop.members)
-    pairing = member_idx[:, 0] * M + member_idx[:, 1]
-    for batch, groups in grouped_batches(pairing, EPISODE_BATCH):
-        streams = None
-        for key, local in groups:
-            r, c = divmod(key, M)
-            ids = batch[local].tolist()
-            rows = [agent(r, "row", joints[j][0]) for j in ids]
-            cols = [agent(c, "col", joints[j][1]) for j in ids]
-            if not (has_batch_form(rows[0]) and has_batch_form(cols[0])):
-                for j in ids:
-                    histories[j] = run_episode(
-                        pop.members[r], pop.members[c], type_space, joints[j], T,
-                        int(seeds[j]), convention_table=convention_table,
-                    ).history
-                continue
-            if streams is None:
-                streams = EpisodeStreams(seeds[batch])
-            record = play_batch(stack_agents(rows), stack_agents(cols), T,
-                                streams.take(local), record=True)
-            if record is None:  # T = 0
-                continue
-            codes = record[:, 0].astype(np.intp) * N + record[:, 1]
-            for j, episode in zip(ids, codes.T.tolist()):
-                histories[j] = tuple(map(pairs.__getitem__, episode))
+    # A member's agents are of one kind whatever their seat and own type.
+    batchable = np.zeros(len(pop.members), dtype=bool)
+    for m in np.unique(member_idx).tolist():
+        batchable[m] = has_batch_form(agent(m, "row", type_space.types[0]))
+    batched = batchable[member_idx].all(axis=1)
+    for j in np.flatnonzero(~batched).tolist():
+        r, c = member_idx[j].tolist()
+        histories[j] = run_episode(
+            pop.members[r], pop.members[c], type_space, joints[j], T, int(seeds[j]),
+            convention_table=convention_table,
+        ).history
+    batched = np.flatnonzero(batched)
+    for start in range(0, len(batched), EPISODE_BATCH):
+        ids = batched[start : start + EPISODE_BATCH].tolist()
+        seats = []
+        for s, seat in enumerate(("row", "col")):
+            members = member_idx[ids, s].tolist()
+            agents = [agent(m, seat, joints[j][s]) for j, m in zip(ids, members)]
+            seats.append(stack_groups(agents, members, N))
+        record = play_batch(*seats, T, EpisodeStreams(seeds[ids]), record=True)
+        if record is None:  # T = 0
+            continue
+        codes = record[:, 0].astype(np.intp) * N + record[:, 1]
+        for j, episode in zip(ids, codes.T.tolist()):
+            histories[j] = tuple(map(pairs.__getitem__, episode))
     return Dataset(
         episodes=[(a, b, h) for (a, b), h in zip(joints, histories)],
         metadata={

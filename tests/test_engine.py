@@ -18,9 +18,14 @@ from cooplab.agents import (
 )
 from cooplab.engine import (
     FALLBACK,
+    BatchAdaptive,
     BatchAgent,
+    BatchFixedMixed,
+    BatchFixedSequence,
+    BatchGroups,
     BatchMW,
     EpisodeStreams,
+    RegretKernel,
     _seeded,
     play_batch,
     sample_actions,
@@ -412,3 +417,155 @@ def test_stack_agents_rejects_mixed_or_unbatched_kinds():
     )
     with pytest.raises(GameError):
         stack_agents([flattened])
+
+
+# One spec per kind that a BatchGroups part may be stacked from.
+GROUP_SPECS = {
+    "Protocol": AgentSpec("Protocol", {"eps1": 0.05, "k": 2}),
+    "GrimTrigger": AgentSpec("GrimTrigger"),
+    "BestResponder": AgentSpec("BestResponder"),
+    "MW": AgentSpec("MW"),
+    "FixedMixed": AgentSpec("FixedMixed", {"probs": [0.3, 0.7]}),
+}
+
+
+def _draw_partition(data, E):
+    """1-4 nonempty parts of range(E), as lists of episodes, drawn at random."""
+    parts = data.draw(st.integers(min_value=1, max_value=min(4, E)))
+    extra = data.draw(st.lists(st.integers(0, parts - 1), min_size=E - parts, max_size=E - parts))
+    labels = data.draw(st.permutations(list(range(parts)) + extra))
+    return [[e for e in range(E) if labels[e] == i] for i in range(parts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    episodes=st.lists(
+        st.tuples(seeds, st.sampled_from(TS4.types), st.sampled_from(TS4.types)),
+        min_size=1,
+        max_size=9,
+    ),
+    grouped_seat=st.sampled_from(["row", "col"]),
+    T=st.integers(min_value=1, max_value=40),
+)
+def test_batch_groups_play_as_one_batch_per_part(data, episodes, grouped_seat, T):
+    # Parts of mixed kinds on one seat, one kind on the other: the actions,
+    # the announced strategies of both seats and the row seat's regret equal,
+    # bit for bit, one play_batch per part on that part's streams.
+    index = _draw_partition(data, len(episodes))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(GROUP_SPECS)), min_size=len(index),
+                               max_size=len(index)))
+    other_kind = data.draw(st.sampled_from(sorted(GROUP_SPECS)))
+    other_seat = "col" if grouped_seat == "row" else "row"
+    seed_list = [seed for seed, _, _ in episodes]
+
+    def stack(kind, seat, ids):
+        return stack_agents([
+            build_agent(GROUP_SPECS[kind], TS4, T, seat, episodes[e][1 if seat == "row" else 2],
+                        convention_table=CT4)
+            for e in ids
+        ])
+
+    def kernel(ids):
+        return RegretKernel([TS4.payoff_table[episodes[e][1]] for e in ids])
+
+    def seated(own, other):
+        return (own, other) if grouped_seat == "row" else (other, own)
+
+    grouped = Recorder(BatchGroups(
+        [(ids, stack(kind, grouped_seat, ids)) for ids, kind in zip(index, kinds)], TS4.num_actions
+    ))
+    other = Recorder(stack(other_kind, other_seat, range(len(episodes))))
+    regret = kernel(range(len(episodes)))
+    record = play_batch(*seated(grouped, other), T, EpisodeStreams(seed_list), regret=regret,
+                        record=True)
+
+    streams = EpisodeStreams(seed_list)
+    for ids, kind in zip(index, kinds):
+        part = Recorder(stack(kind, grouped_seat, ids))
+        partner = Recorder(stack(other_kind, other_seat, ids))
+        part_regret = kernel(ids)
+        part_record = play_batch(*seated(part, partner), T, streams.take(np.array(ids)),
+                                 regret=part_regret, record=True)
+        assert np.array_equal(record[:, :, ids], part_record)
+        for t in range(T):
+            assert np.array_equal(grouped.strategies[t][ids], part.strategies[t])
+            assert np.array_equal(other.strategies[t][ids], partner.strategies[t])
+        assert np.array_equal(regret.regret()[ids], part_regret.regret())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=4),
+    E=st.integers(min_value=1, max_value=10),
+    T=st.integers(min_value=1, max_value=30),
+    grouped_seat=st.sampled_from(["row", "col"]),
+    matrix_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_batch_groups_without_streams_as_in_mw_regret(data, n, E, T, grouped_seat, matrix_seed):
+    # No streams: the row seat's action is None, which each part receives as
+    # None.  Grouped column seat: adaptive and scripted adversaries against one
+    # MW learner; grouped row seat: MW learners of several rates against one
+    # adaptive adversary.
+    rng = np.random.default_rng(matrix_seed)
+    A = rng.random((E, n, n))
+    scripts = rng.integers(0, n, size=(E, data.draw(st.integers(1, 5))))
+    index = _draw_partition(data, E)
+    kinds = data.draw(st.lists(st.sampled_from(BatchAdaptive.KINDS + ("script",)),
+                               min_size=len(index), max_size=len(index)))
+    etas = data.draw(st.lists(st.floats(0.01, 2.0), min_size=len(index), max_size=len(index)))
+    adaptive = data.draw(st.sampled_from(BatchAdaptive.KINDS))
+
+    def pair(i, ids):
+        if grouped_seat == "row":
+            return BatchMW(A[ids], etas[i]), BatchAdaptive(adaptive, A[ids])
+        adversary = (BatchFixedSequence(scripts[ids], n) if kinds[i] == "script"
+                     else BatchAdaptive(kinds[i], A[ids]))
+        return BatchMW(A[ids], 0.3), adversary
+
+    pairs = [pair(i, ids) for i, ids in enumerate(index)]
+    parts = [(ids, p[0] if grouped_seat == "row" else p[1]) for ids, p in zip(index, pairs)]
+    if grouped_seat == "row":
+        row, col = Recorder(BatchGroups(parts, n)), Recorder(BatchAdaptive(adaptive, A))
+    else:
+        row, col = Recorder(BatchMW(A, 0.3)), Recorder(BatchGroups(parts, n))
+    regret = RegretKernel(A)
+    assert play_batch(row, col, T, regret=regret) is None
+
+    for i, ids in enumerate(index):
+        part_row, part_col = map(Recorder, pair(i, ids))
+        part_regret = RegretKernel(A[ids])
+        play_batch(part_row, part_col, T, regret=part_regret)
+        for t in range(T):
+            assert np.array_equal(row.strategies[t][ids], part_row.strategies[t])
+            assert np.array_equal(col.strategies[t][ids], part_col.strategies[t])
+        assert np.array_equal(regret.regret()[ids], part_regret.regret())
+
+
+def _halves(widths=(2, 2)):
+    return [BatchFixedMixed(np.full((2, w), 1.0 / w)) for w in widths]
+
+
+@pytest.mark.parametrize("indices", [
+    [],                           # no part
+    [[0, 1], [1, 2]],             # overlap
+    [[0, 1], [3, 4]],             # gap
+    [[0, 1], []],                 # empty part
+    [[-1, 0], [1, 2]],            # an index below 0
+    [[1, 2]],                     # one part that misses episode 0
+])
+def test_batch_groups_reject_indices_that_do_not_partition_the_episodes(indices):
+    with pytest.raises(GameError, match="partition"):
+        BatchGroups(list(zip(indices, _halves() + _halves())), 2)
+
+
+def test_batch_groups_reject_a_part_of_another_width():
+    groups = BatchGroups(list(zip([[0, 2], [1, 3]], _halves((2, 3)))), 2)
+    with pytest.raises(GameError, match="width 2"):
+        groups.act()
+
+
+def test_batch_groups_return_a_single_whole_part_unwrapped():
+    part = _halves()[0]
+    assert BatchGroups([(np.arange(2), part)], 2) is part

@@ -1,19 +1,33 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from cooplab.game_core import GameError, TypeSpace
+from cooplab import harness
 from cooplab.agents import (
     AgentSpec,
     ProtocolAgent,
     build_agent,
     build_convention_table,
+    default_eta,
     theorem26_params,
+)
+from cooplab.engine import (
+    BatchAdaptive,
+    BatchFixedSequence,
+    BatchMW,
+    EpisodeStreams,
+    RegretKernel,
+    play_batch,
+    stack_agents,
 )
 from cooplab.equilibria import worst_pone_payoff
 from cooplab.harness import (
+    CONSISTENCY_ADVERSARIES,
     EXPERIMENT_KINDS,
+    MW_ADVERSARIES,
     TRIGGER_BLOCK,
     ExperimentConfig,
     VerificationResult,
@@ -25,7 +39,13 @@ from cooplab.harness import (
     run_experiment,
 )
 from cooplab.imitation_commit import ImitateThenCommitAgent, fit_imitation
-from cooplab.population import Population, derive_episode_seed, generate_dataset, play_episode
+from cooplab.population import (
+    Population,
+    derive_episode_seed,
+    derive_episode_seeds,
+    generate_dataset,
+    play_episode,
+)
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +307,162 @@ def test_every_artifact_value_parses_as_float(ts2):
                 for column, cell in zip(header, row):
                     if column not in labels:
                         float(cell)
+
+
+def _rng(seed, *tags):
+    return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
+
+
+def mw_regret_csv_by_adversary(cfg):
+    """mw_regret_N*.csv as run_mw_regret wrote it with one play_batch per
+    adversary kind, before every run was played in one batch; kept as its
+    oracle."""
+    n, T = cfg.num_actions, cfg.horizon
+    bound = math.sqrt((T / 2.0) * math.log(n))
+    regrets = np.zeros(cfg.episodes)
+    for index, kind in enumerate(MW_ADVERSARIES):
+        runs = range(index, cfg.episodes, len(MW_ADVERSARIES))
+        if not runs:
+            continue
+        A = np.empty((len(runs), n, n))
+        script = np.empty((len(runs), T if kind == "random" else 1), np.min_scalar_type(n - 1))
+        for i, r in enumerate(runs):
+            rng = _rng(cfg.seed, 0x6D77, n, r)
+            A[i] = rng.random((n, n))
+            if kind == "random":
+                script[i] = rng.integers(0, n, size=T)
+            elif kind == "constant":
+                script[i] = rng.integers(0, n)
+        if kind == "alternating":
+            script = np.tile(np.arange(n), (len(runs), 1))
+        opponent = (BatchAdaptive(kind, A) if kind in BatchAdaptive.KINDS
+                    else BatchFixedSequence(script, n))
+        kernel = RegretKernel(A)
+        play_batch(BatchMW(A, default_eta(n, T)), opponent, T, regret=kernel)
+        regrets[runs.start::runs.step] = kernel.regret()
+    rows = ["run,adversary,expected_regret,bound"]
+    rows += [f"{r},{MW_ADVERSARIES[r % len(MW_ADVERSARIES)]},{reg!r},{bound!r}"
+             for r, reg in enumerate(regrets.tolist())]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("episodes", [1, 3, 7, 12, 53])
+def test_mw_regret_csv_matches_per_adversary_loop(episodes, n):
+    # Fewer runs than kinds, uneven runs per kind, and more.
+    cfg = ExperimentConfig(kind="mw-regret", episodes=episodes, horizon=41, num_actions=n,
+                           seed=10 * episodes + n)
+    _, artifacts = run_experiment(cfg)
+    assert artifacts[f"mw_regret_N{n}.csv"] == mw_regret_csv_by_adversary(cfg)
+
+
+def si_consistency_csv_by_adversary(cfg, batch=125):
+    """si_consistency.csv as run_si_consistency wrote it with one play_batch
+    per batch of one adversary kind's runs, before each batch of runs in run
+    order became one play_batch; kept as its oracle."""
+    ts = cfg.type_space or fixture_type_space("typespace_4.json")
+    n, k, T = ts.num_actions, cfg.k, cfg.horizon
+    params = theorem26_params(cfg.delta, T, k, n)
+    ct = build_convention_table(ts)
+    bound = k + params.eps1 * (T - k) + math.sqrt(((T - k) / 2.0) * math.log(n))
+    proto_spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
+    runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
+    draws = _rng(cfg.seed, 0x434F)
+    rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
+    run_id = 0
+    protocols = {t: build_agent(proto_spec, ts, T, "row", t, convention_table=ct) for t in ts.types}
+    for adversary in CONSISTENCY_ADVERSARIES:
+        opponents = {t: build_agent(AgentSpec(adversary, {}), ts, T, "col", t, convention_table=ct)
+                     for t in ts.types}
+        joints = [(ts.types[int(draws.integers(len(ts.types)))],
+                   ts.types[int(draws.integers(len(ts.types)))]) for _ in range(runs_each)]
+        for start in range(0, runs_each, batch):
+            chunk = joints[start : start + batch]
+            runs = range(run_id + start, run_id + start + len(chunk))
+            seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(runs.start, runs.stop))
+            protocol = stack_agents(protocols[a] for a, _ in chunk)
+            opponent = stack_agents(opponents[b] for _, b in chunk)
+            play_batch(protocol, opponent, T, EpisodeStreams(seeds))
+            for r, (a, b), reg in zip(runs, chunk, protocol.kernel.regret().tolist()):
+                rows.append(f"{r},{adversary},{a},{b},{reg!r},{bound!r}")
+        run_id += runs_each
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("batch", [37, 334])
+@pytest.mark.parametrize("episodes", [1, 10, 170])
+def test_si_consistency_csv_matches_per_adversary_loop(batch, episodes):
+    # 170 runs are 42 per kind: batches of 37 split kinds across batches.
+    # delta = 0.6 makes eps1 small enough for the tripwire to fire.
+    cfg = ExperimentConfig(kind="si-consistency", episodes=episodes, horizon=60, k=2,
+                           delta=0.6, seed=episodes + batch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "CONSISTENCY_BATCH", batch)
+        _, artifacts = run_experiment(cfg)
+    assert artifacts["si_consistency.csv"] == si_consistency_csv_by_adversary(cfg)
+
+
+def test_ic_eval_csv_matches_episode_loop_in_chunks_that_split_members(ts2):
+    # Chunks of 37 episodes: each holds episodes of both members, batched and
+    # scalar, and every chunk spot-checks its own first batched episode.
+    population = Population(
+        members=[
+            AgentSpec("Protocol", {"eps1": 0.2, "k": 1}),
+            AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
+            AgentSpec("GrimTrigger"),
+        ],
+        weights=[0.5, 0.2, 0.3],
+    )
+    cfg = ExperimentConfig(
+        kind="ic-eval", horizon=12, k=1, tilde_T=4, delta=0.1, seed=3, type_space=ts2,
+        population=population, extra={"K_values": [0, 40], "eval_episodes": 100},
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "EPISODE_BATCH", 37)
+        _, artifacts = run_experiment(cfg)
+    assert artifacts["ic_eval.csv"] == ic_eval_csv_by_episode_loop(cfg)
+
+
+def test_emit_curves_of_mw_regret_average_expected_regret_per_adversary(tmp_path):
+    cfg = ExperimentConfig(kind="mw-regret", episodes=10, horizon=30, num_actions=3, seed=5,
+                           out_dir=str(tmp_path))
+    _, artifacts = run_experiment(cfg)
+    rows = [line.split(",") for line in artifacts["mw_regret_N3.csv"].splitlines()[1:]]
+    emitted = emit_curves(str(tmp_path))
+    header, *lines = emitted["mw_regret_N3_curve.tsv"].splitlines()
+    assert header == "adversary\tmean_expected_regret\tci99\tcount"
+    assert [line.split("\t")[0] for line in lines] == list(MW_ADVERSARIES)
+    for line in lines:
+        adversary, mean, _, count = line.split("\t")
+        values = [float(row[2]) for row in rows if row[1] == adversary]
+        assert count == "2"
+        assert float(mean) == pytest.approx(sum(values) / 2, rel=1e-12)
+
+
+def test_emit_curves_use_each_artifacts_columns(tmp_path, ts2):
+    ts4 = fixture_type_space("typespace_4.json")
+    for kind, kw in {
+        "si-selfplay": dict(episodes=20, horizon=40, k=2, type_space=ts4),
+        "flatten-check": dict(episodes=1),
+        "mixture-check": dict(episodes=4),
+    }.items():
+        run_experiment(ExperimentConfig(kind=kind, seed=4, out_dir=str(tmp_path), **kw))
+    emitted = emit_curves(str(tmp_path))
+    assert "flatten_check_curve.tsv" not in emitted
+    assert emitted["si_selfplay_curve.tsv"].startswith("theta1,theta2\tmean_avg_payoff_row\t")
+    assert emitted["mixture_check_curve.tsv"].startswith("N\tmean_identity_error\t")
+
+
+def test_ic_eval_spot_check_refuses_a_batched_episode_that_differs(ts2, monkeypatch):
+    # Each chunk replays one batched episode per member with the scalar
+    # agents; a batched record with the IC agent's actions flipped must fail it.
+    def flipped(*args, **kwargs):
+        record = play_batch(*args, **kwargs)
+        record[:, 0] = 1 - record[:, 0]
+        return record
+
+    monkeypatch.setattr(harness, "play_batch", flipped)
+    cfg = ExperimentConfig(kind="ic-eval", horizon=12, k=1, tilde_T=4, seed=3, type_space=ts2,
+                           extra={"K_values": [10], "eval_episodes": 20})
+    with pytest.raises(GameError, match="scalar replay"):
+        run_experiment(cfg)

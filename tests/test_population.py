@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from cooplab.population import (
     Population,
     TypeDistribution,
     derive_episode_seed,
+    derive_episode_seeds,
     flatten_population,
     generate_dataset,
     play_episode,
@@ -21,6 +23,7 @@ from cooplab.population import (
     write_dataset,
 )
 from cooplab import imitation_commit, population
+from cooplab.engine import EpisodeStreams, has_batch_form, play_batch, stack_agents
 from cooplab.harness import fixture_path
 
 
@@ -341,3 +344,68 @@ def test_batched_generate_dataset_matches_run_episode_loop(members, ts, n, T, ma
         patch.setattr(population, "EPISODE_BATCH", batch)
         ds = generate_dataset(pop, mu, ts, n, T, master_seed, convention_table=table)
     assert ds.episodes == dataset_by_run_episode(pop, mu, ts, n, T, master_seed, table)
+
+
+def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=2000):
+    """The histories generate_dataset made with one play_batch per pairing of
+    members, in batches of ``size`` episodes sorted by their pairing, before
+    each batch in episode order became one play_batch; kept as its oracle."""
+    draws = np.random.default_rng(np.random.SeedSequence([0x64726177, int(master_seed)]))
+    member_idx = draws.choice(len(pop.members), size=(n, 2), p=pop.weights)
+    joint_idx = draws.choice(len(mu.support), size=n, p=mu.weights)
+    joints = [mu.support[j] for j in joint_idx.tolist()]
+    seeds = derive_episode_seeds(master_seed, np.arange(n))
+    histories = [()] * n
+    agent = functools.cache(lambda m, seat, own_type: build_agent(
+        pop.members[m], ts, T, seat=seat, own_type=own_type, convention_table=convention_table
+    ))
+    M = len(pop.members)
+    pairing = member_idx[:, 0] * M + member_idx[:, 1]
+    order = np.argsort(pairing, kind="stable")
+    for start in range(0, n, size):
+        batch = order[start : start + size]
+        keys, first, count = np.unique(pairing[batch], return_index=True, return_counts=True)
+        streams = EpisodeStreams(seeds[batch])
+        for key, f, c in zip(keys.tolist(), first.tolist(), count.tolist()):
+            r, cc = divmod(key, M)
+            ids = batch[f : f + c].tolist()
+            rows = [agent(r, "row", joints[j][0]) for j in ids]
+            cols = [agent(cc, "col", joints[j][1]) for j in ids]
+            if not (has_batch_form(rows[0]) and has_batch_form(cols[0])):
+                for j in ids:
+                    histories[j] = run_episode(
+                        pop.members[r], pop.members[cc], ts, joints[j], T, int(seeds[j]),
+                        convention_table=convention_table,
+                    ).history
+                continue
+            record = play_batch(stack_agents(rows), stack_agents(cols), T,
+                                streams.take(np.arange(f, f + c)), record=True)
+            for e, j in enumerate(ids):
+                histories[j] = tuple(map(tuple, record[:, :, e].tolist()))
+    return [(a, b, h) for (a, b), h in zip(joints, histories)]
+
+
+@pytest.mark.parametrize("batch", [37, 2000])
+@pytest.mark.parametrize("ts", [TS2, TS4], ids=["ts2", "ts4"])
+def test_generate_dataset_matches_per_pairing_loop(tmp_path, ts, batch):
+    # Five members, one of them Flattened (no batch form, so run_episode);
+    # batches of 37 split every pairing across batches.
+    pop = Population(
+        members=[
+            AgentSpec("Protocol", {"eps1": 0.1, "k": 2}),
+            AgentSpec("MW"),
+            AgentSpec("GrimTrigger"),
+            AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
+            AgentSpec("BestResponder"),
+        ],
+        weights=[0.3, 0.2, 0.2, 0.15, 0.15],
+    )
+    mu = TypeDistribution.uniform(ts)
+    table = TABLES[id(ts)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(population, "EPISODE_BATCH", batch)
+        ds = generate_dataset(pop, mu, ts, 150, 25, 91, convention_table=table)
+    oracle = Dataset(dataset_by_pairing(pop, mu, ts, 150, 25, 91, table), ds.metadata)
+    write_dataset(ds, tmp_path / "batched.jsonl")
+    write_dataset(oracle, tmp_path / "by_pairing.jsonl")
+    assert (tmp_path / "batched.jsonl").read_bytes() == (tmp_path / "by_pairing.jsonl").read_bytes()
