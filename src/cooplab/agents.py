@@ -38,16 +38,6 @@ from .equilibria import (
     is_nash,
 )
 
-AGENT_KINDS = (
-    "MW",
-    "Protocol",
-    "FixedMixed",
-    "FixedSequence",
-    "GrimTrigger",
-    "UniformRandom",
-    "BestResponder",
-)
-
 
 @dataclass(frozen=True)
 class AgentSpec:

@@ -4,7 +4,10 @@ operation per stage instead of one Python loop per episode.
 Batch agents are array state machines over the episodes: ``act(partner)``
 returns the (E, N) announced strategies and ``observe(own, opp)`` takes the
 (E,) actions.  Each is stacked from the scalar agents of ``agents.py``, which
-stay the reference, so parameters are resolved once, by ``build_agent``.
+stay the reference, so parameters are resolved once, by ``build_agent``.  A
+kind with no array form (``IC``, ``Flattened``, ``FixedSequence``) plays as
+``BatchScalar``, one scalar agent per episode; ``build_seat`` makes one seat
+of any mix of kinds.
 
 Random-stream contract, identical to ``run_episode``: episode e uses
 ``random.Random(seed_e)``; the first two ``getrandbits(63)`` calls go to the
@@ -29,7 +32,6 @@ from .game_core import GameError
 from .agents import (
     BestResponderAgent,
     FixedMixedAgent,
-    FixedSequenceAgent,
     GrimTriggerAgent,
     MWAgent,
     ProtocolAgent,
@@ -518,23 +520,34 @@ class BatchGroups(BatchAgent):
             agent.observe(*(None if x is None else x[index] for x in (own, opp)))
 
 
+class BatchScalar(BatchAgent):
+    """The scalar agents of E episodes, one agent each, for a kind with no
+    array form: ``act`` stacks their strategies and ``observe`` steps each
+    agent in turn.  Their strategies and sampled actions are those of
+    ``play_episode``."""
+
+    def __init__(self, agents):
+        self.agents = list(agents)
+        if len(set(map(id, self.agents))) != len(self.agents):
+            raise GameError("each episode needs an agent of its own")
+
+    def act(self, partner=None):
+        return np.array([agent.act() for agent in self.agents], dtype=float)
+
+    def observe(self, own, opp):
+        for agent, a, b in zip(self.agents, own.tolist(), opp.tolist()):
+            agent.observe(a, b)
+
+
 def _stack_grim_trigger(agents):
     n, *actions = _columns(agents, "n", "coop", "punish", "opp_coop", dtype=np.intp)
     return BatchGrimTrigger(n[0], *actions)
-
-
-def _stack_fixed_sequence(agents):
-    (scripts, n), rows = _read(agents, "actions", "n")
-    if len(set(map(len, scripts))) != 1:
-        raise GameError("stacked FixedSequence agents need scripts of one length")
-    return BatchFixedSequence(np.array(scripts)[rows], n[0])
 
 
 _STACKERS = {
     MWAgent: lambda agents: BatchMW(*_columns(agents, "matrix", "eta")),
     ProtocolAgent: BatchProtocol,
     GrimTriggerAgent: _stack_grim_trigger,
-    FixedSequenceAgent: _stack_fixed_sequence,
     BestResponderAgent: lambda agents: BatchBestResponder(*_columns(agents, "matrix")),
     FixedMixedAgent: lambda agents: BatchFixedMixed(*_columns(agents, "probs")),
 }
@@ -542,27 +555,19 @@ _STACKERS = {
 
 @functools.cache
 def _stacker(cls):
-    return next((_STACKERS[base] for base in cls.__mro__ if base in _STACKERS), None)
-
-
-def has_batch_form(agent) -> bool:
-    """Whether ``stack_agents`` can stack agents of this one's kind."""
-    return _stacker(type(agent)) is not None
+    return next((_STACKERS[base] for base in cls.__mro__ if base in _STACKERS), BatchScalar)
 
 
 def stack_agents(agents) -> BatchAgent:
     """One batch agent from the fresh scalar agents of E episodes, all of one
-    kind.  One agent may stand for many episodes: fresh agents of the kinds
-    with a batch form ignore their seed, so one per (spec, seat, own type)
-    will do, and each distinct agent is read once."""
+    kind.  For a kind with an array form one agent may stand for many
+    episodes, and each distinct agent is read once; any other kind steps
+    one agent per episode in a ``BatchScalar``."""
     agents = iter(agents)
     first = next(agents, None)
     if first is None:
         raise GameError("need at least one agent to stack")
     cls = type(first)
-    stacker = _stacker(cls)
-    if stacker is None:
-        raise GameError(f"no batched form for {cls.__name__}")
 
     def of_one_kind():
         yield first
@@ -571,18 +576,34 @@ def stack_agents(agents) -> BatchAgent:
                 raise GameError("stacked agents must all be of one kind")
             yield agent
 
-    return stacker(of_one_kind())
+    return _stacker(cls)(of_one_kind())
 
 
-def stack_groups(agents, keys, n: int) -> BatchAgent:
-    """One batch agent from the fresh scalar agents (E,) of one seat: those of
-    each key (E,), such as a population member, stacked as one part."""
-    if len(set(keys)) == 1:  # one part: nothing to group
-        return stack_agents(agents)
-    groups = {}
+def build_seat(build, keys, own_types, seeds, n: int) -> BatchAgent:
+    """One seat of E episodes.  ``build(key, own_type, seed)`` makes one
+    fresh scalar agent; per episode, ``keys`` holds its key (such as a
+    population member), ``own_types`` its own type and ``seeds`` its agent
+    seed (a row of ``EpisodeStreams.agent_seeds``).  The episodes of each
+    key form one ``BatchGroups`` part.  A kind with an array form ignores
+    the seed, so one agent per (key, own type) stands for all of them; any
+    other kind gets one agent per episode, built with that episode's seed."""
+    parts = {}
     for e, key in enumerate(keys):
-        groups.setdefault(key, []).append(e)
-    return BatchGroups([(i, stack_agents(map(agents.__getitem__, i))) for i in groups.values()], n)
+        parts.setdefault(key, []).append(e)
+    groups = []
+    for key, index in parts.items():
+        own = [own_types[e] for e in index]
+        first = build(key, own[0], int(seeds[index[0]]))
+        if _stacker(type(first)) is BatchScalar:
+            agents = [first] + [build(key, t, int(seeds[e])) for e, t in zip(index[1:], own[1:])]
+        else:
+            fresh = {own[0]: first}
+            for e, t in zip(index, own):
+                if t not in fresh:
+                    fresh[t] = build(key, t, int(seeds[e]))
+            agents = list(map(fresh.__getitem__, own))
+        groups.append((index, stack_agents(agents)))
+    return BatchGroups(groups, n)
 
 
 def play_batch(row: BatchAgent, col: BatchAgent, T: int,

@@ -5,7 +5,9 @@ statistic, recomputes the corresponding theoretical bound at report time, and
 emits per-episode CSV rows plus a pass/fail verification result.  The
 agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its datasets
 included, step their episodes in batches on the batched engine
-(``engine.py``), on the per-episode random streams of ``run_episode``.
+(``engine.py``), on the per-episode random streams of ``run_episode``, with
+every agent kind (``engine.build_seat``); ic-eval replays each partner
+member's first episode of a batch with the scalar agents as a spot check.
 Equilibrium and protocol self-play run on numpy kernels that stream their
 draws in cache-sized blocks of episodes or stages, with the same random
 numbers and float sums as drawing the whole run at once.  The protocol
@@ -17,7 +19,6 @@ agent classes on the same sampled prefix.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import os
 import random
@@ -35,6 +36,7 @@ from .game_core import (
     normalize_game,
     total_variation,
 )
+# pareto_optimal_nash: unused here; kept bindable for the benchmark's tracer.
 from .equilibria import enumerate_nash, pareto_optimal_nash, worst_pone_payoff
 from .regret import azuma_thresholds
 from .agents import (
@@ -57,10 +59,8 @@ from .engine import (
     BatchMW,
     EpisodeStreams,
     RegretKernel,
-    has_batch_form,
+    build_seat,
     play_batch,
-    stack_agents,
-    stack_groups,
 )
 from .population import (
     Population,
@@ -80,7 +80,6 @@ from .imitation_commit import (
     delta_K,
     fit_imitation,
     mixture_from_joint,
-    _response_functions,
     theorem42_bound,
 )
 
@@ -547,9 +546,11 @@ def run_si_selfplay(cfg: ExperimentConfig):
                 fallback[e] = fb
 
     rows = ["episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback"]
-    for e, (pr, pc) in enumerate(zip(avg_pay_row.tolist(), avg_pay_col.tolist())):
-        a, b = mu.support[joint_idx[e]]
-        rows.append(f"{e},{a},{b},{pr!r},{pc!r},{int(fallback[e])}")
+    for e, (j, pr, pc, fb) in enumerate(zip(
+        joint_idx.tolist(), avg_pay_row.tolist(), avg_pay_col.tolist(), fallback.tolist()
+    )):
+        a, b = mu.support[j]
+        rows.append(f"{e},{a},{b},{pr!r},{pc!r},{int(fb)}")
 
     results = []
     fb_freq = float(fallback.mean())
@@ -617,28 +618,31 @@ def run_si_consistency(cfg: ExperimentConfig):
     runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
     draws = _rng(cfg.seed, 0x434F)
 
-    # Fresh agents of the kinds with a batch form ignore their seed: one
-    # protocol per own type, one adversary per kind and own type.
-    protocols = {t: build_agent(proto_spec, ts, T, "row", t, convention_table=ct) for t in ts.types}
-    opponents = [
-        {t: build_agent(AgentSpec(adversary, {}), ts, T, "col", t, convention_table=ct)
-         for t in ts.types}
-        for adversary in CONSISTENCY_ADVERSARIES
-    ]
     kinds = [c for c in range(len(CONSISTENCY_ADVERSARIES)) for _ in range(runs_each)]
     joints = [
         (ts.types[int(draws.integers(len(ts.types)))], ts.types[int(draws.integers(len(ts.types)))])
         for _ in kinds
     ]
+
+    def protocol(_, own_type, seed):
+        return build_agent(proto_spec, ts, T, "row", own_type, seed, convention_table=ct)
+
+    def adversary(kind, own_type, seed):
+        return build_agent(AgentSpec(CONSISTENCY_ADVERSARIES[kind]), ts, T, "col", own_type, seed,
+                           convention_table=ct)
+
     regrets = np.empty(len(joints))
     for start in range(0, len(joints), CONSISTENCY_BATCH):
         runs = slice(start, start + CONSISTENCY_BATCH)
-        batch = list(zip(kinds[runs], joints[runs]))
-        seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(start, start + len(batch)))
-        protocol = stack_agents(protocols[a] for _, (a, _) in batch)
-        opponent = stack_groups([opponents[c][b] for c, (_, b) in batch], kinds[runs], n)
-        play_batch(protocol, opponent, T, EpisodeStreams(seeds))
-        regrets[runs] = protocol.kernel.regret()
+        batch = joints[runs]
+        streams = EpisodeStreams(
+            derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(start, start + len(batch)))
+        )
+        row = build_seat(protocol, [0] * len(batch), [a for a, _ in batch], streams.agent_seeds[0], n)
+        col = build_seat(adversary, kinds[runs], [b for _, b in batch], streams.agent_seeds[1], n)
+        play_batch(row, col, T, streams)
+        regrets[runs] = row.kernel.regret()
+        del streams  # freed before the next chunk seeds its own (624, E) state
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     for r, (c, (a, b), reg) in enumerate(zip(kinds, joints, regrets.tolist())):
         rows.append(f"{r},{CONSISTENCY_ADVERSARIES[c]},{a},{b},{reg!r},{bound!r}")
@@ -747,7 +751,7 @@ def run_mixture_check(cfg: ExperimentConfig):
         mixture = mixture_from_joint(z)
         mix_value = 0.0
         br_value = 0.0
-        for (x, w), y in zip(mixture.components, _response_functions(z)):
+        for (x, w), y in zip(mixture.components, mixture.replies()):
             mix_value += w * float(y @ B @ x)
             br_value += w * float((B @ x).max())
         id_errors.append(abs(mix_value - col_value))
@@ -910,39 +914,29 @@ def run_ic_eval(cfg: ExperimentConfig):
     episode_seeds = derive_episode_seeds(cfg.seed, 0x45560000 + np.arange(eval_episodes))
 
     values = {K: np.zeros(eval_episodes) for K in K_values}
-    partner = functools.cache(  # one fresh partner per (member, own type)
-        lambda m, own_type: build_agent(
-            pop.members[m], ts, T, seat="col", own_type=own_type, convention_table=ct
-        )
-    )
+
+    def partner(member, own_type, seed):
+        return build_agent(pop.members[member], ts, T, seat="col", own_type=own_type, seed=seed,
+                           convention_table=ct)
+
     # Each chunk of episodes seeds its streams once; for each K the IC agents
-    # play one batch against every member's partners, on a fresh copy.
+    # play one batch against every member's partners, on a fresh copy, and
+    # the scalar agents replay each member's first episode as a spot check.
     for start in range(0, eval_episodes, EPISODE_BATCH):
         ids = np.arange(start, min(start + EPISODE_BATCH, eval_episodes))
         joints = [mu.support[j] for j in joint_ids[ids]]
         members = partner_ids[ids].tolist()
-        cols = [partner(m, b) for m, (_, b) in zip(members, joints)]
-        keep = [e for e, col in enumerate(cols) if has_batch_form(col)]
-        # The scalar agents play the episodes whose partner has no batch
-        # form, and replay each member's first batched one as a spot check.
-        checked = sorted({members[e]: e for e in reversed(keep)}.values())
-        replayed = [e for e, col in enumerate(cols) if not has_batch_form(col)] + checked
+        checked = [members.index(m) for m in dict.fromkeys(members)]  # first of each member
         scalar = [(pop.members[members[e]], joints[e], int(episode_seeds[start + e]))
-                  for e in replayed]
-        if keep:
-            streams = EpisodeStreams(episode_seeds[ids[keep]])
-            # The IC agent's own Random(ic_seed) makes one draw, its commitment.
-            commits = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False).uniforms(1)[0]
+                  for e in checked]
+        streams = EpisodeStreams(episode_seeds[ids])
+        # The IC agent's own Random(ic_seed) makes one draw, its commitment.
+        commits = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False).uniforms(1)[0]
         for K in K_values:
-            record = np.empty((T, 2, len(ids)), dtype=np.min_scalar_type(n - 1))
-            record[:, :, replayed] = _scalar_ic_record(policies[K], tilde_T, T, ts, ct, scalar)
-            replay = record[:, :, checked]
-            if keep:
-                ic = BatchIC(policies[K], tilde_T, T, [joints[e][0] for e in keep], "row", commits)
-                opponent = stack_groups([cols[e] for e in keep], [members[e] for e in keep], n)
-                record[:, :, keep] = play_batch(
-                    ic, opponent, T, streams.take(np.arange(len(keep))), record=True
-                )
+            ic = BatchIC(policies[K], tilde_T, T, [a for a, _ in joints], "row", commits)
+            partners = build_seat(partner, members, [b for _, b in joints], streams.agent_seeds[1], n)
+            record = play_batch(ic, partners, T, streams.take(np.arange(len(ids))), record=True)
+            replay = _scalar_ic_record(policies[K], tilde_T, T, ts, ct, scalar)
             if not np.array_equal(replay, record[:, :, checked]):
                 raise GameError("batched IC episode differs from its scalar replay")
             # Column payoff of every stage, B[own = col action, opp = row action],

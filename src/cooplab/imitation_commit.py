@@ -130,6 +130,21 @@ class CommitmentMixture:
                 return x
         return self.components[-1][0]
 
+    def replies(self) -> list[np.ndarray]:
+        """The partition reply y_P of every component, in component order
+        (see ``response_function``), from one column partition of the
+        source joint.  Columns of one group share their reply array."""
+        z = self.source_joint
+        marginals = z.sum(axis=0)
+        replies = {}
+        for grp in _column_partition(z):
+            y = np.zeros(z.shape[1])
+            total = sum(marginals[l] for l in grp)
+            for l in grp:
+                y[l] = marginals[l] / total
+            replies.update(dict.fromkeys(grp, y))
+        return [replies[j] for j in sorted(replies)]
+
 
 def mixture_from_joint(z) -> CommitmentMixture:
     """Commitment mixture of a joint strategy: x_j(i) = z_ij / z_j with weight
@@ -164,22 +179,6 @@ def _column_partition(z: np.ndarray, tol: float = COMPONENT_TOL) -> list[list[in
     return groups
 
 
-def _response_functions(z) -> list[np.ndarray]:
-    """The partition reply y_P of every mixture component of ``z``, in
-    component order, from one column partition.  Columns of one group share
-    their reply array."""
-    z = check_joint(z)
-    marginals = z.sum(axis=0)
-    replies = {}
-    for grp in _column_partition(z):
-        y = np.zeros(z.shape[1])
-        total = sum(marginals[l] for l in grp)
-        for l in grp:
-            y[l] = marginals[l] / total
-        replies.update(dict.fromkeys(grp, y))
-    return [replies[j] for j in sorted(replies)]
-
-
 def response_function(z, component_index: int) -> np.ndarray:
     """The partition reply y_P for the queried mixture component: column
     probabilities renormalized within the group of columns sharing that
@@ -188,7 +187,7 @@ def response_function(z, component_index: int) -> np.ndarray:
     This is the test oracle whose expected payoff exactly recovers the joint
     strategy's payoff for the column player.
     """
-    replies = _response_functions(z)
+    replies = mixture_from_joint(z).replies()
     if not 0 <= component_index < len(replies):
         raise GameError(f"no mixture component {component_index}")
     return replies[component_index]

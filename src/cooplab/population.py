@@ -30,13 +30,7 @@ from .agents import (
     build_agent,
     register_agent_kind,
 )
-from .engine import (
-    EPISODE_BATCH,
-    EpisodeStreams,
-    has_batch_form,
-    play_batch,
-    stack_groups,
-)
+from .engine import EPISODE_BATCH, EpisodeStreams, build_seat, play_batch
 
 DATASET_VERSION = 1
 
@@ -320,8 +314,8 @@ def generate_dataset(
 
     Episodes run on the batched engine ``EPISODE_BATCH`` at a time, in order,
     on the streams of ``run_episode``, each seat one batch agent grouped by
-    population member.  Episodes with a member that has no batch form run
-    ``run_episode`` itself.  Either way the histories are the same."""
+    population member (``build_seat``), so the histories are
+    ``run_episode``'s whatever the members' kinds."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
     mu.validate_types(type_space)
@@ -335,40 +329,25 @@ def generate_dataset(
     N = type_space.num_actions
     pairs = [(a, b) for a in range(N) for b in range(N)]
     histories = [()] * n
-    # Fresh agents of the kinds with a batch form ignore their seed, so one
-    # agent per (member, seat, own type) stands for every episode.
-    agent = functools.cache(
-        lambda member, seat, own_type: build_agent(
-            pop.members[member], type_space, T, seat=seat, own_type=own_type,
-            convention_table=convention_table,
-        )
-    )
 
-    # A member's agents are of one kind whatever their seat and own type.
-    batchable = np.zeros(len(pop.members), dtype=bool)
-    for m in np.unique(member_idx).tolist():
-        batchable[m] = has_batch_form(agent(m, "row", type_space.types[0]))
-    batched = batchable[member_idx].all(axis=1)
-    for j in np.flatnonzero(~batched).tolist():
-        r, c = member_idx[j].tolist()
-        histories[j] = run_episode(
-            pop.members[r], pop.members[c], type_space, joints[j], T, int(seeds[j]),
-            convention_table=convention_table,
-        ).history
-    batched = np.flatnonzero(batched)
-    for start in range(0, len(batched), EPISODE_BATCH):
-        ids = batched[start : start + EPISODE_BATCH].tolist()
-        seats = []
-        for s, seat in enumerate(("row", "col")):
-            members = member_idx[ids, s].tolist()
-            agents = [agent(m, seat, joints[j][s]) for j, m in zip(ids, members)]
-            seats.append(stack_groups(agents, members, N))
-        record = play_batch(*seats, T, EpisodeStreams(seeds[ids]), record=True)
+    def build(seat, member, own_type, seed):
+        return build_agent(pop.members[member], type_space, T, seat=seat, own_type=own_type,
+                           seed=seed, convention_table=convention_table)
+
+    for start in range(0, n, EPISODE_BATCH):
+        ids = slice(start, start + EPISODE_BATCH)
+        streams = EpisodeStreams(seeds[ids])
+        seats = [
+            build_seat(functools.partial(build, seat), member_idx[ids, s].tolist(),
+                       [joint[s] for joint in joints[ids]], streams.agent_seeds[s], N)
+            for s, seat in enumerate(("row", "col"))
+        ]
+        record = play_batch(*seats, T, streams, record=True)
+        del streams, seats  # freed before the next chunk seeds its own (624, E) state
         if record is None:  # T = 0
             continue
         codes = record[:, 0].astype(np.intp) * N + record[:, 1]
-        for j, episode in zip(ids, codes.T.tolist()):
-            histories[j] = tuple(map(pairs.__getitem__, episode))
+        histories[ids] = [tuple(map(pairs.__getitem__, episode)) for episode in codes.T.tolist()]
     return Dataset(
         episodes=[(a, b, h) for (a, b), h in zip(joints, histories)],
         metadata={

@@ -32,8 +32,9 @@ def _own_matrix(game: BimatrixGame, player: str) -> np.ndarray:
 def external_regret(history, game: BimatrixGame, player: str) -> float:
     """Best fixed action in hindsight minus realized payoffs.
 
-    Always >= 0: the played actions are among the candidates in the max.
-    Returns 0 for an empty history.
+    Nonnegative when the player keeps one action or has a weakly dominant
+    one, but not in general: a best response at every stage can beat every
+    fixed action.  Returns 0 for an empty history.
     """
     h = check_history(history, game.num_actions)
     if not h:

@@ -411,12 +411,29 @@ def test_stack_agents_rejects_mixed_or_unbatched_kinds():
     mixed = [MWAgent(np.eye(2), 0.1), FixedMixedAgent([0.5, 0.5])]
     with pytest.raises(GameError):
         stack_agents(mixed)
-    flattened = build_agent(
-        AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
-        TS4, 10, own_type=TS4.types[0],
-    )
-    with pytest.raises(GameError):
-        stack_agents([flattened])
+    # A kind with no array form plays one scalar agent per episode, bit-equal
+    # to run_episode, and refuses one agent for two episodes.
+    flattened = AgentSpec("Flattened", {"members": [{"kind": "MW"}, {"kind": "UniformRandom"}],
+                                        "weights": [0.4, 0.6]})
+    fixed = AgentSpec("FixedSequence", {"actions": [1, 0, 0]})
+    T, episodes = 15, [(3, "alpha", "beta"), (2**40, "beta", "beta"), (77, "gamma", "alpha")]
+    streams = EpisodeStreams([seed for seed, _, _ in episodes])
+    seats = []
+    for s, (spec, seat) in enumerate(((flattened, "row"), (fixed, "col"))):
+        seats.append(Recorder(stack_agents(
+            build_agent(spec, TS4, T, seat, episode[1 + s], seed, convention_table=CT4)
+            for episode, seed in zip(episodes, streams.agent_seeds[s].tolist())
+        )))
+    record = play_batch(*seats, T, streams, record=True)
+    for e, (seed, a, b) in enumerate(episodes):
+        trace = run_episode(flattened, fixed, TS4, (a, b), T, seed, convention_table=CT4)
+        assert record[:, :, e].tolist() == [list(pair) for pair in trace.history]
+        for t in range(T):
+            assert seats[0].strategies[t][e].tolist() == list(trace.row_strategies[t])
+            assert seats[1].strategies[t][e].tolist() == list(trace.col_strategies[t])
+    agent = build_agent(flattened, TS4, T, own_type="alpha")
+    with pytest.raises(GameError, match="of its own"):
+        stack_agents([agent, agent])
 
 
 # One spec per kind that a BatchGroups part may be stacked from.

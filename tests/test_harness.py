@@ -45,6 +45,7 @@ from cooplab.population import (
     derive_episode_seeds,
     generate_dataset,
     play_episode,
+    write_dataset,
 )
 
 
@@ -234,10 +235,10 @@ def ic_eval_csv_by_episode_loop(cfg):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("partners", ["protocol", "with-flattened"])
-def test_ic_eval_csv_matches_episode_loop(ts2, partners):
-    # A flattened partner has no batch form, so its episodes take the
-    # scalar path; the protocol partners' take the batched one.
+@pytest.mark.parametrize("partners", ["protocol", "with-flattened", "with-ic"])
+def test_ic_eval_csv_matches_episode_loop(ts2, partners, tmp_path):
+    # Flattened and IC partners have no array form: each of their episodes
+    # steps a scalar agent of its own inside the batch.
     population = None
     if partners == "with-flattened":
         population = Population(
@@ -246,6 +247,22 @@ def test_ic_eval_csv_matches_episode_loop(ts2, partners):
                 AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
             ],
             weights=[0.7, 0.3],
+        )
+    if partners == "with-ic":
+        # An IC partner fit from a dataset file, and a flattened one over learners.
+        data = Population(members=[AgentSpec("Protocol", {"eps1": 0.2, "k": 1})], weights=[1.0])
+        path = tmp_path / "partner.jsonl"
+        write_dataset(generate_dataset(data, _default_ic_mu(ts2), ts2, 80, 14, master_seed=4,
+                                       convention_table=build_convention_table(ts2)), path)
+        learners = {"members": [{"kind": "MW"}, {"kind": "Protocol", "params": {"eps1": 0.2}}],
+                    "weights": [0.5, 0.5]}
+        population = Population(
+            members=[
+                AgentSpec("Protocol", {"eps1": 0.2, "k": 1}),
+                AgentSpec("IC", {"dataset_path": str(path), "tilde_T": 4}),
+                AgentSpec("Flattened", learners),
+            ],
+            weights=[0.4, 0.3, 0.3],
         )
     cfg = ExperimentConfig(
         kind="ic-eval", horizon=14, k=1, tilde_T=5, delta=0.1, seed=6, type_space=ts2,
@@ -403,8 +420,8 @@ def test_si_consistency_csv_matches_per_adversary_loop(batch, episodes):
 
 
 def test_ic_eval_csv_matches_episode_loop_in_chunks_that_split_members(ts2):
-    # Chunks of 37 episodes: each holds episodes of both members, batched and
-    # scalar, and every chunk spot-checks its own first batched episode.
+    # Chunks of 37 episodes: each holds episodes of every member, and every
+    # chunk spot-checks each member's first episode in it.
     population = Population(
         members=[
             AgentSpec("Protocol", {"eps1": 0.2, "k": 1}),

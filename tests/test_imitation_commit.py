@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cooplab.game_core import GameError, TypeSpace
 from cooplab.population import Dataset
@@ -175,20 +175,59 @@ def test_response_function_partition_grouping():
         response_function(z, 3)
 
 
-def test_response_function_payoff_identity_random():
+@st.composite
+def joints_and_payoffs(draw):
+    """A joint strategy of N = 2-5 actions whose columns may be empty or
+    multiples of another column, and an arbitrary column payoff matrix."""
+    n = draw(st.integers(2, 5))
+    w = np.array(draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n)), float)
+    w = w.reshape(n, n)
+    for j in range(n):
+        shape = draw(st.sampled_from(["drawn", "empty", "duplicate"]))
+        if shape == "empty":
+            w[:, j] = 0.0
+        elif shape == "duplicate":
+            w[:, j] = w[:, draw(st.integers(0, n - 1))] * draw(st.integers(1, 3))
+    assume(w.sum() > 0)
+    B = draw(st.lists(st.floats(-100, 100), min_size=n * n, max_size=n * n))
+    return w / w.sum(), np.array(B).reshape(n, n)
+
+
+def seeded_joints_and_payoffs():
+    """The dense cases this test drew from a seeded generator before it took
+    hypothesis inputs."""
     rng = np.random.default_rng(21)
+    cases = []
     for _ in range(50):
         n = int(rng.integers(2, 5))
         z = rng.random((n, n))
         z /= z.sum()
-        B = rng.random((n, n))
-        direct = sum(z[i, j] * B[j, i] for i in range(n) for j in range(n))
-        mix = mixture_from_joint(z)
-        via_mixture = sum(
-            w * float(response_function(z, c) @ B @ x)
-            for c, (x, w) in enumerate(mix.components)
-        )
-        assert via_mixture == pytest.approx(direct, abs=1e-9)
+        cases.append((z, rng.random((n, n))))
+    return cases
+
+
+def with_examples(cases):
+    """Run ``cases`` as explicit examples of a hypothesis test of ``case``."""
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
+@with_examples(seeded_joints_and_payoffs())
+@settings(max_examples=200, deadline=None)
+@given(case=joints_and_payoffs())
+def test_response_function_payoff_identity_random(case):
+    z, B = case
+    n = len(z)
+    direct = sum(z[i, j] * B[j, i] for i in range(n) for j in range(n))
+    mix = mixture_from_joint(z)
+    via_mixture = sum(
+        w * float(response_function(z, c) @ B @ x)
+        for c, (x, w) in enumerate(mix.components)
+    )
+    assert via_mixture == pytest.approx(direct, abs=1e-9 * (1.0 + np.abs(B).max()))
 
 
 def test_ic_agent_imitates_then_commits():

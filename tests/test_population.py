@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cooplab.game_core import GameError, GameFormatError, TypeSpace, history_distribution, total_variation
 from cooplab.agents import AgentSpec, build_agent, build_convention_table, theorem26_params, tree_act_fn
@@ -23,7 +23,7 @@ from cooplab.population import (
     write_dataset,
 )
 from cooplab import imitation_commit, population
-from cooplab.engine import EpisodeStreams, has_batch_form, play_batch, stack_agents
+from cooplab.engine import EpisodeStreams, play_batch, stack_agents
 from cooplab.harness import fixture_path
 
 
@@ -206,7 +206,7 @@ def test_ic_agents_fit_a_dataset_file_once_per_seat(ts2, tmp_path, monkeypatch):
     monkeypatch.setattr(imitation_commit, "read_dataset",
                         lambda p: reads.append(p) or read_dataset(p))
     ic = AgentSpec("IC", {"dataset_path": str(path), "tilde_T": 2})
-    # Pairings with the IC member run episode by episode, building an agent each.
+    # Every episode with the IC member builds an agent of its own.
     pop = Population(members=[simple_population().members[0], ic], weights=[0.5, 0.5])
     generate_dataset(pop, mu, ts2, 30, 4, master_seed=2)
     assert 1 <= len(reads) <= 2  # once per seat
@@ -304,7 +304,27 @@ MEMBER_SPECS = [
     AgentSpec("FixedSequence", {"actions": [0, 1, 1]}),
     AgentSpec("BestResponder", {}),
     AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
+    AgentSpec("Flattened", {
+        "members": [{"kind": "MW"}, {"kind": "Protocol", "params": {"eps1": 0.1}},
+                    {"kind": "GrimTrigger"}],
+        "weights": [0.3, 0.5, 0.2],
+    }),
 ]
+IC_MEMBER = len(MEMBER_SPECS)  # an IC member fit from a dataset file of the type space
+
+
+@pytest.fixture(scope="module")
+def ic_datasets(tmp_path_factory):
+    """Per type space, a dataset file of 20-stage episodes for IC members."""
+    paths = {}
+    for ts in (TS2, TS4):
+        pop = Population(members=[AgentSpec("Protocol", {"eps1": 0.2}), AgentSpec("MW")],
+                         weights=[0.6, 0.4])
+        ds = generate_dataset(pop, TypeDistribution.uniform(ts), ts, 60, 20, master_seed=5,
+                              convention_table=TABLES[id(ts)])
+        paths[id(ts)] = tmp_path_factory.mktemp("ic") / "dataset.jsonl"
+        write_dataset(ds, paths[id(ts)])
+    return paths
 
 
 def dataset_by_run_episode(pop, mu, ts, n, T, master_seed, convention_table):
@@ -326,16 +346,23 @@ def dataset_by_run_episode(pop, mu, ts, n, T, master_seed, convention_table):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    members=st.lists(st.sampled_from(range(len(MEMBER_SPECS))), min_size=1, max_size=4),
+    members=st.lists(st.sampled_from(range(len(MEMBER_SPECS) + 1)), min_size=1, max_size=4),
     ts=st.sampled_from([TS2, TS4]),
     n=st.integers(min_value=0, max_value=40),
     T=st.integers(min_value=1, max_value=40),
     master_seed=st.integers(min_value=0, max_value=2**62),
     batch=st.integers(min_value=1, max_value=8),
 )
-def test_batched_generate_dataset_matches_run_episode_loop(members, ts, n, T, master_seed, batch):
+@example(members=[IC_MEMBER, IC_MEMBER - 1, 0], ts=TS4, n=40, T=12, master_seed=7, batch=8)
+@example(members=[IC_MEMBER - 1, IC_MEMBER], ts=TS2, n=40, T=25, master_seed=3, batch=3)
+def test_batched_generate_dataset_matches_run_episode_loop(ic_datasets, members, ts, n, T,
+                                                           master_seed, batch):
+    # An IC member imitates for half the horizon, so it needs two stages.
+    assume(T > 1 or IC_MEMBER not in members)
+    ic = AgentSpec("IC", {"dataset_path": str(ic_datasets[id(ts)]), "tilde_T": max(1, T // 2)})
     pop = Population(
-        members=[MEMBER_SPECS[m] for m in members], weights=[1.0 / len(members)] * len(members)
+        members=[MEMBER_SPECS[m] if m < IC_MEMBER else ic for m in members],
+        weights=[1.0 / len(members)] * len(members),
     )
     mu = TypeDistribution.uniform(ts)
     table = TABLES[id(ts)]
@@ -371,7 +398,7 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
             ids = batch[f : f + c].tolist()
             rows = [agent(r, "row", joints[j][0]) for j in ids]
             cols = [agent(cc, "col", joints[j][1]) for j in ids]
-            if not (has_batch_form(rows[0]) and has_batch_form(cols[0])):
+            if {pop.members[r].kind, pop.members[cc].kind} & {"Flattened", "IC"}:
                 for j in ids:
                     histories[j] = run_episode(
                         pop.members[r], pop.members[cc], ts, joints[j], T, int(seeds[j]),
@@ -388,7 +415,7 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
 @pytest.mark.parametrize("batch", [37, 2000])
 @pytest.mark.parametrize("ts", [TS2, TS4], ids=["ts2", "ts4"])
 def test_generate_dataset_matches_per_pairing_loop(tmp_path, ts, batch):
-    # Five members, one of them Flattened (no batch form, so run_episode);
+    # Five members, one of them Flattened (the oracle plays it with run_episode);
     # batches of 37 split every pairing across batches.
     pop = Population(
         members=[

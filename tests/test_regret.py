@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cooplab.game_core import BimatrixGame, EpisodeTrace, GameError
 from cooplab.regret import (
@@ -57,13 +58,57 @@ def test_external_regret_zero_cases():
     assert external_regret([(1, 1)] * 7, g, "row") == pytest.approx(0.0)
 
 
-def test_external_regret_is_nonnegative_on_random_histories():
-    g = pd_game()
+@st.composite
+def matrices_and_histories(draw):
+    """An arbitrary N x N payoff matrix (N = 2-5), a history of up to 40
+    stages and an own action to make weakly dominant."""
+    n = draw(st.integers(2, 5))
+    m = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * n, max_size=n * n)))
+    actions = st.integers(0, n - 1)
+    history = draw(st.lists(st.tuples(actions, actions), max_size=40))
+    return m.reshape(n, n), history, draw(actions)
+
+
+def seeded_pd_histories():
+    """The prisoner's-dilemma histories this test drew from a seeded
+    generator before it took hypothesis inputs; defection dominates."""
     rng = random.Random(3)
-    for _ in range(200):
-        h = [(rng.getrandbits(1), rng.getrandbits(1)) for _ in range(rng.randint(1, 40))]
-        for player in ("row", "col"):
-            assert external_regret(h, g, player) >= -1e-12
+    return [
+        (pd_game().payoff_row, [(rng.getrandbits(1), rng.getrandbits(1))
+                                for _ in range(rng.randint(1, 40))], 1)
+        for _ in range(200)
+    ]
+
+
+def with_examples(cases):
+    """Run ``cases`` as explicit examples of a hypothesis test of ``case``."""
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
+@with_examples(seeded_pd_histories())
+@settings(max_examples=200, deadline=None)
+@given(case=matrices_and_histories())
+def test_external_regret_is_nonnegative_on_random_histories(case):
+    # Regret is nonnegative when an own action weakly dominates, or when the
+    # player keeps one action; on other histories it can be negative.
+    m, history, best = case
+    dominated = m.copy()
+    dominated[best] = m.max(axis=0)
+    tol = 1e-12 * (1 + len(history)) * (1 + np.abs(m).max())
+    first = history[0] if history else (0, 0)
+    for player in ("row", "col"):
+        assert external_regret(history, BimatrixGame(dominated, dominated), player) >= -tol
+        kept = [(first[0], b) if player == "row" else (a, first[1]) for a, b in history]
+        assert external_regret(kept, BimatrixGame(m, m), player) >= -tol
+
+
+def test_external_regret_is_negative_when_every_stage_is_a_best_response():
+    g = BimatrixGame(payoff_row=np.eye(2), payoff_col=np.eye(2))
+    assert external_regret([(0, 0), (1, 1)], g, "row") == -1.0
 
 
 def test_external_regret_brute_force_agreement():

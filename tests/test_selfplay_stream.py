@@ -24,7 +24,6 @@ from cooplab.harness import (
 from cooplab.imitation_commit import (
     COMPONENT_TOL,
     _column_partition,
-    _response_functions,
     mixture_from_joint,
 )
 from cooplab.population import Population, flatten_population
@@ -343,7 +342,7 @@ def test_nash_selfplay_rejects_a_bad_profile(profile):
 @given(n=st.integers(2, 5), case=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
 def test_response_functions_equal_per_component_replies(n, case, seed):
     z = _random_joint(np.random.default_rng(seed), n, case)
-    replies = _response_functions(z)
+    replies = mixture_from_joint(z).replies()
     assert len(replies) == len(mixture_from_joint(z).components)
     for c, y in enumerate(replies):
         assert np.array_equal(y, per_component_reply(z, c))
