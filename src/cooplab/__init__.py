@@ -39,17 +39,14 @@ from .regret import (
     report_from_trace,
 )
 from .agents import (
-    Agent,
     AgentSpec,
     ConventionTable,
-    MWAgent,
-    ProtocolAgent,
     SocialParams,
     build_agent,
+    build_agents,
     build_convention_table,
     default_eta,
     default_handshake_length,
-    handshake_decode,
     handshake_encode,
     protocol_threshold,
     register_agent_kind,

@@ -1,21 +1,24 @@
-"""The agent zoo: multiplicative-weights learner, handshake coordination
-protocol agent, and adversarial/test agents behind one behavioral interface.
+"""Agent specs and the registry of agent kinds, the learning-rate and
+handshake helpers, and the convention table.
 
+Each kind builds one batch agent (``engine.py``) straight from its spec:
+``build_agents`` for many episodes of one seat, ``build_agent`` for one.
 Agents are deterministic state machines: ``act()`` returns the announced
-mixed strategy for the current stage (a plain list of floats, for speed in
-episode loops) and ``observe(own, opp)`` advances the state.  Action
-*sampling* is done by the episode executor, so identical (spec, opponent
-action sequence) pairs always yield identical announced strategies.
+mixed strategies for the current stage and ``observe(own, opp)`` advances the
+state.  Action *sampling* is done by the episode executor, so identical
+(spec, opponent action sequence) pairs always yield identical announced
+strategies.  ``tree_act_fn`` turns an agent into the act function of the
+exact tree walk.
 
 Agents only ever receive their own type's payoff matrix; ground-truth joint
 types stay with the evaluator.
 """
 from __future__ import annotations
 
-import copy
 import json
 import hashlib
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,6 +29,7 @@ from .game_core import (
     BimatrixGame,
     CapacityError,
     GameError,
+    GameFormatError,
     History,
     TypeSpace,
     check_mixed,
@@ -36,6 +40,15 @@ from .equilibria import (
     PoneSet,
     pareto_optimal_nash,
     is_nash,
+)
+from .engine import (
+    BatchAgent,
+    BatchBestResponder,
+    BatchFixedMixed,
+    BatchFixedSequence,
+    BatchGrimTrigger,
+    BatchMW,
+    BatchProtocol,
 )
 
 
@@ -52,11 +65,12 @@ class AgentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AgentSpec":
-        return cls(
-            kind=data["kind"],
-            params=dict(data.get("params", {})),
-            own_type=data.get("own_type"),
-        )
+        if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
+            raise GameFormatError(f"an agent spec is a dict with a string 'kind', got {data!r}")
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise GameFormatError(f"agent spec params must be a dict, got {params!r}")
+        return cls(kind=data["kind"], params=dict(params), own_type=data.get("own_type"))
 
     def agent_id(self) -> str:
         try:
@@ -111,29 +125,6 @@ def handshake_encode(type_index: int, k: int, N: int) -> list[int]:
         digits.append(x % N)
         x //= N
     return digits[::-1]
-
-
-def handshake_decode(digits, num_types: int, N: int) -> int | None:
-    """Inverse of ``handshake_encode``; None for a recognized-invalid codeword
-    (index outside the type space)."""
-    idx = 0
-    for d in digits:
-        if not (0 <= d < N):
-            return None
-        idx = idx * N + d
-    return idx if idx < num_types else None
-
-
-def handshake_prefix_valid(digits, k: int, num_types: int, N: int) -> bool:
-    """Whether the observed digit prefix can still extend to a valid codeword."""
-    m = len(digits)
-    idx = 0
-    for d in digits:
-        if not (0 <= d < N):
-            return False
-        idx = idx * N + d
-    # Smallest completion pads with zeros.
-    return idx * (N ** (k - m)) < num_types
 
 
 def protocol_threshold(k: int, T: int, eps1: float, N: int) -> float:
@@ -201,11 +192,17 @@ class ConventionTable:
 
     @classmethod
     def from_dict(cls, data: dict, type_space: TypeSpace) -> "ConventionTable":
+        if not isinstance(data, dict):
+            raise GameFormatError(f"a convention table is a dict, got {type(data).__name__}")
         table = {}
         for key, entry in data.items():
-            types = key.split("|")
+            types = key.split("|") if isinstance(key, str) else ()
             if len(types) != 2:
-                raise GameError(f"convention key {key!r} is not two type ids joined by '|'")
+                raise GameFormatError(f"convention key {key!r} is not two type ids joined by '|'")
+            if not isinstance(entry, dict) or not {"sigma_row", "sigma_col"} <= entry.keys():
+                raise GameFormatError(
+                    f"convention entry {key!r} is not a dict with 'sigma_row' and 'sigma_col'"
+                )
             a, b = types
             game = type_space.game(a, b)
             p = check_mixed(entry["sigma_row"], game.num_actions)
@@ -270,293 +267,8 @@ def build_convention_table(type_space: TypeSpace) -> ConventionTable:
 
 
 # ---------------------------------------------------------------------------
-# Agents
-
-
-class Agent:
-    """Behavioral-strategy interface shared by the whole zoo."""
-
-    def act(self) -> list[float]:
-        raise NotImplementedError
-
-    def observe(self, own_action: int, opp_action: int) -> None:
-        raise NotImplementedError
-
-    def clone(self) -> "Agent":
-        """An independent copy: observing on the clone leaves this agent's
-        ``act()`` unchanged."""
-        return copy.deepcopy(self)
-
-    def _copy_with(self, **state) -> "Agent":
-        """A shallow copy with ``state`` replacing some attributes: a cheap
-        ``clone`` for agents whose other attributes no method writes."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, **state)
-        return new
-
-
-class FixedMixedAgent(Agent):
-    def __init__(self, probs):
-        self.probs = [float(x) for x in check_mixed(probs)]
-
-    def act(self):
-        return self.probs
-
-    def observe(self, own_action, opp_action):
-        pass
-
-    def clone(self):
-        # Nothing is ever written, so the agent is its own independent copy.
-        return self
-
-
-class UniformRandomAgent(FixedMixedAgent):
-    def __init__(self, n: int):
-        super().__init__([1.0 / n] * n)
-
-
-class FixedSequenceAgent(Agent):
-    """Plays a scripted action sequence, cycling if the episode outlasts it."""
-
-    def __init__(self, actions, n: int):
-        if not actions:
-            raise GameError("FixedSequence needs a nonempty action list")
-        self.actions = [int(a) for a in actions]
-        if any(not 0 <= a < n for a in self.actions):
-            raise GameError("FixedSequence action out of range")
-        self.n = n
-        self.stage = 0
-
-    def act(self):
-        a = self.actions[self.stage % len(self.actions)]
-        out = [0.0] * self.n
-        out[a] = 1.0
-        return out
-
-    def observe(self, own_action, opp_action):
-        self.stage += 1
-
-    def clone(self):
-        return self._copy_with()
-
-
-class GrimTriggerAgent(Agent):
-    """Cooperates until the opponent leaves its designated action, then
-    punishes forever."""
-
-    def __init__(self, n: int, coop_action=0, punish_action=1, opp_coop_action=None):
-        self.n = n
-        self.coop = int(coop_action)
-        self.punish = int(punish_action)
-        self.opp_coop = int(opp_coop_action if opp_coop_action is not None else coop_action)
-        if not all(0 <= a < n for a in (self.coop, self.punish, self.opp_coop)):
-            raise GameError("GrimTrigger action out of range")
-        self.triggered = False
-
-    def act(self):
-        out = [0.0] * self.n
-        out[self.punish if self.triggered else self.coop] = 1.0
-        return out
-
-    def observe(self, own_action, opp_action):
-        if opp_action != self.opp_coop:
-            self.triggered = True
-
-    def clone(self):
-        return self._copy_with()
-
-
-class BestResponderAgent(Agent):
-    """Pure best response to the opponent's empirical action frequencies
-    (fictitious play); uniform before any observation."""
-
-    def __init__(self, game_matrix: np.ndarray):
-        self.matrix = [list(map(float, row)) for row in np.asarray(game_matrix, float)]
-        self.n = len(self.matrix)
-        self.opp_counts = [0] * self.n
-
-    def act(self):
-        total = sum(self.opp_counts)
-        if total == 0:
-            return [1.0 / self.n] * self.n
-        values = [
-            sum(self.matrix[a][o] * self.opp_counts[o] for o in range(self.n))
-            for a in range(self.n)
-        ]
-        best = max(range(self.n), key=lambda a: (values[a], -a))
-        out = [0.0] * self.n
-        out[best] = 1.0
-        return out
-
-    def observe(self, own_action, opp_action):
-        self.opp_counts[opp_action] += 1
-
-    def clone(self):
-        return self._copy_with(opp_counts=list(self.opp_counts))
-
-
-class MWAgent(Agent):
-    """Multiplicative-weights / Hedge over the agent's own payoff matrix:
-    weight(a) ~ exp(eta * cumulative payoff of a against the opponent's
-    actions).  The exponent uses +eta times the *payoff* (equivalently, -eta
-    times the loss 1 - payoff; the normalization is identical).  Kept in log
-    space with per-act renormalization, so long horizons cannot overflow."""
-
-    def __init__(self, game_matrix: np.ndarray, eta: float):
-        self.matrix = [list(map(float, row)) for row in np.asarray(game_matrix, float)]
-        self.n = len(self.matrix)
-        if eta < 0:
-            raise GameError(f"eta must be >= 0, got {eta}")
-        self.eta = float(eta)
-        self.log_weights = [0.0] * self.n
-
-    def act(self):
-        m = max(self.log_weights)
-        w = [math.exp(x - m) for x in self.log_weights]
-        s = sum(w)
-        return [x / s for x in w]
-
-    def observe(self, own_action, opp_action):
-        eta = self.eta
-        row = self.matrix
-        lw = self.log_weights
-        for a in range(self.n):
-            lw[a] += eta * row[a][opp_action]
-
-    def clone(self):
-        return self._copy_with(log_weights=list(self.log_weights))
-
-
-class ProtocolAgent(Agent):
-    """Handshake-then-convention agent with an expected-regret tripwire.
-
-    Phases move monotonically handshake -> convention -> fallback (or
-    handshake -> fallback) and never return.  The expected-regret accumulator
-    uses the agent's *own* announced strategies and the opponent's realized
-    actions, so it is computable online with private information only.  It
-    accrues from stage 0; the handshake stages' contribution is absorbed by
-    the +k term in the threshold.
-    """
-
-    def __init__(
-        self,
-        own_type: str,
-        seat: str,
-        type_space: TypeSpace,
-        convention_table: ConventionTable,
-        k: int,
-        T: int,
-        eps1: float,
-        eta_fallback: float | None = None,
-    ):
-        if seat not in ("row", "col"):
-            raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
-        self.n = type_space.num_actions
-        self.seat = seat
-        self.own_type = own_type
-        self.type_names = type_space.types
-        self.matrix = [
-            list(map(float, row)) for row in type_space.payoff_table[own_type]
-        ]
-        self.convention_table = convention_table
-        self.k = int(k)
-        self.T = int(T)
-        self.threshold = protocol_threshold(self.k, self.T, eps1, self.n) if self.k < T else 0.0
-        self.eta_fallback = (
-            eta_fallback
-            if eta_fallback is not None
-            else default_eta(self.n, max(self.T - self.k, 1))
-        )
-        self.own_code = handshake_encode(
-            type_space.type_index(own_type), self.k, self.n
-        )
-        self.stage = 0
-        self.opp_digits: list[int] = []
-        self.cum_counterfactual = [0.0] * self.n
-        self.cum_expected = 0.0
-        self.mw: MWAgent | None = None
-        self.partner_type: str | None = None
-        self.convention_strategy: list[float] | None = None
-        if self.k == 0:
-            # Single-type spaces need no handshake.
-            self.phase = "convention"
-            self._enter_convention(self.type_names[0])
-        else:
-            self.phase = "handshake"
-
-    def _enter_convention(self, partner_type: str) -> None:
-        self.partner_type = partner_type
-        joint = (
-            (self.own_type, partner_type)
-            if self.seat == "row"
-            else (partner_type, self.own_type)
-        )
-        sigma = self.convention_table.strategy_for(joint, self.seat)
-        self.convention_strategy = [float(x) for x in sigma]
-        self.phase = "convention"
-
-    def _enter_fallback(self) -> None:
-        self.phase = "fallback"
-        self.mw = MWAgent(self.matrix, self.eta_fallback)
-
-    def _strategy_now(self) -> list[float]:
-        if self.phase == "handshake":
-            out = [0.0] * self.n
-            out[self.own_code[self.stage]] = 1.0
-            return out
-        if self.phase == "convention":
-            return self.convention_strategy
-        return self.mw.act()
-
-    def act(self):
-        return self._strategy_now()
-
-    def clone(self):
-        return self._copy_with(
-            opp_digits=list(self.opp_digits),
-            cum_counterfactual=list(self.cum_counterfactual),
-            mw=None if self.mw is None else self.mw.clone(),
-        )
-
-    @property
-    def accumulator(self) -> float:
-        return max(self.cum_counterfactual) - self.cum_expected
-
-    def observe(self, own_action, opp_action):
-        phase = self.phase
-        if phase == "fallback":
-            self.mw.observe(own_action, opp_action)
-            self.stage += 1
-            return
-        sigma = self._strategy_now()
-        row = self.matrix
-        exp_pay = 0.0
-        for a in range(self.n):
-            g = row[a][opp_action]
-            self.cum_counterfactual[a] += g
-            exp_pay += sigma[a] * g
-        self.cum_expected += exp_pay
-        self.stage += 1
-        if phase == "handshake":
-            self.opp_digits.append(opp_action)
-            if not handshake_prefix_valid(
-                self.opp_digits, self.k, len(self.type_names), self.n
-            ):
-                self._enter_fallback()
-            elif self.stage == self.k:
-                idx = handshake_decode(self.opp_digits, len(self.type_names), self.n)
-                if idx is None:
-                    self._enter_fallback()
-                else:
-                    self._enter_convention(self.type_names[idx])
-        elif phase == "convention":
-            if self.accumulator > self.threshold:
-                self._enter_fallback()
-
-
-# ---------------------------------------------------------------------------
-# Spec -> agent construction (registry is extensible so other modules can add
-# kinds, e.g. the flattened-population and imitate-then-commit agents)
+# Spec -> batch agent construction (registry is extensible so other modules can
+# add kinds, e.g. the flattened-population and imitate-then-commit agents)
 
 
 def _need(params: dict, key: str, kind: str):
@@ -565,56 +277,112 @@ def _need(params: dict, key: str, kind: str):
     return params[key]
 
 
+@dataclass
+class BuildContext:
+    """What a kind's builder reads besides the spec: per episode, its own
+    type (None where the spec needs none) and its agent seed.  ``types``
+    lists the distinct own types, in order of first episode."""
+
+    type_space: TypeSpace
+    T: int
+    seat: str
+    own_types: list
+    seeds: np.ndarray
+    convention_table: ConventionTable | None = None
+
+    def __post_init__(self):
+        index = {t: i for i, t in enumerate(dict.fromkeys(self.own_types))}
+        self.types = list(index)
+        self._type_rows = np.array([index[t] for t in self.own_types], dtype=np.intp)
+
+    def per_type(self, values) -> np.ndarray:
+        """Per episode, the entry of ``values`` (one per ``types``) for its
+        own type, as one array."""
+        return np.asarray(values)[self._type_rows]
+
+    def matrices(self) -> np.ndarray:
+        """Each episode's own payoff matrix, (E, N, N)."""
+        return self.per_type([self.type_space.payoff_table[t] for t in self.types])
+
+    def rows(self, values) -> np.ndarray:
+        """``values`` repeated for every episode."""
+        return np.broadcast_to(values, (len(self.own_types), len(values)))
+
+
 def _build_mw(spec, ctx):
-    matrix = ctx.type_space.payoff_table[ctx.own_type]
     eta = spec.params.get("eta")
     if eta is None:
         eta = default_eta(
             ctx.type_space.num_actions, ctx.T, spec.params.get("eta_form", "corrected")
         )
-    return MWAgent(matrix, eta)
+    return BatchMW(ctx.matrices(), eta)
 
 
 def _build_protocol(spec, ctx):
-    table = spec.params.get("convention_table") or ctx.convention_table
+    ts, n, seat = ctx.type_space, ctx.type_space.num_actions, ctx.seat
+    table = spec.params.get("convention_table")
     if table is None:
-        table = build_convention_table(ctx.type_space)
+        table = ctx.convention_table or build_convention_table(ts)
+    elif isinstance(table, dict):  # as a population file holds it
+        table = ConventionTable.from_dict(table, ts)
+    elif not isinstance(table, ConventionTable):
+        raise GameError(
+            f"Protocol convention_table must be a ConventionTable or its dict, "
+            f"got {type(table).__name__}"
+        )
     k = spec.params.get("k")
     if k is None:
-        k = default_handshake_length(
-            len(ctx.type_space.types), ctx.type_space.num_actions
-        )
-    return ProtocolAgent(
-        own_type=ctx.own_type,
-        seat=ctx.seat,
-        type_space=ctx.type_space,
-        convention_table=table,
-        k=k,
-        T=ctx.T,
-        eps1=_need(spec.params, "eps1", "Protocol"),
-        eta_fallback=spec.params.get("eta_fallback"),
+        k = default_handshake_length(len(ts.types), n)
+    k = int(k)
+    eps1 = _need(spec.params, "eps1", "Protocol")
+    eta = spec.params.get("eta_fallback")
+    if eta is None:
+        eta = default_eta(n, max(ctx.T - k, 1))
+    codes = [handshake_encode(ts.type_index(own), k, n) for own in ctx.types]
+    conventions = [
+        [table.strategy_for((own, t) if seat == "row" else (t, own), seat) for t in ts.types]
+        for own in ctx.types
+    ]
+    return BatchProtocol(
+        ctx.per_type(np.array(codes, dtype=np.intp).reshape(len(codes), k)),
+        ctx.per_type(conventions),
+        ctx.matrices(),
+        protocol_threshold(k, ctx.T, eps1, n) if k < ctx.T else 0.0,
+        eta,
     )
+
+
+def _build_fixed_sequence(spec, ctx):
+    n = ctx.type_space.num_actions
+    actions = [int(a) for a in _need(spec.params, "actions", "FixedSequence")]
+    if not actions or any(not 0 <= a < n for a in actions):
+        raise GameError(f"FixedSequence needs a nonempty list of actions in [0, {n})")
+    return BatchFixedSequence(ctx.rows(actions), n)
+
+
+def _build_grim_trigger(spec, ctx):
+    n = ctx.type_space.num_actions
+    coop = int(spec.params.get("coop_action", 0))
+    punish = int(spec.params.get("punish_action", 1))
+    opp_coop = spec.params.get("opp_coop_action")
+    opp_coop = coop if opp_coop is None else int(opp_coop)
+    if not all(0 <= a < n for a in (coop, punish, opp_coop)):
+        raise GameError("GrimTrigger action out of range")
+    return BatchGrimTrigger(n, coop, punish, opp_coop, len(ctx.own_types))
 
 
 AGENT_BUILDERS: dict[str, Callable] = {
     "MW": _build_mw,
     "Protocol": _build_protocol,
-    "FixedMixed": lambda spec, ctx: FixedMixedAgent(
-        _need(spec.params, "probs", "FixedMixed")
-    ),
-    "FixedSequence": lambda spec, ctx: FixedSequenceAgent(
-        _need(spec.params, "actions", "FixedSequence"), ctx.type_space.num_actions
-    ),
-    "GrimTrigger": lambda spec, ctx: GrimTriggerAgent(
-        ctx.type_space.num_actions,
-        coop_action=spec.params.get("coop_action", 0),
-        punish_action=spec.params.get("punish_action", 1),
-        opp_coop_action=spec.params.get("opp_coop_action"),
-    ),
-    "UniformRandom": lambda spec, ctx: UniformRandomAgent(ctx.type_space.num_actions),
-    "BestResponder": lambda spec, ctx: BestResponderAgent(
-        ctx.type_space.payoff_table[ctx.own_type]
-    ),
+    "FixedMixed": lambda spec, ctx: BatchFixedMixed(ctx.rows(
+        check_mixed(_need(spec.params, "probs", "FixedMixed"), ctx.type_space.num_actions)
+    )),
+    "FixedSequence": _build_fixed_sequence,
+    "GrimTrigger": _build_grim_trigger,
+    "UniformRandom": lambda spec, ctx: BatchFixedMixed(ctx.rows(
+        np.full(ctx.type_space.num_actions, 1.0 / ctx.type_space.num_actions)
+    )),
+    "BestResponder": lambda spec, ctx: BatchBestResponder(ctx.matrices()),
 }
 
 
@@ -622,14 +390,32 @@ def register_agent_kind(kind: str, builder: Callable) -> None:
     AGENT_BUILDERS[kind] = builder
 
 
-@dataclass
-class BuildContext:
-    type_space: TypeSpace
-    T: int
-    seat: str = "row"
-    own_type: str | None = None
-    seed: int = 0
-    convention_table: ConventionTable | None = None
+def build_agents(
+    spec: AgentSpec,
+    type_space: TypeSpace,
+    T: int,
+    seat: str,
+    own_types,
+    seeds,
+    convention_table: ConventionTable | None = None,
+) -> BatchAgent:
+    """The batch agent of ``spec`` for E episodes on one seat: per episode,
+    ``own_types`` holds its own type and ``seeds`` its agent seed.  An own
+    type of None stands for the spec's (population members are usually
+    type-agnostic templates whose type is drawn per episode)."""
+    if spec.kind not in AGENT_BUILDERS:
+        raise GameError(f"unknown agent kind {spec.kind!r}")
+    if seat not in ("row", "col"):
+        raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
+    own_types = [spec.own_type if t is None else t for t in own_types]
+    for t in set(own_types):
+        if t is None:
+            if spec.kind in ("MW", "Protocol", "BestResponder"):
+                raise GameError(f"{spec.kind} agent needs an own type")
+        elif t not in type_space.payoff_table:
+            raise GameError(f"own type {t!r} is not in the type space")
+    ctx = BuildContext(type_space, T, seat, own_types, np.asarray(seeds), convention_table)
+    return AGENT_BUILDERS[spec.kind](spec, ctx)
 
 
 def build_agent(
@@ -640,54 +426,76 @@ def build_agent(
     own_type: str | None = None,
     seed: int = 0,
     convention_table: ConventionTable | None = None,
-) -> Agent:
-    """Instantiate an agent for one episode.
-
-    ``own_type`` overrides the spec's type (population members are usually
-    type-agnostic templates whose type is drawn per episode).
-    """
-    if spec.kind not in AGENT_BUILDERS:
-        raise GameError(f"unknown agent kind {spec.kind!r}")
-    resolved = own_type if own_type is not None else spec.own_type
-    needs_type = spec.kind in ("MW", "Protocol", "BestResponder")
-    if needs_type and resolved is None:
-        raise GameError(f"{spec.kind} agent needs an own type")
-    ctx = BuildContext(
-        type_space=type_space,
-        T=T,
-        seat=seat,
-        own_type=resolved,
-        seed=seed,
-        convention_table=convention_table,
-    )
-    return AGENT_BUILDERS[spec.kind](spec, ctx)
+) -> BatchAgent:
+    """The batch agent of ``spec`` for one episode: ``build_agents`` with
+    E = 1."""
+    return build_agents(spec, type_space, T, seat, [own_type], [seed], convention_table)
 
 
-def tree_act_fn(agent: Agent, seat: str = "row") -> ActFn:
-    """Turn an agent into a function of the (row, col) history, for the exact
-    tree walk.
+def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:
+    """Turn a one-episode batch agent into a function of the (row, col)
+    history, for the exact tree walk.
 
-    The agent at a history is a clone of the agent at its parent, advanced by
-    the history's last action pair, so a walk that asks for parents before
-    children pays one clone and one ``observe`` per node.  The function keeps
-    every node's agent in its ``nodes`` dict, keyed by history, for as long
-    as the function lives.
-    """
+    The first history asked at a depth builds the children of every history
+    asked at the depth above, and not yet expanded, at once: one ``take``
+    repeats each parent's row for its N^2 children, one ``observe`` steps
+    them by their last action pair and one ``act`` announces.  A walk that
+    asks for a depth's histories before the next depth's so pays one of each
+    per depth; histories may be asked in any order.  ``nodes`` holds the
+    strategy of every history asked so far."""
     if seat not in ("row", "col"):
         raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
-    nodes: dict[History, Agent] = {(): agent.clone()}
+    root = agent.act()[0].tolist()
+    n = len(root)
+    own, opp = np.divmod(np.arange(n * n), n)  # child i: the pair (i // n, i % n)
+    if seat == "col":
+        own, opp = opp, own
+    # Per expanded history: the agent of its children, the row of its first
+    # child, and the strategies of all rows of that agent.
+    children: dict[History, tuple] = {}
+    nodes: dict[History, list] = {}
+    waiting = defaultdict(list)  # per depth, asked histories not yet expanded
 
-    def agent_at(history: History) -> Agent:
-        found = nodes.get(history)
-        if found is None:
-            found = agent_at(history[:-1]).clone()
-            a, b = history[-1]
-            found.observe(*((a, b) if seat == "row" else (b, a)))
-            nodes[history] = found
-        return found
+    def expand(parents: list) -> None:
+        levels = {}  # the parents' agents, each with its rows and histories
+        for h in parents:
+            level, row = agent, 0
+            if h:
+                level, first, _ = children[h[:-1]]
+                row = first + h[-1][0] * n + h[-1][1]
+            _, rows, hs = levels.setdefault(id(level), (level, [], []))
+            rows.append(row)
+            hs.append(h)
+        for level, rows, hs in levels.values():
+            child = level.take(np.repeat(rows, n * n))
+            child.observe(np.tile(own, len(rows)), np.tile(opp, len(rows)))
+            strategies = child.act().tolist()
+            for i, h in enumerate(hs):
+                children[h] = (child, i * n * n, strategies)
 
     def act(history: History):
-        return agent_at(history).act()
+        found = nodes.get(history)
+        if found is None:
+            # Ask the unasked ancestors first, shallowest first, without
+            # recursion: a function that calls itself is a reference cycle,
+            # which keeps every node until the cyclic collector runs.
+            depth = len(history)
+            while depth and history[: depth - 1] not in nodes:
+                depth -= 1
+            for d in range(depth, len(history) + 1):
+                h = history[:d]
+                if d:
+                    built = children.get(h[:-1])
+                    if built is None:
+                        expand(waiting.pop(d - 1))
+                        built = children[h[:-1]]
+                    _, first, strategies = built
+                    found = strategies[first + h[-1][0] * n + h[-1][1]]
+                else:
+                    found = root
+                nodes[h] = found
+                waiting[d].append(h)
+        return found
 
     act.nodes = nodes
     return act

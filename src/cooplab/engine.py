@@ -1,13 +1,12 @@
 """Batched episode engine: E episodes stepped in lockstep, one numpy
 operation per stage instead of one Python loop per episode.
 
-Batch agents are array state machines over the episodes: ``act(partner)``
-returns the (E, N) announced strategies and ``observe(own, opp)`` takes the
-(E,) actions.  Each is stacked from the scalar agents of ``agents.py``, which
-stay the reference, so parameters are resolved once, by ``build_agent``.  A
-kind with no array form (``IC``, ``Flattened``, ``FixedSequence``) plays as
-``BatchScalar``, one scalar agent per episode; ``build_seat`` makes one seat
-of any mix of kinds.
+Every agent kind is one batch agent class, an array state machine over the
+episodes: ``act(partner)`` returns the (E, N) announced strategies,
+``observe(own, opp)`` takes the (E,) actions, and ``take(idx)`` copies the
+state of some episodes into an agent of their own.  ``agents.build_agents``
+builds the agent of one spec for many episodes, ``agents.build_agent`` for
+one, and ``build_seat`` one seat of any mix of kinds.
 
 Random-stream contract, identical to ``run_episode``: episode e uses
 ``random.Random(seed_e)``; the first two ``getrandbits(63)`` calls go to the
@@ -17,25 +16,18 @@ stepped here for all episodes at once, with no ``Random`` object.  Actions
 are sampled by the inverse CDF of ``population._sample_action``:
 zero-probability actions are skipped, the first action whose running sum
 exceeds the draw is taken, and the last positive action when rounding leaves
-the draw above the total.  Sampled
-actions therefore equal the scalar loop's; announced strategies that involve
-``exp`` may differ from ``math.exp`` in the last bit.
+the draw above the total.  Sampled actions therefore equal those of
+``play_episode``, which steps one episode with a ``Random``.
 """
 from __future__ import annotations
 
+import copy
 import functools
 from itertools import chain
 
 import numpy as np
 
 from .game_core import GameError
-from .agents import (
-    BestResponderAgent,
-    FixedMixedAgent,
-    GrimTriggerAgent,
-    MWAgent,
-    ProtocolAgent,
-)
 
 # Stages whose uniforms are drawn at once: memory stays (2 * BLOCK, E)
 # whatever the horizon.
@@ -180,7 +172,7 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample of one action per row of ``probs`` (E, N) from the
     uniforms ``u`` (E,), with the skip and guard of ``_sample_action``."""
     # The action is the number of running sums at or below u.  The sums run
-    # over the positive entries left to right, as the scalar loop's do; a
+    # over the positive entries left to right, as _sample_action's do; a
     # skipped entry leaves the sum unchanged, so the first sum above u always
     # ends on a positive action.
     n = probs.shape[1]
@@ -192,8 +184,8 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
         below = acc <= u
         actions += below
     # Draws at or above the total: the last positive action.  A row with no
-    # positive entry is not a strategy; the scalar loop's EpisodeTrace
-    # rejects the action it samples from one.
+    # positive entry is not a strategy; play_episode's EpisodeTrace rejects
+    # the action it samples from one.
     if np.count_nonzero(below):
         positive = probs[below] > 0.0
         if not positive.any(axis=1).all():
@@ -204,7 +196,7 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 # Reductions over the short action axis, one numpy call per action: faster
 # than numpy's axis reductions on (E, N), and the sum runs strictly left to
-# right, the order of the scalar agents' Python loops.
+# right, the order of a Python loop over the actions.
 
 
 def _rowsum(x: np.ndarray) -> np.ndarray:
@@ -219,26 +211,6 @@ def _rowmax(x: np.ndarray) -> np.ndarray:
     for a in range(2, x.shape[-1]):
         np.maximum(out, x[..., a], out=out)
     return out
-
-
-def _read(agents, *attrs):
-    """The named attributes of each distinct agent, one list per attribute,
-    and the row (E,) of each episode's agent in those lists.  An agent that
-    stands for many episodes is read once."""
-    slots, rows, columns = {}, [], []
-    for agent in agents:
-        # Keeping the agent with its slot keeps its id from being reused.
-        slot, _ = slots.setdefault(id(agent), (len(columns), agent))
-        if slot == len(columns):
-            columns.append([getattr(agent, name) for name in attrs])
-        rows.append(slot)
-    return [list(column) for column in zip(*columns)], np.array(rows, dtype=np.intp)
-
-
-def _columns(agents, *attrs, dtype=float) -> list[np.ndarray]:
-    """Per-episode arrays of the named attributes."""
-    columns, rows = _read(agents, *attrs)
-    return [np.array(column, dtype=dtype)[rows] for column in columns]
 
 
 class RegretKernel:
@@ -268,15 +240,39 @@ class RegretKernel:
     def regret(self) -> np.ndarray:
         return _rowmax(self.counterfactual) - self.expected
 
+    def take(self, idx) -> "RegretKernel":
+        """The kernel of the episodes at ``idx``, with copies of their sums."""
+        n = self.counterfactual.shape[1]
+        out = copy.copy(self)
+        out._by_opp = self._by_opp.reshape(-1, n, n).take(idx, axis=0).reshape(-1, n)
+        out._base = np.arange(len(out._by_opp) // n) * n
+        out.counterfactual = self.counterfactual.take(idx, axis=0)
+        out.expected = self.expected.take(idx)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Batch agents
 
 
+def _take(value, idx):
+    if value is None:
+        return None
+    if isinstance(value, np.ndarray):
+        return value.take(idx, axis=0)
+    if isinstance(value, list):
+        return [_take(v, idx) for v in value]
+    return value.take(idx)
+
+
 class BatchAgent:
-    """Array form of ``agents.Agent`` over E episodes.  ``partner`` is the
-    other seat's announced strategy when the column seat acts; only the
-    strategy-aware adversaries read it."""
+    """One agent kind over E episodes.  ``partner`` is the other seat's
+    announced strategy when the column seat acts; only the strategy-aware
+    adversaries read it.  ``ROWS`` names the attributes that hold one row per
+    episode: arrays, lists of them, or objects with a ``take`` of their own.
+    Every other attribute is shared by ``take`` and never written in place."""
+
+    ROWS: tuple[str, ...] = ()
 
     def act(self, partner: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -284,17 +280,31 @@ class BatchAgent:
     def observe(self, own, opp: np.ndarray) -> None:
         pass
 
+    def take(self, idx) -> "BatchAgent":
+        """The episodes at ``idx`` (an index array, repeats allowed) as an
+        agent of their own, with copies of their state, the strategies last
+        announced included: observed and asked alone, each row goes on as its
+        episode would."""
+        out = copy.copy(self)
+        for name in self.ROWS:
+            setattr(out, name, _take(getattr(self, name), idx))
+        return out
+
 
 class BatchFixedMixed(BatchAgent):
+    ROWS = ("probs",)
+
     def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=float)
+        self.probs = np.asarray(probs, dtype=float)  # (E, N)
 
     def act(self, partner=None):
         return self.probs
 
 
 class BatchFixedSequence(BatchAgent):
-    """Scripted pure actions (E, L), cycled as ``FixedSequenceAgent`` does."""
+    """Scripted pure actions (E, L), cycled if the episode outlasts them."""
+
+    ROWS = ("actions",)
 
     def __init__(self, actions, n: int):
         self.actions = np.asarray(actions)
@@ -309,10 +319,15 @@ class BatchFixedSequence(BatchAgent):
 
 
 class BatchGrimTrigger(BatchAgent):
-    def __init__(self, n: int, coop, punish, opp_coop):
+    """Cooperates until the opponent leaves its designated action, then
+    punishes forever."""
+
+    ROWS = ("triggered",)
+
+    def __init__(self, n: int, coop: int, punish: int, opp_coop: int, episodes: int):
         self._eye = np.eye(n)
-        self.coop, self.punish, self.opp_coop = map(np.asarray, (coop, punish, opp_coop))
-        self.triggered = np.zeros(len(self.coop), dtype=bool)
+        self.coop, self.punish, self.opp_coop = coop, punish, opp_coop
+        self.triggered = np.zeros(episodes, dtype=bool)
 
     def act(self, partner=None):
         return self._eye.take(np.where(self.triggered, self.punish, self.coop), axis=0)
@@ -325,32 +340,40 @@ class BatchBestResponder(BatchAgent):
     """Fictitious play: pure best response to the opponent's action counts,
     uniform before the first observation, lowest index on ties."""
 
+    ROWS = ("matrices", "counts")
+
     def __init__(self, matrices):
         self.matrices = np.asarray(matrices, dtype=float)
         E, n, _ = self.matrices.shape
         self._eye = np.eye(n)
-        self._rows = np.arange(E)
         self.counts = np.zeros((E, n))
         self.stage = 0
 
     def act(self, partner=None):
         if self.stage == 0:
-            n = self._eye.shape[0]
-            return np.full((len(self._rows), n), 1.0 / n)
+            return np.full(self.counts.shape, 1.0 / self.counts.shape[1])
         values = _rowsum(self.matrices * self.counts[:, None, :])
         return self._eye.take(values.argmax(axis=1), axis=0)
 
     def observe(self, own, opp):
-        self.counts[self._rows, opp] += 1.0
+        self.counts += self._eye.take(opp, axis=0)
         self.stage += 1
 
 
 class BatchMW(BatchAgent):
-    """Multiplicative weights over (E, N) log-weights."""
+    """Multiplicative weights / Hedge over each episode's own payoff matrix:
+    weight(a) ~ exp(eta * cumulative payoff of a against the opponent's
+    actions), kept as (E, N) log-weights renormalized at every ``act``, so
+    long horizons cannot overflow."""
+
+    ROWS = ("_kernel", "eta", "log_weights")
 
     def __init__(self, matrices, eta):
-        self._payoffs = RegretKernel(matrices).payoffs
-        self.eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(matrices),))[:, None]
+        eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(matrices),))
+        if (eta < 0).any():
+            raise GameError(f"eta must be >= 0, got {eta.min()}")
+        self._kernel = RegretKernel(matrices)  # its payoff lookup
+        self.eta = eta[:, None]
         self.log_weights = np.zeros(np.shape(matrices)[:2])
 
     def act(self, partner=None):
@@ -358,7 +381,7 @@ class BatchMW(BatchAgent):
         return w / _rowsum(w)[:, None]
 
     def observe(self, own, opp):
-        self.learn(self._payoffs(opp))
+        self.learn(self._kernel.payoffs(opp))
 
     def learn(self, payoffs: np.ndarray) -> None:
         """The update for own payoffs (E, N) against the opponent's actions."""
@@ -369,49 +392,39 @@ HANDSHAKE, CONVENTION, FALLBACK = 0, 1, 2
 
 
 class BatchProtocol(BatchAgent):
-    """``ProtocolAgent`` over E episodes: phase codes, the opponent's
-    handshake prefix as an integer, the convention strategy of each episode,
-    a ``RegretKernel`` tripwire and an MW fallback whose rows restart when
-    their episode falls back.
+    """Handshake-then-convention agents of one seat and handshake length k
+    with an expected-regret tripwire, over E episodes: ``own_code`` (E, k)
+    holds each episode's codeword, ``conventions`` (E, types, N) its
+    convention strategy when the partner announces type j.
 
-    The kernel keeps accruing after an episode falls back, where the
-    tripwire no longer reads it (the scalar agent's accumulator stops), so at
-    the end it holds each episode's expected external regret."""
+    Phases move handshake -> convention -> fallback (or handshake ->
+    fallback) and never return: an opponent prefix that cannot complete to a
+    codeword of the type space, or a regret accumulator above ``threshold``,
+    starts an MW fallback.  The accumulator uses the episode's own announced
+    strategies and the opponent's realized actions from stage 0 (the +k of
+    the threshold absorbs the handshake's share), and keeps accruing after a
+    fallback, so at the end it holds each episode's expected external regret."""
 
-    def __init__(self, agents):
-        columns, rows = _read(
-            agents, "k", "seat", "type_names", "n", "matrix", "own_code", "threshold",
-            "eta_fallback", "convention_table", "own_type",
-        )
-        (ks, seats, type_names, n, matrices, codes, thresholds, etas, tables, own_types) = columns
-        if len(set(zip(ks, seats, type_names))) != 1:
-            raise GameError("batched protocol agents need one k, seat and type space")
-        self.k, seat, types = ks[0], seats[0], type_names[0]
-        E = len(rows)
-        self.n, self.num_types = n[0], len(types)
-        self.own_code = np.array(codes, dtype=np.intp)[rows].reshape(E, self.k)
-        self.threshold = np.array(thresholds)[rows]
-        # conventions[e, j]: the episode's convention strategy when the
-        # partner announces type j.
-        self.conventions = np.array(
-            [
-                [table.strategy_for((own, t) if seat == "row" else (t, own), seat) for t in types]
-                for table, own in zip(tables, own_types)
-            ]
-        )[rows]
-        matrices = np.array(matrices, dtype=float)[rows]
+    ROWS = ("own_code", "conventions", "kernel", "mw", "opp_prefix", "fallback_stage", "phase",
+            "convention", "_sigma")
+
+    def __init__(self, own_code, conventions, matrices, threshold: float, eta_fallback: float):
+        E, self.k = own_code.shape
+        self.num_types, self.n = conventions.shape[1:]
+        self.own_code = own_code
+        self.conventions = conventions
+        self.threshold = threshold
         self.kernel = RegretKernel(matrices)
-        self.mw = BatchMW(matrices, np.array(etas)[rows])
+        self.mw = BatchMW(matrices, eta_fallback)
         self._eye = np.eye(self.n)
-        self._rows = np.arange(E)
         self.stage = 0
         self.opp_prefix = np.zeros(E, dtype=np.int64)
         self.fallback_stage = np.full(E, -1)
         # Single-type spaces need no handshake; otherwise the convention is
         # chosen at stage k.
         self.phase = np.full(E, CONVENTION if self.k == 0 else HANDSHAKE, dtype=np.int8)
-        self.fallen = 0  # episodes in the fallback phase
-        self.convention = self.conventions[:, 0]
+        self.fallen = 0  # nonzero once some row may be in the fallback phase
+        self.convention = conventions[:, 0]
         self._sigma = None
 
     def act(self, partner=None):
@@ -453,7 +466,7 @@ class BatchProtocol(BatchAgent):
             self._fall_back(active & ~valid)
             if self.stage == self.k:
                 self.phase[valid] = CONVENTION
-                self.convention = self.conventions[self._rows, self.opp_prefix]
+                self.convention = self.conventions[np.arange(len(valid)), self.opp_prefix]
         else:
             self._fall_back(active & (self.kernel.regret() > self.threshold))
 
@@ -466,6 +479,7 @@ class BatchAdaptive(BatchAgent):
     index on ties."""
 
     KINDS = ("adaptive-min", "adaptive-regret")
+    ROWS = ("best", "_by_col")
 
     def __init__(self, kind: str, learner_matrices):
         if kind not in self.KINDS:
@@ -519,91 +533,34 @@ class BatchGroups(BatchAgent):
         for index, agent in self.parts:
             agent.observe(*(None if x is None else x[index] for x in (own, opp)))
 
-
-class BatchScalar(BatchAgent):
-    """The scalar agents of E episodes, one agent each, for a kind with no
-    array form: ``act`` stacks their strategies and ``observe`` steps each
-    agent in turn.  Their strategies and sampled actions are those of
-    ``play_episode``."""
-
-    def __init__(self, agents):
-        self.agents = list(agents)
-        if len(set(map(id, self.agents))) != len(self.agents):
-            raise GameError("each episode needs an agent of its own")
-
-    def act(self, partner=None):
-        return np.array([agent.act() for agent in self.agents], dtype=float)
-
-    def observe(self, own, opp):
-        for agent, a, b in zip(self.agents, own.tolist(), opp.tolist()):
-            agent.observe(a, b)
-
-
-def _stack_grim_trigger(agents):
-    n, *actions = _columns(agents, "n", "coop", "punish", "opp_coop", dtype=np.intp)
-    return BatchGrimTrigger(n[0], *actions)
-
-
-_STACKERS = {
-    MWAgent: lambda agents: BatchMW(*_columns(agents, "matrix", "eta")),
-    ProtocolAgent: BatchProtocol,
-    GrimTriggerAgent: _stack_grim_trigger,
-    BestResponderAgent: lambda agents: BatchBestResponder(*_columns(agents, "matrix")),
-    FixedMixedAgent: lambda agents: BatchFixedMixed(*_columns(agents, "probs")),
-}
-
-
-@functools.cache
-def _stacker(cls):
-    return next((_STACKERS[base] for base in cls.__mro__ if base in _STACKERS), BatchScalar)
-
-
-def stack_agents(agents) -> BatchAgent:
-    """One batch agent from the fresh scalar agents of E episodes, all of one
-    kind.  For a kind with an array form one agent may stand for many
-    episodes, and each distinct agent is read once; any other kind steps
-    one agent per episode in a ``BatchScalar``."""
-    agents = iter(agents)
-    first = next(agents, None)
-    if first is None:
-        raise GameError("need at least one agent to stack")
-    cls = type(first)
-
-    def of_one_kind():
-        yield first
-        for agent in agents:
-            if type(agent) is not cls:
-                raise GameError("stacked agents must all be of one kind")
-            yield agent
-
-    return _stacker(cls)(of_one_kind())
+    def take(self, idx):
+        idx = np.asarray(idx, dtype=np.intp)
+        parts = []
+        for index, agent in self.parts:
+            row = np.full(self.shape[0], -1)  # each episode's row in this part
+            row[index] = np.arange(len(row[index]))
+            at = np.flatnonzero(row[idx] >= 0)
+            if len(at):
+                parts.append((at, agent.take(row[idx[at]])))
+        return BatchGroups(parts, self.shape[1])
 
 
 def build_seat(build, keys, own_types, seeds, n: int) -> BatchAgent:
-    """One seat of E episodes.  ``build(key, own_type, seed)`` makes one
-    fresh scalar agent; per episode, ``keys`` holds its key (such as a
-    population member), ``own_types`` its own type and ``seeds`` its agent
-    seed (a row of ``EpisodeStreams.agent_seeds``).  The episodes of each
-    key form one ``BatchGroups`` part.  A kind with an array form ignores
-    the seed, so one agent per (key, own type) stands for all of them; any
-    other kind gets one agent per episode, built with that episode's seed."""
+    """One seat of E episodes.  Per episode, ``keys`` holds its key (such as
+    a population member), ``own_types`` its own type and ``seeds`` its agent
+    seed (a row of ``EpisodeStreams.agent_seeds``).  ``build(key, own_types,
+    seeds)`` makes the batch agent of one key's episodes from their own types
+    and seeds, in episode order; the episodes of each key form one
+    ``BatchGroups`` part."""
     parts = {}
     for e, key in enumerate(keys):
         parts.setdefault(key, []).append(e)
-    groups = []
-    for key, index in parts.items():
-        own = [own_types[e] for e in index]
-        first = build(key, own[0], int(seeds[index[0]]))
-        if _stacker(type(first)) is BatchScalar:
-            agents = [first] + [build(key, t, int(seeds[e])) for e, t in zip(index[1:], own[1:])]
-        else:
-            fresh = {own[0]: first}
-            for e, t in zip(index, own):
-                if t not in fresh:
-                    fresh[t] = build(key, t, int(seeds[e]))
-            agents = list(map(fresh.__getitem__, own))
-        groups.append((index, stack_agents(agents)))
-    return BatchGroups(groups, n)
+    seeds = np.asarray(seeds)
+    return BatchGroups(
+        [(index, build(key, [own_types[e] for e in index], seeds[index]))
+         for key, index in parts.items()],
+        n,
+    )
 
 
 def play_batch(row: BatchAgent, col: BatchAgent, T: int,

@@ -7,14 +7,14 @@ agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its datasets
 included, step their episodes in batches on the batched engine
 (``engine.py``), on the per-episode random streams of ``run_episode``, with
 every agent kind (``engine.build_seat``); ic-eval replays each partner
-member's first episode of a batch with the scalar agents as a spot check.
+member's first episode of a batch with ``play_episode`` as a spot check.
 Equilibrium and protocol self-play run on numpy kernels that stream their
 draws in cache-sized blocks of episodes or stages, with the same random
 numbers and float sums as drawing the whole run at once.  The protocol
 kernel is an exact reproduction of the agent semantics (cross-checked in the
 test suite); episodes that leave the vectorizable regime (a protocol agent
-tripping its regret threshold) are finished stage-by-stage with the real
-agent classes on the same sampled prefix.
+tripping its regret threshold) are finished stage-by-stage by one-episode
+protocol agents on the same sampled prefix.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ from .regret import azuma_thresholds
 from .agents import (
     AgentSpec,
     ConventionTable,
-    ProtocolAgent,
     build_agent,
+    build_agents,
     build_convention_table,
     default_eta,
     handshake_encode,
@@ -52,6 +52,7 @@ from .agents import (
     tree_act_fn,
 )
 from .engine import (
+    CONVENTION,
     EPISODE_BATCH,
     BatchAdaptive,
     BatchFixedSequence,
@@ -398,32 +399,33 @@ def _finish_triggered_episode(
     acts_col: np.ndarray,
     seed: int,
 ):
-    """Replay one episode exactly with real protocol agents, reusing the
-    vectorized path's sampled actions while both agents are still in their
-    convention phase and sampling live afterwards."""
-    ar = ProtocolAgent(joint[0], "row", ts, ct, k, T, eps1)
-    ac = ProtocolAgent(joint[1], "col", ts, ct, k, T, eps1)
+    """Replay one episode exactly with one-episode protocol agents, reusing
+    the vectorized path's sampled actions while both agents are still in
+    their convention phase and sampling live from ``Random(seed)``
+    afterwards."""
+    spec = AgentSpec("Protocol", {"eps1": eps1, "k": k})
+    ar, ac = (build_agent(spec, ts, T, seat, own, convention_table=ct)
+              for seat, own in zip(("row", "col"), joint))
     A = ts.payoff_table[joint[0]]
     B = ts.payoff_table[joint[1]]
     rng = random.Random(seed)
     pay_r = pay_c = 0.0
     fell_back = False
     for t in range(T):
-        if t < k or (ar.phase == "convention" and ac.phase == "convention"):
-            if t < k:
-                i, j = ar.own_code[t], ac.own_code[t]
-            else:
-                i, j = int(acts_row[t - k]), int(acts_col[t - k])
+        p, q = ar.act(), ac.act()
+        if t < k:
+            i, j = int(ar.own_code[0, t]), int(ac.own_code[0, t])
+        elif ar.phase[0] == CONVENTION and ac.phase[0] == CONVENTION:
+            i, j = int(acts_row[t - k]), int(acts_col[t - k])
         else:
             fell_back = True
-            i = _sample_action(ar.act(), rng)
-            j = _sample_action(ac.act(), rng)
+            i = _sample_action(p[0].tolist(), rng)
+            j = _sample_action(q[0].tolist(), rng)
         pay_r += A[i, j]
         pay_c += B[j, i]
-        ar.observe(i, j)
-        ac.observe(j, i)
-    fell_back = fell_back or ar.phase == "fallback" or ac.phase == "fallback"
-    return pay_r / T, pay_c / T, fell_back
+        ar.observe(np.array([i]), np.array([j]))
+        ac.observe(np.array([j]), np.array([i]))
+    return pay_r / T, pay_c / T, fell_back or ar.fallen > 0 or ac.fallen > 0
 
 
 def _first_trigger_stage(
@@ -624,12 +626,12 @@ def run_si_consistency(cfg: ExperimentConfig):
         for _ in kinds
     ]
 
-    def protocol(_, own_type, seed):
-        return build_agent(proto_spec, ts, T, "row", own_type, seed, convention_table=ct)
+    def protocol(_, own_types, seeds):
+        return build_agents(proto_spec, ts, T, "row", own_types, seeds, ct)
 
-    def adversary(kind, own_type, seed):
-        return build_agent(AgentSpec(CONSISTENCY_ADVERSARIES[kind]), ts, T, "col", own_type, seed,
-                           convention_table=ct)
+    def adversary(kind, own_types, seeds):
+        return build_agents(AgentSpec(CONSISTENCY_ADVERSARIES[kind]), ts, T, "col", own_types,
+                            seeds, ct)
 
     regrets = np.empty(len(joints))
     for start in range(0, len(joints), CONSISTENCY_BATCH):
@@ -859,21 +861,16 @@ def _default_ic_mu(ts: TypeSpace) -> TypeDistribution:
     )
 
 
-def _scalar_ic_record(policy, tilde_T, T, ts, ct, episodes) -> np.ndarray:
-    """(T, 2, E) actions of IC episodes (partner, joint, seed) by the scalar agents."""
+def _episode_ic_record(policy, tilde_T, T, ts, ct, episodes) -> np.ndarray:
+    """(T, 2, E) actions of IC episodes (partner, joint, seed), each played
+    alone by ``play_episode``."""
     record = np.empty((T, 2, len(episodes)), dtype=np.intp)
     for e, (member, joint, seed) in enumerate(episodes):
         rng = random.Random(seed)
-        ic_seed = rng.getrandbits(63)
-        partner_seed = rng.getrandbits(63)
-        agent_row = ImitateThenCommitAgent(
-            policy, tilde_T, T, own_type=joint[0], seat="row", seed=ic_seed
-        )
-        agent_col = build_agent(
-            member, ts, T, seat="col", own_type=joint[1], seed=partner_seed, convention_table=ct
-        )
-        trace = play_episode(agent_row, agent_col, T, rng, joint_type=joint)
-        record[:, :, e] = trace.history
+        ic_seed, partner_seed = rng.getrandbits(63), rng.getrandbits(63)
+        row = ImitateThenCommitAgent(policy, tilde_T, T, joint[0], "row", ic_seed)
+        col = build_agent(member, ts, T, "col", joint[1], partner_seed, ct)
+        record[:, :, e] = play_episode(row, col, T, rng, joint_type=joint).history
     return record
 
 
@@ -915,20 +912,19 @@ def run_ic_eval(cfg: ExperimentConfig):
 
     values = {K: np.zeros(eval_episodes) for K in K_values}
 
-    def partner(member, own_type, seed):
-        return build_agent(pop.members[member], ts, T, seat="col", own_type=own_type, seed=seed,
-                           convention_table=ct)
+    def partner(member, own_types, seeds):
+        return build_agents(pop.members[member], ts, T, "col", own_types, seeds, ct)
 
     # Each chunk of episodes seeds its streams once; for each K the IC agents
     # play one batch against every member's partners, on a fresh copy, and
-    # the scalar agents replay each member's first episode as a spot check.
+    # play_episode replays each member's first episode as a spot check.
     for start in range(0, eval_episodes, EPISODE_BATCH):
         ids = np.arange(start, min(start + EPISODE_BATCH, eval_episodes))
         joints = [mu.support[j] for j in joint_ids[ids]]
         members = partner_ids[ids].tolist()
         checked = [members.index(m) for m in dict.fromkeys(members)]  # first of each member
-        scalar = [(pop.members[members[e]], joints[e], int(episode_seeds[start + e]))
-                  for e in checked]
+        alone = [(pop.members[members[e]], joints[e], int(episode_seeds[start + e]))
+                 for e in checked]
         streams = EpisodeStreams(episode_seeds[ids])
         # The IC agent's own Random(ic_seed) makes one draw, its commitment.
         commits = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False).uniforms(1)[0]
@@ -936,9 +932,9 @@ def run_ic_eval(cfg: ExperimentConfig):
             ic = BatchIC(policies[K], tilde_T, T, [a for a, _ in joints], "row", commits)
             partners = build_seat(partner, members, [b for _, b in joints], streams.agent_seeds[1], n)
             record = play_batch(ic, partners, T, streams.take(np.arange(len(ids))), record=True)
-            replay = _scalar_ic_record(policies[K], tilde_T, T, ts, ct, scalar)
+            replay = _episode_ic_record(policies[K], tilde_T, T, ts, ct, alone)
             if not np.array_equal(replay, record[:, :, checked]):
-                raise GameError("batched IC episode differs from its scalar replay")
+                raise GameError("batched IC episode differs from its replay by play_episode")
             # Column payoff of every stage, B[own = col action, opp = row action],
             # summed over the stages in order.
             stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]

@@ -1,13 +1,12 @@
 """Tabular imitation from population datasets, the commitment-mixture
-construction with its partition response-function oracle, the full
-imitate-then-commit agent, and the closed-form bound helpers.
+construction with its partition response-function oracle, the
+imitate-then-commit agent (``BatchIC``, the ``IC`` kind), and the
+closed-form bound helpers.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -15,9 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .game_core import GameError, History, check_joint
-from .agents import Agent, AgentSpec, BuildContext, register_agent_kind
+from .agents import AgentSpec, BuildContext, _need, register_agent_kind
 from .engine import BatchAgent, sample_actions
-from .population import Dataset, read_dataset
+from .population import Dataset, parse_dataset
 
 COMPONENT_TOL = 1e-12
 
@@ -26,9 +25,8 @@ COMPONENT_TOL = 1e-12
 class ImitationPolicy:
     """Empirical action frequencies keyed by (own type, history prefix).
 
-    Lookups of unseen keys return the uniform strategy.  ``seat`` records
-    which seat's actions were counted; histories are stored in (row, col)
-    order regardless of seat.
+    ``seat`` records which seat's actions were counted; histories are stored
+    in (row, col) order regardless of seat.
 
     ``fit_imitation`` keeps the prefix trie it walked, which ``BatchIC``
     steps: ``roots[own_type]`` is a node, ``strategies[v]`` its strategy and
@@ -43,16 +41,6 @@ class ImitationPolicy:
     roots: dict[str, int] | None = field(default=None, repr=False, compare=False)
     strategies: np.ndarray | None = field(default=None, repr=False, compare=False)
     children: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def strategy(self, own_type: str, history: History) -> np.ndarray:
-        c = self.counts.get((own_type, history))
-        if c is None:
-            return np.full(self.num_actions, 1.0 / self.num_actions)
-        return c / c.sum()
-
-    def visit_count(self, own_type: str, history: History) -> int:
-        c = self.counts.get((own_type, history))
-        return 0 if c is None else int(c.sum())
 
 
 def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> ImitationPolicy:
@@ -101,17 +89,6 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
                            strategies=strategies, children=children)
 
 
-def empirical_joint_n(history, up_to: int, n: int) -> np.ndarray:
-    """Frequency of each (row, col) action pair over the first ``up_to``
-    stages."""
-    if not 1 <= up_to <= len(history):
-        raise GameError(f"up_to={up_to} must be in [1, {len(history)}], the history length")
-    z = np.zeros((n, n))
-    for a, b in history[:up_to]:
-        z[a, b] += 1.0
-    return z / up_to
-
-
 @dataclass
 class CommitmentMixture:
     """Mixture over row strategies: component j is the conditional row
@@ -120,15 +97,6 @@ class CommitmentMixture:
 
     components: list[tuple[np.ndarray, float]]
     source_joint: np.ndarray
-
-    def sample(self, rng: random.Random) -> np.ndarray:
-        r = rng.random()
-        acc = 0.0
-        for x, w in self.components:
-            acc += w
-            if r < acc:
-                return x
-        return self.components[-1][0]
 
     def replies(self) -> list[np.ndarray]:
         """The partition reply y_P of every component, in component order
@@ -193,76 +161,23 @@ def response_function(z, component_index: int) -> np.ndarray:
     return replies[component_index]
 
 
-class ImitateThenCommitAgent(Agent):
-    """Plays the imitation policy for the first ``tilde_T`` stages, then
-    samples one commitment strategy from the mixture built from the realized
-    empirical joint play and holds it for the rest of the episode."""
-
-    def __init__(
-        self,
-        policy: ImitationPolicy,
-        tilde_T: int,
-        T: int,
-        own_type: str,
-        seat: str = "row",
-        seed: int = 0,
-    ):
-        if tilde_T >= T:
-            raise GameError(f"need tilde_T < T, got {tilde_T} >= {T}")
-        if seat != policy.seat:
-            raise GameError(
-                f"policy was fit for seat {policy.seat!r}, agent seated {seat!r}"
-            )
-        self.policy = policy
-        self.tilde_T = tilde_T
-        self.T = T
-        self.own_type = own_type
-        self.seat = seat
-        self.n = policy.num_actions
-        self.rng = random.Random(seed)
-        self.history: list[tuple[int, int]] = []  # (row, col) order
-        self.stage = 0
-        self.commitment: np.ndarray | None = None
-
-    def act(self):
-        if self.stage < self.tilde_T:
-            sigma = self.policy.strategy(self.own_type, tuple(self.history))
-            return [float(x) for x in sigma]
-        if self.commitment is None:
-            z = empirical_joint_n(tuple(self.history), self.tilde_T, self.n)
-            if self.seat == "col":
-                z = z.T  # condition own actions on the opponent's
-            self.commitment = mixture_from_joint(z).sample(self.rng)
-        return [float(x) for x in self.commitment]
-
-    def clone(self):
-        # The policy is shared, and so is the commitment: it is assigned once.
-        rng = random.Random()
-        rng.setstate(self.rng.getstate())
-        return self._copy_with(history=list(self.history), rng=rng)
-
-    def observe(self, own_action, opp_action):
-        pair = (
-            (own_action, opp_action) if self.seat == "row" else (opp_action, own_action)
-        )
-        self.history.append(pair)
-        self.stage += 1
-
-
 class BatchIC(BatchAgent):
-    """``ImitateThenCommitAgent`` over E episodes of one policy, either seat.
+    """The imitate-then-commit agent over E episodes of one policy, either
+    seat.
 
     For the first ``tilde_T`` stages each episode plays the policy at its
     trie node.  At ``tilde_T`` it forms the commitment mixture of its
-    empirical joint play, with the float operations of ``empirical_joint_n``
-    and ``mixture_from_joint``, and draws a component with ``draws`` (E,):
-    the first ``random()`` of the episode's ``Random(seed)``, the draw the
-    scalar agent makes.  It holds that strategy to the end.  The policy must
+    empirical joint play (the frequencies of its action pairs), with the
+    float operations of ``mixture_from_joint``, and draws a component with
+    ``draws`` (E,): the first ``random()`` of the episode's
+    ``Random(seed)``.  It holds that strategy to the end.  The policy must
     carry the trie ``fit_imitation`` builds."""
+
+    ROWS = ("draws", "node", "joint", "commitment")
 
     def __init__(self, policy: ImitationPolicy, tilde_T: int, T: int, own_types, seat: str,
                  draws):
-        # The scalar agent needs tilde_T >= 1 too: its commitment divides by it.
+        # The commitment divides by tilde_T.
         if not 0 < tilde_T < T:
             raise GameError(f"need 0 < tilde_T < T, got tilde_T={tilde_T}, T={T}")
         if seat != policy.seat:
@@ -274,7 +189,6 @@ class BatchIC(BatchAgent):
         self.seat = seat
         self.draws = np.asarray(draws, dtype=float)
         self.node = np.array([policy.roots.get(t, 0) for t in own_types], dtype=np.intp)
-        self._rows = np.arange(len(self.node))
         n = policy.num_actions
         self.joint = np.zeros((len(self.node), n, n))  # (row, col) counts
         self.stage = 0
@@ -299,45 +213,57 @@ class BatchIC(BatchAgent):
         for column in weights.T:  # in order, as sum() adds the components
             total += column
         j = sample_actions(weights / total[:, None], self.draws)
-        return z[self._rows, :, j] / marginals[self._rows, j][:, None]
+        rows = np.arange(len(j))
+        return z[rows, :, j] / marginals[rows, j][:, None]
 
     def observe(self, own, opp):
         if self.stage < self.tilde_T:
             a, b = (own, opp) if self.seat == "row" else (opp, own)
-            self.joint[self._rows, a, b] += 1.0
+            self.joint[np.arange(len(a)), a, b] += 1.0
             self.node = self.policy.children[self.node, a * self.policy.num_actions + b]
         self.stage += 1
 
 
-@functools.lru_cache(maxsize=8)
-def _fit_file(path: str, digest: str, tilde_T: int, seat: str):
-    """The header and fitted policy of the dataset file at ``path`` whose
-    bytes have sha256 ``digest``: agents built from one file parse and fit it
-    once per seat.  The key is the contents, not the modification time, which
-    a same-size rewrite within one timestamp tick leaves unchanged."""
-    dataset = read_dataset(path)
-    return dataset.metadata, fit_imitation(dataset, tilde_T, seat=seat)
+def ImitateThenCommitAgent(policy: ImitationPolicy, tilde_T: int, T: int, own_type: str,
+                           seat: str = "row", seed: int = 0) -> BatchIC:
+    """The one-episode ``BatchIC``: its commitment draw is the first
+    ``random()`` of ``Random(seed)``."""
+    return BatchIC(policy, tilde_T, T, [own_type], seat, [random.Random(seed).random()])
 
 
-def _build_ic(spec: AgentSpec, ctx: BuildContext) -> ImitateThenCommitAgent:
+# Fits of dataset files keyed by (sha256 of the file, tilde_T, seat), oldest
+# first: agents built from one file parse and fit it once per seat.  The key
+# is the contents, not the modification time, which a same-size rewrite
+# within one timestamp tick leaves unchanged.
+_FITS: dict = {}
+_FITS_KEPT = 8
+
+
+def _fit_file(path, tilde_T: int, seat: str):
+    """The header and fitted policy of the dataset file at ``path``, which is
+    opened once."""
+    with open(path, "rb") as f:
+        data = f.read()
+    key = (hashlib.sha256(data).hexdigest(), tilde_T, seat)
+    if key not in _FITS:
+        dataset = parse_dataset(data.decode(), path)
+        if len(_FITS) >= _FITS_KEPT:
+            del _FITS[next(iter(_FITS))]
+        _FITS[key] = dataset.metadata, fit_imitation(dataset, tilde_T, seat=seat)
+    return _FITS[key]
+
+
+def _build_ic(spec: AgentSpec, ctx: BuildContext) -> BatchIC:
+    tilde_T = _need(spec.params, "tilde_T", "IC")
     policy = spec.params.get("policy")
     if policy is None:
-        path = spec.params["dataset_path"]
-        with open(path, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
-        metadata, policy = _fit_file(os.path.realpath(path), digest, spec.params["tilde_T"],
-                                     ctx.seat)
+        path = _need(spec.params, "dataset_path", "IC")
+        metadata, policy = _fit_file(path, tilde_T, ctx.seat)
         if (metadata.get("type_space_hash") != ctx.type_space.content_hash()
                 or metadata["N"] != ctx.type_space.num_actions):
             raise GameError(f"{path}: dataset was generated on another type space")
-    return ImitateThenCommitAgent(
-        policy,
-        spec.params["tilde_T"],
-        ctx.T,
-        own_type=ctx.own_type,
-        seat=ctx.seat,
-        seed=ctx.seed,
-    )
+    draws = [random.Random(int(seed)).random() for seed in ctx.seeds]
+    return BatchIC(policy, tilde_T, ctx.T, ctx.own_types, ctx.seat, draws)
 
 
 register_agent_kind("IC", _build_ic)

@@ -1,6 +1,10 @@
 """Population distributions, episode execution, dataset generation and
 persistence, and the population-flattening construction.
 
+Datasets are played on the batched engine, each seat built by
+``engine.build_seat``; ``play_episode`` steps one episode of one-episode
+batch agents (``agents.build_agent``) with a ``random.Random``.
+
 Per-episode RNG streams are derived by keyed hashing of (master seed,
 episode index), so datasets are reproducible under any execution order.
 """
@@ -21,16 +25,25 @@ from .game_core import (
     GameFormatError,
     History,
     TypeSpace,
+    _float_array,
 )
 from .agents import (
-    Agent,
     AgentSpec,
     BuildContext,
     ConventionTable,
+    _need,
     build_agent,
+    build_agents,
     register_agent_kind,
 )
-from .engine import EPISODE_BATCH, EpisodeStreams, build_seat, play_batch
+from .engine import (
+    EPISODE_BATCH,
+    BatchAgent,
+    EpisodeStreams,
+    _rowsum,
+    build_seat,
+    play_batch,
+)
 
 DATASET_VERSION = 1
 
@@ -132,7 +145,7 @@ class Population:
             raise GameError("population must be nonempty")
         if len(self.weights) != len(self.members):
             raise GameError("population weights must match member count")
-        w = np.asarray(self.weights, dtype=float)
+        w = _float_array(self.weights, "population weights")
         if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise GameError("population weights must be a probability vector")
         self.weights = [float(x) for x in w]
@@ -153,10 +166,8 @@ class Population:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Population":
-        return cls(
-            members=[AgentSpec.from_dict(m) for m in data["members"]],
-            weights=list(data["weights"]),
-        )
+        members, weights = _fields(data, "population", "members", "weights")
+        return cls(members=[AgentSpec.from_dict(m) for m in members], weights=weights)
 
 
 @dataclass
@@ -169,7 +180,11 @@ class TypeDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.weights):
             raise GameError("type distribution support/weights length mismatch")
-        w = np.asarray(self.weights, dtype=float)
+        for s in self.support:
+            if not (isinstance(s, (tuple, list)) and len(s) == 2
+                    and all(isinstance(t, str) for t in s)):
+                raise GameError(f"joint type {s!r} is not a pair of type ids")
+        w = _float_array(self.weights, "type distribution weights")
         if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise GameError("type distribution weights must be a probability vector")
         self.support = [tuple(s) for s in self.support]
@@ -190,10 +205,15 @@ class TypeDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TypeDistribution":
-        return cls(
-            support=[tuple(s) for s in data["support"]],
-            weights=list(data["weights"]),
-        )
+        support, weights = _fields(data, "type distribution", "support", "weights")
+        return cls(support=support, weights=weights)
+
+
+def _fields(data, what: str, *keys) -> list[list]:
+    """The list fields ``keys`` of a loaded ``data`` dict."""
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in keys):
+        raise GameFormatError(f"a {what} is a dict with the lists {', '.join(map(repr, keys))}")
+    return [list(data[k]) for k in keys]
 
 
 @dataclass
@@ -223,31 +243,33 @@ def _sample_action(probs: list[float], rng: random.Random) -> int:
 
 
 def play_episode(
-    agent_row: Agent,
-    agent_col: Agent,
+    agent_row: BatchAgent,
+    agent_col: BatchAgent,
     T: int,
     rng: random.Random,
     joint_type: tuple[str, str] = ("?", "?"),
     seed: int = 0,
     agent_ids: tuple[str, str] = ("?", "?"),
 ) -> EpisodeTrace:
-    """Run T stages with prebuilt agents, recording announced strategies."""
+    """Run T stages of two one-episode batch agents, sampling each stage's
+    row and then column action from ``rng`` with ``_sample_action``, and
+    record the announced strategies."""
     history: list[tuple[int, int]] = []
     row_strategies: list[np.ndarray] = []
     col_strategies: list[np.ndarray] = []
     for t in range(T):
         try:
             p = agent_row.act()
-            q = agent_col.act()
-            a = _sample_action(p, rng)
-            b = _sample_action(q, rng)
-            agent_row.observe(a, b)
-            agent_col.observe(b, a)
+            q = agent_col.act(p)
+            a = _sample_action(p[0].tolist(), rng)
+            b = _sample_action(q[0].tolist(), rng)
+            agent_row.observe(np.array([a]), np.array([b]))
+            agent_col.observe(np.array([b]), np.array([a]))
         except Exception as exc:
             raise GameError(f"agent failure at stage {t}: {exc}") from exc
         history.append((a, b))
-        row_strategies.append(np.asarray(p, dtype=float))
-        col_strategies.append(np.asarray(q, dtype=float))
+        row_strategies.append(p[0])
+        col_strategies.append(q[0])
     return EpisodeTrace(
         history=tuple(history),
         row_strategies=row_strategies,
@@ -315,7 +337,7 @@ def generate_dataset(
     Episodes run on the batched engine ``EPISODE_BATCH`` at a time, in order,
     on the streams of ``run_episode``, each seat one batch agent grouped by
     population member (``build_seat``), so the histories are
-    ``run_episode``'s whatever the members' kinds."""
+    ``run_episode``'s."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
     mu.validate_types(type_space)
@@ -330,9 +352,9 @@ def generate_dataset(
     pairs = [(a, b) for a in range(N) for b in range(N)]
     histories = [()] * n
 
-    def build(seat, member, own_type, seed):
-        return build_agent(pop.members[member], type_space, T, seat=seat, own_type=own_type,
-                           seed=seed, convention_table=convention_table)
+    def build(seat, member, own_types, agent_seeds):
+        return build_agents(pop.members[member], type_space, T, seat, own_types, agent_seeds,
+                            convention_table)
 
     for start in range(0, n, EPISODE_BATCH):
         ids = slice(start, start + EPISODE_BATCH)
@@ -404,7 +426,12 @@ def read_dataset(path) -> Dataset:
     """Load a dataset written by ``write_dataset``.  Every action must be an
     integer in [0, N); histories share one tuple per action pair."""
     with open(path) as f:
-        lines = f.read().splitlines()
+        return parse_dataset(f.read(), path)
+
+
+def parse_dataset(text: str, path) -> Dataset:
+    """``read_dataset`` of the text of the file at ``path``."""
+    lines = text.splitlines()
     if not lines:
         raise GameFormatError(f"{path}: empty dataset file")
     try:
@@ -454,68 +481,53 @@ def read_dataset(path) -> Dataset:
 # Population flattening
 
 
-class FlattenedAgent(Agent):
-    """Single behavioral agent equivalent to drawing a fresh member from the
-    population each episode.
+class BatchFlattened(BatchAgent):
+    """The single behavioral agent equivalent to drawing a fresh member from
+    the population each episode, over E episodes.
 
-    Maintains one cloned agent per member plus its likelihood of having
-    produced this seat's actions so far; the announced strategy is the
-    posterior-weighted mixture of member strategies.  Histories no member
-    could have produced fall back to the uniform strategy (unreachable-branch
-    convention).
+    Steps every member's batch agent and keeps its likelihood (E, M) of
+    having produced this seat's actions so far; the announced strategy is
+    the posterior-weighted mixture of the member strategies, added in member
+    order.  Histories no member could have produced fall back to the uniform
+    strategy (unreachable-branch convention).
     """
 
-    def __init__(self, members: list[Agent], weights: list[float], n: int):
+    ROWS = ("members", "likelihoods", "_probs")
+
+    def __init__(self, members: list[BatchAgent], likelihoods: np.ndarray):
         self.members = members
-        self.likelihoods = [float(w) for w in weights]
-        self.n = n
+        self.likelihoods = likelihoods
+        self._probs = None  # the members' strategies at this stage
 
-    def act(self):
-        total = sum(self.likelihoods)
-        if total <= 0.0:
-            return [1.0 / self.n] * self.n
-        mix = [0.0] * self.n
-        for agent, like in zip(self.members, self.likelihoods):
-            if like <= 0.0:
-                continue
-            probs = agent.act()
-            w = like / total
-            for a in range(self.n):
-                mix[a] += w * probs[a]
-        return mix
+    def act(self, partner=None):
+        self._probs = [member.act(partner) for member in self.members]
+        like = self.likelihoods
+        total = _rowsum(like)
+        reachable = total > 0.0
+        total = np.where(reachable, total, 1.0)
+        mix = np.zeros(self._probs[0].shape)
+        for i, probs in enumerate(self._probs):
+            w = like[:, i] / total
+            mix += np.where((like[:, i] > 0.0)[:, None], w[:, None] * probs, 0.0)
+        return np.where(reachable[:, None], mix, 1.0 / mix.shape[1])
 
-    def observe(self, own_action, opp_action):
-        for i, agent in enumerate(self.members):
-            if self.likelihoods[i] > 0.0:
-                self.likelihoods[i] *= agent.act()[own_action]
-            agent.observe(own_action, opp_action)
-
-    def clone(self):
-        # A member of likelihood zero is never asked again and adds nothing
-        # to any sum, so the clone drops it.
-        live = [i for i, like in enumerate(self.likelihoods) if like != 0.0]
-        return self._copy_with(
-            members=[self.members[i].clone() for i in live],
-            likelihoods=[self.likelihoods[i] for i in live],
-        )
+    def observe(self, own, opp):
+        rows = np.arange(len(own))
+        for i, (member, probs) in enumerate(zip(self.members, self._probs)):
+            self.likelihoods[:, i] *= probs[rows, own]
+            member.observe(own, opp)
 
 
-def _build_flattened(spec: AgentSpec, ctx: BuildContext) -> FlattenedAgent:
+def _build_flattened(spec: AgentSpec, ctx: BuildContext) -> BatchFlattened:
     members = [
-        build_agent(
-            AgentSpec.from_dict(m),
-            ctx.type_space,
-            ctx.T,
-            seat=ctx.seat,
-            own_type=ctx.own_type,
-            seed=ctx.seed,
-            convention_table=ctx.convention_table,
-        )
-        for m in spec.params["members"]
+        build_agents(AgentSpec.from_dict(m), ctx.type_space, ctx.T, ctx.seat, ctx.own_types,
+                     ctx.seeds, ctx.convention_table)
+        for m in _need(spec.params, "members", "Flattened")
     ]
-    return FlattenedAgent(
-        members, spec.params["weights"], ctx.type_space.num_actions
-    )
+    weights = _float_array(_need(spec.params, "weights", "Flattened"), "Flattened weights")
+    if not members or weights.shape != (len(members),):
+        raise GameError("Flattened needs one weight per member, and at least one member")
+    return BatchFlattened(members, np.tile(weights, (len(ctx.own_types), 1)))
 
 
 register_agent_kind("Flattened", _build_flattened)

@@ -4,26 +4,31 @@ import random
 import numpy as np
 import pytest
 
-from cooplab.game_core import GameError, TypeSpace
+from cooplab.game_core import GameError, GameFormatError, TypeSpace
 from cooplab.agents import (
     AgentSpec,
-    BestResponderAgent,
     ConventionTable,
-    FixedSequenceAgent,
-    GrimTriggerAgent,
-    MWAgent,
-    ProtocolAgent,
     build_agent,
     build_convention_table,
     default_eta,
     default_handshake_length,
-    handshake_decode,
     handshake_encode,
-    handshake_prefix_valid,
     protocol_threshold,
     theorem26_params,
 )
+from cooplab.engine import CONVENTION, FALLBACK, HANDSHAKE, BatchBestResponder, BatchMW
 from cooplab.harness import fixture_path
+from scalar_agents import handshake_decode, handshake_prefix_valid
+
+
+def step(agent, own, opp):
+    """One observed stage of a one-episode batch agent."""
+    agent.observe(np.array([own]), np.array([opp]))
+
+
+def strategy(agent) -> list[float]:
+    """The strategy a one-episode batch agent announces."""
+    return agent.act()[0].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -51,23 +56,23 @@ def test_default_eta_frozen_values():
 
 def test_mw_agent_single_step():
     # Identity payoffs, opponent plays 0, eta=1: weights become (e, 1).
-    agent = MWAgent(np.eye(2), 1.0)
-    assert agent.act() == [0.5, 0.5]
-    agent.observe(1, 0)
-    new = agent.act()
+    agent = BatchMW(np.eye(2)[None], 1.0)
+    assert strategy(agent) == [0.5, 0.5]
+    step(agent, 1, 0)
+    new = strategy(agent)
     e = math.e
     assert new[0] == pytest.approx(e / (e + 1), abs=1e-12)
     assert new[1] == pytest.approx(1 / (e + 1), abs=1e-12)
     with pytest.raises(GameError):
-        MWAgent(np.eye(2), -0.5)
+        BatchMW(np.eye(2)[None], -0.5)
 
 
 def test_mw_agent_long_horizon_no_overflow():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    agent = MWAgent(A, eta=5.0)
+    agent = BatchMW(A[None], eta=5.0)
     for _ in range(20000):
-        agent.observe(0, 0)
-    probs = agent.act()
+        step(agent, 0, 0)
+    probs = strategy(agent)
     assert probs[0] == pytest.approx(1.0)
     assert all(math.isfinite(p) for p in probs)
 
@@ -148,50 +153,44 @@ def test_convention_table_roundtrip(ts2):
         )
 
 
-def test_grim_trigger_and_fixed_sequence():
-    grim = GrimTriggerAgent(2, coop_action=0, punish_action=1)
-    assert grim.act() == [1.0, 0.0]
-    grim.observe(0, 0)
-    assert grim.act() == [1.0, 0.0]
-    grim.observe(0, 1)
-    assert grim.act() == [0.0, 1.0]
-    grim.observe(0, 0)  # punishment is permanent
-    assert grim.act() == [0.0, 1.0]
+def test_grim_trigger_and_fixed_sequence(ts2):
+    grim = build_agent(AgentSpec("GrimTrigger", {"coop_action": 0, "punish_action": 1}), ts2, 5)
+    assert strategy(grim) == [1.0, 0.0]
+    step(grim, 0, 0)
+    assert strategy(grim) == [1.0, 0.0]
+    step(grim, 0, 1)
+    assert strategy(grim) == [0.0, 1.0]
+    step(grim, 0, 0)  # punishment is permanent
+    assert strategy(grim) == [0.0, 1.0]
 
-    seq = FixedSequenceAgent([0, 1, 1], 2)
+    seq = build_agent(AgentSpec("FixedSequence", {"actions": [0, 1, 1]}), ts2, 5)
     played = []
     for _ in range(5):
-        played.append(seq.act().index(1.0))
-        seq.observe(played[-1], 0)
+        played.append(strategy(seq).index(1.0))
+        step(seq, played[-1], 0)
     assert played == [0, 1, 1, 0, 1]
 
 
 def test_best_responder_tracks_frequencies():
     A = np.array([[2.0, 0.0], [0.0, 1.0]])
-    agent = BestResponderAgent(A)
-    assert agent.act() == [0.5, 0.5]
-    agent.observe(0, 1)
-    agent.observe(0, 1)
-    agent.observe(0, 0)
+    agent = BatchBestResponder(A[None])
+    assert strategy(agent) == [0.5, 0.5]
+    step(agent, 0, 1)
+    step(agent, 0, 1)
+    step(agent, 0, 0)
     # Opponent frequency (1/3, 2/3): action 1 pays 2/3 vs 2/3 for action 0;
     # ties break toward the lower index.
-    assert agent.act() == [1.0, 0.0]
-    agent.observe(0, 1)
-    assert agent.act() == [0.0, 1.0]
+    assert strategy(agent) == [1.0, 0.0]
+    step(agent, 0, 1)
+    assert strategy(agent) == [0.0, 1.0]
 
 
 def make_protocol(ts, own_type, seat, T=50, k=None, delta=0.1, table=None):
     k = k if k is not None else default_handshake_length(len(ts.types), ts.num_actions)
     params = theorem26_params(delta, T, k, ts.num_actions)
-    return ProtocolAgent(
-        own_type=own_type,
-        seat=seat,
-        type_space=ts,
-        convention_table=table or build_convention_table(ts),
-        k=k,
-        T=T,
-        eps1=params.eps1,
-    )
+    spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
+    return build_agent(spec, ts, T, seat, own_type,
+                       convention_table=table or build_convention_table(ts))
 
 
 def sample(probs, rng):
@@ -211,17 +210,17 @@ def test_protocol_selfplay_handshake_then_convention(ts2):
     rng = random.Random(5)
     history = []
     for _ in range(30):
-        a = sample(ar.act(), rng)
-        b = sample(ac.act(), rng)
+        a = sample(strategy(ar), rng)
+        b = sample(strategy(ac), rng)
         history.append((a, b))
-        ar.observe(a, b)
-        ac.observe(b, a)
+        step(ar, a, b)
+        step(ac, b, a)
     # k=1: stage 0 transmits the type indices (gamma=0, delta=1).
     assert history[0] == (0, 1)
-    assert ar.partner_type == "delta" and ac.partner_type == "gamma"
-    assert ar.phase == "convention" and ac.phase == "convention"
-    assert ar.convention_strategy[0] == pytest.approx(0.95)
-    assert ac.convention_strategy[0] == pytest.approx(0.2)
+    assert ar.opp_prefix.tolist() == [1] and ac.opp_prefix.tolist() == [0]
+    assert ar.phase.tolist() == [CONVENTION] and ac.phase.tolist() == [CONVENTION]
+    assert strategy(ar)[0] == pytest.approx(0.95)
+    assert strategy(ac)[0] == pytest.approx(0.2)
 
 
 def test_protocol_invalid_handshake_triggers_fallback(ts4):
@@ -232,47 +231,41 @@ def test_protocol_invalid_handshake_triggers_fallback(ts4):
         payoff_table={t: ts4.payoff_table[old] for t, old in zip("abc", ts4.types)},
     )
     agent = make_protocol(ts3, "a", "row", T=40)
-    agent.observe(agent.own_code[0], 1)
-    agent.observe(agent.own_code[1], 1)  # prefix (1, 1) -> index 3, invalid
-    assert agent.phase == "fallback"
-    assert sum(agent.act()) == pytest.approx(1.0)
+    strategy(agent)
+    step(agent, agent.own_code[0, 0], 1)
+    assert agent.phase.tolist() == [HANDSHAKE]  # prefix (1,) can still complete to (1, 0)
+    strategy(agent)
+    step(agent, agent.own_code[0, 1], 1)  # prefix (1, 1) -> index 3, invalid
+    assert agent.phase.tolist() == [FALLBACK]
+    assert sum(strategy(agent)) == pytest.approx(1.0)
 
 
 def test_protocol_phase_monotonicity(ts4):
     rng = random.Random(9)
-    order = {"handshake": 0, "convention": 1, "fallback": 2}
     for trial in range(20):
         agent = make_protocol(ts4, ts4.types[trial % 4], "row", T=60)
-        phases = [agent.phase]
+        phases = [int(agent.phase[0])]
         for _ in range(60):
-            a = sample(agent.act(), rng)
-            agent.observe(a, rng.randrange(2))
-            phases.append(agent.phase)
-        ranks = [order[ph] for ph in phases]
-        assert ranks == sorted(ranks)
+            a = sample(strategy(agent), rng)
+            step(agent, a, rng.randrange(2))
+            phases.append(int(agent.phase[0]))
+        assert phases == sorted(phases)  # HANDSHAKE < CONVENTION < FALLBACK
 
 
 def test_protocol_accumulator_uses_announced_strategies(ts2):
     agent = make_protocol(ts2, "gamma", "row", T=30)
     A = ts2.payoff_table["gamma"]
-    agent.observe(agent.own_code[0], 1)
-    expected = float(A[agent.own_code[0], 1])
-    assert agent.accumulator == pytest.approx(float(A[:, 1].max()) - expected)
+    strategy(agent)
+    step(agent, agent.own_code[0, 0], 1)
+    expected = float(A[agent.own_code[0, 0], 1])
+    assert agent.kernel.regret()[0] == pytest.approx(float(A[:, 1].max()) - expected)
 
 
 def test_protocol_k0_single_type():
     ts1 = TypeSpace(types=("only",), payoff_table={"only": np.array([[2.0, 0.0], [0.0, 1.0]])})
-    agent = ProtocolAgent(
-        own_type="only",
-        seat="row",
-        type_space=ts1,
-        convention_table=build_convention_table(ts1),
-        k=0,
-        T=20,
-        eps1=0.2,
-    )
-    assert agent.phase == "convention"
-    assert agent.act()[0] == pytest.approx(1.0)
+    agent = build_agent(AgentSpec("Protocol", {"eps1": 0.2, "k": 0}), ts1, 20, "row", "only")
+    assert agent.phase.tolist() == [CONVENTION]
+    assert strategy(agent)[0] == pytest.approx(1.0)
 
 
 def test_build_agent_determinism_and_spec_roundtrip(ts2):
@@ -285,14 +278,14 @@ def test_build_agent_determinism_and_spec_roundtrip(ts2):
     a1 = build_agent(spec, ts2, 40, own_type="gamma", convention_table=table)
     a2 = build_agent(spec, ts2, 40, own_type="gamma", convention_table=table)
     for _ in range(40):
-        s1, s2 = a1.act(), a2.act()
+        s1, s2 = strategy(a1), strategy(a2)
         assert s1 == s2
         act = sample(s1, rng1)
         opp = rng1.randrange(2)
         rng2.random()  # keep streams aligned
         rng2.randrange(2)
-        a1.observe(act, opp)
-        a2.observe(act, opp)
+        step(a1, act, opp)
+        step(a2, act, opp)
 
 
 def test_build_agent_unknown_kind_and_missing_type(ts2):
@@ -300,12 +293,49 @@ def test_build_agent_unknown_kind_and_missing_type(ts2):
         build_agent(AgentSpec("Telepath", {}), ts2, 10)
     with pytest.raises(GameError):
         build_agent(AgentSpec("MW", {}), ts2, 10)  # no own type anywhere
+    # An own type outside the type space, whatever the kind.
+    for kind in ("MW", "UniformRandom"):
+        with pytest.raises(GameError, match="not in the type space"):
+            build_agent(AgentSpec(kind), ts2, 10, own_type="zeta")
+    # A FixedMixed strategy of another action count than the type space's.
+    for probs in ([1.0], [0.2, 0.3, 0.5]):
+        with pytest.raises(GameError, match="expected 2"):
+            build_agent(AgentSpec("FixedMixed", {"probs": probs}), ts2, 10)
+    # A convention table is a ConventionTable or, as a population file holds
+    # it, its dict, which is validated.
+    table = build_convention_table(ts2)
+    for given in (table, table.to_dict()):
+        spec = AgentSpec("Protocol", {"eps1": 0.1, "convention_table": given})
+        assert strategy(build_agent(spec, ts2, 10, "row", "gamma")) == [1.0, 0.0]
+    for bad in ([1, 2], "table"):
+        spec = AgentSpec("Protocol", {"eps1": 0.1, "convention_table": bad})
+        with pytest.raises(GameError, match="ConventionTable"):
+            build_agent(spec, ts2, 10, "row", "gamma")
+    swapped = table.to_dict()
+    swapped["gamma|delta"] = dict(swapped["gamma|delta"], sigma_row=[0.0, 1.0])
+    with pytest.raises(GameError, match="Pareto-optimal"):
+        build_agent(AgentSpec("Protocol", {"eps1": 0.1, "convention_table": swapped}), ts2, 10,
+                    "row", "gamma")
 
 
 def test_convention_table_rejects_a_key_that_is_not_two_types(ts2):
     data = build_convention_table(ts2).to_dict()
-    entry = next(iter(data.values()))
+    key, entry = next(iter(data.items()))
     a, b = ts2.types[:2]
-    for key in (a, f"{a}|{b}|{a}"):
-        with pytest.raises(GameError, match="joined by"):
-            ConventionTable.from_dict({**data, key: entry}, ts2)
+    for bad in (a, f"{a}|{b}|{a}"):
+        with pytest.raises(GameFormatError, match="joined by"):
+            ConventionTable.from_dict({**data, bad: entry}, ts2)
+    # Malformed tables and entries, as a file may hold them.
+    for bad_entry in ([0.5, 0.5], {"sigma_row": entry["sigma_row"]}, None):
+        with pytest.raises(GameFormatError, match="sigma_col"):
+            ConventionTable.from_dict({**data, key: bad_entry}, ts2)
+    with pytest.raises(GameFormatError, match="is a dict"):
+        ConventionTable.from_dict([entry], ts2)
+
+
+@pytest.mark.parametrize("data", [
+    {}, {"params": {}}, {"kind": 3}, [("kind", "MW")], "MW", {"kind": "MW", "params": [1]},
+])
+def test_agent_spec_from_dict_rejects_malformed_specs(data):
+    with pytest.raises(GameFormatError):
+        AgentSpec.from_dict(data)

@@ -1,5 +1,6 @@
-"""The batched engine against the scalar reference: the same random streams,
-the same sampled actions and phase transitions, the same regrets."""
+"""The batched engine against the scalar reference agents of
+``scalar_agents.py``: the same random streams, the same sampled actions and
+phase transitions, the same regrets."""
 import math
 import random
 
@@ -8,11 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cooplab.agents import (
+    AGENT_BUILDERS,
     AgentSpec,
-    FixedMixedAgent,
-    MWAgent,
-    ProtocolAgent,
-    build_agent,
+    build_agents,
     build_convention_table,
     default_eta,
 )
@@ -27,9 +26,9 @@ from cooplab.engine import (
     EpisodeStreams,
     RegretKernel,
     _seeded,
+    build_seat,
     play_batch,
     sample_actions,
-    stack_agents,
 )
 from cooplab.game_core import GameError
 from cooplab.harness import (
@@ -39,22 +38,27 @@ from cooplab.harness import (
     fixture_type_space,
     run_experiment,
 )
-from cooplab.imitation_commit import (
-    BatchIC,
-    ImitateThenCommitAgent,
-    ImitationPolicy,
-    fit_imitation,
-)
+from cooplab.imitation_commit import BatchIC, ImitationPolicy, fit_imitation
 from cooplab.population import (
     _EPISODE_STREAM,
     Dataset,
+    Population,
+    TypeDistribution,
     _sample_action,
     derive_episode_seed,
     derive_episode_seeds,
+    generate_dataset,
+)
+from cooplab import population
+from cooplab.regret import expected_external_regret
+from scalar_agents import (
+    FixedMixedAgent,
+    ImitateThenCommitAgent,
+    MWAgent,
+    ProtocolAgent,
     play_episode,
     run_episode,
 )
-from cooplab.regret import expected_external_regret
 
 TS4 = fixture_type_space("typespace_4.json")
 CT4 = build_convention_table(TS4)
@@ -200,13 +204,12 @@ def test_batched_protocol_matches_scalar_episodes(episodes, adversary, k, extra_
     T = k + extra_stages
     proto = AgentSpec("Protocol", {"eps1": eps1, "k": k})
     adv = AgentSpec(adversary)
-    row = Recorder(stack_agents(
-        [build_agent(proto, TS4, T, "row", a, convention_table=CT4) for _, a, _ in episodes]
-    ))
-    col = Recorder(stack_agents(
-        [build_agent(adv, TS4, T, "col", b, convention_table=CT4) for _, _, b in episodes]
-    ))
-    play_batch(row, col, T, EpisodeStreams([seed for seed, _, _ in episodes]))
+    streams = EpisodeStreams([seed for seed, _, _ in episodes])
+    row = Recorder(build_agents(proto, TS4, T, "row", [a for _, a, _ in episodes],
+                                streams.agent_seeds[0], CT4))
+    col = Recorder(build_agents(adv, TS4, T, "col", [b for _, _, b in episodes],
+                                streams.agent_seeds[1], CT4))
+    play_batch(row, col, T, streams)
     regrets = row.agent.kernel.regret()
 
     for e, (seed, a, b) in enumerate(episodes):
@@ -269,7 +272,7 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
     ic_seeds = streams.agent_seeds[0 if seat == "row" else 1]
     draws = EpisodeStreams(ic_seeds, draw_agent_seeds=False).uniforms(1)[0]
     ic = Recorder(BatchIC(policy, tilde_T, T, own_types, seat, draws))
-    partner = stack_agents([FixedMixedAgent(partner_probs)] * len(episode_seeds))
+    partner = BatchFixedMixed([partner_probs] * len(episode_seeds))
     row, col = (ic, partner) if seat == "row" else (partner, ic)
     record = play_batch(row, col, T, streams, record=True)
 
@@ -377,8 +380,7 @@ def test_batched_mw_matches_agent_state():
     rng = np.random.default_rng(2)
     matrices = rng.random((3, 3, 3))
     agents = [MWAgent(m, eta=0.3) for m in matrices]
-    batch = stack_agents(agents)
-    assert isinstance(batch, BatchMW)
+    batch = BatchMW(matrices, 0.3)
     for opp in ([0, 2, 1], [2, 2, 0], [1, 0, 1], [1, 1, 2], [0, 0, 0]):
         for agent, j in zip(agents, opp):
             agent.observe(0, j)
@@ -405,38 +407,40 @@ def test_play_batch_rejects_a_strategy_with_no_positive_entry(seat):
         play_batch(row, col, 3, EpisodeStreams([5, 2**40]))
 
 
-def test_stack_agents_rejects_mixed_or_unbatched_kinds():
-    with pytest.raises(GameError):
-        stack_agents([])
-    mixed = [MWAgent(np.eye(2), 0.1), FixedMixedAgent([0.5, 0.5])]
-    with pytest.raises(GameError):
-        stack_agents(mixed)
-    # A kind with no array form plays one scalar agent per episode, bit-equal
-    # to run_episode, and refuses one agent for two episodes.
-    flattened = AgentSpec("Flattened", {"members": [{"kind": "MW"}, {"kind": "UniformRandom"}],
-                                        "weights": [0.4, 0.6]})
+def test_flattened_seat_matches_scalar_episodes():
+    # Flattened row seats against a FixedSequence column seat play as the
+    # scalar agents do: the same actions and, over members that use no exp,
+    # bit for bit the same announced strategies (MW's exp may differ from
+    # math.exp in the last bit).
+    learners = AgentSpec("Flattened", {"members": [{"kind": "MW"}, {"kind": "UniformRandom"}],
+                                       "weights": [0.4, 0.6]})
+    zoo = AgentSpec("Flattened", {
+        "members": [{"kind": "FixedSequence", "params": {"actions": [0, 1]}},
+                    {"kind": "FixedMixed", "params": {"probs": [0.3, 0.7]}},
+                    {"kind": "GrimTrigger"}, {"kind": "BestResponder"},
+                    {"kind": "Protocol", "params": {"eps1": 0.5, "k": 2}}],
+        "weights": [0.1, 0.3, 0.2, 0.15, 0.25],
+    })
     fixed = AgentSpec("FixedSequence", {"actions": [1, 0, 0]})
     T, episodes = 15, [(3, "alpha", "beta"), (2**40, "beta", "beta"), (77, "gamma", "alpha")]
-    streams = EpisodeStreams([seed for seed, _, _ in episodes])
-    seats = []
-    for s, (spec, seat) in enumerate(((flattened, "row"), (fixed, "col"))):
-        seats.append(Recorder(stack_agents(
-            build_agent(spec, TS4, T, seat, episode[1 + s], seed, convention_table=CT4)
-            for episode, seed in zip(episodes, streams.agent_seeds[s].tolist())
-        )))
-    record = play_batch(*seats, T, streams, record=True)
-    for e, (seed, a, b) in enumerate(episodes):
-        trace = run_episode(flattened, fixed, TS4, (a, b), T, seed, convention_table=CT4)
-        assert record[:, :, e].tolist() == [list(pair) for pair in trace.history]
-        for t in range(T):
-            assert seats[0].strategies[t][e].tolist() == list(trace.row_strategies[t])
-            assert seats[1].strategies[t][e].tolist() == list(trace.col_strategies[t])
-    agent = build_agent(flattened, TS4, T, own_type="alpha")
-    with pytest.raises(GameError, match="of its own"):
-        stack_agents([agent, agent])
+    for flattened, atol in ((learners, 1e-12), (zoo, 0.0)):
+        streams = EpisodeStreams([seed for seed, _, _ in episodes])
+        seats = [
+            Recorder(build_agents(spec, TS4, T, seat, [episode[1 + s] for episode in episodes],
+                                  streams.agent_seeds[s], CT4))
+            for s, (spec, seat) in enumerate(((flattened, "row"), (fixed, "col")))
+        ]
+        record = play_batch(*seats, T, streams, record=True)
+        for e, (seed, a, b) in enumerate(episodes):
+            trace = run_episode(flattened, fixed, TS4, (a, b), T, seed, convention_table=CT4)
+            assert record[:, :, e].tolist() == [list(pair) for pair in trace.history]
+            for t in range(T):
+                assert np.allclose(seats[0].strategies[t][e], trace.row_strategies[t], rtol=0,
+                                   atol=atol)
+                assert seats[1].strategies[t][e].tolist() == list(trace.col_strategies[t])
 
 
-# One spec per kind that a BatchGroups part may be stacked from.
+# One spec per kind that a BatchGroups part may be built from.
 GROUP_SPECS = {
     "Protocol": AgentSpec("Protocol", {"eps1": 0.05, "k": 2}),
     "GrimTrigger": AgentSpec("GrimTrigger"),
@@ -477,11 +481,8 @@ def test_batch_groups_play_as_one_batch_per_part(data, episodes, grouped_seat, T
     seed_list = [seed for seed, _, _ in episodes]
 
     def stack(kind, seat, ids):
-        return stack_agents([
-            build_agent(GROUP_SPECS[kind], TS4, T, seat, episodes[e][1 if seat == "row" else 2],
-                        convention_table=CT4)
-            for e in ids
-        ])
+        own_types = [episodes[e][1 if seat == "row" else 2] for e in ids]
+        return build_agents(GROUP_SPECS[kind], TS4, T, seat, own_types, [0] * len(ids), CT4)
 
     def kernel(ids):
         return RegretKernel([TS4.payoff_table[episodes[e][1]] for e in ids])
@@ -586,3 +587,87 @@ def test_batch_groups_reject_a_part_of_another_width():
 def test_batch_groups_return_a_single_whole_part_unwrapped():
     part = _halves()[0]
     assert BatchGroups([(np.arange(2), part)], 2) is part
+
+
+def _ic_spec(seat):
+    """An IC spec whose policy is fit for ``seat`` on protocol self-play."""
+    pop = Population([AgentSpec("Protocol", {"eps1": 0.2})], [1.0])
+    dataset = generate_dataset(pop, TypeDistribution.uniform(TS4), TS4, 40, 12, master_seed=1,
+                               convention_table=CT4)
+    return AgentSpec("IC", {"policy": fit_imitation(dataset, 4, seat), "tilde_T": 4})
+
+
+# One spec per registered kind (IC's per seat).  A kind registered later
+# fails the conformance test until it is given a spec here.
+KIND_SPECS = {
+    "MW": AgentSpec("MW"),
+    # The tripwire fires mid-episode in some of the test's episodes.
+    "Protocol": AgentSpec("Protocol", {"eps1": 0.15, "k": 2}),
+    "FixedMixed": AgentSpec("FixedMixed", {"probs": [0.3, 0.7]}),
+    "FixedSequence": AgentSpec("FixedSequence", {"actions": [0, 1, 1]}),
+    "GrimTrigger": AgentSpec("GrimTrigger"),
+    "UniformRandom": AgentSpec("UniformRandom"),
+    "BestResponder": AgentSpec("BestResponder"),
+    "Flattened": AgentSpec("Flattened", {
+        "members": [{"kind": "MW"}, {"kind": "Protocol", "params": {"eps1": 0.15, "k": 2}},
+                    {"kind": "FixedSequence", "params": {"actions": [1, 0]}}],
+        "weights": [0.3, 0.5, 0.2],
+    }),
+    "IC": _ic_spec,
+}
+
+
+@pytest.mark.parametrize("seat", ["row", "col"])
+@pytest.mark.parametrize("kind", sorted(AGENT_BUILDERS))
+def test_every_kind_plays_alone_as_in_a_seat(kind, seat):
+    # Seven episodes of one kind on one seat, in two build_seat parts, against
+    # uniform play.  Each episode played alone (build_agent + play_episode,
+    # inside run_episode) has the same actions and, bit for bit, the same
+    # announced strategies; and rows taken from the seat after a stage's act,
+    # some of them twice, observe that stage and go on as their episodes do
+    # alone, as the exact tree walk steps them.
+    assert kind in KIND_SPECS, f"give the agent kind {kind!r} a spec in KIND_SPECS"
+    spec = KIND_SPECS[kind](seat) if callable(KIND_SPECS[kind]) else KIND_SPECS[kind]
+    partner = AgentSpec("UniformRandom")
+    T, mine = 20, 0 if seat == "row" else 1
+    seeds = [11, 2**40 + 3, 7, 2**63 + 1, 0, 99, 12345]
+    joints = [(TS4.types[e % 4], TS4.types[(3 * e + 1) % 4]) for e in range(len(seeds))]
+    own_types = [joint[mine] for joint in joints]
+
+    def seat_agent(agent_seeds):
+        return build_seat(
+            lambda key, types, part_seeds: build_agents(spec, TS4, T, seat, types, part_seeds, CT4),
+            [0, 1, 1, 0, 1, 1, 0], own_types, agent_seeds, TS4.num_actions,
+        )
+
+    streams = EpisodeStreams(seeds)
+    agent = Recorder(seat_agent(streams.agent_seeds[mine]))
+    other = build_agents(partner, TS4, T, ("col", "row")[mine], [j[1 - mine] for j in joints],
+                         streams.agent_seeds[1 - mine], CT4)
+    record = play_batch(*((agent, other) if seat == "row" else (other, agent)), T, streams,
+                        record=True)
+    alone = []
+    for e, (seed, joint) in enumerate(zip(seeds, joints)):
+        specs = (spec, partner) if seat == "row" else (partner, spec)
+        trace = population.run_episode(*specs, TS4, joint, T, seed, convention_table=CT4)
+        assert record[:, :, e].tolist() == [list(pair) for pair in trace.history]
+        alone.append(trace.row_strategies if seat == "row" else trace.col_strategies)
+        for t in range(T):
+            assert agent.strategies[t][e].tolist() == alone[e][t].tolist()
+
+    own, opp = record[:, mine].astype(np.intp), record[:, 1 - mine].astype(np.intp)
+    idx = np.array([5, 0, 5, 3, 6])
+    for stage in (0, 4, 11):  # the take comes after the stage's act
+        full = seat_agent(EpisodeStreams(seeds).agent_seeds[mine])
+        for t in range(stage):
+            full.act()
+            full.observe(own[t], opp[t])
+        full.act()
+        part = full.take(idx)
+        for t in range(stage, T):
+            if t > stage:
+                got = part.act()
+                for row, e in enumerate(idx):
+                    assert got[row].tolist() == alone[e][t].tolist()
+            part.observe(own[t, idx], opp[t, idx])
+

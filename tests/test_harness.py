@@ -8,8 +8,7 @@ from cooplab.game_core import GameError, TypeSpace
 from cooplab import harness
 from cooplab.agents import (
     AgentSpec,
-    ProtocolAgent,
-    build_agent,
+    build_agents,
     build_convention_table,
     default_eta,
     theorem26_params,
@@ -21,7 +20,6 @@ from cooplab.engine import (
     EpisodeStreams,
     RegretKernel,
     play_batch,
-    stack_agents,
 )
 from cooplab.equilibria import worst_pone_payoff
 from cooplab.harness import (
@@ -32,21 +30,23 @@ from cooplab.harness import (
     ExperimentConfig,
     VerificationResult,
     _default_ic_mu,
+    _finish_triggered_episode,
     _first_trigger_stage,
     _handshake_arrays,
     emit_curves,
     fixture_type_space,
     run_experiment,
 )
-from cooplab.imitation_commit import ImitateThenCommitAgent, fit_imitation
+from cooplab.imitation_commit import fit_imitation
 from cooplab.population import (
     Population,
+    _sample_action,
     derive_episode_seed,
     derive_episode_seeds,
     generate_dataset,
-    play_episode,
     write_dataset,
 )
+from scalar_agents import ImitateThenCommitAgent, ProtocolAgent, build_scalar, play_episode
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,50 @@ def test_vectorized_trigger_matches_protocol_agent_beyond_one_block(ts2):
     # Triggers that fall in later blocks of the stage scan, and its last,
     # partial block.
     check_trigger_against_protocol_agent(ts2, stages=2 * TRIGGER_BLOCK + 23)
+
+
+def scalar_triggered_episode(ts, ct, joint, k, T, eps1, acts_row, acts_col, seed):
+    """si-selfplay's replay of a triggered episode with the scalar protocol
+    agents, as it ran before the one-episode batch agents; kept as its oracle."""
+    ar = ProtocolAgent(joint[0], "row", ts, ct, k, T, eps1)
+    ac = ProtocolAgent(joint[1], "col", ts, ct, k, T, eps1)
+    A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
+    rng = random.Random(seed)
+    pay_r = pay_c = 0.0
+    fell_back = False
+    for t in range(T):
+        if t < k:
+            i, j = ar.own_code[t], ac.own_code[t]
+        elif ar.phase == "convention" and ac.phase == "convention":
+            i, j = int(acts_row[t - k]), int(acts_col[t - k])
+        else:
+            fell_back = True
+            i, j = _sample_action(ar.act(), rng), _sample_action(ac.act(), rng)
+        pay_r += A[i, j]
+        pay_c += B[j, i]
+        ar.observe(i, j)
+        ac.observe(j, i)
+    return pay_r / T, pay_c / T, fell_back or "fallback" in (ar.phase, ac.phase)
+
+
+def test_triggered_episode_replay_matches_scalar_protocol_agents():
+    # Every joint type of typespace_4 with eps1 so small that the tripwire
+    # fires in most episodes, and the replay samples its fallback live.
+    ts = fixture_type_space("typespace_4.json")
+    ct = build_convention_table(ts)
+    k, T, eps1 = 2, 60, 0.05
+    rng = np.random.default_rng(3)
+    fell_back = 0
+    for joint in ts.joint_types():
+        prof = ct.profile(joint)
+        for seed in range(6):
+            acts_row = rng.choice(2, size=T - k, p=prof.sigma_row)
+            acts_col = rng.choice(2, size=T - k, p=prof.sigma_col)
+            args = (ts, ct, joint, k, T, eps1, acts_row, acts_col, 1000 * seed + 7)
+            got = _finish_triggered_episode(*args)
+            assert got == scalar_triggered_episode(*args)
+            fell_back += got[2]
+    assert fell_back > 10
 
 
 def test_handshake_arrays_match_agent_accumulator(ts2):
@@ -225,8 +269,8 @@ def ic_eval_csv_by_episode_loop(cfg):
             agent_row = ImitateThenCommitAgent(
                 policies[K], tilde_T, T, own_type=joint[0], seat="row", seed=ic_seed
             )
-            agent_col = build_agent(pop.members[partner_ids[e]], ts, T, seat="col",
-                                    own_type=joint[1], seed=partner_seed, convention_table=ct)
+            agent_col = build_scalar(pop.members[partner_ids[e]], ts, T, "col", joint[1],
+                                     partner_seed, ct)
             trace = play_episode(agent_row, agent_col, T, rng, joint_type=joint)
             B = ts.payoff_table[joint[1]]
             realized = sum(B[b, a] for a, b in trace.history)
@@ -237,8 +281,7 @@ def ic_eval_csv_by_episode_loop(cfg):
 
 @pytest.mark.parametrize("partners", ["protocol", "with-flattened", "with-ic"])
 def test_ic_eval_csv_matches_episode_loop(ts2, partners, tmp_path):
-    # Flattened and IC partners have no array form: each of their episodes
-    # steps a scalar agent of its own inside the batch.
+    # Flattened and IC partners play in the same batch as the others.
     population = None
     if partners == "with-flattened":
         population = Population(
@@ -387,19 +430,19 @@ def si_consistency_csv_by_adversary(cfg, batch=125):
     draws = _rng(cfg.seed, 0x434F)
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     run_id = 0
-    protocols = {t: build_agent(proto_spec, ts, T, "row", t, convention_table=ct) for t in ts.types}
     for adversary in CONSISTENCY_ADVERSARIES:
-        opponents = {t: build_agent(AgentSpec(adversary, {}), ts, T, "col", t, convention_table=ct)
-                     for t in ts.types}
         joints = [(ts.types[int(draws.integers(len(ts.types)))],
                    ts.types[int(draws.integers(len(ts.types)))]) for _ in range(runs_each)]
         for start in range(0, runs_each, batch):
             chunk = joints[start : start + batch]
             runs = range(run_id + start, run_id + start + len(chunk))
             seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(runs.start, runs.stop))
-            protocol = stack_agents(protocols[a] for a, _ in chunk)
-            opponent = stack_agents(opponents[b] for _, b in chunk)
-            play_batch(protocol, opponent, T, EpisodeStreams(seeds))
+            streams = EpisodeStreams(seeds)
+            protocol = build_agents(proto_spec, ts, T, "row", [a for a, _ in chunk],
+                                    streams.agent_seeds[0], ct)
+            opponent = build_agents(AgentSpec(adversary, {}), ts, T, "col", [b for _, b in chunk],
+                                    streams.agent_seeds[1], ct)
+            play_batch(protocol, opponent, T, streams)
             for r, (a, b), reg in zip(runs, chunk, protocol.kernel.regret().tolist()):
                 rows.append(f"{r},{adversary},{a},{b},{reg!r},{bound!r}")
         run_id += runs_each
@@ -471,8 +514,8 @@ def test_emit_curves_use_each_artifacts_columns(tmp_path, ts2):
 
 
 def test_ic_eval_spot_check_refuses_a_batched_episode_that_differs(ts2, monkeypatch):
-    # Each chunk replays one batched episode per member with the scalar
-    # agents; a batched record with the IC agent's actions flipped must fail it.
+    # Each chunk replays one batched episode per member with play_episode; a
+    # batched record with the IC agent's actions flipped must fail it.
     def flipped(*args, **kwargs):
         record = play_batch(*args, **kwargs)
         record[:, 0] = 1 - record[:, 0]
@@ -481,5 +524,5 @@ def test_ic_eval_spot_check_refuses_a_batched_episode_that_differs(ts2, monkeypa
     monkeypatch.setattr(harness, "play_batch", flipped)
     cfg = ExperimentConfig(kind="ic-eval", horizon=12, k=1, tilde_T=4, seed=3, type_space=ts2,
                            extra={"K_values": [10], "eval_episodes": 20})
-    with pytest.raises(GameError, match="scalar replay"):
+    with pytest.raises(GameError, match="differs from its replay"):
         run_experiment(cfg)

@@ -13,13 +13,13 @@ from cooplab.imitation_commit import (
     auth_failure_probability,
     bound_report,
     delta_K,
-    empirical_joint_n,
     fit_imitation,
     mixture_from_joint,
     response_function,
     theorem42_bound,
 )
 from cooplab.harness import fixture_path
+from scalar_agents import empirical_joint_n, policy_strategy, sample_component
 
 
 def make_dataset(episodes, T, n=2):
@@ -38,19 +38,19 @@ def test_fit_imitation_counts_frequencies():
         ("a", "x", ((1, 0), (1, 1))),
     ]
     policy = fit_imitation(make_dataset(episodes, 2), tilde_T=2)
-    assert policy.strategy("a", ()) == pytest.approx([2 / 3, 1 / 3])
+    assert policy_strategy(policy, "a", ()) == pytest.approx([2 / 3, 1 / 3])
     # Conditioned on the first stage having been (0, 0), type "a" played 1.
-    assert policy.strategy("a", ((0, 0),)) == pytest.approx([0.0, 1.0])
-    assert policy.visit_count("a", ()) == 3
+    assert policy_strategy(policy, "a", ((0, 0),)) == pytest.approx([0.0, 1.0])
+    assert policy.counts[("a", ())].sum() == 3
 
 
 def test_fit_imitation_unseen_keys_uniform_and_col_seat():
     episodes = [("a", "b", ((0, 1), (1, 0)))]
     policy = fit_imitation(make_dataset(episodes, 2), tilde_T=2, seat="col")
     # The column player (type "b") played 1 at the empty history.
-    assert policy.strategy("b", ()) == pytest.approx([0.0, 1.0])
-    assert policy.strategy("b", ((1, 1),)) == pytest.approx([0.5, 0.5])
-    assert policy.strategy("never-seen", ()) == pytest.approx([0.5, 0.5])
+    assert policy_strategy(policy, "b", ()) == pytest.approx([0.0, 1.0])
+    assert policy_strategy(policy, "b", ((1, 1),)) == pytest.approx([0.5, 0.5])
+    assert policy_strategy(policy, "never-seen", ()) == pytest.approx([0.5, 0.5])
 
 
 def fit_by_prefix_loop(dataset, tilde_T, seat):
@@ -93,14 +93,14 @@ def test_fit_imitation_matches_prefix_loop(data, n, T, seat):
     # The fitted trie: every key's path from its type's root reaches a node of
     # its own with the key's strategy, and every other pair leads to node 0.
     assert len(fitted.strategies) == len(expected) + 1
-    assert fitted.strategies[0].tolist() == oracle.strategy("never-seen", ()).tolist()
+    assert fitted.strategies[0].tolist() == policy_strategy(oracle, "never-seen", ()).tolist()
     reached = set()
     for own_type, history in expected:
         node = fitted.roots[own_type]
         for a, b in history:
             node = fitted.children[node, a * n + b]
         assert node != 0 and fitted.strategies[node].tolist() == (
-            oracle.strategy(own_type, history).tolist()
+            policy_strategy(oracle, own_type, history).tolist()
         )
         reached.add(node)
     assert reached == set(range(1, len(expected) + 1))
@@ -156,7 +156,7 @@ def test_mixture_sampling_distribution():
     z = np.array([[0.3, 0.2], [0.1, 0.4]])
     mix = mixture_from_joint(z)
     rng = random.Random(8)
-    hits = sum(mix.sample(rng)[0] > 0.5 for _ in range(20000))
+    hits = sum(sample_component(mix, rng)[0] > 0.5 for _ in range(20000))
     # Component 0 (x = (0.75, 0.25)) has weight 0.4.
     assert abs(hits / 20000 - 0.4) < 0.02
 
@@ -230,18 +230,22 @@ def test_response_function_payoff_identity_random(case):
     assert via_mixture == pytest.approx(direct, abs=1e-9 * (1.0 + np.abs(B).max()))
 
 
+def step(agent, own, opp):
+    agent.observe(np.array([own]), np.array([opp]))
+
+
 def test_ic_agent_imitates_then_commits():
     episodes = [("a", "x", ((0, 0), (0, 1), (1, 1)))] * 5
     policy = fit_imitation(make_dataset(episodes, 3), tilde_T=2)
     agent = ImitateThenCommitAgent(policy, tilde_T=2, T=6, own_type="a", seed=3)
-    assert agent.act() == pytest.approx([1.0, 0.0])
-    agent.observe(0, 0)
-    assert agent.act() == pytest.approx([1.0, 0.0])
-    agent.observe(0, 1)
-    committed = agent.act()
+    assert agent.act()[0] == pytest.approx([1.0, 0.0])
+    step(agent, 0, 0)
+    assert agent.act()[0] == pytest.approx([1.0, 0.0])
+    step(agent, 0, 1)
+    committed = agent.act()[0]
     assert sum(committed) == pytest.approx(1.0)
-    agent.observe(int(np.argmax(committed)), 0)
-    assert agent.act() == pytest.approx(committed)  # held for the rest
+    step(agent, int(np.argmax(committed)), 0)
+    assert agent.act()[0] == pytest.approx(committed)  # held for the rest
 
 
 def test_ic_agent_col_seat_conditions_on_opponent():
@@ -249,9 +253,9 @@ def test_ic_agent_col_seat_conditions_on_opponent():
         make_dataset([("a", "b", ((0, 1), (1, 0)))], 2), tilde_T=1, seat="col"
     )
     agent = ImitateThenCommitAgent(policy, 1, 4, own_type="b", seat="col", seed=0)
-    assert agent.act() == pytest.approx([0.0, 1.0])
-    agent.observe(1, 0)  # own=1, opp=0, stored as (row=0, col=1)
-    committed = agent.act()
+    assert agent.act()[0] == pytest.approx([0.0, 1.0])
+    step(agent, 1, 0)  # own=1, opp=0, counted as (row=0, col=1)
+    committed = agent.act()[0]
     # Empirical joint is a point mass on (0, 1); transposed for the column
     # seat, the only commitment component is a point mass on action 1.
     assert committed == pytest.approx([0.0, 1.0])

@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 from collections import Counter
@@ -8,7 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cooplab.game_core import GameError, GameFormatError, TypeSpace, history_distribution, total_variation
-from cooplab.agents import AgentSpec, build_agent, build_convention_table, theorem26_params, tree_act_fn
+from cooplab.agents import (
+    AgentSpec,
+    build_agent,
+    build_agents,
+    build_convention_table,
+    theorem26_params,
+    tree_act_fn,
+)
 from cooplab.population import (
     Dataset,
     Population,
@@ -23,8 +29,9 @@ from cooplab.population import (
     write_dataset,
 )
 from cooplab import imitation_commit, population
-from cooplab.engine import EpisodeStreams, play_batch, stack_agents
+from cooplab.engine import EpisodeStreams, play_batch
 from cooplab.harness import fixture_path
+import scalar_agents
 
 
 TS2 = TypeSpace.from_file(fixture_path("typespace_2.json"))
@@ -57,6 +64,14 @@ def test_population_validation():
             Population(members=[AgentSpec("UniformRandom", {})], weights=bad)
     pop = simple_population()
     assert pop.content_hash() == Population.from_dict(pop.to_dict()).content_hash()
+    # Malformed loaded populations: a missing key, a non-dict member, a
+    # member without a kind, weights that are not numbers.
+    data = pop.to_dict()
+    for bad in ({"members": data["members"]}, {**data, "members": [3, "MW"]},
+                {**data, "members": [{"params": {}}, data["members"][1]]},
+                {**data, "weights": ["a", "b"]}, [data], None):
+        with pytest.raises(GameError):
+            Population.from_dict(bad)
 
 
 def test_type_distribution_validation(ts2):
@@ -71,6 +86,17 @@ def test_type_distribution_validation(ts2):
     bad = TypeDistribution(support=[("gamma", "zeta")], weights=[1.0])
     with pytest.raises(GameError):
         bad.validate_types(ts2)
+    # A support entry that is not a pair of type ids, given or loaded; a
+    # loaded distribution without its support.
+    for support in ([("gamma", "gamma", "delta")], ["gd"], [("gamma", 1)]):
+        with pytest.raises(GameError, match="pair of type ids"):
+            TypeDistribution(support=support, weights=[1.0])
+        with pytest.raises(GameError, match="pair of type ids"):
+            TypeDistribution.from_dict({"support": support, "weights": [1.0]})
+    for data in ({"weights": [1.0]}, {"support": "gamma", "weights": [1.0]}, None):
+        with pytest.raises(GameFormatError):
+            TypeDistribution.from_dict(data)
+    assert TypeDistribution.from_dict(mu.to_dict()) == mu
 
 
 def test_derive_episode_seed_is_stable_and_spread():
@@ -202,24 +228,29 @@ def test_ic_agents_fit_a_dataset_file_once_per_seat(ts2, tmp_path, monkeypatch):
     mu = TypeDistribution.uniform(ts2)
     path = tmp_path / "ds.jsonl"
     write_dataset(generate_dataset(simple_population(), mu, ts2, 20, 4, master_seed=1), path)
-    reads = []
-    monkeypatch.setattr(imitation_commit, "read_dataset",
-                        lambda p: reads.append(p) or read_dataset(p))
+    opens, fits = [], []
+    real_open, real_parse = open, population.parse_dataset
+    monkeypatch.setattr("builtins.open", lambda p, *a, **k: (
+        opens.append(p) if str(p) == str(path) else None) or real_open(p, *a, **k))
+    monkeypatch.setattr(imitation_commit, "parse_dataset",
+                        lambda text, p: fits.append(p) or real_parse(text, p))
+    monkeypatch.setattr(imitation_commit, "_FITS", {})  # no fit from another test
     ic = AgentSpec("IC", {"dataset_path": str(path), "tilde_T": 2})
-    # Every episode with the IC member builds an agent of its own.
+    # The IC member plays on both seats of 30 episodes: each seat builds one
+    # agent for all of its IC episodes, which opens the file once.
     pop = Population(members=[simple_population().members[0], ic], weights=[0.5, 0.5])
     generate_dataset(pop, mu, ts2, 30, 4, master_seed=2)
-    assert 1 <= len(reads) <= 2  # once per seat
+    assert len(opens) == len(fits) == 2  # once per seat
     build_agent(ic, ts2, 4, own_type="gamma")
-    assert len(reads) <= 2
+    assert (len(opens), len(fits)) == (3, 2)  # the row seat's fit is kept
     # The type-space check still runs on every build.
     with pytest.raises(GameError, match="another type space"):
         build_agent(ic, TS4, 4, own_type="alpha")
-    # A rewritten file is read again.
+    # A rewritten file is fit again.
     write_dataset(generate_dataset(simple_population(), mu, ts2, 20, 4, master_seed=3), path)
-    before = len(reads)
+    before = len(fits)
     build_agent(ic, ts2, 4, own_type="gamma")
-    assert len(reads) == before + 1
+    assert len(fits) == before + 1
 
 
 def test_dataset_sampling_matches_weights_chi_square(ts2):
@@ -268,9 +299,9 @@ def test_flattened_agent_posterior_collapse(ts2):
         weights=[0.5, 0.5],
     )
     agent = build_agent(flatten_population(pop), ts2, 5, seat="row")
-    assert agent.act() == pytest.approx([0.5, 0.5])
-    agent.observe(1, 0)  # only the second member plays 1 first
-    assert agent.act() == pytest.approx([0.0, 1.0])
+    assert agent.act()[0] == pytest.approx([0.5, 0.5])
+    agent.observe(np.array([1]), np.array([0]))  # only the second member plays 1 first
+    assert agent.act()[0] == pytest.approx([0.0, 1.0])
 
 
 def test_flattened_agent_unreachable_history_goes_uniform(ts2):
@@ -278,8 +309,9 @@ def test_flattened_agent_unreachable_history_goes_uniform(ts2):
         members=[AgentSpec("FixedSequence", {"actions": [0]})], weights=[1.0]
     )
     agent = build_agent(flatten_population(pop), ts2, 5, seat="row")
-    agent.observe(1, 0)  # impossible under every member
-    assert agent.act() == pytest.approx([0.5, 0.5])
+    agent.act()
+    agent.observe(np.array([1]), np.array([0]))  # impossible under every member
+    assert agent.act()[0] == pytest.approx([0.5, 0.5])
 
 
 def test_protocol_population_dataset_has_handshake_prefix(ts2):
@@ -328,15 +360,15 @@ def ic_datasets(tmp_path_factory):
 
 
 def dataset_by_run_episode(pop, mu, ts, n, T, master_seed, convention_table):
-    """The per-episode loop generate_dataset ran before the batched engine,
-    kept as its oracle."""
+    """The per-episode loop of scalar agents generate_dataset ran before the
+    batched engine, kept as its oracle."""
     draws = np.random.default_rng(np.random.SeedSequence([0x64726177, int(master_seed)]))
     member_idx = draws.choice(len(pop.members), size=(n, 2), p=pop.weights)
     joint_idx = draws.choice(len(mu.support), size=n, p=mu.weights)
     episodes = []
     for j in range(n):
         joint = mu.support[joint_idx[j]]
-        trace = run_episode(
+        trace = scalar_agents.run_episode(
             pop.members[member_idx[j, 0]], pop.members[member_idx[j, 1]], ts, joint, T,
             derive_episode_seed(master_seed, j), convention_table=convention_table,
         )
@@ -383,9 +415,6 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
     joints = [mu.support[j] for j in joint_idx.tolist()]
     seeds = derive_episode_seeds(master_seed, np.arange(n))
     histories = [()] * n
-    agent = functools.cache(lambda m, seat, own_type: build_agent(
-        pop.members[m], ts, T, seat=seat, own_type=own_type, convention_table=convention_table
-    ))
     M = len(pop.members)
     pairing = member_idx[:, 0] * M + member_idx[:, 1]
     order = np.argsort(pairing, kind="stable")
@@ -396,17 +425,13 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
         for key, f, c in zip(keys.tolist(), first.tolist(), count.tolist()):
             r, cc = divmod(key, M)
             ids = batch[f : f + c].tolist()
-            rows = [agent(r, "row", joints[j][0]) for j in ids]
-            cols = [agent(cc, "col", joints[j][1]) for j in ids]
-            if {pop.members[r].kind, pop.members[cc].kind} & {"Flattened", "IC"}:
-                for j in ids:
-                    histories[j] = run_episode(
-                        pop.members[r], pop.members[cc], ts, joints[j], T, int(seeds[j]),
-                        convention_table=convention_table,
-                    ).history
-                continue
-            record = play_batch(stack_agents(rows), stack_agents(cols), T,
-                                streams.take(np.arange(f, f + c)), record=True)
+            part = streams.take(np.arange(f, f + c))
+            rows, cols = (
+                build_agents(pop.members[m], ts, T, seat, [joints[j][s] for j in ids],
+                             part.agent_seeds[s], convention_table)
+                for s, (m, seat) in enumerate(((r, "row"), (cc, "col")))
+            )
+            record = play_batch(rows, cols, T, part, record=True)
             for e, j in enumerate(ids):
                 histories[j] = tuple(map(tuple, record[:, :, e].tolist()))
     return [(a, b, h) for (a, b), h in zip(joints, histories)]
@@ -415,8 +440,8 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
 @pytest.mark.parametrize("batch", [37, 2000])
 @pytest.mark.parametrize("ts", [TS2, TS4], ids=["ts2", "ts4"])
 def test_generate_dataset_matches_per_pairing_loop(tmp_path, ts, batch):
-    # Five members, one of them Flattened (the oracle plays it with run_episode);
-    # batches of 37 split every pairing across batches.
+    # Five members, one of them Flattened; batches of 37 split every pairing
+    # across batches.
     pop = Population(
         members=[
             AgentSpec("Protocol", {"eps1": 0.1, "k": 2}),

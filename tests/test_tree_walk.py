@@ -1,6 +1,6 @@
-"""The level-order tree walker and incremental act functions, checked against
-the recursive walkers and the rebuild-and-replay act function they replaced,
-which are kept here as reference implementations."""
+"""The level-order tree walker and the level-at-a-time act functions, checked
+against the recursive walkers and the rebuild-and-replay act function they
+replaced, which are kept here as reference implementations."""
 import itertools
 import math
 import random
@@ -89,13 +89,19 @@ def recursive_distribution(act_row, act_col, n, T):
     return out
 
 
+def _step(agent, own, opp):
+    """One stage of a batch agent: announce, then observe the actions."""
+    agent.act()
+    agent.observe(np.atleast_1d(own), np.atleast_1d(opp))
+
+
 def replay_act_fn(factory, seat="row"):
+    """A fresh one-episode agent stepped through the whole history, alone."""
     def fn(history):
         agent = factory()
         for a, b in history:
-            own, opp = (a, b) if seat == "row" else (b, a)
-            agent.observe(own, opp)
-        return agent.act()
+            _step(agent, *((a, b) if seat == "row" else (b, a)))
+        return agent.act()[0].tolist()
 
     return fn
 
@@ -319,18 +325,19 @@ def test_tree_act_fn_matches_replay(name, seat):
 
 @pytest.mark.parametrize("name", sorted(AGENTS))
 def test_clone_shares_no_state_with_its_parent(name):
+    # A clone is a take of the parent's rows, here its one row twice.
     parent = _build(name, "row", 6)
     for own, opp in [(0, 1), (1, 1)]:
-        parent.observe(own, opp)
-    before = list(parent.act())
-    clone = parent.clone()
-    assert clone.act() == before
+        _step(parent, own, opp)
+    before = parent.act().tolist()
+    child = parent.take(np.array([0, 0]))
+    assert child.act().tolist() == before * 2
     for own, opp in [(1, 0), (0, 0), (1, 1), (0, 1)]:
-        clone.observe(own, opp)
-    assert parent.act() == before
-    after = list(clone.act())
-    parent.observe(0, 0)
-    assert clone.act() == after
+        _step(child, [own, opp], [opp, own])
+    assert parent.act().tolist() == before
+    after = child.act().tolist()
+    _step(parent, 0, 0)
+    assert child.act().tolist() == after
 
 
 def test_tree_act_fn_rejects_an_unknown_seat():
