@@ -73,10 +73,11 @@ class AgentSpec:
         return cls(kind=data["kind"], params=dict(params), own_type=data.get("own_type"))
 
     def agent_id(self) -> str:
+        # A param object counts by its content_hash(), such as an in-memory
+        # ImitationPolicy's, or else by its str.
         try:
-            blob = json.dumps(
-                {"kind": self.kind, "params": self.params}, sort_keys=True, default=str
-            )
+            blob = json.dumps({"kind": self.kind, "params": self.params}, sort_keys=True,
+                              default=lambda obj: getattr(obj, "content_hash", obj.__str__)())
         except TypeError:
             blob = repr(sorted(self.params))
         digest = hashlib.sha256(blob.encode()).hexdigest()[:8]

@@ -67,7 +67,15 @@ def _load_mu(path: str | None, ts: TypeSpace) -> TypeDistribution:
         return TypeDistribution.from_dict(json.load(f))
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GameError as exc:  # "Error: ..." and exit status 1, not a traceback
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--seed", default=0, show_default=True, help="Master random seed.")
 @click.option("--out-dir", default="results", show_default=True, help="Directory for CSV artifacts.")
 @click.pass_context

@@ -6,6 +6,7 @@ closed-form bound helpers.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -42,50 +43,68 @@ class ImitationPolicy:
     strategies: np.ndarray | None = field(default=None, repr=False, compare=False)
     children: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def content_hash(self) -> str:
+        """sha256 of the compared fields, the counts in key order: equal
+        policies hash alike."""
+        keys = sorted(self.counts)
+        head = json.dumps([self.num_actions, self.tilde_T, self.seat, keys])
+        digest = hashlib.sha256(head.encode())
+        digest.update(np.array([self.counts[key] for key in keys], dtype=float).tobytes())
+        return digest.hexdigest()
+
 
 def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> ImitationPolicy:
     """Count one seat's actions conditioned on (type, preceding history) over
-    every episode prefix shorter than ``tilde_T``."""
+    every episode prefix shorter than ``tilde_T``.
+
+    The prefix trie is built level by level over the action array: at depth
+    t one ``np.unique`` of the (parent node, pair code) numbers, or of the
+    own types at the root, numbers the nodes.  They are then renumbered in
+    order of first visit, episode by episode, which orders ``counts``."""
     T = dataset.metadata.get("T", 0)
     n = dataset.metadata.get("N")
     if n is None:
         raise GameError("dataset metadata missing action count N")
-    if dataset.episodes and tilde_T > T:
+    if len(dataset) and tilde_T > T:
         raise GameError(f"tilde_T={tilde_T} exceeds dataset horizon T={T}")
-    # Each episode walks a trie of the prefixes seen so far: a stage costs one
-    # lookup of (node, pair), not a hash of its whole prefix.  Key i is node i + 1.
     own = 0 if seat == "row" else 1  # the seat's type and action index
-    nodes: dict = {}  # own type, or (parent node, pair) -> node
-    keys: list = []  # (own type, prefix) of each node, in order of first visit
-    roots: dict = {}
-    links = []  # (parent node, pair code a * N + b, node) of every inner node
-    visits, actions = [], []
-    for episode in dataset.episodes:
-        own_type, history = episode[own], episode[2]
-        parent = own_type
-        for t in range(min(tilde_T, len(history))):
-            node = nodes.get(parent)
-            if node is None:
-                keys.append((own_type, history[:t]))
-                node = nodes[parent] = len(keys)
-                if t:
-                    links.append((parent[0], parent[1][0] * n + parent[1][1], node))
-                else:
-                    roots[own_type] = node
-            visits.append(node)
-            actions.append(history[t][own])
-            parent = (node, history[t])
-    actions = np.array(actions, dtype=np.intp)
+    actions = np.asarray(dataset.actions)[:, : max(tilde_T, 0)].astype(np.intp)
     if actions.size and not (0 <= actions.min() and actions.max() < n):
         raise GameError(f"dataset actions must be in [0, {n})")
-    tally = np.bincount(np.array(visits, dtype=np.intp) * n + actions,
-                        minlength=(len(keys) + 1) * n).reshape(-1, n).astype(float)
+    own_types = [joint[own] for joint in dataset.types]
+    names = list(dict.fromkeys(own_types))
+    key = np.fromiter(map({t: i for i, t in enumerate(names)}.__getitem__, own_types),
+                      dtype=np.intp, count=len(own_types))  # at the root: own type codes
+    codes = actions[:, :, 0] * n + actions[:, :, 1]
+    visits = np.empty(codes.shape, dtype=np.intp)  # each episode's node at each depth
+    # Per node: its parent, its pair code (a root's: its own type code), its
+    # first episode and its depth.  Node 0 plays uniformly.
+    nodes, count = [np.array([[0], [0], [-1], [-1]])], 1
+    for t in range(codes.shape[1]):
+        uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        visits[:, t] = count + inverse.reshape(-1)
+        count += len(uniq)
+        nodes.append(np.stack([uniq // (n * n) * (t > 0), uniq % (n * n) if t else uniq, first,
+                               np.full_like(uniq, t)]))
+        key = visits[:, t] * (n * n) + codes[:, t]
+    parent, code, first, level = np.concatenate(nodes, axis=1)
+    order = np.lexsort((level, first))
+    rank = np.argsort(order)
+    visits, parent = rank[visits], rank[parent]
+    tally = np.bincount((visits * n + actions[:, :, own]).reshape(-1),
+                        minlength=count * n).reshape(-1, n).astype(float)
     tally[0] = 1.0  # node 0: uniform, and its own child
-    children = np.zeros((len(tally), n * n), dtype=np.intp)
-    parents, codes, inner = np.array(links, dtype=np.intp).reshape(-1, 3).T
-    children[parents, codes] = inner
+    children = np.zeros((count, n * n), dtype=np.intp)
+    inner = level > 0
+    children[parent[inner], code[inner]] = rank[inner]
+    # Each key extends its parent's, which comes first.
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    keys = [None]
+    for p, c, t in zip(*(x[order[1:]].tolist() for x in (parent, code, level))):
+        keys.append((keys[p][0], keys[p][1] + (pairs[c],)) if t else (names[c], ()))
+    roots = {key[0]: v for v, key in enumerate(keys[1:], start=1) if not key[1]}
     strategies = tally / tally.sum(axis=1, keepdims=True)
-    return ImitationPolicy(n, tilde_T, seat, dict(zip(keys, tally[1:])), roots=roots,
+    return ImitationPolicy(n, tilde_T, seat, dict(zip(keys[1:], tally[1:])), roots=roots,
                            strategies=strategies, children=children)
 
 

@@ -14,8 +14,8 @@ import functools
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .game_core import (
     EpisodeTrace,
     GameError,
     GameFormatError,
-    History,
     TypeSpace,
     _float_array,
 )
@@ -216,16 +215,23 @@ def _fields(data, what: str, *keys) -> list[list]:
     return [list(data[k]) for k in keys]
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Episodes of (theta_row, theta_col, history); strategy records are
-    deliberately dropped, the learner only sees histories and types."""
+    """Self-play episodes: ``actions[e, t]`` is the (row, col) action pair of
+    stage t of episode e, an (n, T, 2) integer array, and ``types[e]`` its
+    joint type.  The learner sees no strategy records."""
 
-    episodes: list[tuple[str, str, History]]
+    actions: np.ndarray
+    types: list[tuple[str, str]]
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.episodes)
+        return len(self.types)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Dataset) and self.types == other.types
+                and self.metadata == other.metadata
+                and np.array_equal(self.actions, other.actions))
 
 
 def _sample_action(probs: list[float], rng: random.Random) -> int:
@@ -349,8 +355,7 @@ def generate_dataset(
     joints = [mu.support[j] for j in joint_idx.tolist()]
     seeds = derive_episode_seeds(master_seed, np.arange(n))
     N = type_space.num_actions
-    pairs = [(a, b) for a in range(N) for b in range(N)]
-    histories = [()] * n
+    actions = np.empty((n, T, 2), dtype=np.min_scalar_type(N - 1))  # as play_batch records
 
     def build(seat, member, own_types, agent_seeds):
         return build_agents(pop.members[member], type_space, T, seat, own_types, agent_seeds,
@@ -366,12 +371,11 @@ def generate_dataset(
         ]
         record = play_batch(*seats, T, streams, record=True)
         del streams, seats  # freed before the next chunk seeds its own (624, E) state
-        if record is None:  # T = 0
-            continue
-        codes = record[:, 0].astype(np.intp) * N + record[:, 1]
-        histories[ids] = [tuple(map(pairs.__getitem__, episode)) for episode in codes.T.tolist()]
+        if record is not None:  # None for T = 0
+            actions[ids] = record.transpose(2, 0, 1)
     return Dataset(
-        episodes=[(a, b, h) for (a, b), h in zip(joints, histories)],
+        actions,
+        joints,
         metadata={
             "version": DATASET_VERSION,
             "T": T,
@@ -389,17 +393,40 @@ def generate_dataset(
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    lines = [json.dumps(dataset.metadata, sort_keys=True)]
-    lines.extend(
-        json.dumps(
-            {"theta1": theta1, "theta2": theta2, "actions": list(chain.from_iterable(history))},
-            sort_keys=True,
-        )
-        for theta1, theta2, history in dataset.episodes
+    """Write the metadata header, then per episode the bytes of
+    ``json.dumps({"actions": ..., "theta1": ..., "theta2": ...}, sort_keys=True)``."""
+    with open(path, "wb") as f:
+        f.write(json.dumps(dataset.metadata, sort_keys=True).encode() + b"\n")
+        if len(dataset):
+            f.write(_episode_lines(dataset))
+
+
+def _byte_table(texts) -> np.ndarray:
+    """(len(texts), width) uint8 rows of the ASCII ``texts``, NUL-padded."""
+    data = [text.encode() for text in texts]
+    return np.array(data).view(np.uint8).reshape(len(data), -1)
+
+
+def _episode_lines(dataset: Dataset) -> bytes:
+    """The lines of a nonempty dataset, one gather from byte tables of each
+    line's opening, first action, further actions each after ", ", and its
+    joint type's closing, with the NUL padding dropped (JSON has no NUL)."""
+    n = len(dataset)
+    actions = np.asarray(dataset.actions).reshape(n, -1)
+    top = int(actions.max(initial=0)) + 1
+    values, codes = ((range(top), actions) if top <= 1 << 16  # every value up to the largest
+                     else np.unique(actions, return_inverse=True))
+    codes = codes.reshape(actions.shape)
+    joints: dict = {}
+    joint_codes = [joints.setdefault(joint, len(joints)) for joint in dataset.types]
+    parts = (
+        np.broadcast_to(_byte_table(['{"actions": [']), (n, 13)),
+        _byte_table([str(v) for v in values])[codes[:, :1]],
+        _byte_table([f", {v}" for v in values])[codes[:, 1:]],
+        _byte_table([f'], "theta1": {json.dumps(a)}, "theta2": {json.dumps(b)}}}\n'
+                     for a, b in joints])[joint_codes],
     )
-    lines.append("")
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
+    return np.hstack([part.reshape(n, -1) for part in parts]).tobytes().replace(b"\0", b"")
 
 
 def _reject_float(text: str):
@@ -410,28 +437,31 @@ def _reject_float(text: str):
 _EPISODE_DECODER = json.JSONDecoder(parse_float=_reject_float)
 
 
-def _intern_pairs(actions: list, pairs: dict, N: int) -> History:
-    """The history of ``actions``, with each action pair checked to be two
-    integers in [0, N) and added to ``pairs`` if new."""
-    history = []
-    it = iter(actions)
-    for pair in zip(it, it):
-        if not all(type(x) is int and 0 <= x < N for x in pair):
-            raise ValueError(f"actions must be integers in [0, {N})")
-        history.append(pairs.setdefault(pair, pair))
-    return tuple(history)
+@functools.lru_cache(maxsize=8)
+def _canonical_line(T: int) -> re.Pattern:
+    """The episode line ``write_dataset`` writes at horizon T: 2T JSON
+    integers of at most 18 digits, and type names with no escape and none of
+    the characters ``str.splitlines`` breaks a line at."""
+    num, name = r"(?:0|[1-9][0-9]{0,17})", r'("[^"\\\x00-\x1f\x85\u2028\u2029]*")'
+    actions = f"{num}(?:, {num}){{{2 * T - 1}}}" if T else ""
+    return re.compile(rf'^\{{"actions": \[({actions})\], "theta1": {name}, '
+                      rf'"theta2": {name}\}}\n', re.M)
 
 
 def read_dataset(path) -> Dataset:
     """Load a dataset written by ``write_dataset``.  Every action must be an
-    integer in [0, N); histories share one tuple per action pair."""
+    integer in [0, N)."""
     with open(path) as f:
         return parse_dataset(f.read(), path)
 
 
 def parse_dataset(text: str, path) -> Dataset:
-    """``read_dataset`` of the text of the file at ``path``."""
-    lines = text.splitlines()
+    """``read_dataset`` of the text of the file at ``path``.  A body of the
+    lines ``write_dataset`` writes is parsed in one pass, one regex and one
+    numpy parse; any other, or one that fails a check, line by line."""
+    head, _, body = text.partition("\n")
+    one_pass = head.splitlines() == [head]  # the header is the first line
+    lines = [head] if one_pass else text.splitlines()
     if not lines:
         raise GameFormatError(f"{path}: empty dataset file")
     try:
@@ -447,10 +477,16 @@ def parse_dataset(text: str, path) -> Dataset:
             raise GameFormatError(
                 f"{path}: line 1: header {key} must be an integer >= {low}, got {value!r}"
             )
-    # Histories share one tuple per action pair.  A pair is checked when it
-    # first occurs, so no table of all N * N pairs is made up front.
-    pairs: dict = {}
-    episodes = []
+    if one_pass:
+        rows = _canonical_line(T).findall(body)
+        if len(rows) == body.count("\n") == metadata.get("n") and body[-1:] in ("", "\n"):
+            actions = (np.fromstring(", ".join(row[0] for row in rows), dtype=np.int64, sep=", ")
+                       if T else np.empty(0, dtype=np.int64))
+            if actions.size == 2 * T * len(rows) and int(actions.max(initial=0)) < N:
+                actions = actions.astype(np.min_scalar_type(N - 1)).reshape(len(rows), T, 2)
+                return Dataset(actions, [(a[1:-1], b[1:-1]) for _, a, b in rows], metadata)
+        lines = text.splitlines()
+    rows, types = [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -459,22 +495,21 @@ def parse_dataset(text: str, path) -> Dataset:
             actions = rec["actions"]
             if len(actions) != 2 * T:
                 raise ValueError(f"expected {2 * T} actions, got {len(actions)}")
-            # true and false would pass the lookup as 1 and 0.
+            # true and false would pass the range check as 1 and 0.
             if ("true" in line or "false" in line) and any(type(x) is bool for x in actions):
                 raise ValueError("actions must be integers, not booleans")
-            it = iter(actions)
-            try:
-                history = tuple(map(pairs.__getitem__, zip(it, it)))
-            except (KeyError, TypeError):
-                history = _intern_pairs(actions, pairs, N)
-            episodes.append((rec["theta1"], rec["theta2"], history))
+            if not all(type(x) is int and 0 <= x < N for x in actions):
+                raise ValueError(f"actions must be integers in [0, {N})")
+            types.append((rec["theta1"], rec["theta2"]))
+            rows.append(actions)
         except (KeyError, TypeError, ValueError) as exc:
             raise GameFormatError(f"{path}: line {i}: {exc}") from exc
-    if len(episodes) != metadata.get("n"):
+    if len(rows) != metadata.get("n"):
         raise GameFormatError(
-            f"{path}: header promises {metadata.get('n')} episodes, found {len(episodes)}"
+            f"{path}: header promises {metadata.get('n')} episodes, found {len(rows)}"
         )
-    return Dataset(episodes=episodes, metadata=metadata)
+    actions = np.array(rows, dtype=np.min_scalar_type(N - 1)).reshape(len(rows), T, 2)
+    return Dataset(actions, types, metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from cooplab.agents import (
 )
 from cooplab.game_core import EpisodeTrace, GameError, check_mixed
 from cooplab.imitation_commit import CommitmentMixture, fit_imitation, mixture_from_joint
-from cooplab.population import _sample_action, read_dataset
+from cooplab.population import Dataset, _sample_action, read_dataset
 
 
 def handshake_decode(digits, num_types: int, N: int) -> int | None:
@@ -424,3 +424,17 @@ def run_episode(row_spec, col_spec, ts, joint_type, T, seed, convention_table=No
     row = build_scalar(row_spec, ts, T, "row", joint_type[0], row_seed, convention_table)
     col = build_scalar(col_spec, ts, T, "col", joint_type[1], col_seed, convention_table)
     return play_episode(row, col, T, rng, joint_type, seed)
+
+
+def tuple_dataset(episodes, T, n, metadata=None) -> Dataset:
+    """The dataset of (theta_row, theta_col, history) episodes, each history a
+    tuple of T (row, col) action pairs; a minimal header by default."""
+    actions = np.array([history for _, _, history in episodes], dtype=np.intp)
+    return Dataset(actions.reshape(len(episodes), T, 2), [(a, b) for a, b, _ in episodes],
+                   metadata or {"version": 1, "T": T, "N": n, "n": len(episodes)})
+
+
+def episode_tuples(dataset) -> list:
+    """The (theta_row, theta_col, history) tuples of a dataset's episodes."""
+    return [(a, b, tuple(map(tuple, history)))
+            for (a, b), history in zip(dataset.types, dataset.actions.tolist())]

@@ -28,3 +28,23 @@ def test_enumerate_eq_on_a_degenerate_game_lists_equilibria_without_worst_payoff
     assert "(degenerate game)" in result.output
     assert "row=[1, 0] col=[1, 0]" in result.output
     assert "worst Pareto-optimal payoffs: undefined for a degenerate game" in result.output
+
+
+def test_gen_data_reports_a_bad_population_member_in_one_line(tmp_path):
+    pop = tmp_path / "pop.json"
+    pop.write_text(json.dumps({"members": [{"kind": "FixedMixed", "params": {"probs": [1.0]}}],
+                               "weights": [1.0]}))
+    result = CliRunner().invoke(main, ["gen-data", "--fixture", "two-types", "--population",
+                                       str(pop), "--out", str(tmp_path / "ds.jsonl")])
+    assert result.exit_code == 1
+    assert result.output == "Error: mixed strategy has length 1, expected 2\n"
+
+
+def test_an_unknown_fixture_is_a_one_line_error(tmp_path):
+    for args in (["gen-data", "--out", str(tmp_path / "ds.jsonl")], ["enumerate-eq"]):
+        result = CliRunner().invoke(main, [*args, "--fixture", "nope"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: unknown fixture 'nope'; choose from "
+            "['coordination', 'four-types', 'pd', 'two-types']\n"
+        )

@@ -41,7 +41,6 @@ from cooplab.harness import (
 from cooplab.imitation_commit import BatchIC, ImitationPolicy, fit_imitation
 from cooplab.population import (
     _EPISODE_STREAM,
-    Dataset,
     Population,
     TypeDistribution,
     _sample_action,
@@ -58,6 +57,7 @@ from scalar_agents import (
     ProtocolAgent,
     play_episode,
     run_episode,
+    tuple_dataset,
 )
 
 TS4 = fixture_type_space("typespace_4.json")
@@ -261,7 +261,7 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
                   st.lists(actions, min_size=T, max_size=T).map(tuple)),
         min_size=K, max_size=K,
     ))
-    dataset = Dataset(episodes, {"version": 1, "T": T, "N": n, "n": K})
+    dataset = tuple_dataset(episodes, T, n)
     policy = fit_imitation(dataset, tilde_T, seat=seat)
     own_types = data.draw(st.lists(st.sampled_from("abc"), min_size=len(episode_seeds),
                                    max_size=len(episode_seeds)))
@@ -294,7 +294,7 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
 
 
 def test_batched_ic_rejects_the_horizons_the_scalar_agent_rejects():
-    policy = fit_imitation(Dataset([], {"version": 1, "T": 4, "N": 2, "n": 0}), 2)
+    policy = fit_imitation(tuple_dataset([], 4, 2), 2)
     for tilde_T, T in ((0, 4), (4, 4)):
         with pytest.raises(GameError):
             BatchIC(policy, tilde_T, T, ["a"], "row", [0.5])

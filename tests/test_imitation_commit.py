@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cooplab.agents import AgentSpec
 from cooplab.game_core import GameError, TypeSpace
 from cooplab.population import Dataset
 from cooplab.imitation_commit import (
@@ -19,14 +20,17 @@ from cooplab.imitation_commit import (
     theorem42_bound,
 )
 from cooplab.harness import fixture_path
-from scalar_agents import empirical_joint_n, policy_strategy, sample_component
+from scalar_agents import (
+    empirical_joint_n,
+    episode_tuples,
+    policy_strategy,
+    sample_component,
+    tuple_dataset,
+)
 
 
 def make_dataset(episodes, T, n=2):
-    return Dataset(
-        episodes=episodes,
-        metadata={"version": 1, "T": T, "N": n, "n": len(episodes)},
-    )
+    return tuple_dataset(episodes, T, n)
 
 
 def test_fit_imitation_counts_frequencies():
@@ -54,12 +58,13 @@ def test_fit_imitation_unseen_keys_uniform_and_col_seat():
 
 
 def fit_by_prefix_loop(dataset, tilde_T, seat):
-    """The counting loop fit_imitation ran before its trie walk, kept as its
-    oracle: one numpy increment per stage, keyed by the whole prefix."""
+    """The counting loop fit_imitation ran on tuple histories before its trie
+    walk, kept as its oracle: one numpy increment per stage, keyed by the
+    whole prefix."""
     n = dataset.metadata["N"]
     policy = ImitationPolicy(num_actions=n, tilde_T=tilde_T, seat=seat)
     own = 0 if seat == "row" else 1
-    for episode in dataset.episodes:
+    for episode in episode_tuples(dataset):
         history = episode[2]
         for t in range(min(tilde_T, len(history))):
             key = (episode[own], history[:t])
@@ -107,6 +112,50 @@ def test_fit_imitation_matches_prefix_loop(data, n, T, seat):
     assert set(fitted.roots) == {own_type for own_type, history in expected if not history}
     assert np.count_nonzero(fitted.children) == sum(1 for _, history in expected if history)
     assert fitted.children[0].tolist() == [0] * (n * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    T=st.integers(min_value=1, max_value=8),
+    cut=st.integers(min_value=1, max_value=8),
+    K=st.integers(min_value=0, max_value=60),
+    seat=st.sampled_from(["row", "col"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=3, T=4, cut=2, K=0, seat="col", seed=0)
+@example(n=2, T=6, cut=6, K=0, seat="row", seed=0)
+def test_array_fit_equals_the_tuple_oracle(n, T, cut, K, seat, seed):
+    # Mostly action 0, so that episodes share long prefixes and the trie is deep.
+    rng = np.random.default_rng(seed)
+    actions = np.where(rng.random((K, T, 2)) < 0.7, 0, rng.integers(0, n, size=(K, T, 2)))
+    types = [tuple(joint) for joint in rng.choice(["a", "b", "c"], size=(K, 2)).tolist()]
+    dataset = Dataset(actions.astype(np.uint8), types, {"version": 1, "T": T, "N": n, "n": K})
+    tilde_T = min(cut, T)
+    got = fit_imitation(dataset, tilde_T, seat=seat).counts
+    expected = fit_by_prefix_loop(dataset, tilde_T, seat).counts
+    assert {key: v.tolist() for key, v in got.items()} == (
+        {key: v.tolist() for key, v in expected.items()}
+    )
+
+
+def test_ic_spec_id_hashes_the_policy_content(monkeypatch):
+    def fit(seed):
+        rng = np.random.default_rng(seed)
+        dataset = Dataset(rng.integers(0, 2, size=(50, 6, 2)), [("a", "b")] * 50,
+                          {"version": 1, "T": 6, "N": 2, "n": 50})
+        return fit_imitation(dataset, 4)
+
+    first, again, other = fit(1), fit(1), fit(2)
+    assert first is not again and list(first.counts) != list(other.counts)
+
+    def no_repr(policy):
+        raise AssertionError("the policy's repr was built")
+
+    monkeypatch.setattr(ImitationPolicy, "__repr__", no_repr)
+    ids = [AgentSpec("IC", {"policy": p, "tilde_T": 4}).agent_id() for p in (first, again, other)]
+    assert ids[0] == ids[1] != ids[2]
+    assert ids[0].startswith("IC:")
 
 
 def test_fit_imitation_rejects_actions_outside_the_action_set():

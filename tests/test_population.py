@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,8 +136,8 @@ def test_generate_dataset_reproducible_and_distributed(ts2):
     )
     ds1 = generate_dataset(pop, mu, ts2, 300, 5, master_seed=9)
     ds2 = generate_dataset(pop, mu, ts2, 300, 5, master_seed=9)
-    assert ds1.episodes == ds2.episodes
-    counts = Counter((t1, t2) for t1, t2, _ in ds1.episodes)
+    assert ds1 == ds2
+    counts = Counter(ds1.types)
     assert counts[("gamma", "delta")] > counts[("gamma", "gamma")]
     assert ds1.metadata["type_space_hash"] == ts2.content_hash()
 
@@ -148,7 +151,7 @@ def test_dataset_roundtrip_byte_identical(ts2, tmp_path):
     write_dataset(read_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
     restored = read_dataset(p1)
-    assert restored.episodes == ds.episodes
+    assert restored == ds
     assert restored.metadata["T"] == 7
 
 
@@ -184,6 +187,126 @@ def test_read_dataset_rejects_actions_outside_the_action_set(tmp_path, actions):
         read_dataset(p)
 
 
+HEADER = '{"N": 2, "T": 2, "n": 2, "version": 1}\n'
+GOOD_LINE = '{"actions": [1, 1, 0, 0], "theta1": "a", "theta2": "b"}\n'
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"actions": [0, true, 1, 0], "theta1": "a", "theta2": "b"}',
+     "line 3: actions must be integers, not booleans"),
+    ('{"actions": [0, 1.0, 1, 0], "theta1": "a", "theta2": "b"}',
+     "line 3: action 1.0 is not an integer"),
+    ('{"actions": [0, 1, 2, 0], "theta1": "a", "theta2": "b"}',
+     "line 3: actions must be integers in [0, 2)"),
+    ('{"actions": [0, 01, 1, 0], "theta1": "a", "theta2": "b"}',
+     "line 3: Expecting ',' delimiter: line 1 column 18 (char 17)"),
+    ('{"actions": [0, 1], "theta1": "a", "theta2": "b"}', "line 3: expected 4 actions, got 2"),
+    ('{"actions": [0, 1, 1, 0], "theta1": "a"}', "line 3: 'theta2'"),
+    ('[0, 1, 1, 0]', "line 3: list indices must be integers or slices, not str"),
+])
+def test_read_dataset_names_the_bad_line_as_the_line_reader_did(tmp_path, line, message):
+    # The first episode line is canonical: the one-pass reader tries the
+    # file, and the line reader raises the error, word for word.
+    p = tmp_path / "bad.jsonl"
+    p.write_text(HEADER + GOOD_LINE + line + "\n")
+    with pytest.raises(GameFormatError) as exc:
+        read_dataset(p)
+    assert str(exc.value) == f"{p}: {message}"
+    p.write_text(HEADER + GOOD_LINE)
+    with pytest.raises(GameFormatError) as exc:
+        read_dataset(p)
+    assert str(exc.value) == f"{p}: header promises 2 episodes, found 1"
+
+
+def test_read_dataset_parses_canonical_lines_in_one_pass_and_others_alike(tmp_path,
+                                                                          monkeypatch):
+    records = [({"actions": [1, 1, 0, 0], "theta1": "a", "theta2": "b"}),
+               ({"actions": [0, 1, 1, 0], "theta1": "b", "theta2": "b"})]
+    canonical = HEADER + "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    variants = {
+        "reordered keys": HEADER + "".join(json.dumps(r) + "\n" for r in
+                                           ({k: r[k] for k in ("theta2", "actions", "theta1")}
+                                            for r in records)),
+        "whitespace": HEADER + "".join(json.dumps(r, sort_keys=True, indent=None,
+                                                  separators=(" ,", " :  ")) + " \n"
+                                       for r in records),
+        "extra key": HEADER + "".join(json.dumps({**r, "note": 1}, sort_keys=True) + "\n"
+                                      for r in records),
+        "blank line": canonical + "\n",
+        "no final newline": canonical[:-1],
+    }
+    decoded = []  # the lines read one at a time
+    decoder = population._EPISODE_DECODER
+    monkeypatch.setattr(population, "_EPISODE_DECODER", SimpleNamespace(
+        decode=lambda line: decoded.append(line) or decoder.decode(line)))
+    p = tmp_path / "canonical.jsonl"
+    p.write_text(canonical)
+    expected = read_dataset(p)
+    assert decoded == []  # one pass
+    assert expected.actions.tolist() == [[[1, 1], [0, 0]], [[0, 1], [1, 0]]]
+    assert expected.types == [("a", "b"), ("b", "b")]
+    for name, text in variants.items():
+        p = tmp_path / "variant.jsonl"
+        p.write_text(text)
+        decoded.clear()
+        assert read_dataset(p) == expected, name
+        assert len(decoded) == 2, name
+
+
+# sha256 of the files generate_dataset and write_dataset made when a history
+# was a tuple of pairs and each line one json.dumps: ic-eval's K = 100
+# dataset of the acceptance config, and a dataset of typespace_4.
+IC_EVAL_K100_SHA256 = "da0990781ba3d15409903e5f3c3d8476eb232303eac4fffaf44906faa087e43f"
+TS4_SHA256 = "931a6309549e494fe0c0b28538f8ea853f7ae4d1761d9f9fee3bf9bbcce93eba"
+
+
+def test_dataset_files_keep_their_pinned_bytes(ts2, tmp_path):
+    params = theorem26_params(0.1, 40, 1, 2)
+    pop = Population([AgentSpec("Protocol", {"eps1": params.eps1, "k": 1})], [1.0])
+    mu = TypeDistribution([("gamma", "gamma"), ("gamma", "delta"), ("delta", "delta")],
+                          [0.25, 0.5, 0.25])
+    master = int(np.random.default_rng(np.random.SeedSequence([109, 0x4943, 100])).integers(2**62))
+    ds = generate_dataset(pop, mu, ts2, 100, 40, master_seed=master,
+                          convention_table=build_convention_table(ts2))
+    write_dataset(ds, tmp_path / "ic.jsonl")
+    assert hashlib.sha256((tmp_path / "ic.jsonl").read_bytes()).hexdigest() == IC_EVAL_K100_SHA256
+    pop4 = Population([AgentSpec("Protocol", {"eps1": 0.2, "k": 2}), AgentSpec("MW")], [0.6, 0.4])
+    ds4 = generate_dataset(pop4, TypeDistribution.uniform(TS4), TS4, 200, 20, master_seed=5,
+                           convention_table=TABLES[id(TS4)])
+    write_dataset(ds4, tmp_path / "ts4.jsonl")
+    assert hashlib.sha256((tmp_path / "ts4.jsonl").read_bytes()).hexdigest() == TS4_SHA256
+
+
+# Type names with quotes, backslashes, controls, line breaks and non-ASCII
+# characters, which json.dumps escapes.
+type_names = st.text(alphabet=st.sampled_from(['a', 'Z', '"', '\\', ' ', '\xe9', '\u2603', '\n',
+                                               '\x00', '\x85', '\u2028', '\U0001f600']),
+                     max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(min_value=2, max_value=12), T=st.integers(min_value=0, max_value=4),
+       data=st.data())
+def test_write_dataset_lines_are_json_dumps_of_each_record(tmp_path_factory, N, T, data):
+    K = data.draw(st.integers(min_value=0, max_value=6))
+    actions = data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=2 * T, max_size=2 * T),
+                                 min_size=K, max_size=K))
+    types = data.draw(st.lists(st.tuples(type_names, type_names), min_size=K, max_size=K))
+    metadata = {"version": 1, "T": T, "N": N, "n": K, "name": "\xe9\""}
+    ds = Dataset(np.array(actions, dtype=np.uint8).reshape(K, T, 2), types, metadata)
+    path = tmp_path_factory.mktemp("w") / "ds.jsonl"
+    write_dataset(ds, path)
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[0] == json.dumps(metadata, sort_keys=True) and lines[-1] == ""
+    assert lines[1:-1] == [
+        json.dumps({"theta1": a, "theta2": b, "actions": row}, sort_keys=True)
+        for (a, b), row in zip(types, actions)
+    ]
+    # A CRLF after the header makes the reader go line by line.
+    crlf = population.parse_dataset(path.read_text().replace("\n", "\r\n", 1), path)
+    assert read_dataset(path) == ds == crlf
+
+
 def test_read_dataset_rejects_a_header_without_action_count(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text(
@@ -194,16 +317,18 @@ def test_read_dataset_rejects_a_header_without_action_count(tmp_path):
 
 
 def test_read_dataset_with_a_huge_action_count_checks_pairs_as_they_occur(tmp_path):
-    # No table of N * N pairs: a header with N = 10**12 reads at once.
+    # No table of N * N pairs: a header with N = 10**12 reads at once, and
+    # writes back the same bytes.
     p = tmp_path / "huge.jsonl"
     header = '{"N": 1000000000000, "T": 2, "n": 2, "version": 1}\n'
     p.write_text(
         header + '{"actions": [0, 999999999999, 5, 0], "theta1": "a", "theta2": "b"}\n'
         '{"actions": [5, 0, 0, 999999999999], "theta1": "a", "theta2": "b"}\n'
     )
-    first, second = (h for _, _, h in read_dataset(p).episodes)
-    assert first == ((0, 999999999999), (5, 0)) and second == ((5, 0), (0, 999999999999))
-    assert first[1] is second[0]  # one shared tuple per pair
+    ds = read_dataset(p)
+    assert ds.actions.tolist() == [[[0, 999999999999], [5, 0]], [[5, 0], [0, 999999999999]]]
+    write_dataset(ds, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == p.read_bytes()
     p.write_text(header + '{"actions": [0, 1000000000000, 5, 0], "theta1": "a", "theta2": "b"}\n')
     with pytest.raises(GameFormatError, match="line 2"):
         read_dataset(p)
@@ -260,7 +385,7 @@ def test_dataset_sampling_matches_weights_chi_square(ts2):
     mu = TypeDistribution.uniform(ts2)
     n = 4000
     ds = generate_dataset(pop, mu, ts2, n, 1, master_seed=12)
-    type_counts = Counter((t1, t2) for t1, t2, _ in ds.episodes)
+    type_counts = Counter(ds.types)
     for joint in mu.support:
         freq = type_counts[joint] / n
         assert abs(freq - 0.25) < 0.03
@@ -324,8 +449,7 @@ def test_protocol_population_dataset_has_handshake_prefix(ts2):
         pop, mu, ts2, 10, 20, master_seed=2,
         convention_table=build_convention_table(ts2),
     )
-    for _, _, history in ds.episodes:
-        assert history[0] == (0, 1)  # gamma announces index 0, delta index 1
+    assert ds.actions[:, 0].tolist() == [[0, 1]] * 10  # gamma announces index 0, delta 1
 
 MEMBER_SPECS = [
     AgentSpec("Protocol", {"eps1": 0.3}),
@@ -402,7 +526,9 @@ def test_batched_generate_dataset_matches_run_episode_loop(ic_datasets, members,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(population, "EPISODE_BATCH", batch)
         ds = generate_dataset(pop, mu, ts, n, T, master_seed, convention_table=table)
-    assert ds.episodes == dataset_by_run_episode(pop, mu, ts, n, T, master_seed, table)
+    assert scalar_agents.episode_tuples(ds) == (
+        dataset_by_run_episode(pop, mu, ts, n, T, master_seed, table)
+    )
 
 
 def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=2000):
@@ -457,7 +583,8 @@ def test_generate_dataset_matches_per_pairing_loop(tmp_path, ts, batch):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(population, "EPISODE_BATCH", batch)
         ds = generate_dataset(pop, mu, ts, 150, 25, 91, convention_table=table)
-    oracle = Dataset(dataset_by_pairing(pop, mu, ts, 150, 25, 91, table), ds.metadata)
+    oracle = scalar_agents.tuple_dataset(dataset_by_pairing(pop, mu, ts, 150, 25, 91, table),
+                                         25, ts.num_actions, ds.metadata)
     write_dataset(ds, tmp_path / "batched.jsonl")
     write_dataset(oracle, tmp_path / "by_pairing.jsonl")
     assert (tmp_path / "batched.jsonl").read_bytes() == (tmp_path / "by_pairing.jsonl").read_bytes()

@@ -26,9 +26,10 @@ from cooplab.agents import (
     theorem26_params,
     tree_act_fn,
 )
-from cooplab.population import Dataset, Population, flatten_population
+from cooplab.population import Population, flatten_population
 from cooplab.imitation_commit import fit_imitation
 from cooplab.harness import fixture_path
+from scalar_agents import tuple_dataset
 
 
 TS2 = TypeSpace.from_file(fixture_path("typespace_2.json"))
@@ -263,7 +264,7 @@ def _ic_specs(tilde_T):
          tuple((rng.randrange(2), rng.randrange(2)) for _ in range(tilde_T)))
         for _ in range(40)
     ]
-    dataset = Dataset(episodes, {"version": 1, "T": tilde_T, "N": 2, "n": len(episodes)})
+    dataset = tuple_dataset(episodes, tilde_T, 2)
     return {
         seat: AgentSpec("IC", {"policy": fit_imitation(dataset, tilde_T, seat), "tilde_T": tilde_T})
         for seat in ("row", "col")
