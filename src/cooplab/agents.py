@@ -52,6 +52,12 @@ from .engine import (
 )
 
 
+def _param_json(obj) -> str:
+    """The JSON stand-in of a param object in a hash: its ``content_hash()``,
+    such as an in-memory ImitationPolicy's, or else its str."""
+    return getattr(obj, "content_hash", obj.__str__)()
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """Declarative agent description; (spec, seed) reconstructs behavior."""
@@ -73,11 +79,9 @@ class AgentSpec:
         return cls(kind=data["kind"], params=dict(params), own_type=data.get("own_type"))
 
     def agent_id(self) -> str:
-        # A param object counts by its content_hash(), such as an in-memory
-        # ImitationPolicy's, or else by its str.
         try:
             blob = json.dumps({"kind": self.kind, "params": self.params}, sort_keys=True,
-                              default=lambda obj: getattr(obj, "content_hash", obj.__str__)())
+                              default=_param_json)
         except TypeError:
             blob = repr(sorted(self.params))
         digest = hashlib.sha256(blob.encode()).hexdigest()[:8]

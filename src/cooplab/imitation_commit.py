@@ -22,7 +22,7 @@ from .population import Dataset, parse_dataset
 COMPONENT_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class ImitationPolicy:
     """Empirical action frequencies keyed by (own type, history prefix).
 
@@ -39,13 +39,21 @@ class ImitationPolicy:
     tilde_T: int
     seat: str = "row"
     counts: dict[tuple[str, History], np.ndarray] = field(default_factory=dict)
-    roots: dict[str, int] | None = field(default=None, repr=False, compare=False)
-    strategies: np.ndarray | None = field(default=None, repr=False, compare=False)
-    children: np.ndarray | None = field(default=None, repr=False, compare=False)
+    roots: dict[str, int] | None = field(default=None, repr=False)
+    strategies: np.ndarray | None = field(default=None, repr=False)
+    children: np.ndarray | None = field(default=None, repr=False)
+
+    def __eq__(self, other) -> bool:
+        """Equal action count, cutoff, seat and counts, array by array."""
+        return (isinstance(other, ImitationPolicy)
+                and (self.num_actions, self.tilde_T, self.seat)
+                == (other.num_actions, other.tilde_T, other.seat)
+                and self.counts.keys() == other.counts.keys()
+                and all(np.array_equal(c, other.counts[key]) for key, c in self.counts.items()))
 
     def content_hash(self) -> str:
-        """sha256 of the compared fields, the counts in key order: equal
-        policies hash alike."""
+        """sha256 of the fields ``__eq__`` compares, the counts in key order:
+        equal policies hash alike."""
         keys = sorted(self.counts)
         head = json.dumps([self.num_actions, self.tilde_T, self.seat, keys])
         digest = hashlib.sha256(head.encode())

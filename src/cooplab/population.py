@@ -31,6 +31,7 @@ from .agents import (
     BuildContext,
     ConventionTable,
     _need,
+    _param_json,
     build_agent,
     build_agents,
     register_agent_kind,
@@ -153,7 +154,7 @@ class Population:
         blob = json.dumps(
             [[m.to_dict() for m in self.members], self.weights],
             sort_keys=True,
-            default=str,
+            default=_param_json,
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -437,15 +438,46 @@ def _reject_float(text: str):
 _EPISODE_DECODER = json.JSONDecoder(parse_float=_reject_float)
 
 
-@functools.lru_cache(maxsize=8)
-def _canonical_line(T: int) -> re.Pattern:
-    """The episode line ``write_dataset`` writes at horizon T: 2T JSON
-    integers of at most 18 digits, and type names with no escape and none of
-    the characters ``str.splitlines`` breaks a line at."""
-    num, name = r"(?:0|[1-9][0-9]{0,17})", r'("[^"\\\x00-\x1f\x85\u2028\u2029]*")'
-    actions = f"{num}(?:, {num}){{{2 * T - 1}}}" if T else ""
-    return re.compile(rf'^\{{"actions": \[({actions})\], "theta1": {name}, '
-                      rf'"theta2": {name}\}}\n', re.M)
+# An episode line as write_dataset writes it with single-digit actions: the
+# opening, then 2T digits at offsets 13 + 3i joined by ", ", then the closing
+# from byte 13 + 6T - 2 (13 when T = 0).  Type names hold no escape and none
+# of the characters str.splitlines breaks a line at.
+_OPENING = np.frombuffer(b'{"actions": [', dtype=np.uint8)
+_NAME = r'"([^"\\\x00-\x1f\x85\u2028\u2029]*)"'
+_CLOSING = rf'\], "theta1": {_NAME}, "theta2": {_NAME}\}}'  # compiled on first use
+_ROW_BLOCK = 4096  # lines per gather of line openings
+
+
+def _canonical_episodes(body: str, T: int, N: int, n):
+    """The (n, T, 2) actions and the types of ``body`` when it is ``n``
+    lines, each ending with a newline and of the single-digit form above
+    with every action below N; else None."""
+    data = body.encode("utf-8", "surrogatepass")
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    if len(ends) != n or b.size != (int(ends[-1]) + 1 if len(ends) else 0):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    head = 13 + max(6 * T - 2, 0)  # where the closing starts
+    if len(ends) and (ends - starts).min() < head + 2:  # each line holds its gather
+        return None
+    actions = np.empty((len(ends), 2 * T), dtype=np.min_scalar_type(N - 1))
+    for lo in range(0, len(ends), _ROW_BLOCK):
+        block = np.lib.stride_tricks.sliding_window_view(b, head + 2)[starts[lo:lo + _ROW_BLOCK]]
+        groups = block[:, 13:13 + 6 * T].reshape(len(block), 2 * T, 3)  # a digit, then ", "
+        digits = groups[:, :, 0] - ord("0")  # a non-digit wraps to at least 10
+        if ((block[:, :13] != _OPENING).any() or (groups[:, :-1, 1] != ord(",")).any()
+                or (groups[:, :-1, 2] != ord(" ")).any() or digits.max(initial=0) >= min(N, 10)):
+            return None
+        actions[lo:lo + len(block)] = digits
+    closings = [data[s:e] for s, e in zip((starts + head).tolist(), ends.tolist())]
+    joints = {}
+    for closing in dict.fromkeys(closings):
+        match = re.fullmatch(_CLOSING, closing.decode("utf-8", "surrogatepass"))
+        if match is None:
+            return None
+        joints[closing] = match.groups()
+    return actions.reshape(len(ends), T, 2), list(map(joints.__getitem__, closings))
 
 
 def read_dataset(path) -> Dataset:
@@ -457,8 +489,12 @@ def read_dataset(path) -> Dataset:
 
 def parse_dataset(text: str, path) -> Dataset:
     """``read_dataset`` of the text of the file at ``path``.  A body of the
-    lines ``write_dataset`` writes is parsed in one pass, one regex and one
-    numpy parse; any other, or one that fails a check, line by line."""
+    lines ``write_dataset`` writes, with every action a single digit, is read
+    in one pass over its bytes: the line ends, then per block of lines one
+    gather of their openings, which checks the layout and yields the actions
+    at fixed offsets, then one match per distinct closing for the types.  Any
+    other body, or one that fails a check, is read line by line, which gives
+    every error message and line number."""
     head, _, body = text.partition("\n")
     one_pass = head.splitlines() == [head]  # the header is the first line
     lines = [head] if one_pass else text.splitlines()
@@ -478,13 +514,9 @@ def parse_dataset(text: str, path) -> Dataset:
                 f"{path}: line 1: header {key} must be an integer >= {low}, got {value!r}"
             )
     if one_pass:
-        rows = _canonical_line(T).findall(body)
-        if len(rows) == body.count("\n") == metadata.get("n") and body[-1:] in ("", "\n"):
-            actions = (np.fromstring(", ".join(row[0] for row in rows), dtype=np.int64, sep=", ")
-                       if T else np.empty(0, dtype=np.int64))
-            if actions.size == 2 * T * len(rows) and int(actions.max(initial=0)) < N:
-                actions = actions.astype(np.min_scalar_type(N - 1)).reshape(len(rows), T, 2)
-                return Dataset(actions, [(a[1:-1], b[1:-1]) for _, a, b in rows], metadata)
+        episodes = _canonical_episodes(body, T, N, metadata.get("n"))
+        if episodes is not None:
+            return Dataset(*episodes, metadata)
         lines = text.splitlines()
     rows, types = [], []
     for i, line in enumerate(lines[1:], start=2):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cooplab.agents import AgentSpec
 from cooplab.game_core import GameError, TypeSpace
-from cooplab.population import Dataset
+from cooplab.population import Dataset, Population
 from cooplab.imitation_commit import (
     ImitateThenCommitAgent,
     ImitationPolicy,
@@ -139,14 +139,23 @@ def test_array_fit_equals_the_tuple_oracle(n, T, cut, K, seat, seed):
     )
 
 
-def test_ic_spec_id_hashes_the_policy_content(monkeypatch):
-    def fit(seed):
-        rng = np.random.default_rng(seed)
-        dataset = Dataset(rng.integers(0, 2, size=(50, 6, 2)), [("a", "b")] * 50,
-                          {"version": 1, "T": 6, "N": 2, "n": 50})
-        return fit_imitation(dataset, 4)
+def fit_random(seed):
+    rng = np.random.default_rng(seed)
+    dataset = Dataset(rng.integers(0, 2, size=(50, 6, 2)), [("a", "b")] * 50,
+                      {"version": 1, "T": 6, "N": 2, "n": 50})
+    return fit_imitation(dataset, 4)
 
-    first, again, other = fit(1), fit(1), fit(2)
+
+def test_imitation_policies_compare_by_content():
+    first, again, other = fit_random(1), fit_random(1), fit_random(2)
+    assert first is not again and first.counts is not again.counts
+    assert first == again and not first != again
+    assert first != other and not first == other
+    assert (first == "policy") is False and (first == first.counts) is False
+
+
+def test_ic_spec_id_hashes_the_policy_content(monkeypatch):
+    first, again, other = fit_random(1), fit_random(1), fit_random(2)
     assert first is not again and list(first.counts) != list(other.counts)
 
     def no_repr(policy):
@@ -156,6 +165,10 @@ def test_ic_spec_id_hashes_the_policy_content(monkeypatch):
     ids = [AgentSpec("IC", {"policy": p, "tilde_T": 4}).agent_id() for p in (first, again, other)]
     assert ids[0] == ids[1] != ids[2]
     assert ids[0].startswith("IC:")
+    # A population holding the policy hashes it alike.
+    hashes = [Population([AgentSpec("IC", {"policy": p, "tilde_T": 4}), AgentSpec("MW")],
+                         [0.5, 0.5]).content_hash() for p in (first, again, other)]
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_fit_imitation_rejects_actions_outside_the_action_set():

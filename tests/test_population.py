@@ -172,6 +172,10 @@ def test_read_dataset_error_reporting(tmp_path):
     p.write_text('{"N": 2, "T": 2, "n": 3, "version": 1}\n')
     with pytest.raises(GameFormatError, match="promises"):
         read_dataset(p)
+    p.write_text('{"N": 2, "T": 1000000000000, "n": 1, "version": 1}\n'
+                 '{"actions": [0, 1], "theta1": "a", "theta2": "b"}\n')
+    with pytest.raises(GameFormatError, match="line 2: expected 2000000000000 actions, got 2"):
+        read_dataset(p)
 
 
 @pytest.mark.parametrize("actions", ["[0, 1, 2, 0]", "[0, -1, 1, 0]", "[0, 1.0, 1, 0]",
@@ -251,6 +255,13 @@ def test_read_dataset_parses_canonical_lines_in_one_pass_and_others_alike(tmp_pa
         decoded.clear()
         assert read_dataset(p) == expected, name
         assert len(decoded) == 2, name
+    # An action of two digits sends a canonical file line by line.
+    wide = Dataset(np.array([[[1, 10], [0, 0]], [[11, 1], [2, 0]]], dtype=np.uint8),
+                   [("a", "b"), ("b", "b")], {"N": 12, "T": 2, "n": 2, "version": 1})
+    write_dataset(wide, p)
+    decoded.clear()
+    assert read_dataset(p) == wide
+    assert len(decoded) == 2
 
 
 # sha256 of the files generate_dataset and write_dataset made when a history
@@ -305,6 +316,56 @@ def test_write_dataset_lines_are_json_dumps_of_each_record(tmp_path_factory, N, 
     # A CRLF after the header makes the reader go line by line.
     crlf = population.parse_dataset(path.read_text().replace("\n", "\r\n", 1), path)
     assert read_dataset(path) == ds == crlf
+
+
+def read_or_error(read, *args):
+    """The Dataset ``read(*args)`` returns, or the text of its GameFormatError."""
+    try:
+        return read(*args)
+    except GameFormatError as exc:
+        return str(exc)
+
+
+# Bytes to put in place of another in a dataset file: digits, JSON
+# punctuation, line breaks, letters and a byte that is not UTF-8 alone.
+SUBSTITUTES = b'01259, "\\[]{}:\n\rtax-.\x85'
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(min_value=2, max_value=12), T=st.integers(min_value=0, max_value=4),
+       data=st.data())
+def test_read_dataset_gives_what_the_line_reader_gives(tmp_path_factory, N, T, data):
+    # A canonical file, then its copies with the byte at one position changed,
+    # for every position, and with one byte appended: each reads to the line
+    # reader's Dataset or fails with its message, naming the same line.
+    K = data.draw(st.integers(min_value=0, max_value=6))
+    actions = data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=2 * T, max_size=2 * T),
+                                 min_size=K, max_size=K))
+    # A few names, as a type space has, so that most files have the
+    # one-pass form and repeat their closings.
+    names = data.draw(st.lists(st.sampled_from(["gamma", "delta"]) | type_names,
+                               min_size=1, max_size=3))
+    types = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                               min_size=K, max_size=K))
+    metadata = {"version": 1, "T": T, "N": N, "n": K}
+    path = tmp_path_factory.mktemp("r") / "ds.jsonl"
+    write_dataset(Dataset(np.array(actions, dtype=np.uint8).reshape(K, T, 2), types, metadata),
+                  path)
+    blob = path.read_bytes()
+    rng = data.draw(st.randoms(use_true_random=True))
+    for at in range(-1, len(blob) + 1):  # -1: the file as written
+        byte = rng.choice(SUBSTITUTES)
+        path.write_bytes(blob if at < 0 else blob[:at] + bytes([byte]) + blob[at + 1:])
+        try:
+            text = path.read_text()  # as read_dataset decodes it
+        except UnicodeDecodeError:
+            continue
+        # A CRLF after the header makes the reader go line by line.
+        expected = read_or_error(population.parse_dataset, text.replace("\n", "\r\n", 1), path)
+        got = read_or_error(read_dataset, path)
+        assert got == expected, (at, byte)
+        if isinstance(got, Dataset):
+            assert got.actions.dtype == expected.actions.dtype
 
 
 def test_read_dataset_rejects_a_header_without_action_count(tmp_path):
