@@ -11,6 +11,7 @@ from .game_core import (
     GameError,
     GameFormatError,
     History,
+    HistoryDistribution,
     TypeSpace,
     exact_episode_value,
     expected_payoff,

@@ -446,8 +446,9 @@ def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:
     repeats each parent's row for its N^2 children, one ``observe`` steps
     them by their last action pair and one ``act`` announces.  A walk that
     asks for a depth's histories before the next depth's so pays one of each
-    per depth; histories may be asked in any order.  ``nodes`` holds the
-    strategy of every history asked so far."""
+    per depth; histories may be asked in any order.  A history whose
+    parent's children are built costs one lookup of the parent and one store.
+    ``nodes`` holds the strategy of every history asked so far."""
     if seat not in ("row", "col"):
         raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
     root = agent.act()[0].tolist()
@@ -479,6 +480,16 @@ def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:
                 children[h] = (child, i * n * n, strategies)
 
     def act(history: History):
+        built = history and children.get(history[:-1])
+        if built:  # the direct path: the parent's children are built
+            _, first, strategies = built
+            a, b = history[-1]
+            found = strategies[first + a * n + b]
+            asked = len(nodes)
+            nodes[history] = found
+            if len(nodes) > asked:  # a history asked again is not expanded again
+                waiting[len(history)].append(history)
+            return found
         found = nodes.get(history)
         if found is None:
             # Ask the unasked ancestors first, shallowest first, without

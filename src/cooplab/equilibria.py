@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game_core import BimatrixGame, GameError, CapacityError, check_mixed, expected_payoff
+from .game_core import BimatrixGame, GameError, CapacityError, check_mixed
 
 BR_TOL = 1e-12
 EQ_TOL = 1e-9
@@ -146,11 +146,12 @@ def enumerate_nash(game: BimatrixGame, max_actions: int = MAX_ACTIONS) -> NashEn
                 result.degenerate = True
                 continue
             seen.add(key)
+            # expected_payoff's arithmetic; p_i and q_i are valid by construction.
             result.profiles.append(EquilibriumProfile(
                 sigma_row=p_i,
                 sigma_col=q_i,
-                value_row=expected_payoff(p_i, q_i, game, "row"),
-                value_col=expected_payoff(p_i, q_i, game, "col"),
+                value_row=float(p_i @ game.payoff_row @ q_i),
+                value_col=float(q_i @ game.payoff_col @ p_i),
             ))
     return result
 

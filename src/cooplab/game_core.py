@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -311,7 +312,8 @@ ActFn = Callable[[History], Sequence[float]]
 def _check_tree_cap(n: int, T: int, cap: int) -> None:
     if T < 0:
         raise GameError(f"the horizon must be >= 0, got {T}")
-    if n ** (2 * T) > cap:
+    # The leaf codes are int64: no cap lets them reach 2^63.
+    if n ** (2 * T) > min(cap, 2**62):
         raise CapacityError(
             f"history tree has {n}^{2 * T} leaves, above the cap {cap}; "
             "use Monte-Carlo estimation instead"
@@ -332,27 +334,33 @@ def _check_level(strategies, n: int) -> np.ndarray:
 def _tree_levels(act_row: ActFn, act_col: ActFn, n: int, T: int, cap: int):
     """Walk the history tree of two behavioral strategies level by level.
 
-    Yields ``(histories, probs, P, Q)`` for each depth 0..T: the histories
-    reached with positive probability, in lexicographic order, their
+    Yields ``(codes, probs, P, Q)`` for each depth 0..T: the base-n^2 codes of
+    the histories reached with positive probability, increasing, their
     probabilities, and the (m, n) strategies both agents announce there
-    (``None`` at depth T, the leaves).  Each act function is called once per
-    internal node, parents before children.
+    (``None`` at depth T, the leaves).  A history's code is its parent's
+    code times n^2 plus its last pair ``a * n + b``, so increasing codes are
+    the lexicographic order of the histories.  Each act function is called
+    once per internal node, parents before children; tuple histories are
+    built only for those nodes.
     """
     _check_tree_cap(n, T, cap)
     steps = [((i, j),) for i in range(n) for j in range(n)]
     hs: list[History] = [()]
+    codes = np.zeros(1, dtype=np.int64)
     probs = np.ones(1)
-    for _ in range(T):
+    for depth in range(T):
         P = _check_level([act_row(h) for h in hs], n)
         Q = _check_level([act_col(h) for h in hs], n)
-        yield hs, probs, P, Q
+        yield codes, probs, P, Q
         # (prob * p[i]) * q[j], the float order of a scalar walk.
         w = ((probs[:, None] * P)[:, :, None] * Q[:, None, :]).reshape(-1)
         live = np.flatnonzero(w > 0.0)
         parent, pair = np.divmod(live, n * n)
-        hs = [hs[k] + steps[r] for k, r in zip(parent.tolist(), pair.tolist())]
+        codes = codes[parent] * (n * n) + pair
         probs = w[live]
-    yield hs, probs, None, None
+        if depth + 1 < T:
+            hs = [hs[k] + steps[r] for k, r in zip(parent.tolist(), pair.tolist())]
+    yield codes, probs, None, None
 
 
 def exact_episode_value(
@@ -377,18 +385,57 @@ def exact_episode_value(
     return v1, v2
 
 
+class HistoryDistribution(Mapping):
+    """A read-only mapping from length-T histories to their probabilities,
+    held as two arrays: ``codes``, the increasing base-n^2 codes of the
+    histories (their lexicographic order), and ``probs``.
+
+    Iteration decodes the histories in that order.  A lookup encodes its key
+    and binary-searches ``codes``; a key that is not a length-T tuple of
+    in-range action pairs is simply absent.
+    """
+
+    def __init__(self, codes: np.ndarray, probs: np.ndarray, n: int, T: int):
+        self.codes, self.probs, self.n, self.T = codes, probs, n, T
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        pairs = [(a, b) for a in range(self.n) for b in range(self.n)]
+        digits = np.empty((len(self.codes), self.T), dtype=np.int64)
+        rest = self.codes
+        for t in reversed(range(self.T)):
+            rest, digits[:, t] = np.divmod(rest, self.n * self.n)
+        for row in digits.tolist():
+            yield tuple(map(pairs.__getitem__, row))
+
+    def __getitem__(self, history) -> float:
+        if isinstance(history, tuple) and len(history) == self.T:
+            code, actions = 0, range(self.n)
+            for pair in history:
+                if not (isinstance(pair, tuple) and len(pair) == 2
+                        and pair[0] in actions and pair[1] in actions):
+                    raise KeyError(history)
+                code = (code * self.n + int(pair[0])) * self.n + int(pair[1])
+            i = int(np.searchsorted(self.codes, code))
+            if i < len(self.codes) and self.codes[i] == code:
+                return float(self.probs[i])
+        raise KeyError(history)
+
+
 def history_distribution(
     act_row: ActFn,
     act_col: ActFn,
     n: int,
     T: int,
     cap: int = TREE_CAP,
-) -> dict[History, float]:
+) -> HistoryDistribution:
     """Exact distribution over length-T histories induced by two strategies,
-    in lexicographic order of the histories with positive probability."""
-    for hs, probs, _, _ in _tree_levels(act_row, act_col, n, T, cap):
+    over the histories with positive probability, in lexicographic order."""
+    for codes, probs, _, _ in _tree_levels(act_row, act_col, n, T, cap):
         pass
-    return dict(zip(hs, probs.tolist()))
+    return HistoryDistribution(codes, probs, n, T)
 
 
 def total_variation(

@@ -34,7 +34,6 @@ from .game_core import (
     check_mixed,
     history_distribution,
     normalize_game,
-    total_variation,
 )
 # pareto_optimal_nash: unused here; kept bindable for the benchmark's tracer.
 from .equilibria import enumerate_nash, pareto_optimal_nash, worst_pone_payoff
@@ -798,6 +797,21 @@ def _default_flatten_population() -> Population:
     )
 
 
+def _history_labels(codes: np.ndarray, n: int, T: int) -> list[str]:
+    """The CSV labels ("a1b1a2b2...") of increasing length-T history codes.
+    Each depth's labels extend their parents' labels, one per distinct
+    prefix code."""
+    pair = [f"{a}{b}" for a in range(n) for b in range(n)]
+    prefixes, labels = np.zeros(1, dtype=np.int64), [""]
+    for depth in range(1, T + 1):
+        level = np.unique(codes // (n * n) ** (T - depth))
+        parent, last = np.divmod(level, n * n)
+        at = np.searchsorted(prefixes, parent).tolist()
+        labels = [labels[i] + pair[r] for i, r in zip(at, last.tolist())]
+        prefixes = level
+    return labels
+
+
 def run_flatten_check(cfg: ExperimentConfig):
     ts = cfg.type_space or fixture_type_space("typespace_2.json")
     n = ts.num_actions
@@ -809,44 +823,43 @@ def run_flatten_check(cfg: ExperimentConfig):
     walked = 0
 
     def walk(spec):
-        """One tree against the probe, with act functions (and node caches)
-        that live only for this walk."""
+        """The (codes, probs) of one tree against the probe, with act
+        functions (and node caches) that live only for this walk."""
         nonlocal walked
         col = tree_act_fn(build_agent(spec, ts, horizon, seat="col", own_type=own_type), "col")
         dist = history_distribution(tree_act_fn(probe_agent, "row"), col, n, horizon)
         walked += len(col.nodes)
-        return dist
+        return dist.codes, dist.probs
 
-    mixture: dict = {}
-    for member, weight in zip(pop.members, pop.weights):
-        for h, pr in walk(member).items():
-            mixture[h] = mixture.get(h, 0.0) + weight * pr
-    flat_dist = walk(flatten_population(pop))
-    tv = total_variation(mixture, flat_dist)
+    members = [walk(member) for member in pop.members]
+    flat_codes, flat_probs = walk(flatten_population(pop))
+    # The rows: every member's leaves, zero-weight members too, and the
+    # flattened agent's, in lexicographic order.
+    leaves = np.unique(np.concatenate([codes for codes, _ in members] + [flat_codes]))
+    mixture, flat = np.zeros(len(leaves)), np.zeros(len(leaves))
+    in_mixture = np.zeros(len(leaves), dtype=bool)
+    for (codes, probs), weight in zip(members, pop.weights):
+        at = np.searchsorted(leaves, codes)
+        mixture[at] += weight * probs  # 0.0 + w1 p1 + w2 p2 ..., member order
+        in_mixture[at] = True
+    flat[np.searchsorted(leaves, flat_codes)] = flat_probs
+    tv = 0.5 * float(np.abs(mixture - flat).sum())
+    support = int(in_mixture.sum())
     result = VerificationResult(
         kind=cfg.kind,
         label=f"flattened-agent history distribution TV, horizon={horizon}",
         statistic=tv,
         bound=1e-9,
         passed=tv <= 1e-9,
-        sample_count=len(mixture),
+        sample_count=support,
         detail=(
-            f"leaves: population mixture {len(mixture)}, flattened agent "
-            f"{len(flat_dist)}; nodes walked {walked} in {len(pop.members) + 1} walks"
+            f"leaves: population mixture {support}, flattened agent "
+            f"{len(flat_codes)}; nodes walked {walked} in {len(pop.members) + 1} walks"
         ),
     )
-    # history_distribution gives its leaves in lexicographic order, so they
-    # need no sort when the flattened agent's hold the mixture's.
-    leaves = flat_dist.keys()
-    if not mixture.keys() <= leaves:
-        leaves = sorted(mixture.keys() | leaves)
-    stage_label = {(a, b): f"{a}{b}" for a in range(n) for b in range(n)}.__getitem__
     rows = ["history,prob_population,prob_flattened"]
-    for h in leaves:
-        label = "".join(map(stage_label, h))
-        rows.append(
-            f"{label},{float(mixture.get(h, 0.0))!r},{float(flat_dist.get(h, 0.0))!r}"
-        )
+    rows += [f"{label},{p!r},{q!r}" for label, p, q in
+             zip(_history_labels(leaves, n, horizon), mixture.tolist(), flat.tolist())]
     return [result], {"flatten_check.csv": "\n".join(rows) + "\n"}
 
 

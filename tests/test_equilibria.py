@@ -117,6 +117,19 @@ def test_every_enumerated_profile_is_nash():
             assert is_nash(g, prof.sigma_row, prof.sigma_col, tol=1e-7)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_profile_values_are_bit_equal_to_expected_payoff(n):
+    rng = np.random.default_rng(100 + n)
+    kept = 0
+    for _ in range(20):
+        g = BimatrixGame(payoff_row=rng.random((n, n)), payoff_col=rng.random((n, n)))
+        for prof in enumerate_nash(g).profiles:
+            assert prof.value_row == expected_payoff(prof.sigma_row, prof.sigma_col, g, "row")
+            assert prof.value_col == expected_payoff(prof.sigma_row, prof.sigma_col, g, "col")
+            kept += 1
+    assert kept >= 20
+
+
 def test_random_games_have_at_least_one_equilibrium():
     # Nash existence; support enumeration can only miss equilibria of
     # degenerate games, which are flagged.

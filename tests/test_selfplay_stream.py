@@ -2,6 +2,7 @@
 against the whole-run kernels they replaced and numpy's ``Generator.choice``,
 which are kept here as reference implementations; and the per-case mixture
 replies and the flatten-check rows, checked against their former code."""
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cooplab import harness
 from cooplab.agents import AgentSpec, build_agent, build_convention_table, tree_act_fn
-from cooplab.game_core import BimatrixGame, GameError, history_distribution
+from cooplab.game_core import BimatrixGame, GameError, TypeSpace, history_distribution
 from cooplab.harness import (
     ExperimentConfig,
     _choice,
@@ -348,11 +349,20 @@ def test_response_functions_equal_per_component_replies(n, case, seed):
         assert np.array_equal(y, per_component_reply(z, c))
 
 
-@pytest.mark.parametrize("population", ["default", "zero-weight member first"])
-def test_flatten_check_rows_equal_sorted_rows(population):
+# Eleven actions at horizon 1: labels such as "103" join multi-digit actions.
+TS11 = TypeSpace(
+    types=("a", "b"),
+    payoff_table={t: np.random.default_rng(i).random((11, 11)) for i, t in enumerate("ab")},
+)
+
+
+def _flatten_case(case):
+    """(type space, population, probe, horizon) of a flatten check."""
     ts = fixture_type_space("typespace_2.json")
-    pop = harness._default_flatten_population()
-    if population != "default":
+    probe = AgentSpec("FixedMixed", {"probs": [0.6, 0.4]})
+    if case == "default":
+        return ts, harness._default_flatten_population(), probe, 3
+    if case == "zero-weight member first":
         # The zero-weight member's leaves, all after the other's, come first in
         # the mixture and are missing from the flattened agent's leaves.
         pop = Population(
@@ -360,15 +370,35 @@ def test_flatten_check_rows_equal_sorted_rows(population):
                      AgentSpec("FixedSequence", {"actions": [0, 0, 0]})],
             weights=[0.0, 1.0],
         )
-    _, artifacts = run_experiment(
-        ExperimentConfig(kind="flatten-check", type_space=ts, population=pop,
-                         extra={"flatten_horizon": 3})
+        return ts, pop, probe, 3
+    probs = np.zeros(11)
+    probs[[0, 3, 10]] = [0.5, 0.2, 0.3]
+    # Three members share the leaves that end in action 10, so the order of
+    # the mixture's sums shows; the zero-weight member's leaves are the
+    # mixture's alone.
+    pop = Population(
+        members=[AgentSpec("FixedSequence", {"actions": [10]}),
+                 AgentSpec("FixedMixed", {"probs": (np.arange(11) / 55).tolist()}),
+                 AgentSpec("FixedMixed", {"probs": [0.0] + [0.1] * 10}),
+                 AgentSpec("FixedSequence", {"actions": [0]})],
+        weights=[0.3, 0.3, 0.4, 0.0],
     )
-    probe = build_agent(AgentSpec("FixedMixed", {"probs": [0.6, 0.4]}), ts, 3, "row", ts.types[0])
+    return TS11, pop, AgentSpec("FixedMixed", {"probs": probs.tolist()}), 1
+
+
+@pytest.mark.parametrize("case", ["default", "zero-weight member first", "N=11, T=1"])
+def test_flatten_check_rows_equal_sorted_rows(case):
+    ts, pop, probe_spec, horizon = _flatten_case(case)
+    n = ts.num_actions
+    [result], artifacts = run_experiment(
+        ExperimentConfig(kind="flatten-check", type_space=ts, population=pop,
+                         extra={"flatten_horizon": horizon, "probe": probe_spec})
+    )
+    probe = build_agent(probe_spec, ts, horizon, "row", ts.types[0])
 
     def walk(spec):
-        col = build_agent(spec, ts, 3, seat="col", own_type=ts.types[0])
-        return history_distribution(tree_act_fn(probe, "row"), tree_act_fn(col, "col"), 2, 3)
+        col = build_agent(spec, ts, horizon, seat="col", own_type=ts.types[0])
+        return history_distribution(tree_act_fn(probe, "row"), tree_act_fn(col, "col"), n, horizon)
 
     mixture = {}
     for member, weight in zip(pop.members, pop.weights):
@@ -376,5 +406,25 @@ def test_flatten_check_rows_equal_sorted_rows(population):
             mixture[h] = mixture.get(h, 0.0) + weight * pr
     flat = walk(flatten_population(pop))
     assert artifacts["flatten_check.csv"] == sorted_flatten_rows(mixture, flat)
-    if population != "default":
+    assert result.sample_count == len(mixture)
+    assert result.detail.startswith(
+        f"leaves: population mixture {len(mixture)}, flattened agent {len(flat)};")
+    if case != "default":
         assert not mixture.keys() <= flat.keys()
+
+
+# Recorded from the dict-keyed flatten check this one replaced.
+FLATTEN_H7_SHA256 = "219875f0d2dc568e541d3870905bfe79aadf212263046ec106fe95ff54008553"
+
+
+def test_flatten_check_at_horizon_7_is_pinned():
+    results, artifacts = run_experiment(ExperimentConfig(
+        kind="flatten-check", episodes=1, seed=108,
+        type_space=fixture_type_space("typespace_2.json"), extra={"flatten_horizon": 7},
+    ))
+    [r] = results
+    csv = artifacts["flatten_check.csv"].encode()
+    assert hashlib.sha256(csv).hexdigest() == FLATTEN_H7_SHA256
+    assert (r.statistic, r.sample_count) == (1.3014495798439814e-16, 16384)
+    assert r.detail == ("leaves: population mixture 16384, flattened agent 16384; "
+                        "nodes walked 11176 in 4 walks")

@@ -126,20 +126,54 @@ def random_act_fn(seed: int, n: int, zero_share: float):
 # The walker against the recursive reference
 
 
+def _malformed_keys(n, T):
+    """Keys no length-T distribution over n actions holds: hashable ones a
+    dict looks up and misses, then unhashable ones a dict would refuse."""
+    full = tuple((n - 1, 0) for _ in range(T))
+    hashable = [full + ((0, 0),), "x", 3, None, ((0,),) * max(T, 1), ((0, 0, 0),) * max(T, 1)]
+    if T:
+        hashable += [full[:-1], full[:-1] + ((n, 0),), full[:-1] + ((0, -1),),
+                     full[:-1] + ((0.5, 0),), full[:-1] + ("ab",)]
+    return hashable, [list(full), full + ([0, 0],)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([2, 3]),
+    n=st.integers(2, 4),
     T=st.integers(0, 4),
     zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+    data=st.data(),
 )
-def test_history_distribution_matches_recursive_walk(seed, n, T, zero_share):
+def test_history_distribution_matches_recursive_walk(seed, n, T, zero_share, data):
+    if n ** (2 * T) > 3**8:
+        T -= 1  # N = 4 walks T = 3: 4^8 leaves make a slow recursive walk
     row, col = random_act_fn(seed, n, zero_share), random_act_fn(seed + 1, n, zero_share)
     got = history_distribution(row, col, n, T)
     want = recursive_distribution(row, col, n, T)
-    # Same keys in the same order, bit-equal probabilities.
+    # Same keys in the same order, bit-equal probabilities, strictly
+    # increasing codes.
     assert list(got) == list(want)
-    assert all(got[h] == want[h] for h in want)
+    assert list(got.values()) == list(want.values())
+    assert got == want and want == got
+    assert np.all(np.diff(got.codes) > 0)
+    # Lookups behave as the dict's: present, absent (in range, zero
+    # probability) and malformed keys.
+    action = st.integers(0, n - 1)
+    drawn = data.draw(st.lists(st.tuples(*[st.tuples(action, action)] * T), max_size=5))
+    hashable, unhashable = _malformed_keys(n, T)
+    for key in list(want)[:5] + drawn + hashable:
+        assert (key in got) == (key in want)
+        assert got.get(key, -1.0) == want.get(key, -1.0)
+        if key in want:
+            assert got[key] == want[key]
+        else:
+            with pytest.raises(KeyError):
+                got[key]
+    for key in unhashable:
+        assert key not in got and got.get(key) is None
+        with pytest.raises(KeyError):
+            got[key]
 
 
 @settings(max_examples=60, deadline=None)
