@@ -32,12 +32,10 @@ from .equilibria import (
 )
 from .regret import (
     AzumaThresholds,
-    RegretReport,
     altruistic_regret,
     azuma_thresholds,
     expected_external_regret,
     external_regret,
-    report_from_trace,
 )
 from .agents import (
     AgentSpec,

@@ -2,7 +2,8 @@
 handshake helpers, and the convention table.
 
 Each kind builds one batch agent (``engine.py``) straight from its spec:
-``build_agents`` for many episodes of one seat, ``build_agent`` for one.
+``build_agents`` for many episodes of one seat, ``build_agent`` for one, and
+``build_seat`` for a seat of many specs.
 Agents are deterministic state machines: ``act()`` returns the announced
 mixed strategies for the current stage and ``observe(own, opp)`` advances the
 state.  Action *sampling* is done by the episode executor, so identical
@@ -15,8 +16,6 @@ types stay with the evaluator.
 """
 from __future__ import annotations
 
-import json
-import hashlib
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -47,15 +46,10 @@ from .engine import (
     BatchFixedMixed,
     BatchFixedSequence,
     BatchGrimTrigger,
+    BatchGroups,
     BatchMW,
     BatchProtocol,
 )
-
-
-def _param_json(obj) -> str:
-    """The JSON stand-in of a param object in a hash: its ``content_hash()``,
-    such as an in-memory ImitationPolicy's, or else its str."""
-    return getattr(obj, "content_hash", obj.__str__)()
 
 
 @dataclass(frozen=True)
@@ -77,15 +71,6 @@ class AgentSpec:
         if not isinstance(params, dict):
             raise GameFormatError(f"agent spec params must be a dict, got {params!r}")
         return cls(kind=data["kind"], params=dict(params), own_type=data.get("own_type"))
-
-    def agent_id(self) -> str:
-        try:
-            blob = json.dumps({"kind": self.kind, "params": self.params}, sort_keys=True,
-                              default=_param_json)
-        except TypeError:
-            blob = repr(sorted(self.params))
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:8]
-        return f"{self.kind}:{digest}"
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +420,33 @@ def build_agent(
     """The batch agent of ``spec`` for one episode: ``build_agents`` with
     E = 1."""
     return build_agents(spec, type_space, T, seat, [own_type], [seed], convention_table)
+
+
+def build_seat(
+    specs,
+    keys,
+    type_space: TypeSpace,
+    T: int,
+    seat: str,
+    own_types,
+    seeds,
+    convention_table: ConventionTable | None = None,
+) -> BatchAgent:
+    """One seat of E episodes of any mix of specs.  Per episode, ``keys``
+    holds the key of its spec in ``specs`` (such as a population member's
+    index), ``own_types`` its own type and ``seeds`` its agent seed (a row of
+    ``EpisodeStreams.agent_seeds``).  The episodes of each key, in episode
+    order, form one ``BatchGroups`` part built by one ``build_agents``."""
+    parts = {}
+    for e, key in enumerate(keys):
+        parts.setdefault(key, []).append(e)
+    seeds = np.asarray(seeds)
+    return BatchGroups(
+        [(index, build_agents(specs[key], type_space, T, seat, [own_types[e] for e in index],
+                              seeds[index], convention_table))
+         for key, index in parts.items()],
+        type_space.num_actions,
+    )
 
 
 def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:

@@ -6,7 +6,7 @@ episodes: ``act(partner)`` returns the (E, N) announced strategies,
 ``observe(own, opp)`` takes the (E,) actions, and ``take(idx)`` copies the
 state of some episodes into an agent of their own.  ``agents.build_agents``
 builds the agent of one spec for many episodes, ``agents.build_agent`` for
-one, and ``build_seat`` one seat of any mix of kinds.
+one, and ``agents.build_seat`` one seat of any mix of kinds.
 
 Random-stream contract, identical to ``run_episode``: episode e uses
 ``random.Random(seed_e)``; the first two ``getrandbits(63)`` calls go to the
@@ -543,24 +543,6 @@ class BatchGroups(BatchAgent):
             if len(at):
                 parts.append((at, agent.take(row[idx[at]])))
         return BatchGroups(parts, self.shape[1])
-
-
-def build_seat(build, keys, own_types, seeds, n: int) -> BatchAgent:
-    """One seat of E episodes.  Per episode, ``keys`` holds its key (such as
-    a population member), ``own_types`` its own type and ``seeds`` its agent
-    seed (a row of ``EpisodeStreams.agent_seeds``).  ``build(key, own_types,
-    seeds)`` makes the batch agent of one key's episodes from their own types
-    and seeds, in episode order; the episodes of each key form one
-    ``BatchGroups`` part."""
-    parts = {}
-    for e, key in enumerate(keys):
-        parts.setdefault(key, []).append(e)
-    seeds = np.asarray(seeds)
-    return BatchGroups(
-        [(index, build(key, [own_types[e] for e in index], seeds[index]))
-         for key, index in parts.items()],
-        n,
-    )
 
 
 def play_batch(row: BatchAgent, col: BatchAgent, T: int,

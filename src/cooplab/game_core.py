@@ -21,8 +21,8 @@ import numpy as np
 PROB_TOL = 1e-12
 PAYOFF_TOL = 1e-9
 
-# Default cap on the number of leaves of the N^(2T) history tree that the
-# exact enumerators are willing to walk.
+# Cap on the number of leaves of the N^(2T) history tree that the exact
+# enumerators are willing to walk.
 TREE_CAP = 600_000
 
 History = tuple[tuple[int, int], ...]
@@ -276,9 +276,8 @@ def check_history(history: Sequence[tuple[int, int]], n: int) -> History:
 
 @dataclass
 class EpisodeTrace:
-    """Full record of one T-stage interaction.
-
-    ``row_strategies`` / ``col_strategies`` hold the per-stage mixed strategies
+    """Record of one T-stage interaction: the history of action pairs and,
+    in ``row_strategies`` / ``col_strategies``, the per-stage mixed strategies
     each agent announced before its action was sampled; they are what expected
     regret is computed from.
     """
@@ -286,9 +285,6 @@ class EpisodeTrace:
     history: History
     row_strategies: list[np.ndarray]
     col_strategies: list[np.ndarray]
-    joint_type: tuple[str, str]
-    seed: int
-    agent_ids: tuple[str, str] = ("?", "?")
 
     def __post_init__(self):
         if len(self.row_strategies) != len(self.history) or len(
@@ -309,13 +305,12 @@ class EpisodeTrace:
 ActFn = Callable[[History], Sequence[float]]
 
 
-def _check_tree_cap(n: int, T: int, cap: int) -> None:
+def _check_tree_cap(n: int, T: int) -> None:
     if T < 0:
         raise GameError(f"the horizon must be >= 0, got {T}")
-    # The leaf codes are int64: no cap lets them reach 2^63.
-    if n ** (2 * T) > min(cap, 2**62):
+    if n ** (2 * T) > TREE_CAP:
         raise CapacityError(
-            f"history tree has {n}^{2 * T} leaves, above the cap {cap}; "
+            f"history tree has {n}^{2 * T} leaves, above the cap {TREE_CAP}; "
             "use Monte-Carlo estimation instead"
         )
 
@@ -331,7 +326,7 @@ def _check_level(strategies, n: int) -> np.ndarray:
     return _check_rows(s)
 
 
-def _tree_levels(act_row: ActFn, act_col: ActFn, n: int, T: int, cap: int):
+def _tree_levels(act_row: ActFn, act_col: ActFn, n: int, T: int):
     """Walk the history tree of two behavioral strategies level by level.
 
     Yields ``(codes, probs, P, Q)`` for each depth 0..T: the base-n^2 codes of
@@ -343,7 +338,7 @@ def _tree_levels(act_row: ActFn, act_col: ActFn, n: int, T: int, cap: int):
     once per internal node, parents before children; tuple histories are
     built only for those nodes.
     """
-    _check_tree_cap(n, T, cap)
+    _check_tree_cap(n, T)
     steps = [((i, j),) for i in range(n) for j in range(n)]
     hs: list[History] = [()]
     codes = np.zeros(1, dtype=np.int64)
@@ -368,7 +363,6 @@ def exact_episode_value(
     act_col: ActFn,
     game: BimatrixGame,
     T: int,
-    cap: int = TREE_CAP,
 ) -> tuple[float, float]:
     """Exact expected total payoffs of two behavioral strategies over T stages.
 
@@ -378,7 +372,7 @@ def exact_episode_value(
     """
     v1 = v2 = 0.0
     A, B = game.payoff_row, game.payoff_col
-    for _, probs, P, Q in _tree_levels(act_row, act_col, game.num_actions, T, cap):
+    for _, probs, P, Q in _tree_levels(act_row, act_col, game.num_actions, T):
         if P is not None:
             v1 += float(probs @ ((P @ A) * Q).sum(axis=1))
             v2 += float(probs @ ((Q @ B) * P).sum(axis=1))
@@ -429,11 +423,10 @@ def history_distribution(
     act_col: ActFn,
     n: int,
     T: int,
-    cap: int = TREE_CAP,
 ) -> HistoryDistribution:
     """Exact distribution over length-T histories induced by two strategies,
     over the histories with positive probability, in lexicographic order."""
-    for codes, probs, _, _ in _tree_levels(act_row, act_col, n, T, cap):
+    for codes, probs, _, _ in _tree_levels(act_row, act_col, n, T):
         pass
     return HistoryDistribution(codes, probs, n, T)
 

@@ -6,8 +6,8 @@ emits per-episode CSV rows plus a pass/fail verification result.  The
 agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its datasets
 included, step their episodes in batches on the batched engine
 (``engine.py``), on the per-episode random streams of ``run_episode``, with
-every agent kind (``engine.build_seat``); ic-eval replays each partner
-member's first episode of a batch with ``play_episode`` as a spot check.
+every agent kind (``agents.build_seat``); ic-eval replays each partner
+member's first episode of a batch with ``run_episode`` as a spot check.
 Equilibrium and protocol self-play run on numpy kernels that stream their
 draws in cache-sized blocks of episodes or stages, with the same random
 numbers and float sums as drawing the whole run at once.  The protocol
@@ -42,8 +42,8 @@ from .agents import (
     AgentSpec,
     ConventionTable,
     build_agent,
-    build_agents,
     build_convention_table,
+    build_seat,
     default_eta,
     handshake_encode,
     protocol_threshold,
@@ -59,7 +59,6 @@ from .engine import (
     BatchMW,
     EpisodeStreams,
     RegretKernel,
-    build_seat,
     play_batch,
 )
 from .population import (
@@ -69,13 +68,12 @@ from .population import (
     derive_episode_seeds,
     flatten_population,
     generate_dataset,
-    play_episode,
-    run_episode,  # unused here; kept bindable for the benchmark's tracer
+    play_episode,  # unused here; kept bindable for the benchmark's tracer
+    run_episode,
     _sample_action,
 )
 from .imitation_commit import (
     BatchIC,
-    ImitateThenCommitAgent,
     auth_failure_probability,
     delta_K,
     fit_imitation,
@@ -616,6 +614,7 @@ def run_si_consistency(cfg: ExperimentConfig):
     ct = build_convention_table(ts)
     bound = k + params.eps1 * (T - k) + math.sqrt(((T - k) / 2.0) * math.log(n))
     proto_spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
+    adversaries = [AgentSpec(kind) for kind in CONSISTENCY_ADVERSARIES]
     runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
     draws = _rng(cfg.seed, 0x434F)
 
@@ -625,13 +624,6 @@ def run_si_consistency(cfg: ExperimentConfig):
         for _ in kinds
     ]
 
-    def protocol(_, own_types, seeds):
-        return build_agents(proto_spec, ts, T, "row", own_types, seeds, ct)
-
-    def adversary(kind, own_types, seeds):
-        return build_agents(AgentSpec(CONSISTENCY_ADVERSARIES[kind]), ts, T, "col", own_types,
-                            seeds, ct)
-
     regrets = np.empty(len(joints))
     for start in range(0, len(joints), CONSISTENCY_BATCH):
         runs = slice(start, start + CONSISTENCY_BATCH)
@@ -639,8 +631,10 @@ def run_si_consistency(cfg: ExperimentConfig):
         streams = EpisodeStreams(
             derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(start, start + len(batch)))
         )
-        row = build_seat(protocol, [0] * len(batch), [a for a, _ in batch], streams.agent_seeds[0], n)
-        col = build_seat(adversary, kinds[runs], [b for _, b in batch], streams.agent_seeds[1], n)
+        row = build_seat([proto_spec], [0] * len(batch), ts, T, "row", [a for a, _ in batch],
+                         streams.agent_seeds[0], ct)
+        col = build_seat(adversaries, kinds[runs], ts, T, "col", [b for _, b in batch],
+                         streams.agent_seeds[1], ct)
         play_batch(row, col, T, streams)
         regrets[runs] = row.kernel.regret()
         del streams  # freed before the next chunk seeds its own (624, E) state
@@ -845,6 +839,12 @@ def run_flatten_check(cfg: ExperimentConfig):
     flat[np.searchsorted(leaves, flat_codes)] = flat_probs
     tv = 0.5 * float(np.abs(mixture - flat).sum())
     support = int(in_mixture.sum())
+    labels = _history_labels(leaves, n, horizon)
+    if n > 10 and len(set(labels)) < len(labels):
+        raise GameError(
+            f"flatten_check.csv history labels join actions with no separator; with N = {n} "
+            f"two of the {len(labels)} histories of horizon {horizon} share a label"
+        )
     result = VerificationResult(
         kind=cfg.kind,
         label=f"flattened-agent history distribution TV, horizon={horizon}",
@@ -859,7 +859,7 @@ def run_flatten_check(cfg: ExperimentConfig):
     )
     rows = ["history,prob_population,prob_flattened"]
     rows += [f"{label},{p!r},{q!r}" for label, p, q in
-             zip(_history_labels(leaves, n, horizon), mixture.tolist(), flat.tolist())]
+             zip(labels, mixture.tolist(), flat.tolist())]
     return [result], {"flatten_check.csv": "\n".join(rows) + "\n"}
 
 
@@ -872,19 +872,6 @@ def _default_ic_mu(ts: TypeSpace) -> TypeDistribution:
     return TypeDistribution(
         support=[(g, g), (g, d), (d, d)], weights=[0.25, 0.5, 0.25]
     )
-
-
-def _episode_ic_record(policy, tilde_T, T, ts, ct, episodes) -> np.ndarray:
-    """(T, 2, E) actions of IC episodes (partner, joint, seed), each played
-    alone by ``play_episode``."""
-    record = np.empty((T, 2, len(episodes)), dtype=np.intp)
-    for e, (member, joint, seed) in enumerate(episodes):
-        rng = random.Random(seed)
-        ic_seed, partner_seed = rng.getrandbits(63), rng.getrandbits(63)
-        row = ImitateThenCommitAgent(policy, tilde_T, T, joint[0], "row", ic_seed)
-        col = build_agent(member, ts, T, "col", joint[1], partner_seed, ct)
-        record[:, :, e] = play_episode(row, col, T, rng, joint_type=joint).history
-    return record
 
 
 def run_ic_eval(cfg: ExperimentConfig):
@@ -925,29 +912,28 @@ def run_ic_eval(cfg: ExperimentConfig):
 
     values = {K: np.zeros(eval_episodes) for K in K_values}
 
-    def partner(member, own_types, seeds):
-        return build_agents(pop.members[member], ts, T, "col", own_types, seeds, ct)
-
     # Each chunk of episodes seeds its streams once; for each K the IC agents
     # play one batch against every member's partners, on a fresh copy, and
-    # play_episode replays each member's first episode as a spot check.
+    # run_episode replays each member's first episode as a spot check.
     for start in range(0, eval_episodes, EPISODE_BATCH):
         ids = np.arange(start, min(start + EPISODE_BATCH, eval_episodes))
         joints = [mu.support[j] for j in joint_ids[ids]]
         members = partner_ids[ids].tolist()
         checked = [members.index(m) for m in dict.fromkeys(members)]  # first of each member
-        alone = [(pop.members[members[e]], joints[e], int(episode_seeds[start + e]))
-                 for e in checked]
         streams = EpisodeStreams(episode_seeds[ids])
         # The IC agent's own Random(ic_seed) makes one draw, its commitment.
         commits = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False).uniforms(1)[0]
         for K in K_values:
             ic = BatchIC(policies[K], tilde_T, T, [a for a, _ in joints], "row", commits)
-            partners = build_seat(partner, members, [b for _, b in joints], streams.agent_seeds[1], n)
+            partners = build_seat(pop.members, members, ts, T, "col", [b for _, b in joints],
+                                  streams.agent_seeds[1], ct)
             record = play_batch(ic, partners, T, streams.take(np.arange(len(ids))), record=True)
-            replay = _episode_ic_record(policies[K], tilde_T, T, ts, ct, alone)
-            if not np.array_equal(replay, record[:, :, checked]):
-                raise GameError("batched IC episode differs from its replay by play_episode")
+            ic_spec = AgentSpec("IC", {"tilde_T": tilde_T, "policy": policies[K]})
+            for e in checked:
+                replay = run_episode(ic_spec, pop.members[members[e]], ts, joints[e], T,
+                                     int(episode_seeds[start + e]), ct).history
+                if not np.array_equal(record[:, :, e], replay):
+                    raise GameError("batched IC episode differs from its replay by run_episode")
             # Column payoff of every stage, B[own = col action, opp = row action],
             # summed over the stages in order.
             stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]

@@ -2,7 +2,7 @@
 persistence, and the population-flattening construction.
 
 Datasets are played on the batched engine, each seat built by
-``engine.build_seat``; ``play_episode`` steps one episode of one-episode
+``agents.build_seat``; ``play_episode`` steps one episode of one-episode
 batch agents (``agents.build_agent``) with a ``random.Random``.
 
 Per-episode RNG streams are derived by keyed hashing of (master seed,
@@ -10,7 +10,6 @@ episode index), so datasets are reproducible under any execution order.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import random
@@ -31,9 +30,9 @@ from .agents import (
     BuildContext,
     ConventionTable,
     _need,
-    _param_json,
     build_agent,
     build_agents,
+    build_seat,
     register_agent_kind,
 )
 from .engine import (
@@ -41,7 +40,6 @@ from .engine import (
     BatchAgent,
     EpisodeStreams,
     _rowsum,
-    build_seat,
     play_batch,
 )
 
@@ -131,6 +129,12 @@ def derive_episode_seed(master_seed: int, index: int) -> int:
     words = [index & _MASK] + ([index >> 32] if index >> 32 else [])
     low, high = _seed_sequence(_episode_head(master_seed) + words)
     return low | high << 32
+
+
+def _param_json(obj) -> str:
+    """The JSON stand-in of a param object in a hash: its ``content_hash()``,
+    such as an in-memory ImitationPolicy's, or else its str."""
+    return getattr(obj, "content_hash", obj.__str__)()
 
 
 @dataclass
@@ -254,9 +258,6 @@ def play_episode(
     agent_col: BatchAgent,
     T: int,
     rng: random.Random,
-    joint_type: tuple[str, str] = ("?", "?"),
-    seed: int = 0,
-    agent_ids: tuple[str, str] = ("?", "?"),
 ) -> EpisodeTrace:
     """Run T stages of two one-episode batch agents, sampling each stage's
     row and then column action from ``rng`` with ``_sample_action``, and
@@ -277,14 +278,7 @@ def play_episode(
         history.append((a, b))
         row_strategies.append(p[0])
         col_strategies.append(q[0])
-    return EpisodeTrace(
-        history=tuple(history),
-        row_strategies=row_strategies,
-        col_strategies=col_strategies,
-        joint_type=joint_type,
-        seed=seed,
-        agent_ids=agent_ids,
-    )
+    return EpisodeTrace(tuple(history), row_strategies, col_strategies)
 
 
 def run_episode(
@@ -296,37 +290,15 @@ def run_episode(
     seed: int,
     convention_table: ConventionTable | None = None,
 ) -> EpisodeTrace:
-    """Build both agents from specs and play one seeded episode."""
+    """Build both agents from specs and play one seeded episode: ``Random(seed)``
+    draws the row agent's seed, then the column agent's, then every action."""
     rng = random.Random(seed)
-    row_seed = rng.getrandbits(63)
-    col_seed = rng.getrandbits(63)
-    agent_row = build_agent(
-        row_spec,
-        type_space,
-        T,
-        seat="row",
-        own_type=joint_type[0],
-        seed=row_seed,
-        convention_table=convention_table,
-    )
-    agent_col = build_agent(
-        col_spec,
-        type_space,
-        T,
-        seat="col",
-        own_type=joint_type[1],
-        seed=col_seed,
-        convention_table=convention_table,
-    )
-    return play_episode(
-        agent_row,
-        agent_col,
-        T,
-        rng,
-        joint_type=joint_type,
-        seed=seed,
-        agent_ids=(row_spec.agent_id(), col_spec.agent_id()),
-    )
+    row_seed, col_seed = rng.getrandbits(63), rng.getrandbits(63)
+    agent_row = build_agent(row_spec, type_space, T, "row", joint_type[0], row_seed,
+                            convention_table)
+    agent_col = build_agent(col_spec, type_space, T, "col", joint_type[1], col_seed,
+                            convention_table)
+    return play_episode(agent_row, agent_col, T, rng)
 
 
 def generate_dataset(
@@ -358,16 +330,13 @@ def generate_dataset(
     N = type_space.num_actions
     actions = np.empty((n, T, 2), dtype=np.min_scalar_type(N - 1))  # as play_batch records
 
-    def build(seat, member, own_types, agent_seeds):
-        return build_agents(pop.members[member], type_space, T, seat, own_types, agent_seeds,
-                            convention_table)
-
     for start in range(0, n, EPISODE_BATCH):
         ids = slice(start, start + EPISODE_BATCH)
         streams = EpisodeStreams(seeds[ids])
         seats = [
-            build_seat(functools.partial(build, seat), member_idx[ids, s].tolist(),
-                       [joint[s] for joint in joints[ids]], streams.agent_seeds[s], N)
+            build_seat(pop.members, member_idx[ids, s].tolist(), type_space, T, seat,
+                       [joint[s] for joint in joints[ids]], streams.agent_seeds[s],
+                       convention_table)
             for s, seat in enumerate(("row", "col"))
         ]
         record = play_batch(*seats, T, streams, record=True)

@@ -8,8 +8,7 @@ the assembled joint game, while agents only ever see their own matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,66 +121,4 @@ def azuma_thresholds(T: int, delta: float) -> AzumaThresholds:
         expected_bound=math.sqrt(2.0 * T * math.log(2.0 / delta)),
         realized_bound=2.0 * math.sqrt(2.0 * T * math.log(4.0 / delta)),
         relation_slack=math.sqrt((T / 2.0) * math.log(1.0 / delta)),
-    )
-
-
-@dataclass
-class RegretReport:
-    """Per-episode regret summary, serializable as one CSV row."""
-
-    episode_id: int
-    seed: int
-    theta_row: str
-    theta_col: str
-    external_row: float
-    external_col: float
-    expected_external_row: float
-    expected_external_col: float
-    altruistic: float
-    num_stages: int
-    per_stage_cumulative: list[float] | None = None
-
-    CSV_HEADER = (
-        "episode_id,seed,theta1,theta2,R_ext_row,R_ext_col,"
-        "Rbar_row,Rbar_col,R_alt,T"
-    )
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.episode_id},{self.seed},{self.theta_row},{self.theta_col},"
-            f"{self.external_row!r},{self.external_col!r},"
-            f"{self.expected_external_row!r},{self.expected_external_col!r},"
-            f"{self.altruistic!r},{self.num_stages}"
-        )
-
-
-def report_from_trace(
-    trace: EpisodeTrace,
-    game: BimatrixGame,
-    episode_id: int = 0,
-    altruistic_partner: str = "col",
-    pone: PoneSet | None = None,
-    cumulative: bool = False,
-) -> RegretReport:
-    """Evaluate every regret functional on one trace."""
-    per_stage = None
-    if cumulative:
-        per_stage = [
-            expected_external_regret(trace, game, "row", up_to=t)
-            for t in range(1, trace.num_stages + 1)
-        ]
-    return RegretReport(
-        episode_id=episode_id,
-        seed=trace.seed,
-        theta_row=trace.joint_type[0],
-        theta_col=trace.joint_type[1],
-        external_row=external_regret(trace.history, game, "row"),
-        external_col=external_regret(trace.history, game, "col"),
-        expected_external_row=expected_external_regret(trace, game, "row"),
-        expected_external_col=expected_external_regret(trace, game, "col"),
-        altruistic=altruistic_regret(
-            trace.history, game, altruistic_partner, pone=pone
-        ),
-        num_stages=trace.num_stages,
-        per_stage_cumulative=per_stage,
     )

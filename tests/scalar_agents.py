@@ -400,7 +400,7 @@ def build_scalar(spec: AgentSpec, ts, T, seat="row", own_type=None, seed=0, conv
     raise GameError(f"no scalar agent for kind {spec.kind!r}")
 
 
-def play_episode(agent_row, agent_col, T, rng, joint_type=("?", "?"), seed=0):
+def play_episode(agent_row, agent_col, T, rng):
     """T stages of two scalar agents, recording the announced strategies."""
     history, row_strategies, col_strategies = [], [], []
     for _ in range(T):
@@ -413,7 +413,7 @@ def play_episode(agent_row, agent_col, T, rng, joint_type=("?", "?"), seed=0):
         history.append((a, b))
         row_strategies.append(np.asarray(p, dtype=float))
         col_strategies.append(np.asarray(q, dtype=float))
-    return EpisodeTrace(tuple(history), row_strategies, col_strategies, joint_type, seed)
+    return EpisodeTrace(tuple(history), row_strategies, col_strategies)
 
 
 def run_episode(row_spec, col_spec, ts, joint_type, T, seed, convention_table=None):
@@ -423,7 +423,7 @@ def run_episode(row_spec, col_spec, ts, joint_type, T, seed, convention_table=No
     row_seed, col_seed = rng.getrandbits(63), rng.getrandbits(63)
     row = build_scalar(row_spec, ts, T, "row", joint_type[0], row_seed, convention_table)
     col = build_scalar(col_spec, ts, T, "col", joint_type[1], col_seed, convention_table)
-    return play_episode(row, col, T, rng, joint_type, seed)
+    return play_episode(row, col, T, rng)
 
 
 def tuple_dataset(episodes, T, n, metadata=None) -> Dataset:

@@ -272,7 +272,6 @@ def test_build_agent_determinism_and_spec_roundtrip(ts2):
     spec = AgentSpec("Protocol", {"eps1": 0.1, "k": 1})
     restored = AgentSpec.from_dict(spec.to_dict())
     assert restored == spec
-    assert spec.agent_id() == restored.agent_id()
     table = build_convention_table(ts2)
     rng1, rng2 = random.Random(3), random.Random(3)
     a1 = build_agent(spec, ts2, 40, own_type="gamma", convention_table=table)

@@ -13,6 +13,7 @@ from cooplab.agents import (
     AgentSpec,
     build_agents,
     build_convention_table,
+    build_seat,
     default_eta,
 )
 from cooplab.engine import (
@@ -26,7 +27,6 @@ from cooplab.engine import (
     EpisodeStreams,
     RegretKernel,
     _seeded,
-    build_seat,
     play_batch,
     sample_actions,
 )
@@ -635,10 +635,8 @@ def test_every_kind_plays_alone_as_in_a_seat(kind, seat):
     own_types = [joint[mine] for joint in joints]
 
     def seat_agent(agent_seeds):
-        return build_seat(
-            lambda key, types, part_seeds: build_agents(spec, TS4, T, seat, types, part_seeds, CT4),
-            [0, 1, 1, 0, 1, 1, 0], own_types, agent_seeds, TS4.num_actions,
-        )
+        return build_seat([spec, spec], [0, 1, 1, 0, 1, 1, 0], TS4, T, seat, own_types,
+                          agent_seeds, CT4)
 
     streams = EpisodeStreams(seeds)
     agent = Recorder(seat_agent(streams.agent_seeds[mine]))

@@ -175,8 +175,6 @@ def test_episode_trace_rejects_impossible_samples():
             history=((1, 0),),
             row_strategies=[np.array([1.0, 0.0])],
             col_strategies=[np.array([1.0, 0.0])],
-            joint_type=("a", "a"),
-            seed=0,
         )
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from cooplab.population import (
     derive_episode_seed,
     derive_episode_seeds,
     generate_dataset,
+    run_episode,
     write_dataset,
 )
 from scalar_agents import ImitateThenCommitAgent, ProtocolAgent, build_scalar, play_episode
@@ -271,7 +273,7 @@ def ic_eval_csv_by_episode_loop(cfg):
             )
             agent_col = build_scalar(pop.members[partner_ids[e]], ts, T, "col", joint[1],
                                      partner_seed, ct)
-            trace = play_episode(agent_row, agent_col, T, rng, joint_type=joint)
+            trace = play_episode(agent_row, agent_col, T, rng)
             B = ts.payoff_table[joint[1]]
             realized = sum(B[b, a] for a, b in trace.history)
             value = (T * tau_col[joint] - realized) / T
@@ -514,7 +516,7 @@ def test_emit_curves_use_each_artifacts_columns(tmp_path, ts2):
 
 
 def test_ic_eval_spot_check_refuses_a_batched_episode_that_differs(ts2, monkeypatch):
-    # Each chunk replays one batched episode per member with play_episode; a
+    # Each chunk replays one batched episode per member with run_episode; a
     # batched record with the IC agent's actions flipped must fail it.
     def flipped(*args, **kwargs):
         record = play_batch(*args, **kwargs)
@@ -526,3 +528,21 @@ def test_ic_eval_spot_check_refuses_a_batched_episode_that_differs(ts2, monkeypa
                            extra={"K_values": [10], "eval_episodes": 20})
     with pytest.raises(GameError, match="differs from its replay"):
         run_experiment(cfg)
+
+
+def test_ic_eval_spot_check_replays_through_run_episode(ts2, monkeypatch):
+    # The replay is run_episode's trace: with its IC actions flipped, the
+    # batched episodes no longer match it.
+    calls = []
+
+    def flipped(*args, **kwargs):
+        calls.append(args[0].kind)
+        history = run_episode(*args, **kwargs).history
+        return types.SimpleNamespace(history=tuple((1 - a, b) for a, b in history))
+
+    monkeypatch.setattr(harness, "run_episode", flipped)
+    cfg = ExperimentConfig(kind="ic-eval", horizon=12, k=1, tilde_T=4, seed=3, type_space=ts2,
+                           extra={"K_values": [10], "eval_episodes": 20})
+    with pytest.raises(GameError, match="differs from its replay"):
+        run_experiment(cfg)
+    assert calls == ["IC"]

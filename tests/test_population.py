@@ -112,7 +112,7 @@ def test_derive_episode_seed_is_stable_and_spread():
 def test_play_episode_records_strategies(ts2):
     a = build_agent(AgentSpec("FixedMixed", {"probs": [0.3, 0.7]}), ts2, 10)
     b = build_agent(AgentSpec("UniformRandom", {}), ts2, 10, seat="col")
-    trace = play_episode(a, b, 10, random.Random(1), joint_type=("gamma", "delta"))
+    trace = play_episode(a, b, 10, random.Random(1))
     assert trace.num_stages == 10
     assert all(np.allclose(s, [0.3, 0.7]) for s in trace.row_strategies)
     for (act_r, _), sigma in zip(trace.history, trace.row_strategies):

@@ -7,12 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cooplab.game_core import BimatrixGame, EpisodeTrace, GameError
 from cooplab.regret import (
-    RegretReport,
     altruistic_regret,
     azuma_thresholds,
     expected_external_regret,
     external_regret,
-    report_from_trace,
 )
 
 
@@ -21,7 +19,7 @@ def pd_game():
     return BimatrixGame(payoff_row=m, payoff_col=m, joint_type=("pd", "pd"))
 
 
-def make_trace(history, row_strategies=None, col_strategies=None, n=2, seed=0):
+def make_trace(history, row_strategies=None, col_strategies=None, n=2):
     def degenerate(actions):
         out = []
         for a in actions:
@@ -38,8 +36,6 @@ def make_trace(history, row_strategies=None, col_strategies=None, n=2, seed=0):
         history=tuple(history),
         row_strategies=row_strategies,
         col_strategies=col_strategies,
-        joint_type=("pd", "pd"),
-        seed=seed,
     )
 
 
@@ -197,22 +193,24 @@ def test_azuma_thresholds_monotone_in_delta_and_T():
         azuma_thresholds(10, 1.5)
 
 
-def test_report_from_trace_and_csv_row():
+def test_regret_functionals_of_one_trace():
     g = pd_game()
-    trace = make_trace([(0, 0)] * 4, seed=99)
-    report = report_from_trace(trace, g, episode_id=3)
-    assert report.external_row == pytest.approx(4.0)
-    assert report.altruistic == pytest.approx(-4.0)
-    row = report.csv_row()
-    assert row.startswith("3,99,pd,pd,")
-    assert len(row.split(",")) == len(RegretReport.CSV_HEADER.split(","))
+    trace = make_trace([(0, 0)] * 4)
+    assert external_regret(trace.history, g, "row") == pytest.approx(4.0)
+    assert external_regret(trace.history, g, "col") == pytest.approx(4.0)
+    # Degenerate announcements: expected regret is the realized one.
+    assert expected_external_regret(trace, g, "row") == pytest.approx(4.0)
+    assert expected_external_regret(trace, g, "col") == pytest.approx(4.0)
+    assert altruistic_regret(trace.history, g, "col") == pytest.approx(-4.0)
 
 
-def test_report_cumulative_series_is_prefix_consistent():
+def test_expected_external_regret_of_a_prefix_is_that_of_the_shorter_trace():
     g = pd_game()
-    trace = make_trace([(0, 0), (1, 0), (0, 1), (1, 1)])
-    report = report_from_trace(trace, g, cumulative=True)
-    assert len(report.per_stage_cumulative) == 4
-    assert report.per_stage_cumulative[-1] == pytest.approx(
-        report.expected_external_row
-    )
+    history = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    trace = make_trace(history, row_strategies=[np.array([0.25, 0.75])] * 4)
+    for t in range(len(history) + 1):
+        shorter = make_trace(history[:t], row_strategies=[np.array([0.25, 0.75])] * t)
+        assert expected_external_regret(trace, g, "row", up_to=t) == (
+            expected_external_regret(shorter, g, "row"))
+    assert expected_external_regret(trace, g, "row", up_to=4) == (
+        expected_external_regret(trace, g, "row"))

@@ -413,6 +413,17 @@ def test_flatten_check_rows_equal_sorted_rows(case):
         assert not mixture.keys() <= flat.keys()
 
 
+def test_flatten_check_refuses_history_labels_that_collide():
+    # Labels join actions with no separator: at N = 11 and horizon 2, the
+    # histories ((0, 1), (0, 10)) and ((0, 10), (1, 0)) are both "01010".
+    uniform = AgentSpec("UniformRandom")
+    cfg = ExperimentConfig(kind="flatten-check", type_space=TS11,
+                           population=Population(members=[uniform], weights=[1.0]),
+                           extra={"flatten_horizon": 2, "probe": uniform})
+    with pytest.raises(GameError, match="share a label"):
+        run_experiment(cfg)
+
+
 # Recorded from the dict-keyed flatten check this one replaced.
 FLATTEN_H7_SHA256 = "219875f0d2dc568e541d3870905bfe79aadf212263046ec106fe95ff54008553"
 
