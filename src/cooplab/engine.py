@@ -33,9 +33,9 @@ from .game_core import GameError
 # whatever the horizon.
 BLOCK = 16
 
-# Episodes stepped together by dataset generation and ic-eval: the (624, E)
-# generator states and (T, 2, E) action records stay bounded whatever the
-# episode count.
+# Episodes stepped together by dataset generation, ic-eval and
+# si-consistency: the (624, E) generator states and (T, 2, E) action records
+# stay bounded whatever the episode count.
 EPISODE_BATCH = 2000
 
 # ---------------------------------------------------------------------------
@@ -46,30 +46,45 @@ _MT_N, _MT_M = 624, 397
 _UPPER, _LOWER, _MATRIX_A = np.uint32(0x80000000), np.uint32(0x7FFFFFFF), np.uint32(0x9908B0DF)
 
 
-# Row slices of the state, updated in this order.  New word i is word
-# i + 397 (mod 624) mixed with old words i and i + 1; for i >= 227 that word
-# is new already, so no slice straddles 227 or spans more than 227 words.
-# Short slices keep the temporaries small: 64 KB each at 500 episodes.
+# Row slices of the state, regenerated in this order, then the last word.
+# New word i mixes old words i and i + 1 with word i + 397 (mod 624), which
+# for i >= 227 is new already: no slice straddles 227, and word 623 mixes in
+# new word 0.  So a slice can be regenerated as soon as the slices before it
+# are, and a draw twists only the slices it reaches.  Slices of at most 32
+# rows go through one (32, E) scratch array.
+_SLICE_ROWS = 32
 _TWIST_SLICES = tuple(
-    (lo, min(lo + 32, hi)) for start, hi in ((0, 227), (227, 623)) for lo in range(start, hi, 32)
-)
+    (lo, min(lo + _SLICE_ROWS, hi))
+    for start, hi in ((0, 227), (227, 623)) for lo in range(start, hi, _SLICE_ROWS)
+) + ((623, 624),)
 
 
-def _twist(mt: np.ndarray) -> None:
-    """Regenerate a (624, E) MT19937 state in place."""
-    for lo, hi in _TWIST_SLICES:
-        src = (lo + _MT_M) % _MT_N
-        y = (mt[lo:hi] & _UPPER) | (mt[lo + 1 : hi + 1] & _LOWER)
-        mt[lo:hi] = mt[src : src + hi - lo] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
-    y = (mt[-1] & _UPPER) | (mt[0] & _LOWER)
-    mt[-1] = mt[_MT_M - 1] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
+def _twist_rows(mt: np.ndarray, lo: int, hi: int, scratch: np.ndarray) -> None:
+    """Regenerate rows lo:hi of a (624, E) MT19937 state in place."""
+    y, s = mt[lo:hi], scratch[: hi - lo]
+    np.bitwise_and(mt[lo + 1 : hi + 1] if hi < _MT_N else mt[:1], _LOWER, out=s)
+    y &= _UPPER
+    y |= s
+    np.bitwise_and(y, 1, out=s)
+    s *= _MATRIX_A
+    y >>= 1
+    y ^= s
+    src = (lo + _MT_M) % _MT_N
+    y ^= mt[src : src + hi - lo]
 
 
-def _temper(y: np.ndarray) -> np.ndarray:
-    y = y ^ (y >> 11)
-    y ^= (y << 7) & np.uint32(0x9D2C5680)
-    y ^= (y << 15) & np.uint32(0xEFC60000)
-    return y ^ (y >> 18)
+def _temper(y: np.ndarray) -> None:
+    """Temper raw MT19937 words in place."""
+    t = np.right_shift(y, 11)
+    y ^= t
+    np.left_shift(y, 7, out=t)
+    t &= np.uint32(0x9D2C5680)
+    y ^= t
+    np.left_shift(y, 15, out=t)
+    t &= np.uint32(0xEFC60000)
+    y ^= t
+    np.right_shift(y, 18, out=t)
+    y ^= t
 
 
 @functools.cache
@@ -124,11 +139,15 @@ class EpisodeStreams:
 
     By default the first two ``getrandbits(63)`` draws of every stream are
     taken at once, as ``run_episode`` takes them, and kept as
-    ``agent_seeds`` (2, E): the row and the column agent's seeds."""
+    ``agent_seeds`` (2, E): the row and the column agent's seeds.
+
+    The state is regenerated lazily: a draw twists only the
+    ``_TWIST_SLICES`` up to the last word it reads."""
 
     def __init__(self, seeds, draw_agent_seeds: bool = True):
-        self._mt = _seeded(seeds)
-        self._pos = _MT_N
+        # Words [0, _pos) of the generation in _mt are read; its first
+        # _twisted slices are regenerated, the rest hold the last one's.
+        self._mt, self._pos, self._twisted = _seeded(seeds), _MT_N, len(_TWIST_SLICES)
         self.agent_seeds = None
         if draw_agent_seeds:
             # getrandbits(63): a full low word, then a high word shifted to 31 bits.
@@ -136,32 +155,45 @@ class EpisodeStreams:
             self.agent_seeds = w[0::2] | ((w[1::2] >> np.uint64(1)) << np.uint64(32))
 
     def _words(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit outputs of every stream, (count, E)."""
-        words = np.empty((count, self._mt.shape[1]), dtype=np.uint32)
+        """The next ``count`` tempered 32-bit outputs of every stream, (count, E)."""
+        mt = self._mt
+        words = np.empty((count, mt.shape[1]), dtype=np.uint32)
+        # Held only by this draw: a scratch array kept with the streams would
+        # outlive every twist and add to peak memory.
+        scratch = np.empty((_SLICE_ROWS, mt.shape[1]), dtype=np.uint32)
         filled = 0
         while filled < count:
             if self._pos == _MT_N:
-                _twist(self._mt)
-                self._pos = 0
+                self._pos = self._twisted = 0
             take = min(_MT_N - self._pos, count - filled)
-            words[filled : filled + take] = self._mt[self._pos : self._pos + take]
-            self._pos += take
+            end = self._pos + take
+            for lo, hi in _TWIST_SLICES[self._twisted :]:
+                if lo >= end:
+                    break
+                _twist_rows(mt, lo, hi, scratch)
+                self._twisted += 1
+            words[filled : filled + take] = mt[self._pos : end]
+            self._pos = end
             filled += take
-        return _temper(words)
+        _temper(words)
+        return words
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` ``random()`` values of every stream, (count, E)."""
         words = self._words(2 * count)
-        high = (words[0::2] >> 5).astype(float)
-        low = (words[1::2] >> 6).astype(float)
-        return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+        high, low = words[0::2], words[1::2]
+        high >>= 5
+        low >>= 6
+        out = np.multiply(high, 67108864.0)
+        out += low
+        out *= 1.0 / 9007199254740992.0
+        return out
 
     def take(self, columns) -> "EpisodeStreams":
         """A copy of the streams of the episodes at ``columns`` (an index
         array), at their current position."""
         out = object.__new__(EpisodeStreams)
-        out._mt = self._mt.take(columns, axis=1)
-        out._pos = self._pos
+        out._mt, out._pos, out._twisted = self._mt.take(columns, axis=1), self._pos, self._twisted
         out.agent_seeds = self.agent_seeds
         if out.agent_seeds is not None:
             out.agent_seeds = out.agent_seeds.take(columns, axis=1)
@@ -531,7 +563,7 @@ class BatchGroups(BatchAgent):
 
     def observe(self, own, opp):
         for index, agent in self.parts:
-            agent.observe(*(None if x is None else x[index] for x in (own, opp)))
+            agent.observe(None if own is None else own[index], None if opp is None else opp[index])
 
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.intp)

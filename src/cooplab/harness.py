@@ -599,10 +599,15 @@ def run_si_selfplay(cfg: ExperimentConfig):
 
 CONSISTENCY_ADVERSARIES = ("GrimTrigger", "BestResponder", "UniformRandom", "MW")
 
-# Runs stepped together, in run order, whatever their adversary kinds.  Each
-# holds a 2.5 KB generator state: 500 ran zoo-loop ~11% faster than 334 but
-# raised its peak RSS ~1.6 MB above 125's, against 0.7 MB; 1000 was no faster.
-CONSISTENCY_BATCH = 334
+
+def _fallback_detail(kinds, fallback_stages: np.ndarray) -> str:
+    """Protocol fallbacks per adversary kind and the earliest one's stage
+    (``BatchProtocol.fallback_stage``, -1 for runs that never fall back)."""
+    fell = fallback_stages >= 0
+    per_kind = np.bincount(np.asarray(kinds)[fell], minlength=len(CONSISTENCY_ADVERSARIES))
+    counts = ", ".join(f"{kind} {c}" for kind, c in zip(CONSISTENCY_ADVERSARIES, per_kind.tolist()))
+    first = f", first at stage {int(fallback_stages[fell].min())}" if fell.any() else ""
+    return f"protocol fallbacks {int(fell.sum())} ({counts}){first}"
 
 
 def run_si_consistency(cfg: ExperimentConfig):
@@ -624,9 +629,16 @@ def run_si_consistency(cfg: ExperimentConfig):
         for _ in kinds
     ]
 
+    # Runs are stepped EPISODE_BATCH at a time in run order, whatever their
+    # adversary kinds: the acceptance config's 1 000 runs are one play_batch.
+    # Against three batches of 334 this took the benchmark's zoo-loop wall_s
+    # from 0.345 to 0.263 s (medians of 10 pairs on a shared 2-core VM) and
+    # its peak RSS from 40.9 to 42.7 MB, each run's 2.5 KB generator state
+    # held at once.
     regrets = np.empty(len(joints))
-    for start in range(0, len(joints), CONSISTENCY_BATCH):
-        runs = slice(start, start + CONSISTENCY_BATCH)
+    fallback_stages = np.empty(len(joints), dtype=np.int64)
+    for start in range(0, len(joints), EPISODE_BATCH):
+        runs = slice(start, start + EPISODE_BATCH)
         batch = joints[runs]
         streams = EpisodeStreams(
             derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(start, start + len(batch)))
@@ -637,6 +649,7 @@ def run_si_consistency(cfg: ExperimentConfig):
                          streams.agent_seeds[1], ct)
         play_batch(row, col, T, streams)
         regrets[runs] = row.kernel.regret()
+        fallback_stages[runs] = row.fallback_stage
         del streams  # freed before the next chunk seeds its own (624, E) state
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     for r, (c, (a, b), reg) in enumerate(zip(kinds, joints, regrets.tolist())):
@@ -651,7 +664,8 @@ def run_si_consistency(cfg: ExperimentConfig):
         sample_count=len(regrets),
         detail=(
             f"violations={int((regrets > bound + 1e-9).sum())}; {runs_each} runs per "
-            f"adversary, {len(regrets)} of {cfg.episodes} requested"
+            f"adversary, {len(regrets)} of {cfg.episodes} requested; "
+            + _fallback_detail(kinds, fallback_stages)
         ),
     )
     return [result], {"si_consistency.csv": "\n".join(rows) + "\n"}

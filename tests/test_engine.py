@@ -48,7 +48,7 @@ from cooplab.population import (
     derive_episode_seeds,
     generate_dataset,
 )
-from cooplab import population
+from cooplab import engine, population
 from cooplab.regret import expected_external_regret
 from scalar_agents import (
     FixedMixedAgent,
@@ -108,6 +108,26 @@ def test_streams_reproduce_random_random_across_twists():
         rng.getrandbits(63)
         rng.getrandbits(63)
         assert got[:, e].tolist() == [rng.random() for _ in range(len(got))]
+
+
+def test_drawn_uniforms_are_never_overwritten_by_later_draws():
+    episode_seeds = [11, 2**64 - 1, 2**32, 5]
+    streams = EpisodeStreams(episode_seeds)
+    # The agent seeds' 4 words twist only the first slice of the state.
+    assert streams._twisted == 1
+    # Equal counts in a row: a buffer reused by draws of one shape shows.
+    kept = [streams.uniforms(c) for c in (3, 3, 300, 300)]  # partial twists, then across one
+    assert streams._twisted < len(engine._TWIST_SLICES)  # taken after a partial twist
+    part = streams.take(np.array([2, 0]))
+    kept_part = [part.uniforms(c) for c in (17, 17, 400, 400)]
+    kept += [streams.uniforms(c) for c in (17, 17, 400, 400)]
+    got = np.concatenate(kept)
+    for e, seed in enumerate(episode_seeds):
+        rng = random.Random(seed)
+        rng.getrandbits(63)
+        rng.getrandbits(63)
+        assert got[:, e].tolist() == [rng.random() for _ in range(len(got))]
+    assert np.concatenate(kept_part).tolist() == got[-834:, [2, 0]].tolist()
 
 
 # Keys of one 32-bit word and of two, with the boundaries.

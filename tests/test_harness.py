@@ -421,7 +421,8 @@ def test_mw_regret_csv_matches_per_adversary_loop(episodes, n):
 def si_consistency_csv_by_adversary(cfg, batch=125):
     """si_consistency.csv as run_si_consistency wrote it with one play_batch
     per batch of one adversary kind's runs, before each batch of runs in run
-    order became one play_batch; kept as its oracle."""
+    order became one play_batch; kept as its oracle.  Also returns the
+    Protocol's fallback stage of each run, in run order."""
     ts = cfg.type_space or fixture_type_space("typespace_4.json")
     n, k, T = ts.num_actions, cfg.k, cfg.horizon
     params = theorem26_params(cfg.delta, T, k, n)
@@ -431,6 +432,7 @@ def si_consistency_csv_by_adversary(cfg, batch=125):
     runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
     draws = _rng(cfg.seed, 0x434F)
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
+    fallback_stages = []
     run_id = 0
     for adversary in CONSISTENCY_ADVERSARIES:
         joints = [(ts.types[int(draws.integers(len(ts.types)))],
@@ -447,21 +449,56 @@ def si_consistency_csv_by_adversary(cfg, batch=125):
             play_batch(protocol, opponent, T, streams)
             for r, (a, b), reg in zip(runs, chunk, protocol.kernel.regret().tolist()):
                 rows.append(f"{r},{adversary},{a},{b},{reg!r},{bound!r}")
+            fallback_stages += protocol.fallback_stage.tolist()
         run_id += runs_each
-    return "\n".join(rows) + "\n"
+    return "\n".join(rows) + "\n", fallback_stages
 
 
-@pytest.mark.parametrize("batch", [37, 334])
+@pytest.mark.parametrize("batch", [37, 334, 2000])
 @pytest.mark.parametrize("episodes", [1, 10, 170])
 def test_si_consistency_csv_matches_per_adversary_loop(batch, episodes):
-    # 170 runs are 42 per kind: batches of 37 split kinds across batches.
+    # 170 runs are 42 per kind: batches of 37 split kinds across batches, and
+    # a batch of 2000 holds every run.
     # delta = 0.6 makes eps1 small enough for the tripwire to fire.
     cfg = ExperimentConfig(kind="si-consistency", episodes=episodes, horizon=60, k=2,
                            delta=0.6, seed=episodes + batch)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "CONSISTENCY_BATCH", batch)
-        _, artifacts = run_experiment(cfg)
-    assert artifacts["si_consistency.csv"] == si_consistency_csv_by_adversary(cfg)
+        patch.setattr(harness, "EPISODE_BATCH", batch)
+        results, artifacts = run_experiment(cfg)
+    csv, fallback_stages = si_consistency_csv_by_adversary(cfg)
+    assert artifacts["si_consistency.csv"] == csv
+    # The detail counts the oracle's fallbacks per kind.
+    runs_each = len(fallback_stages) // len(CONSISTENCY_ADVERSARIES)
+    fell = [[s for s in fallback_stages[i * runs_each : (i + 1) * runs_each] if s >= 0]
+            for i in range(len(CONSISTENCY_ADVERSARIES))]
+    counts = ", ".join(f"{kind} {len(f)}" for kind, f in zip(CONSISTENCY_ADVERSARIES, fell))
+    expected = f"protocol fallbacks {sum(map(len, fell))} ({counts})"
+    if any(fell):
+        expected += f", first at stage {min(min(f) for f in fell if f)}"
+    assert results[0].detail.endswith("; " + expected)
+
+
+def test_si_consistency_at_acceptance_size_is_one_batch():
+    calls = {"play_batch": 0, "EpisodeStreams": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cfg = ExperimentConfig(kind="si-consistency", episodes=1000, horizon=1000, delta=0.1, k=2,
+                           seed=105, type_space=fixture_type_space("typespace_4.json"))
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(harness, name, counted(name, getattr(harness, name)))
+        results, _ = run_experiment(cfg)
+    assert calls == {"play_batch": 1, "EpisodeStreams": 1}
+    assert results[0].passed
+    assert results[0].detail == (
+        "violations=0; 250 runs per adversary, 1000 of 1000 requested; protocol fallbacks 316 "
+        "(GrimTrigger 183, BestResponder 58, UniformRandom 46, MW 29), first at stage 202"
+    )
 
 
 def test_ic_eval_csv_matches_episode_loop_in_chunks_that_split_members(ts2):
