@@ -8,21 +8,19 @@ state of some episodes into an agent of their own.  ``agents.build_agents``
 builds the agent of one spec for many episodes, ``agents.build_agent`` for
 one, and ``agents.build_seat`` one seat of any mix of kinds.
 
-Random-stream contract, identical to ``run_episode``: episode e uses
-``random.Random(seed_e)``; the first two ``getrandbits(63)`` calls go to the
-agent seeds, then each stage draws one ``random()`` for the row seat and one
-for the column seat, in that order.  The streams are MT19937, seeded and
-stepped here for all episodes at once, with no ``Random`` object.  Actions
-are sampled by the inverse CDF of ``population._sample_action``:
-zero-probability actions are skipped, the first action whose running sum
-exceeds the draw is taken, and the last positive action when rounding leaves
-the draw above the total.  Sampled actions therefore equal those of
-``play_episode``, which steps one episode with a ``Random``.
+Random-stream contract, identical to ``run_episode``'s: episode e's stream
+is counter-based SplitMix64 keyed by its seed, and its draw c is
+``mix64(key + (c + 1) * GAMMA)``.  Draws 0 and 1, shifted to 63 bits, seed
+the row and the column agent; draws 2 + 2t and 3 + 2t, as uniforms, sample
+stage t's row and column actions by the inverse CDF of
+``population._sample_action``: zero-probability actions are skipped, the
+first action whose running sum exceeds the draw is taken, and the last
+positive action when rounding leaves the draw above the total.  Sampled
+actions therefore equal those of ``play_episode`` on a ``ScalarStream``.
 """
 from __future__ import annotations
 
 import copy
-import functools
 from itertools import chain
 
 import numpy as np
@@ -34,169 +32,94 @@ from .game_core import GameError
 BLOCK = 16
 
 # Episodes stepped together by dataset generation, ic-eval and
-# si-consistency: the (624, E) generator states and (T, 2, E) action records
-# stay bounded whatever the episode count.
+# si-consistency: the (T, 2, E) action records stay bounded whatever the
+# episode count.
 EPISODE_BATCH = 2000
 
 # ---------------------------------------------------------------------------
-# Random streams: MT19937, the generator behind random.Random, stepped for all
-# episodes at once.
+# Random streams: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) read by
+# counter, so a stream is its key and a position, and any draw one expression.
 
-_MT_N, _MT_M = 624, 397
-_UPPER, _LOWER, _MATRIX_A = np.uint32(0x80000000), np.uint32(0x7FFFFFFF), np.uint32(0x9908B0DF)
-
-
-# Row slices of the state, regenerated in this order, then the last word.
-# New word i mixes old words i and i + 1 with word i + 397 (mod 624), which
-# for i >= 227 is new already: no slice straddles 227, and word 623 mixes in
-# new word 0.  So a slice can be regenerated as soon as the slices before it
-# are, and a draw twists only the slices it reaches.  Slices of at most 32
-# rows go through one (32, E) scratch array.
-_SLICE_ROWS = 32
-_TWIST_SLICES = tuple(
-    (lo, min(lo + _SLICE_ROWS, hi))
-    for start, hi in ((0, 227), (227, 623)) for lo in range(start, hi, _SLICE_ROWS)
-) + ((623, 624),)
+GAMMA = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = 2**64 - 1
+_UNIT = 2.0**-53  # a draw's top 53 bits times _UNIT is a uniform in [0, 1)
 
 
-def _twist_rows(mt: np.ndarray, lo: int, hi: int, scratch: np.ndarray) -> None:
-    """Regenerate rows lo:hi of a (624, E) MT19937 state in place."""
-    y, s = mt[lo:hi], scratch[: hi - lo]
-    np.bitwise_and(mt[lo + 1 : hi + 1] if hi < _MT_N else mt[:1], _LOWER, out=s)
-    y &= _UPPER
-    y |= s
-    np.bitwise_and(y, 1, out=s)
-    s *= _MATRIX_A
-    y >>= 1
-    y ^= s
-    src = (lo + _MT_M) % _MT_N
-    y ^= mt[src : src + hi - lo]
+def mix64(z: int) -> int:
+    """SplitMix64's finaliser on a Python int in [0, 2**64)."""
+    z = (z ^ z >> 30) * _M1 & _MASK64
+    z = (z ^ z >> 27) * _M2 & _MASK64
+    return z ^ z >> 31
 
 
-def _temper(y: np.ndarray) -> None:
-    """Temper raw MT19937 words in place."""
-    t = np.right_shift(y, 11)
-    y ^= t
-    np.left_shift(y, 7, out=t)
-    t &= np.uint32(0x9D2C5680)
-    y ^= t
-    np.left_shift(y, 15, out=t)
-    t &= np.uint32(0xEFC60000)
-    y ^= t
-    np.right_shift(y, 18, out=t)
-    y ^= t
+def mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``mix64`` of every entry of the uint64 array ``z``, in place, through
+    a ``scratch`` array of its size; the products wrap modulo 2**64."""
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        if mult is not None:
+            z *= np.uint64(mult)
+    return z
 
 
-@functools.cache
-def _genrand() -> np.ndarray:
-    """init_genrand(19650218): the MT19937 state every init_by_array starts
-    from.  Made on first use, not at import."""
-    state = [19650218]
-    for i in range(1, _MT_N):
-        state.append((1812433253 * (state[-1] ^ (state[-1] >> 30)) + i) & 0xFFFFFFFF)
-    state = np.array(state, dtype=np.uint32)
-    state.setflags(write=False)  # shared by every call
-    return state
+def _draws(keys: np.ndarray, start: int, count: int, scratch=None) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of the streams with uint64
+    ``keys`` (E,), as a (count, E) uint64 array."""
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    z = np.add(steps[:, None], keys)
+    return mix64_inplace(z, np.empty_like(z) if scratch is None else scratch)
 
 
-def _seeded(seeds) -> np.ndarray:
-    """The (624, E) states of ``random.Random(seed)`` for seeds in [0, 2**64),
-    before their first draw: ``init_by_array`` on each seed's 32-bit words,
-    one word below 2**32, two above, run for all seeds at once."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    lo = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    # Step s adds key[j] + j with j = s mod (key length): the low word on
-    # even steps, and on odd steps the low word again for one-word keys or
-    # the high word plus one for two-word keys.
-    adds = (lo, np.where(hi > 0, hi + np.uint32(1), lo))
-    mt = np.repeat(_genrand()[:, None], len(seeds), axis=1)
-    tmp = np.empty(len(seeds), dtype=np.uint32)
-    i = 1
-    for s in range(2 * _MT_N - 1):
-        prev, row = mt[i - 1], mt[i]
-        np.right_shift(prev, 30, out=tmp)
-        tmp ^= prev
-        if s < _MT_N:
-            tmp *= 1664525
-            row ^= tmp
-            row += adds[s & 1]
-        else:
-            tmp *= 1566083941
-            row ^= tmp
-            row -= i
-        i += 1
-        if i == _MT_N:
-            mt[0] = mt[-1]
-            i = 1
-    mt[0] = 0x80000000
-    return mt
+def stream_uniforms(keys, start: int, count: int) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of the streams with ``keys``
+    as uniforms in [0, 1), (count, E)."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((count, len(keys)))
+    z = _draws(keys, start, count, out.view(np.uint64))  # the mix works in out
+    z >>= np.uint64(11)
+    return np.multiply(z, _UNIT, out=out)
+
+
+class ScalarStream:
+    """One stream of ``EpisodeStreams`` on Python ints, from draw 0:
+    ``draw()`` returns its next 64-bit draw and ``random()`` the next draw
+    as a uniform."""
+
+    def __init__(self, key: int):
+        self.key, self.counter = int(key) & _MASK64, 0
+
+    def draw(self) -> int:
+        self.counter += 1
+        return mix64((self.key + self.counter * GAMMA) & _MASK64)
+
+    def random(self) -> float:
+        return (self.draw() >> 11) * _UNIT
 
 
 class EpisodeStreams:
-    """The per-episode ``random.Random(seed)`` streams of E episodes, seeds
-    in [0, 2**64), advanced together.
+    """The streams of E episodes with keys (seeds) in [0, 2**64), advanced
+    together.  Draws 0 and 1 of every stream, shifted to 63 bits, are kept
+    as ``agent_seeds`` (2, E): the row and the column agent's seeds.
+    ``uniforms`` returns the next draws from draw 2 on."""
 
-    By default the first two ``getrandbits(63)`` draws of every stream are
-    taken at once, as ``run_episode`` takes them, and kept as
-    ``agent_seeds`` (2, E): the row and the column agent's seeds.
-
-    The state is regenerated lazily: a draw twists only the
-    ``_TWIST_SLICES`` up to the last word it reads."""
-
-    def __init__(self, seeds, draw_agent_seeds: bool = True):
-        # Words [0, _pos) of the generation in _mt are read; its first
-        # _twisted slices are regenerated, the rest hold the last one's.
-        self._mt, self._pos, self._twisted = _seeded(seeds), _MT_N, len(_TWIST_SLICES)
-        self.agent_seeds = None
-        if draw_agent_seeds:
-            # getrandbits(63): a full low word, then a high word shifted to 31 bits.
-            w = self._words(4).astype(np.uint64)
-            self.agent_seeds = w[0::2] | ((w[1::2] >> np.uint64(1)) << np.uint64(32))
-
-    def _words(self, count: int) -> np.ndarray:
-        """The next ``count`` tempered 32-bit outputs of every stream, (count, E)."""
-        mt = self._mt
-        words = np.empty((count, mt.shape[1]), dtype=np.uint32)
-        # Held only by this draw: a scratch array kept with the streams would
-        # outlive every twist and add to peak memory.
-        scratch = np.empty((_SLICE_ROWS, mt.shape[1]), dtype=np.uint32)
-        filled = 0
-        while filled < count:
-            if self._pos == _MT_N:
-                self._pos = self._twisted = 0
-            take = min(_MT_N - self._pos, count - filled)
-            end = self._pos + take
-            for lo, hi in _TWIST_SLICES[self._twisted :]:
-                if lo >= end:
-                    break
-                _twist_rows(mt, lo, hi, scratch)
-                self._twisted += 1
-            words[filled : filled + take] = mt[self._pos : end]
-            self._pos = end
-            filled += take
-        _temper(words)
-        return words
+    def __init__(self, seeds):
+        self._keys = np.asarray(seeds, dtype=np.uint64)
+        self.agent_seeds = _draws(self._keys, 0, 2) >> np.uint64(1)
+        self._pos = 2
 
     def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` ``random()`` values of every stream, (count, E)."""
-        words = self._words(2 * count)
-        high, low = words[0::2], words[1::2]
-        high >>= 5
-        low >>= 6
-        out = np.multiply(high, 67108864.0)
-        out += low
-        out *= 1.0 / 9007199254740992.0
+        """The next ``count`` uniforms of every stream, (count, E)."""
+        out = stream_uniforms(self._keys, self._pos, count)
+        self._pos += count
         return out
 
     def take(self, columns) -> "EpisodeStreams":
-        """A copy of the streams of the episodes at ``columns`` (an index
-        array), at their current position."""
-        out = object.__new__(EpisodeStreams)
-        out._mt, out._pos, out._twisted = self._mt.take(columns, axis=1), self._pos, self._twisted
-        out.agent_seeds = self.agent_seeds
-        if out.agent_seeds is not None:
-            out.agent_seeds = out.agent_seeds.take(columns, axis=1)
+        """The streams of the episodes at ``columns`` (an index array), at
+        their current position."""
+        out = copy.copy(self)
+        out._keys, out.agent_seeds = self._keys.take(columns), self.agent_seeds.take(columns, 1)
         return out
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import math
 import os
-import random
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -59,6 +58,7 @@ from .engine import (
     BatchMW,
     EpisodeStreams,
     RegretKernel,
+    ScalarStream,
     play_batch,
 )
 from .population import (
@@ -75,6 +75,7 @@ from .population import (
 from .imitation_commit import (
     BatchIC,
     auth_failure_probability,
+    commitment_draws,
     delta_K,
     fit_imitation,
     mixture_from_joint,
@@ -398,14 +399,14 @@ def _finish_triggered_episode(
 ):
     """Replay one episode exactly with one-episode protocol agents, reusing
     the vectorized path's sampled actions while both agents are still in
-    their convention phase and sampling live from ``Random(seed)``
-    afterwards."""
+    their convention phase and sampling live from the stream keyed by
+    ``seed`` afterwards."""
     spec = AgentSpec("Protocol", {"eps1": eps1, "k": k})
     ar, ac = (build_agent(spec, ts, T, seat, own, convention_table=ct)
               for seat, own in zip(("row", "col"), joint))
     A = ts.payoff_table[joint[0]]
     B = ts.payoff_table[joint[1]]
-    rng = random.Random(seed)
+    rng = ScalarStream(seed)
     pay_r = pay_c = 0.0
     fell_back = False
     for t in range(T):
@@ -632,9 +633,7 @@ def run_si_consistency(cfg: ExperimentConfig):
     # Runs are stepped EPISODE_BATCH at a time in run order, whatever their
     # adversary kinds: the acceptance config's 1 000 runs are one play_batch.
     # Against three batches of 334 this took the benchmark's zoo-loop wall_s
-    # from 0.345 to 0.263 s (medians of 10 pairs on a shared 2-core VM) and
-    # its peak RSS from 40.9 to 42.7 MB, each run's 2.5 KB generator state
-    # held at once.
+    # from 0.345 to 0.263 s (medians of 10 pairs on a shared 2-core VM).
     regrets = np.empty(len(joints))
     fallback_stages = np.empty(len(joints), dtype=np.int64)
     for start in range(0, len(joints), EPISODE_BATCH):
@@ -650,7 +649,6 @@ def run_si_consistency(cfg: ExperimentConfig):
         play_batch(row, col, T, streams)
         regrets[runs] = row.kernel.regret()
         fallback_stages[runs] = row.fallback_stage
-        del streams  # freed before the next chunk seeds its own (624, E) state
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     for r, (c, (a, b), reg) in enumerate(zip(kinds, joints, regrets.tolist())):
         rows.append(f"{r},{CONSISTENCY_ADVERSARIES[c]},{a},{b},{reg!r},{bound!r}")
@@ -926,17 +924,16 @@ def run_ic_eval(cfg: ExperimentConfig):
 
     values = {K: np.zeros(eval_episodes) for K in K_values}
 
-    # Each chunk of episodes seeds its streams once; for each K the IC agents
-    # play one batch against every member's partners, on a fresh copy, and
-    # run_episode replays each member's first episode as a spot check.
+    # For each K the IC agents play one batch of each chunk against every
+    # member's partners, on a fresh copy of its streams, and run_episode
+    # replays each member's first episode as a spot check.
     for start in range(0, eval_episodes, EPISODE_BATCH):
         ids = np.arange(start, min(start + EPISODE_BATCH, eval_episodes))
         joints = [mu.support[j] for j in joint_ids[ids]]
         members = partner_ids[ids].tolist()
         checked = [members.index(m) for m in dict.fromkeys(members)]  # first of each member
         streams = EpisodeStreams(episode_seeds[ids])
-        # The IC agent's own Random(ic_seed) makes one draw, its commitment.
-        commits = EpisodeStreams(streams.agent_seeds[0], draw_agent_seeds=False).uniforms(1)[0]
+        commits = commitment_draws(streams.agent_seeds[0])
         for K in K_values:
             ic = BatchIC(policies[K], tilde_T, T, [a for a, _ in joints], "row", commits)
             partners = build_seat(pop.members, members, ts, T, "col", [b for _, b in joints],

@@ -8,7 +8,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .game_core import GameError, History, check_joint
 from .agents import AgentSpec, BuildContext, _need, register_agent_kind
-from .engine import BatchAgent, sample_actions
+from .engine import BatchAgent, sample_actions, stream_uniforms
 from .population import Dataset, parse_dataset
 
 COMPONENT_TOL = 1e-12
@@ -196,17 +195,18 @@ class BatchIC(BatchAgent):
     trie node.  At ``tilde_T`` it forms the commitment mixture of its
     empirical joint play (the frequencies of its action pairs), with the
     float operations of ``mixture_from_joint``, and draws a component with
-    ``draws`` (E,): the first ``random()`` of the episode's
-    ``Random(seed)``.  It holds that strategy to the end.  The policy must
-    carry the trie ``fit_imitation`` builds."""
+    ``draws`` (E,), its ``commitment_draws``.  It holds that strategy to the
+    end.  With ``tilde_T == T`` it is plain behaviour cloning: it imitates
+    to the end and never commits.  The policy must carry the trie
+    ``fit_imitation`` builds."""
 
     ROWS = ("draws", "node", "joint", "commitment")
 
     def __init__(self, policy: ImitationPolicy, tilde_T: int, T: int, own_types, seat: str,
                  draws):
         # The commitment divides by tilde_T.
-        if not 0 < tilde_T < T:
-            raise GameError(f"need 0 < tilde_T < T, got tilde_T={tilde_T}, T={T}")
+        if not 0 < tilde_T <= T:
+            raise GameError(f"need 0 < tilde_T <= T, got tilde_T={tilde_T}, T={T}")
         if seat != policy.seat:
             raise GameError(f"policy was fit for seat {policy.seat!r}, agent seated {seat!r}")
         if policy.children is None:
@@ -251,11 +251,16 @@ class BatchIC(BatchAgent):
         self.stage += 1
 
 
+def commitment_draws(seeds) -> np.ndarray:
+    """The commitment draw of IC agents with agent ``seeds`` in [0, 2**64),
+    (E,): the first uniform of the stream keyed by each seed."""
+    return stream_uniforms(seeds, 0, 1)[0]
+
+
 def ImitateThenCommitAgent(policy: ImitationPolicy, tilde_T: int, T: int, own_type: str,
                            seat: str = "row", seed: int = 0) -> BatchIC:
-    """The one-episode ``BatchIC``: its commitment draw is the first
-    ``random()`` of ``Random(seed)``."""
-    return BatchIC(policy, tilde_T, T, [own_type], seat, [random.Random(seed).random()])
+    """The one-episode ``BatchIC`` with agent seed ``seed``."""
+    return BatchIC(policy, tilde_T, T, [own_type], seat, commitment_draws([seed]))
 
 
 # Fits of dataset files keyed by (sha256 of the file, tilde_T, seat), oldest
@@ -289,8 +294,7 @@ def _build_ic(spec: AgentSpec, ctx: BuildContext) -> BatchIC:
         if (metadata.get("type_space_hash") != ctx.type_space.content_hash()
                 or metadata["N"] != ctx.type_space.num_actions):
             raise GameError(f"{path}: dataset was generated on another type space")
-    draws = [random.Random(int(seed)).random() for seed in ctx.seeds]
-    return BatchIC(policy, tilde_T, ctx.T, ctx.own_types, ctx.seat, draws)
+    return BatchIC(policy, tilde_T, ctx.T, ctx.own_types, ctx.seat, commitment_draws(ctx.seeds))
 
 
 register_agent_kind("IC", _build_ic)

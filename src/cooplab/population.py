@@ -3,16 +3,16 @@ persistence, and the population-flattening construction.
 
 Datasets are played on the batched engine, each seat built by
 ``agents.build_seat``; ``play_episode`` steps one episode of one-episode
-batch agents (``agents.build_agent``) with a ``random.Random``.
+batch agents (``agents.build_agent``) with an ``engine.ScalarStream``.
 
-Per-episode RNG streams are derived by keyed hashing of (master seed,
-episode index), so datasets are reproducible under any execution order.
+Each episode's seed, the key of its counter-based stream, is a hash of
+(master seed, episode index), so datasets are reproducible under any
+execution order.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import random
 import re
 from dataclasses import dataclass, field
 
@@ -36,10 +36,15 @@ from .agents import (
     register_agent_kind,
 )
 from .engine import (
+    _MASK64,
     EPISODE_BATCH,
+    GAMMA,
     BatchAgent,
     EpisodeStreams,
+    ScalarStream,
     _rowsum,
+    mix64,
+    mix64_inplace,
     play_batch,
 )
 
@@ -50,75 +55,26 @@ _DRAW_STREAM = 0x64726177  # "draw"
 _EPISODE_STREAM = 0x65706973  # "epis"
 
 
-# numpy's SeedSequence (bit_generator.pyx) on 32-bit words.  Every word is a
-# Python int or a uint32 array: ints hash one seed, arrays one seed per column,
-# with the same operations.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _POOL, _MASK = 0xCA01F9DD, 0x4973F715, 4, 0xFFFFFFFF
-
-
-def _hash(value, const: int, mult: int):
-    """One hash step of SeedSequence: the hashed words and the next constant."""
-    value = value ^ const
-    const = const * mult & _MASK
-    value = value * const & _MASK
-    return value ^ (value >> 16), const
-
-
-def _mix(x, y):
-    # Each product is masked first: an int operand must fit a uint32 array's type.
-    out = ((x * _MIX_L & _MASK) - (y * _MIX_R & _MASK)) & _MASK
-    return out ^ (out >> 16)
-
-
-def _seed_sequence(words: list):
-    """The low and high 32-bit words of
-    ``SeedSequence(words).generate_state(1, np.uint64)[0]``."""
-    words = words + [0] * (_POOL - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL]:
-        value, const = _hash(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            value, const = _hash(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    low, const = _hash(pool[0], _INIT_B, _MULT_B)
-    high, _ = _hash(pool[1], const, _MULT_B)
-    return low, high
-
-
-def _episode_head(master_seed: int) -> list[int]:
-    """The entropy words before the episode index: the stream tag, then the
-    master seed's 32-bit words, least significant first, as SeedSequence
-    reads an integer."""
+def _master_key(master_seed: int) -> int:
+    """The key under which a master seed's episodes are numbered: its 64-bit
+    words, least significant first, folded into the episode tag by
+    ``mix64``."""
     master = int(master_seed)
     if master < 0:
         raise GameError(f"the master seed must be nonnegative, got {master}")
-    return [_EPISODE_STREAM] + [master >> s & _MASK for s in range(0, master.bit_length() or 1, 32)]
+    key = _EPISODE_STREAM
+    for shift in range(0, master.bit_length() or 1, 64):
+        key = mix64(key ^ (master >> shift & _MASK64))
+    return key
 
 
 def derive_episode_seeds(master_seed: int, indices) -> np.ndarray:
-    """The seeds of episodes ``indices`` under ``master_seed``, (E,) uint64:
-    ``SeedSequence([_EPISODE_STREAM, master_seed, index])``'s first 64-bit
-    word, bit for bit, for indices in [0, 2**64)."""
-    head = _episode_head(master_seed)
-    indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    low = (indices & np.uint64(_MASK)).astype(np.uint32)
-    high = (indices >> np.uint64(32)).astype(np.uint32)
-    seeds = np.empty(len(indices), dtype=np.uint64)
-    long = high > 0  # indices of two words
-    for words, at in (([low], ~long), ([low, high], long)):
-        if at.any():
-            lo, hi = _seed_sequence(head + [w[at] for w in words])
-            seeds[at] = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
-    return seeds
+    """The seeds (stream keys) of episodes ``indices`` in [0, 2**64) under
+    ``master_seed``, (E,) uint64: ``mix64`` of the master key plus index
+    times ``GAMMA``."""
+    key = np.uint64(_master_key(master_seed))
+    z = np.asarray(indices, dtype=np.uint64).reshape(-1) * np.uint64(GAMMA) + key
+    return mix64_inplace(z, np.empty_like(z))
 
 
 def derive_episode_seed(master_seed: int, index: int) -> int:
@@ -126,9 +82,7 @@ def derive_episode_seed(master_seed: int, index: int) -> int:
     index = int(index)
     if not 0 <= index < 2**64:
         raise GameError(f"the episode index must be in [0, 2**64), got {index}")
-    words = [index & _MASK] + ([index >> 32] if index >> 32 else [])
-    low, high = _seed_sequence(_episode_head(master_seed) + words)
-    return low | high << 32
+    return mix64((_master_key(master_seed) + index * GAMMA) & _MASK64)
 
 
 def _param_json(obj) -> str:
@@ -239,7 +193,7 @@ class Dataset:
                 and np.array_equal(self.actions, other.actions))
 
 
-def _sample_action(probs: list[float], rng: random.Random) -> int:
+def _sample_action(probs: list[float], rng) -> int:
     r = rng.random()
     acc = 0.0
     last = 0
@@ -257,11 +211,12 @@ def play_episode(
     agent_row: BatchAgent,
     agent_col: BatchAgent,
     T: int,
-    rng: random.Random,
+    rng,
 ) -> EpisodeTrace:
     """Run T stages of two one-episode batch agents, sampling each stage's
-    row and then column action from ``rng`` with ``_sample_action``, and
-    record the announced strategies."""
+    row and then column action from ``rng``, anything with a ``random()``
+    such as a ``ScalarStream``, with ``_sample_action``, and record the
+    announced strategies."""
     history: list[tuple[int, int]] = []
     row_strategies: list[np.ndarray] = []
     col_strategies: list[np.ndarray] = []
@@ -290,10 +245,11 @@ def run_episode(
     seed: int,
     convention_table: ConventionTable | None = None,
 ) -> EpisodeTrace:
-    """Build both agents from specs and play one seeded episode: ``Random(seed)``
-    draws the row agent's seed, then the column agent's, then every action."""
-    rng = random.Random(seed)
-    row_seed, col_seed = rng.getrandbits(63), rng.getrandbits(63)
+    """Build both agents from specs and play one seeded episode on the stream
+    keyed by ``seed``: its first two draws, shifted to 63 bits, are the row
+    and the column agent's seeds, the rest sample every action."""
+    rng = ScalarStream(seed)
+    row_seed, col_seed = rng.draw() >> 1, rng.draw() >> 1
     agent_row = build_agent(row_spec, type_space, T, "row", joint_type[0], row_seed,
                             convention_table)
     agent_col = build_agent(col_spec, type_space, T, "col", joint_type[1], col_seed,
@@ -340,7 +296,7 @@ def generate_dataset(
             for s, seat in enumerate(("row", "col"))
         ]
         record = play_batch(*seats, T, streams, record=True)
-        del streams, seats  # freed before the next chunk seeds its own (624, E) state
+        del streams, seats  # freed before the next chunk builds its own
         if record is not None:  # None for T = 0
             actions[ids] = record.transpose(2, 0, 1)
     return Dataset(

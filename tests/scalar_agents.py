@@ -4,14 +4,13 @@ time.  These are the reference implementations the batch agents of
 
 An agent announces its mixed strategy for the current stage with ``act()``
 (a list of floats) and advances with ``observe(own, opp)``.  ``play_episode``
-samples both seats' actions from one ``random.Random``, row then column, with
-``population._sample_action``; ``run_episode`` derives the two agent seeds
-from the episode seed first, as the engine does.
+samples both seats' actions from one ``SplitMix64`` stream, row then column,
+with ``population._sample_action``; ``run_episode`` derives the two agent
+seeds from the episode seed first, as the engine does.
 """
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
@@ -71,7 +70,35 @@ def policy_strategy(policy, own_type: str, history) -> np.ndarray:
     return c / c.sum()
 
 
-def sample_component(mixture: CommitmentMixture, rng: random.Random) -> np.ndarray:
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 as Steele, Lea & Flood give it: a state advanced by the
+    golden gamma, each output the state's finalised value.  It is the
+    stateful reading of the engine's counter-based streams, written apart
+    from them: output c + 1 of the generator seeded with a key is draw c of
+    that key's stream."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next64(self) -> int:
+        self.state = (self.state + GOLDEN_GAMMA) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def getrandbits63(self) -> int:
+        return self.next64() >> 1
+
+    def random(self) -> float:
+        return (self.next64() >> 11) / float(1 << 53)
+
+
+def sample_component(mixture: CommitmentMixture, rng: SplitMix64) -> np.ndarray:
     """One component strategy of ``mixture``, drawn with one ``random()``."""
     r = rng.random()
     acc = 0.0
@@ -323,12 +350,13 @@ class FlattenedAgent(Agent):
 class ImitateThenCommitAgent(Agent):
     """Plays the imitation policy for the first ``tilde_T`` stages, then
     samples one commitment strategy from the mixture of the realized
-    empirical joint play, with the first ``random()`` of ``Random(seed)``,
-    and holds it."""
+    empirical joint play, with the first ``random()`` of
+    ``SplitMix64(seed)``, and holds it.  With ``tilde_T == T`` it imitates
+    to the end."""
 
     def __init__(self, policy, tilde_T, T, own_type, seat="row", seed=0):
-        if tilde_T >= T:
-            raise GameError(f"need tilde_T < T, got {tilde_T} >= {T}")
+        if tilde_T > T:
+            raise GameError(f"need tilde_T <= T, got {tilde_T} > {T}")
         if seat != policy.seat:
             raise GameError(f"policy was fit for seat {policy.seat!r}, agent seated {seat!r}")
         self.policy = policy
@@ -336,7 +364,7 @@ class ImitateThenCommitAgent(Agent):
         self.own_type = own_type
         self.seat = seat
         self.n = policy.num_actions
-        self.rng = random.Random(seed)
+        self.rng = SplitMix64(seed)
         self.history: list[tuple[int, int]] = []  # (row, col) order
         self.stage = 0
         self.commitment = None
@@ -418,9 +446,9 @@ def play_episode(agent_row, agent_col, T, rng):
 
 def run_episode(row_spec, col_spec, ts, joint_type, T, seed, convention_table=None):
     """One seeded episode of two scalar agents built from specs: the first
-    two ``getrandbits(63)`` of ``Random(seed)`` seed the agents."""
-    rng = random.Random(seed)
-    row_seed, col_seed = rng.getrandbits(63), rng.getrandbits(63)
+    two 63-bit draws of ``SplitMix64(seed)`` seed the agents."""
+    rng = SplitMix64(seed)
+    row_seed, col_seed = rng.getrandbits63(), rng.getrandbits63()
     row = build_scalar(row_spec, ts, T, "row", joint_type[0], row_seed, convention_table)
     col = build_scalar(col_spec, ts, T, "col", joint_type[1], col_seed, convention_table)
     return play_episode(row, col, T, rng)

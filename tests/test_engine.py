@@ -2,7 +2,6 @@
 ``scalar_agents.py``: the same random streams, the same sampled actions and
 phase transitions, the same regrets."""
 import math
-import random
 
 import numpy as np
 import pytest
@@ -25,8 +24,10 @@ from cooplab.engine import (
     BatchGroups,
     BatchMW,
     EpisodeStreams,
+    GAMMA,
     RegretKernel,
-    _seeded,
+    ScalarStream,
+    mix64,
     play_batch,
     sample_actions,
 )
@@ -38,9 +39,8 @@ from cooplab.harness import (
     fixture_type_space,
     run_experiment,
 )
-from cooplab.imitation_commit import BatchIC, ImitationPolicy, fit_imitation
+from cooplab.imitation_commit import BatchIC, ImitationPolicy, commitment_draws, fit_imitation
 from cooplab.population import (
-    _EPISODE_STREAM,
     Population,
     TypeDistribution,
     _sample_action,
@@ -55,7 +55,9 @@ from scalar_agents import (
     ImitateThenCommitAgent,
     MWAgent,
     ProtocolAgent,
+    SplitMix64,
     play_episode,
+    policy_strategy,
     run_episode,
     tuple_dataset,
 )
@@ -89,7 +91,7 @@ class Recorder(BatchAgent):
 
 
 class FixedDraw:
-    """A stand-in for random.Random whose next draw is fixed."""
+    """A stand-in for a stream whose next draw is fixed."""
 
     def __init__(self, u):
         self.u = u
@@ -98,69 +100,95 @@ class FixedDraw:
         return self.u
 
 
-def test_streams_reproduce_random_random_across_twists():
-    episode_seeds = [0, 1, 2**63 + 5, 987654321987654321]
+def oracle_draws(seed: int, count: int) -> list[float]:
+    """The first ``count`` stage uniforms of the oracle stream of ``seed``,
+    after its two agent seeds."""
+    rng = SplitMix64(seed)
+    rng.getrandbits63()
+    rng.getrandbits63()
+    return [rng.random() for _ in range(count)]
+
+
+def test_splitmix64_known_answers():
+    # SplitMix64's reference outputs for seed 0: the key-0 stream's
+    # first three draws, in the engine, the scalar stream and the oracle.
+    known = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    oracle = SplitMix64(0)
+    assert [oracle.next64() for _ in known] == known
+    stream = ScalarStream(0)
+    assert [stream.draw() for _ in known] == known
+    assert [mix64((c + 1) * GAMMA & (2**64 - 1)) for c in range(3)] == known
+    streams = EpisodeStreams([0])
+    assert streams.agent_seeds[:, 0].tolist() == [known[0] >> 1, known[1] >> 1]
+    assert streams.uniforms(1)[0, 0] == (known[2] >> 11) / 2**53
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    episode_seeds=st.lists(seeds, min_size=1, max_size=6),
+    counts=st.lists(st.integers(min_value=1, max_value=2 * engine.BLOCK + 3), min_size=1,
+                    max_size=5),
+    columns=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
+)
+@example(episode_seeds=[0, 2**64 - 1], counts=[2 * engine.BLOCK, 2 * engine.BLOCK + 1, 5],
+         columns=[1, 1, 0])
+def test_streams_match_the_splitmix64_oracle(episode_seeds, counts, columns):
+    # Chunks of any size, past the 2 * BLOCK uniforms play_batch draws at once.
     streams = EpisodeStreams(episode_seeds)
-    # Chunks of odd sizes cross the 624-word regeneration several times.
-    got = np.concatenate([streams.uniforms(c) for c in (1, 311, 64, 700, 2, 1500)])
     for e, seed in enumerate(episode_seeds):
-        rng = random.Random(seed)
-        rng.getrandbits(63)
-        rng.getrandbits(63)
-        assert got[:, e].tolist() == [rng.random() for _ in range(len(got))]
+        oracle = SplitMix64(seed)
+        assert streams.agent_seeds[:, e].tolist() == [oracle.getrandbits63(),
+                                                      oracle.getrandbits63()]
+    got = np.concatenate([streams.uniforms(c) for c in counts])
+    for e, seed in enumerate(episode_seeds):
+        assert got[:, e].tolist() == oracle_draws(seed, len(got))
+        scalar = ScalarStream(seed)
+        assert [scalar.draw() >> 1 for _ in range(2)] == streams.agent_seeds[:, e].tolist()
+        assert [scalar.random() for _ in range(len(got))] == got[:, e].tolist()
+    # A copy taken mid-stream goes on where its episodes are.
+    columns = [c % len(episode_seeds) for c in columns]
+    part = streams.take(np.array(columns))
+    assert part.agent_seeds.tolist() == streams.agent_seeds[:, columns].tolist()
+    more = part.uniforms(counts[0])
+    for i, e in enumerate(columns):
+        expected = oracle_draws(episode_seeds[e], len(got) + counts[0])[len(got):]
+        assert more[:, i].tolist() == expected
 
 
 def test_drawn_uniforms_are_never_overwritten_by_later_draws():
     episode_seeds = [11, 2**64 - 1, 2**32, 5]
     streams = EpisodeStreams(episode_seeds)
-    # The agent seeds' 4 words twist only the first slice of the state.
-    assert streams._twisted == 1
     # Equal counts in a row: a buffer reused by draws of one shape shows.
-    kept = [streams.uniforms(c) for c in (3, 3, 300, 300)]  # partial twists, then across one
-    assert streams._twisted < len(engine._TWIST_SLICES)  # taken after a partial twist
+    kept = [streams.uniforms(c) for c in (3, 3, 300, 300)]
     part = streams.take(np.array([2, 0]))
     kept_part = [part.uniforms(c) for c in (17, 17, 400, 400)]
     kept += [streams.uniforms(c) for c in (17, 17, 400, 400)]
     got = np.concatenate(kept)
     for e, seed in enumerate(episode_seeds):
-        rng = random.Random(seed)
-        rng.getrandbits(63)
-        rng.getrandbits(63)
-        assert got[:, e].tolist() == [rng.random() for _ in range(len(got))]
+        assert got[:, e].tolist() == oracle_draws(seed, len(got))
     assert np.concatenate(kept_part).tolist() == got[-834:, [2, 0]].tolist()
-
-
-# Keys of one 32-bit word and of two, with the boundaries.
-words = st.one_of(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=2**32, max_value=2**64 - 1),
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
-)
-
-
-@settings(max_examples=30, deadline=None)
-@given(episode_seeds=st.lists(words, min_size=1, max_size=6))
-def test_vectorized_seeding_matches_random_random(episode_seeds):
-    states = _seeded(episode_seeds)
-    streams = EpisodeStreams(episode_seeds)
-    for e, seed in enumerate(episode_seeds):
-        rng = random.Random(seed)
-        assert states[:, e].tolist() == list(rng.getstate()[1][:624])
-        assert streams.agent_seeds[:, e].tolist() == [rng.getrandbits(63), rng.getrandbits(63)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    master=st.one_of(words, st.integers(min_value=2**64, max_value=2**70)),
-    indices=st.lists(words, min_size=1, max_size=5),
+    master=st.one_of(seeds, st.integers(min_value=2**64, max_value=2**130)),
+    indices=st.lists(seeds, min_size=1, max_size=5),
 )
-def test_derive_episode_seeds_matches_seed_sequence(master, indices):
-    expected = [
-        int(np.random.SeedSequence([_EPISODE_STREAM, master, i]).generate_state(1, np.uint64)[0])
-        for i in indices
-    ]
+def test_derive_episode_seeds_match_the_scalar_hash(master, indices):
+    expected = [derive_episode_seed(master, i) for i in indices]
     assert derive_episode_seeds(master, indices).tolist() == expected
-    assert [derive_episode_seed(master, i) for i in indices] == expected
+    # Episode i's key is mix64 of the master key plus i times GAMMA.
+    key = population._master_key(master)
+    assert expected == [mix64((key + i * GAMMA) % 2**64) for i in indices]
+
+
+def test_derive_episode_seeds_keep_masters_apart():
+    # Masters one word apart, and one and two words long, key different streams.
+    masters = [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**65]
+    keys = [population._master_key(m) for m in masters]
+    assert len(set(keys)) == len(keys)
+    with pytest.raises(GameError):
+        derive_episode_seeds(-1, [0])
 
 
 def test_derive_episode_seed_rejects_indices_outside_64_bits():
@@ -175,7 +203,7 @@ def test_taken_streams_continue_their_episodes_streams():
     streams.uniforms(5)
     part = streams.take(np.array([3, 1]))
     assert part.agent_seeds.tolist() == streams.agent_seeds[:, [3, 1]].tolist()
-    got = part.uniforms(700)  # across a regeneration of the state
+    got = part.uniforms(700)
     assert got.tolist() == streams.uniforms(700)[:, [3, 1]].tolist()
 
 
@@ -274,7 +302,8 @@ def test_batched_protocol_matches_scalar_episodes(episodes, adversary, k, extra_
 def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
     # Few episodes over three types, of which "c" never occurs: the agents
     # meet unseen prefixes and unseen types, and K = 0 gives an empty policy.
-    tilde_T = data.draw(st.integers(min_value=1, max_value=T - 1))
+    # tilde_T = T is plain behaviour cloning.
+    tilde_T = data.draw(st.integers(min_value=1, max_value=T))
     actions = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     episodes = data.draw(st.lists(
         st.tuples(st.sampled_from("ab"), st.sampled_from("ab"),
@@ -290,15 +319,15 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
 
     streams = EpisodeStreams(episode_seeds)
     ic_seeds = streams.agent_seeds[0 if seat == "row" else 1]
-    draws = EpisodeStreams(ic_seeds, draw_agent_seeds=False).uniforms(1)[0]
+    draws = commitment_draws(ic_seeds)
     ic = Recorder(BatchIC(policy, tilde_T, T, own_types, seat, draws))
     partner = BatchFixedMixed([partner_probs] * len(episode_seeds))
     row, col = (ic, partner) if seat == "row" else (partner, ic)
     record = play_batch(row, col, T, streams, record=True)
 
     for e, seed in enumerate(episode_seeds):
-        rng = random.Random(seed)
-        agent_seeds = (rng.getrandbits(63), rng.getrandbits(63))
+        rng = SplitMix64(seed)
+        agent_seeds = (rng.getrandbits63(), rng.getrandbits63())
         agent = ImitateThenCommitAgent(policy, tilde_T, T, own_types[e], seat,
                                        seed=agent_seeds[0 if seat == "row" else 1])
         scalar_row, scalar_col = (
@@ -310,16 +339,39 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
         announced = trace.row_strategies if seat == "row" else trace.col_strategies
         for t in range(T):
             assert ic.strategies[t][e].tolist() == announced[t].tolist()
-        assert ic.agent.commitment[e].tolist() == agent.commitment.tolist()
+        if tilde_T == T:
+            assert ic.agent.commitment is None and agent.commitment is None
+        else:
+            assert ic.agent.commitment[e].tolist() == agent.commitment.tolist()
 
 
 def test_batched_ic_rejects_the_horizons_the_scalar_agent_rejects():
     policy = fit_imitation(tuple_dataset([], 4, 2), 2)
-    for tilde_T, T in ((0, 4), (4, 4)):
+    for tilde_T, T in ((0, 4), (5, 4)):
         with pytest.raises(GameError):
             BatchIC(policy, tilde_T, T, ["a"], "row", [0.5])
     with pytest.raises(GameError):
+        ImitateThenCommitAgent(policy, 5, 4, "a")
+    with pytest.raises(GameError):
         BatchIC(policy, 2, 4, ["a"], "col", [0.5])
+
+
+def test_batched_ic_with_tilde_T_equal_to_T_imitates_to_the_end():
+    # Behaviour cloning: every stage plays the policy at its trie node, and
+    # no commitment is ever drawn.
+    T = 4
+    episodes = [("a", "a", ((0, 1), (1, 1), (1, 0), (0, 0))),
+                ("a", "a", ((1, 1), (0, 1), (0, 0), (1, 0)))]
+    policy = fit_imitation(tuple_dataset(episodes, T, 2), T)
+    ic = Recorder(BatchIC(policy, T, T, ["a", "a"], "row", [0.5, 0.5]))
+    partner = BatchFixedSequence([[1, 1, 0, 0], [1, 1, 0, 0]], 2)
+    record = play_batch(ic, partner, T, EpisodeStreams([1, 2]), record=True)
+    assert ic.agent.commitment is None
+    for e in range(2):
+        history = tuple(map(tuple, record[:, :, e].tolist()))
+        for t in range(T):
+            expected = policy_strategy(policy, "a", history[:t])
+            assert ic.strategies[t][e].tolist() == expected.tolist()
 
 
 def test_batched_ic_refuses_a_policy_without_a_trie():

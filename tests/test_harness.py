@@ -1,5 +1,4 @@
 import math
-import random
 import types
 
 import numpy as np
@@ -48,7 +47,13 @@ from cooplab.population import (
     run_episode,
     write_dataset,
 )
-from scalar_agents import ImitateThenCommitAgent, ProtocolAgent, build_scalar, play_episode
+from scalar_agents import (
+    ImitateThenCommitAgent,
+    ProtocolAgent,
+    SplitMix64,
+    build_scalar,
+    play_episode,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +132,7 @@ def scalar_triggered_episode(ts, ct, joint, k, T, eps1, acts_row, acts_col, seed
     ar = ProtocolAgent(joint[0], "row", ts, ct, k, T, eps1)
     ac = ProtocolAgent(joint[1], "col", ts, ct, k, T, eps1)
     A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
-    rng = random.Random(seed)
+    rng = SplitMix64(seed)
     pay_r = pay_c = 0.0
     fell_back = False
     for t in range(T):
@@ -265,9 +270,9 @@ def ic_eval_csv_by_episode_loop(cfg):
     for K in K_values:
         for e in range(eval_episodes):
             joint = mu.support[joint_ids[e]]
-            rng = random.Random(derive_episode_seed(cfg.seed, 0x45560000 + e))
-            ic_seed = rng.getrandbits(63)
-            partner_seed = rng.getrandbits(63)
+            rng = SplitMix64(derive_episode_seed(cfg.seed, 0x45560000 + e))
+            ic_seed = rng.getrandbits63()
+            partner_seed = rng.getrandbits63()
             agent_row = ImitateThenCommitAgent(
                 policies[K], tilde_T, T, own_type=joint[0], seat="row", seed=ic_seed
             )
@@ -496,8 +501,8 @@ def test_si_consistency_at_acceptance_size_is_one_batch():
     assert calls == {"play_batch": 1, "EpisodeStreams": 1}
     assert results[0].passed
     assert results[0].detail == (
-        "violations=0; 250 runs per adversary, 1000 of 1000 requested; protocol fallbacks 316 "
-        "(GrimTrigger 183, BestResponder 58, UniformRandom 46, MW 29), first at stage 202"
+        "violations=0; 250 runs per adversary, 1000 of 1000 requested; protocol fallbacks 327 "
+        "(GrimTrigger 183, BestResponder 62, UniformRandom 52, MW 30), first at stage 202"
     )
 
 

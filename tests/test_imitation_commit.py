@@ -321,8 +321,11 @@ def test_ic_agent_col_seat_conditions_on_opponent():
 
 def test_ic_agent_seat_mismatch_and_horizon_checks():
     policy = fit_imitation(make_dataset([("a", "b", ((0, 0),))], 1), tilde_T=1)
-    with pytest.raises(GameError):
-        ImitateThenCommitAgent(policy, 1, 1, own_type="a")
+    # tilde_T = T is behaviour cloning; a longer imitation, or none, is refused.
+    assert ImitateThenCommitAgent(policy, 1, 1, own_type="a").tilde_T == 1
+    for tilde_T in (0, 2):
+        with pytest.raises(GameError):
+            ImitateThenCommitAgent(policy, tilde_T, 1, own_type="a")
     with pytest.raises(GameError):
         ImitateThenCommitAgent(policy, 1, 4, own_type="a", seat="col")
 

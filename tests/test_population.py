@@ -264,11 +264,13 @@ def test_read_dataset_parses_canonical_lines_in_one_pass_and_others_alike(tmp_pa
     assert len(decoded) == 2
 
 
-# sha256 of the files generate_dataset and write_dataset made when a history
-# was a tuple of pairs and each line one json.dumps: ic-eval's K = 100
-# dataset of the acceptance config, and a dataset of typespace_4.
-IC_EVAL_K100_SHA256 = "da0990781ba3d15409903e5f3c3d8476eb232303eac4fffaf44906faa087e43f"
-TS4_SHA256 = "931a6309549e494fe0c0b28538f8ea853f7ae4d1761d9f9fee3bf9bbcce93eba"
+# sha256 of ic-eval's K = 100 dataset of the acceptance config and of a
+# dataset of typespace_4, as generate_dataset and write_dataset made them
+# when the episode streams became counter-based SplitMix64.  The file format
+# was last pinned when a history was a tuple of pairs and each line one
+# json.dumps; any change to the streams, the engine or the format shows here.
+IC_EVAL_K100_SHA256 = "78c2b8b615305e014b18af9a007071257180af9fa09563e14a38436cbecead8f"
+TS4_SHA256 = "f431573c7a2db297d27314f9f64e333c492ddf817f3d9015c253c849535a546e"
 
 
 def test_dataset_files_keep_their_pinned_bytes(ts2, tmp_path):
