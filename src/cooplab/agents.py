@@ -283,7 +283,7 @@ class BuildContext:
     def __post_init__(self):
         index = {t: i for i, t in enumerate(dict.fromkeys(self.own_types))}
         self.types = list(index)
-        self._type_rows = np.array([index[t] for t in self.own_types], dtype=np.intp)
+        self._type_rows = np.fromiter(map(index.__getitem__, self.own_types), np.intp)
 
     def per_type(self, values) -> np.ndarray:
         """Per episode, the entry of ``values`` (one per ``types``) for its
@@ -437,14 +437,14 @@ def build_seat(
     index), ``own_types`` its own type and ``seeds`` its agent seed (a row of
     ``EpisodeStreams.agent_seeds``).  The episodes of each key, in episode
     order, form one ``BatchGroups`` part built by one ``build_agents``."""
-    parts = {}
-    for e, key in enumerate(keys):
-        parts.setdefault(key, []).append(e)
-    seeds = np.asarray(seeds)
+    keys, seeds, own_types = np.asarray(keys), np.asarray(seeds), np.asarray(own_types, object)
+    order = np.argsort(keys, kind="stable")  # by key, and by episode within a key
+    at = np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1
+    parts = sorted(np.split(order, at), key=lambda index: index[0]) if len(order) else []
     return BatchGroups(
-        [(index, build_agents(specs[key], type_space, T, seat, [own_types[e] for e in index],
-                              seeds[index], convention_table))
-         for key, index in parts.items()],
+        [(index, build_agents(specs[keys[index[0]].item()], type_space, T, seat,
+                              own_types[index].tolist(), seeds[index], convention_table))
+         for index in parts],
         type_space.num_actions,
     )
 

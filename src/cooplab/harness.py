@@ -10,11 +10,12 @@ every agent kind (``agents.build_seat``); ic-eval replays each partner
 member's first episode of a batch with ``run_episode`` as a spot check.
 Equilibrium and protocol self-play run on numpy kernels that stream their
 draws in cache-sized blocks of episodes or stages, with the same random
-numbers and float sums as drawing the whole run at once.  The protocol
-kernel is an exact reproduction of the agent semantics (cross-checked in the
-test suite); episodes that leave the vectorizable regime (a protocol agent
-tripping its regret threshold) are finished stage-by-stage by one-episode
-protocol agents on the same sampled prefix.
+numbers and float sums as drawing the whole run at once, and sample by the
+engine's inverse CDF (``engine.sample_actions``).  In protocol self-play the
+protocol agents play the handshake on the engine, and every episode whose
+regret tripwire fires in the kernel's scan is played again by them from the
+end of the handshake, on the kernel's own uniforms; the kernel settles only
+the episodes that never trip.
 """
 from __future__ import annotations
 
@@ -39,18 +40,16 @@ from .equilibria import enumerate_nash, pareto_optimal_nash, worst_pone_payoff
 from .regret import azuma_thresholds
 from .agents import (
     AgentSpec,
-    ConventionTable,
     build_agent,
     build_convention_table,
+    build_agents,
     build_seat,
     default_eta,
-    handshake_encode,
     protocol_threshold,
     theorem26_params,
     tree_act_fn,
 )
 from .engine import (
-    CONVENTION,
     EPISODE_BATCH,
     BatchAdaptive,
     BatchFixedSequence,
@@ -58,7 +57,6 @@ from .engine import (
     BatchMW,
     EpisodeStreams,
     RegretKernel,
-    ScalarStream,
     play_batch,
 )
 from .population import (
@@ -70,7 +68,6 @@ from .population import (
     generate_dataset,
     play_episode,  # unused here; kept bindable for the benchmark's tracer
     run_episode,
-    _sample_action,
 )
 from .imitation_commit import (
     BatchIC,
@@ -223,20 +220,18 @@ def run_mw_regret(cfg: ExperimentConfig):
 
 
 def _choice_cuts(p: np.ndarray) -> np.ndarray:
-    """The inner cut points of ``Generator.choice(n, p=p)``: its cdf
-    ``p.cumsum() / p.cumsum()[-1]`` without the last entry, which is 1.
-    Entries within ``check_mixed``'s tolerance below 0 count as 0, so the
-    cuts never decrease."""
+    """The cut points of ``engine.sample_actions`` for the strategy ``p``:
+    the running sums of ``max(p, 0)``, left to right, before its last
+    positive action.  A draw at or above the total so takes that action, as
+    the engine's guard does, whatever the total."""
     cdf = np.maximum(p, 0.0).cumsum()
-    cdf /= cdf[-1]
-    return cdf[:-1]
+    return cdf[: np.flatnonzero(p > 0.0)[-1]]
 
 
 def _choice(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The actions ``Generator.choice`` makes of its uniforms ``u``: the
-    number of cuts at or below each draw, which is its
-    ``searchsorted(u, side="right")`` (u < 1 never reaches the last cdf
-    entry)."""
+    """The actions ``engine.sample_actions`` samples from the uniforms ``u``
+    for the strategy of ``cuts``: the number of cuts at or below each
+    draw."""
     acts = np.zeros(u.shape, np.min_scalar_type(len(cuts)))
     for c in cuts:
         acts += u >= c
@@ -250,8 +245,8 @@ def _row_blocks(rows: int, cols: int):
 
 
 def _draw_actions(rng: np.random.Generator, cuts: np.ndarray, rows: int, cols: int):
-    """``rng.choice(len(cuts) + 1, size=(rows, cols), p=p)`` for ``cuts =
-    _choice_cuts(p)``, drawn a block of rows at a time."""
+    """``_choice(rng.random((rows, cols)), cuts)``, drawn a block of rows at
+    a time."""
     acts = np.empty((rows, cols), np.min_scalar_type(len(cuts)))
     for block in _row_blocks(rows, cols):
         acts[block] = _choice(rng.random((block.stop - block.start, cols)), cuts)
@@ -278,8 +273,8 @@ def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray,
     """Realized and expected external regrets for both players over i.i.d.
     self-play episodes of a fixed mixed profile.
 
-    The actions are ``rng.choice(n, size=(episodes, T), p=p)`` for the row
-    player, then the same with ``q`` for the column player, made
+    The actions are ``_choice`` of ``rng.random((episodes, T))`` for the row
+    player's ``p``, then the same with ``q`` for the column player, made
     SELFPLAY_CHUNK episodes at a time: the row draws come from ``rng``, the
     column draws from a copy of it advanced past every row draw, and ``rng``
     ends where the two whole-run draws leave it.  The chunks yield action
@@ -365,65 +360,27 @@ def run_nash_selfplay(cfg: ExperimentConfig):
 # Protocol self-play (compatibility: convention payoffs reached w.h.p.)
 
 
-def _handshake_arrays(ts: TypeSpace, joint: tuple[str, str], k: int):
-    """Both codes, the counterfactual payoffs and the payoffs of the
-    handshake.  Handshake play is pure, so each seat's expected payoff is its
-    realized one."""
-    n = ts.num_actions
-    code_r = handshake_encode(ts.type_index(joint[0]), k, n)
-    code_c = handshake_encode(ts.type_index(joint[1]), k, n)
-    A = ts.payoff_table[joint[0]]
-    B = ts.payoff_table[joint[1]]
-    ha = np.zeros(n)
-    hb = np.zeros(n)
-    hexp_r = hexp_c = 0.0
-    for t in range(k):
-        i, j = code_r[t], code_c[t]
-        ha += A[:, j]
-        hb += B[:, i]
-        hexp_r += A[i, j]
-        hexp_c += B[j, i]
-    return code_r, code_c, ha, hb, hexp_r, hexp_c
+class _Draws:
+    """Uniforms given in advance, handed out as ``EpisodeStreams.uniforms``
+    hands out its streams' draws: ``u`` is (draws, E)."""
+
+    def __init__(self, u: np.ndarray):
+        self._u, self._pos = u, 0
+
+    def uniforms(self, count: int) -> np.ndarray:
+        self._pos += count
+        return self._u[self._pos - count : self._pos]
 
 
-def _finish_triggered_episode(
-    ts: TypeSpace,
-    ct: ConventionTable,
-    joint: tuple[str, str],
-    k: int,
-    T: int,
-    eps1: float,
-    acts_row: np.ndarray,
-    acts_col: np.ndarray,
-    seed: int,
-):
-    """Replay one episode exactly with one-episode protocol agents, reusing
-    the vectorized path's sampled actions while both agents are still in
-    their convention phase and sampling live from the stream keyed by
-    ``seed`` afterwards."""
-    spec = AgentSpec("Protocol", {"eps1": eps1, "k": k})
-    ar, ac = (build_agent(spec, ts, T, seat, own, convention_table=ct)
-              for seat, own in zip(("row", "col"), joint))
-    A = ts.payoff_table[joint[0]]
-    B = ts.payoff_table[joint[1]]
-    rng = ScalarStream(seed)
-    pay_r = pay_c = 0.0
-    fell_back = False
-    for t in range(T):
-        p, q = ar.act(), ac.act()
-        if t < k:
-            i, j = int(ar.own_code[0, t]), int(ac.own_code[0, t])
-        elif ar.phase[0] == CONVENTION and ac.phase[0] == CONVENTION:
-            i, j = int(acts_row[t - k]), int(acts_col[t - k])
-        else:
-            fell_back = True
-            i = _sample_action(p[0].tolist(), rng)
-            j = _sample_action(q[0].tolist(), rng)
-        pay_r += A[i, j]
-        pay_c += B[j, i]
-        ar.observe(np.array([i]), np.array([j]))
-        ac.observe(np.array([j]), np.array([i]))
-    return pay_r / T, pay_c / T, fell_back or ar.fallen > 0 or ac.fallen > 0
+def _redraw(rng: np.random.Generator, starts: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` uniforms the fresh generator ``rng`` draws from each of
+    the increasing draw numbers ``starts`` on, a column each."""
+    out, pos = np.empty((count, len(starts))), 0
+    for column, start in enumerate(starts.tolist()):
+        rng.bit_generator.advance(start - pos)
+        out[:, column] = rng.random(count)
+        pos = start + count
+    return out
 
 
 def _first_trigger_stage(
@@ -485,16 +442,25 @@ def run_si_selfplay(cfg: ExperimentConfig):
     avg_pay_col = np.zeros(cfg.episodes)
     fallback = np.zeros(cfg.episodes, dtype=bool)
 
+    # The protocol agents of both seats, row j for joint type j, play the
+    # pure handshake (any uniform samples it); their regret kernels then hold
+    # its counterfactual and realized payoffs.
+    spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
+    seats = [build_agents(spec, ts, T, seat, [joint[s] for joint in mu.support],
+                          [0] * len(mu.support), ct) for s, seat in enumerate(("row", "col"))]
+    play_batch(*seats, k, _Draws(np.zeros((2 * k, len(mu.support)))))
+
     pure_episodes = replayed = 0
+    fallback_stages = []
     for jt_index, joint in enumerate(mu.support):
         episode_ids = np.nonzero(joint_idx == jt_index)[0]
         if len(episode_ids) == 0:
             continue
         prof = ct.profile(joint)
         p, q = prof.sigma_row, prof.sigma_col
-        A = ts.payoff_table[joint[0]]
-        B = ts.payoff_table[joint[1]]
-        code_r, code_c, ha, hb, hexp_r, hexp_c = _handshake_arrays(ts, joint, k)
+        A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
+        (ha, hexp_r), (hb, hexp_c) = (
+            (seat.kernel.counterfactual[jt_index], seat.kernel.expected[jt_index]) for seat in seats)
         stages = T - k
         pure = (p.max() > 1.0 - 1e-12) and (q.max() > 1.0 - 1e-12)
         if pure:
@@ -519,31 +485,24 @@ def run_si_selfplay(cfg: ExperimentConfig):
             j_acts = _draw_actions(rng_joint, cuts_q, len(ids), stages)
             trig_r = _first_trigger_stage(A, p, j_acts, ha, hexp_r, threshold)
             trig_c = _first_trigger_stage(B, q, i_acts, hb, hexp_c, threshold)
-            triggered = (trig_r >= 0) | (trig_c >= 0)
-            clean = ~triggered
-            pay_r = hexp_r + _payoff_sums(A, i_acts, j_acts)
-            pay_c = hexp_c + _payoff_sums(B, j_acts, i_acts)
-            avg_pay_row[ids[clean]] = pay_r[clean] / T
-            avg_pay_col[ids[clean]] = pay_c[clean] / T
-            finish = np.flatnonzero(triggered)
-            replayed += len(finish)
-            seeds = derive_episode_seeds(cfg.seed, ids[finish]).tolist()
-            for local, seed in zip(finish.tolist(), seeds):
-                e = int(ids[local])
-                pr, pc, fb = _finish_triggered_episode(
-                    ts,
-                    ct,
-                    joint,
-                    k,
-                    T,
-                    params.eps1,
-                    i_acts[local],
-                    j_acts[local],
-                    seed,
-                )
-                avg_pay_row[e] = pr
-                avg_pay_col[e] = pc
-                fallback[e] = fb
+            finish = np.flatnonzero((trig_r >= 0) | (trig_c >= 0))
+            if len(finish):
+                # The agents play these episodes on from the handshake, on
+                # the uniforms the chunk drew for them: the row seat's from
+                # draw (2 * start + row) * stages of the joint's generator,
+                # the column seat's len(ids) rows further on.  Row s of u
+                # holds stage s's row-seat draws, then its column-seat ones.
+                at = np.concatenate([finish, len(ids) + finish])
+                u = _redraw(_rng(cfg.seed, 0x5349, 1 + jt_index), (2 * start + at) * stages, stages)
+                agents = [seat.take(np.full(len(finish), jt_index)) for seat in seats]
+                record = play_batch(*agents, stages, _Draws(u.reshape(2 * stages, -1)), record=True)
+                i_acts[finish], j_acts[finish] = record[:, 0].T, record[:, 1].T
+                fell = np.stack([agent.fallback_stage for agent in agents])
+                fallback[ids[finish]] = (fell >= 0).any(axis=0)
+                fallback_stages += fell[fell >= 0].tolist()
+                replayed += len(finish)
+            avg_pay_row[ids] = (hexp_r + _payoff_sums(A, i_acts, j_acts)) / T
+            avg_pay_col[ids] = (hexp_c + _payoff_sums(B, j_acts, i_acts)) / T
 
     rows = ["episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback"]
     for e, (j, pr, pc, fb) in enumerate(zip(
@@ -552,6 +511,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
         a, b = mu.support[j]
         rows.append(f"{e},{a},{b},{pr!r},{pc!r},{int(fb)}")
 
+    first = f", first at stage {min(fallback_stages)}" if fallback_stages else ""
     results = []
     fb_freq = float(fallback.mean())
     ci = _ci99_freq(fb_freq, cfg.episodes)
@@ -566,7 +526,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
             ci_radius=ci,
             detail=(
                 f"pure-convention episodes {pure_episodes}, replayed by the agents "
-                f"{replayed}, fallbacks {int(fallback.sum())}"
+                f"{replayed}, fallbacks {int(fallback.sum())}" + first
             ),
         )
     )

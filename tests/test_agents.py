@@ -1,15 +1,20 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cooplab import agents
 from cooplab.game_core import GameError, GameFormatError, TypeSpace
 from cooplab.agents import (
     AgentSpec,
     ConventionTable,
     build_agent,
+    build_agents,
     build_convention_table,
+    build_seat,
     default_eta,
     default_handshake_length,
     handshake_encode,
@@ -338,3 +343,42 @@ def test_convention_table_rejects_a_key_that_is_not_two_types(ts2):
 def test_agent_spec_from_dict_rejects_malformed_specs(data):
     with pytest.raises(GameFormatError):
         AgentSpec.from_dict(data)
+
+
+def loop_parts(keys):
+    """The episodes of each key in episode order, the keys in order of their
+    first episode: the per-episode grouping ``build_seat`` replaced."""
+    parts = {}
+    for e, key in enumerate(keys):
+        parts.setdefault(key, []).append(e)
+    return list(parts.items())
+
+
+SEAT_SPECS = [AgentSpec("MW"), AgentSpec("FixedMixed", {"probs": [0.3, 0.7]}),
+              AgentSpec("UniformRandom"), AgentSpec("BestResponder")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), named=st.booleans())
+def test_build_seat_parts_equal_the_per_episode_grouping(ts2, data, named):
+    # Keys are indices into a list of specs, or names in a dict of them.
+    keys = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    specs = SEAT_SPECS
+    if named:
+        keys, specs = ["wxyz"[key] for key in keys], dict(zip("wxyz", SEAT_SPECS))
+    own_types = data.draw(st.lists(st.sampled_from(ts2.types), min_size=len(keys),
+                                   max_size=len(keys)))
+    seeds = np.arange(len(keys), dtype=np.uint64) * 7
+    calls = []
+
+    def recorded(spec, type_space, T, seat, own, agent_seeds, table):
+        calls.append((spec, list(own), agent_seeds.tolist()))
+        return build_agents(spec, type_space, T, seat, own, agent_seeds, table)
+
+    with mock.patch.object(agents, "build_agents", recorded):
+        seat = build_seat(specs, keys, ts2, 5, "row", own_types, seeds)
+    assert calls == [(specs[key], [own_types[e] for e in index], seeds[index].tolist())
+                     for key, index in loop_parts(keys)]
+    parts = getattr(seat, "parts", [(slice(None), seat)])  # one part is its own agent
+    assert [np.arange(len(keys))[index].tolist() for index, _ in parts] == [
+        index for _, index in loop_parts(keys)]

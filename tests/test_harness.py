@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cooplab.game_core import GameError, TypeSpace
-from cooplab import harness
+from cooplab import agents, harness
 from cooplab.agents import (
     AgentSpec,
     build_agents,
@@ -30,9 +30,7 @@ from cooplab.harness import (
     ExperimentConfig,
     VerificationResult,
     _default_ic_mu,
-    _finish_triggered_episode,
     _first_trigger_stage,
-    _handshake_arrays,
     emit_curves,
     fixture_type_space,
     run_experiment,
@@ -40,6 +38,7 @@ from cooplab.harness import (
 from cooplab.imitation_commit import fit_imitation
 from cooplab.population import (
     Population,
+    TypeDistribution,
     _sample_action,
     derive_episode_seed,
     derive_episode_seeds,
@@ -91,6 +90,18 @@ def agent_first_trigger(ts, joint, k, threshold, i_acts, j_acts, seat):
     return -1
 
 
+def handshake_sums(ts, table, joint, k, T):
+    """Both seats' handshake counterfactual and expected payoff sums, read
+    from scalar protocol agents stepped through the handshake."""
+    row = ProtocolAgent(joint[0], "row", ts, table, k, T, eps1=0.0)
+    col = ProtocolAgent(joint[1], "col", ts, table, k, T, eps1=0.0)
+    for t in range(k):
+        i, j = row.own_code[t], col.own_code[t]
+        row.observe(i, j)
+        col.observe(j, i)
+    return [(np.array(agent.cum_counterfactual), agent.cum_expected) for agent in (row, col)]
+
+
 def check_trigger_against_protocol_agent(ts, stages):
     # The si-selfplay fast path must flag exactly the stage at which a real
     # protocol agent's accumulator first exceeds its threshold.
@@ -100,7 +111,7 @@ def check_trigger_against_protocol_agent(ts, stages):
     prof = table.profile(joint)
     A = ts.payoff_table["gamma"]
     B = ts.payoff_table["delta"]
-    code_r, code_c, ha, hb, hexp_r, hexp_c = _handshake_arrays(ts, joint, k)
+    (ha, hexp_r), (hb, hexp_c) = handshake_sums(ts, table, joint, k, k + stages)
     rng = np.random.default_rng(17)
     for threshold in (0.5, 1.0, 2.0, 5.0):
         i_acts = rng.choice(2, size=(30, stages), p=prof.sigma_row)
@@ -126,62 +137,143 @@ def test_vectorized_trigger_matches_protocol_agent_beyond_one_block(ts2):
     check_trigger_against_protocol_agent(ts2, stages=2 * TRIGGER_BLOCK + 23)
 
 
-def scalar_triggered_episode(ts, ct, joint, k, T, eps1, acts_row, acts_col, seed):
-    """si-selfplay's replay of a triggered episode with the scalar protocol
-    agents, as it ran before the one-episode batch agents; kept as its oracle."""
-    ar = ProtocolAgent(joint[0], "row", ts, ct, k, T, eps1)
-    ac = ProtocolAgent(joint[1], "col", ts, ct, k, T, eps1)
+class GivenUniforms:
+    """Stands in for ``EpisodeStreams`` in ``play_batch``: hands out the rows
+    of ``u`` (draws, E) in order."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def uniforms(self, count):
+        self.pos += count
+        return self.u[self.pos - count : self.pos]
+
+
+def lower_protocol_thresholds(monkeypatch, by):
+    """Lower the tripwire of the harness's kernel and of the protocol agents
+    alike, so that many more episodes trip it."""
+    for module in (agents, harness):
+        threshold = module.protocol_threshold
+        monkeypatch.setattr(module, "protocol_threshold", lambda *a, f=threshold: f(*a) - by)
+
+
+def si_selfplay_run(cfg):
+    """si-selfplay's per-episode (row, col) average payoffs, its fallback
+    flags and its detail; and per chunk of each joint type's episodes, the
+    joint, the episodes and the uniforms of their convention stages, row
+    seat and column seat (episodes, T - k), drawn as the kernel draws them:
+    the whole chunk's row-seat draws, then its column-seat draws, from the
+    joint's generator."""
+    results, artifacts = run_experiment(cfg)
+    rows = [line.split(",") for line in artifacts["si_selfplay.csv"].splitlines()[1:]]
+    pay = np.array([[float(r[3]), float(r[4])] for r in rows])
+    fell = np.array([r[5] == "1" for r in rows])
+    mu = TypeDistribution.uniform(cfg.type_space)
+    joint_idx = harness._rng(cfg.seed, 0x5349).choice(
+        len(mu.support), size=cfg.episodes, p=np.asarray(mu.weights))
+    chunks = []
+    for jt, joint in enumerate(mu.support):
+        ids = np.flatnonzero(joint_idx == jt)
+        rng = harness._rng(cfg.seed, 0x5349, 1 + jt)
+        for start in range(0, len(ids), harness.SI_SELFPLAY_CHUNK):
+            chunk = ids[start : start + harness.SI_SELFPLAY_CHUNK]
+            size = (len(chunk), cfg.horizon - cfg.k)
+            chunks.append((joint, chunk, rng.random(size), rng.random(size)))
+    return pay, fell, results[0].detail, chunks
+
+
+def selfplay_payoffs(ts, table, joint, k, acts_row, acts_col):
+    """Both seats' average payoffs of episodes with (episodes, T) actions,
+    summed as si-selfplay sums them: the handshake's stage by stage, then
+    the convention stages' with ``_payoff_sums``, or as stages times the
+    payoff for a pure convention, which the actions must then follow."""
     A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
-    rng = SplitMix64(seed)
-    pay_r = pay_c = 0.0
-    fell_back = False
-    for t in range(T):
-        if t < k:
-            i, j = ar.own_code[t], ac.own_code[t]
-        elif ar.phase == "convention" and ac.phase == "convention":
-            i, j = int(acts_row[t - k]), int(acts_col[t - k])
-        else:
-            fell_back = True
-            i, j = _sample_action(ar.act(), rng), _sample_action(ac.act(), rng)
-        pay_r += A[i, j]
-        pay_c += B[j, i]
-        ar.observe(i, j)
-        ac.observe(j, i)
-    return pay_r / T, pay_c / T, fell_back or "fallback" in (ar.phase, ac.phase)
+    T = acts_row.shape[1]
+    hexp_r = hexp_c = 0.0
+    for i, j in zip(acts_row[0, :k].tolist(), acts_col[0, :k].tolist()):
+        hexp_r += A[i, j]
+        hexp_c += B[j, i]
+    prof = table.profile(joint)
+    if prof.sigma_row.max() > 1 - 1e-12 and prof.sigma_col.max() > 1 - 1e-12:
+        i, j = prof.sigma_row.argmax(), prof.sigma_col.argmax()
+        assert (acts_row[:, k:] == i).all() and (acts_col[:, k:] == j).all()
+        pay_r = np.full(len(acts_row), (T - k) * A[i, j])
+        pay_c = np.full(len(acts_row), (T - k) * B[j, i])
+    else:  # C-ordered, as the kernel's actions: numpy sums their rows pairwise
+        own, opp = (np.ascontiguousarray(acts[:, k:]) for acts in (acts_row, acts_col))
+        pay_r = harness._payoff_sums(A, own, opp)
+        pay_c = harness._payoff_sums(B, opp, own)
+    return np.stack([(hexp_r + pay_r) / T, (hexp_c + pay_c) / T], axis=1)
 
 
-def test_triggered_episode_replay_matches_scalar_protocol_agents():
-    # Every joint type of typespace_4 with eps1 so small that the tripwire
-    # fires in most episodes, and the replay samples its fallback live.
+@pytest.mark.parametrize("lowered, chunk", [(0.0, None), (8.0, 37)],
+                         ids=["acceptance thresholds", "lowered thresholds, chunks of 37"])
+def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, chunk):
+    # Every episode, replayed or settled by the kernel, has the payoffs and
+    # fallback flag of the two protocol agents played on the engine over the
+    # kernel's uniforms from the first stage.
+    lower_protocol_thresholds(monkeypatch, lowered)
+    if chunk:
+        monkeypatch.setattr(harness, "SI_SELFPLAY_CHUNK", chunk)
     ts = fixture_type_space("typespace_4.json")
-    ct = build_convention_table(ts)
-    k, T, eps1 = 2, 60, 0.05
-    rng = np.random.default_rng(3)
-    fell_back = 0
-    for joint in ts.joint_types():
-        prof = ct.profile(joint)
-        for seed in range(6):
-            acts_row = rng.choice(2, size=T - k, p=prof.sigma_row)
-            acts_col = rng.choice(2, size=T - k, p=prof.sigma_col)
-            args = (ts, ct, joint, k, T, eps1, acts_row, acts_col, 1000 * seed + 7)
-            got = _finish_triggered_episode(*args)
-            assert got == scalar_triggered_episode(*args)
-            fell_back += got[2]
-    assert fell_back > 10
+    table = build_convention_table(ts)
+    k, T = 2, 60
+    cfg = ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=T, delta=0.9, k=k,
+                           seed=5, type_space=ts)
+    pay, fell, detail, chunks = si_selfplay_run(cfg)
+    spec = AgentSpec("Protocol", {"eps1": theorem26_params(cfg.delta, T, k, 2).eps1, "k": k})
+    first = T
+    for joint, ids, u_row, u_col in chunks:
+        E = len(ids)
+        u = np.zeros((T, 2, E))  # handshake stages are pure: any uniform samples them
+        u[k:, 0], u[k:, 1] = u_row.T, u_col.T
+        seats = [build_agents(spec, ts, T, seat, [joint[s]] * E, np.zeros(E, np.uint64), table)
+                 for s, seat in enumerate(("row", "col"))]
+        record = play_batch(*seats, T, GivenUniforms(u.reshape(2 * T, E)), record=True)
+        want = selfplay_payoffs(ts, table, joint, k, record[:, 0].T, record[:, 1].T)
+        assert np.array_equal(pay[ids], want)
+        stages = np.stack([seat.fallback_stage for seat in seats])
+        assert np.array_equal(fell[ids], (stages >= 0).any(axis=0))
+        first = min([first, *stages[stages >= 0].tolist()])
+    replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
+    assert replayed > (100 if lowered else 0)
+    assert detail.endswith(f"fallbacks {fell.sum()}, first at stage {first}")
 
 
-def test_handshake_arrays_match_agent_accumulator(ts2):
-    joint = ("gamma", "delta")
-    _, _, ha, _, hexp_r, _ = _handshake_arrays(ts2, joint, 1)
-    table = build_convention_table(ts2)
-    agent = ProtocolAgent(
-        own_type="gamma", seat="row", type_space=ts2, convention_table=table,
-        k=1, T=10, eps1=0.5,
-    )
-    agent.observe(0, 1)  # gamma announces 0, delta announces 1
-    assert agent.cum_counterfactual == pytest.approx(list(ha))
-    assert agent.cum_expected == pytest.approx(hexp_r)
-    assert hexp_r == pytest.approx(float(ts2.payoff_table["gamma"][0, 1]))
+def test_triggered_episode_replay_matches_scalar_protocol_agents(monkeypatch):
+    # The episodes si-selfplay replays, with the tripwire lowered so that it
+    # fires in many, against scalar protocol agents that sample every stage
+    # by _sample_action from the kernel's uniforms.
+    lower_protocol_thresholds(monkeypatch, 8.0)
+    ts = fixture_type_space("typespace_4.json")
+    table = build_convention_table(ts)
+    k, T = 2, 60
+    cfg = ExperimentConfig(kind="si-selfplay", episodes=600, horizon=T, delta=0.9, k=k,
+                           seed=3, type_space=ts)
+    pay, fell, _, chunks = si_selfplay_run(cfg)
+    eps1 = theorem26_params(cfg.delta, T, k, 2).eps1
+    checked = 0
+    for joint, ids, u_row, u_col in chunks:
+        for e, ur, uc in zip(ids.tolist(), u_row, u_col):
+            if not fell[e]:
+                continue
+            ar = ProtocolAgent(joint[0], "row", ts, table, k, T, eps1)
+            ac = ProtocolAgent(joint[1], "col", ts, table, k, T, eps1)
+            ar.threshold -= 8.0
+            ac.threshold -= 8.0
+            acts = []
+            for t in range(T):
+                draws = (0.0, 0.0) if t < k else (ur[t - k], uc[t - k])
+                i, j = (_sample_action(agent.act(), types.SimpleNamespace(random=lambda d=d: d))
+                        for agent, d in zip((ar, ac), draws))
+                ar.observe(i, j)
+                ac.observe(j, i)
+                acts.append((i, j))
+            assert "fallback" in (ar.phase, ac.phase)
+            acts = np.array(acts).T[:, None, :]
+            assert np.array_equal(pay[e], selfplay_payoffs(ts, table, joint, k, *acts)[0])
+            checked += 1
+    assert checked > 20
 
 
 def test_run_experiment_unknown_kind_and_bad_episode_count():

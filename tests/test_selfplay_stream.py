@@ -1,7 +1,8 @@
 """The streamed self-play kernels of nash-selfplay and si-selfplay, checked
-against the whole-run kernels they replaced and numpy's ``Generator.choice``,
-which are kept here as reference implementations; and the per-case mixture
-replies and the flatten-check rows, checked against their former code."""
+against the whole-run kernels they replaced, which are kept here as
+reference implementations, and their sampler against the engine's; and the
+per-case mixture replies and the flatten-check rows, checked against their
+former code."""
 import hashlib
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cooplab import harness
 from cooplab.agents import AgentSpec, build_agent, build_convention_table, tree_act_fn
+from cooplab.engine import sample_actions
 from cooplab.game_core import BimatrixGame, GameError, TypeSpace, history_distribution
 from cooplab.harness import (
     ExperimentConfig,
@@ -53,10 +55,15 @@ def whole_run_first_trigger_stage(m, sigma, opp_acts, h_cf, h_exp, threshold):
     return first
 
 
+def engine_actions(sigma, u):
+    """The engine's actions for the strategy ``sigma`` from the uniforms ``u``."""
+    return sample_actions(np.broadcast_to(sigma, (u.size, len(sigma))), u.ravel()).reshape(u.shape)
+
+
 def whole_run_selfplay_regrets(game, p, q, episodes, T, rng):
     n = game.num_actions
-    acts_row = rng.choice(n, size=(episodes, T), p=p)
-    acts_col = rng.choice(n, size=(episodes, T), p=q)
+    acts_row = engine_actions(p, rng.random((episodes, T)))
+    acts_col = engine_actions(q, rng.random((episodes, T)))
     out = {}
     for player, own, opp, sigma, m in (
         ("row", acts_row, acts_col, p, game.payoff_row),
@@ -125,29 +132,48 @@ def game_and_profile(draw, max_n=4):
 # The sampler
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(1, 5),
-    data=st.data(),
-    shape=st.tuples(st.integers(0, 9), st.integers(0, 40)),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_choice_equals_generator_choice(n, data, shape, seed):
-    p = data.draw(mixed_strategy(n))
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    acts = _choice(ours.random(shape), _choice_cuts(p))
-    assert np.array_equal(acts, theirs.choice(n, size=shape, p=p))
-    assert ours.bit_generator.state == theirs.bit_generator.state
+@st.composite
+def raw_strategy(draw, n):
+    """A strategy as the sampler may meet it: often with zero entries,
+    trailing ones too, tolerance-level negatives, and a sum of 1 up to
+    rounding or of anything."""
+    w = draw(st.lists(st.sampled_from([0.0, 0.0, -1e-13, 0.05, 0.3, 0.5, 1.0, 2.7]),
+                      min_size=n, max_size=n))
+    if max(w) <= 0.0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    w = np.asarray(w + [0.0] * draw(st.integers(0, 2)))
+    return w / w.sum() if draw(st.booleans()) else w
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_choice_equals_the_engine_sampler(n, data, seed):
+    p = data.draw(raw_strategy(n))
+    sums = np.maximum(p, 0.0).cumsum()
+    # Random draws, and every running sum below 1 with its neighbours.
+    edges = np.concatenate([sums, np.nextafter(sums, -1.0), np.nextafter(sums, 2.0)])
+    u = np.concatenate([np.random.default_rng(seed).random(50), edges[(edges >= 0) & (edges < 1)]])
+    acts = _choice(u, _choice_cuts(p))
+    assert np.array_equal(acts, engine_actions(p, u))
     assert acts.dtype == np.uint8
+
+
+def test_choice_takes_the_engine_action_on_a_sum_short_of_one():
+    # The strategy sums to 1 - 2**-53: a draw at its first running sum takes
+    # the second action, where cuts normalized to a total of 1 would not.
+    p = np.array([0.5, 0.5 - 2.0**-53])
+    u = np.array([0.5, 1.0 - 2.0**-53])
+    assert _choice(u, _choice_cuts(p)).tolist() == engine_actions(p, u).tolist() == [1, 1]
 
 
 def test_choice_draws_on_a_cut_like_searchsorted():
     # A draw equal to a cut point takes the action after it, as
-    # searchsorted(side="right") does.
+    # searchsorted(side="right") does, and as the engine does.
     p = np.array([0.25, 0.0, 0.5, 0.25])
     cdf = p.cumsum() / p.cumsum()[-1]
     u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], -1.0), [0.0]])
     assert np.array_equal(_choice(u, _choice_cuts(p)), cdf.searchsorted(u, side="right"))
+    assert np.array_equal(_choice(u, _choice_cuts(p)), engine_actions(p, u))
 
 
 def test_choice_never_draws_a_tolerance_level_negative_action():
@@ -155,10 +181,10 @@ def test_choice_never_draws_a_tolerance_level_negative_action():
     # one that falls between the cuts it would otherwise put out of order.
     p = np.array([0.5, -1e-13, 0.5 + 1e-13])
     assert _choice(np.array([0.5 - 1e-13]), _choice_cuts(p)).tolist() == [0]
-    rng = np.random.default_rng(3)
-    acts = _choice(rng.random(5000), _choice_cuts(p))
-    expected = np.random.default_rng(3).choice(3, size=5000, p=np.maximum(p, 0.0))
-    assert np.array_equal(acts, expected)
+    u = np.random.default_rng(3).random(5000)
+    acts = _choice(u, _choice_cuts(p))
+    assert np.array_equal(acts, engine_actions(p, u))
+    assert 1 not in acts
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +335,8 @@ def test_si_selfplay_detail_counts_its_episodes():
     )
     detail = results[0].detail
     assert f"pure-convention episodes {pure}," in detail
-    assert f"fallbacks {fallbacks}" in detail
+    assert f"fallbacks {fallbacks}, first at stage " in detail
+    assert int(detail.split("first at stage ")[1]) >= 2  # after the handshake
     replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
     assert fallbacks <= replayed <= len(rows) - pure
 
