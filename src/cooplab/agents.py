@@ -397,14 +397,17 @@ def build_agents(
         raise GameError(f"unknown agent kind {spec.kind!r}")
     if seat not in ("row", "col"):
         raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
-    own_types = [spec.own_type if t is None else t for t in own_types]
-    for t in set(own_types):
+    ctx = BuildContext(type_space, T, seat, own_types, np.asarray(seeds), convention_table)
+    if None in ctx.types and spec.own_type is not None:  # the spec's type, gathered by row
+        types = np.array([spec.own_type if t is None else t for t in ctx.types], object)
+        ctx = BuildContext(type_space, T, seat, ctx.per_type(types).tolist(), ctx.seeds,
+                           convention_table)
+    for t in ctx.types:
         if t is None:
             if spec.kind in ("MW", "Protocol", "BestResponder"):
                 raise GameError(f"{spec.kind} agent needs an own type")
         elif t not in type_space.payoff_table:
             raise GameError(f"own type {t!r} is not in the type space")
-    ctx = BuildContext(type_space, T, seat, own_types, np.asarray(seeds), convention_table)
     return AGENT_BUILDERS[spec.kind](spec, ctx)
 
 

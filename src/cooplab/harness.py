@@ -2,9 +2,13 @@
 
 Each experiment runs a seeded episode batch, computes the relevant empirical
 statistic, recomputes the corresponding theoretical bound at report time, and
-emits per-episode CSV rows plus a pass/fail verification result.  The
-agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its datasets
-included, step their episodes in batches on the batched engine
+emits per-episode CSV rows plus pass/fail verification results.  A runner
+gives each ``VerificationResult`` its statistic, bound, confidence radius and
+rounding tolerance; the result derives its verdict from them by one rule
+(``VerificationResult.passed``).
+
+The agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its
+datasets included, step their episodes in batches on the batched engine
 (``engine.py``), on the per-episode random streams of ``run_episode``, with
 every agent kind (``agents.build_seat``); ic-eval replays each partner
 member's first episode of a batch with ``run_episode`` as a spot check.
@@ -88,18 +92,6 @@ SI_SELFPLAY_CHUNK = 2000  # si-selfplay episodes drawn at a time per joint type
 TRIGGER_BLOCK = 64  # stages per block of the si-selfplay trigger scan
 ROW_BLOCK_CELLS = 1 << 18  # cells per block of rows drawn or summed at a time
 
-EXPERIMENT_KINDS = (
-    "mw-regret",
-    "nash-selfplay",
-    "si-selfplay",
-    "si-consistency",
-    "auth-failure",
-    "mixture-check",
-    "flatten-check",
-    "ic-eval",
-)
-
-
 def fixture_path(name: str):
     return resources.files("cooplab") / "fixtures" / name
 
@@ -128,14 +120,25 @@ class ExperimentConfig:
 
 @dataclass
 class VerificationResult:
+    """One gate.  It passes while ``statistic <= bound + ci_radius + tol``,
+    or, for a ``lower`` gate, while ``statistic >= bound - ci_radius - tol``;
+    a NaN statistic fails either way.  ``tol`` is a rounding slack."""
+
     kind: str
     label: str
     statistic: float
     bound: float
-    passed: bool
     sample_count: int
     ci_radius: float = 0.0
     detail: str = ""
+    tol: float = 0.0
+    lower: bool = False
+
+    @property
+    def passed(self) -> bool:
+        if self.lower:
+            return bool(self.statistic >= self.bound - self.ci_radius - self.tol)
+        return bool(self.statistic <= self.bound + self.ci_radius + self.tol)
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -157,10 +160,24 @@ def _ci99_mean(values: np.ndarray) -> float:
     return Z99 * float(values.std(ddof=1)) / math.sqrt(len(values))
 
 
-def _ci99_freq(freq: float, n: int) -> float:
-    if n == 0:
-        return 0.0
-    return Z99 * math.sqrt(max(freq * (1.0 - freq), 1.0 / n) / n)
+def _freq_gate(kind: str, label: str, events: np.ndarray, delta: float, detail: str):
+    """The gate that ``events`` (one flag per sample) happen with frequency
+    at most ``delta``, within a 99% normal radius whose variance is floored
+    at 1/n."""
+    n, freq = len(events), float(events.mean())
+    ci = Z99 * math.sqrt(max(freq * (1.0 - freq), 1.0 / n) / n)
+    return VerificationResult(kind, label, statistic=freq, bound=delta, sample_count=n,
+                              ci_radius=ci, detail=detail)
+
+
+def _sure_gate(kind: str, label: str, values: np.ndarray, bound: float, detail: str):
+    """The gate that every one of ``values`` is at most ``bound``, up to a
+    1e-9 rounding slack that the count of violations uses too."""
+    tol = 1e-9
+    violations = f"violations={int((values > bound + tol).sum())}"
+    return VerificationResult(kind, label, statistic=float(values.max()), bound=bound,
+                              sample_count=len(values), tol=tol,
+                              detail=violations + (f"; {detail}" if detail else ""))
 
 
 def _rng(cfg_seed: int, *tags: int) -> np.random.Generator:
@@ -202,16 +219,8 @@ def run_mw_regret(cfg: ExperimentConfig):
     rows = ["run,adversary,expected_regret,bound"]
     for r, reg in enumerate(regrets.tolist()):
         rows.append(f"{r},{MW_ADVERSARIES[r % len(MW_ADVERSARIES)]},{reg!r},{bound!r}")
-    worst = float(regrets.max())
-    result = VerificationResult(
-        kind=cfg.kind,
-        label=f"expected regret <= sqrt((T/2) ln N) surely, N={n}",
-        statistic=worst,
-        bound=bound,
-        passed=worst <= bound + 1e-9,
-        sample_count=cfg.episodes,
-        detail=f"violations={int((regrets > bound + 1e-9).sum())}",
-    )
+    result = _sure_gate(cfg.kind, f"expected regret <= sqrt((T/2) ln N) surely, N={n}",
+                        regrets, bound, "")
     return [result], {f"mw_regret_N{n}.csv": "\n".join(rows) + "\n"}
 
 
@@ -262,7 +271,7 @@ def _payoff_sums(m: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
     scale = np.min_scalar_type(n * n - 1).type(n)
     out = np.empty(len(own))
     for block in _row_blocks(*own.shape):
-        index = own[block] * scale
+        index = np.multiply(own[block], scale, order="C")  # rows sum pairwise
         index += opp[block]
         out[block] = flat[index].sum(axis=1)
     return out
@@ -338,21 +347,9 @@ def run_nash_selfplay(cfg: ExperimentConfig):
             ("expected regret", expected, thresholds.expected_bound),
             ("realized-expected gap", np.abs(realized - expected), thresholds.relation_slack),
         )
-        for label, values, bound in checks:
-            freq = float((values > bound).mean())
-            ci = _ci99_freq(freq, len(values))
-            results.append(
-                VerificationResult(
-                    kind=cfg.kind,
-                    label=f"{label} ({player}) violation freq <= delta",
-                    statistic=freq,
-                    bound=delta,
-                    passed=freq <= delta + ci,
-                    sample_count=len(values),
-                    ci_radius=ci,
-                    detail=f"threshold={bound:.4g}",
-                )
-            )
+        results += [_freq_gate(cfg.kind, f"{label} ({player}) violation freq <= delta",
+                               values > bound, delta, f"threshold={bound:.4g}")
+                    for label, values, bound in checks]
     return results, {"nash_selfplay.csv": "\n".join(rows) + "\n"}
 
 
@@ -512,24 +509,11 @@ def run_si_selfplay(cfg: ExperimentConfig):
         rows.append(f"{e},{a},{b},{pr!r},{pc!r},{int(fb)}")
 
     first = f", first at stage {min(fallback_stages)}" if fallback_stages else ""
-    results = []
-    fb_freq = float(fallback.mean())
-    ci = _ci99_freq(fb_freq, cfg.episodes)
-    results.append(
-        VerificationResult(
-            kind=cfg.kind,
-            label="handshake+convention completes without fallback w.p. >= 1-delta",
-            statistic=fb_freq,
-            bound=delta,
-            passed=fb_freq <= delta + ci,
-            sample_count=cfg.episodes,
-            ci_radius=ci,
-            detail=(
-                f"pure-convention episodes {pure_episodes}, replayed by the agents "
-                f"{replayed}, fallbacks {int(fallback.sum())}" + first
-            ),
-        )
-    )
+    results = [_freq_gate(
+        cfg.kind, "handshake+convention completes without fallback w.p. >= 1-delta",
+        fallback, delta, f"pure-convention episodes {pure_episodes}, replayed by the agents "
+        f"{replayed}, fallbacks {int(fallback.sum())}" + first,
+    )]
     for jt_index, joint in enumerate(mu.support):
         ids = np.nonzero(joint_idx == jt_index)[0]
         if len(ids) == 0:
@@ -539,19 +523,11 @@ def run_si_selfplay(cfg: ExperimentConfig):
             ("row", avg_pay_row[ids], prof.value_row),
             ("col", avg_pay_col[ids], prof.value_col),
         ):
-            gap = abs(float(values.mean()) - target)
-            ci = _ci99_mean(values)
-            results.append(
-                VerificationResult(
-                    kind=cfg.kind,
-                    label=f"avg payoff near convention value, joint={joint}, {seat}",
-                    statistic=gap,
-                    bound=params.eps0,
-                    passed=gap <= params.eps0 + ci,
-                    sample_count=len(ids),
-                    ci_radius=ci,
-                )
-            )
+            results.append(VerificationResult(
+                cfg.kind, f"avg payoff near convention value, joint={joint}, {seat}",
+                statistic=abs(float(values.mean()) - target), bound=params.eps0,
+                sample_count=len(ids), ci_radius=_ci99_mean(values),
+            ))
     return results, {"si_selfplay.csv": "\n".join(rows) + "\n"}
 
 
@@ -612,19 +588,10 @@ def run_si_consistency(cfg: ExperimentConfig):
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     for r, (c, (a, b), reg) in enumerate(zip(kinds, joints, regrets.tolist())):
         rows.append(f"{r},{CONSISTENCY_ADVERSARIES[c]},{a},{b},{reg!r},{bound!r}")
-    worst = float(regrets.max())
-    result = VerificationResult(
-        kind=cfg.kind,
-        label="protocol expected regret <= k + eps1(T-k) + sqrt(((T-k)/2) ln N) surely",
-        statistic=worst,
-        bound=bound,
-        passed=worst <= bound + 1e-9,
-        sample_count=len(regrets),
-        detail=(
-            f"violations={int((regrets > bound + 1e-9).sum())}; {runs_each} runs per "
-            f"adversary, {len(regrets)} of {cfg.episodes} requested; "
-            + _fallback_detail(kinds, fallback_stages)
-        ),
+    result = _sure_gate(
+        cfg.kind, "protocol expected regret <= k + eps1(T-k) + sqrt(((T-k)/2) ln N) surely",
+        regrets, bound, f"{runs_each} runs per adversary, {len(regrets)} of {cfg.episodes} "
+        "requested; " + _fallback_detail(kinds, fallback_stages),
     )
     return [result], {"si_consistency.csv": "\n".join(rows) + "\n"}
 
@@ -663,19 +630,14 @@ def run_auth_failure(cfg: ExperimentConfig):
             rows.append(
                 f"{n},{k},{M},{trials},{emp!r},{pred.corrected!r},{pred.as_printed!r}"
             )
+            # With every history observed no failure may happen at all.
             exact_zero = M == num_histories
-            gap = abs(emp - pred.corrected)
-            results.append(
-                VerificationResult(
-                    kind=cfg.kind,
-                    label=f"auth failure freq matches product form, k={k}, M={M}",
-                    statistic=gap if not exact_zero else emp,
-                    bound=AUTH_TOLERANCE if not exact_zero else 0.0,
-                    passed=(gap <= AUTH_TOLERANCE) if not exact_zero else (emp == 0.0),
-                    sample_count=trials,
-                    detail=f"empirical={emp:.4f} predicted={pred.corrected:.4f}",
-                )
-            )
+            results.append(VerificationResult(
+                cfg.kind, f"auth failure freq matches product form, k={k}, M={M}",
+                statistic=emp if exact_zero else abs(emp - pred.corrected),
+                bound=0.0 if exact_zero else AUTH_TOLERANCE, sample_count=trials,
+                detail=f"empirical={emp:.4f} predicted={pred.corrected:.4f}",
+            ))
     return results, {"auth_failure.csv": "\n".join(rows) + "\n"}
 
 
@@ -724,26 +686,12 @@ def run_mixture_check(cfg: ExperimentConfig):
         id_errors.append(abs(mix_value - col_value))
         br_slacks.append(br_value - col_value)
         rows.append(f"{case},{n},{id_errors[-1]!r},{br_slacks[-1]!r}")
-    worst_id = max(id_errors)
-    worst_br = min(br_slacks)
     results = [
-        VerificationResult(
-            kind=cfg.kind,
-            label="mixture response-function payoff identity",
-            statistic=worst_id,
-            bound=1e-9,
-            passed=worst_id <= 1e-9,
-            sample_count=cases,
-        ),
-        VerificationResult(
-            kind=cfg.kind,
-            label="best-response payoff >= joint-strategy payoff",
-            statistic=worst_br,
-            bound=-1e-9,
-            passed=worst_br >= -1e-9,
-            sample_count=cases,
-            detail="(statistic is the minimum slack)",
-        ),
+        VerificationResult(cfg.kind, "mixture response-function payoff identity",
+                           statistic=max(id_errors), bound=1e-9, sample_count=cases),
+        VerificationResult(cfg.kind, "best-response payoff >= joint-strategy payoff",
+                           statistic=min(br_slacks), bound=-1e-9, sample_count=cases,
+                           detail="(statistic is the minimum slack)", lower=True),
     ]
     return results, {"mixture_check.csv": "\n".join(rows) + "\n"}
 
@@ -818,16 +766,10 @@ def run_flatten_check(cfg: ExperimentConfig):
             f"two of the {len(labels)} histories of horizon {horizon} share a label"
         )
     result = VerificationResult(
-        kind=cfg.kind,
-        label=f"flattened-agent history distribution TV, horizon={horizon}",
-        statistic=tv,
-        bound=1e-9,
-        passed=tv <= 1e-9,
-        sample_count=support,
-        detail=(
-            f"leaves: population mixture {support}, flattened agent "
-            f"{len(flat_codes)}; nodes walked {walked} in {len(pop.members) + 1} walks"
-        ),
+        cfg.kind, f"flattened-agent history distribution TV, horizon={horizon}",
+        statistic=tv, bound=1e-9, sample_count=support,
+        detail=f"leaves: population mixture {support}, flattened agent "
+        f"{len(flat_codes)}; nodes walked {walked} in {len(pop.members) + 1} walks",
     )
     rows = ["history,prob_population,prob_flattened"]
     rows += [f"{label},{p!r},{q!r}" for label, p, q in
@@ -924,37 +866,24 @@ def run_ic_eval(cfg: ExperimentConfig):
         mean_by_K[K] = float(values[K].mean())
         ci_by_K[K] = _ci99_mean(values[K])
 
-    results = []
     means = [mean_by_K[K] for K in K_values]
-    monotone = all(means[i + 1] <= means[i] + 1e-12 for i in range(len(means) - 1))
-    results.append(
-        VerificationResult(
-            kind=cfg.kind,
-            label=f"mean avg altruistic regret nonincreasing over K={K_values}",
-            statistic=max(
-                (means[i + 1] - means[i] for i in range(len(means) - 1)), default=0.0
-            ),
-            bound=0.0,
-            passed=monotone,
-            sample_count=eval_episodes,
-            detail="means=" + ",".join(f"{m:.5f}" for m in means),
-        )
-    )
+    steps = np.diff(means)  # a NaN step stays NaN in the maximum, and fails
     K_max = K_values[-1]
     dk = delta_K(n, tilde_T, len(ts.types), K_max)
     bound = theorem42_bound(delta, params.eps, dk, T, tilde_T)
-    results.append(
+    results = [
         VerificationResult(
-            kind=cfg.kind,
-            label=f"final-K mean avg altruistic regret within upper bound, K={K_max}",
-            statistic=mean_by_K[K_max],
-            bound=bound,
-            passed=mean_by_K[K_max] <= bound + ci_by_K[K_max],
-            sample_count=eval_episodes,
-            ci_radius=ci_by_K[K_max],
+            cfg.kind, f"mean avg altruistic regret nonincreasing over K={K_values}",
+            statistic=float(steps.max()) if len(steps) else 0.0, bound=0.0, tol=1e-12,
+            sample_count=eval_episodes, detail="means=" + ",".join(f"{m:.5f}" for m in means),
+        ),
+        VerificationResult(
+            cfg.kind, f"final-K mean avg altruistic regret within upper bound, K={K_max}",
+            statistic=mean_by_K[K_max], bound=bound,
+            sample_count=eval_episodes, ci_radius=ci_by_K[K_max],
             detail=f"delta(K)={dk:.4g} (sample-complexity constants vacuous at desk scale)",
-        )
-    )
+        ),
+    ]
     return results, {"ic_eval.csv": "\n".join(rows) + "\n"}
 
 
@@ -972,6 +901,7 @@ _RUNNERS = {
     "flatten-check": (run_flatten_check, ("flatten_horizon", "probe")),
     "ic-eval": (run_ic_eval, ("K_values", "eval_episodes")),
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig):

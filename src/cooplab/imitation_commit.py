@@ -215,7 +215,8 @@ class BatchIC(BatchAgent):
         self.tilde_T = tilde_T
         self.seat = seat
         self.draws = np.asarray(draws, dtype=float)
-        self.node = np.array([policy.roots.get(t, 0) for t in own_types], dtype=np.intp)
+        roots = {t: policy.roots.get(t, 0) for t in dict.fromkeys(own_types)}
+        self.node = np.fromiter(map(roots.__getitem__, own_types), np.intp, len(own_types))
         n = policy.num_actions
         self.joint = np.zeros((len(self.node), n, n))  # (row, col) counts
         self.stage = 0

@@ -382,3 +382,37 @@ def test_build_seat_parts_equal_the_per_episode_grouping(ts2, data, named):
     parts = getattr(seat, "parts", [(slice(None), seat)])  # one part is its own agent
     assert [np.arange(len(keys))[index].tolist() for index, _ in parts] == [
         index for _, index in loop_parts(keys)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_build_agents_own_types_equal_the_per_episode_substitution(ts2, data):
+    kind = data.draw(st.sampled_from(["MW", "Protocol", "BestResponder", "UniformRandom"]))
+    spec = AgentSpec(kind, {"eps1": 0.1, "k": 1} if kind == "Protocol" else {},
+                     data.draw(st.sampled_from([None, *ts2.types])))
+    own_types = data.draw(st.lists(st.sampled_from([None, *ts2.types]), min_size=1,
+                                   max_size=30))
+    # The own types as build_agents once substituted them, episode by episode.
+    substituted = [spec.own_type if t is None else t for t in own_types]
+    seeds = np.arange(len(own_types), dtype=np.uint64)
+    builder, contexts, built = agents.AGENT_BUILDERS[kind], [], []
+
+    def recorded(spec, ctx):
+        contexts.append((ctx.own_types, ctx.types))
+        return builder(spec, ctx)
+
+    with mock.patch.dict(agents.AGENT_BUILDERS, {kind: recorded}):
+        for own in (own_types, substituted):
+            try:
+                built.append(build_agents(spec, ts2, 6, "row", own, seeds))
+            except GameError as error:
+                built.append(str(error))
+    if isinstance(built[1], str):  # an episode with no own type for a kind that needs one
+        assert built == [built[1]] * 2
+        return
+    assert contexts == [(substituted, list(dict.fromkeys(substituted)))] * 2
+    acts = np.arange(len(own_types)) % 2
+    for _ in range(3):
+        assert np.array_equal(built[0].act(), built[1].act())
+        for agent in built:
+            agent.observe(acts, 1 - acts)

@@ -680,3 +680,53 @@ def test_ic_eval_spot_check_replays_through_run_episode(ts2, monkeypatch):
     with pytest.raises(GameError, match="differs from its replay"):
         run_experiment(cfg)
     assert calls == ["IC"]
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_verdict_holds_at_its_edge_and_fails_one_ulp_beyond(lower):
+    bound, ci, tol = 0.3, 0.07, 1e-9
+    edge = bound - ci - tol if lower else bound + ci + tol
+    beyond = float(np.nextafter(edge, -np.inf if lower else np.inf))
+    gate = lambda statistic: VerificationResult("kind", "gate", statistic, bound, 10, ci,
+                                                tol=tol, lower=lower)
+    assert gate(edge).passed is True
+    assert gate(np.float64(edge)).passed is True  # a bool, not a numpy bool
+    assert gate(beyond).passed is False
+    assert gate(2 * bound - edge).passed is True  # the safe side
+    assert gate(math.nan).passed is False
+    assert gate(edge).render().startswith("[PASS]") and gate(beyond).render().startswith("[FAIL]")
+
+
+def test_sure_gate_counts_violations_with_its_slack():
+    bound = 2.0
+    edge = bound + 1e-9
+    values = np.array([1.0, edge, np.nextafter(edge, np.inf), 3.0])
+    gate = harness._sure_gate("kind", "gate", values, bound, "")
+    assert (gate.statistic, gate.tol, gate.passed) == (3.0, 1e-9, False)
+    assert gate.detail == "violations=2"
+    gate = harness._sure_gate("kind", "gate", values[:2], bound, "more")
+    assert (gate.statistic, gate.detail, gate.passed) == (edge, "violations=0; more", True)
+
+
+def test_freq_gate_floors_the_variance_at_one_over_n():
+    events = np.zeros(400, dtype=bool)
+    gate = harness._freq_gate("kind", "gate", events, 0.0, "")
+    assert (gate.statistic, gate.sample_count, gate.passed) == (0.0, 400, True)
+    assert gate.ci_radius == harness.Z99 * math.sqrt(1 / 400 / 400)
+    events[:40] = True
+    gate = harness._freq_gate("kind", "gate", events, 0.05, "")
+    assert gate.ci_radius == harness.Z99 * math.sqrt(0.1 * 0.9 / 400)
+    assert gate.passed is False  # 0.1 > 0.05 + 0.0386
+
+
+def test_payoff_sums_do_not_depend_on_the_action_layout():
+    # play_batch records (stages, seats, episodes); its transposed seats are
+    # F-ordered (episodes, stages) views.
+    rng = np.random.default_rng(0)
+    m = rng.random((3, 3))
+    record = rng.integers(0, 3, size=(1000, 2, 300), dtype=np.uint8)
+    own, opp = record[:, 0].T, record[:, 1].T
+    c_own, c_opp = np.ascontiguousarray(own), np.ascontiguousarray(opp)
+    got = harness._payoff_sums(m, own, opp).tobytes()
+    assert got == harness._payoff_sums(m, c_own, c_opp).tobytes()
+    assert got == m[c_own, c_opp].sum(axis=1).tobytes()

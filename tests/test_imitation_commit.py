@@ -9,6 +9,7 @@ from cooplab.agents import AgentSpec
 from cooplab.game_core import GameError, TypeSpace
 from cooplab.population import Dataset, Population
 from cooplab.imitation_commit import (
+    BatchIC,
     ImitateThenCommitAgent,
     ImitationPolicy,
     auth_failure_probability,
@@ -370,3 +371,13 @@ def test_bound_report_renders_all_quantities():
         2 * 0.05 + report.delta_K + (2 * 90 / 100 + 1) * 0.5
     )
     assert len(report.notes) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(own_types=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=30))
+def test_batch_ic_roots_equal_the_per_episode_lookup(own_types):
+    # "c" is missing from the policy and starts at node 0.
+    episodes = [("a", "x", ((0, 0), (1, 1))), ("b", "x", ((1, 0), (0, 1)))]
+    policy = fit_imitation(make_dataset(episodes, 2), tilde_T=2)
+    agent = BatchIC(policy, 2, 4, own_types, "row", np.full(len(own_types), 0.5))
+    assert agent.node.tolist() == [policy.roots.get(t, 0) for t in own_types]
