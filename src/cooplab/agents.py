@@ -17,7 +17,6 @@ types stay with the evaluator.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,7 +37,6 @@ from .equilibria import (
     EquilibriumProfile,
     PoneSet,
     pareto_optimal_nash,
-    is_nash,
 )
 from .engine import (
     BatchAgent,
@@ -454,16 +452,16 @@ def build_seat(
 
 def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:
     """Turn a one-episode batch agent into a function of the (row, col)
-    history, for the exact tree walk.
+    history, for the exact tree walk, which asks for the histories a depth at
+    a time, from the root down.
 
-    The first history asked at a depth builds the children of every history
-    asked at the depth above, and not yet expanded, at once: one ``take``
-    repeats each parent's row for its N^2 children, one ``observe`` steps
-    them by their last action pair and one ``act`` announces.  A walk that
-    asks for a depth's histories before the next depth's so pays one of each
-    per depth; histories may be asked in any order.  A history whose
-    parent's children are built costs one lookup of the parent and one store.
-    ``nodes`` holds the strategy of every history asked so far."""
+    The first history asked at depth d + 1 builds the children of every
+    history asked at depth d at once: one ``take`` repeats each parent's row
+    for its N^2 children, one ``observe`` steps them by their last action
+    pair and one ``act`` announces.  Every history costs one lookup of its
+    parent.  A history asked after a deeper one, or whose parent was not
+    asked, raises ``GameError``.  ``nodes`` holds the strategy of every
+    history asked so far."""
     if seat not in ("row", "col"):
         raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
     root = agent.act()[0].tolist()
@@ -471,61 +469,34 @@ def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:
     own, opp = np.divmod(np.arange(n * n), n)  # child i: the pair (i // n, i % n)
     if seat == "col":
         own, opp = opp, own
-    # Per expanded history: the agent of its children, the row of its first
-    # child, and the strategies of all rows of that agent.
-    children: dict[History, tuple] = {}
     nodes: dict[History, list] = {}
-    waiting = defaultdict(list)  # per depth, asked histories not yet expanded
-
-    def expand(parents: list) -> None:
-        levels = {}  # the parents' agents, each with its rows and histories
-        for h in parents:
-            level, row = agent, 0
-            if h:
-                level, first, _ = children[h[:-1]]
-                row = first + h[-1][0] * n + h[-1][1]
-            _, rows, hs = levels.setdefault(id(level), (level, [], []))
-            rows.append(row)
-            hs.append(h)
-        for level, rows, hs in levels.values():
-            child = level.take(np.repeat(rows, n * n))
-            child.observe(np.tile(own, len(rows)), np.tile(opp, len(rows)))
-            strategies = child.act().tolist()
-            for i, h in enumerate(hs):
-                children[h] = (child, i * n * n, strategies)
+    depth = -1  # the depth asked last
+    level = agent  # the agent whose rows are the histories of that depth
+    asked = {}  # those histories, each with its row of ``level``
+    # Per history of the depth above, the row of its first child; the root
+    # is row 0 under ``()[:-1]``, itself.
+    firsts = {(): 0}
+    strategies = [root]  # the strategy of every row of ``level``
 
     def act(history: History):
-        built = history and children.get(history[:-1])
-        if built:  # the direct path: the parent's children are built
-            _, first, strategies = built
-            a, b = history[-1]
-            found = strategies[first + a * n + b]
-            asked = len(nodes)
-            nodes[history] = found
-            if len(nodes) > asked:  # a history asked again is not expanded again
-                waiting[len(history)].append(history)
-            return found
-        found = nodes.get(history)
-        if found is None:
-            # Ask the unasked ancestors first, shallowest first, without
-            # recursion: a function that calls itself is a reference cycle,
-            # which keeps every node until the cyclic collector runs.
-            depth = len(history)
-            while depth and history[: depth - 1] not in nodes:
-                depth -= 1
-            for d in range(depth, len(history) + 1):
-                h = history[:d]
-                if d:
-                    built = children.get(h[:-1])
-                    if built is None:
-                        expand(waiting.pop(d - 1))
-                        built = children[h[:-1]]
-                    _, first, strategies = built
-                    found = strategies[first + h[-1][0] * n + h[-1][1]]
-                else:
-                    found = root
-                nodes[h] = found
-                waiting[d].append(h)
+        nonlocal depth, level, asked, firsts, strategies
+        if len(history) != depth:
+            if len(history) != depth + 1:
+                raise GameError(f"history {history} asked out of depth order; the walk asks "
+                                "a depth at a time, from the root down")
+            if history:
+                rows = list(asked.values())
+                level = level.take(np.repeat(rows, n * n))
+                level.observe(np.tile(own, len(rows)), np.tile(opp, len(rows)))
+                strategies = level.act().tolist()
+                firsts = {h: i * n * n for i, h in enumerate(asked)}
+            depth, asked = len(history), {}
+        first = firsts.get(history[:-1])
+        if first is None:
+            raise GameError(f"history {history} asked before its parent")
+        row = first + history[-1][0] * n + history[-1][1] if history else 0
+        found = nodes[history] = strategies[row]
+        asked[history] = row
         return found
 
     act.nodes = nodes

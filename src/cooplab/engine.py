@@ -31,9 +31,8 @@ from .game_core import GameError
 # whatever the horizon.
 BLOCK = 16
 
-# Episodes stepped together by dataset generation, ic-eval and
-# si-consistency: the (T, 2, E) action records stay bounded whatever the
-# episode count.
+# Episodes stepped together by ``population.play_episodes``: the (T, 2, E)
+# action records stay bounded whatever the episode count.
 EPISODE_BATCH = 2000
 
 # ---------------------------------------------------------------------------
@@ -113,13 +112,6 @@ class EpisodeStreams:
         """The next ``count`` uniforms of every stream, (count, E)."""
         out = stream_uniforms(self._keys, self._pos, count)
         self._pos += count
-        return out
-
-    def take(self, columns) -> "EpisodeStreams":
-        """The streams of the episodes at ``columns`` (an index array), at
-        their current position."""
-        out = copy.copy(self)
-        out._keys, out.agent_seeds = self._keys.take(columns), self.agent_seeds.take(columns, 1)
         return out
 
 

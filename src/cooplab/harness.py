@@ -7,11 +7,11 @@ gives each ``VerificationResult`` its statistic, bound, confidence radius and
 rounding tolerance; the result derives its verdict from them by one rule
 (``VerificationResult.passed``).
 
-The agent-zoo experiments (mw-regret, si-consistency) and ic-eval, its
-datasets included, step their episodes in batches on the batched engine
-(``engine.py``), on the per-episode random streams of ``run_episode``, with
-every agent kind (``agents.build_seat``); ic-eval replays each partner
-member's first episode of a batch with ``run_episode`` as a spot check.
+mw-regret plays its runs as one batch on the batched engine (``engine.py``);
+si-consistency and ic-eval, its datasets included, play theirs through
+``population.play_episodes``, ic-eval's IC agent built from its spec, and
+ic-eval replays each partner member's first episode of a chunk with
+``run_episode`` as a spot check.
 Equilibrium and protocol self-play run on numpy kernels that stream their
 draws in cache-sized blocks of episodes or stages, with the same random
 numbers and float sums as drawing the whole run at once, and sample by the
@@ -47,19 +47,16 @@ from .agents import (
     build_agent,
     build_convention_table,
     build_agents,
-    build_seat,
     default_eta,
     protocol_threshold,
     theorem26_params,
     tree_act_fn,
 )
 from .engine import (
-    EPISODE_BATCH,
     BatchAdaptive,
     BatchFixedSequence,
     BatchGroups,
     BatchMW,
-    EpisodeStreams,
     RegretKernel,
     play_batch,
 )
@@ -71,12 +68,11 @@ from .population import (
     flatten_population,
     generate_dataset,
     play_episode,  # unused here; kept bindable for the benchmark's tracer
+    play_episodes,
     run_episode,
 )
 from .imitation_commit import (
-    BatchIC,
     auth_failure_probability,
-    commitment_draws,
     delta_K,
     fit_imitation,
     mixture_from_joint,
@@ -566,23 +562,15 @@ def run_si_consistency(cfg: ExperimentConfig):
         for _ in kinds
     ]
 
-    # Runs are stepped EPISODE_BATCH at a time in run order, whatever their
-    # adversary kinds: the acceptance config's 1 000 runs are one play_batch.
-    # Against three batches of 334 this took the benchmark's zoo-loop wall_s
-    # from 0.345 to 0.263 s (medians of 10 pairs on a shared 2-core VM).
+    # Runs are stepped in chunks of run order, whatever their adversary kinds:
+    # the acceptance config's 1 000 runs are one play_batch.  Against three
+    # batches of 334 this took the benchmark's zoo-loop wall_s from 0.345 to
+    # 0.263 s (medians of 10 pairs on a shared 2-core VM).
     regrets = np.empty(len(joints))
     fallback_stages = np.empty(len(joints), dtype=np.int64)
-    for start in range(0, len(joints), EPISODE_BATCH):
-        runs = slice(start, start + EPISODE_BATCH)
-        batch = joints[runs]
-        streams = EpisodeStreams(
-            derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(start, start + len(batch)))
-        )
-        row = build_seat([proto_spec], [0] * len(batch), ts, T, "row", [a for a, _ in batch],
-                         streams.agent_seeds[0], ct)
-        col = build_seat(adversaries, kinds[runs], ts, T, "col", [b for _, b in batch],
-                         streams.agent_seeds[1], ct)
-        play_batch(row, col, T, streams)
+    seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(len(joints)))
+    for runs, (row, _), _ in play_episodes(([proto_spec], [0] * len(joints)), (adversaries, kinds),
+                                           joints, ts, T, seeds, ct):
         regrets[runs] = row.kernel.regret()
         fallback_stages[runs] = row.fallback_stage
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
@@ -824,33 +812,27 @@ def run_ic_eval(cfg: ExperimentConfig):
     partner_ids = draws.choice(len(pop.members), size=eval_episodes, p=np.asarray(pop.weights))
     episode_seeds = derive_episode_seeds(cfg.seed, 0x45560000 + np.arange(eval_episodes))
 
+    joints = [mu.support[j] for j in joint_ids]
     values = {K: np.zeros(eval_episodes) for K in K_values}
 
-    # For each K the IC agents play one batch of each chunk against every
-    # member's partners, on a fresh copy of its streams, and run_episode
-    # replays each member's first episode as a spot check.
-    for start in range(0, eval_episodes, EPISODE_BATCH):
-        ids = np.arange(start, min(start + EPISODE_BATCH, eval_episodes))
-        joints = [mu.support[j] for j in joint_ids[ids]]
-        members = partner_ids[ids].tolist()
-        checked = [members.index(m) for m in dict.fromkeys(members)]  # first of each member
-        streams = EpisodeStreams(episode_seeds[ids])
-        commits = commitment_draws(streams.agent_seeds[0])
-        for K in K_values:
-            ic = BatchIC(policies[K], tilde_T, T, [a for a, _ in joints], "row", commits)
-            partners = build_seat(pop.members, members, ts, T, "col", [b for _, b in joints],
-                                  streams.agent_seeds[1], ct)
-            record = play_batch(ic, partners, T, streams.take(np.arange(len(ids))), record=True)
-            ic_spec = AgentSpec("IC", {"tilde_T": tilde_T, "policy": policies[K]})
-            for e in checked:
-                replay = run_episode(ic_spec, pop.members[members[e]], ts, joints[e], T,
-                                     int(episode_seeds[start + e]), ct).history
+    # For each K the IC agents play every episode on fresh streams of the
+    # same seeds, and run_episode replays each partner member's first episode
+    # of every chunk as a spot check.
+    for K in K_values:
+        ic_spec = AgentSpec("IC", {"tilde_T": tilde_T, "policy": policies[K]})
+        for ids, _, record in play_episodes(([ic_spec], [0] * eval_episodes),
+                                            (pop.members, partner_ids), joints, ts, T,
+                                            episode_seeds, ct, record=True):
+            members = partner_ids[ids].tolist()
+            for e in [members.index(m) for m in dict.fromkeys(members)]:  # first of each
+                replay = run_episode(ic_spec, pop.members[members[e]], ts, joints[ids.start + e],
+                                     T, int(episode_seeds[ids.start + e]), ct).history
                 if not np.array_equal(record[:, :, e], replay):
                     raise GameError("batched IC episode differs from its replay by run_episode")
             # Column payoff of every stage, B[own = col action, opp = row action],
             # summed over the stages in order.
             stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]
-            realized = np.zeros(len(ids))
+            realized = np.zeros(len(members))
             for pay in stage_pay:
                 realized += pay
             values[K][ids] = (T * tau_col[joint_ids[ids]] - realized) / T

@@ -31,7 +31,8 @@ class ImitationPolicy:
     ``fit_imitation`` keeps the prefix trie it walked, which ``BatchIC``
     steps: ``roots[own_type]`` is a node, ``strategies[v]`` its strategy and
     ``children[v, a * N + b]`` its child after the pair (a, b).  Node 0, the
-    child of every pair that leads to no key, plays uniformly.
+    child of every pair that leads to no key, plays uniformly.  Equality and
+    ``content_hash`` leave out ``type_space_hash``, the dataset header's.
     """
 
     num_actions: int
@@ -41,6 +42,7 @@ class ImitationPolicy:
     roots: dict[str, int] | None = field(default=None, repr=False)
     strategies: np.ndarray | None = field(default=None, repr=False)
     children: np.ndarray | None = field(default=None, repr=False)
+    type_space_hash: str | None = field(default=None, repr=False)
 
     def __eq__(self, other) -> bool:
         """Equal action count, cutoff, seat and counts, array by array."""
@@ -112,7 +114,8 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     roots = {key[0]: v for v, key in enumerate(keys[1:], start=1) if not key[1]}
     strategies = tally / tally.sum(axis=1, keepdims=True)
     return ImitationPolicy(n, tilde_T, seat, dict(zip(keys[1:], tally[1:])), roots=roots,
-                           strategies=strategies, children=children)
+                           strategies=strategies, children=children,
+                           type_space_hash=dataset.metadata.get("type_space_hash"))
 
 
 @dataclass
@@ -272,9 +275,8 @@ _FITS: dict = {}
 _FITS_KEPT = 8
 
 
-def _fit_file(path, tilde_T: int, seat: str):
-    """The header and fitted policy of the dataset file at ``path``, which is
-    opened once."""
+def _fit_file(path, tilde_T: int, seat: str) -> ImitationPolicy:
+    """The policy fit on the dataset file at ``path``, read once."""
     with open(path, "rb") as f:
         data = f.read()
     key = (hashlib.sha256(data).hexdigest(), tilde_T, seat)
@@ -282,19 +284,23 @@ def _fit_file(path, tilde_T: int, seat: str):
         dataset = parse_dataset(data.decode(), path)
         if len(_FITS) >= _FITS_KEPT:
             del _FITS[next(iter(_FITS))]
-        _FITS[key] = dataset.metadata, fit_imitation(dataset, tilde_T, seat=seat)
+        _FITS[key] = fit_imitation(dataset, tilde_T, seat=seat)
     return _FITS[key]
 
 
 def _build_ic(spec: AgentSpec, ctx: BuildContext) -> BatchIC:
+    """IC agents of an in-memory ``policy`` or a ``dataset_path``, fit on this
+    type space; only a policy in memory may have no ``type_space_hash``."""
     tilde_T = _need(spec.params, "tilde_T", "IC")
-    policy = spec.params.get("policy")
+    ts = ctx.type_space
+    policy, path = spec.params.get("policy"), None
     if policy is None:
         path = _need(spec.params, "dataset_path", "IC")
-        metadata, policy = _fit_file(path, tilde_T, ctx.seat)
-        if (metadata.get("type_space_hash") != ctx.type_space.content_hash()
-                or metadata["N"] != ctx.type_space.num_actions):
-            raise GameError(f"{path}: dataset was generated on another type space")
+        policy = _fit_file(path, tilde_T, ctx.seat)
+    recorded = policy.type_space_hash
+    if ((recorded is not None or path is not None) and recorded != ts.content_hash()
+            or policy.num_actions != ts.num_actions):
+        raise GameError(f"{path or 'IC policy'}: dataset was generated on another type space")
     return BatchIC(policy, tilde_T, ctx.T, ctx.own_types, ctx.seat, commitment_draws(ctx.seeds))
 
 

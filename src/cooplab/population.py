@@ -1,8 +1,8 @@
 """Population distributions, episode execution, dataset generation and
 persistence, and the population-flattening construction.
 
-Datasets are played on the batched engine, each seat built by
-``agents.build_seat``; ``play_episode`` steps one episode of one-episode
+``play_episodes`` plays seeded episodes on the batched engine, each seat built
+by ``agents.build_seat``; ``play_episode`` steps one episode of one-episode
 batch agents (``agents.build_agent``) with an ``engine.ScalarStream``.
 
 Each episode's seed, the key of its counter-based stream, is a hash of
@@ -257,6 +257,25 @@ def run_episode(
     return play_episode(agent_row, agent_col, T, rng)
 
 
+def play_episodes(row, col, joints, type_space: TypeSpace, T: int, seeds,
+                  convention_table: ConventionTable | None = None, record: bool = False):
+    """Play one episode per joint type of ``joints`` on the streams of
+    ``run_episode`` keyed by ``seeds``, ``EPISODE_BATCH`` at a time in order.
+    ``row`` and ``col`` are each seat's ``(specs, keys)`` of ``build_seat``.
+    Yields per chunk its slice, its ``[row, col]`` agents and the
+    ``play_batch`` record, and drops them before it builds the next."""
+    for start in range(0, len(joints), EPISODE_BATCH):
+        ids = slice(start, start + EPISODE_BATCH)
+        streams = EpisodeStreams(seeds[ids])
+        agents = [
+            build_seat(specs, keys[ids], type_space, T, seat, [joint[s] for joint in joints[ids]],
+                       streams.agent_seeds[s], convention_table)
+            for s, (seat, (specs, keys)) in enumerate((("row", row), ("col", col)))
+        ]
+        yield ids, agents, play_batch(*agents, T, streams, record=record)
+        del streams, agents
+
+
 def generate_dataset(
     pop: Population,
     mu: TypeDistribution,
@@ -269,9 +288,8 @@ def generate_dataset(
     """Self-play dataset: per episode, two members drawn i.i.d. from the
     population and a joint type drawn from mu.
 
-    Episodes run on the batched engine ``EPISODE_BATCH`` at a time, in order,
-    on the streams of ``run_episode``, each seat one batch agent grouped by
-    population member (``build_seat``), so the histories are
+    Episodes run on the batched engine (``play_episodes``), each seat one
+    batch agent grouped by population member, so the histories are
     ``run_episode``'s."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
@@ -285,18 +303,9 @@ def generate_dataset(
     seeds = derive_episode_seeds(master_seed, np.arange(n))
     N = type_space.num_actions
     actions = np.empty((n, T, 2), dtype=np.min_scalar_type(N - 1))  # as play_batch records
-
-    for start in range(0, n, EPISODE_BATCH):
-        ids = slice(start, start + EPISODE_BATCH)
-        streams = EpisodeStreams(seeds[ids])
-        seats = [
-            build_seat(pop.members, member_idx[ids, s].tolist(), type_space, T, seat,
-                       [joint[s] for joint in joints[ids]], streams.agent_seeds[s],
-                       convention_table)
-            for s, seat in enumerate(("row", "col"))
-        ]
-        record = play_batch(*seats, T, streams, record=True)
-        del streams, seats  # freed before the next chunk builds its own
+    seats = [(pop.members, member_idx[:, s]) for s in (0, 1)]
+    for ids, _, record in play_episodes(*seats, joints, type_space, T, seeds, convention_table,
+                                        record=True):
         if record is not None:  # None for T = 0
             actions[ids] = record.transpose(2, 0, 1)
     return Dataset(

@@ -128,11 +128,9 @@ def test_splitmix64_known_answers():
     episode_seeds=st.lists(seeds, min_size=1, max_size=6),
     counts=st.lists(st.integers(min_value=1, max_value=2 * engine.BLOCK + 3), min_size=1,
                     max_size=5),
-    columns=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
 )
-@example(episode_seeds=[0, 2**64 - 1], counts=[2 * engine.BLOCK, 2 * engine.BLOCK + 1, 5],
-         columns=[1, 1, 0])
-def test_streams_match_the_splitmix64_oracle(episode_seeds, counts, columns):
+@example(episode_seeds=[0, 2**64 - 1], counts=[2 * engine.BLOCK, 2 * engine.BLOCK + 1, 5])
+def test_streams_match_the_splitmix64_oracle(episode_seeds, counts):
     # Chunks of any size, past the 2 * BLOCK uniforms play_batch draws at once.
     streams = EpisodeStreams(episode_seeds)
     for e, seed in enumerate(episode_seeds):
@@ -145,28 +143,16 @@ def test_streams_match_the_splitmix64_oracle(episode_seeds, counts, columns):
         scalar = ScalarStream(seed)
         assert [scalar.draw() >> 1 for _ in range(2)] == streams.agent_seeds[:, e].tolist()
         assert [scalar.random() for _ in range(len(got))] == got[:, e].tolist()
-    # A copy taken mid-stream goes on where its episodes are.
-    columns = [c % len(episode_seeds) for c in columns]
-    part = streams.take(np.array(columns))
-    assert part.agent_seeds.tolist() == streams.agent_seeds[:, columns].tolist()
-    more = part.uniforms(counts[0])
-    for i, e in enumerate(columns):
-        expected = oracle_draws(episode_seeds[e], len(got) + counts[0])[len(got):]
-        assert more[:, i].tolist() == expected
 
 
 def test_drawn_uniforms_are_never_overwritten_by_later_draws():
     episode_seeds = [11, 2**64 - 1, 2**32, 5]
     streams = EpisodeStreams(episode_seeds)
     # Equal counts in a row: a buffer reused by draws of one shape shows.
-    kept = [streams.uniforms(c) for c in (3, 3, 300, 300)]
-    part = streams.take(np.array([2, 0]))
-    kept_part = [part.uniforms(c) for c in (17, 17, 400, 400)]
-    kept += [streams.uniforms(c) for c in (17, 17, 400, 400)]
+    kept = [streams.uniforms(c) for c in (3, 3, 300, 300, 17, 17, 400, 400)]
     got = np.concatenate(kept)
     for e, seed in enumerate(episode_seeds):
         assert got[:, e].tolist() == oracle_draws(seed, len(got))
-    assert np.concatenate(kept_part).tolist() == got[-834:, [2, 0]].tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -195,16 +181,6 @@ def test_derive_episode_seed_rejects_indices_outside_64_bits():
     for index in (-1, 2**64):
         with pytest.raises(GameError):
             derive_episode_seed(1, index)
-
-
-def test_taken_streams_continue_their_episodes_streams():
-    episode_seeds = [3, 2**40 + 1, 7, 2**33]
-    streams = EpisodeStreams(episode_seeds)
-    streams.uniforms(5)
-    part = streams.take(np.array([3, 1]))
-    assert part.agent_seeds.tolist() == streams.agent_seeds[:, [3, 1]].tolist()
-    got = part.uniforms(700)
-    assert got.tolist() == streams.uniforms(700)[:, [3, 1]].tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -570,12 +546,12 @@ def test_batch_groups_play_as_one_batch_per_part(data, episodes, grouped_seat, T
     record = play_batch(*seated(grouped, other), T, EpisodeStreams(seed_list), regret=regret,
                         record=True)
 
-    streams = EpisodeStreams(seed_list)
     for ids, kind in zip(index, kinds):
         part = Recorder(stack(kind, grouped_seat, ids))
         partner = Recorder(stack(other_kind, other_seat, ids))
         part_regret = kernel(ids)
-        part_record = play_batch(*seated(part, partner), T, streams.take(np.array(ids)),
+        part_record = play_batch(*seated(part, partner), T,
+                                 EpisodeStreams([seed_list[e] for e in ids]),
                                  regret=part_regret, record=True)
         assert np.array_equal(record[:, :, ids], part_record)
         for t in range(T):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cooplab.game_core import GameError, TypeSpace
-from cooplab import agents, harness
+from cooplab import agents, harness, population
 from cooplab.agents import (
     AgentSpec,
     build_agents,
@@ -35,7 +35,7 @@ from cooplab.harness import (
     fixture_type_space,
     run_experiment,
 )
-from cooplab.imitation_commit import fit_imitation
+from cooplab.imitation_commit import BatchIC, fit_imitation
 from cooplab.population import (
     Population,
     TypeDistribution,
@@ -560,7 +560,7 @@ def test_si_consistency_csv_matches_per_adversary_loop(batch, episodes):
     cfg = ExperimentConfig(kind="si-consistency", episodes=episodes, horizon=60, k=2,
                            delta=0.6, seed=episodes + batch)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "EPISODE_BATCH", batch)
+        patch.setattr(population, "EPISODE_BATCH", batch)
         results, artifacts = run_experiment(cfg)
     csv, fallback_stages = si_consistency_csv_by_adversary(cfg)
     assert artifacts["si_consistency.csv"] == csv
@@ -588,7 +588,7 @@ def test_si_consistency_at_acceptance_size_is_one_batch():
                            seed=105, type_space=fixture_type_space("typespace_4.json"))
     with pytest.MonkeyPatch.context() as patch:
         for name in calls:
-            patch.setattr(harness, name, counted(name, getattr(harness, name)))
+            patch.setattr(population, name, counted(name, getattr(population, name)))
         results, _ = run_experiment(cfg)
     assert calls == {"play_batch": 1, "EpisodeStreams": 1}
     assert results[0].passed
@@ -601,7 +601,7 @@ def test_si_consistency_at_acceptance_size_is_one_batch():
 def test_ic_eval_csv_matches_episode_loop_in_chunks_that_split_members(ts2):
     # Chunks of 37 episodes: each holds episodes of every member, and every
     # chunk spot-checks each member's first episode in it.
-    population = Population(
+    pop = Population(
         members=[
             AgentSpec("Protocol", {"eps1": 0.2, "k": 1}),
             AgentSpec("Flattened", {"members": [{"kind": "UniformRandom"}], "weights": [1.0]}),
@@ -611,10 +611,10 @@ def test_ic_eval_csv_matches_episode_loop_in_chunks_that_split_members(ts2):
     )
     cfg = ExperimentConfig(
         kind="ic-eval", horizon=12, k=1, tilde_T=4, delta=0.1, seed=3, type_space=ts2,
-        population=population, extra={"K_values": [0, 40], "eval_episodes": 100},
+        population=pop, extra={"K_values": [0, 40], "eval_episodes": 100},
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "EPISODE_BATCH", 37)
+        patch.setattr(population, "EPISODE_BATCH", 37)
         _, artifacts = run_experiment(cfg)
     assert artifacts["ic_eval.csv"] == ic_eval_csv_by_episode_loop(cfg)
 
@@ -651,13 +651,15 @@ def test_emit_curves_use_each_artifacts_columns(tmp_path, ts2):
 
 def test_ic_eval_spot_check_refuses_a_batched_episode_that_differs(ts2, monkeypatch):
     # Each chunk replays one batched episode per member with run_episode; a
-    # batched record with the IC agent's actions flipped must fail it.
+    # batched record with the IC agent's actions flipped must fail it.  The
+    # datasets, played by the same runner, are left as they are.
     def flipped(*args, **kwargs):
         record = play_batch(*args, **kwargs)
-        record[:, 0] = 1 - record[:, 0]
+        if isinstance(args[0], BatchIC):
+            record[:, 0] = 1 - record[:, 0]
         return record
 
-    monkeypatch.setattr(harness, "play_batch", flipped)
+    monkeypatch.setattr(population, "play_batch", flipped)
     cfg = ExperimentConfig(kind="ic-eval", horizon=12, k=1, tilde_T=4, seed=3, type_space=ts2,
                            extra={"K_values": [10], "eval_episodes": 20})
     with pytest.raises(GameError, match="differs from its replay"):

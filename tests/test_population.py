@@ -410,6 +410,14 @@ def test_ic_agent_rejects_a_dataset_from_another_type_space(ts2, tmp_path):
     path.write_text(path.read_text().replace('"N": 2,', '"N": 3,', 1))
     with pytest.raises(GameError, match="another type space"):
         build_agent(spec, ts2, 4, own_type="gamma")
+    # An in-memory policy is checked alike: fit on TS4, whose types include
+    # ts2's and whose action count is ts2's too.
+    ds4 = generate_dataset(simple_population(), TypeDistribution.uniform(TS4), TS4, 5, 4,
+                           master_seed=1)
+    spec = AgentSpec("IC", {"policy": imitation_commit.fit_imitation(ds4, 2), "tilde_T": 2})
+    assert build_agent(spec, TS4, 4, own_type="gamma").act() is not None
+    with pytest.raises(GameError, match="another type space"):
+        build_agent(spec, ts2, 4, own_type="gamma")
 
 
 def test_ic_agents_fit_a_dataset_file_once_per_seat(ts2, tmp_path, monkeypatch):
@@ -610,11 +618,10 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
     for start in range(0, n, size):
         batch = order[start : start + size]
         keys, first, count = np.unique(pairing[batch], return_index=True, return_counts=True)
-        streams = EpisodeStreams(seeds[batch])
         for key, f, c in zip(keys.tolist(), first.tolist(), count.tolist()):
             r, cc = divmod(key, M)
             ids = batch[f : f + c].tolist()
-            part = streams.take(np.arange(f, f + c))
+            part = EpisodeStreams(seeds[ids])
             rows, cols = (
                 build_agents(pop.members[m], ts, T, seat, [joints[j][s] for j in ids],
                              part.agent_seeds[s], convention_table)

@@ -347,15 +347,19 @@ def test_tree_act_fn_matches_replay(name, seat):
     fn = tree_act_fn(_build(name, seat, horizon), seat)
     oracle = replay_act_fn(lambda: _build(name, seat, horizon), seat)
     histories = list(_histories(2, horizon))
-    # Walk order first, then a shuffled order that reaches nodes whose
-    # parents the function has not seen.
+    # Depth order, as the walker asks.
     for h in histories:
         assert fn(h) == oracle(h)
+    assert len(fn.nodes) == len(histories)
+    # Any other order is refused: a shallower history after a deeper one,
+    # and a history whose parent was not asked.
+    with pytest.raises(GameError, match="out of depth order"):
+        fn(((0, 1),))
     fresh = tree_act_fn(_build(name, seat, horizon), seat)
-    random.Random(7).shuffle(histories)
-    for h in histories:
+    for h in [(), ((0, 0),), ((0, 1),)]:
         assert fresh(h) == oracle(h)
-    assert len(fresh.nodes) == len(histories)
+    with pytest.raises(GameError, match="before its parent"):
+        fresh(((1, 0), (0, 0)))
 
 
 @pytest.mark.parametrize("name", sorted(AGENTS))
