@@ -176,6 +176,23 @@ def _sure_gate(kind: str, label: str, values: np.ndarray, bound: float, detail: 
                               detail=violations + (f"; {detail}" if detail else ""))
 
 
+def _csv(header: str, *columns) -> str:
+    """The CSV text of ``header`` and one row per index of ``columns``,
+    which must have equal lengths.  A float64 array's cells are the repr of
+    a Python float, made once per distinct bit pattern, so -0.0 keeps its
+    sign; any other cell is ``str`` of its item (for a Python float, its
+    repr)."""
+    cells = []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+            text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+            cells.append(text[inverse])
+        else:
+            cells.append(map(str, col.tolist() if isinstance(col, np.ndarray) else col))
+    return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
+
+
 def _rng(cfg_seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(cfg_seed), *tags]))
 
@@ -212,12 +229,11 @@ def run_mw_regret(cfg: ExperimentConfig):
     kernel = RegretKernel(A)
     play_batch(BatchMW(A, default_eta(n, T)), adversaries, T, regret=kernel)
     regrets = kernel.regret()
-    rows = ["run,adversary,expected_regret,bound"]
-    for r, reg in enumerate(regrets.tolist()):
-        rows.append(f"{r},{MW_ADVERSARIES[r % len(MW_ADVERSARIES)]},{reg!r},{bound!r}")
+    csv = _csv("run,adversary,expected_regret,bound", range(E),
+               np.resize(MW_ADVERSARIES, E), regrets, np.full(E, bound))
     result = _sure_gate(cfg.kind, f"expected regret <= sqrt((T/2) ln N) surely, N={n}",
                         regrets, bound, "")
-    return [result], {f"mw_regret_N{n}.csv": "\n".join(rows) + "\n"}
+    return [result], {f"mw_regret_N{n}.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +348,9 @@ def run_nash_selfplay(cfg: ExperimentConfig):
     T, delta = cfg.horizon, cfg.delta
     thresholds = azuma_thresholds(T, delta)
     regs = _selfplay_regrets(game, p, q, cfg.episodes, T, _rng(cfg.seed, 0x4E45))
-    rows = ["episode,player,realized_regret,expected_regret"]
     results = []
     for player in ("row", "col"):
         realized, expected = regs[player]
-        for e, (r, x) in enumerate(zip(realized.tolist(), expected.tolist())):
-            rows.append(f"{e},{player},{r!r},{x!r}")
         checks = (
             ("realized regret", realized, thresholds.realized_bound),
             ("expected regret", expected, thresholds.expected_bound),
@@ -346,7 +359,10 @@ def run_nash_selfplay(cfg: ExperimentConfig):
         results += [_freq_gate(cfg.kind, f"{label} ({player}) violation freq <= delta",
                                values > bound, delta, f"threshold={bound:.4g}")
                     for label, values, bound in checks]
-    return results, {"nash_selfplay.csv": "\n".join(rows) + "\n"}
+    E = cfg.episodes
+    csv = _csv("episode,player,realized_regret,expected_regret", [*range(E)] * 2,
+               ["row"] * E + ["col"] * E, *map(np.concatenate, zip(regs["row"], regs["col"])))
+    return results, {"nash_selfplay.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +513,10 @@ def run_si_selfplay(cfg: ExperimentConfig):
             avg_pay_row[ids] = (hexp_r + _payoff_sums(A, i_acts, j_acts)) / T
             avg_pay_col[ids] = (hexp_c + _payoff_sums(B, j_acts, i_acts)) / T
 
-    rows = ["episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback"]
-    for e, (j, pr, pc, fb) in enumerate(zip(
-        joint_idx.tolist(), avg_pay_row.tolist(), avg_pay_col.tolist(), fallback.tolist()
-    )):
-        a, b = mu.support[j]
-        rows.append(f"{e},{a},{b},{pr!r},{pc!r},{int(fb)}")
-
+    theta = np.array(mu.support, dtype=object)[joint_idx]
+    csv = _csv("episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback",
+               range(cfg.episodes), *theta.T, avg_pay_row, avg_pay_col,
+               fallback.astype(np.int8))
     first = f", first at stage {min(fallback_stages)}" if fallback_stages else ""
     results = [_freq_gate(
         cfg.kind, "handshake+convention completes without fallback w.p. >= 1-delta",
@@ -524,7 +537,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
                 statistic=abs(float(values.mean()) - target), bound=params.eps0,
                 sample_count=len(ids), ci_radius=_ci99_mean(values),
             ))
-    return results, {"si_selfplay.csv": "\n".join(rows) + "\n"}
+    return results, {"si_selfplay.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +586,15 @@ def run_si_consistency(cfg: ExperimentConfig):
                                            joints, ts, T, seeds, ct):
         regrets[runs] = row.kernel.regret()
         fallback_stages[runs] = row.fallback_stage
-    rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
-    for r, (c, (a, b), reg) in enumerate(zip(kinds, joints, regrets.tolist())):
-        rows.append(f"{r},{CONSISTENCY_ADVERSARIES[c]},{a},{b},{reg!r},{bound!r}")
+    csv = _csv("run,adversary,theta_protocol,theta_adversary,expected_regret,bound",
+               range(len(joints)), [CONSISTENCY_ADVERSARIES[c] for c in kinds],
+               *np.array(joints, dtype=object).T, regrets, np.full(len(joints), bound))
     result = _sure_gate(
         cfg.kind, "protocol expected regret <= k + eps1(T-k) + sqrt(((T-k)/2) ln N) surely",
         regrets, bound, f"{runs_each} runs per adversary, {len(regrets)} of {cfg.episodes} "
         "requested; " + _fallback_detail(kinds, fallback_stages),
     )
-    return [result], {"si_consistency.csv": "\n".join(rows) + "\n"}
+    return [result], {"si_consistency.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +609,7 @@ AUTH_TOLERANCE = 0.02  # allowed gap between the empirical and predicted rates
 def run_auth_failure(cfg: ExperimentConfig):
     n = cfg.num_actions
     trials = cfg.episodes
-    rows = ["N,k,M,trials,empirical,predicted_corrected,predicted_as_printed"]
-    results = []
+    results, cases = [], []
     for k in AUTH_KS:
         num_histories = n ** (2 * k)
         for frac in AUTH_COVERAGE:
@@ -615,9 +627,7 @@ def run_auth_failure(cfg: ExperimentConfig):
             failures = unseen & (guesses != targets)
             emp = float(failures.mean())
             pred = auth_failure_probability(n, k, M)
-            rows.append(
-                f"{n},{k},{M},{trials},{emp!r},{pred.corrected!r},{pred.as_printed!r}"
-            )
+            cases.append((n, k, M, trials, emp, pred.corrected, pred.as_printed))
             # With every history observed no failure may happen at all.
             exact_zero = M == num_histories
             results.append(VerificationResult(
@@ -626,7 +636,8 @@ def run_auth_failure(cfg: ExperimentConfig):
                 bound=0.0 if exact_zero else AUTH_TOLERANCE, sample_count=trials,
                 detail=f"empirical={emp:.4f} predicted={pred.corrected:.4f}",
             ))
-    return results, {"auth_failure.csv": "\n".join(rows) + "\n"}
+    csv = _csv("N,k,M,trials,empirical,predicted_corrected,predicted_as_printed", *zip(*cases))
+    return results, {"auth_failure.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +668,6 @@ MIXTURE_SIZES = (2, 3, 4)  # action counts, in turn
 
 def run_mixture_check(cfg: ExperimentConfig):
     cases = cfg.episodes
-    rows = ["case,N,identity_error,br_slack"]
     id_errors, br_slacks = [], []
     for case in range(cases):
         n = MIXTURE_SIZES[case % len(MIXTURE_SIZES)]
@@ -673,7 +683,6 @@ def run_mixture_check(cfg: ExperimentConfig):
             br_value += w * float((B @ x).max())
         id_errors.append(abs(mix_value - col_value))
         br_slacks.append(br_value - col_value)
-        rows.append(f"{case},{n},{id_errors[-1]!r},{br_slacks[-1]!r}")
     results = [
         VerificationResult(cfg.kind, "mixture response-function payoff identity",
                            statistic=max(id_errors), bound=1e-9, sample_count=cases),
@@ -681,7 +690,9 @@ def run_mixture_check(cfg: ExperimentConfig):
                            statistic=min(br_slacks), bound=-1e-9, sample_count=cases,
                            detail="(statistic is the minimum slack)", lower=True),
     ]
-    return results, {"mixture_check.csv": "\n".join(rows) + "\n"}
+    csv = _csv("case,N,identity_error,br_slack", range(cases), np.resize(MIXTURE_SIZES, cases),
+               np.array(id_errors), np.array(br_slacks))
+    return results, {"mixture_check.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +770,8 @@ def run_flatten_check(cfg: ExperimentConfig):
         detail=f"leaves: population mixture {support}, flattened agent "
         f"{len(flat_codes)}; nodes walked {walked} in {len(pop.members) + 1} walks",
     )
-    rows = ["history,prob_population,prob_flattened"]
-    rows += [f"{label},{p!r},{q!r}" for label, p, q in
-             zip(labels, mixture.tolist(), flat.tolist())]
-    return [result], {"flatten_check.csv": "\n".join(rows) + "\n"}
+    csv = _csv("history,prob_population,prob_flattened", labels, mixture, flat)
+    return [result], {"flatten_check.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -837,19 +846,19 @@ def run_ic_eval(cfg: ExperimentConfig):
                 realized += pay
             values[K][ids] = (T * tau_col[joint_ids[ids]] - realized) / T
 
-    rows = ["K,episode,theta1,theta2,avg_altruistic_regret"]
-    labels = [f"{mu.support[j][0]},{mu.support[j][1]}" for j in joint_ids]
-    mean_by_K = {}
-    ci_by_K = {}
-    for K in K_values:
-        rows.extend(
-            f"{K},{e},{label},{v!r}" for e, (label, v) in enumerate(zip(labels, values[K].tolist()))
-        )
-        mean_by_K[K] = float(values[K].mean())
-        ci_by_K[K] = _ci99_mean(values[K])
+    theta = np.array(mu.support, dtype=object)[np.tile(joint_ids, len(K_values))]
+    csv = _csv("K,episode,theta1,theta2,avg_altruistic_regret",
+               np.repeat(K_values, eval_episodes), np.tile(np.arange(eval_episodes), len(K_values)),
+               *theta.T, np.concatenate([values[K] for K in K_values]))
+    mean_by_K = {K: float(values[K].mean()) for K in K_values}
+    ci_by_K = {K: _ci99_mean(values[K]) for K in K_values}
 
     means = [mean_by_K[K] for K in K_values]
     steps = np.diff(means)  # a NaN step stays NaN in the maximum, and fails
+    # Under common random numbers each step is also a paired difference over
+    # the same evaluation episodes, whose 99% CI tells a step from noise.
+    paired = "".join(f"; paired step K={K1}->{K2}: {float(d.mean()):+.5f} ci {_ci99_mean(d):.2g}"
+                     for K1, K2 in zip(K_values, K_values[1:]) for d in [values[K2] - values[K1]])
     K_max = K_values[-1]
     dk = delta_K(n, tilde_T, len(ts.types), K_max)
     bound = theorem42_bound(delta, params.eps, dk, T, tilde_T)
@@ -857,7 +866,8 @@ def run_ic_eval(cfg: ExperimentConfig):
         VerificationResult(
             cfg.kind, f"mean avg altruistic regret nonincreasing over K={K_values}",
             statistic=float(steps.max()) if len(steps) else 0.0, bound=0.0, tol=1e-12,
-            sample_count=eval_episodes, detail="means=" + ",".join(f"{m:.5f}" for m in means),
+            sample_count=eval_episodes,
+            detail="means=" + ",".join(f"{m:.5f}" for m in means) + paired,
         ),
         VerificationResult(
             cfg.kind, f"final-K mean avg altruistic regret within upper bound, K={K_max}",
@@ -866,7 +876,7 @@ def run_ic_eval(cfg: ExperimentConfig):
             detail=f"delta(K)={dk:.4g} (sample-complexity constants vacuous at desk scale)",
         ),
     ]
-    return results, {"ic_eval.csv": "\n".join(rows) + "\n"}
+    return results, {"ic_eval.csv": csv}
 
 
 # ---------------------------------------------------------------------------

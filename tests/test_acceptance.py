@@ -10,6 +10,7 @@ import pytest
 from cooplab.equilibria import enumerate_nash, pareto_optimal_nash
 from cooplab.harness import (
     ExperimentConfig,
+    _ci99_mean,
     fixture_type_space,
     run_experiment,
 )
@@ -145,6 +146,26 @@ def test_criterion_9_imitate_then_commit_end_to_end():
         "criterion 9: IC altruistic regret nonincreasing in K and within the bound",
         results,
     )
+
+
+def test_ic_eval_monotonicity_detail_carries_each_paired_step():
+    # Each K step, as a paired difference over the same evaluation episodes,
+    # recomputed from the CSV, with its 99% CI; the gate's statistic stays
+    # the step of the means.
+    results, artifacts = run("ic_eval")
+    gate = results[0]
+    values = {}
+    for line in artifacts["ic_eval.csv"].splitlines()[1:]:
+        K, *_, v = line.split(",")
+        values.setdefault(int(K), []).append(float(v))
+    Ks = CONFIGS["ic_eval"]["extra"]["K_values"]
+    for K1, K2 in zip(Ks, Ks[1:]):
+        d = np.array(values[K2]) - np.array(values[K1])
+        assert (f"; paired step K={K1}->{K2}: {float(d.mean()):+.5f} "
+                f"ci {_ci99_mean(d):.2g}") in gate.detail
+    means = [float(np.mean(values[K])) for K in Ks]
+    assert gate.statistic == float(np.diff(means).max())
+    assert gate.detail.count("paired step") == len(Ks) - 1 == 2
 
 
 def test_criterion_10_byte_identical_reruns():
