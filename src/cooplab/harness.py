@@ -19,7 +19,10 @@ engine's inverse CDF (``engine.sample_actions``).  In protocol self-play the
 protocol agents play the handshake on the engine, and every episode whose
 regret tripwire fires in the kernel's scan is played again by them from the
 end of the handshake, on the kernel's own uniforms; the kernel settles only
-the episodes that never trip.
+the episodes that never trip.  The tripwire scan first bounds each episode's
+accumulator from integer counts of the opponent's actions per block of
+stages, with a rounding slack; only the episodes that this bound cannot clear
+are scanned in floats, so every verdict is the float scan's.
 """
 from __future__ import annotations
 
@@ -392,6 +395,49 @@ def _redraw(rng: np.random.Generator, starts: np.ndarray, count: int) -> np.ndar
     return out
 
 
+def _trigger_bound(
+    m: np.ndarray, sigma: np.ndarray, opp_acts: np.ndarray, h_cf: np.ndarray, h_exp: float
+) -> np.ndarray:
+    """Per-episode upper bound on every accumulator value that the trigger
+    scan of ``_first_trigger_stage`` computes, its rounding included, from
+    integer counts of the opponent's actions at the ends of each
+    TRIGGER_BLOCK-stage block.
+
+    For n actions, S stages and d[a, j] = m[a, j] - (sigma @ m)[j], the
+    exact accumulator after a stage is
+    max_a (h_cf[a] - h_exp + sum_j d[a, j] count_j).  Counts never decrease,
+    so in a block each count_j lies in [lo_j, hi_j], its values at the ends
+    of the blocks before and through it, and max(d lo_j, d hi_j) bounds its
+    term.  The slack covers rounding by the recursive-summation error bound
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, section 4.2): the scan's accumulator is S + 2 roundings from
+    exact, this bound 2n + 4 and the added slack 2 more, all on values of
+    size at most 2 S max|m, sigma @ m| + max|h_cf| + |h_exp|; and for
+    K = S + 2n + 8, gamma_K = K u / (1 - K u) <= K eps, u = eps / 2, while
+    K u <= 1/2.
+    """
+    episodes, stages = opp_acts.shape
+    n = m.shape[0]
+    table = np.vstack([m, sigma @ m])
+    d = table[:n] - table[n]
+    up, down = np.maximum(d, 0.0).T, np.minimum(d, 0.0).T
+    starts = np.arange(0, stages, TRIGGER_BLOCK)
+    widths = np.diff(np.append(starts, stages))
+    bound = np.empty(episodes)
+    for rows in _row_blocks(episodes, stages):
+        acts = opp_acts[rows]
+        block = np.empty((len(acts), len(starts), n))  # opponent action counts per block
+        for j in range(1, n):
+            block[:, :, j] = np.add.reduceat(acts == j, starts, axis=1, dtype=np.int32)
+        block[:, :, 0] = widths - block[:, :, 1:].sum(axis=2)
+        hi = block.cumsum(axis=1).reshape(-1, n)  # a row per (episode, block)
+        lo = hi - block.reshape(-1, n)
+        at = hi @ up + lo @ down + (h_cf - h_exp)
+        bound[rows] = at.reshape(len(acts), -1).max(axis=1, initial=-np.inf)
+    size = 2 * stages * np.abs(table).max() + np.abs(h_cf).max() + abs(h_exp)
+    return bound + (stages + 2 * n + 8) * np.finfo(float).eps * size
+
+
 def _first_trigger_stage(
     m: np.ndarray,
     sigma: np.ndarray,
@@ -405,10 +451,12 @@ def _first_trigger_stage(
 
     ``opp_acts`` is (episodes, stages); the accumulator is
     max_a cum counterfactual(a) - cum expected payoff, seeded with the
-    handshake contributions.  The stages are scanned TRIGGER_BLOCK at a time,
-    each block laid out stage-major, with the running sums carried into the
-    block's first stage, so every running sum adds its stage payoffs one at a
-    time in stage order, and the handshake's afterwards.
+    handshake contributions.  An episode whose ``_trigger_bound`` is at most
+    the threshold never trips.  The others are scanned TRIGGER_BLOCK stages
+    at a time, each block laid out stage-major, with the running sums carried
+    into the block's first stage, so every running sum adds its stage payoffs
+    one at a time in stage order, and the handshake's afterwards.  Episodes
+    are independent rows, so the result is the scan's over all of them.
     """
     episodes, stages = opp_acts.shape
     n = m.shape[0]
@@ -417,20 +465,23 @@ def _first_trigger_stage(
     if h_cf.max() - h_exp > threshold:
         return np.zeros(episodes, dtype=int)
     first = np.full(episodes, -1)
+    rows = np.flatnonzero(~(_trigger_bound(m, sigma, opp_acts, h_cf, h_exp) <= threshold))
+    if len(rows) == 0:
+        return first
     table = np.vstack([m, sigma @ m])  # counterfactual rows, then expected payoff
     carry = None  # the running sums at the end of the previous block
     for s0 in range(0, stages, TRIGGER_BLOCK):
-        opp = opp_acts[:, s0 : s0 + TRIGGER_BLOCK].T.astype(np.intp, order="C")
-        run = np.take(table, opp, axis=1)  # (n + 1, width, episodes)
+        opp = opp_acts[rows, s0 : s0 + TRIGGER_BLOCK].T.astype(np.intp, order="C")
+        run = np.take(table, opp, axis=1)  # (n + 1, width, rows)
         if carry is not None:
             run[:, 0] += carry
         for s in range(1, len(opp)):
             np.add(run[:, s - 1], run[:, s], out=run[:, s])
         carry = run[:, -1]
         acc = (run[:n] + h_cf[:, None, None]).max(axis=0) - (run[n] + h_exp)
-        hit = (acc.max(axis=0) > threshold) & (first < 0)
+        hit = (acc.max(axis=0) > threshold) & (first[rows] < 0)
         if hit.any():
-            first[hit] = s0 + (acc[:, hit] > threshold).argmax(axis=0)
+            first[rows[hit]] = s0 + (acc[:, hit] > threshold).argmax(axis=0)
     return first
 
 
@@ -459,7 +510,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
                           [0] * len(mu.support), ct) for s, seat in enumerate(("row", "col"))]
     play_batch(*seats, k, _Draws(np.zeros((2 * k, len(mu.support)))))
 
-    pure_episodes = replayed = 0
+    pure_episodes = scanned = replayed = 0
     fallback_stages = []
     for jt_index, joint in enumerate(mu.support):
         episode_ids = np.nonzero(joint_idx == jt_index)[0]
@@ -492,9 +543,15 @@ def run_si_selfplay(cfg: ExperimentConfig):
             ids = episode_ids[start : start + SI_SELFPLAY_CHUNK]
             i_acts = _draw_actions(rng_joint, cuts_p, len(ids), stages)
             j_acts = _draw_actions(rng_joint, cuts_q, len(ids), stages)
-            trig_r = _first_trigger_stage(A, p, j_acts, ha, hexp_r, threshold)
-            trig_c = _first_trigger_stage(B, q, i_acts, hb, hexp_c, threshold)
-            finish = np.flatnonzero((trig_r >= 0) | (trig_c >= 0))
+            # The count bound is asked here first only to count the
+            # episode-seats it clears; the scan certifies its rows again.
+            rows_r = np.flatnonzero(~(_trigger_bound(A, p, j_acts, ha, hexp_r) <= threshold))
+            rows_c = np.flatnonzero(~(_trigger_bound(B, q, i_acts, hb, hexp_c) <= threshold))
+            scanned += len(rows_r) + len(rows_c)
+            trips = np.zeros(len(ids), dtype=bool)
+            trips[rows_r] = _first_trigger_stage(A, p, j_acts[rows_r], ha, hexp_r, threshold) >= 0
+            trips[rows_c] |= _first_trigger_stage(B, q, i_acts[rows_c], hb, hexp_c, threshold) >= 0
+            finish = np.flatnonzero(trips)
             if len(finish):
                 # The agents play these episodes on from the handshake, on
                 # the uniforms the chunk drew for them: the row seat's from
@@ -518,9 +575,11 @@ def run_si_selfplay(cfg: ExperimentConfig):
                range(cfg.episodes), *theta.T, avg_pay_row, avg_pay_col,
                fallback.astype(np.int8))
     first = f", first at stage {min(fallback_stages)}" if fallback_stages else ""
+    cleared = 2 * (cfg.episodes - pure_episodes) - scanned
     results = [_freq_gate(
         cfg.kind, "handshake+convention completes without fallback w.p. >= 1-delta",
-        fallback, delta, f"pure-convention episodes {pure_episodes}, replayed by the agents "
+        fallback, delta, f"pure-convention episodes {pure_episodes}, tripwire episode-seats "
+        f"cleared by the count bound {cleared}, scanned {scanned}, replayed by the agents "
         f"{replayed}, fallbacks {int(fallback.sum())}" + first,
     )]
     for jt_index, joint in enumerate(mu.support):

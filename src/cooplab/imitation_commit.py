@@ -290,7 +290,8 @@ def _fit_file(path, tilde_T: int, seat: str) -> ImitationPolicy:
 
 def _build_ic(spec: AgentSpec, ctx: BuildContext) -> BatchIC:
     """IC agents of an in-memory ``policy`` or a ``dataset_path``, fit on this
-    type space; only a policy in memory may have no ``type_space_hash``."""
+    type space.  Only a policy in memory may have no ``type_space_hash``; its
+    roots must then be exactly this type space's types."""
     tilde_T = _need(spec.params, "tilde_T", "IC")
     ts = ctx.type_space
     policy, path = spec.params.get("policy"), None
@@ -298,8 +299,11 @@ def _build_ic(spec: AgentSpec, ctx: BuildContext) -> BatchIC:
         path = _need(spec.params, "dataset_path", "IC")
         policy = _fit_file(path, tilde_T, ctx.seat)
     recorded = policy.type_space_hash
-    if ((recorded is not None or path is not None) and recorded != ts.content_hash()
-            or policy.num_actions != ts.num_actions):
+    if recorded is None and path is None:
+        ours = set(policy.roots or ()) == set(ts.types)
+    else:
+        ours = recorded == ts.content_hash()
+    if not ours or policy.num_actions != ts.num_actions:
         raise GameError(f"{path or 'IC policy'}: dataset was generated on another type space")
     return BatchIC(policy, tilde_T, ctx.T, ctx.own_types, ctx.seat, commitment_draws(ctx.seeds))
 

@@ -237,6 +237,9 @@ def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, 
         first = min([first, *stages[stages >= 0].tolist()])
     replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
     assert replayed > (100 if lowered else 0)
+    # Every replayed episode tripped in a seat that the count bound could not
+    # clear, so the exact scan saw it.
+    assert int(detail.split(", scanned ")[1].split(",")[0]) >= replayed
     assert detail.endswith(f"fallbacks {fell.sum()}, first at stage {first}")
 
 

@@ -420,6 +420,32 @@ def test_ic_agent_rejects_a_dataset_from_another_type_space(ts2, tmp_path):
         build_agent(spec, ts2, 4, own_type="gamma")
 
 
+def test_ic_agent_checks_the_types_of_a_policy_with_no_type_space_hash(ts2):
+    # With no hash to compare, an in-memory policy is checked by its roots.
+    # Fit on ts2, it plays its fit on ts2.  On TS4, whose types include ts2's,
+    # it is refused, as is one fit on TS4 on ts2; before the check, the first
+    # built for alpha and played the uniform root.
+    def hashless(ts):
+        ds = generate_dataset(simple_population(), TypeDistribution.uniform(ts), ts, 40, 4,
+                              master_seed=1)
+        policy = imitation_commit.fit_imitation(ds, 2)
+        policy.type_space_hash = None
+        return AgentSpec("IC", {"policy": policy, "tilde_T": 2})
+
+    spec2 = hashless(ts2)
+    policy = spec2.params["policy"]
+    agent = build_agents(spec2, ts2, 4, "row", ["gamma", "delta"], [0, 1])
+    want = policy.strategies[[policy.roots["gamma"], policy.roots["delta"]]]
+    assert np.array_equal(agent.act(), want) and not (want == 0.5).all()
+    for own in ("alpha", "gamma"):
+        with pytest.raises(GameError, match="another type space"):
+            build_agents(spec2, TS4, 4, "row", [own], [0])
+    spec4 = hashless(TS4)
+    assert build_agents(spec4, TS4, 4, "row", ["alpha"], [0]).act() is not None
+    with pytest.raises(GameError, match="another type space"):
+        build_agents(spec4, ts2, 4, "row", ["gamma"], [0])
+
+
 def test_ic_agents_fit_a_dataset_file_once_per_seat(ts2, tmp_path, monkeypatch):
     mu = TypeDistribution.uniform(ts2)
     path = tmp_path / "ds.jsonl"

@@ -207,27 +207,31 @@ def threshold_firing_at(acc, stage):
     return acc[:, :stage].max()
 
 
-@settings(max_examples=120, deadline=None)
+STAGE_COUNTS = st.one_of(
+    st.integers(1, harness.TRIGGER_BLOCK - 1),
+    st.sampled_from([harness.TRIGGER_BLOCK, 2 * harness.TRIGGER_BLOCK]),
+    st.integers(harness.TRIGGER_BLOCK + 1, 3 * harness.TRIGGER_BLOCK + 5),
+)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
-    n=st.integers(2, 3),
+    n=st.integers(2, 5),
     episodes=st.integers(1, 12),
-    stages=st.one_of(
-        st.integers(1, harness.TRIGGER_BLOCK - 1),
-        st.sampled_from([harness.TRIGGER_BLOCK, 2 * harness.TRIGGER_BLOCK]),
-        st.integers(harness.TRIGGER_BLOCK + 1, 3 * harness.TRIGGER_BLOCK + 5),
-    ),
+    stages=STAGE_COUNTS,
+    scale=st.sampled_from([1.0, 30.0, 1e3]),
     where=st.sampled_from(["first block", "block boundary", "last block", "never"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_trigger_scan_equals_whole_run(data, n, episodes, stages, where, seed):
+def test_trigger_scan_equals_whole_run(data, n, episodes, stages, scale, where, seed):
     rng = np.random.default_rng(seed)
-    m = rng.random((n, n))
+    m = (rng.random((n, n)) - 0.5) * scale  # signed payoffs
     sigma = data.draw(mixed_strategy(n))
     opp = rng.integers(0, n, size=(episodes, stages)).astype(np.uint8)
     # A handshake below the threshold mostly: the scan then decides.
-    h_cf = rng.random(n)
-    h_exp = float(h_cf.max() + rng.random())
+    h_cf = (rng.random(n) - 0.5) * scale
+    h_exp = float(h_cf.max() + rng.random() * scale)
     acc = whole_run_trigger_acc(m, sigma, opp, h_cf, h_exp)
     width = harness.TRIGGER_BLOCK
     last = (stages - 1) // width * width
@@ -246,8 +250,9 @@ def test_trigger_scan_equals_whole_run(data, n, episodes, stages, where, seed):
     assert np.array_equal(first, whole_run_first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold))
     if where == "never" and not h_cf.max() - h_exp > threshold:
         assert (first == -1).all()
-    for block in (1, 3, width + 1, 4 * width):
-        with mock.patch.object(harness, "TRIGGER_BLOCK", block):
+    # Other block sizes, for the count bound too, and its rows a few at a time.
+    for block, cells in ((1, 1), (3, 5 * stages), (width + 1, 1 << 18), (4 * width, 1)):
+        with mock.patch.multiple(harness, TRIGGER_BLOCK=block, ROW_BLOCK_CELLS=cells):
             assert np.array_equal(first, _first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold))
 
 
@@ -270,6 +275,65 @@ def test_trigger_scan_flags_a_handshake_over_the_threshold():
     opp = np.zeros((4, 100), dtype=np.uint8)
     first = _first_trigger_stage(np.eye(2), np.array([0.5, 0.5]), opp, np.array([3.0, 0.0]), 0.0, 2.0)
     assert first.tolist() == [0, 0, 0, 0]
+
+
+def bound_covers_scan(bound, m, sigma, opp, h_cf, h_exp):
+    """Whether ``bound`` is at least every episode's accumulator at every
+    stage."""
+    return bool((bound >= whole_run_trigger_acc(m, sigma, opp, h_cf, h_exp).max(axis=1)).all())
+
+
+def runs_of_actions(rng, n, episodes, stages, run):
+    """(episodes, stages) actions in runs of one action, ``run`` stages long
+    on average."""
+    starts = rng.random((episodes, stages)) < 1.0 / run
+    starts[:, 0] = True
+    actions = rng.integers(0, n, size=(episodes, stages + 1))
+    return np.take_along_axis(actions, starts.cumsum(axis=1), axis=1).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 5),
+    episodes=st.integers(1, 8),
+    stages=STAGE_COUNTS,
+    scale=st.sampled_from([1.0, 30.0, 1e3]),
+    run=st.sampled_from([1, 5, harness.TRIGGER_BLOCK, 10**9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trigger_bound_covers_every_accumulator(data, n, episodes, stages, scale, run, seed):
+    # Runs of one action through a whole block make the count bound tight up
+    # to rounding, which the slack must cover.
+    rng = np.random.default_rng(seed)
+    m = (rng.random((n, n)) - 0.5) * scale
+    sigma = data.draw(mixed_strategy(n))
+    h_cf = (rng.random(n) - 0.5) * scale
+    h_exp = float(rng.random() - 0.5) * scale
+    opp = runs_of_actions(rng, n, episodes, stages, run)
+    bound = harness._trigger_bound(m, sigma, opp, h_cf, h_exp)
+    assert bound_covers_scan(bound, m, sigma, opp, h_cf, h_exp)
+
+
+def block_end_bound(m, sigma, opp, h_cf, h_exp):
+    """A count bound that takes every count at its block's end only."""
+    ends = np.append(np.arange(harness.TRIGGER_BLOCK, opp.shape[1], harness.TRIGGER_BLOCK),
+                     opp.shape[1]) - 1
+    hi = np.stack([np.cumsum(opp == j, axis=1)[:, ends] for j in range(len(m))], axis=2)
+    return (hi @ (m - sigma @ m).T + (h_cf - h_exp)).max(axis=(1, 2))
+
+
+def test_a_bound_from_block_end_counts_alone_fails_the_cover_check():
+    # With m = I and sigma = (1, 0) the accumulator is max(0, count_1 -
+    # count_0).  In each block the opponent plays 1, then 0 as often, so it
+    # is back at 0 at every block end, but TRIGGER_BLOCK / 2 in between.
+    m, sigma, h_cf = np.eye(2), np.array([1.0, 0.0]), np.zeros(2)
+    half = harness.TRIGGER_BLOCK // 2
+    opp = np.tile(np.repeat(np.array([1, 0], np.uint8), half), (3, 2))
+    assert not bound_covers_scan(block_end_bound(m, sigma, opp, h_cf, 0.0), m, sigma, opp, h_cf, 0.0)
+    bound = harness._trigger_bound(m, sigma, opp, h_cf, 0.0)
+    assert bound_covers_scan(bound, m, sigma, opp, h_cf, 0.0)
+    assert np.allclose(bound, half)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +403,12 @@ def test_si_selfplay_detail_counts_its_episodes():
     assert int(detail.split("first at stage ")[1]) >= 2  # after the handshake
     replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
     assert fallbacks <= replayed <= len(rows) - pure
+    # Each seat of a mixed-convention episode is cleared by the count bound
+    # or scanned exactly.
+    cleared = int(detail.split("cleared by the count bound ")[1].split(",")[0])
+    scanned = int(detail.split(", scanned ")[1].split(",")[0])
+    assert cleared + scanned == 2 * (len(rows) - pure)
+    assert replayed <= scanned
 
 
 # ---------------------------------------------------------------------------
