@@ -24,7 +24,6 @@ from .equilibria import (
     EquilibriumProfile,
     NashEnumeration,
     PoneSet,
-    best_response,
     enumerate_nash,
     is_nash,
     pareto_optimal_nash,

@@ -7,6 +7,7 @@ guessed at, and the worst Pareto-optimal payoff refuses them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from .game_core import BimatrixGame, GameError, CapacityError, check_mixed
 
-BR_TOL = 1e-12
 EQ_TOL = 1e-9
 MAX_ACTIONS = 5
 
@@ -49,23 +49,6 @@ class PoneSet:
         return len(self.profiles)
 
 
-def best_response(game: BimatrixGame, opponent, player: str):
-    """All actions within tolerance of the best payoff against ``opponent``.
-
-    Returns (sorted action list, best value).
-    """
-    q = check_mixed(opponent, game.num_actions)
-    if player == "row":
-        values = game.payoff_row @ q
-    elif player == "col":
-        values = game.payoff_col @ q
-    else:
-        raise GameError(f"player must be 'row' or 'col', got {player!r}")
-    best = float(values.max())
-    actions = [a for a in range(game.num_actions) if values[a] >= best - BR_TOL]
-    return actions, best
-
-
 def _deviation_gain(game: BimatrixGame, p: np.ndarray, q: np.ndarray) -> float:
     """Largest pure-deviation gain of either player at profile (p, q)."""
     row_vals = game.payoff_row @ q
@@ -79,13 +62,6 @@ def is_nash(game: BimatrixGame, p, q, tol: float = EQ_TOL) -> bool:
     p = check_mixed(p, game.num_actions)
     q = check_mixed(q, game.num_actions)
     return _deviation_gain(game, p, q) <= tol
-
-
-def _bordered(m: np.ndarray) -> np.ndarray:
-    """[[m, -1], [1, 0]]: every indifference system is a submatrix of it."""
-    out = np.zeros((len(m) + 1, len(m) + 1))
-    out[:-1, :-1], out[:-1, -1], out[-1, :-1] = m, -1.0, 1.0
-    return out
 
 
 def _solve_stack(systems: np.ndarray) -> np.ndarray:
@@ -103,56 +79,81 @@ def _solve_stack(systems: np.ndarray) -> np.ndarray:
         return out
 
 
+@functools.cache
+def _support_pairs(n: int, size: int) -> tuple:
+    """Index arrays for one size's support pairs in canonical order, each support
+    ending in the border index n: the gather of p's, then q's, systems and the
+    flat scatter of the solutions into (2, pairs, n); read-only, being shared."""
+    supports = np.array([s + (n,) for s in itertools.combinations(range(n), size)])
+    k = len(supports)
+    index = np.stack([np.repeat(supports, k, axis=0), np.tile(supports, (k, 1))])
+    gather = (np.repeat([0, 1], k * k)[:, None, None],
+              index[::-1].reshape(-1, size + 1, 1), index.reshape(-1, 1, size + 1))
+    flat = index[..., :size] + n * np.arange(2 * k * k).reshape(2, -1, 1)
+    for a in (*gather, flat):
+        a.setflags(write=False)
+    return gather, flat
+
+
 def enumerate_nash(game: BimatrixGame, max_actions: int = MAX_ACTIONS) -> NashEnumeration:
     """All Nash equilibria of a nondegenerate game via support enumeration.
 
-    Each support size k is one array pass over its C(n,k)^2 equal-size
-    (row, column) support pairs in canonical order.  Both players' (k+1)x(k+1)
-    indifference systems for all pairs are gathered into one stack and solved
-    together; the column strategy comes from the row player's indifference and
-    vice versa.  Solutions that are valid distributions with no profitable
-    outside deviation are kept.  Interior probabilities below ``EQ_TOL`` are
-    rejected (the same equilibrium is found at the smaller support).  Singular
-    systems and repeated profiles set the degeneracy flag: the set may then be
-    incomplete, so the consumers of the Pareto set refuse it.
+    Each support size k is one array pass over its C(n,k)^2 (row, column)
+    support pairs in canonical order: both players' (k+1)x(k+1) indifference
+    systems are solved as one stack, p from the column player's and q from the
+    row player's.  Valid distributions with no profitable outside deviation are
+    kept; interior probabilities below ``EQ_TOL`` are rejected (the smaller
+    support finds the same equilibrium).  Singular systems and repeated
+    profiles set ``degenerate``: the set may then be incomplete.
+
+    The deviation test is batched too and keeps exactly what ``_deviation_gain``
+    keeps.  For p, q >= 0 summing to 1 + O(nu), u = 2^-53, a length-n dot
+    product in any order errs by at most gamma_n max|A|, gamma_n = nu/(1 - nu)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1).
+    A gain max(A q) - p.(A q) has three such errors plus u|gain| <= 2u max|A|,
+    so two computations of the players' larger gain differ by about at most
+    (3n + 2) 2^-52 (max|A| + max|B|).  The slack, 8 (n + 2) 2^-52 (max|A| +
+    max|B|), is over 2.6 times that, with room for rounding EQ_TOL -+ slack.
+    Gains at most EQ_TOL - slack pass and those above EQ_TOL + slack fail;
+    only the band between and non-finite gains go to ``_deviation_gain``.
     """
     n = game.num_actions
     if n > max_actions:
         raise CapacityError(f"support enumeration capped at N={max_actions}, got N={n}")
-    row_sys, col_sys = _bordered(game.payoff_row), _bordered(game.payoff_col)
+    A, B = game.payoff_row, game.payoff_col
+    # Each system is a submatrix of [[M, -1], [1, 0]]: M = B for p's, A for q's.
+    systems = np.zeros((2, n + 1, n + 1))
+    systems[:, :n, :n], systems[:, :n, n], systems[:, n, :n] = (B, A), -1.0, 1.0
+    slack = 8 * (n + 2) * 2.0**-52 * (np.abs(A).max() + np.abs(B).max())
     result = NashEnumeration(profiles=[])
     seen = set()
     for size in range(1, n + 1):
-        # Supports end in the border index n; row supports repeat, column supports tile.
-        supports = np.array([s + (n,) for s in itertools.combinations(range(n), size)])
-        rows = np.repeat(supports, len(supports), axis=0)
-        cols = np.tile(supports, (len(supports), 1))
-        sol = _solve_stack(np.concatenate([  # p solves the column player's systems, q the row's
-            col_sys[cols[:, :, None], rows[:, None, :]],
-            row_sys[rows[:, :, None], cols[:, None, :]],
-        ])).reshape(2, len(rows), size + 1)
+        gather, flat = _support_pairs(n, size)
+        sol = _solve_stack(systems[gather]).reshape(2, -1, size + 1)
         solved = np.isfinite(sol).all(axis=(0, 2))
         if size > 1 and not solved.all():
             result.degenerate = True
         keep = solved & (sol[..., :size].min(axis=(0, 2)) >= EQ_TOL)
-        pq = np.zeros((2, int(keep.sum()), n))
-        np.put_along_axis(pq, np.stack([rows, cols])[:, keep, :size], sol[:, keep, :size], axis=2)
+        pq = np.zeros((2, len(keep), n))
+        pq.put(flat, sol[..., :size])
+        pq = pq[:, keep]
         pq /= pq.sum(axis=2, keepdims=True)
-        for p_i, q_i in zip(*pq):
-            if _deviation_gain(game, p_i, q_i) > EQ_TOL:
-                continue
-            key = tuple(np.round(np.concatenate([p_i, q_i]), 9))
+        P, Q = pq
+        rv, cv = Q @ A.T, P @ B.T
+        gain = np.maximum(rv.max(1) - (P * rv).sum(1), cv.max(1) - (Q * cv).sum(1))
+        passed = gain <= EQ_TOL - slack
+        for i in (~passed & ~(gain > EQ_TOL + slack)).nonzero()[0]:
+            passed[i] = _deviation_gain(game, P[i], Q[i]) <= EQ_TOL
+        # Python floats hash and compare like the float64 scalars they come from.
+        keys = np.round(np.concatenate([P, Q], axis=1)[passed], 9).tolist()
+        for i, key in zip(passed.nonzero()[0], map(tuple, keys)):
             if key in seen:
                 result.degenerate = True
                 continue
             seen.add(key)
-            # expected_payoff's arithmetic; p_i and q_i are valid by construction.
+            # expected_payoff's arithmetic; P[i] and Q[i] are valid by construction.
             result.profiles.append(EquilibriumProfile(
-                sigma_row=p_i,
-                sigma_col=q_i,
-                value_row=float(p_i @ game.payoff_row @ q_i),
-                value_col=float(q_i @ game.payoff_col @ p_i),
-            ))
+                P[i], Q[i], float(P[i] @ A @ Q[i]), float(Q[i] @ B @ P[i])))
     return result
 
 

@@ -86,8 +86,10 @@ def check_joint(probs, n: int | None = None) -> np.ndarray:
     return z
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a, what: str) -> np.ndarray:
     out = np.array(a, dtype=float)
+    if not np.isfinite(out).all():
+        raise GameError(f"{what} has NaN or infinite entries")
     out.setflags(write=False)
     return out
 
@@ -105,8 +107,8 @@ class BimatrixGame:
     joint_type: tuple[str, str] = ("row", "col")
 
     def __post_init__(self):
-        object.__setattr__(self, "payoff_row", _frozen(self.payoff_row))
-        object.__setattr__(self, "payoff_col", _frozen(self.payoff_col))
+        object.__setattr__(self, "payoff_row", _frozen(self.payoff_row, "row payoff matrix"))
+        object.__setattr__(self, "payoff_col", _frozen(self.payoff_col, "column payoff matrix"))
         a, b = self.payoff_row, self.payoff_col
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise GameError(f"row payoff matrix must be square, got {a.shape}")
@@ -184,13 +186,11 @@ class TypeSpace:
             m = np.asarray(self.payoff_table[t], dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise GameError(f"payoff matrix for type {t!r} must be square")
-            if not np.all(np.isfinite(m)):
-                raise GameError(f"payoff matrix for type {t!r} has NaN or infinite entries")
             if n is None:
                 n = m.shape[0]
             elif m.shape[0] != n:
                 raise GameError("all type matrices must share one action count")
-            table[t] = _frozen(m)
+            table[t] = _frozen(m, f"payoff matrix for type {t!r}")
         object.__setattr__(self, "types", tuple(self.types))
         object.__setattr__(self, "payoff_table", table)
 

@@ -70,6 +70,26 @@ def policy_strategy(policy, own_type: str, history) -> np.ndarray:
     return c / c.sum()
 
 
+BR_TOL = 1e-12
+
+
+def best_response(game, opponent, player: str):
+    """All actions within ``BR_TOL`` of the best payoff against ``opponent``.
+
+    Returns (sorted action list, best value).
+    """
+    q = check_mixed(opponent, game.num_actions)
+    if player == "row":
+        values = game.payoff_row @ q
+    elif player == "col":
+        values = game.payoff_col @ q
+    else:
+        raise GameError(f"player must be 'row' or 'col', got {player!r}")
+    best = float(values.max())
+    actions = [a for a in range(game.num_actions) if values[a] >= best - BR_TOL]
+    return actions, best
+
+
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cooplab import equilibria
 from cooplab.agents import ConventionTable, build_convention_table
 from cooplab.game_core import BimatrixGame, GameError, TypeSpace, expected_payoff
 from cooplab.equilibria import (
@@ -14,13 +15,13 @@ from cooplab.equilibria import (
     EquilibriumProfile,
     NashEnumeration,
     _deviation_gain,
-    best_response,
     enumerate_nash,
     is_nash,
     pareto_optimal_nash,
     worst_pone_payoff,
 )
 from cooplab.harness import fixture_path
+from scalar_agents import best_response
 
 
 def coordination_game():
@@ -320,6 +321,84 @@ def bimatrix_games(draw):
 @given(game=bimatrix_games())
 def test_batched_enumeration_equals_per_support_loop(game):
     assert_same_enumeration(enumerate_nash(game), reference_enumerate_nash(game))
+
+
+# ---------------------------------------------------------------------------
+# The batched deviation test decides every candidate whose batched gain is
+# clear of a rounding band around EQ_TOL; only those inside go to
+# _deviation_gain.
+
+
+@pytest.fixture
+def exact_checks(monkeypatch):
+    """The (p, q) of every candidate that enumerate_nash hands to _deviation_gain."""
+    calls = []
+    exact = equilibria._deviation_gain
+
+    def counted(game, p, q):
+        calls.append((p.copy(), q.copy()))
+        return exact(game, p, q)
+
+    monkeypatch.setattr(equilibria, "_deviation_gain", counted)
+    return calls
+
+
+def test_pure_candidate_a_few_ulps_from_eq_tol_goes_to_the_exact_test(exact_checks):
+    # The candidate (row 0, column 0) gains exactly d by the row player's
+    # switch to 1, in every summation order; every other candidate is clear.
+    d = EQ_TOL
+    for _ in range(4):
+        d = np.nextafter(d, 0.0)
+    for _ in range(9):  # 4 ulps below EQ_TOL to 4 above
+        game = BimatrixGame(payoff_row=[[0.0, 0.0], [d, 1.0]], payoff_col=np.eye(2))
+        exact_checks.clear()
+        result = enumerate_nash(game)
+        assert_same_enumeration(result, reference_enumerate_nash(game))
+        assert [(p.tolist(), q.tolist()) for p, q in exact_checks] == [([1.0, 0.0], [1.0, 0.0])]
+        kept = [p.sigma_row.tolist() for p in result.profiles]
+        assert ([1.0, 0.0] in kept) == (d <= EQ_TOL), d
+        d = np.nextafter(d, 1.0)
+    exact_checks.clear()
+    for d in (EQ_TOL / 2, EQ_TOL * (1 - 1e-3), EQ_TOL * (1 + 1e-3), EQ_TOL * 2):
+        game = BimatrixGame(payoff_row=[[0.0, 0.0], [d, 1.0]], payoff_col=np.eye(2))
+        assert_same_enumeration(enumerate_nash(game), reference_enumerate_nash(game))
+    assert exact_checks == []
+
+
+def games_with_a_gain_at_eq_tol(rng, count):
+    """Random games with a mixed equilibrium whose support leaves out a row
+    action; that action's payoffs are shifted so that leaving for it gains
+    EQ_TOL give or take a few ulps.  The batched and per-candidate sums round
+    that gain differently for some of them, on either side of EQ_TOL."""
+    while count:
+        n = int(rng.integers(3, 6))
+        A, B = rng.random((n, n)), rng.random((n, n))
+        for prof in enumerate_nash(BimatrixGame(payoff_row=A, payoff_col=B)).profiles:
+            unused = np.flatnonzero(prof.sigma_row == 0)
+            if (prof.sigma_row > 0).sum() > 1 and len(unused):
+                values = A @ prof.sigma_col
+                A[unused[0]] += values.max() - values[unused[0]] + EQ_TOL
+                A[unused[0]] += int(rng.integers(-3, 4)) * 2.0**-53
+                yield BimatrixGame(payoff_row=A, payoff_col=B)
+                count -= 1
+                break
+
+
+def test_mixed_candidates_at_eq_tol_keep_the_per_candidate_set(exact_checks):
+    rng = np.random.default_rng(2024)
+    for game in games_with_a_gain_at_eq_tol(rng, 200):
+        exact_checks.clear()
+        assert_same_enumeration(enumerate_nash(game), reference_enumerate_nash(game))
+        assert exact_checks  # the shifted candidate is in the band
+        for p, q in exact_checks:
+            assert abs(_deviation_gain(game, p, q) - EQ_TOL) < 1e-12
+    # Random games: every candidate's gain is near 0 or far above EQ_TOL.
+    exact_checks.clear()
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            game = BimatrixGame(payoff_row=rng.random((n, n)), payoff_col=rng.random((n, n)))
+            assert_same_enumeration(enumerate_nash(game), reference_enumerate_nash(game))
+    assert exact_checks == []
 
 
 def test_batched_enumeration_equals_per_support_loop_on_fixtures():

@@ -21,6 +21,7 @@ from cooplab.game_core import (
     total_variation,
 )
 from cooplab.harness import fixture_path
+from scalar_agents import best_response
 
 
 def coordination_game():
@@ -108,8 +109,6 @@ def test_normalize_game_maps_into_unit_interval():
 
 def test_normalize_game_preserves_best_responses():
     rng = np.random.default_rng(1)
-    from cooplab.equilibria import best_response
-
     for _ in range(30):
         g = BimatrixGame(
             payoff_row=rng.normal(size=(3, 3)) * 10 + 4,
@@ -160,6 +159,17 @@ def test_type_space_format_errors():
             TypeSpace.from_dict(
                 {"num_actions": 2, "types": ["a"], "payoffs": {"a": [1, bad, 0, 1]}}
             )
+
+
+def test_bimatrix_game_rejects_non_finite_payoffs():
+    # Built directly, not from a TypeSpace: a NaN payoff used to reach
+    # enumerate_nash, which then listed non-equilibria with value nan.
+    for bad in (math.nan, math.inf, -math.inf):
+        m = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(GameError, match="row payoff matrix has NaN or infinite"):
+            BimatrixGame(payoff_row=m, payoff_col=np.eye(2))
+        with pytest.raises(GameError, match="column payoff matrix has NaN or infinite"):
+            BimatrixGame(payoff_row=np.eye(2), payoff_col=m)
 
 
 def test_check_history_bounds():
