@@ -17,8 +17,6 @@ from .game_core import (
     expected_payoff,
     history_distribution,
     normalize_game,
-    payoff,
-    total_variation,
 )
 from .equilibria import (
     EquilibriumProfile,
@@ -31,10 +29,8 @@ from .equilibria import (
 )
 from .regret import (
     AzumaThresholds,
-    altruistic_regret,
     azuma_thresholds,
     expected_external_regret,
-    external_regret,
 )
 from .agents import (
     AgentSpec,
@@ -72,7 +68,6 @@ from .imitation_commit import (
     delta_K,
     fit_imitation,
     mixture_from_joint,
-    response_function,
     theorem42_bound,
 )
 from .harness import (

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 PROB_TOL = 1e-12
-PAYOFF_TOL = 1e-9
 
 # Cap on the number of leaves of the N^(2T) history tree that the exact
 # enumerators are willing to walk.
@@ -118,18 +117,6 @@ class BimatrixGame:
     @property
     def num_actions(self) -> int:
         return self.payoff_row.shape[0]
-
-
-def payoff(game: BimatrixGame, a_row: int, a_col: int, player: str) -> float:
-    """Stage payoff of one player at a pure action pair."""
-    n = game.num_actions
-    if not (0 <= a_row < n and 0 <= a_col < n):
-        raise GameError(f"action pair ({a_row}, {a_col}) out of range for N={n}")
-    if player == "row":
-        return float(game.payoff_row[a_row, a_col])
-    if player == "col":
-        return float(game.payoff_col[a_col, a_row])
-    raise GameError(f"player must be 'row' or 'col', got {player!r}")
 
 
 def expected_payoff(sigma_row, sigma_col, game: BimatrixGame, player: str) -> float:
@@ -264,14 +251,6 @@ class TypeSpace:
         except json.JSONDecodeError as exc:
             raise GameFormatError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(data)
-
-
-def check_history(history: Sequence[tuple[int, int]], n: int) -> History:
-    h = tuple((int(a), int(b)) for a, b in history)
-    for t, (a, b) in enumerate(h):
-        if not (0 <= a < n and 0 <= b < n):
-            raise GameError(f"stage {t}: action pair ({a}, {b}) out of range")
-    return h
 
 
 @dataclass
@@ -430,9 +409,3 @@ def history_distribution(
         pass
     return HistoryDistribution(codes, probs, n, T)
 
-
-def total_variation(
-    p: dict[History, float], q: dict[History, float]
-) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

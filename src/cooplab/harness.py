@@ -12,17 +12,17 @@ si-consistency and ic-eval, its datasets included, play theirs through
 ``population.play_episodes``, ic-eval's IC agent built from its spec, and
 ic-eval replays each partner member's first episode of a chunk with
 ``run_episode`` as a spot check.
-Equilibrium and protocol self-play run on numpy kernels that stream their
-draws in cache-sized blocks of episodes or stages, with the same random
-numbers and float sums as drawing the whole run at once, and sample by the
-engine's inverse CDF (``engine.sample_actions``).  In protocol self-play the
-protocol agents play the handshake on the engine, and every episode whose
-regret tripwire fires in the kernel's scan is played again by them from the
-end of the handshake, on the kernel's own uniforms; the kernel settles only
-the episodes that never trip.  The tripwire scan first bounds each episode's
-accumulator from integer counts of the opponent's actions per block of
-stages, with a rounding slack; only the episodes that this bound cannot clear
-are scanned in floats, so every verdict is the float scan's.
+Equilibrium and protocol self-play draw a fixed profile's actions from one
+sampler, ``_iid_actions``, by the engine's inverse CDF
+(``engine.sample_actions``), in cache-sized blocks with the same random
+numbers and float sums as drawing the whole run at once.  In protocol
+self-play the protocol agents play the handshake on the engine, and every
+episode whose regret tripwire fires in the kernel's scan is played again by
+them from the end of the handshake, on the kernel's own uniforms; the kernel
+settles only the episodes that never trip.  The tripwire scan first bounds
+each episode's accumulator from integer counts of the opponent's actions per
+block of stages, with a rounding slack; only the episodes that this bound
+cannot clear are scanned in floats, so every verdict is the float scan's.
 """
 from __future__ import annotations
 
@@ -86,8 +86,7 @@ Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
 
 # The self-play kernels stream their random draws in blocks that stay in
 # cache.  None of these sizes changes a drawn number or a float sum.
-SELFPLAY_CHUNK = 500  # nash-selfplay episodes stepped at a time
-SI_SELFPLAY_CHUNK = 2000  # si-selfplay episodes drawn at a time per joint type
+SELFPLAY_CHUNK = 500  # self-play episodes drawn and stepped at a time
 TRIGGER_BLOCK = 64  # stages per block of the si-selfplay trigger scan
 ROW_BLOCK_CELLS = 1 << 18  # cells per block of rows drawn or summed at a time
 
@@ -292,39 +291,48 @@ def _payoff_sums(m: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _iid_actions(rng: np.random.Generator, p: np.ndarray, q: np.ndarray,
+                 episodes: int, stages: int):
+    """The (episodes, stages) actions of i.i.d. self-play of the fixed mixed
+    profile (``p``, ``q``), yielded as (slice, row actions, column actions)
+    for SELFPLAY_CHUNK episodes at a time.
+
+    Row episode e samples ``p`` by ``_choice`` from draw ``e * stages`` of
+    ``rng`` on, column episode e samples ``q`` from draw
+    ``(episodes + e) * stages`` on, through a copy of ``rng`` advanced past
+    every row draw; ``rng`` ends past every draw.  So no chunk size changes
+    an action.
+    """
+    cuts_p, cuts_q = _choice_cuts(p), _choice_cuts(q)
+    col_rng = copy.deepcopy(rng)
+    col_rng.bit_generator.advance(episodes * stages)
+    for start in range(0, episodes, SELFPLAY_CHUNK):
+        size = min(SELFPLAY_CHUNK, episodes - start)
+        yield (slice(start, start + size), _draw_actions(rng, cuts_p, size, stages),
+               _draw_actions(col_rng, cuts_q, size, stages))
+    rng.bit_generator.state = col_rng.bit_generator.state
+
+
 def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray,
                       episodes: int, T: int, rng: np.random.Generator):
     """Realized and expected external regrets for both players over i.i.d.
-    self-play episodes of a fixed mixed profile.
+    self-play episodes of a fixed mixed profile, whose actions
+    ``_iid_actions`` draws from ``rng``.
 
-    The actions are ``_choice`` of ``rng.random((episodes, T))`` for the row
-    player's ``p``, then the same with ``q`` for the column player, made
-    SELFPLAY_CHUNK episodes at a time: the row draws come from ``rng``, the
-    column draws from a copy of it advanced past every row draw, and ``rng``
-    ends where the two whole-run draws leave it.  The chunks yield action
-    counts and realized payoffs; the counterfactual and expected payoffs are
-    matrix products over all episodes at once, whose rounding BLAS may choose
-    by the number of rows.
+    The chunks yield action counts and realized payoffs; the counterfactual
+    and expected payoffs are matrix products over all episodes at once,
+    whose rounding BLAS may choose by the number of rows.
     """
     n = game.num_actions
-    cuts = {"row": _choice_cuts(p), "col": _choice_cuts(q)}
-    col_rng = copy.deepcopy(rng)
-    col_rng.bit_generator.advance(episodes * T)
-    counts = {player: np.empty((episodes, n)) for player in cuts}
-    realized = {player: np.empty(episodes) for player in cuts}
-    for start in range(0, episodes, SELFPLAY_CHUNK):
-        rows = slice(start, min(start + SELFPLAY_CHUNK, episodes))
-        size = (rows.stop - rows.start, T)
-        acts = {
-            "row": _choice(rng.random(size), cuts["row"]),
-            "col": _choice(col_rng.random(size), cuts["col"]),
-        }
+    counts = {player: np.empty((episodes, n)) for player in ("row", "col")}
+    realized = {player: np.empty(episodes) for player in ("row", "col")}
+    for rows, row_acts, col_acts in _iid_actions(rng, p, q, episodes, T):
+        acts = {"row": row_acts, "col": col_acts}
         for player, other, m in (("row", "col", game.payoff_row), ("col", "row", game.payoff_col)):
             counts[player][rows] = np.stack(
                 [np.count_nonzero(acts[player] == j, axis=1) for j in range(n)], axis=1
             )
             realized[player][rows] = _payoff_sums(m, acts[player], acts[other])
-    rng.bit_generator.state = col_rng.bit_generator.state
     out = {}
     for player, other, sigma, m in (
         ("row", "col", p, game.payoff_row),
@@ -538,11 +546,8 @@ def run_si_selfplay(cfg: ExperimentConfig):
             pure_episodes += len(episode_ids)
             continue
         rng_joint = _rng(cfg.seed, 0x5349, 1 + jt_index)
-        cuts_p, cuts_q = _choice_cuts(p), _choice_cuts(q)
-        for start in range(0, len(episode_ids), SI_SELFPLAY_CHUNK):
-            ids = episode_ids[start : start + SI_SELFPLAY_CHUNK]
-            i_acts = _draw_actions(rng_joint, cuts_p, len(ids), stages)
-            j_acts = _draw_actions(rng_joint, cuts_q, len(ids), stages)
+        for rows, i_acts, j_acts in _iid_actions(rng_joint, p, q, len(episode_ids), stages):
+            ids = episode_ids[rows]
             # The count bound is asked here first only to count the
             # episode-seats it clears; the scan certifies its rows again.
             rows_r = np.flatnonzero(~(_trigger_bound(A, p, j_acts, ha, hexp_r) <= threshold))
@@ -554,12 +559,11 @@ def run_si_selfplay(cfg: ExperimentConfig):
             finish = np.flatnonzero(trips)
             if len(finish):
                 # The agents play these episodes on from the handshake, on
-                # the uniforms the chunk drew for them: the row seat's from
-                # draw (2 * start + row) * stages of the joint's generator,
-                # the column seat's len(ids) rows further on.  Row s of u
-                # holds stage s's row-seat draws, then its column-seat ones.
-                at = np.concatenate([finish, len(ids) + finish])
-                u = _redraw(_rng(cfg.seed, 0x5349, 1 + jt_index), (2 * start + at) * stages, stages)
+                # the uniforms ``_iid_actions`` drew for them from the
+                # joint's generator.  Row s of u holds stage s's row-seat
+                # draws, then its column-seat ones.
+                at = np.concatenate([rows.start + finish, len(episode_ids) + rows.start + finish])
+                u = _redraw(_rng(cfg.seed, 0x5349, 1 + jt_index), at * stages, stages)
                 agents = [seat.take(np.full(len(finish), jt_index)) for seat in seats]
                 record = play_batch(*agents, stages, _Draws(u.reshape(2 * stages, -1)), record=True)
                 i_acts[finish], j_acts[finish] = record[:, 0].T, record[:, 1].T
@@ -989,6 +993,7 @@ _CURVES = {
     "mixture_check": (("N",), "identity_error"),
     "ic_eval": (("K",), "avg_altruistic_regret"),
     "flatten_check": None,
+    "auth_failure": None,
 }
 
 

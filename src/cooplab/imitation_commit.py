@@ -128,9 +128,10 @@ class CommitmentMixture:
     source_joint: np.ndarray
 
     def replies(self) -> list[np.ndarray]:
-        """The partition reply y_P of every component, in component order
-        (see ``response_function``), from one column partition of the
-        source joint.  Columns of one group share their reply array."""
+        """The partition reply y_P of every component, in component order:
+        column probabilities renormalized within each group of columns that
+        share a conditional distribution, whose expected payoff recovers the
+        joint's column payoff.  Columns of one group share their reply array."""
         z = self.source_joint
         marginals = z.sum(axis=0)
         replies = {}
@@ -174,20 +175,6 @@ def _column_partition(z: np.ndarray, tol: float = COMPONENT_TOL) -> list[list[in
         else:
             groups.append([j])
     return groups
-
-
-def response_function(z, component_index: int) -> np.ndarray:
-    """The partition reply y_P for the queried mixture component: column
-    probabilities renormalized within the group of columns sharing that
-    component's conditional distribution.
-
-    This is the test oracle whose expected payoff exactly recovers the joint
-    strategy's payoff for the column player.
-    """
-    replies = mixture_from_joint(z).replies()
-    if not 0 <= component_index < len(replies):
-        raise GameError(f"no mixture component {component_index}")
-    return replies[component_index]
 
 
 class BatchIC(BatchAgent):

@@ -1,8 +1,7 @@
-"""Regret functionals: external, expected-external, altruistic; plus the
-Azuma-Hoeffding threshold helpers used by the protocol agents and the
-verification harness.
+"""Expected external regret of a recorded episode, and the Azuma-Hoeffding
+thresholds of equilibrium self-play that the harness gates on.
 
-The evaluator (not the agents) holds ground-truth types: these functions take
+The evaluator (not the agents) holds ground-truth types: the regret takes
 the assembled joint game, while agents only ever see their own matrix.
 """
 from __future__ import annotations
@@ -12,8 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game_core import BimatrixGame, EpisodeTrace, GameError, History, check_history
-from .equilibria import PoneSet, worst_pone_payoff
+from .game_core import BimatrixGame, EpisodeTrace, GameError, History
 
 
 def _own_opp(history: History, player: str) -> tuple[list[int], list[int]]:
@@ -22,28 +20,6 @@ def _own_opp(history: History, player: str) -> tuple[list[int], list[int]]:
     if player == "col":
         return [b for _, b in history], [a for a, _ in history]
     raise GameError(f"player must be 'row' or 'col', got {player!r}")
-
-
-def _own_matrix(game: BimatrixGame, player: str) -> np.ndarray:
-    return game.payoff_row if player == "row" else game.payoff_col
-
-
-def external_regret(history, game: BimatrixGame, player: str) -> float:
-    """Best fixed action in hindsight minus realized payoffs.
-
-    Nonnegative when the player keeps one action or has a weakly dominant
-    one, but not in general: a best response at every stage can beat every
-    fixed action.  Returns 0 for an empty history.
-    """
-    h = check_history(history, game.num_actions)
-    if not h:
-        return 0.0
-    own, opp = _own_opp(h, player)
-    m = _own_matrix(game, player)
-    opp_counts = np.bincount(opp, minlength=game.num_actions)
-    counterfactual = m @ opp_counts
-    realized = float(m[own, opp].sum())
-    return float(counterfactual.max() - realized)
 
 
 def expected_external_regret(
@@ -67,7 +43,7 @@ def expected_external_regret(
     strategies = (
         trace.row_strategies if player == "row" else trace.col_strategies
     )
-    m = _own_matrix(game, player)
+    m = game.payoff_row if player == "row" else game.payoff_col
     n = game.num_actions
     opp_counts = np.bincount(opp, minlength=n)
     counterfactual = m @ opp_counts
@@ -78,26 +54,6 @@ def expected_external_regret(
             raise GameError(f"stage {r}: missing or malformed announced strategy")
         expected += float(sigma @ m[:, opp[r]])
     return float(counterfactual.max() - expected)
-
-
-def altruistic_regret(
-    history,
-    joint_game: BimatrixGame,
-    partner: str,
-    pone: PoneSet | None = None,
-) -> float:
-    """Partner's total shortfall relative to their worst PONE payoff.
-
-    Reported as a total; may be negative when realized play beats the worst
-    Pareto-optimal equilibrium.  Divide by T for the average form used by the
-    upper-bound checks.
-    """
-    h = check_history(history, joint_game.num_actions)
-    tau = worst_pone_payoff(joint_game, partner, pone=pone)
-    own, opp = _own_opp(h, partner)
-    m = _own_matrix(joint_game, partner)
-    realized = float(m[own, opp].sum()) if h else 0.0
-    return len(h) * tau - realized
 
 
 class AzumaThresholds(NamedTuple):

@@ -10,15 +10,12 @@ from cooplab.game_core import (
     GameError,
     GameFormatError,
     TypeSpace,
-    check_history,
     check_joint,
     check_mixed,
     exact_episode_value,
     expected_payoff,
     history_distribution,
     normalize_game,
-    payoff,
-    total_variation,
 )
 from cooplab.harness import fixture_path
 from scalar_agents import best_response
@@ -61,20 +58,6 @@ def test_check_joint_validation():
         check_joint([[math.nan, 0.0], [0.0, math.nan]])
 
 
-def test_payoff_indexing_both_seats():
-    g = pd_game()
-    # Row defects against a cooperating column player.
-    assert payoff(g, 1, 0, "row") == 3.0
-    assert payoff(g, 1, 0, "col") == 0.0
-    # Column defects against a cooperating row player.
-    assert payoff(g, 0, 1, "col") == 3.0
-    assert payoff(g, 0, 1, "row") == 0.0
-    with pytest.raises(GameError):
-        payoff(g, 2, 0, "row")
-    with pytest.raises(GameError):
-        payoff(g, 0, 0, "north")
-
-
 def test_expected_payoff_matches_enumeration():
     rng = np.random.default_rng(0)
     for _ in range(25):
@@ -84,7 +67,7 @@ def test_expected_payoff_matches_enumeration():
         q = rng.dirichlet(np.ones(n))
         for player in ("row", "col"):
             brute = sum(
-                p[i] * q[j] * payoff(g, i, j, player)
+                p[i] * q[j] * (g.payoff_row[i, j] if player == "row" else g.payoff_col[j, i])
                 for i in range(n)
                 for j in range(n)
             )
@@ -172,13 +155,6 @@ def test_bimatrix_game_rejects_non_finite_payoffs():
             BimatrixGame(payoff_row=np.eye(2), payoff_col=m)
 
 
-def test_check_history_bounds():
-    h = check_history([(0, 1), (1, 0)], 2)
-    assert h == ((0, 1), (1, 0))
-    with pytest.raises(GameError):
-        check_history([(0, 2)], 2)
-
-
 def test_episode_trace_rejects_impossible_samples():
     with pytest.raises(GameError):
         EpisodeTrace(
@@ -227,9 +203,10 @@ def test_history_distribution_sums_to_one_and_tv():
     p = history_distribution(lambda h: [0.4, 0.6], lambda h: [0.5, 0.5], 2, 2)
     assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
     assert p[((0, 0), (0, 0))] == pytest.approx(0.04)
-    assert total_variation(p, p) == 0.0
     q = history_distribution(lambda h: [0.6, 0.4], lambda h: [0.5, 0.5], 2, 2)
-    assert 0.0 < total_variation(p, q) <= 1.0
+    tv = lambda a, b: 0.5 * sum(abs(a.get(h, 0.0) - b.get(h, 0.0)) for h in {*a, *b})
+    assert tv(p, p) == 0.0
+    assert 0.0 < tv(p, q) <= 1.0
 
 
 def test_type_space_rejects_a_type_id_with_the_key_separator():

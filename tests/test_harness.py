@@ -158,28 +158,27 @@ def lower_protocol_thresholds(monkeypatch, by):
 
 
 def si_selfplay_run(cfg):
-    """si-selfplay's per-episode (row, col) average payoffs, its fallback
-    flags and its detail; and per chunk of each joint type's episodes, the
-    joint, the episodes and the uniforms of their convention stages, row
-    seat and column seat (episodes, T - k), drawn as the kernel draws them:
-    the whole chunk's row-seat draws, then its column-seat draws, from the
-    joint's generator."""
+    """si-selfplay's CSV, per-episode (row, col) average payoffs, fallback
+    flags and detail; and per joint type, the joint, its episodes and the
+    uniforms of their convention stages, row seat and column seat
+    (episodes, T - k), drawn whole from the joint's generator: every
+    row-seat draw, then every column-seat draw."""
     results, artifacts = run_experiment(cfg)
-    rows = [line.split(",") for line in artifacts["si_selfplay.csv"].splitlines()[1:]]
+    csv = artifacts["si_selfplay.csv"]
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
     pay = np.array([[float(r[3]), float(r[4])] for r in rows])
     fell = np.array([r[5] == "1" for r in rows])
-    mu = TypeDistribution.uniform(cfg.type_space)
+    mu = cfg.mu or TypeDistribution.uniform(cfg.type_space)
     joint_idx = harness._rng(cfg.seed, 0x5349).choice(
         len(mu.support), size=cfg.episodes, p=np.asarray(mu.weights))
-    chunks = []
+    joints = []
     for jt, joint in enumerate(mu.support):
         ids = np.flatnonzero(joint_idx == jt)
         rng = harness._rng(cfg.seed, 0x5349, 1 + jt)
-        for start in range(0, len(ids), harness.SI_SELFPLAY_CHUNK):
-            chunk = ids[start : start + harness.SI_SELFPLAY_CHUNK]
-            size = (len(chunk), cfg.horizon - cfg.k)
-            chunks.append((joint, chunk, rng.random(size), rng.random(size)))
-    return pay, fell, results[0].detail, chunks
+        size = (len(ids), cfg.horizon - cfg.k)
+        if len(ids):
+            joints.append((joint, ids, rng.random(size), rng.random(size)))
+    return csv, pay, fell, results[0].detail, joints
 
 
 def selfplay_payoffs(ts, table, joint, k, acts_row, acts_col):
@@ -206,24 +205,18 @@ def selfplay_payoffs(ts, table, joint, k, acts_row, acts_col):
     return np.stack([(hexp_r + pay_r) / T, (hexp_c + pay_c) / T], axis=1)
 
 
-@pytest.mark.parametrize("lowered, chunk", [(0.0, None), (8.0, 37)],
-                         ids=["acceptance thresholds", "lowered thresholds, chunks of 37"])
-def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, chunk):
-    # Every episode, replayed or settled by the kernel, has the payoffs and
-    # fallback flag of the two protocol agents played on the engine over the
-    # kernel's uniforms from the first stage.
-    lower_protocol_thresholds(monkeypatch, lowered)
-    if chunk:
-        monkeypatch.setattr(harness, "SI_SELFPLAY_CHUNK", chunk)
-    ts = fixture_type_space("typespace_4.json")
+def si_selfplay_on_the_engine(cfg):
+    """Run si-selfplay and check that every episode, replayed or settled by
+    the kernel, has the payoffs and fallback flag of the two protocol agents
+    played on the engine over the joint's whole-run uniforms from the first
+    stage; return its CSV, fallback flags, detail and first fallback
+    stage."""
+    ts, k, T = cfg.type_space, cfg.k, cfg.horizon
     table = build_convention_table(ts)
-    k, T = 2, 60
-    cfg = ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=T, delta=0.9, k=k,
-                           seed=5, type_space=ts)
-    pay, fell, detail, chunks = si_selfplay_run(cfg)
+    csv, pay, fell, detail, joints = si_selfplay_run(cfg)
     spec = AgentSpec("Protocol", {"eps1": theorem26_params(cfg.delta, T, k, 2).eps1, "k": k})
     first = T
-    for joint, ids, u_row, u_col in chunks:
+    for joint, ids, u_row, u_col in joints:
         E = len(ids)
         u = np.zeros((T, 2, E))  # handshake stages are pure: any uniform samples them
         u[k:, 0], u[k:, 1] = u_row.T, u_col.T
@@ -235,12 +228,41 @@ def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, 
         stages = np.stack([seat.fallback_stage for seat in seats])
         assert np.array_equal(fell[ids], (stages >= 0).any(axis=0))
         first = min([first, *stages[stages >= 0].tolist()])
+    return csv, fell, detail, first
+
+
+@pytest.mark.parametrize("lowered, chunk", [(0.0, None), (8.0, 37)],
+                         ids=["acceptance thresholds", "lowered thresholds, chunks of 37"])
+def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, chunk):
+    lower_protocol_thresholds(monkeypatch, lowered)
+    if chunk:
+        monkeypatch.setattr(harness, "SELFPLAY_CHUNK", chunk)
+    cfg = ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=60, delta=0.9, k=2,
+                           seed=5, type_space=fixture_type_space("typespace_4.json"))
+    _, fell, detail, first = si_selfplay_on_the_engine(cfg)
     replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
     assert replayed > (100 if lowered else 0)
     # Every replayed episode tripped in a seat that the count bound could not
     # clear, so the exact scan saw it.
     assert int(detail.split(", scanned ")[1].split(",")[0]) >= replayed
     assert detail.endswith(f"fallbacks {fell.sum()}, first at stage {first}")
+
+
+def test_si_selfplay_csv_is_independent_of_the_chunk_size(monkeypatch):
+    # About 2 160 episodes of one mixed-convention joint type, more than 2 000,
+    # and 240 of another.  The lowered tripwire fires in many, so replays
+    # start in every chunk; each run must equal the agents on the engine.
+    lower_protocol_thresholds(monkeypatch, 8.0)
+    mu = TypeDistribution(support=[("alpha", "delta"), ("delta", "beta")], weights=[0.9, 0.1])
+    cfg = ExperimentConfig(kind="si-selfplay", episodes=2400, horizon=30, delta=0.9, k=2,
+                           seed=11, type_space=fixture_type_space("typespace_4.json"), mu=mu)
+    csvs = []
+    for chunk in (37, 500, 10**6):
+        monkeypatch.setattr(harness, "SELFPLAY_CHUNK", chunk)
+        csv, _, detail, _ = si_selfplay_on_the_engine(cfg)
+        assert int(detail.split("replayed by the agents ")[1].split(",")[0]) > 100
+        csvs.append(csv)
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_triggered_episode_replay_matches_scalar_protocol_agents(monkeypatch):
@@ -253,10 +275,10 @@ def test_triggered_episode_replay_matches_scalar_protocol_agents(monkeypatch):
     k, T = 2, 60
     cfg = ExperimentConfig(kind="si-selfplay", episodes=600, horizon=T, delta=0.9, k=k,
                            seed=3, type_space=ts)
-    pay, fell, _, chunks = si_selfplay_run(cfg)
+    _, pay, fell, _, joints = si_selfplay_run(cfg)
     eps1 = theorem26_params(cfg.delta, T, k, 2).eps1
     checked = 0
-    for joint, ids, u_row, u_col in chunks:
+    for joint, ids, u_row, u_col in joints:
         for e, ur, uc in zip(ids.tolist(), u_row, u_col):
             if not fell[e]:
                 continue
@@ -442,9 +464,8 @@ def test_emit_curves_aggregates_groups(tmp_path):
         emit_curves(str(empty))
 
 
-def test_every_artifact_value_parses_as_float(ts2):
-    # Cells that are not labels must be plain numbers: a numpy scalar repr
-    # such as "np.float64(0.5)" makes emit-curves skip the whole file.
+def small_artifacts(ts2):
+    """The artifacts of every experiment kind at a tiny config."""
     ts4 = fixture_type_space("typespace_4.json")
     small = {
         "mw-regret": dict(episodes=6, horizon=20, num_actions=3),
@@ -458,17 +479,31 @@ def test_every_artifact_value_parses_as_float(ts2):
                         extra={"K_values": [10, 20], "eval_episodes": 5}),
     }
     assert set(small) == set(EXPERIMENT_KINDS)
+    artifacts = {}
+    for kind, kw in small.items():
+        artifacts.update(run_experiment(ExperimentConfig(kind=kind, seed=4, **kw))[1])
+    return artifacts
+
+
+def test_every_artifact_value_parses_as_float(ts2):
+    # Cells that are not labels must be plain numbers: a numpy scalar repr
+    # such as "np.float64(0.5)" makes emit-curves skip the whole file.
     labels = {"adversary", "player", "theta1", "theta2", "theta_protocol",
               "theta_adversary", "history"}
-    for kind, kw in small.items():
-        _, artifacts = run_experiment(ExperimentConfig(kind=kind, seed=4, **kw))
-        for name, text in artifacts.items():
-            header, *rows = [line.split(",") for line in text.splitlines()]
-            assert rows, name
-            for row in rows:
-                for column, cell in zip(header, row):
-                    if column not in labels:
-                        float(cell)
+    for name, text in small_artifacts(ts2).items():
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        assert rows, name
+        for row in rows:
+            for column, cell in zip(header, row):
+                if column not in labels:
+                    float(cell)
+
+
+def test_every_artifact_has_a_curve_entry(ts2):
+    # Without one, emit-curves averages the last column by the first: for
+    # auth_failure.csv, the printed formula by N, over both k and all M.
+    for name in small_artifacts(ts2):
+        assert name[:-4].rstrip("0123456789") in harness._CURVES, name
 
 
 def _rng(seed, *tags):
@@ -644,10 +679,12 @@ def test_emit_curves_use_each_artifacts_columns(tmp_path, ts2):
         "si-selfplay": dict(episodes=20, horizon=40, k=2, type_space=ts4),
         "flatten-check": dict(episodes=1),
         "mixture-check": dict(episodes=4),
+        "auth-failure": dict(episodes=50),
     }.items():
         run_experiment(ExperimentConfig(kind=kind, seed=4, out_dir=str(tmp_path), **kw))
     emitted = emit_curves(str(tmp_path))
     assert "flatten_check_curve.tsv" not in emitted
+    assert "auth_failure_curve.tsv" not in emitted
     assert emitted["si_selfplay_curve.tsv"].startswith("theta1,theta2\tmean_avg_payoff_row\t")
     assert emitted["mixture_check_curve.tsv"].startswith("N\tmean_identity_error\t")
 

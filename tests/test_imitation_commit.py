@@ -17,7 +17,6 @@ from cooplab.imitation_commit import (
     delta_K,
     fit_imitation,
     mixture_from_joint,
-    response_function,
     theorem42_bound,
 )
 from cooplab.harness import fixture_path
@@ -224,14 +223,10 @@ def test_response_function_partition_grouping():
     # Columns 0 and 1 share the conditional (0.5, 0.5); the reply mixes them
     # proportionally to their marginals regardless of which is queried.
     z = np.array([[0.2, 0.1, 0.0], [0.2, 0.1, 0.0], [0.0, 0.0, 0.4]])
-    y0 = response_function(z, 0)
-    y1 = response_function(z, 1)
+    y0, y1, y2 = mixture_from_joint(z).replies()
     assert y0 == pytest.approx([2 / 3, 1 / 3, 0.0])
     assert y1 == pytest.approx(y0)
-    y2 = response_function(z, 2)
     assert y2 == pytest.approx([0.0, 0.0, 1.0])
-    with pytest.raises(GameError):
-        response_function(z, 3)
 
 
 @st.composite
@@ -283,8 +278,7 @@ def test_response_function_payoff_identity_random(case):
     direct = sum(z[i, j] * B[j, i] for i in range(n) for j in range(n))
     mix = mixture_from_joint(z)
     via_mixture = sum(
-        w * float(response_function(z, c) @ B @ x)
-        for c, (x, w) in enumerate(mix.components)
+        w * float(y @ B @ x) for (x, w), y in zip(mix.components, mix.replies(), strict=True)
     )
     assert via_mixture == pytest.approx(direct, abs=1e-9 * (1.0 + np.abs(B).max()))
 

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cooplab.game_core import BimatrixGame, EpisodeTrace, GameError
-from cooplab.regret import (
-    altruistic_regret,
-    azuma_thresholds,
-    expected_external_regret,
-    external_regret,
-)
+from cooplab.regret import azuma_thresholds, expected_external_regret
 
 
 def pd_game():
@@ -39,19 +34,24 @@ def make_trace(history, row_strategies=None, col_strategies=None, n=2):
     )
 
 
+# A trace whose announcements are its sampled actions has an expected
+# external regret equal to the realized one: the best fixed action in
+# hindsight minus the realized payoffs.
+
+
 def test_external_regret_mutual_cooperation():
     # Ten rounds of (C, C): defecting every round would have paid 30 vs 20.
     g = pd_game()
-    h = [(0, 0)] * 10
-    assert external_regret(h, g, "row") == pytest.approx(10.0)
-    assert external_regret(h, g, "col") == pytest.approx(10.0)
+    trace = make_trace([(0, 0)] * 10)
+    assert expected_external_regret(trace, g, "row") == pytest.approx(10.0)
+    assert expected_external_regret(trace, g, "col") == pytest.approx(10.0)
 
 
 def test_external_regret_zero_cases():
     g = pd_game()
-    assert external_regret([], g, "row") == 0.0
+    assert expected_external_regret(make_trace([]), g, "row") == 0.0
     # All-defection is the best response to itself.
-    assert external_regret([(1, 1)] * 7, g, "row") == pytest.approx(0.0)
+    assert expected_external_regret(make_trace([(1, 1)] * 7), g, "row") == pytest.approx(0.0)
 
 
 @st.composite
@@ -96,29 +96,35 @@ def test_external_regret_is_nonnegative_on_random_histories(case):
     dominated[best] = m.max(axis=0)
     tol = 1e-12 * (1 + len(history)) * (1 + np.abs(m).max())
     first = history[0] if history else (0, 0)
+    n = len(m)
     for player in ("row", "col"):
-        assert external_regret(history, BimatrixGame(dominated, dominated), player) >= -tol
+        trace = make_trace(history, n=n)
+        assert expected_external_regret(trace, BimatrixGame(dominated, dominated), player) >= -tol
         kept = [(first[0], b) if player == "row" else (a, first[1]) for a, b in history]
-        assert external_regret(kept, BimatrixGame(m, m), player) >= -tol
+        assert expected_external_regret(make_trace(kept, n=n), BimatrixGame(m, m), player) >= -tol
 
 
 def test_external_regret_is_negative_when_every_stage_is_a_best_response():
     g = BimatrixGame(payoff_row=np.eye(2), payoff_col=np.eye(2))
-    assert external_regret([(0, 0), (1, 1)], g, "row") == -1.0
+    assert expected_external_regret(make_trace([(0, 0), (1, 1)]), g, "row") == -1.0
 
 
 def test_external_regret_brute_force_agreement():
+    # Best fixed action in hindsight minus the announced strategies' expected
+    # payoffs against the sampled column actions.
     rng = np.random.default_rng(13)
     for _ in range(50):
         n = int(rng.integers(2, 4))
         g = BimatrixGame(payoff_row=rng.random((n, n)), payoff_col=rng.random((n, n)))
         T = int(rng.integers(1, 20))
         h = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(T)]
+        sigmas = [rng.dirichlet(np.ones(n)) for _ in range(T)]
         best = max(
             sum(g.payoff_row[a, b] for _, b in h) for a in range(n)
         )
-        realized = sum(g.payoff_row[a, b] for a, b in h)
-        assert external_regret(h, g, "row") == pytest.approx(best - realized, abs=1e-12)
+        expected = sum(sigma @ g.payoff_row[:, b] for sigma, (_, b) in zip(sigmas, h))
+        trace = make_trace(h, row_strategies=sigmas, n=n)
+        assert expected_external_regret(trace, g, "row") == pytest.approx(best - expected, abs=1e-12)
 
 
 def test_expected_external_regret_uniform_row():
@@ -130,10 +136,9 @@ def test_expected_external_regret_uniform_row():
     trace = make_trace(h, row_strategies=uniform)
     assert expected_external_regret(trace, g, "row") == pytest.approx(5.0)
     # Degenerate announcements recover realized regret.
-    trace2 = make_trace(h)
-    assert expected_external_regret(trace2, g, "row") == pytest.approx(
-        external_regret(h, g, "row")
-    )
+    best = max(sum(g.payoff_row[a, b] for _, b in h) for a in range(2))
+    realized = sum(g.payoff_row[a, b] for a, b in h)
+    assert expected_external_regret(make_trace(h), g, "row") == pytest.approx(best - realized)
 
 
 def test_expected_external_regret_prefix_and_errors():
@@ -151,27 +156,10 @@ def test_regret_invariance_under_constant_shift():
     g1 = BimatrixGame(payoff_row=base, payoff_col=base)
     g2 = BimatrixGame(payoff_row=base + 7.5, payoff_col=base + 7.5)
     h = [(int(rng.integers(2)), int(rng.integers(2))) for _ in range(30)]
-    assert external_regret(h, g1, "row") == pytest.approx(
-        external_regret(h, g2, "row"), abs=1e-9
+    trace = make_trace(h, row_strategies=[rng.dirichlet(np.ones(2)) for _ in h])
+    assert expected_external_regret(trace, g1, "row") == pytest.approx(
+        expected_external_regret(trace, g2, "row"), abs=1e-9
     )
-
-
-def test_altruistic_regret_examples():
-    # PD equilibrium payoff floor is 1 per stage for either player.
-    g = pd_game()
-    assert altruistic_regret([(1, 1)] * 10, g, "col") == pytest.approx(0.0)
-    # Sustained cooperation pays the partner 2/stage: regret -10.
-    assert altruistic_regret([(0, 0)] * 10, g, "col") == pytest.approx(-10.0)
-    # Row defects against a cooperating partner who earns 0/stage: regret +10.
-    assert altruistic_regret([(1, 0)] * 10, g, "col") == pytest.approx(10.0)
-    assert altruistic_regret([], g, "col") == pytest.approx(0.0)
-
-
-def test_altruistic_regret_scales_with_horizon():
-    g = pd_game()
-    r5 = altruistic_regret([(1, 0)] * 5, g, "col")
-    r10 = altruistic_regret([(1, 0)] * 10, g, "col")
-    assert r10 == pytest.approx(2 * r5)
 
 
 def test_azuma_thresholds_frozen_values():
@@ -196,12 +184,9 @@ def test_azuma_thresholds_monotone_in_delta_and_T():
 def test_regret_functionals_of_one_trace():
     g = pd_game()
     trace = make_trace([(0, 0)] * 4)
-    assert external_regret(trace.history, g, "row") == pytest.approx(4.0)
-    assert external_regret(trace.history, g, "col") == pytest.approx(4.0)
     # Degenerate announcements: expected regret is the realized one.
     assert expected_external_regret(trace, g, "row") == pytest.approx(4.0)
     assert expected_external_regret(trace, g, "col") == pytest.approx(4.0)
-    assert altruistic_regret(trace.history, g, "col") == pytest.approx(-4.0)
 
 
 def test_expected_external_regret_of_a_prefix_is_that_of_the_shorter_trace():

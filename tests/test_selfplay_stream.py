@@ -376,10 +376,9 @@ def test_selfplay_regrets_over_chunks_of_the_default_size():
 def test_si_selfplay_csv_is_independent_of_block_sizes():
     cfg = dict(kind="si-selfplay", episodes=400, horizon=90, delta=0.9, k=2, seed=5,
                type_space=fixture_type_space("typespace_4.json"))
-    with mock.patch.object(harness, "SI_SELFPLAY_CHUNK", 37):
-        _, want = run_experiment(ExperimentConfig(**cfg))
-        with mock.patch.multiple(harness, TRIGGER_BLOCK=5, ROW_BLOCK_CELLS=100):
-            _, got = run_experiment(ExperimentConfig(**cfg))
+    _, want = run_experiment(ExperimentConfig(**cfg))
+    with mock.patch.multiple(harness, SELFPLAY_CHUNK=7, TRIGGER_BLOCK=5, ROW_BLOCK_CELLS=100):
+        _, got = run_experiment(ExperimentConfig(**cfg))
     assert got == want
 
 
