@@ -65,9 +65,9 @@ def mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 def _draws(keys: np.ndarray, start: int, count: int, scratch=None) -> np.ndarray:
     """Draws ``start`` to ``start + count - 1`` of the streams with uint64
-    ``keys`` (E,), as a (count, E) uint64 array."""
+    ``keys`` (E,), as a (count, E) uint64 array, or (count,) for one key."""
     steps = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    z = np.add(steps[:, None], keys)
+    z = np.add.outer(steps, np.asarray(keys, dtype=np.uint64))
     return mix64_inplace(z, np.empty_like(z) if scratch is None else scratch)
 
 
@@ -139,6 +139,25 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
             raise GameError("announced strategy has no action of positive probability")
         actions[below] = (positive * np.arange(n)).max(axis=1)
     return actions
+
+
+def _choice_cuts(p: np.ndarray) -> np.ndarray:
+    """The cuts of ``sample_actions`` for the strategy ``p`` on raw draws: a
+    uniform ``(z >> 11) * 2**-53`` reaches a running sum c < 1 of ``max(p,
+    0)`` iff ``z >= ceil(c * 2**53) * 2**11``, and none reaches c >= 1.  The
+    sums stop before the last positive action, so a draw above them all
+    takes it, as the engine's guard does."""
+    cdf = np.maximum(p, 0.0).cumsum()[: np.flatnonzero(p > 0.0)[-1]]
+    return np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
+def _choice(z: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The actions ``sample_actions`` samples from the raw draws ``z`` for
+    the strategy of ``cuts``: the number of cuts at or below each draw."""
+    acts = np.zeros(z.shape, np.min_scalar_type(len(cuts)))
+    for c in cuts:
+        acts += z >= c
+    return acts
 
 
 # Reductions over the short action axis, one numpy call per action: faster

@@ -7,26 +7,28 @@ gives each ``VerificationResult`` its statistic, bound, confidence radius and
 rounding tolerance; the result derives its verdict from them by one rule
 (``VerificationResult.passed``).
 
-mw-regret plays its runs as one batch on the batched engine (``engine.py``);
+Every draw is a draw of the engine's counter-based streams (``engine.py``),
+keyed by ``_keys`` from the run's seed and a tag of ``STREAM_TAGS``, and
+every categorical draw is the engine's inverse CDF (``engine._choice``).
+mw-regret plays its runs as one batch on the batched engine;
 si-consistency and ic-eval, its datasets included, play theirs through
 ``population.play_episodes``, ic-eval's IC agent built from its spec, and
 ic-eval replays each partner member's first episode of a chunk with
 ``run_episode`` as a spot check.
 Equilibrium and protocol self-play draw a fixed profile's actions from one
-sampler, ``_iid_actions``, by the engine's inverse CDF
-(``engine.sample_actions``), in cache-sized blocks with the same random
-numbers and float sums as drawing the whole run at once.  In protocol
-self-play the protocol agents play the handshake on the engine, and every
-episode whose regret tripwire fires in the kernel's scan is played again by
-them from the end of the handshake, on the kernel's own uniforms; the kernel
-settles only the episodes that never trip.  The tripwire scan first bounds
-each episode's accumulator from integer counts of the opponent's actions per
-block of stages, with a rounding slack; only the episodes that this bound
-cannot clear are scanned in floats, so every verdict is the float scan's.
+sampler, ``_iid_actions``, that reads each episode's own stream as the
+engine does, in cache-sized blocks, so an episode is the one
+``play_episodes`` plays on its seed.  In protocol self-play the protocol
+agents play the handshake on the engine, and every episode whose regret
+tripwire fires in the kernel's scan is played again, whole, by
+``play_episodes``; the kernel settles only the episodes that never trip.
+The tripwire scan first bounds each episode's accumulator from integer
+counts of the opponent's actions per block of stages, with a rounding
+slack; only the episodes that this bound cannot clear are scanned in
+floats, so every verdict is the float scan's.
 """
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -56,11 +58,18 @@ from .agents import (
     tree_act_fn,
 )
 from .engine import (
+    _UNIT,
+    GAMMA,
     BatchAdaptive,
     BatchFixedSequence,
     BatchGroups,
     BatchMW,
+    EpisodeStreams,
     RegretKernel,
+    _choice,
+    _choice_cuts,
+    _draws,
+    mix64_inplace,
     play_batch,
 )
 from .population import (
@@ -88,7 +97,21 @@ Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
 # cache.  None of these sizes changes a drawn number or a float sum.
 SELFPLAY_CHUNK = 500  # self-play episodes drawn and stepped at a time
 TRIGGER_BLOCK = 64  # stages per block of the si-selfplay trigger scan
-ROW_BLOCK_CELLS = 1 << 18  # cells per block of rows drawn or summed at a time
+ROW_BLOCK_CELLS = 1 << 16  # cells per block of rows drawn or summed at a time
+
+# The tags of ``_keys``.  The episodes of si-consistency and ic-eval keep
+# their keys, of the indices 0x434F0000 + r and 0x45560000 + e.
+STREAM_TAGS = {
+    "mw-regret runs": 0x6D77,
+    "nash-selfplay episodes": 0x4E45,
+    "si-selfplay joint types": 0x5349,
+    "si-selfplay episodes": 0x5345,
+    "si-consistency joint types": 0x434F,
+    "auth-failure handshakes": 0x4155,
+    "mixture-check cases": 0x4D58,
+    "ic-eval dataset seeds": 0x4943,
+    "ic-eval types and partners": 0x4556,
+}
 
 def fixture_path(name: str):
     return resources.files("cooplab") / "fixtures" / name
@@ -195,8 +218,11 @@ def _csv(header: str, *columns) -> str:
     return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
-def _rng(cfg_seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(cfg_seed), *tags]))
+def _keys(seed: int, tag: str, count: int = 1) -> np.ndarray:
+    """The keys of streams 0 to ``count - 1`` of ``tag``, the episode seeds of
+    the indices ``STREAM_TAGS[tag] * 2**32 + i``: no two tags share one."""
+    indices = np.uint64(STREAM_TAGS[tag] << 32) + np.arange(count, dtype=np.uint64)
+    return derive_episode_seeds(seed, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +235,15 @@ def run_mw_regret(cfg: ExperimentConfig):
     n = cfg.num_actions
     T = cfg.horizon
     bound = math.sqrt((T / 2.0) * math.log(n))
-    # Run r faces kind r mod 5.  Its generator draws its matrix, then the scripted
+    # Run r faces kind r mod 5.  Its stream draws its matrix, then the scripted
     # kinds' actions (random: T, constant: one); alternating plays 0, ..., n - 1.
     E, kinds = cfg.episodes, len(MW_ADVERSARIES)
     runs = [np.arange(i, E, kinds) for i in range(kinds)]
-    scripts = [np.empty((len(index), size), np.min_scalar_type(n - 1))
-               for index, size in zip(runs, (0, 0, T, 1, n))]
-    scripts[4][:] = np.arange(n)
-    A = np.empty((E, n, n))
-    for r in range(E):
-        rng = _rng(cfg.seed, 0x6D77, n, r)
-        A[r] = rng.random((n, n))
-        if MW_ADVERSARIES[r % kinds] in ("random", "constant"):
-            script = scripts[r % kinds]
-            script[r // kinds] = rng.integers(0, n, size=script.shape[1])
+    keys = _keys(cfg.seed, "mw-regret runs", E)
+    A = ((_draws(keys, 0, n * n) >> np.uint64(11)) * _UNIT).T.reshape(E, n, n)
+    scripts = [_choice(_draws(keys[index], n * n, size).T, _choice_cuts(np.full(n, 1 / n)))
+               for index, size in zip(runs, (0, 0, T, 1, 0))]
+    scripts[4] = np.tile(np.arange(n), (len(runs[4]), 1))
     adversaries = BatchGroups([
         (index, BatchAdaptive(kind, A[index]) if kind in BatchAdaptive.KINDS
          else BatchFixedSequence(script, n))
@@ -242,37 +263,20 @@ def run_mw_regret(cfg: ExperimentConfig):
 # Equilibrium self-play concentration (vectorized i.i.d. sampling)
 
 
-def _choice_cuts(p: np.ndarray) -> np.ndarray:
-    """The cut points of ``engine.sample_actions`` for the strategy ``p``:
-    the running sums of ``max(p, 0)``, left to right, before its last
-    positive action.  A draw at or above the total so takes that action, as
-    the engine's guard does, whatever the total."""
-    cdf = np.maximum(p, 0.0).cumsum()
-    return cdf[: np.flatnonzero(p > 0.0)[-1]]
-
-
-def _choice(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The actions ``engine.sample_actions`` samples from the uniforms ``u``
-    for the strategy of ``cuts``: the number of cuts at or below each
-    draw."""
-    acts = np.zeros(u.shape, np.min_scalar_type(len(cuts)))
-    for c in cuts:
-        acts += u >= c
-    return acts
-
-
 def _row_blocks(rows: int, cols: int):
     """Slices of at most about ROW_BLOCK_CELLS cells of a (rows, cols) array."""
     step = max(1, ROW_BLOCK_CELLS // max(cols, 1))
     return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 
-def _draw_actions(rng: np.random.Generator, cuts: np.ndarray, rows: int, cols: int):
-    """``_choice(rng.random((rows, cols)), cuts)``, drawn a block of rows at
-    a time."""
-    acts = np.empty((rows, cols), np.min_scalar_type(len(cuts)))
-    for block in _row_blocks(rows, cols):
-        acts[block] = _choice(rng.random((block.stop - block.start, cols)), cuts)
+def _draw_actions(keys: np.ndarray, cuts: np.ndarray, draw: int, stages: int) -> np.ndarray:
+    """``_choice`` of draws ``draw``, ``draw + 2``, ... of the streams with
+    ``keys``: (E, stages) actions, drawn a block of rows at a time."""
+    steps = np.arange(draw + 1, draw + 2 * stages + 1, 2, dtype=np.uint64) * np.uint64(GAMMA)
+    acts = np.empty((len(keys), stages), np.min_scalar_type(len(cuts)))
+    for block in _row_blocks(len(keys), stages):
+        z = keys[block, None] + steps
+        acts[block] = _choice(mix64_inplace(z, np.empty_like(z)), cuts)
     return acts
 
 
@@ -291,42 +295,33 @@ def _payoff_sums(m: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iid_actions(rng: np.random.Generator, p: np.ndarray, q: np.ndarray,
-                 episodes: int, stages: int):
-    """The (episodes, stages) actions of i.i.d. self-play of the fixed mixed
-    profile (``p``, ``q``), yielded as (slice, row actions, column actions)
-    for SELFPLAY_CHUNK episodes at a time.
-
-    Row episode e samples ``p`` by ``_choice`` from draw ``e * stages`` of
-    ``rng`` on, column episode e samples ``q`` from draw
-    ``(episodes + e) * stages`` on, through a copy of ``rng`` advanced past
-    every row draw; ``rng`` ends past every draw.  So no chunk size changes
-    an action.
-    """
+def _iid_actions(keys: np.ndarray, p: np.ndarray, q: np.ndarray, first: int, stages: int):
+    """The actions of stages ``first`` to ``first + stages - 1`` of i.i.d.
+    self-play of the fixed mixed profile (``p``, ``q``) in the episodes whose
+    streams have ``keys``, yielded as (slice, row actions, column actions)
+    for SELFPLAY_CHUNK episodes at a time.  As in the engine, stage t's row
+    action samples ``p`` from draw 2 + 2t of its episode's stream and its
+    column action ``q`` from draw 3 + 2t."""
     cuts_p, cuts_q = _choice_cuts(p), _choice_cuts(q)
-    col_rng = copy.deepcopy(rng)
-    col_rng.bit_generator.advance(episodes * stages)
-    for start in range(0, episodes, SELFPLAY_CHUNK):
-        size = min(SELFPLAY_CHUNK, episodes - start)
-        yield (slice(start, start + size), _draw_actions(rng, cuts_p, size, stages),
-               _draw_actions(col_rng, cuts_q, size, stages))
-    rng.bit_generator.state = col_rng.bit_generator.state
+    for start in range(0, len(keys), SELFPLAY_CHUNK):
+        rows = slice(start, min(start + SELFPLAY_CHUNK, len(keys)))
+        yield (rows, _draw_actions(keys[rows], cuts_p, 2 + 2 * first, stages),
+               _draw_actions(keys[rows], cuts_q, 3 + 2 * first, stages))
 
 
-def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray,
-                      episodes: int, T: int, rng: np.random.Generator):
+def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray, keys: np.ndarray, T: int):
     """Realized and expected external regrets for both players over i.i.d.
     self-play episodes of a fixed mixed profile, whose actions
-    ``_iid_actions`` draws from ``rng``.
+    ``_iid_actions`` draws from the episode streams with ``keys``.
 
     The chunks yield action counts and realized payoffs; the counterfactual
     and expected payoffs are matrix products over all episodes at once,
     whose rounding BLAS may choose by the number of rows.
     """
-    n = game.num_actions
+    n, episodes = game.num_actions, len(keys)
     counts = {player: np.empty((episodes, n)) for player in ("row", "col")}
     realized = {player: np.empty(episodes) for player in ("row", "col")}
-    for rows, row_acts, col_acts in _iid_actions(rng, p, q, episodes, T):
+    for rows, row_acts, col_acts in _iid_actions(keys, p, q, 0, T):
         acts = {"row": row_acts, "col": col_acts}
         for player, other, m in (("row", "col", game.payoff_row), ("col", "row", game.payoff_col)):
             counts[player][rows] = np.stack(
@@ -358,7 +353,7 @@ def run_nash_selfplay(cfg: ExperimentConfig):
     p, q = check_mixed(profile[0], n), check_mixed(profile[1], n)
     T, delta = cfg.horizon, cfg.delta
     thresholds = azuma_thresholds(T, delta)
-    regs = _selfplay_regrets(game, p, q, cfg.episodes, T, _rng(cfg.seed, 0x4E45))
+    regs = _selfplay_regrets(game, p, q, _keys(cfg.seed, "nash-selfplay episodes", cfg.episodes), T)
     results = []
     for player in ("row", "col"):
         realized, expected = regs[player]
@@ -378,29 +373,6 @@ def run_nash_selfplay(cfg: ExperimentConfig):
 
 # ---------------------------------------------------------------------------
 # Protocol self-play (compatibility: convention payoffs reached w.h.p.)
-
-
-class _Draws:
-    """Uniforms given in advance, handed out as ``EpisodeStreams.uniforms``
-    hands out its streams' draws: ``u`` is (draws, E)."""
-
-    def __init__(self, u: np.ndarray):
-        self._u, self._pos = u, 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        self._pos += count
-        return self._u[self._pos - count : self._pos]
-
-
-def _redraw(rng: np.random.Generator, starts: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` uniforms the fresh generator ``rng`` draws from each of
-    the increasing draw numbers ``starts`` on, a column each."""
-    out, pos = np.empty((count, len(starts))), 0
-    for column, start in enumerate(starts.tolist()):
-        rng.bit_generator.advance(start - pos)
-        out[:, column] = rng.random(count)
-        pos = start + count
-    return out
 
 
 def _trigger_bound(
@@ -503,20 +475,21 @@ def run_si_selfplay(cfg: ExperimentConfig):
     ct = build_convention_table(ts)
     mu = cfg.mu or TypeDistribution.uniform(ts)
     mu.validate_types(ts)
-    draws = _rng(cfg.seed, 0x5349)
-    joint_idx = draws.choice(len(mu.support), size=cfg.episodes, p=np.asarray(mu.weights))
+    joint_idx = _choice(_draws(_keys(cfg.seed, "si-selfplay joint types")[0], 0, cfg.episodes),
+                        _choice_cuts(np.asarray(mu.weights)))
+    keys = _keys(cfg.seed, "si-selfplay episodes", cfg.episodes)
 
     avg_pay_row = np.zeros(cfg.episodes)
     avg_pay_col = np.zeros(cfg.episodes)
     fallback = np.zeros(cfg.episodes, dtype=bool)
 
     # The protocol agents of both seats, row j for joint type j, play the
-    # pure handshake (any uniform samples it); their regret kernels then hold
+    # pure handshake (any stream samples it); their regret kernels then hold
     # its counterfactual and realized payoffs.
     spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
     seats = [build_agents(spec, ts, T, seat, [joint[s] for joint in mu.support],
                           [0] * len(mu.support), ct) for s, seat in enumerate(("row", "col"))]
-    play_batch(*seats, k, _Draws(np.zeros((2 * k, len(mu.support)))))
+    play_batch(*seats, k, EpisodeStreams(np.zeros(len(mu.support), np.uint64)))
 
     pure_episodes = scanned = replayed = 0
     fallback_stages = []
@@ -545,8 +518,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
             avg_pay_col[episode_ids] = (hexp_c + stages * B[j_star, i_star]) / T
             pure_episodes += len(episode_ids)
             continue
-        rng_joint = _rng(cfg.seed, 0x5349, 1 + jt_index)
-        for rows, i_acts, j_acts in _iid_actions(rng_joint, p, q, len(episode_ids), stages):
+        for rows, i_acts, j_acts in _iid_actions(keys[episode_ids], p, q, k, stages):
             ids = episode_ids[rows]
             # The count bound is asked here first only to count the
             # episode-seats it clears; the scan certifies its rows again.
@@ -556,21 +528,17 @@ def run_si_selfplay(cfg: ExperimentConfig):
             trips = np.zeros(len(ids), dtype=bool)
             trips[rows_r] = _first_trigger_stage(A, p, j_acts[rows_r], ha, hexp_r, threshold) >= 0
             trips[rows_c] |= _first_trigger_stage(B, q, i_acts[rows_c], hb, hexp_c, threshold) >= 0
+            # The protocol agents play these episodes again, whole.
             finish = np.flatnonzero(trips)
-            if len(finish):
-                # The agents play these episodes on from the handshake, on
-                # the uniforms ``_iid_actions`` drew for them from the
-                # joint's generator.  Row s of u holds stage s's row-seat
-                # draws, then its column-seat ones.
-                at = np.concatenate([rows.start + finish, len(episode_ids) + rows.start + finish])
-                u = _redraw(_rng(cfg.seed, 0x5349, 1 + jt_index), at * stages, stages)
-                agents = [seat.take(np.full(len(finish), jt_index)) for seat in seats]
-                record = play_batch(*agents, stages, _Draws(u.reshape(2 * stages, -1)), record=True)
-                i_acts[finish], j_acts[finish] = record[:, 0].T, record[:, 1].T
+            seat_specs = ([spec], np.zeros(len(finish), np.int8))
+            for part, agents, record in play_episodes(seat_specs, seat_specs, [joint] * len(finish),
+                                                      ts, T, keys[ids[finish]], ct, record=True):
+                at = finish[part]
+                i_acts[at], j_acts[at] = record[k:, 0].T, record[k:, 1].T
                 fell = np.stack([agent.fallback_stage for agent in agents])
-                fallback[ids[finish]] = (fell >= 0).any(axis=0)
+                fallback[ids[at]] = (fell >= 0).any(axis=0)
                 fallback_stages += fell[fell >= 0].tolist()
-                replayed += len(finish)
+            replayed += len(finish)
             avg_pay_row[ids] = (hexp_r + _payoff_sums(A, i_acts, j_acts)) / T
             avg_pay_col[ids] = (hexp_c + _payoff_sums(B, j_acts, i_acts)) / T
 
@@ -630,13 +598,12 @@ def run_si_consistency(cfg: ExperimentConfig):
     proto_spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
     adversaries = [AgentSpec(kind) for kind in CONSISTENCY_ADVERSARIES]
     runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
-    draws = _rng(cfg.seed, 0x434F)
-
     kinds = [c for c in range(len(CONSISTENCY_ADVERSARIES)) for _ in range(runs_each)]
-    joints = [
-        (ts.types[int(draws.integers(len(ts.types)))], ts.types[int(draws.integers(len(ts.types)))])
-        for _ in kinds
-    ]
+    # Draws 2r and 2r + 1 pick run r's protocol and adversary types.
+    z = _draws(_keys(cfg.seed, "si-consistency joint types")[0], 0, 2 * len(kinds))
+    uniform = np.full(len(ts.types), 1 / len(ts.types))
+    types = np.array(ts.types, dtype=object)[_choice(z, _choice_cuts(uniform))]
+    joints = list(zip(types[0::2].tolist(), types[1::2].tolist()))
 
     # Runs are stepped in chunks of run order, whatever their adversary kinds:
     # the acceptance config's 1 000 runs are one play_batch.  Against three
@@ -673,22 +640,29 @@ def run_auth_failure(cfg: ExperimentConfig):
     n = cfg.num_actions
     trials = cfg.episodes
     results, cases = [], []
-    for k in AUTH_KS:
+    # Per handshake length one stream ranks the histories by its first
+    # num_histories draws and draws the trials: common random numbers, so the
+    # coverage cases differ only in observing the M histories of least rank.
+    # At stage s, trial i draws its own and partner action with the imitator's
+    # guess of the partner's, its code digit: one of n^3 outcomes, from draw
+    # num_histories + s * trials + i.
+    for key, k in zip(_keys(cfg.seed, "auth-failure handshakes", len(AUTH_KS)), AUTH_KS):
         num_histories = n ** (2 * k)
+        rank = np.argsort(_draws(key, 0, num_histories), kind="stable")
+        pair, guess = np.divmod(np.arange(n**3, dtype=np.min_scalar_type(num_histories)), n)
+        faced, wrong = np.zeros(trials, pair.dtype), np.zeros(trials, dtype=bool)
+        cuts = _choice_cuts(np.full(n**3, 1 / n**3))
+        for s in range(k):
+            outcome = _choice(_draws(key, num_histories + s * trials, trials), cuts)
+            faced = faced * (n * n) + pair[outcome]
+            wrong |= (pair % n != guess)[outcome]
         for frac in AUTH_COVERAGE:
             M = int(round(frac * num_histories))
-            rng = _rng(cfg.seed, 0x4155, k, M)
-            observed = rng.choice(num_histories, size=M, replace=False)
             seen = np.zeros(num_histories, dtype=bool)
-            seen[observed] = True
-            faced = rng.integers(0, num_histories, size=trials)
-            unseen = ~seen[faced]
-            # On an unseen prefix the imitator plays uniformly; authentication
-            # succeeds only if all k digits match the partner-determined code.
-            guesses = rng.integers(0, n ** k, size=trials)
-            targets = rng.integers(0, n ** k, size=trials)
-            failures = unseen & (guesses != targets)
-            emp = float(failures.mean())
+            seen[rank[:M]] = True
+            # On an unseen history the imitator plays uniformly; authentication
+            # succeeds only if all k digits match the partner's code.
+            emp = float((~seen[faced] & wrong).mean())
             pred = auth_failure_probability(n, k, M)
             cases.append((n, k, M, trials, emp, pred.corrected, pred.as_printed))
             # With every history observed no failure may happen at all.
@@ -707,23 +681,25 @@ def run_auth_failure(cfg: ExperimentConfig):
 # Commitment-mixture identity and best-response inequality (hard bound)
 
 
-def _random_joint(rng: np.random.Generator, n: int, case: int) -> np.ndarray:
+def _random_joint(z: np.ndarray, n: int, case: int) -> np.ndarray:
+    """A joint strategy over n >= 2 actions of style ``case % 4`` from the
+    raw draws ``z``, of which it reads at most the first n * n + 1."""
     style = case % 4
+    u = (z[: n * n + 1] >> np.uint64(11)) * _UNIT
     if style == 0:  # generic dense
-        z = rng.random((n, n)) + 1e-3
+        joint = u[: n * n].reshape(n, n) + 1e-3
     elif style == 1:  # product (uncorrelated) joint
-        x = rng.random(n) + 1e-3
-        y = rng.random(n) + 1e-3
-        z = np.outer(x / x.sum(), y / y.sum())
+        x, y = u[:n] + 1e-3, u[n : 2 * n] + 1e-3
+        joint = np.outer(x / x.sum(), y / y.sum())
     elif style == 2:  # duplicated conditionals across two columns
-        z = rng.random((n, n)) + 1e-3
-        z[:, 1] = z[:, 0] * (0.25 + rng.random())
-    else:  # sparse support
-        z = np.zeros((n, n))
-        cols = rng.choice(n, size=max(1, n - 1), replace=False)
-        for j in cols:
-            z[int(rng.integers(0, n)), j] = rng.random() + 1e-3
-    return z / z.sum()
+        joint = u[: n * n].reshape(n, n) + 1e-3
+        joint[:, 1] = joint[:, 0] * (0.25 + u[n * n])
+    else:  # sparse support: one entry in each column but one
+        joint = np.zeros((n, n))
+        cuts = _choice_cuts(np.full(n, 1 / n))
+        joint[_choice(z[1 : n + 1], cuts), np.arange(n)] = u[n + 1 : 2 * n + 1] + 1e-3
+        joint[:, _choice(z[0], cuts)] = 0.0
+    return joint / joint.sum()
 
 
 MIXTURE_SIZES = (2, 3, 4)  # action counts, in turn
@@ -732,13 +708,15 @@ MIXTURE_SIZES = (2, 3, 4)  # action counts, in turn
 def run_mixture_check(cfg: ExperimentConfig):
     cases = cfg.episodes
     id_errors, br_slacks = [], []
-    for case in range(cases):
+    # Case c's stream draws its joint strategy, then B, the column player's
+    # [own, opp] payoff matrix.
+    size = 2 * max(MIXTURE_SIZES) ** 2 + 1
+    for case, z in enumerate(_draws(_keys(cfg.seed, "mixture-check cases", cases), 0, size).T):
         n = MIXTURE_SIZES[case % len(MIXTURE_SIZES)]
-        rng = _rng(cfg.seed, 0x4D58, case)
-        z = _random_joint(rng, n, case // len(MIXTURE_SIZES))
-        B = rng.random((n, n))  # column player's [own, opp] payoff matrix
-        col_value = float(sum(z[i, j] * B[j, i] for i in range(n) for j in range(n)))
-        mixture = mixture_from_joint(z)
+        joint = _random_joint(z, n, case // len(MIXTURE_SIZES))
+        B = ((z[n * n + 1 : 2 * n * n + 1] >> np.uint64(11)) * _UNIT).reshape(n, n)
+        col_value = float(sum(joint[i, j] * B[j, i] for i in range(n) for j in range(n)))
+        mixture = mixture_from_joint(joint)
         mix_value = 0.0
         br_value = 0.0
         for (x, w), y in zip(mixture.components, mixture.replies()):
@@ -870,18 +848,17 @@ def run_ic_eval(cfg: ExperimentConfig):
 
     policies = {}
     for K in K_values:
-        ds = generate_dataset(
-            pop, mu, ts, K, T,
-            master_seed=int(_rng(cfg.seed, 0x4943, K).integers(2**62)),
-            convention_table=ct,
-        )
+        # The K-episode dataset's master seed: draw K of the stream, to 62 bits.
+        master = _draws(_keys(cfg.seed, "ic-eval dataset seeds")[0], K, 1)[0] >> np.uint64(2)
+        ds = generate_dataset(pop, mu, ts, K, T, master_seed=int(master), convention_table=ct)
         policies[K] = fit_imitation(ds, tilde_T, seat="row")
 
     # Common random numbers across K: identical type draws, partner draws and
     # episode streams, so the curves differ only through the fitted policies.
-    draws = _rng(cfg.seed, 0x4556)
-    joint_ids = draws.choice(len(mu.support), size=eval_episodes, p=np.asarray(mu.weights))
-    partner_ids = draws.choice(len(pop.members), size=eval_episodes, p=np.asarray(pop.weights))
+    # Draw e picks evaluation episode e's joint type, draw E + e its partner.
+    z = _draws(_keys(cfg.seed, "ic-eval types and partners")[0], 0, 2 * eval_episodes)
+    joint_ids = _choice(z[:eval_episodes], _choice_cuts(np.asarray(mu.weights)))
+    partner_ids = _choice(z[eval_episodes:], _choice_cuts(np.asarray(pop.weights)))
     episode_seeds = derive_episode_seeds(cfg.seed, 0x45560000 + np.arange(eval_episodes))
 
     joints = [mu.support[j] for j in joint_ids]

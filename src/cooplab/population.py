@@ -42,6 +42,9 @@ from .engine import (
     BatchAgent,
     EpisodeStreams,
     ScalarStream,
+    _choice,
+    _choice_cuts,
+    _draws,
     _rowsum,
     mix64,
     mix64_inplace,
@@ -294,11 +297,10 @@ def generate_dataset(
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
     mu.validate_types(type_space)
-    draws = np.random.default_rng(
-        np.random.SeedSequence([_DRAW_STREAM, int(master_seed)])
-    )
-    member_idx = draws.choice(len(pop.members), size=(n, 2), p=pop.weights)
-    joint_idx = draws.choice(len(mu.support), size=n, p=mu.weights)
+    # Draws 2e, 2e + 1 and 2n + e of the draw stream pick episode e's members and type.
+    z = _draws(derive_episode_seeds(master_seed, [_DRAW_STREAM << 32])[0], 0, 3 * n)
+    member_idx = _choice(z[: 2 * n].reshape(n, 2), _choice_cuts(np.asarray(pop.weights)))
+    joint_idx = _choice(z[2 * n :], _choice_cuts(np.asarray(mu.weights)))
     joints = [mu.support[j] for j in joint_idx.tolist()]
     seeds = derive_episode_seeds(master_seed, np.arange(n))
     N = type_space.num_actions

@@ -24,7 +24,7 @@ from cooplab.agents import (
 )
 from cooplab.game_core import EpisodeTrace, GameError, check_mixed
 from cooplab.imitation_commit import CommitmentMixture, fit_imitation, mixture_from_joint
-from cooplab.population import Dataset, _sample_action, read_dataset
+from cooplab.population import Dataset, _sample_action, derive_episode_seed, read_dataset
 
 
 def handshake_decode(digits, num_types: int, N: int) -> int | None:
@@ -116,6 +116,18 @@ class SplitMix64:
 
     def random(self) -> float:
         return (self.next64() >> 11) / float(1 << 53)
+
+
+def tagged_stream(master_seed: int, tag: int, index: int = 0) -> SplitMix64:
+    """Stream ``index`` of ``tag`` under ``master_seed``, as
+    ``population.stream_keys`` keys it: the generator seeded with
+    ``derive_episode_seed(master_seed, tag * 2**32 + index)``."""
+    return SplitMix64(derive_episode_seed(master_seed, (tag << 32) + index))
+
+
+def categorical(weights, rng: SplitMix64) -> int:
+    """One inverse-CDF draw from ``rng`` of an index of ``weights``."""
+    return _sample_action([float(w) for w in weights], rng)
 
 
 def sample_component(mixture: CommitmentMixture, rng: SplitMix64) -> np.ndarray:

@@ -84,26 +84,27 @@ def test_csv_refuses_columns_of_unequal_length(cols):
         _csv(",".join("x" * len(cols)), *cols)
 
 
-# sha256 of each runner's CSV at a small config, as the row-by-row writers
-# made them before the runners shared ``_csv``.  The horizon-7 flatten check
-# is pinned in test_selfplay_stream.py.  si-selfplay's config has one episode
-# that the protocol agents finish and that falls back.
+# sha256 of each runner's CSV at a small config, as ``_csv`` wrote them when
+# every draw became a counter draw; before, they were pinned as the row-by-row
+# writers made them.  The horizon-7 flatten check is pinned in
+# test_selfplay_stream.py.  The agents replay no episode of si-selfplay's
+# config; test_harness.py checks the replays against play_episodes.
 PINNED = {
     "mw-regret": (dict(episodes=60, horizon=100, num_actions=3, seed=1),
-                  "2c34c29e5643d95d23485aa3795302c0f946c3e4e3065f290bdd811bc9198b11"),
+                  "3daef97de43b8fb958e822213d46ad26b3d9bf8d5b79f0b0d1907d9d9862208f"),
     "nash-selfplay": (dict(episodes=200, horizon=50, seed=2),
-                      "2b1c7f7d07f15fc73555b2788a7a814d0a1411257ff931b4f3c94ff0c28bce8b"),
+                      "0525d9143ac31763e1e57fd373442bdd5ae8cc96eabd5bacd4a9720447e5dc38"),
     "si-selfplay": (dict(episodes=200, horizon=100, delta=0.5, k=2, seed=3, type_space=TS4),
-                    "d9fe233ccdbf029be265344286c046972f3a80462d48c5ff90dbb2f135fc255b"),
+                    "9e698813b5320bd9d7c545767ce4098269dc4689838e49e5a37c33939f5d4ad9"),
     "si-consistency": (dict(episodes=40, horizon=60, delta=0.1, k=2, seed=4, type_space=TS4),
-                       "65c17194a38be7d0cb3807fe1a5df2fe3ca0f28408c0b722ea2de3b6658bfc36"),
+                       "6dc8fa6a9d42d03b57b974df2c895af62667cb4970b3719cfe9615eb67b20f0f"),
     "auth-failure": (dict(episodes=500, seed=5),
-                     "f857d34c09eadf4cb50dae16433c1aa5082e46311022a1c5d52991991a402a19"),
+                     "8697d380f2c34740a4dedd397bf8a1e4b93bbd9bce29ecb22dc4a0aaf17fdd13"),
     "mixture-check": (dict(episodes=60, seed=6),
-                      "624d9289a0b18c0cb819f3209104ecee92cbb0ca7ed3d557f5b65f0ea60c52fd"),
+                      "983d2f24e51a82347dabd85644f83f3a33f57000c9fe6de1d0b15412f12a9ede"),
     "ic-eval": (dict(horizon=20, k=1, tilde_T=6, delta=0.1, seed=7, type_space=TS2,
                      extra={"K_values": [20, 60], "eval_episodes": 100}),
-                "4a2190e513fe390633ab215b7a8cec937fab3a1f7da00475ca1dd0834c7521ab"),
+                "08e60cb32ff5cc1f818733bd0b50e1ccf25bd64c91fe4a636a60635470e1e14c"),
 }
 
 

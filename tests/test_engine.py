@@ -35,6 +35,7 @@ from cooplab.game_core import GameError
 from cooplab.harness import (
     CONSISTENCY_ADVERSARIES,
     MW_ADVERSARIES,
+    STREAM_TAGS,
     ExperimentConfig,
     fixture_type_space,
     run_experiment,
@@ -56,9 +57,11 @@ from scalar_agents import (
     MWAgent,
     ProtocolAgent,
     SplitMix64,
+    categorical,
     play_episode,
     policy_strategy,
     run_episode,
+    tagged_stream,
     tuple_dataset,
 )
 
@@ -367,8 +370,9 @@ def _mw_expected_regret(A, T, eta, adversary, rng):
     logw = [0.0] * n
     cf = [0.0] * n
     cum_expected = 0.0
-    random_actions = rng.integers(0, n, size=T) if adversary == "random" else None
-    const_action = int(rng.integers(0, n)) if adversary == "constant" else 0
+    uniform = [1.0 / n] * n
+    random_actions = [categorical(uniform, rng) for _ in range(T * (adversary == "random"))]
+    const_action = categorical(uniform, rng) if adversary == "constant" else 0
     for t in range(T):
         m = max(logw)
         w = [math.exp(x - m) for x in logw]
@@ -417,8 +421,8 @@ def test_batched_mw_regret_matches_scalar_loop(seed, n, T, episodes):
     eta = default_eta(n, T)
     for r, (run, adversary, regret, _) in enumerate(rows):
         assert (int(run), adversary) == (r, MW_ADVERSARIES[r % len(MW_ADVERSARIES)])
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D77, n, r]))
-        A = rng.random((n, n)).tolist()
+        rng = tagged_stream(seed, STREAM_TAGS["mw-regret runs"], r)
+        A = [[rng.random() for _ in range(n)] for _ in range(n)]
         assert float(regret) == pytest.approx(
             _mw_expected_regret(A, T, eta, adversary, rng), abs=1e-9
         )

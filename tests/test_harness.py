@@ -26,6 +26,7 @@ from cooplab.harness import (
     CONSISTENCY_ADVERSARIES,
     EXPERIMENT_KINDS,
     MW_ADVERSARIES,
+    STREAM_TAGS,
     TRIGGER_BLOCK,
     ExperimentConfig,
     VerificationResult,
@@ -39,10 +40,10 @@ from cooplab.imitation_commit import BatchIC, fit_imitation
 from cooplab.population import (
     Population,
     TypeDistribution,
-    _sample_action,
     derive_episode_seed,
     derive_episode_seeds,
     generate_dataset,
+    play_episodes,
     run_episode,
     write_dataset,
 )
@@ -51,7 +52,9 @@ from scalar_agents import (
     ProtocolAgent,
     SplitMix64,
     build_scalar,
+    categorical,
     play_episode,
+    tagged_stream,
 )
 
 
@@ -137,18 +140,6 @@ def test_vectorized_trigger_matches_protocol_agent_beyond_one_block(ts2):
     check_trigger_against_protocol_agent(ts2, stages=2 * TRIGGER_BLOCK + 23)
 
 
-class GivenUniforms:
-    """Stands in for ``EpisodeStreams`` in ``play_batch``: hands out the rows
-    of ``u`` (draws, E) in order."""
-
-    def __init__(self, u):
-        self.u, self.pos = u, 0
-
-    def uniforms(self, count):
-        self.pos += count
-        return self.u[self.pos - count : self.pos]
-
-
 def lower_protocol_thresholds(monkeypatch, by):
     """Lower the tripwire of the harness's kernel and of the protocol agents
     alike, so that many more episodes trip it."""
@@ -157,28 +148,14 @@ def lower_protocol_thresholds(monkeypatch, by):
         monkeypatch.setattr(module, "protocol_threshold", lambda *a, f=threshold: f(*a) - by)
 
 
-def si_selfplay_run(cfg):
-    """si-selfplay's CSV, per-episode (row, col) average payoffs, fallback
-    flags and detail; and per joint type, the joint, its episodes and the
-    uniforms of their convention stages, row seat and column seat
-    (episodes, T - k), drawn whole from the joint's generator: every
-    row-seat draw, then every column-seat draw."""
-    results, artifacts = run_experiment(cfg)
-    csv = artifacts["si_selfplay.csv"]
-    rows = [line.split(",") for line in csv.splitlines()[1:]]
-    pay = np.array([[float(r[3]), float(r[4])] for r in rows])
-    fell = np.array([r[5] == "1" for r in rows])
+def si_selfplay_streams(cfg):
+    """si-selfplay's joint-type index of every episode, drawn by the scalar
+    generator of its stream, and the seeds of its episode streams."""
     mu = cfg.mu or TypeDistribution.uniform(cfg.type_space)
-    joint_idx = harness._rng(cfg.seed, 0x5349).choice(
-        len(mu.support), size=cfg.episodes, p=np.asarray(mu.weights))
-    joints = []
-    for jt, joint in enumerate(mu.support):
-        ids = np.flatnonzero(joint_idx == jt)
-        rng = harness._rng(cfg.seed, 0x5349, 1 + jt)
-        size = (len(ids), cfg.horizon - cfg.k)
-        if len(ids):
-            joints.append((joint, ids, rng.random(size), rng.random(size)))
-    return csv, pay, fell, results[0].detail, joints
+    rng = tagged_stream(cfg.seed, STREAM_TAGS["si-selfplay joint types"])
+    joint_idx = np.array([categorical(mu.weights, rng) for _ in range(cfg.episodes)])
+    tag = STREAM_TAGS["si-selfplay episodes"]
+    return mu, joint_idx, derive_episode_seeds(cfg.seed, (tag << 32) + np.arange(cfg.episodes))
 
 
 def selfplay_payoffs(ts, table, joint, k, acts_row, acts_col):
@@ -205,30 +182,50 @@ def selfplay_payoffs(ts, table, joint, k, acts_row, acts_col):
     return np.stack([(hexp_r + pay_r) / T, (hexp_c + pay_c) / T], axis=1)
 
 
-def si_selfplay_on_the_engine(cfg):
-    """Run si-selfplay and check that every episode, replayed or settled by
-    the kernel, has the payoffs and fallback flag of the two protocol agents
-    played on the engine over the joint's whole-run uniforms from the first
-    stage; return its CSV, fallback flags, detail and first fallback
-    stage."""
-    ts, k, T = cfg.type_space, cfg.k, cfg.horizon
+def si_selfplay_by_play_episodes(cfg):
+    """si_selfplay.csv as two protocol agents make it with every episode
+    played whole by ``play_episodes`` on its stream; also the fallback flags
+    and the first fallback stage (T if none)."""
+    ts, k, T, E = cfg.type_space, cfg.k, cfg.horizon, cfg.episodes
     table = build_convention_table(ts)
-    csv, pay, fell, detail, joints = si_selfplay_run(cfg)
+    mu, joint_idx, seeds = si_selfplay_streams(cfg)
     spec = AgentSpec("Protocol", {"eps1": theorem26_params(cfg.delta, T, k, 2).eps1, "k": k})
-    first = T
-    for joint, ids, u_row, u_col in joints:
-        E = len(ids)
-        u = np.zeros((T, 2, E))  # handshake stages are pure: any uniform samples them
-        u[k:, 0], u[k:, 1] = u_row.T, u_col.T
-        seats = [build_agents(spec, ts, T, seat, [joint[s]] * E, np.zeros(E, np.uint64), table)
-                 for s, seat in enumerate(("row", "col"))]
-        record = play_batch(*seats, T, GivenUniforms(u.reshape(2 * T, E)), record=True)
-        want = selfplay_payoffs(ts, table, joint, k, record[:, 0].T, record[:, 1].T)
-        assert np.array_equal(pay[ids], want)
-        stages = np.stack([seat.fallback_stage for seat in seats])
-        assert np.array_equal(fell[ids], (stages >= 0).any(axis=0))
+    joints = [mu.support[j] for j in joint_idx]
+    actions = np.empty((E, 2, T), np.uint8)
+    fell, first = np.zeros(E, dtype=bool), T
+    seat = ([spec], np.zeros(E, np.intp))
+    for ids, seats, record in play_episodes(seat, seat, joints, ts, T, seeds, table, record=True):
+        actions[ids] = record.transpose(2, 1, 0)
+        stages = np.stack([agent.fallback_stage for agent in seats])
+        fell[ids] = (stages >= 0).any(axis=0)
         first = min([first, *stages[stages >= 0].tolist()])
-    return csv, fell, detail, first
+    pay = np.empty((E, 2))
+    for jt, joint in enumerate(mu.support):
+        ids = np.flatnonzero(joint_idx == jt)
+        if len(ids):
+            pay[ids] = selfplay_payoffs(ts, table, joint, k, actions[ids, 0], actions[ids, 1])
+    rows = ["episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback"]
+    rows += [f"{e},{a},{b},{pr!r},{pc!r},{int(f)}"
+             for e, ((a, b), (pr, pc), f) in enumerate(zip(joints, pay.tolist(), fell.tolist()))]
+    return "\n".join(rows) + "\n", fell, first
+
+
+def si_selfplay_on_play_episodes(cfg, lowered):
+    """Run si-selfplay and check its CSV and detail against the protocol
+    agents on play_episodes: the kernel settles the episodes that never trip
+    and play_episodes replays the rest, and either way each episode must be
+    the one play_episodes plays on its seed.  Returns the CSV."""
+    results, artifacts = run_experiment(cfg)
+    csv, fell, first = si_selfplay_by_play_episodes(cfg)
+    assert artifacts["si_selfplay.csv"] == csv
+    detail = results[0].detail
+    replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
+    assert replayed > (100 if lowered else 0)
+    # Every replayed episode tripped in a seat that the count bound could not
+    # clear, so the exact scan saw it.
+    assert int(detail.split(", scanned ")[1].split(",")[0]) >= replayed
+    assert detail.endswith(f"fallbacks {fell.sum()}, first at stage {first}")
+    return csv
 
 
 @pytest.mark.parametrize("lowered, chunk", [(0.0, None), (8.0, 37)],
@@ -239,65 +236,58 @@ def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, 
         monkeypatch.setattr(harness, "SELFPLAY_CHUNK", chunk)
     cfg = ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=60, delta=0.9, k=2,
                            seed=5, type_space=fixture_type_space("typespace_4.json"))
-    _, fell, detail, first = si_selfplay_on_the_engine(cfg)
-    replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
-    assert replayed > (100 if lowered else 0)
-    # Every replayed episode tripped in a seat that the count bound could not
-    # clear, so the exact scan saw it.
-    assert int(detail.split(", scanned ")[1].split(",")[0]) >= replayed
-    assert detail.endswith(f"fallbacks {fell.sum()}, first at stage {first}")
+    si_selfplay_on_play_episodes(cfg, lowered)
 
 
 def test_si_selfplay_csv_is_independent_of_the_chunk_size(monkeypatch):
-    # About 2 160 episodes of one mixed-convention joint type, more than 2 000,
-    # and 240 of another.  The lowered tripwire fires in many, so replays
-    # start in every chunk; each run must equal the agents on the engine.
-    lower_protocol_thresholds(monkeypatch, 8.0)
+    # About 2 160 episodes of one mixed-convention joint type and 240 of
+    # another, at the acceptance tripwire and with it lowered by 8.
+    # play_episodes replays in batches of 300, so that the replays of one
+    # chunk of 10**6 take several.
+    monkeypatch.setattr(population, "EPISODE_BATCH", 300)
     mu = TypeDistribution(support=[("alpha", "delta"), ("delta", "beta")], weights=[0.9, 0.1])
-    cfg = ExperimentConfig(kind="si-selfplay", episodes=2400, horizon=30, delta=0.9, k=2,
+    cfg = ExperimentConfig(kind="si-selfplay", episodes=2400, horizon=60, delta=0.9, k=2,
                            seed=11, type_space=fixture_type_space("typespace_4.json"), mu=mu)
-    csvs = []
-    for chunk in (37, 500, 10**6):
-        monkeypatch.setattr(harness, "SELFPLAY_CHUNK", chunk)
-        csv, _, detail, _ = si_selfplay_on_the_engine(cfg)
-        assert int(detail.split("replayed by the agents ")[1].split(",")[0]) > 100
-        csvs.append(csv)
-    assert csvs[0] == csvs[1] == csvs[2]
+    for lowered in (0.0, 8.0):
+        with pytest.MonkeyPatch.context() as patch:
+            lower_protocol_thresholds(patch, lowered)
+            csvs = []
+            for chunk in (37, 500, 10**6):
+                patch.setattr(harness, "SELFPLAY_CHUNK", chunk)
+                csvs.append(si_selfplay_on_play_episodes(cfg, lowered))
+        assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_triggered_episode_replay_matches_scalar_protocol_agents(monkeypatch):
     # The episodes si-selfplay replays, with the tripwire lowered so that it
     # fires in many, against scalar protocol agents that sample every stage
-    # by _sample_action from the kernel's uniforms.
+    # by _sample_action from the scalar generator of the episode's stream.
     lower_protocol_thresholds(monkeypatch, 8.0)
     ts = fixture_type_space("typespace_4.json")
     table = build_convention_table(ts)
     k, T = 2, 60
     cfg = ExperimentConfig(kind="si-selfplay", episodes=600, horizon=T, delta=0.9, k=k,
                            seed=3, type_space=ts)
-    _, pay, fell, _, joints = si_selfplay_run(cfg)
+    _, artifacts = run_experiment(cfg)
+    rows = [line.split(",") for line in artifacts["si_selfplay.csv"].splitlines()[1:]]
+    mu, joint_idx, seeds = si_selfplay_streams(cfg)
     eps1 = theorem26_params(cfg.delta, T, k, 2).eps1
     checked = 0
-    for joint, ids, u_row, u_col in joints:
-        for e, ur, uc in zip(ids.tolist(), u_row, u_col):
-            if not fell[e]:
-                continue
-            ar = ProtocolAgent(joint[0], "row", ts, table, k, T, eps1)
-            ac = ProtocolAgent(joint[1], "col", ts, table, k, T, eps1)
-            ar.threshold -= 8.0
-            ac.threshold -= 8.0
-            acts = []
-            for t in range(T):
-                draws = (0.0, 0.0) if t < k else (ur[t - k], uc[t - k])
-                i, j = (_sample_action(agent.act(), types.SimpleNamespace(random=lambda d=d: d))
-                        for agent, d in zip((ar, ac), draws))
-                ar.observe(i, j)
-                ac.observe(j, i)
-                acts.append((i, j))
-            assert "fallback" in (ar.phase, ac.phase)
-            acts = np.array(acts).T[:, None, :]
-            assert np.array_equal(pay[e], selfplay_payoffs(ts, table, joint, k, *acts)[0])
-            checked += 1
+    for e, row in enumerate(rows):
+        if row[5] != "1":
+            continue
+        joint = mu.support[joint_idx[e]]
+        ar = ProtocolAgent(joint[0], "row", ts, table, k, T, eps1)
+        ac = ProtocolAgent(joint[1], "col", ts, table, k, T, eps1)
+        ar.threshold -= 8.0
+        ac.threshold -= 8.0
+        rng = SplitMix64(int(seeds[e]))
+        rng.next64(), rng.next64()  # the agent seeds
+        history = np.array(play_episode(ar, ac, T, rng).history).T[:, None, :]
+        assert "fallback" in (ar.phase, ac.phase)
+        want = selfplay_payoffs(ts, table, joint, k, *history)[0]
+        assert [float(row[3]), float(row[4])] == want.tolist()
+        checked += 1
     assert checked > 20
 
 
@@ -376,13 +366,14 @@ def ic_eval_csv_by_episode_loop(cfg):
     tau_col = {joint: worst_pone_payoff(ts.game(*joint), "col") for joint in mu.support}
     policies = {}
     for K in K_values:
-        master = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x4943, K]))
-        master = int(master.integers(2**62))
+        # Draw K of the dataset-seed stream, to 62 bits.
+        rng = tagged_stream(cfg.seed, STREAM_TAGS["ic-eval dataset seeds"])
+        master = [rng.next64() for _ in range(K + 1)][K] >> 2
         ds = generate_dataset(pop, mu, ts, K, T, master_seed=master, convention_table=ct)
         policies[K] = fit_imitation(ds, tilde_T, seat="row")
-    draws = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x4556]))
-    joint_ids = draws.choice(len(mu.support), size=eval_episodes, p=np.asarray(mu.weights))
-    partner_ids = draws.choice(len(pop.members), size=eval_episodes, p=np.asarray(pop.weights))
+    rng = tagged_stream(cfg.seed, STREAM_TAGS["ic-eval types and partners"])
+    joint_ids = [categorical(mu.weights, rng) for _ in range(eval_episodes)]
+    partner_ids = [categorical(pop.weights, rng) for _ in range(eval_episodes)]
     rows = ["K,episode,theta1,theta2,avg_altruistic_regret"]
     for K in K_values:
         for e in range(eval_episodes):
@@ -506,10 +497,6 @@ def test_every_artifact_has_a_curve_entry(ts2):
         assert name[:-4].rstrip("0123456789") in harness._CURVES, name
 
 
-def _rng(seed, *tags):
-    return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
-
-
 def mw_regret_csv_by_adversary(cfg):
     """mw_regret_N*.csv as run_mw_regret wrote it with one play_batch per
     adversary kind, before every run was played in one batch; kept as its
@@ -524,12 +511,10 @@ def mw_regret_csv_by_adversary(cfg):
         A = np.empty((len(runs), n, n))
         script = np.empty((len(runs), T if kind == "random" else 1), np.min_scalar_type(n - 1))
         for i, r in enumerate(runs):
-            rng = _rng(cfg.seed, 0x6D77, n, r)
-            A[i] = rng.random((n, n))
-            if kind == "random":
-                script[i] = rng.integers(0, n, size=T)
-            elif kind == "constant":
-                script[i] = rng.integers(0, n)
+            rng = tagged_stream(cfg.seed, STREAM_TAGS["mw-regret runs"], r)
+            A[i] = [[rng.random() for _ in range(n)] for _ in range(n)]
+            if kind in ("random", "constant"):
+                script[i] = [categorical([1 / n] * n, rng) for _ in range(script.shape[1])]
         if kind == "alternating":
             script = np.tile(np.arange(n), (len(runs), 1))
         opponent = (BatchAdaptive(kind, A) if kind in BatchAdaptive.KINDS
@@ -565,13 +550,14 @@ def si_consistency_csv_by_adversary(cfg, batch=125):
     bound = k + params.eps1 * (T - k) + math.sqrt(((T - k) / 2.0) * math.log(n))
     proto_spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
     runs_each = max(1, cfg.episodes // len(CONSISTENCY_ADVERSARIES))
-    draws = _rng(cfg.seed, 0x434F)
+    rng = tagged_stream(cfg.seed, STREAM_TAGS["si-consistency joint types"])
+    uniform = [1 / len(ts.types)] * len(ts.types)
     rows = ["run,adversary,theta_protocol,theta_adversary,expected_regret,bound"]
     fallback_stages = []
     run_id = 0
     for adversary in CONSISTENCY_ADVERSARIES:
-        joints = [(ts.types[int(draws.integers(len(ts.types)))],
-                   ts.types[int(draws.integers(len(ts.types)))]) for _ in range(runs_each)]
+        joints = [(ts.types[categorical(uniform, rng)], ts.types[categorical(uniform, rng)])
+                  for _ in range(runs_each)]
         for start in range(0, runs_each, batch):
             chunk = joints[start : start + batch]
             runs = range(run_id + start, run_id + start + len(chunk))
@@ -631,8 +617,8 @@ def test_si_consistency_at_acceptance_size_is_one_batch():
     assert calls == {"play_batch": 1, "EpisodeStreams": 1}
     assert results[0].passed
     assert results[0].detail == (
-        "violations=0; 250 runs per adversary, 1000 of 1000 requested; protocol fallbacks 327 "
-        "(GrimTrigger 183, BestResponder 62, UniformRandom 52, MW 30), first at stage 202"
+        "violations=0; 250 runs per adversary, 1000 of 1000 requested; protocol fallbacks 319 "
+        "(GrimTrigger 187, BestResponder 58, UniformRandom 47, MW 27), first at stage 202"
     )
 
 

@@ -1,0 +1,54 @@
+"""One random source: every draw in ``src/cooplab`` is a draw of the
+engine's counter-based streams, keyed by ``derive_episode_seeds`` from a
+seed and a tagged index.  A second generator, or two tags that share
+streams, would come back unnoticed without these checks."""
+import re
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from cooplab import population
+from cooplab.engine import _draws
+from cooplab.harness import STREAM_TAGS, _keys
+from cooplab.population import derive_episode_seed
+from scalar_agents import tagged_stream
+
+# The keys si-consistency's and ic-eval's episodes kept from before the tags:
+# indices 0x434F0000 + r and 0x45560000 + e, for counts below 2**32.
+KEPT_EPISODE_INDICES = (0x434F0000, 0x45560000)
+
+
+def test_no_module_of_the_package_uses_another_generator():
+    sources = [f for f in resources.files("cooplab").iterdir() if f.name.endswith(".py")]
+    assert len(sources) >= 9
+    for source in sources:
+        text = source.read_text()
+        assert not re.search(r"np\.random|numpy\.random|default_rng", text), source.name
+
+
+def test_stream_tags_are_distinct_and_apart_from_the_episode_keys():
+    tags = [*STREAM_TAGS.values(), population._DRAW_STREAM]
+    assert len(set(tags)) == len(tags)
+    for tag in tags:
+        assert 2 <= tag < 2**32
+        # Stream i of a tag has the index tag * 2**32 + i; every kept episode
+        # index lies below 2**33.
+        assert all(tag << 32 >= start + 2**32 for start in KEPT_EPISODE_INDICES)
+
+
+@pytest.mark.parametrize("tag", sorted(STREAM_TAGS))
+def test_stream_keys_are_the_episode_seeds_of_the_tagged_indices(tag):
+    want = [derive_episode_seed(5, (STREAM_TAGS[tag] << 32) + i) for i in range(3)]
+    assert _keys(5, tag, 3).tolist() == want
+
+
+@pytest.mark.parametrize("count", [0, 1, 17, 5000])
+def test_draws_of_one_stream_match_the_oracle(count):
+    # One scalar key: a (count,) array, as the single streams of the
+    # harness and of generate_dataset read it.
+    rng = tagged_stream(9, STREAM_TAGS["ic-eval dataset seeds"])
+    want = [rng.next64() for _ in range(count + 3)][3:]
+    got = _draws(_keys(9, "ic-eval dataset seeds")[0], 3, count)
+    assert got.shape == (count,) and got.tolist() == want
+    assert np.array_equal(got, _draws(_keys(9, "ic-eval dataset seeds"), 3, count)[:, 0])

@@ -33,7 +33,7 @@ from cooplab.population import (
 )
 from cooplab import imitation_commit, population
 from cooplab.engine import EpisodeStreams, play_batch
-from cooplab.harness import fixture_path
+from cooplab.harness import STREAM_TAGS, fixture_path
 import scalar_agents
 
 
@@ -266,11 +266,12 @@ def test_read_dataset_parses_canonical_lines_in_one_pass_and_others_alike(tmp_pa
 
 # sha256 of ic-eval's K = 100 dataset of the acceptance config and of a
 # dataset of typespace_4, as generate_dataset and write_dataset made them
-# when the episode streams became counter-based SplitMix64.  The file format
-# was last pinned when a history was a tuple of pairs and each line one
-# json.dumps; any change to the streams, the engine or the format shows here.
-IC_EVAL_K100_SHA256 = "78c2b8b615305e014b18af9a007071257180af9fa09563e14a38436cbecead8f"
-TS4_SHA256 = "f431573c7a2db297d27314f9f64e333c492ddf817f3d9015c253c849535a546e"
+# when the member and joint-type draws became counter draws too.  The file
+# format was last pinned when a history was a tuple of pairs and each line
+# one json.dumps; any change to the streams, the engine or the format shows
+# here.
+IC_EVAL_K100_SHA256 = "caf95496f598c857aac72e7f3f2294dcc03a66f397f27795247a3f841845dd8f"
+TS4_SHA256 = "f6d530009ba5fc0683c1bbb305de853391e98034e7862dec0f58dfebdd5b7964"
 
 
 def test_dataset_files_keep_their_pinned_bytes(ts2, tmp_path):
@@ -278,7 +279,9 @@ def test_dataset_files_keep_their_pinned_bytes(ts2, tmp_path):
     pop = Population([AgentSpec("Protocol", {"eps1": params.eps1, "k": 1})], [1.0])
     mu = TypeDistribution([("gamma", "gamma"), ("gamma", "delta"), ("delta", "delta")],
                           [0.25, 0.5, 0.25])
-    master = int(np.random.default_rng(np.random.SeedSequence([109, 0x4943, 100])).integers(2**62))
+    # ic-eval's master seed for K = 100: draw 100 of its dataset-seed stream.
+    rng = scalar_agents.tagged_stream(109, STREAM_TAGS["ic-eval dataset seeds"])
+    master = [rng.next64() for _ in range(101)][100] >> 2
     ds = generate_dataset(pop, mu, ts2, 100, 40, master_seed=master,
                           convention_table=build_convention_table(ts2))
     write_dataset(ds, tmp_path / "ic.jsonl")
@@ -580,12 +583,20 @@ def ic_datasets(tmp_path_factory):
     return paths
 
 
+def dataset_draws(pop, mu, n, master_seed):
+    """generate_dataset's member and joint-type indices, drawn by the scalar
+    generator of its draw stream ("draw"): draws 2e and 2e + 1 pick episode
+    e's members, draw 2n + e its joint type."""
+    rng = scalar_agents.tagged_stream(master_seed, 0x64726177)
+    members = [scalar_agents.categorical(pop.weights, rng) for _ in range(2 * n)]
+    joints = [scalar_agents.categorical(mu.weights, rng) for _ in range(n)]
+    return np.array(members, dtype=np.intp).reshape(n, 2), np.array(joints, dtype=np.intp)
+
+
 def dataset_by_run_episode(pop, mu, ts, n, T, master_seed, convention_table):
     """The per-episode loop of scalar agents generate_dataset ran before the
     batched engine, kept as its oracle."""
-    draws = np.random.default_rng(np.random.SeedSequence([0x64726177, int(master_seed)]))
-    member_idx = draws.choice(len(pop.members), size=(n, 2), p=pop.weights)
-    joint_idx = draws.choice(len(mu.support), size=n, p=mu.weights)
+    member_idx, joint_idx = dataset_draws(pop, mu, n, master_seed)
     episodes = []
     for j in range(n):
         joint = mu.support[joint_idx[j]]
@@ -632,9 +643,7 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
     """The histories generate_dataset made with one play_batch per pairing of
     members, in batches of ``size`` episodes sorted by their pairing, before
     each batch in episode order became one play_batch; kept as its oracle."""
-    draws = np.random.default_rng(np.random.SeedSequence([0x64726177, int(master_seed)]))
-    member_idx = draws.choice(len(pop.members), size=(n, 2), p=pop.weights)
-    joint_idx = draws.choice(len(mu.support), size=n, p=mu.weights)
+    member_idx, joint_idx = dataset_draws(pop, mu, n, master_seed)
     joints = [mu.support[j] for j in joint_idx.tolist()]
     seeds = derive_episode_seeds(master_seed, np.arange(n))
     histories = [()] * n

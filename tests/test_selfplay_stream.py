@@ -1,9 +1,10 @@
 """The streamed self-play kernels of nash-selfplay and si-selfplay, checked
-against the whole-run kernels they replaced, which are kept here as
-reference implementations, and their sampler against the engine's; and the
-per-case mixture replies and the flatten-check rows, checked against their
-former code."""
+against the engine on the same episode streams and against the whole-run
+kernels they replaced, which are kept here as reference implementations,
+and their sampler against the engine's; and the per-case mixture replies and
+the flatten-check rows, checked against their former code."""
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,24 +13,34 @@ from hypothesis import given, settings, strategies as st
 
 from cooplab import harness
 from cooplab.agents import AgentSpec, build_agent, build_convention_table, tree_act_fn
-from cooplab.engine import sample_actions
-from cooplab.game_core import BimatrixGame, GameError, TypeSpace, history_distribution
+from cooplab.engine import BatchFixedMixed, EpisodeStreams, play_batch, sample_actions
+from cooplab.game_core import (
+    BimatrixGame,
+    GameError,
+    TypeSpace,
+    check_mixed,
+    history_distribution,
+    normalize_game,
+)
 from cooplab.harness import (
+    STREAM_TAGS,
     ExperimentConfig,
     _choice,
     _choice_cuts,
     _first_trigger_stage,
+    _iid_actions,
     _random_joint,
     _selfplay_regrets,
     fixture_type_space,
     run_experiment,
 )
+from cooplab.equilibria import enumerate_nash
 from cooplab.imitation_commit import (
     COMPONENT_TOL,
     _column_partition,
     mixture_from_joint,
 )
-from cooplab.population import Population, flatten_population
+from cooplab.population import Population, derive_episode_seeds, flatten_population, play_episodes
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +66,25 @@ def whole_run_first_trigger_stage(m, sigma, opp_acts, h_cf, h_exp, threshold):
     return first
 
 
-def engine_actions(sigma, u):
-    """The engine's actions for the strategy ``sigma`` from the uniforms ``u``."""
+def engine_actions(sigma, z):
+    """The engine's actions for the strategy ``sigma`` from the uniforms of
+    the raw draws ``z``."""
+    u = (z >> np.uint64(11)) * 2.0**-53
     return sample_actions(np.broadcast_to(sigma, (u.size, len(sigma))), u.ravel()).reshape(u.shape)
 
 
-def whole_run_selfplay_regrets(game, p, q, episodes, T, rng):
+def selfplay_on_the_engine(p, q, keys, T):
+    """The (episodes, T) row and column actions of two fixed mixed agents
+    played by the engine on the streams with ``keys``, C-ordered as the
+    kernel's: numpy sums their rows pairwise."""
+    E = len(keys)
+    row, col = (BatchFixedMixed(np.tile(sigma, (E, 1))) for sigma in (p, q))
+    record = play_batch(row, col, T, EpisodeStreams(keys), record=True)
+    return np.ascontiguousarray(record[:, 0].T), np.ascontiguousarray(record[:, 1].T)
+
+
+def whole_run_selfplay_regrets(game, p, q, acts_row, acts_col):
     n = game.num_actions
-    acts_row = engine_actions(p, rng.random((episodes, T)))
-    acts_col = engine_actions(q, rng.random((episodes, T)))
     out = {}
     for player, own, opp, sigma, m in (
         ("row", acts_row, acts_col, p, game.payoff_row),
@@ -145,45 +166,75 @@ def raw_strategy(draw, n):
     return w / w.sum() if draw(st.booleans()) else w
 
 
+def near_cuts(p):
+    """Raw draws around every running sum of ``p`` below 1: the last draw
+    whose uniform is below it, one unit below its threshold, the threshold
+    and one unit above."""
+    sums = np.maximum(p, 0.0).cumsum()
+    thresholds = [math.ceil(c * 2**53) << 11 for c in sums.tolist() if 0.0 <= c < 1.0]
+    near = {t + d for t in thresholds for d in (-(1 << 11), -1, 0, 1)}
+    return np.array(sorted(z for z in near | {0, 2**64 - 1} if 0 <= z < 2**64), np.uint64)
+
+
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_choice_equals_the_engine_sampler(n, data, seed):
     p = data.draw(raw_strategy(n))
-    sums = np.maximum(p, 0.0).cumsum()
-    # Random draws, and every running sum below 1 with its neighbours.
-    edges = np.concatenate([sums, np.nextafter(sums, -1.0), np.nextafter(sums, 2.0)])
-    u = np.concatenate([np.random.default_rng(seed).random(50), edges[(edges >= 0) & (edges < 1)]])
-    acts = _choice(u, _choice_cuts(p))
-    assert np.array_equal(acts, engine_actions(p, u))
+    random = np.random.default_rng(seed).integers(0, 2**64, size=50, dtype=np.uint64)
+    z = np.concatenate([random, near_cuts(p)])
+    acts = _choice(z, _choice_cuts(p))
+    assert np.array_equal(acts, engine_actions(p, z))
     assert acts.dtype == np.uint8
+
+
+@pytest.mark.parametrize("p", [(1.0, 1e-10), (0.6, 0.4 + 1e-10, 1e-10), (1.0, 0.0, 5e-10)],
+                         ids=["cut at 1", "cut above 1", "cut at 1 before a zero"])
+def test_choice_never_crosses_a_cut_at_or_above_one(p):
+    # check_mixed passes these; a uniform is below 1, so the cut is never
+    # crossed, and its threshold, 2**64 or more, must not wrap to a small one.
+    p = check_mixed(p, len(p))
+    z = np.concatenate([near_cuts(p), np.array([2**63, 2**64 - 2**11, 2**64 - 1], np.uint64)])
+    acts = _choice(z, _choice_cuts(p))
+    assert np.array_equal(acts, engine_actions(p, z))
+    assert acts.max() == int(np.flatnonzero(np.maximum(p, 0.0).cumsum() >= 1.0)[0])
+
+
+def test_choice_draws_on_a_cut_like_searchsorted():
+    # A draw at a cut's threshold takes the action after it, as
+    # searchsorted(side="right") does, and as the engine does; a draw one
+    # unit below, or whose uniform is the one below, takes the action before.
+    p = np.array([0.25, 0.0, 0.5, 0.25])
+    cuts = _choice_cuts(p)
+    assert cuts.tolist() == [math.ceil(c * 2**53) << 11 for c in (0.25, 0.25, 0.75)]
+    z = np.concatenate([cuts - np.uint64(1 << 11), cuts - np.uint64(1), cuts, cuts + np.uint64(1)])
+    assert np.array_equal(_choice(z, cuts), cuts.searchsorted(z, side="right"))
+    assert np.array_equal(_choice(z, cuts), engine_actions(p, z))
+    assert _choice(z, cuts).tolist() == [0, 0, 2] * 2 + [2, 2, 3] * 2
 
 
 def test_choice_takes_the_engine_action_on_a_sum_short_of_one():
     # The strategy sums to 1 - 2**-53: a draw at its first running sum takes
     # the second action, where cuts normalized to a total of 1 would not.
     p = np.array([0.5, 0.5 - 2.0**-53])
-    u = np.array([0.5, 1.0 - 2.0**-53])
-    assert _choice(u, _choice_cuts(p)).tolist() == engine_actions(p, u).tolist() == [1, 1]
+    z = np.array([2**63, 2**64 - 2**11], np.uint64)  # the uniforms 0.5 and 1 - 2**-53
+    assert _choice(z, _choice_cuts(p)).tolist() == engine_actions(p, z).tolist() == [1, 1]
 
 
-def test_choice_draws_on_a_cut_like_searchsorted():
-    # A draw equal to a cut point takes the action after it, as
-    # searchsorted(side="right") does, and as the engine does.
-    p = np.array([0.25, 0.0, 0.5, 0.25])
-    cdf = p.cumsum() / p.cumsum()[-1]
-    u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], -1.0), [0.0]])
-    assert np.array_equal(_choice(u, _choice_cuts(p)), cdf.searchsorted(u, side="right"))
-    assert np.array_equal(_choice(u, _choice_cuts(p)), engine_actions(p, u))
+def test_choice_never_draws_a_zero_probability_last_action():
+    p = np.array([0.5, 0.5, 0.0])
+    z = np.concatenate([near_cuts(p), np.random.default_rng(2).integers(0, 2**64, 5000, np.uint64)])
+    acts = _choice(z, _choice_cuts(p))
+    assert np.array_equal(acts, engine_actions(p, z))
+    assert acts.max() == 1
 
 
 def test_choice_never_draws_a_tolerance_level_negative_action():
     # check_mixed accepts -1e-13; counted as 0, it never wins a draw, even
     # one that falls between the cuts it would otherwise put out of order.
     p = np.array([0.5, -1e-13, 0.5 + 1e-13])
-    assert _choice(np.array([0.5 - 1e-13]), _choice_cuts(p)).tolist() == [0]
-    u = np.random.default_rng(3).random(5000)
-    acts = _choice(u, _choice_cuts(p))
-    assert np.array_equal(acts, engine_actions(p, u))
+    z = np.concatenate([near_cuts(p), np.random.default_rng(3).integers(0, 2**64, 5000, np.uint64)])
+    acts = _choice(z, _choice_cuts(p))
+    assert np.array_equal(acts, engine_actions(p, z))
     assert 1 not in acts
 
 
@@ -346,18 +397,21 @@ def test_a_bound_from_block_end_counts_alone_fails_the_cover_check():
     episodes=st.integers(1, 40),
     T=st.integers(1, 30),
     chunk=st.sampled_from([1, 7, 16, 500]),
+    cells=st.sampled_from([1, 50, 1 << 16]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_selfplay_regrets_equal_whole_run(gp, episodes, T, chunk, seed):
+def test_selfplay_regrets_equal_whole_run(gp, episodes, T, chunk, cells, seed):
+    # The kernel's regrets are those of the actions the engine samples for
+    # two fixed mixed agents on the same streams, whatever its chunk and
+    # block sizes.
     game, p, q = gp
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    with mock.patch.object(harness, "SELFPLAY_CHUNK", chunk):
-        got = _selfplay_regrets(game, p, q, episodes, T, ours)
-    want = whole_run_selfplay_regrets(game, p, q, episodes, T, theirs)
+    keys = np.random.default_rng(seed).integers(0, 2**64, size=episodes, dtype=np.uint64)
+    with mock.patch.multiple(harness, SELFPLAY_CHUNK=chunk, ROW_BLOCK_CELLS=cells):
+        got = _selfplay_regrets(game, p, q, keys, T)
+    want = whole_run_selfplay_regrets(game, p, q, *selfplay_on_the_engine(p, q, keys, T))
     for player in ("row", "col"):
         for a, b in zip(got[player], want[player]):
             assert np.array_equal(a, b)
-    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_selfplay_regrets_over_chunks_of_the_default_size():
@@ -366,11 +420,44 @@ def test_selfplay_regrets_over_chunks_of_the_default_size():
     game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
     p, q = np.array([0.2, 0.0, 0.8]), np.array([0.5, 0.25, 0.25])
     assert 1234 % harness.SELFPLAY_CHUNK
-    got = _selfplay_regrets(game, p, q, 1234, 50, np.random.default_rng(4))
-    want = whole_run_selfplay_regrets(game, p, q, 1234, 50, np.random.default_rng(4))
+    keys = rng.integers(0, 2**64, size=1234, dtype=np.uint64)
+    got = _selfplay_regrets(game, p, q, keys, 50)
+    want = whole_run_selfplay_regrets(game, p, q, *selfplay_on_the_engine(p, q, keys, 50))
     for player in ("row", "col"):
         for a, b in zip(got[player], want[player]):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("profile", [None, ([0.2, 0.8], [1.0, 0.0])], ids=["mixed", "given"])
+def test_nash_selfplay_is_fixed_mixed_agents_on_play_episodes(profile):
+    # 1234 episodes: two full chunks and a partial one.  Episode e is the one
+    # play_episodes plays on its seed, and its regrets are that episode's.
+    assert 1234 % harness.SELFPLAY_CHUNK
+    ts = fixture_type_space("coordination_2x2.json")
+    cfg = ExperimentConfig(kind="nash-selfplay", episodes=1234, horizon=50, seed=8, type_space=ts,
+                           extra={} if profile is None else {"profile": profile})
+    _, artifacts = run_experiment(cfg)
+    game = normalize_game(ts.game("coord", "coord"))
+    if profile is None:  # the full-support equilibrium, (1/3, 2/3) up to rounding
+        [mixed] = [e for e in enumerate_nash(game).profiles
+                   if min(e.sigma_row.min(), e.sigma_col.min()) > 0]
+        p, q = mixed.sigma_row, mixed.sigma_col
+    else:
+        p, q = map(np.array, profile)
+    tag = STREAM_TAGS["nash-selfplay episodes"]
+    keys = derive_episode_seeds(cfg.seed, (tag << 32) + np.arange(cfg.episodes))
+    fixed = lambda sigma: ([AgentSpec("FixedMixed", {"probs": sigma.tolist()})], [0] * len(keys))
+    [(_, _, record)] = play_episodes(fixed(p), fixed(q), [("coord", "coord")] * len(keys), ts, 50,
+                                     keys, record=True)
+    chunks = list(_iid_actions(keys, p, q, 0, 50))
+    acts = [np.concatenate([chunk[seat] for chunk in chunks]) for seat in (1, 2)]
+    assert np.array_equal(acts[0], record[:, 0].T) and np.array_equal(acts[1], record[:, 1].T)
+    regs = whole_run_selfplay_regrets(game, p, q, *acts)
+    rows = [line.split(",") for line in artifacts["nash_selfplay.csv"].splitlines()[1:]]
+    for r, (episode, player, realized, expected) in enumerate(rows):
+        seat, e = divmod(r, cfg.episodes)
+        assert (int(episode), player) == (e, ("row", "col")[seat])
+        assert (float(realized), float(expected)) == (regs[player][0][e], regs[player][1][e])
 
 
 def test_si_selfplay_csv_is_independent_of_block_sizes():
@@ -438,7 +525,8 @@ def test_nash_selfplay_rejects_a_bad_profile(profile):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 5), case=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
 def test_response_functions_equal_per_component_replies(n, case, seed):
-    z = _random_joint(np.random.default_rng(seed), n, case)
+    draws = np.random.default_rng(seed).integers(0, 2**64, size=n * n + 1, dtype=np.uint64)
+    z = _random_joint(draws, n, case)
     replies = mixture_from_joint(z).replies()
     assert len(replies) == len(mixture_from_joint(z).components)
     for c, y in enumerate(replies):
