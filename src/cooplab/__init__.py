@@ -60,14 +60,12 @@ from .population import (
     write_dataset,
 )
 from .imitation_commit import (
-    CommitmentMixture,
     ImitateThenCommitAgent,
     ImitationPolicy,
     auth_failure_probability,
     bound_report,
     delta_K,
     fit_imitation,
-    mixture_from_joint,
     theorem42_bound,
 )
 from .harness import (

@@ -63,12 +63,24 @@ def mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
+ROW_BLOCK_CELLS = 1 << 16  # cells of rows drawn or summed at a time, so they stay in cache
+
+
 def _draws(keys: np.ndarray, start: int, count: int, scratch=None) -> np.ndarray:
     """Draws ``start`` to ``start + count - 1`` of the streams with uint64
-    ``keys`` (E,), as a (count, E) uint64 array, or (count,) for one key."""
-    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    z = np.add.outer(steps, np.asarray(keys, dtype=np.uint64))
-    return mix64_inplace(z, np.empty_like(z) if scratch is None else scratch)
+    ``keys`` (E,), as a (count, E) uint64 array, or (count,) for one key,
+    mixed in blocks of ROW_BLOCK_CELLS draws, or of 2 * BLOCK rows if more,
+    through ``scratch`` (uint64, at least a block's rows) if one is given."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    rows = max(2 * BLOCK, ROW_BLOCK_CELLS // max(keys.size, 1))
+    z = np.empty((count, *keys.shape), np.uint64)
+    scratch = np.empty((min(rows, count), *keys.shape), np.uint64) if scratch is None else scratch
+    for lo in range(0, count, rows):
+        steps = np.arange(start + lo + 1, start + min(lo + rows, count) + 1, dtype=np.uint64)
+        steps *= np.uint64(GAMMA)
+        mix64_inplace(np.add.outer(steps, keys, out=z[lo : lo + len(steps)]),
+                      scratch[: len(steps)])
+    return z
 
 
 def stream_uniforms(keys, start: int, count: int) -> np.ndarray:

@@ -71,20 +71,6 @@ def check_mixed(probs, n: int | None = None) -> np.ndarray:
     return p
 
 
-def check_joint(probs, n: int | None = None) -> np.ndarray:
-    """Validate a joint strategy (distribution over action pairs)."""
-    z = _float_array(probs, "joint strategy")
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise GameError(f"joint strategy must be square, got shape {z.shape}")
-    if n is not None and z.shape[0] != n:
-        raise GameError(f"joint strategy has size {z.shape[0]}, expected {n}")
-    if np.any(z < -PROB_TOL):
-        raise GameError("joint strategy has negative entries")
-    if not abs(z.sum() - 1.0) <= 1e-9:
-        raise GameError(f"joint strategy sums to {z.sum()}, not 1")
-    return z
-
-
 def _frozen(a, what: str) -> np.ndarray:
     out = np.array(a, dtype=float)
     if not np.isfinite(out).all():

@@ -26,6 +26,8 @@ The tripwire scan first bounds each episode's accumulator from integer
 counts of the opponent's actions per block of stages, with a rounding
 slack; only the episodes that this bound cannot clear are scanned in
 floats, so every verdict is the float scan's.
+The mixture check runs as array passes over its cases, through the IC
+agent's own ``commitment_mixtures`` and ``partition_replies``.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ from .agents import (
 from .engine import (
     _UNIT,
     GAMMA,
+    ROW_BLOCK_CELLS,
     BatchAdaptive,
     BatchFixedSequence,
     BatchGroups,
@@ -69,6 +72,7 @@ from .engine import (
     _choice,
     _choice_cuts,
     _draws,
+    _rowsum,
     mix64_inplace,
     play_batch,
 )
@@ -85,9 +89,10 @@ from .population import (
 )
 from .imitation_commit import (
     auth_failure_probability,
+    commitment_mixtures,
     delta_K,
     fit_imitation,
-    mixture_from_joint,
+    partition_replies,
     theorem42_bound,
 )
 
@@ -97,7 +102,6 @@ Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
 # cache.  None of these sizes changes a drawn number or a float sum.
 SELFPLAY_CHUNK = 500  # self-play episodes drawn and stepped at a time
 TRIGGER_BLOCK = 64  # stages per block of the si-selfplay trigger scan
-ROW_BLOCK_CELLS = 1 << 16  # cells per block of rows drawn or summed at a time
 
 # The tags of ``_keys``.  The episodes of si-consistency and ic-eval keep
 # their keys, of the indices 0x434F0000 + r and 0x45560000 + e.
@@ -681,25 +685,47 @@ def run_auth_failure(cfg: ExperimentConfig):
 # Commitment-mixture identity and best-response inequality (hard bound)
 
 
-def _random_joint(z: np.ndarray, n: int, case: int) -> np.ndarray:
-    """A joint strategy over n >= 2 actions of style ``case % 4`` from the
-    raw draws ``z``, of which it reads at most the first n * n + 1."""
-    style = case % 4
-    u = (z[: n * n + 1] >> np.uint64(11)) * _UNIT
+def _random_joint(z: np.ndarray, n: int, style: int) -> np.ndarray:
+    """Joint strategies (m, n, n) over n >= 2 actions of one ``style`` in
+    0-3, from the C-ordered raw draws ``z`` (m, >= n * n + 1): each case
+    reads at most its first n * n + 1 draws."""
+    m = len(z)
+    u = (z[:, : n * n + 1] >> np.uint64(11)) * _UNIT
     if style == 0:  # generic dense
-        joint = u[: n * n].reshape(n, n) + 1e-3
+        joint = u[:, : n * n].reshape(m, n, n) + 1e-3
     elif style == 1:  # product (uncorrelated) joint
-        x, y = u[:n] + 1e-3, u[n : 2 * n] + 1e-3
-        joint = np.outer(x / x.sum(), y / y.sum())
+        x, y = u[:, :n] + 1e-3, u[:, n : 2 * n] + 1e-3
+        x /= x.sum(axis=1, keepdims=True)
+        y /= y.sum(axis=1, keepdims=True)
+        joint = x[:, :, None] * y[:, None, :]
     elif style == 2:  # duplicated conditionals across two columns
-        joint = u[: n * n].reshape(n, n) + 1e-3
-        joint[:, 1] = joint[:, 0] * (0.25 + u[n * n])
+        joint = u[:, : n * n].reshape(m, n, n) + 1e-3
+        joint[:, :, 1] = joint[:, :, 0] * (0.25 + u[:, n * n, None])
     else:  # sparse support: one entry in each column but one
-        joint = np.zeros((n, n))
+        joint = np.zeros((m, n, n))
         cuts = _choice_cuts(np.full(n, 1 / n))
-        joint[_choice(z[1 : n + 1], cuts), np.arange(n)] = u[n + 1 : 2 * n + 1] + 1e-3
-        joint[:, _choice(z[0], cuts)] = 0.0
-    return joint / joint.sum()
+        cases = np.arange(m)
+        joint[cases[:, None], _choice(z[:, 1 : n + 1], cuts), np.arange(n)] = (
+            u[:, n + 1 : 2 * n + 1] + 1e-3)
+        joint[cases, :, _choice(z[:, 0], cuts)] = 0.0
+    return joint / joint.reshape(m, -1).sum(axis=1)[:, None, None]
+
+
+def _mixture_statistics(joint: np.ndarray, B: np.ndarray):
+    """The identity error |sum_j w_j y_j B x_j - z . B| and best-response
+    slack sum_j w_j max(B x_j) - z . B of the commitment mixtures of the
+    joints ``joint`` (m, n, n), for the column player's [own, opp] payoffs
+    ``B`` (m, n, n).  Sums run left to right, and each matmul of C-contiguous
+    operands rounds as on one case's own vectors."""
+    m = len(joint)
+    col_value = _rowsum((joint * B.transpose(0, 2, 1)).reshape(m, -1))
+    mixtures = commitment_mixtures(joint)
+    x = mixtures.conditionals[..., None]  # (m, n, n, 1): x_j as a column, j by j
+    y = partition_replies(mixtures)[:, :, None, :]
+    # A dropped column adds w_j = 0 to each sum over j.
+    mix_value = _rowsum(mixtures.weights * (y @ B[:, None] @ x)[..., 0, 0])
+    br_value = _rowsum(mixtures.weights * (B[:, None] @ x)[..., 0].max(axis=2))
+    return np.abs(mix_value - col_value), br_value - col_value
 
 
 MIXTURE_SIZES = (2, 3, 4)  # action counts, in turn
@@ -707,32 +733,28 @@ MIXTURE_SIZES = (2, 3, 4)  # action counts, in turn
 
 def run_mixture_check(cfg: ExperimentConfig):
     cases = cfg.episodes
-    id_errors, br_slacks = [], []
-    # Case c's stream draws its joint strategy, then B, the column player's
-    # [own, opp] payoff matrix.
+    # Case c's stream draws its joint strategy, then B; its action count is
+    # MIXTURE_SIZES[c % 3] and its joint's style (c // 3) % 4.
     size = 2 * max(MIXTURE_SIZES) ** 2 + 1
-    for case, z in enumerate(_draws(_keys(cfg.seed, "mixture-check cases", cases), 0, size).T):
-        n = MIXTURE_SIZES[case % len(MIXTURE_SIZES)]
-        joint = _random_joint(z, n, case // len(MIXTURE_SIZES))
-        B = ((z[n * n + 1 : 2 * n * n + 1] >> np.uint64(11)) * _UNIT).reshape(n, n)
-        col_value = float(sum(joint[i, j] * B[j, i] for i in range(n) for j in range(n)))
-        mixture = mixture_from_joint(joint)
-        mix_value = 0.0
-        br_value = 0.0
-        for (x, w), y in zip(mixture.components, mixture.replies()):
-            mix_value += w * float(y @ B @ x)
-            br_value += w * float((B @ x).max())
-        id_errors.append(abs(mix_value - col_value))
-        br_slacks.append(br_value - col_value)
+    # In C order each case's sums and matmuls round as on its own arrays.
+    z = np.ascontiguousarray(_draws(_keys(cfg.seed, "mixture-check cases", cases), 0, size).T)
+    id_errors, br_slacks = np.empty(cases), np.empty(cases)
+    groups = 4 * len(MIXTURE_SIZES)
+    for group in range(min(groups, cases)):  # the cases of one action count and style
+        n = MIXTURE_SIZES[group % len(MIXTURE_SIZES)]
+        zg = z[group::groups]
+        joint = _random_joint(zg, n, group // len(MIXTURE_SIZES))
+        B = ((zg[:, n * n + 1 : 2 * n * n + 1] >> np.uint64(11)) * _UNIT).reshape(-1, n, n)
+        id_errors[group::groups], br_slacks[group::groups] = _mixture_statistics(joint, B)
     results = [
         VerificationResult(cfg.kind, "mixture response-function payoff identity",
-                           statistic=max(id_errors), bound=1e-9, sample_count=cases),
+                           statistic=float(id_errors.max()), bound=1e-9, sample_count=cases),
         VerificationResult(cfg.kind, "best-response payoff >= joint-strategy payoff",
-                           statistic=min(br_slacks), bound=-1e-9, sample_count=cases,
+                           statistic=float(br_slacks.min()), bound=-1e-9, sample_count=cases,
                            detail="(statistic is the minimum slack)", lower=True),
     ]
     csv = _csv("case,N,identity_error,br_slack", range(cases), np.resize(MIXTURE_SIZES, cases),
-               np.array(id_errors), np.array(br_slacks))
+               id_errors, br_slacks)
     return results, {"mixture_check.csv": csv}
 
 

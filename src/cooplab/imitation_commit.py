@@ -1,5 +1,5 @@
-"""Tabular imitation from population datasets, the commitment-mixture
-construction with its partition response-function oracle, the
+"""Tabular imitation from population datasets, the batched
+commitment-mixture construction with its partition replies, the
 imitate-then-commit agent (``BatchIC``, the ``IC`` kind), and the
 closed-form bound helpers.
 """
@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game_core import GameError, History, check_joint
+from .game_core import GameError, History
 from .agents import AgentSpec, BuildContext, _need, register_agent_kind
-from .engine import BatchAgent, sample_actions, stream_uniforms
+from .engine import BatchAgent, _rowsum, sample_actions, stream_uniforms
 from .population import Dataset, parse_dataset
 
 COMPONENT_TOL = 1e-12
@@ -118,63 +118,52 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
                            type_space_hash=dataset.metadata.get("type_space_hash"))
 
 
-@dataclass
-class CommitmentMixture:
-    """Mixture over row strategies: component j is the conditional row
-    distribution given column action j under the source joint strategy, and
-    carries that column's marginal probability."""
+class CommitmentMixtures(NamedTuple):
+    """Commitment mixtures of joints z (m, n, n).  Component j of case c is
+    ``conditionals[c, j]``, the rows' z_ij / z_j given column action j, of
+    weight ``weights[c, j]`` and marginal z_j; a dropped column's are 0."""
 
-    components: list[tuple[np.ndarray, float]]
-    source_joint: np.ndarray
-
-    def replies(self) -> list[np.ndarray]:
-        """The partition reply y_P of every component, in component order:
-        column probabilities renormalized within each group of columns that
-        share a conditional distribution, whose expected payoff recovers the
-        joint's column payoff.  Columns of one group share their reply array."""
-        z = self.source_joint
-        marginals = z.sum(axis=0)
-        replies = {}
-        for grp in _column_partition(z):
-            y = np.zeros(z.shape[1])
-            total = sum(marginals[l] for l in grp)
-            for l in grp:
-                y[l] = marginals[l] / total
-            replies.update(dict.fromkeys(grp, y))
-        return [replies[j] for j in sorted(replies)]
+    conditionals: np.ndarray
+    weights: np.ndarray
+    marginals: np.ndarray
 
 
-def mixture_from_joint(z) -> CommitmentMixture:
-    """Commitment mixture of a joint strategy: x_j(i) = z_ij / z_j with weight
-    z_j, columns below tolerance dropped and the rest renormalized."""
-    z = check_joint(z)
-    marginals = z.sum(axis=0)
-    components = []
-    for j, zj in enumerate(marginals):
-        if zj > COMPONENT_TOL:
-            components.append((z[:, j] / zj, float(zj)))
-    if not components:
+def commitment_mixtures(z) -> CommitmentMixtures:
+    """The commitment mixtures of the joint strategies ``z`` (m, n, n): the
+    columns of marginal at most COMPONENT_TOL are dropped, and the weights
+    are the kept marginals over their total, added left to right."""
+    marginals = z.sum(axis=1)
+    kept = marginals > COMPONENT_TOL
+    marginals = np.where(kept, marginals, 0.0)
+    total = _rowsum(marginals)
+    if not total.all():
         raise GameError("joint strategy has no column with positive mass")
-    total = sum(w for _, w in components)
-    components = [(x, w / total) for x, w in components]
-    return CommitmentMixture(components=components, source_joint=z)
+    conditionals = np.divide(z.transpose(0, 2, 1), marginals[:, :, None],
+                             out=np.zeros(z.shape), where=kept[:, :, None])
+    return CommitmentMixtures(conditionals, marginals / total[:, None], marginals)
 
 
-def _column_partition(z: np.ndarray, tol: float = COMPONENT_TOL) -> list[list[int]]:
-    """Group positive-mass columns whose conditional row distributions agree."""
-    marginals = z.sum(axis=0)
-    support = [j for j in range(z.shape[1]) if marginals[j] > tol]
-    groups: list[list[int]] = []
-    for j in support:
-        xj = z[:, j] / marginals[j]
-        for grp in groups:
-            x0 = z[:, grp[0]] / marginals[grp[0]]
-            if np.all(np.abs(xj - x0) <= 1e-12 + 1e-9 * np.abs(x0)):
-                grp.append(j)
-                break
-        else:
-            groups.append([j])
-    return groups
+def partition_replies(mixtures: CommitmentMixtures) -> np.ndarray:
+    """The partition reply y_P of every component of ``mixtures``, (m, n, n):
+    ``replies[c, j]`` renormalizes the column marginals within column j's
+    group, whose expected payoff recovers the joint's column payoff; a
+    dropped column's is zero.  Kept columns are grouped in order: each joins
+    the first group, in order of creation, whose first column's conditional
+    it matches to within 1e-12 + 1e-9 |x|, or starts a group.  Each group's
+    total adds its members left to right."""
+    conditionals, _, marginals = mixtures
+    kept = marginals > 0.0  # a kept conditional sums to 1: no dropped (zero) one matches it
+    m, n = marginals.shape
+    leader = np.tile(np.arange(n), (m, 1))  # each column's group, by its first column
+    for j in range(1, n):
+        for k in range(j):  # the groups so far, in order of creation
+            x0 = conditionals[:, k]
+            close = (np.abs(conditionals[:, j] - x0) <= 1e-12 + 1e-9 * np.abs(x0)).all(axis=1)
+            leader[close & (leader[:, j] == j) & (leader[:, k] == k), j] = k
+    same = (leader[:, :, None] == leader[:, None, :]) & kept[:, :, None] & kept[:, None, :]
+    group = np.where(same, marginals[:, None, :], 0.0)  # [c, j]: the marginals of j's group
+    return np.divide(group, _rowsum(group)[:, :, None], out=np.zeros(group.shape),
+                     where=kept[:, :, None])
 
 
 class BatchIC(BatchAgent):
@@ -183,12 +172,12 @@ class BatchIC(BatchAgent):
 
     For the first ``tilde_T`` stages each episode plays the policy at its
     trie node.  At ``tilde_T`` it forms the commitment mixture of its
-    empirical joint play (the frequencies of its action pairs), with the
-    float operations of ``mixture_from_joint``, and draws a component with
-    ``draws`` (E,), its ``commitment_draws``.  It holds that strategy to the
-    end.  With ``tilde_T == T`` it is plain behaviour cloning: it imitates
-    to the end and never commits.  The policy must carry the trie
-    ``fit_imitation`` builds."""
+    empirical joint play (the frequencies of its action pairs) with
+    ``commitment_mixtures``, the function the mixture check verifies, and
+    draws a component with ``draws`` (E,), its ``commitment_draws``.  It
+    holds that strategy to the end.  With ``tilde_T == T`` it is plain
+    behaviour cloning: it imitates to the end and never commits.  The policy
+    must carry the trie ``fit_imitation`` builds."""
 
     ROWS = ("draws", "node", "joint", "commitment")
 
@@ -223,16 +212,9 @@ class BatchIC(BatchAgent):
         z = self.joint / self.tilde_T
         if self.seat == "col":
             z = z.transpose(0, 2, 1)  # condition own actions on the opponent's
-        # Component j: own actions given opponent action j, weighted by its
-        # marginal; columns below tolerance dropped, the rest renormalized.
-        marginals = z.sum(axis=1)
-        weights = np.where(marginals > COMPONENT_TOL, marginals, 0.0)
-        total = np.zeros(len(weights))
-        for column in weights.T:  # in order, as sum() adds the components
-            total += column
-        j = sample_actions(weights / total[:, None], self.draws)
-        rows = np.arange(len(j))
-        return z[rows, :, j] / marginals[rows, j][:, None]
+        mixtures = commitment_mixtures(z)
+        j = sample_actions(mixtures.weights, self.draws)
+        return mixtures.conditionals[np.arange(len(j)), j]
 
     def observe(self, own, opp):
         if self.stage < self.tilde_T:

@@ -7,10 +7,15 @@ An agent announces its mixed strategy for the current stage with ``act()``
 samples both seats' actions from one ``SplitMix64`` stream, row then column,
 with ``population._sample_action``; ``run_episode`` derives the two agent
 seeds from the episode seed first, as the engine does.
+
+The per-case commitment mixture, ``mixture_from_joint`` with its
+``CommitmentMixture.replies`` and ``column_partition``, is the oracle of the
+batched ``imitation_commit.commitment_mixtures`` and ``partition_replies``.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +27,8 @@ from cooplab.agents import (
     handshake_encode,
     protocol_threshold,
 )
-from cooplab.game_core import EpisodeTrace, GameError, check_mixed
-from cooplab.imitation_commit import CommitmentMixture, fit_imitation, mixture_from_joint
+from cooplab.game_core import PROB_TOL, EpisodeTrace, GameError, _float_array, check_mixed
+from cooplab.imitation_commit import COMPONENT_TOL, fit_imitation
 from cooplab.population import Dataset, _sample_action, derive_episode_seed, read_dataset
 
 
@@ -116,6 +121,79 @@ class SplitMix64:
 
     def random(self) -> float:
         return (self.next64() >> 11) / float(1 << 53)
+
+
+def check_joint(probs, n: int | None = None) -> np.ndarray:
+    """Validate a joint strategy (distribution over action pairs)."""
+    z = _float_array(probs, "joint strategy")
+    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+        raise GameError(f"joint strategy must be square, got shape {z.shape}")
+    if n is not None and z.shape[0] != n:
+        raise GameError(f"joint strategy has size {z.shape[0]}, expected {n}")
+    if np.any(z < -PROB_TOL):
+        raise GameError("joint strategy has negative entries")
+    if not abs(z.sum() - 1.0) <= 1e-9:
+        raise GameError(f"joint strategy sums to {z.sum()}, not 1")
+    return z
+
+
+@dataclass
+class CommitmentMixture:
+    """Mixture over row strategies: component j is the conditional row
+    distribution given column action j under the source joint strategy, and
+    carries that column's marginal probability."""
+
+    components: list[tuple[np.ndarray, float]]
+    source_joint: np.ndarray
+
+    def replies(self) -> list[np.ndarray]:
+        """The partition reply y_P of every component, in component order:
+        column probabilities renormalized within each group of columns that
+        share a conditional distribution, whose expected payoff recovers the
+        joint's column payoff.  Columns of one group share their reply array."""
+        z = self.source_joint
+        marginals = z.sum(axis=0)
+        replies = {}
+        for grp in column_partition(z):
+            y = np.zeros(z.shape[1])
+            total = sum(marginals[l] for l in grp)
+            for l in grp:
+                y[l] = marginals[l] / total
+            replies.update(dict.fromkeys(grp, y))
+        return [replies[j] for j in sorted(replies)]
+
+
+def mixture_from_joint(z) -> CommitmentMixture:
+    """Commitment mixture of a joint strategy: x_j(i) = z_ij / z_j with weight
+    z_j, columns below tolerance dropped and the rest renormalized."""
+    z = check_joint(z)
+    marginals = z.sum(axis=0)
+    components = []
+    for j, zj in enumerate(marginals):
+        if zj > COMPONENT_TOL:
+            components.append((z[:, j] / zj, float(zj)))
+    if not components:
+        raise GameError("joint strategy has no column with positive mass")
+    total = sum(w for _, w in components)
+    components = [(x, w / total) for x, w in components]
+    return CommitmentMixture(components=components, source_joint=z)
+
+
+def column_partition(z: np.ndarray, tol: float = COMPONENT_TOL) -> list[list[int]]:
+    """Group positive-mass columns whose conditional row distributions agree."""
+    marginals = z.sum(axis=0)
+    support = [j for j in range(z.shape[1]) if marginals[j] > tol]
+    groups: list[list[int]] = []
+    for j in support:
+        xj = z[:, j] / marginals[j]
+        for grp in groups:
+            x0 = z[:, grp[0]] / marginals[grp[0]]
+            if np.all(np.abs(xj - x0) <= 1e-12 + 1e-9 * np.abs(x0)):
+                grp.append(j)
+                break
+        else:
+            groups.append([j])
+    return groups
 
 
 def tagged_stream(master_seed: int, tag: int, index: int = 0) -> SplitMix64:

@@ -114,3 +114,18 @@ def test_runner_artifact_keeps_its_pinned_bytes(kind):
     _, artifacts = run_experiment(ExperimentConfig(kind=kind, **kwargs))
     [text] = artifacts.values()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of mixture_check.csv at the acceptance size (1 000 cases), as the
+# per-case loop wrote it before the check ran as array passes.
+MIXTURE_CHECK_PINNED = {
+    107: "3ef0fcfeff5ab8de8ecadb6c40ae3ad5a869463fe63fe8c203bc03a955a9080c",
+    1107: "b928d962c0c0c7cd57d85f7925595a0e71d1353f643b1aa11250a15f9a90f678",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MIXTURE_CHECK_PINNED))
+def test_mixture_check_keeps_its_pinned_bytes_at_the_acceptance_size(seed):
+    _, artifacts = run_experiment(ExperimentConfig(kind="mixture-check", episodes=1000, seed=seed))
+    text = artifacts["mixture_check.csv"]
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXTURE_CHECK_PINNED[seed]

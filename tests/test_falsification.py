@@ -6,6 +6,7 @@ configs.
 Two gates are left out.  auth-failure's check simulates its own formula's
 assumptions, so no false input of the agents reaches it.  ic-eval's final-K
 upper bound is vacuous at this scale: it passes even at K = 0."""
+import numpy as np
 import pytest
 
 from cooplab import agents, harness
@@ -95,14 +96,17 @@ def test_flatten_check_fails_with_perturbed_weights(monkeypatch):
 def test_mixture_check_fails_with_a_component_dropped(monkeypatch):
     cfg = lambda: ExperimentConfig(kind="mixture-check", episodes=12, seed=1)
     assert all(gates(cfg()).values())
-    mixture_from_joint = harness.mixture_from_joint
+    commitment_mixtures = harness.commitment_mixtures
 
     def dropped(z):
-        mixture = mixture_from_joint(z)
-        mixture.components = mixture.components[:-1]
-        return mixture
+        # Each case's last kept component goes, and the rest keep their weights.
+        mixtures = commitment_mixtures(z)
+        weights = mixtures.weights
+        last = weights.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0, axis=1)
+        weights[np.arange(len(weights)), last] = 0.0
+        return mixtures
 
-    monkeypatch.setattr(harness, "mixture_from_joint", dropped)
+    monkeypatch.setattr(harness, "commitment_mixtures", dropped)
     assert not gates(cfg())["mixture response-function payoff identity"]
 
 

@@ -10,7 +10,6 @@ from cooplab.game_core import (
     GameError,
     GameFormatError,
     TypeSpace,
-    check_joint,
     check_mixed,
     exact_episode_value,
     expected_payoff,
@@ -18,7 +17,7 @@ from cooplab.game_core import (
     normalize_game,
 )
 from cooplab.harness import fixture_path
-from scalar_agents import best_response
+from scalar_agents import best_response, check_joint
 
 
 def coordination_game():

@@ -14,15 +14,17 @@ from cooplab.imitation_commit import (
     ImitationPolicy,
     auth_failure_probability,
     bound_report,
+    commitment_mixtures,
     delta_K,
     fit_imitation,
-    mixture_from_joint,
+    partition_replies,
     theorem42_bound,
 )
 from cooplab.harness import fixture_path
 from scalar_agents import (
     empirical_joint_n,
     episode_tuples,
+    mixture_from_joint,
     policy_strategy,
     sample_component,
     tuple_dataset,
@@ -208,6 +210,11 @@ def test_mixture_drops_empty_columns_and_renormalizes():
     assert mix.components[0][1] == pytest.approx(1.0)
     with pytest.raises(GameError):
         mixture_from_joint(np.zeros((2, 2)) + 1e-15 * np.eye(2))
+    conditionals, weights, _ = commitment_mixtures(np.stack([z, z.T]))
+    assert weights.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+    assert conditionals[0].tolist() == [[0.5, 0.5], [0.0, 0.0]]
+    with pytest.raises(GameError):
+        commitment_mixtures(np.stack([z, 1e-15 * np.eye(2)]))
 
 
 def test_mixture_sampling_distribution():
@@ -227,6 +234,8 @@ def test_response_function_partition_grouping():
     assert y0 == pytest.approx([2 / 3, 1 / 3, 0.0])
     assert y1 == pytest.approx(y0)
     assert y2 == pytest.approx([0.0, 0.0, 1.0])
+    replies = partition_replies(commitment_mixtures(z[None]))[0]
+    assert np.array_equal(replies, [y0, y1, y2])
 
 
 @st.composite

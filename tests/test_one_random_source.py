@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from cooplab import population
-from cooplab.engine import _draws
+from cooplab.engine import (
+    GAMMA,
+    ROW_BLOCK_CELLS,
+    ScalarStream,
+    _draws,
+    mix64_inplace,
+    stream_uniforms,
+)
 from cooplab.harness import STREAM_TAGS, _keys
 from cooplab.population import derive_episode_seed
 from scalar_agents import tagged_stream
@@ -52,3 +59,22 @@ def test_draws_of_one_stream_match_the_oracle(count):
     got = _draws(_keys(9, "ic-eval dataset seeds")[0], 3, count)
     assert got.shape == (count,) and got.tolist() == want
     assert np.array_equal(got, _draws(_keys(9, "ic-eval dataset seeds"), 3, count)[:, 0])
+
+
+@pytest.mark.parametrize("streams, count", [(None, 3 * ROW_BLOCK_CELLS + 7), (3, ROW_BLOCK_CELLS),
+                                             (1000, 100)])
+def test_long_calls_mixed_in_blocks_equal_the_one_pass_mix(streams, count):
+    # One key, or several: the blocks of rows, the last one short, hold the
+    # draws one pass over the whole array makes.
+    keys = _keys(11, "mixture-check cases", streams or 1)
+    keys = keys[0] if streams is None else keys
+    z = np.add.outer(np.arange(6, count + 6, dtype=np.uint64) * np.uint64(GAMMA), keys)
+    want = mix64_inplace(z, np.empty_like(z))
+    got = _draws(keys, 5, count)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    stream = ScalarStream(int(np.atleast_1d(keys)[-1]))
+    stream.counter = 4 + count
+    assert stream.draw() == int(np.atleast_1d(got[-1])[-1])
+    # stream_uniforms mixes each block in the rows of its float output.
+    u = stream_uniforms(np.atleast_1d(keys), 5, count)
+    assert np.array_equal(u, (want.reshape(count, -1) >> np.uint64(11)) * 2.0**-53)

@@ -1,8 +1,9 @@
 """The streamed self-play kernels of nash-selfplay and si-selfplay, checked
 against the engine on the same episode streams and against the whole-run
 kernels they replaced, which are kept here as reference implementations,
-and their sampler against the engine's; and the per-case mixture replies and
-the flatten-check rows, checked against their former code."""
+and their sampler against the engine's; the batched mixture check against
+its former per-case loop on the scalar oracle; and the flatten-check rows
+against their former code."""
 import hashlib
 import math
 from unittest import mock
@@ -29,23 +30,21 @@ from cooplab.harness import (
     _choice_cuts,
     _first_trigger_stage,
     _iid_actions,
+    _mixture_statistics,
     _random_joint,
     _selfplay_regrets,
     fixture_type_space,
     run_experiment,
 )
 from cooplab.equilibria import enumerate_nash
-from cooplab.imitation_commit import (
-    COMPONENT_TOL,
-    _column_partition,
-    mixture_from_joint,
-)
+from cooplab.imitation_commit import COMPONENT_TOL, commitment_mixtures, partition_replies
 from cooplab.population import Population, derive_episode_seeds, flatten_population, play_episodes
+from scalar_agents import column_partition, mixture_from_joint
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the whole-run kernels, the per-component reply
-# and the flatten check's former rows
+# Reference implementations: the whole-run kernels, the per-component reply,
+# the per-case mixture check and the flatten check's former rows
 
 
 def whole_run_trigger_acc(m, sigma, opp_acts, h_cf, h_exp):
@@ -107,7 +106,7 @@ def per_component_reply(z, component_index):
     marginals = z.sum(axis=0)
     support = [j for j in range(z.shape[1]) if marginals[j] > COMPONENT_TOL]
     j = support[component_index]
-    for grp in _column_partition(z):
+    for grp in column_partition(z):
         if j in grp:
             y = np.zeros(z.shape[1])
             total = sum(marginals[l] for l in grp)
@@ -115,6 +114,39 @@ def per_component_reply(z, component_index):
                 y[l] = marginals[l] / total
             return y
     raise AssertionError("column not found in its own partition")
+
+
+def per_case_random_joint(z, n, style):
+    """The former per-case ``_random_joint``: one joint of ``style``."""
+    u = (z[: n * n + 1] >> np.uint64(11)) * 2.0**-53
+    if style == 0:
+        joint = u[: n * n].reshape(n, n) + 1e-3
+    elif style == 1:
+        x, y = u[:n] + 1e-3, u[n : 2 * n] + 1e-3
+        joint = np.outer(x / x.sum(), y / y.sum())
+    elif style == 2:
+        joint = u[: n * n].reshape(n, n) + 1e-3
+        joint[:, 1] = joint[:, 0] * (0.25 + u[n * n])
+    else:
+        joint = np.zeros((n, n))
+        cuts = _choice_cuts(np.full(n, 1 / n))
+        joint[_choice(z[1 : n + 1], cuts), np.arange(n)] = u[n + 1 : 2 * n + 1] + 1e-3
+        joint[:, _choice(z[0], cuts)] = 0.0
+    return joint / joint.sum()
+
+
+def per_case_mixture_statistics(joint, B):
+    """The former per-case loop of the mixture check, on the scalar oracle:
+    (identity error, best-response slack)."""
+    n = len(joint)
+    col_value = float(sum(joint[i, j] * B[j, i] for i in range(n) for j in range(n)))
+    mixture = mixture_from_joint(joint)
+    mix_value = 0.0
+    br_value = 0.0
+    for (x, w), y in zip(mixture.components, mixture.replies()):
+        mix_value += w * float(y @ B @ x)
+        br_value += w * float((B @ x).max())
+    return abs(mix_value - col_value), br_value - col_value
 
 
 def sorted_flatten_rows(mixture, flat_dist):
@@ -523,14 +555,91 @@ def test_nash_selfplay_rejects_a_bad_profile(profile):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(2, 5), case=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
-def test_response_functions_equal_per_component_replies(n, case, seed):
-    draws = np.random.default_rng(seed).integers(0, 2**64, size=n * n + 1, dtype=np.uint64)
-    z = _random_joint(draws, n, case)
-    replies = mixture_from_joint(z).replies()
-    assert len(replies) == len(mixture_from_joint(z).components)
-    for c, y in enumerate(replies):
-        assert np.array_equal(y, per_component_reply(z, c))
+@given(n=st.integers(2, 5), style=st.integers(0, 3), cases=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_response_functions_equal_per_component_replies(n, style, cases, seed):
+    draws = np.random.default_rng(seed).integers(0, 2**64, size=(cases, n * n + 1),
+                                                 dtype=np.uint64)
+    z = _random_joint(draws, n, style)
+    mixtures = commitment_mixtures(z)
+    replies, weights = partition_replies(mixtures), mixtures.weights
+    for case in range(cases):
+        kept = np.flatnonzero(weights[case])
+        assert len(kept) == len(mixture_from_joint(z[case]).components)
+        for c, j in enumerate(kept):
+            assert np.array_equal(replies[case, j], per_component_reply(z[case], c))
+        assert not replies[case, weights[case] == 0].any()
+
+
+def assert_mixture_matches_oracle(joint, B):
+    """The batched components, weights, replies and both statistics equal
+    the per-case oracle's, bit for bit."""
+    conditionals, weights, marginals = mixtures = commitment_mixtures(joint)
+    replies = partition_replies(mixtures)
+    errors, slacks = _mixture_statistics(joint, B)
+    for case, z in enumerate(joint):
+        mixture = mixture_from_joint(z)
+        kept = np.flatnonzero(weights[case])
+        assert [j for j in range(len(z)) if z[:, j].sum() > COMPONENT_TOL] == kept.tolist()
+        for (x, w), y, j in zip(mixture.components, mixture.replies(), kept, strict=True):
+            assert np.array_equal(conditionals[case, j], x) and weights[case, j] == w
+            assert marginals[case, j] == z.sum(axis=0)[j]
+            assert np.array_equal(replies[case, j], y)
+        expected = np.array(per_case_mixture_statistics(z, B[case]))
+        got = np.array([errors[case], slacks[case]])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def payoff_draws(draws, n):
+    """The column payoff matrices the mixture check reads after each joint."""
+    return ((draws[:, n * n + 1 : 2 * n * n + 1] >> np.uint64(11)) * 2.0**-53).reshape(-1, n, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 5), style=st.integers(0, 3), cases=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_mixture_check_equals_the_per_case_oracle(n, style, cases, seed):
+    draws = np.random.default_rng(seed).integers(0, 2**64, size=(cases, 2 * n * n + 1),
+                                                 dtype=np.uint64)
+    joint = _random_joint(draws, n, style)
+    expected = np.array([per_case_random_joint(z, n, style) for z in draws])
+    assert np.array_equal(joint.view(np.uint64), expected.view(np.uint64))
+    assert_mixture_matches_oracle(joint, payoff_draws(draws, n))
+
+
+def test_mixture_check_drops_a_column_below_tolerance():
+    # Column 1's mass is positive but below COMPONENT_TOL: no component.
+    z = np.array([[0.4, 5e-13, 0.1], [0.2, 0.0, 0.1], [0.1, 0.0, 0.1 - 5e-13]])
+    draws = np.random.default_rng(1).integers(0, 2**64, size=(2, 19), dtype=np.uint64)
+    joint = np.stack([z, _random_joint(draws[1:], 3, 3)[0]])
+    conditionals, weights, _ = commitment_mixtures(joint)
+    assert weights[0, 1] == 0.0 and not conditionals[0, 1].any()
+    assert (weights[1] == 0.0).sum() == 1  # the sparse style empties one column
+    assert_mixture_matches_oracle(joint, payoff_draws(draws, 3))
+
+
+def test_mixture_check_groups_every_column_of_a_product_joint():
+    draws = np.random.default_rng(2).integers(0, 2**64, size=(5, 33), dtype=np.uint64)
+    joint = _random_joint(draws, 4, 1)
+    replies = partition_replies(commitment_mixtures(joint))
+    for z, y in zip(joint, replies):
+        assert column_partition(z) == [[0, 1, 2, 3]]
+        assert (y == y[0]).all()
+    assert_mixture_matches_oracle(joint, payoff_draws(draws, 4))
+
+
+def test_mixture_check_partition_is_not_transitive():
+    # Column 1 matches column 0's conditional and column 2 matches column 1's,
+    # but not column 0's, the group's first column: column 2 starts a group.
+    x0 = np.array([0.4, 0.3, 0.3])
+    x1 = x0 + np.array([2e-10, -2e-10, 0.0])
+    x2 = x1 + np.array([2e-10, -2e-10, 0.0])
+    z = np.stack([x0, x1, x2], axis=1) * np.array([0.2, 0.3, 0.5])
+    assert column_partition(z) == [[0, 1], [2]]
+    replies = partition_replies(commitment_mixtures(z[None]))[0]
+    assert np.array_equal(replies[0], replies[1]) and replies[2].tolist() == [0.0, 0.0, 1.0]
+    assert replies[0] == pytest.approx([0.4, 0.6, 0.0])
+    assert_mixture_matches_oracle(z[None], np.random.default_rng(3).random((1, 3, 3)))
 
 
 # Eleven actions at horizon 1: labels such as "103" join multi-digit actions.
