@@ -18,20 +18,21 @@ ic-eval replays each partner member's first episode of a chunk with
 Equilibrium and protocol self-play draw a fixed profile's actions from one
 sampler, ``_iid_actions``, that reads each episode's own stream as the
 engine does, in cache-sized blocks, so an episode is the one
-``play_episodes`` plays on its seed.  In protocol self-play the protocol
-agents play the handshake on the engine, and every episode whose regret
-tripwire fires in the kernel's scan is played again, whole, by
-``play_episodes``; the kernel settles only the episodes that never trip.
-The tripwire scan first bounds each episode's accumulator from integer
-counts of the opponent's actions per block of stages, with a rounding
-slack; only the episodes that this bound cannot clear are scanned in
-floats, so every verdict is the float scan's.
+``play_episodes`` plays on its seed.  Each chunk of actions is reduced to
+per-episode joint action counts, and every payoff is taken from them.  In
+protocol self-play the protocol agents play the handshake on the engine,
+and ``_trigger_bound`` bounds each episode's regret accumulator from
+integer counts of the opponent's actions per block of stages, with a
+rounding slack.  An episode it clears cannot trip; every other one is
+played again, whole, by ``play_episodes``, so every fallback is the
+agents' own.
 The mixture check runs as array passes over its cases, through the IC
 agent's own ``commitment_mixtures`` and ``partition_replies``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -86,6 +87,7 @@ from .population import (
     play_episode,  # unused here; kept bindable for the benchmark's tracer
     play_episodes,
     run_episode,
+    tagged_seeds,
 )
 from .imitation_commit import (
     auth_failure_probability,
@@ -99,9 +101,10 @@ from .imitation_commit import (
 Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
 
 # The self-play kernels stream their random draws in blocks that stay in
-# cache.  None of these sizes changes a drawn number or a float sum.
+# cache.  None of these sizes changes an artifact; TRIGGER_BLOCK changes only
+# which si-selfplay episodes the agents replay.
 SELFPLAY_CHUNK = 500  # self-play episodes drawn and stepped at a time
-TRIGGER_BLOCK = 64  # stages per block of the si-selfplay trigger scan
+TRIGGER_BLOCK = 64  # stages per block of si-selfplay's count bound
 
 # The tags of ``_keys``.  The episodes of si-consistency and ic-eval keep
 # their keys, of the indices 0x434F0000 + r and 0x45560000 + e.
@@ -223,10 +226,8 @@ def _csv(header: str, *columns) -> str:
 
 
 def _keys(seed: int, tag: str, count: int = 1) -> np.ndarray:
-    """The keys of streams 0 to ``count - 1`` of ``tag``, the episode seeds of
-    the indices ``STREAM_TAGS[tag] * 2**32 + i``: no two tags share one."""
-    indices = np.uint64(STREAM_TAGS[tag] << 32) + np.arange(count, dtype=np.uint64)
-    return derive_episode_seeds(seed, indices)
+    """The keys of streams 0 to ``count - 1`` of ``STREAM_TAGS[tag]``."""
+    return tagged_seeds(seed, STREAM_TAGS[tag], count)
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +285,25 @@ def _draw_actions(keys: np.ndarray, cuts: np.ndarray, draw: int, stages: int) ->
     return acts
 
 
-def _payoff_sums(m: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
-    """Per-episode sums of ``m[own, opp]`` over the stages of (episodes,
-    stages) action arrays, gathered from the flat matrix a block of rows at a
-    time; each row sums as ``m[own, opp].sum(axis=1)`` does."""
-    n = m.shape[1]
-    flat = m.ravel()
-    scale = np.min_scalar_type(n * n - 1).type(n)
-    out = np.empty(len(own))
-    for block in _row_blocks(*own.shape):
-        index = np.multiply(own[block], scale, order="C")  # rows sum pairwise
-        index += opp[block]
-        out[block] = flat[index].sum(axis=1)
-    return out
+def _joint_counts(row_acts: np.ndarray, col_acts: np.ndarray, n: int) -> np.ndarray:
+    """Per-episode joint action counts (E, n, n) of (E, stages) row and
+    column actions: [e, i, j] counts episode e's stages with actions (i, j).
+    One ``bincount`` per block of rows, over row * n + col offset by row."""
+    episodes, stages = row_acts.shape
+    counts = np.empty((episodes, n, n), np.int64)
+    for rows in _row_blocks(episodes, stages):
+        cells = np.multiply(row_acts[rows], n, dtype=np.intp)
+        cells += col_acts[rows]
+        cells += np.arange(len(cells))[:, None] * (n * n)
+        counts[rows] = np.bincount(cells.ravel(), minlength=len(cells) * n * n).reshape(-1, n, n)
+    return counts
+
+
+def _count_payoffs(counts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per-episode payoff totals of joint counts (E, own, opp) under the
+    [own, opp] payoffs ``m`` (one matrix, or one per episode): the n * n
+    products added left to right in row-major order."""
+    return _rowsum((counts * m).reshape(len(counts), -1))
 
 
 def _iid_actions(keys: np.ndarray, p: np.ndarray, q: np.ndarray, first: int, stages: int):
@@ -318,27 +325,21 @@ def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray, keys: np
     self-play episodes of a fixed mixed profile, whose actions
     ``_iid_actions`` draws from the episode streams with ``keys``.
 
-    The chunks yield action counts and realized payoffs; the counterfactual
-    and expected payoffs are matrix products over all episodes at once,
-    whose rounding BLAS may choose by the number of rows.
+    The chunks yield joint action counts.  The counterfactual and expected
+    payoffs are matrix products over all episodes at once, whose rounding
+    BLAS may choose by the number of rows.
     """
-    n, episodes = game.num_actions, len(keys)
-    counts = {player: np.empty((episodes, n)) for player in ("row", "col")}
-    realized = {player: np.empty(episodes) for player in ("row", "col")}
+    counts = np.empty((len(keys), game.num_actions, game.num_actions), np.int64)
     for rows, row_acts, col_acts in _iid_actions(keys, p, q, 0, T):
-        acts = {"row": row_acts, "col": col_acts}
-        for player, other, m in (("row", "col", game.payoff_row), ("col", "row", game.payoff_col)):
-            counts[player][rows] = np.stack(
-                [np.count_nonzero(acts[player] == j, axis=1) for j in range(n)], axis=1
-            )
-            realized[player][rows] = _payoff_sums(m, acts[player], acts[other])
+        counts[rows] = _joint_counts(row_acts, col_acts, game.num_actions)
     out = {}
-    for player, other, sigma, m in (
-        ("row", "col", p, game.payoff_row),
-        ("col", "row", q, game.payoff_col),
+    for player, joint, sigma, m in (
+        ("row", counts, p, game.payoff_row),
+        ("col", counts.transpose(0, 2, 1), q, game.payoff_col),
     ):
-        best = (counts[other] @ m.T).max(axis=1)
-        out[player] = (best - realized[player], best - counts[other] @ (sigma @ m))
+        opp_counts = joint.sum(axis=1).astype(float)  # joint is [own, opp]
+        best = (opp_counts @ m.T).max(axis=1)
+        out[player] = (best - _count_payoffs(joint, m), best - opp_counts @ (sigma @ m))
     return out
 
 
@@ -382,27 +383,30 @@ def run_nash_selfplay(cfg: ExperimentConfig):
 def _trigger_bound(
     m: np.ndarray, sigma: np.ndarray, opp_acts: np.ndarray, h_cf: np.ndarray, h_exp: float
 ) -> np.ndarray:
-    """Per-episode upper bound on every accumulator value that the trigger
-    scan of ``_first_trigger_stage`` computes, its rounding included, from
-    integer counts of the opponent's actions at the ends of each
-    TRIGGER_BLOCK-stage block.
+    """Per-episode upper bound on every value that a protocol agent's regret
+    accumulator takes while its opponent plays the (E, S) convention-stage
+    actions ``opp_acts``, rounding included, from integer counts of those
+    actions at the ends of each TRIGGER_BLOCK-stage block.
 
-    For n actions, S stages and d[a, j] = m[a, j] - (sigma @ m)[j], the
-    exact accumulator after a stage is
-    max_a (h_cf[a] - h_exp + sum_j d[a, j] count_j).  Counts never decrease,
-    so in a block each count_j lies in [lo_j, hi_j], its values at the ends
-    of the blocks before and through it, and max(d lo_j, d hi_j) bounds its
-    term.  The slack covers rounding by the recursive-summation error bound
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    2002, section 4.2): the scan's accumulator is S + 2 roundings from
-    exact, this bound 2n + 4 and the added slack 2 more, all on values of
-    size at most 2 S max|m, sigma @ m| + max|h_cf| + |h_exp|; and for
-    K = S + 2n + 8, gamma_K = K u / (1 - K u) <= K eps, u = eps / 2, while
-    K u <= 1/2.
+    The agent's ``RegretKernel`` starts from the handshake's sums ``h_cf``
+    and ``h_exp``, and at a stage where the opponent plays j adds m[:, j] to
+    its counterfactual sums and v[j] = ``_rowsum(sigma * m[:, j])`` to its
+    expected payoff; its accumulator is max_a counterfactual[a] - expected.
+    With d[a, j] = m[a, j] - v[j], exactly on the computed v, that is
+    max_a (h_cf[a] - h_exp + sum_j d[a, j] count_j).  Counts never
+    decrease, so in a block each count_j lies in [lo_j, hi_j], its values at
+    the ends of the blocks before and through it, and max(d lo_j, d hi_j)
+    bounds its term.  The slack covers rounding by the recursive-summation
+    error bound (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., 2002, section 4.2): the agent's accumulator is S + 1 roundings
+    from exact, this bound n + 4, and the slack's own computation and
+    addition at most 3 more, all on values of size at most
+    2 S max|m, v| + max|h_cf| + |h_exp|; and for K = S + n + 8,
+    gamma_K = K u / (1 - K u) <= K eps, u = eps / 2, while K u <= 1/2.
     """
     episodes, stages = opp_acts.shape
     n = m.shape[0]
-    table = np.vstack([m, sigma @ m])
+    table = np.vstack([m, _rowsum(sigma * m.T)])
     d = table[:n] - table[n]
     up, down = np.maximum(d, 0.0).T, np.minimum(d, 0.0).T
     starts = np.arange(0, stages, TRIGGER_BLOCK)
@@ -419,73 +423,22 @@ def _trigger_bound(
         at = hi @ up + lo @ down + (h_cf - h_exp)
         bound[rows] = at.reshape(len(acts), -1).max(axis=1, initial=-np.inf)
     size = 2 * stages * np.abs(table).max() + np.abs(h_cf).max() + abs(h_exp)
-    return bound + (stages + 2 * n + 8) * np.finfo(float).eps * size
-
-
-def _first_trigger_stage(
-    m: np.ndarray,
-    sigma: np.ndarray,
-    opp_acts: np.ndarray,
-    h_cf: np.ndarray,
-    h_exp: float,
-    threshold: float,
-) -> np.ndarray:
-    """Per-episode first convention stage (0-based, after the handshake) at
-    which the expected-regret accumulator exceeds the threshold; -1 if never.
-
-    ``opp_acts`` is (episodes, stages); the accumulator is
-    max_a cum counterfactual(a) - cum expected payoff, seeded with the
-    handshake contributions.  An episode whose ``_trigger_bound`` is at most
-    the threshold never trips.  The others are scanned TRIGGER_BLOCK stages
-    at a time, each block laid out stage-major, with the running sums carried
-    into the block's first stage, so every running sum adds its stage payoffs
-    one at a time in stage order, and the handshake's afterwards.  Episodes
-    are independent rows, so the result is the scan's over all of them.
-    """
-    episodes, stages = opp_acts.shape
-    n = m.shape[0]
-    # A pathological threshold could already be exceeded at the end of the
-    # handshake; flag that as stage 0.
-    if h_cf.max() - h_exp > threshold:
-        return np.zeros(episodes, dtype=int)
-    first = np.full(episodes, -1)
-    rows = np.flatnonzero(~(_trigger_bound(m, sigma, opp_acts, h_cf, h_exp) <= threshold))
-    if len(rows) == 0:
-        return first
-    table = np.vstack([m, sigma @ m])  # counterfactual rows, then expected payoff
-    carry = None  # the running sums at the end of the previous block
-    for s0 in range(0, stages, TRIGGER_BLOCK):
-        opp = opp_acts[rows, s0 : s0 + TRIGGER_BLOCK].T.astype(np.intp, order="C")
-        run = np.take(table, opp, axis=1)  # (n + 1, width, rows)
-        if carry is not None:
-            run[:, 0] += carry
-        for s in range(1, len(opp)):
-            np.add(run[:, s - 1], run[:, s], out=run[:, s])
-        carry = run[:, -1]
-        acc = (run[:n] + h_cf[:, None, None]).max(axis=0) - (run[n] + h_exp)
-        hit = (acc.max(axis=0) > threshold) & (first[rows] < 0)
-        if hit.any():
-            first[rows[hit]] = s0 + (acc[:, hit] > threshold).argmax(axis=0)
-    return first
+    return bound + (stages + n + 8) * np.finfo(float).eps * size
 
 
 def run_si_selfplay(cfg: ExperimentConfig):
     ts = cfg.type_space or fixture_type_space("typespace_4.json")
     n = ts.num_actions
     k = cfg.k if cfg.k is not None else 2
-    T, delta = cfg.horizon, cfg.delta
+    T, delta, E = cfg.horizon, cfg.delta, cfg.episodes
     params = theorem26_params(delta, T, k, n)
     threshold = protocol_threshold(k, T, params.eps1, n)
     ct = build_convention_table(ts)
     mu = cfg.mu or TypeDistribution.uniform(ts)
     mu.validate_types(ts)
-    joint_idx = _choice(_draws(_keys(cfg.seed, "si-selfplay joint types")[0], 0, cfg.episodes),
+    joint_idx = _choice(_draws(_keys(cfg.seed, "si-selfplay joint types")[0], 0, E),
                         _choice_cuts(np.asarray(mu.weights)))
-    keys = _keys(cfg.seed, "si-selfplay episodes", cfg.episodes)
-
-    avg_pay_row = np.zeros(cfg.episodes)
-    avg_pay_col = np.zeros(cfg.episodes)
-    fallback = np.zeros(cfg.episodes, dtype=bool)
+    keys = _keys(cfg.seed, "si-selfplay episodes", E)
 
     # The protocol agents of both seats, row j for joint type j, play the
     # pure handshake (any stream samples it); their regret kernels then hold
@@ -494,84 +447,73 @@ def run_si_selfplay(cfg: ExperimentConfig):
     seats = [build_agents(spec, ts, T, seat, [joint[s] for joint in mu.support],
                           [0] * len(mu.support), ct) for s, seat in enumerate(("row", "col"))]
     play_batch(*seats, k, EpisodeStreams(np.zeros(len(mu.support), np.uint64)))
+    kernels = [seat.kernel for seat in seats]
 
-    pure_episodes = scanned = replayed = 0
-    fallback_stages = []
-    for jt_index, joint in enumerate(mu.support):
-        episode_ids = np.nonzero(joint_idx == jt_index)[0]
-        if len(episode_ids) == 0:
-            continue
+    # Joint action counts of the convention stages.  The count bound clears
+    # an episode when neither seat can trip; the agents replay the others.
+    stages = T - k
+    counts = np.zeros((E, n, n), np.int64)
+    replay, pure_episodes = [np.zeros(0, np.intp)], 0
+    for jt, joint in enumerate(mu.support):
+        ids = np.flatnonzero(joint_idx == jt)
         prof = ct.profile(joint)
         p, q = prof.sigma_row, prof.sigma_col
         A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
-        (ha, hexp_r), (hb, hexp_c) = (
-            (seat.kernel.counterfactual[jt_index], seat.kernel.expected[jt_index]) for seat in seats)
-        stages = T - k
-        pure = (p.max() > 1.0 - 1e-12) and (q.max() > 1.0 - 1e-12)
-        if pure:
-            i_star, j_star = int(p.argmax()), int(q.argmax())
-            # Convention play is deterministic; at a Nash profile the
-            # accumulator can never exceed the threshold.
-            if ha.max() - hexp_r > threshold or hb.max() - hexp_c > threshold:
-                raise GameError("handshake alone exceeded the protocol threshold")
-            drift_r = (ha + stages * A[:, j_star]).max() - (hexp_r + stages * A[i_star, j_star])
-            drift_c = (hb + stages * B[:, i_star]).max() - (hexp_c + stages * B[j_star, i_star])
-            if max(drift_r, drift_c) > threshold:
-                raise GameError("pure convention profile exceeded the threshold")
-            avg_pay_row[episode_ids] = (hexp_r + stages * A[i_star, j_star]) / T
-            avg_pay_col[episode_ids] = (hexp_c + stages * B[j_star, i_star]) / T
-            pure_episodes += len(episode_ids)
+        h_row, h_col = ((kernel.counterfactual[jt], kernel.expected[jt]) for kernel in kernels)
+
+        def cleared(i_acts, j_acts):
+            return ((_trigger_bound(A, p, j_acts, *h_row) <= threshold)
+                    & (_trigger_bound(B, q, i_acts, *h_col) <= threshold))
+
+        if p.max() > 1.0 - 1e-12 and q.max() > 1.0 - 1e-12:  # one path for all episodes
+            i, j = int(p.argmax()), int(q.argmax())
+            if cleared(np.full((1, stages), i), np.full((1, stages), j))[0]:
+                counts[ids, i, j] = stages
+            else:
+                replay.append(ids)
+            pure_episodes += len(ids)
             continue
-        for rows, i_acts, j_acts in _iid_actions(keys[episode_ids], p, q, k, stages):
-            ids = episode_ids[rows]
-            # The count bound is asked here first only to count the
-            # episode-seats it clears; the scan certifies its rows again.
-            rows_r = np.flatnonzero(~(_trigger_bound(A, p, j_acts, ha, hexp_r) <= threshold))
-            rows_c = np.flatnonzero(~(_trigger_bound(B, q, i_acts, hb, hexp_c) <= threshold))
-            scanned += len(rows_r) + len(rows_c)
-            trips = np.zeros(len(ids), dtype=bool)
-            trips[rows_r] = _first_trigger_stage(A, p, j_acts[rows_r], ha, hexp_r, threshold) >= 0
-            trips[rows_c] |= _first_trigger_stage(B, q, i_acts[rows_c], hb, hexp_c, threshold) >= 0
-            # The protocol agents play these episodes again, whole.
-            finish = np.flatnonzero(trips)
-            seat_specs = ([spec], np.zeros(len(finish), np.int8))
-            for part, agents, record in play_episodes(seat_specs, seat_specs, [joint] * len(finish),
-                                                      ts, T, keys[ids[finish]], ct, record=True):
-                at = finish[part]
-                i_acts[at], j_acts[at] = record[k:, 0].T, record[k:, 1].T
-                fell = np.stack([agent.fallback_stage for agent in agents])
-                fallback[ids[at]] = (fell >= 0).any(axis=0)
-                fallback_stages += fell[fell >= 0].tolist()
-            replayed += len(finish)
-            avg_pay_row[ids] = (hexp_r + _payoff_sums(A, i_acts, j_acts)) / T
-            avg_pay_col[ids] = (hexp_c + _payoff_sums(B, j_acts, i_acts)) / T
+        for rows, i_acts, j_acts in _iid_actions(keys[ids], p, q, k, stages):
+            counts[ids[rows]] = _joint_counts(i_acts, j_acts, n)
+            replay.append(ids[rows][~cleared(i_acts, j_acts)])
+
+    # The protocol agents play the episodes left to them again, whole.
+    replay = np.concatenate(replay)
+    fell = np.full((2, E), -1)  # each seat's fallback stage
+    seat_specs = ([spec], np.zeros(len(replay), np.int8))
+    for part, agents, record in play_episodes(
+            seat_specs, seat_specs, [mu.support[j] for j in joint_idx[replay].tolist()], ts, T,
+            keys[replay], ct, record=True):
+        counts[replay[part]] = _joint_counts(record[k:, 0].T, record[k:, 1].T, n)
+        fell[:, replay[part]] = [agent.fallback_stage for agent in agents]
+    fallback = (fell >= 0).any(axis=0)
+    # Every episode's payoffs: the handshake's, then its convention stages'
+    # from their joint counts.
+    tables = [np.array([ts.payoff_table[joint[s]] for joint in mu.support]) for s in (0, 1)]
+    avg_pay_row = (kernels[0].expected[joint_idx]
+                   + _count_payoffs(counts, tables[0][joint_idx])) / T
+    avg_pay_col = (kernels[1].expected[joint_idx]
+                   + _count_payoffs(counts.transpose(0, 2, 1), tables[1][joint_idx])) / T
 
     theta = np.array(mu.support, dtype=object)[joint_idx]
     csv = _csv("episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback",
-               range(cfg.episodes), *theta.T, avg_pay_row, avg_pay_col,
+               range(E), *theta.T, avg_pay_row, avg_pay_col,
                fallback.astype(np.int8))
-    first = f", first at stage {min(fallback_stages)}" if fallback_stages else ""
-    cleared = 2 * (cfg.episodes - pure_episodes) - scanned
+    first = f", first at stage {fell[fell >= 0].min()}" if fallback.any() else ""
     results = [_freq_gate(
         cfg.kind, "handshake+convention completes without fallback w.p. >= 1-delta",
-        fallback, delta, f"pure-convention episodes {pure_episodes}, tripwire episode-seats "
-        f"cleared by the count bound {cleared}, scanned {scanned}, replayed by the agents "
-        f"{replayed}, fallbacks {int(fallback.sum())}" + first,
+        fallback, delta, f"pure-convention episodes {pure_episodes}, cleared by the count bound "
+        f"{E - len(replay)}, replayed by the agents {len(replay)}, fallbacks "
+        f"{int(fallback.sum())}" + first,
     )]
-    for jt_index, joint in enumerate(mu.support):
-        ids = np.nonzero(joint_idx == jt_index)[0]
-        if len(ids) == 0:
-            continue
-        prof = ct.profile(joint)
-        for seat, values, target in (
-            ("row", avg_pay_row[ids], prof.value_row),
-            ("col", avg_pay_col[ids], prof.value_col),
-        ):
-            results.append(VerificationResult(
-                cfg.kind, f"avg payoff near convention value, joint={joint}, {seat}",
-                statistic=abs(float(values.mean()) - target), bound=params.eps0,
-                sample_count=len(ids), ci_radius=_ci99_mean(values),
-            ))
+    for jt, joint in enumerate(mu.support):
+        ids, prof = np.flatnonzero(joint_idx == jt), ct.profile(joint)
+        results += [VerificationResult(
+            cfg.kind, f"avg payoff near convention value, joint={joint}, {seat}",
+            statistic=abs(float(values.mean()) - target), bound=params.eps0,
+            sample_count=len(ids), ci_radius=_ci99_mean(values),
+        ) for seat, values, target in (("row", avg_pay_row[ids], prof.value_row),
+                                       ("col", avg_pay_col[ids], prof.value_col)) if len(ids)]
     return results, {"si_selfplay.csv": csv}
 
 
@@ -642,6 +584,8 @@ AUTH_TOLERANCE = 0.02  # allowed gap between the empirical and predicted rates
 
 def run_auth_failure(cfg: ExperimentConfig):
     n = cfg.num_actions
+    if n < 2:
+        raise GameError(f"auth-failure needs num_actions >= 2, got {n}")
     trials = cfg.episodes
     results, cases = [], []
     # Per handshake length one stream ranks the histories by its first
@@ -863,7 +807,12 @@ def run_ic_eval(cfg: ExperimentConfig):
     mu = cfg.mu or _default_ic_mu(ts)
     mu.validate_types(ts)
     K_values = list(cfg.extra.get("K_values", (100, 1000, 10000)))
-    eval_episodes = int(cfg.extra.get("eval_episodes", 2000))
+    eval_episodes = cfg.extra.get("eval_episodes", 2000)
+    if not K_values or not all(isinstance(K, numbers.Integral) and K >= 0 for K in K_values):
+        raise GameError(f"K_values must be a nonempty list of dataset sizes >= 0, got {K_values}")
+    if not isinstance(eval_episodes, numbers.Integral) or eval_episodes < 1:
+        raise GameError(f"eval_episodes must be a positive integer, got {eval_episodes!r}")
+    K_values, eval_episodes = [int(K) for K in K_values], int(eval_episodes)
 
     tau_col = np.array([worst_pone_payoff(ts.game(*joint), "col") for joint in mu.support])
     payoff_col = np.array([ts.payoff_table[joint[1]] for joint in mu.support])

@@ -80,6 +80,12 @@ def derive_episode_seeds(master_seed: int, indices) -> np.ndarray:
     return mix64_inplace(z, np.empty_like(z))
 
 
+def tagged_seeds(master_seed: int, tag: int, count: int = 1) -> np.ndarray:
+    """The keys of streams 0 to ``count - 1`` of ``tag`` (below 2**32): the
+    seeds of the episode indices ``tag * 2**32 + i``, so no two tags share one."""
+    return derive_episode_seeds(master_seed, np.uint64(tag << 32) + np.arange(count, dtype=np.uint64))
+
+
 def derive_episode_seed(master_seed: int, index: int) -> int:
     """``derive_episode_seeds`` for one episode, on Python ints."""
     index = int(index)
@@ -298,7 +304,7 @@ def generate_dataset(
         raise GameError(f"episode count must be >= 0, got {n}")
     mu.validate_types(type_space)
     # Draws 2e, 2e + 1 and 2n + e of the draw stream pick episode e's members and type.
-    z = _draws(derive_episode_seeds(master_seed, [_DRAW_STREAM << 32])[0], 0, 3 * n)
+    z = _draws(tagged_seeds(master_seed, _DRAW_STREAM)[0], 0, 3 * n)
     member_idx = _choice(z[: 2 * n].reshape(n, 2), _choice_cuts(np.asarray(pop.weights)))
     joint_idx = _choice(z[2 * n :], _choice_cuts(np.asarray(mu.weights)))
     joints = [mu.support[j] for j in joint_idx.tolist()]

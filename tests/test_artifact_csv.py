@@ -87,15 +87,17 @@ def test_csv_refuses_columns_of_unequal_length(cols):
 # sha256 of each runner's CSV at a small config, as ``_csv`` wrote them when
 # every draw became a counter draw; before, they were pinned as the row-by-row
 # writers made them.  The horizon-7 flatten check is pinned in
-# test_selfplay_stream.py.  The agents replay no episode of si-selfplay's
-# config; test_harness.py checks the replays against play_episodes.
+# test_selfplay_stream.py.  The agents replay 8 of si-selfplay's 200
+# episodes, none of which falls back; test_harness.py checks the replays
+# against play_episodes.  si-selfplay's digest changed once more when its
+# payoffs came to be summed from joint action counts.
 PINNED = {
     "mw-regret": (dict(episodes=60, horizon=100, num_actions=3, seed=1),
                   "3daef97de43b8fb958e822213d46ad26b3d9bf8d5b79f0b0d1907d9d9862208f"),
     "nash-selfplay": (dict(episodes=200, horizon=50, seed=2),
                       "0525d9143ac31763e1e57fd373442bdd5ae8cc96eabd5bacd4a9720447e5dc38"),
     "si-selfplay": (dict(episodes=200, horizon=100, delta=0.5, k=2, seed=3, type_space=TS4),
-                    "9e698813b5320bd9d7c545767ce4098269dc4689838e49e5a37c33939f5d4ad9"),
+                    "0b2d7b1d34ad74438c8db2f0d93f3a209c15fba3484c1a34edb225699eb68375"),
     "si-consistency": (dict(episodes=40, horizon=60, delta=0.1, k=2, seed=4, type_space=TS4),
                        "6dc8fa6a9d42d03b57b974df2c895af62667cb4970b3719cfe9615eb67b20f0f"),
     "auth-failure": (dict(episodes=500, seed=5),

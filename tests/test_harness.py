@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import types
 
 import numpy as np
@@ -31,7 +33,7 @@ from cooplab.harness import (
     ExperimentConfig,
     VerificationResult,
     _default_ic_mu,
-    _first_trigger_stage,
+    _trigger_bound,
     emit_curves,
     fixture_type_space,
     run_experiment,
@@ -66,7 +68,8 @@ def ts2():
 def agent_first_trigger(ts, joint, k, threshold, i_acts, j_acts, seat):
     """Reference oracle: step a real protocol agent through the handshake and
     a fixed convention action stream; report the first convention stage after
-    which it falls back (-1 if never)."""
+    which it falls back (-1 if never) and its accumulator after each
+    convention stage up to then."""
     table = build_convention_table(ts)
     own, opp = (joint[0], "row") if seat == "row" else (joint[1], "col")
     agent = ProtocolAgent(
@@ -83,14 +86,16 @@ def agent_first_trigger(ts, joint, k, threshold, i_acts, j_acts, seat):
         own_digit = agent.own_code[t]
         opp_digit = partner.own_code[t]
         agent.observe(own_digit, opp_digit)
+    accumulators = []
     for s in range(len(i_acts)):
         if seat == "row":
             agent.observe(int(i_acts[s]), int(j_acts[s]))
         else:
             agent.observe(int(j_acts[s]), int(i_acts[s]))
+        accumulators.append(agent.accumulator)
         if agent.phase == "fallback":
-            return s
-    return -1
+            return s, accumulators
+    return -1, accumulators
 
 
 def handshake_sums(ts, table, joint, k, T):
@@ -106,8 +111,9 @@ def handshake_sums(ts, table, joint, k, T):
 
 
 def check_trigger_against_protocol_agent(ts, stages):
-    # The si-selfplay fast path must flag exactly the stage at which a real
-    # protocol agent's accumulator first exceeds its threshold.
+    # si-selfplay's count bound is at least a real protocol agent's
+    # accumulator at every stage up to its fallback, so an episode-seat that
+    # it clears is one in which the agent never falls back.
     joint = ("gamma", "delta")
     k = 1
     table = build_convention_table(ts)
@@ -116,18 +122,20 @@ def check_trigger_against_protocol_agent(ts, stages):
     B = ts.payoff_table["delta"]
     (ha, hexp_r), (hb, hexp_c) = handshake_sums(ts, table, joint, k, k + stages)
     rng = np.random.default_rng(17)
+    cleared = tripped = 0
     for threshold in (0.5, 1.0, 2.0, 5.0):
         i_acts = rng.choice(2, size=(30, stages), p=prof.sigma_row)
         j_acts = rng.choice(2, size=(30, stages), p=prof.sigma_col)
-        trig_row = _first_trigger_stage(A, prof.sigma_row, j_acts, ha, hexp_r, threshold)
-        trig_col = _first_trigger_stage(B, prof.sigma_col, i_acts, hb, hexp_c, threshold)
-        for e in range(30):
-            assert trig_row[e] == agent_first_trigger(
-                ts, joint, k, threshold, i_acts[e], j_acts[e], "row"
-            )
-            assert trig_col[e] == agent_first_trigger(
-                ts, joint, k, threshold, i_acts[e], j_acts[e], "col"
-            )
+        bounds = {"row": _trigger_bound(A, prof.sigma_row, j_acts, ha, hexp_r),
+                  "col": _trigger_bound(B, prof.sigma_col, i_acts, hb, hexp_c)}
+        for seat, bound in bounds.items():
+            for e in range(30):
+                first, accumulators = agent_first_trigger(
+                    ts, joint, k, threshold, i_acts[e], j_acts[e], seat)
+                assert bound[e] >= max(accumulators)
+                cleared += bound[e] <= threshold
+                tripped += first >= 0
+    assert cleared > 20 and tripped > 20
 
 
 def test_vectorized_trigger_matches_protocol_agent(ts2):
@@ -158,28 +166,22 @@ def si_selfplay_streams(cfg):
     return mu, joint_idx, derive_episode_seeds(cfg.seed, (tag << 32) + np.arange(cfg.episodes))
 
 
-def selfplay_payoffs(ts, table, joint, k, acts_row, acts_col):
+def selfplay_payoffs(ts, joint, k, acts_row, acts_col):
     """Both seats' average payoffs of episodes with (episodes, T) actions,
     summed as si-selfplay sums them: the handshake's stage by stage, then
-    the convention stages' with ``_payoff_sums``, or as stages times the
-    payoff for a pure convention, which the actions must then follow."""
-    A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
+    each (own, opponent) action pair's count over the convention stages
+    times its payoff, added left to right with the own action outermost."""
     T = acts_row.shape[1]
-    hexp_r = hexp_c = 0.0
-    for i, j in zip(acts_row[0, :k].tolist(), acts_col[0, :k].tolist()):
-        hexp_r += A[i, j]
-        hexp_c += B[j, i]
-    prof = table.profile(joint)
-    if prof.sigma_row.max() > 1 - 1e-12 and prof.sigma_col.max() > 1 - 1e-12:
-        i, j = prof.sigma_row.argmax(), prof.sigma_col.argmax()
-        assert (acts_row[:, k:] == i).all() and (acts_col[:, k:] == j).all()
-        pay_r = np.full(len(acts_row), (T - k) * A[i, j])
-        pay_c = np.full(len(acts_row), (T - k) * B[j, i])
-    else:  # C-ordered, as the kernel's actions: numpy sums their rows pairwise
-        own, opp = (np.ascontiguousarray(acts[:, k:]) for acts in (acts_row, acts_col))
-        pay_r = harness._payoff_sums(A, own, opp)
-        pay_c = harness._payoff_sums(B, opp, own)
-    return np.stack([(hexp_r + pay_r) / T, (hexp_c + pay_c) / T], axis=1)
+    out = []
+    for m, own, opp in ((ts.payoff_table[joint[0]], acts_row, acts_col),
+                        (ts.payoff_table[joint[1]], acts_col, acts_row)):
+        handshake = 0.0
+        for a, b in zip(own[0, :k].tolist(), opp[0, :k].tolist()):
+            handshake += m[a, b]
+        terms = [((own[:, k:] == a) & (opp[:, k:] == b)).sum(axis=1) * m[a, b]
+                 for a in range(len(m)) for b in range(len(m))]
+        out.append((handshake + functools.reduce(operator.add, terms)) / T)
+    return np.stack(out, axis=1)
 
 
 def si_selfplay_by_play_episodes(cfg):
@@ -203,7 +205,7 @@ def si_selfplay_by_play_episodes(cfg):
     for jt, joint in enumerate(mu.support):
         ids = np.flatnonzero(joint_idx == jt)
         if len(ids):
-            pay[ids] = selfplay_payoffs(ts, table, joint, k, actions[ids, 0], actions[ids, 1])
+            pay[ids] = selfplay_payoffs(ts, joint, k, actions[ids, 0], actions[ids, 1])
     rows = ["episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback"]
     rows += [f"{e},{a},{b},{pr!r},{pc!r},{int(f)}"
              for e, ((a, b), (pr, pc), f) in enumerate(zip(joints, pay.tolist(), fell.tolist()))]
@@ -212,18 +214,19 @@ def si_selfplay_by_play_episodes(cfg):
 
 def si_selfplay_on_play_episodes(cfg, lowered):
     """Run si-selfplay and check its CSV and detail against the protocol
-    agents on play_episodes: the kernel settles the episodes that never trip
-    and play_episodes replays the rest, and either way each episode must be
-    the one play_episodes plays on its seed.  Returns the CSV."""
+    agents on play_episodes: the kernel settles the episodes that the count
+    bound clears and play_episodes replays the rest, and either way each
+    episode must be the one play_episodes plays on its seed.  Returns the
+    CSV."""
     results, artifacts = run_experiment(cfg)
     csv, fell, first = si_selfplay_by_play_episodes(cfg)
     assert artifacts["si_selfplay.csv"] == csv
     detail = results[0].detail
     replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
+    cleared = int(detail.split("cleared by the count bound ")[1].split(",")[0])
     assert replayed > (100 if lowered else 0)
-    # Every replayed episode tripped in a seat that the count bound could not
-    # clear, so the exact scan saw it.
-    assert int(detail.split(", scanned ")[1].split(",")[0]) >= replayed
+    assert cleared + replayed == cfg.episodes
+    assert fell.sum() <= replayed
     assert detail.endswith(f"fallbacks {fell.sum()}, first at stage {first}")
     return csv
 
@@ -237,6 +240,31 @@ def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, 
     cfg = ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=60, delta=0.9, k=2,
                            seed=5, type_space=fixture_type_space("typespace_4.json"))
     si_selfplay_on_play_episodes(cfg, lowered)
+
+
+def test_si_selfplay_replays_episodes_that_do_and_do_not_trip():
+    # The count bound leaves 232 of these 2 000 episodes to the agents, and
+    # 4 of those fall back; tripped or not, each is all-agents play.
+    cfg = ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=40, delta=0.9, k=2,
+                           seed=0, type_space=fixture_type_space("typespace_4.json"))
+    si_selfplay_on_play_episodes(cfg, 0.0)
+    results, _ = run_experiment(cfg)
+    assert "replayed by the agents 232, fallbacks 4, first at stage " in results[0].detail
+
+
+def test_si_selfplay_fills_an_off_diagonal_pure_convention_as_the_agents_play_it():
+    # The convention of (x, x) is a pure profile off the diagonal, whose
+    # payoffs differ from their transposes: its episodes' counts are filled
+    # without drawing, and each episode must be the agents' own.
+    ts = TypeSpace(types=("x",), payoff_table={"x": np.array([[0.2, 0.9], [0.4, 0.1]])})
+    prof = build_convention_table(ts).profile(("x", "x"))
+    assert prof.sigma_row.max() == prof.sigma_col.max() == 1.0
+    assert prof.sigma_row.argmax() != prof.sigma_col.argmax()
+    cfg = ExperimentConfig(kind="si-selfplay", episodes=20, horizon=30, delta=0.5, k=1, seed=2,
+                           type_space=ts)
+    results, artifacts = run_experiment(cfg)
+    assert artifacts["si_selfplay.csv"] == si_selfplay_by_play_episodes(cfg)[0]
+    assert "pure-convention episodes 20, cleared by the count bound 20," in results[0].detail
 
 
 def test_si_selfplay_csv_is_independent_of_the_chunk_size(monkeypatch):
@@ -285,7 +313,7 @@ def test_triggered_episode_replay_matches_scalar_protocol_agents(monkeypatch):
         rng.next64(), rng.next64()  # the agent seeds
         history = np.array(play_episode(ar, ac, T, rng).history).T[:, None, :]
         assert "fallback" in (ar.phase, ac.phase)
-        want = selfplay_payoffs(ts, table, joint, k, *history)[0]
+        want = selfplay_payoffs(ts, joint, k, *history)[0]
         assert [float(row[3]), float(row[4])] == want.tolist()
         checked += 1
     assert checked > 20
@@ -304,6 +332,27 @@ def test_run_experiment_rejects_an_extra_its_kind_does_not_read():
         run_experiment(ExperimentConfig(kind="ic-eval", extra={"K_value": [10]}))
     with pytest.raises(GameError, match="tolerance"):
         run_experiment(ExperimentConfig(kind="auth-failure", extra={"tolerance": 0.5}))
+
+
+@pytest.mark.parametrize("extra, match", [
+    ({"K_values": []}, "K_values"),
+    ({"K_values": [100, -1]}, "K_values"),
+    ({"K_values": [10.5]}, "K_values"),
+    ({"eval_episodes": 0}, "eval_episodes"),
+    ({"eval_episodes": -5}, "eval_episodes"),
+], ids=["no K", "negative K", "fractional K", "no evaluation episode", "negative episodes"])
+def test_ic_eval_rejects_a_malformed_extra(extra, match):
+    # Each is refused before any dataset is made; an empty evaluation would
+    # give NaN gates after numpy's "Mean of empty slice" warning.
+    with pytest.raises(GameError, match=match):
+        run_experiment(ExperimentConfig(kind="ic-eval", horizon=12, extra=extra))
+
+
+def test_auth_failure_rejects_fewer_than_two_actions():
+    # With one action there is one history and no wrong code digit, so every
+    # gate would pass vacuously.
+    with pytest.raises(GameError, match="num_actions >= 2"):
+        run_experiment(ExperimentConfig(kind="auth-failure", episodes=10, num_actions=1))
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -747,14 +796,22 @@ def test_freq_gate_floors_the_variance_at_one_over_n():
     assert gate.passed is False  # 0.1 > 0.05 + 0.0386
 
 
-def test_payoff_sums_do_not_depend_on_the_action_layout():
+def test_joint_counts_equal_a_per_stage_tally(monkeypatch):
     # play_batch records (stages, seats, episodes); its transposed seats are
-    # F-ordered (episodes, stages) views.
+    # F-ordered (episodes, stages) views.  Row blocks of one cell, of a few
+    # rows and of all rows.
     rng = np.random.default_rng(0)
-    m = rng.random((3, 3))
-    record = rng.integers(0, 3, size=(1000, 2, 300), dtype=np.uint8)
-    own, opp = record[:, 0].T, record[:, 1].T
-    c_own, c_opp = np.ascontiguousarray(own), np.ascontiguousarray(opp)
-    got = harness._payoff_sums(m, own, opp).tobytes()
-    assert got == harness._payoff_sums(m, c_own, c_opp).tobytes()
-    assert got == m[c_own, c_opp].sum(axis=1).tobytes()
+    for n in range(2, 6):
+        record = rng.integers(0, n, size=(70, 2, 40), dtype=np.uint8)
+        row, col = record[:, 0].T, record[:, 1].T
+        tally = np.zeros((40, n, n), np.int64)
+        for e in range(40):
+            for i, j in zip(row[e].tolist(), col[e].tolist()):
+                tally[e, i, j] += 1
+        for cells in (1, 250, 1 << 16):
+            monkeypatch.setattr(harness, "ROW_BLOCK_CELLS", cells)
+            assert np.array_equal(harness._joint_counts(row, col, n), tally)
+            c_row, c_col = np.ascontiguousarray(row), np.ascontiguousarray(col)
+            assert np.array_equal(harness._joint_counts(c_row, c_col, n), tally)
+    empty = np.zeros((3, 0), np.uint8)
+    assert np.array_equal(harness._joint_counts(empty, empty, 2), np.zeros((3, 2, 2)))

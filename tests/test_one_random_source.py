@@ -50,6 +50,15 @@ def test_stream_keys_are_the_episode_seeds_of_the_tagged_indices(tag):
     assert _keys(5, tag, 3).tolist() == want
 
 
+def test_the_dataset_draw_stream_is_keyed_by_the_same_rule():
+    # generate_dataset's draw stream and the harness's tags share one helper.
+    want = [derive_episode_seed(5, (population._DRAW_STREAM << 32) + i) for i in range(3)]
+    assert population.tagged_seeds(5, population._DRAW_STREAM, 3).tolist() == want
+    source = resources.files("cooplab")
+    scans = [(f.name, f.read_text().count("<< 32")) for f in source.iterdir() if f.name.endswith(".py")]
+    assert [name for name, count in scans if count] == ["population.py"]
+
+
 @pytest.mark.parametrize("count", [0, 1, 17, 5000])
 def test_draws_of_one_stream_match_the_oracle(count):
     # One scalar key: a (count,) array, as the single streams of the

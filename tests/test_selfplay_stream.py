@@ -1,11 +1,13 @@
 """The streamed self-play kernels of nash-selfplay and si-selfplay, checked
-against the engine on the same episode streams and against the whole-run
-kernels they replaced, which are kept here as reference implementations,
-and their sampler against the engine's; the batched mixture check against
-its former per-case loop on the scalar oracle; and the flatten-check rows
-against their former code."""
+against the engine on the same episode streams and against whole-run
+reference regrets, si-selfplay's count bound against the protocol agents'
+own regret accumulator, and their sampler against the engine's; the batched
+mixture check against its former per-case loop on the scalar oracle; and
+the flatten-check rows against their former code."""
+import functools
 import hashlib
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from cooplab import harness
 from cooplab.agents import AgentSpec, build_agent, build_convention_table, tree_act_fn
-from cooplab.engine import BatchFixedMixed, EpisodeStreams, play_batch, sample_actions
+from cooplab.engine import (
+    BatchFixedMixed,
+    EpisodeStreams,
+    RegretKernel,
+    play_batch,
+    sample_actions,
+)
 from cooplab.game_core import (
     BimatrixGame,
     GameError,
@@ -28,7 +36,6 @@ from cooplab.harness import (
     ExperimentConfig,
     _choice,
     _choice_cuts,
-    _first_trigger_stage,
     _iid_actions,
     _mixture_statistics,
     _random_joint,
@@ -43,26 +50,8 @@ from scalar_agents import column_partition, mixture_from_joint
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the whole-run kernels, the per-component reply,
-# the per-case mixture check and the flatten check's former rows
-
-
-def whole_run_trigger_acc(m, sigma, opp_acts, h_cf, h_exp):
-    """The (episodes, stages) accumulator of the whole-run trigger scan."""
-    v = sigma @ m
-    cum_cf = np.cumsum(m[:, opp_acts], axis=2)
-    cum_cf += h_cf[:, None, None]
-    cum_exp = np.cumsum(v[opp_acts], axis=1) + h_exp
-    return cum_cf.max(axis=0) - cum_exp
-
-
-def whole_run_first_trigger_stage(m, sigma, opp_acts, h_cf, h_exp, threshold):
-    episodes, stages = opp_acts.shape
-    exceeded = whole_run_trigger_acc(m, sigma, opp_acts, h_cf, h_exp) > threshold
-    first = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), -1)
-    if h_cf.max() - h_exp > threshold:
-        first = np.zeros(episodes, dtype=int)
-    return first
+# Reference implementations: whole-run regrets, the per-component reply, the
+# per-case mixture check and the flatten check's former rows
 
 
 def engine_actions(sigma, z):
@@ -93,7 +82,10 @@ def whole_run_selfplay_regrets(game, p, q, acts_row, acts_col):
             [(opp == j).sum(axis=1) for j in range(n)], axis=1
         ).astype(float)
         counterfactual = opp_counts @ m.T
-        realized = m[own, opp].sum(axis=1)
+        # Each (own, opp) pair's count times its payoff, added left to right
+        # with the own action outermost.
+        realized = functools.reduce(operator.add, [((own == a) & (opp == b)).sum(axis=1) * m[a, b]
+                                                   for a in range(n) for b in range(n)])
         expected = opp_counts @ (sigma @ m)
         out[player] = (
             counterfactual.max(axis=1) - realized,
@@ -271,23 +263,7 @@ def test_choice_never_draws_a_tolerance_level_negative_action():
 
 
 # ---------------------------------------------------------------------------
-# si-selfplay trigger scan
-
-
-def record_stages(acc):
-    """Stages at which some episode's accumulator first rises above every
-    value at earlier stages: a threshold just below that lets it fire there
-    first."""
-    best = acc.max(axis=0)
-    before = np.maximum.accumulate(np.concatenate([[-np.inf], best[:-1]]))
-    return np.flatnonzero(best > before)
-
-
-def threshold_firing_at(acc, stage):
-    """A threshold first exceeded at ``stage``, by some episode."""
-    if stage == 0:
-        return np.nextafter(acc[:, 0].max(), -np.inf)
-    return acc[:, :stage].max()
+# si-selfplay count bound
 
 
 STAGE_COUNTS = st.one_of(
@@ -297,73 +273,33 @@ STAGE_COUNTS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    n=st.integers(2, 5),
-    episodes=st.integers(1, 12),
-    stages=STAGE_COUNTS,
-    scale=st.sampled_from([1.0, 30.0, 1e3]),
-    where=st.sampled_from(["first block", "block boundary", "last block", "never"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_trigger_scan_equals_whole_run(data, n, episodes, stages, scale, where, seed):
-    rng = np.random.default_rng(seed)
-    m = (rng.random((n, n)) - 0.5) * scale  # signed payoffs
-    sigma = data.draw(mixed_strategy(n))
-    opp = rng.integers(0, n, size=(episodes, stages)).astype(np.uint8)
-    # A handshake below the threshold mostly: the scan then decides.
-    h_cf = (rng.random(n) - 0.5) * scale
-    h_exp = float(h_cf.max() + rng.random() * scale)
-    acc = whole_run_trigger_acc(m, sigma, opp, h_cf, h_exp)
-    width = harness.TRIGGER_BLOCK
-    last = (stages - 1) // width * width
-    regions = {
-        "first block": range(0, min(width, stages)),
-        "block boundary": range(width - 1, min(width + 1, stages)),
-        "last block": range(last, stages),
-    }
-    threshold = float(acc.max())  # never exceeded
-    if where != "never":
-        candidates = [s for s in record_stages(acc).tolist() if s in regions[where]]
-        if candidates:
-            stage = data.draw(st.sampled_from(candidates))
-            threshold = float(threshold_firing_at(acc, stage))
-    first = _first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold)
-    assert np.array_equal(first, whole_run_first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold))
-    if where == "never" and not h_cf.max() - h_exp > threshold:
-        assert (first == -1).all()
-    # Other block sizes, for the count bound too, and its rows a few at a time.
-    for block, cells in ((1, 1), (3, 5 * stages), (width + 1, 1 << 18), (4 * width, 1)):
-        with mock.patch.multiple(harness, TRIGGER_BLOCK=block, ROW_BLOCK_CELLS=cells):
-            assert np.array_equal(first, _first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold))
+def handshake_kernel(m, handshake, episodes):
+    """The regret kernel of protocol agents in ``episodes`` episodes after a
+    pure handshake of (own, opp) action pairs, as the agents accrue it."""
+    kernel = RegretKernel(np.broadcast_to(m, (episodes, *m.shape)))
+    eye = np.eye(len(m))
+    for own, opp in handshake:
+        kernel.update(np.tile(eye[own], (episodes, 1)), kernel.payoffs(np.full(episodes, opp)))
+    return kernel
 
 
-def test_trigger_scan_fires_where_the_threshold_says():
-    # The record-stage thresholds of the property test do fire at the stage
-    # they aim at, in each region of the block scan.
-    rng = np.random.default_rng(8)
-    m, sigma = rng.random((2, 2)), np.array([0.4, 0.6])
-    opp = rng.integers(0, 2, size=(20, 3 * harness.TRIGGER_BLOCK + 7)).astype(np.uint8)
-    h_cf, h_exp = np.zeros(2), 0.0
-    acc = whole_run_trigger_acc(m, sigma, opp, h_cf, h_exp)
-    records = record_stages(acc)
-    assert records[-1] >= 3 * harness.TRIGGER_BLOCK  # one in the last, partial block
-    for stage in records.tolist():
-        first = _first_trigger_stage(m, sigma, opp, h_cf, h_exp, threshold_firing_at(acc, stage))
-        assert first[first >= 0].min() == stage
+def agents_accumulators(kernel, sigma, opp):
+    """The accumulator of ``kernel``'s agents after each stage (episodes,
+    stages) while they announce ``sigma`` against the actions ``opp``."""
+    announced = np.tile(sigma, (len(opp), 1))
+    acc = np.empty(opp.shape)
+    for s in range(opp.shape[1]):
+        kernel.update(announced, kernel.payoffs(opp[:, s]))
+        acc[:, s] = kernel.regret()
+    return acc
 
 
-def test_trigger_scan_flags_a_handshake_over_the_threshold():
-    opp = np.zeros((4, 100), dtype=np.uint8)
-    first = _first_trigger_stage(np.eye(2), np.array([0.5, 0.5]), opp, np.array([3.0, 0.0]), 0.0, 2.0)
-    assert first.tolist() == [0, 0, 0, 0]
-
-
-def bound_covers_scan(bound, m, sigma, opp, h_cf, h_exp):
-    """Whether ``bound`` is at least every episode's accumulator at every
-    stage."""
-    return bool((bound >= whole_run_trigger_acc(m, sigma, opp, h_cf, h_exp).max(axis=1)).all())
+def bound_covers_the_agents(bound, m, sigma, opp, h_cf):
+    """Whether ``bound`` is at least the agents' accumulator at every stage,
+    from the handshake sums ``h_cf`` and an expected payoff of 0."""
+    kernel = handshake_kernel(m, [], len(opp))
+    kernel.counterfactual[:] = h_cf
+    return bool((bound >= agents_accumulators(kernel, sigma, opp).max(axis=1)).all())
 
 
 def runs_of_actions(rng, n, episodes, stages, run):
@@ -383,19 +319,23 @@ def runs_of_actions(rng, n, episodes, stages, run):
     stages=STAGE_COUNTS,
     scale=st.sampled_from([1.0, 30.0, 1e3]),
     run=st.sampled_from([1, 5, harness.TRIGGER_BLOCK, 10**9]),
+    handshake=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_trigger_bound_covers_every_accumulator(data, n, episodes, stages, scale, run, seed):
-    # Runs of one action through a whole block make the count bound tight up
-    # to rounding, which the slack must cover.
+def test_trigger_bound_covers_every_accumulator(data, n, episodes, stages, scale, run, handshake,
+                                                seed):
+    # The protocol agents' RegretKernel, stepped through a pure handshake and
+    # then along the opponent's actions, never exceeds the bound taken from
+    # its handshake sums.  Runs of one action through a whole block make the
+    # bound tight up to rounding, which the slack must cover.
     rng = np.random.default_rng(seed)
-    m = (rng.random((n, n)) - 0.5) * scale
+    m = (rng.random((n, n)) - 0.5) * scale  # signed payoffs
     sigma = data.draw(mixed_strategy(n))
-    h_cf = (rng.random(n) - 0.5) * scale
-    h_exp = float(rng.random() - 0.5) * scale
+    kernel = handshake_kernel(m, rng.integers(0, n, size=(handshake, 2)).tolist(), episodes)
     opp = runs_of_actions(rng, n, episodes, stages, run)
-    bound = harness._trigger_bound(m, sigma, opp, h_cf, h_exp)
-    assert bound_covers_scan(bound, m, sigma, opp, h_cf, h_exp)
+    bound = harness._trigger_bound(m, sigma, opp, kernel.counterfactual[0].copy(),
+                                   float(kernel.expected[0]))
+    assert (bound >= agents_accumulators(kernel, sigma, opp).max(axis=1)).all()
 
 
 def block_end_bound(m, sigma, opp, h_cf, h_exp):
@@ -413,10 +353,23 @@ def test_a_bound_from_block_end_counts_alone_fails_the_cover_check():
     m, sigma, h_cf = np.eye(2), np.array([1.0, 0.0]), np.zeros(2)
     half = harness.TRIGGER_BLOCK // 2
     opp = np.tile(np.repeat(np.array([1, 0], np.uint8), half), (3, 2))
-    assert not bound_covers_scan(block_end_bound(m, sigma, opp, h_cf, 0.0), m, sigma, opp, h_cf, 0.0)
+    assert not bound_covers_the_agents(block_end_bound(m, sigma, opp, h_cf, 0.0), m, sigma, opp,
+                                       h_cf)
     bound = harness._trigger_bound(m, sigma, opp, h_cf, 0.0)
-    assert bound_covers_scan(bound, m, sigma, opp, h_cf, 0.0)
+    assert bound_covers_the_agents(bound, m, sigma, opp, h_cf)
     assert np.allclose(bound, half)
+
+
+def test_count_bound_never_clears_a_handshake_over_the_threshold():
+    # With payoffs [[-1, -1], [0, 0]], sigma = (0, 1) and handshake sums
+    # (3, 0), the accumulator is 3 when the handshake ends and falls by 1 a
+    # stage; the agents, which check it after each convention stage only,
+    # never exceed 2.  The bound counts the handshake's end too.
+    m, sigma, h_cf = np.array([[-1.0, -1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), np.array([3.0, 0.0])
+    opp = np.zeros((4, 100), dtype=np.uint8)
+    bound = harness._trigger_bound(m, sigma, opp, h_cf, 0.0)
+    assert bound_covers_the_agents(np.full(4, 2.0), m, sigma, opp, h_cf)
+    assert (bound >= 3.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +474,9 @@ def test_si_selfplay_detail_counts_its_episodes():
     assert int(detail.split("first at stage ")[1]) >= 2  # after the handshake
     replayed = int(detail.split("replayed by the agents ")[1].split(",")[0])
     assert fallbacks <= replayed <= len(rows) - pure
-    # Each seat of a mixed-convention episode is cleared by the count bound
-    # or scanned exactly.
+    # Each episode is cleared by the count bound or replayed by the agents.
     cleared = int(detail.split("cleared by the count bound ")[1].split(",")[0])
-    scanned = int(detail.split(", scanned ")[1].split(",")[0])
-    assert cleared + scanned == 2 * (len(rows) - pure)
-    assert replayed <= scanned
+    assert cleared + replayed == len(rows)
 
 
 # ---------------------------------------------------------------------------
