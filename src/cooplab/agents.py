@@ -139,6 +139,8 @@ class SocialParams:
 def theorem26_params(delta: float, T: int, k: int, N: int) -> SocialParams:
     if not (0.0 < delta < 1.0):
         raise GameError(f"delta must be in (0, 1), got {delta}")
+    if k < 0 or N < 1:
+        raise GameError(f"need handshake length k >= 0 and action count N >= 1, got k={k}, N={N}")
     if T <= k:
         raise GameError(f"need T > k, got T={T}, k={k}")
     rem = T - k

@@ -12,20 +12,16 @@ keyed by ``_keys`` from the run's seed and a tag of ``STREAM_TAGS``, and
 every categorical draw is the engine's inverse CDF (``engine._choice``).
 mw-regret plays its runs as one batch on the batched engine;
 si-consistency and ic-eval, its datasets included, play theirs through
-``population.play_episodes``, ic-eval's IC agent built from its spec, and
-ic-eval replays each partner member's first episode of a chunk with
-``run_episode`` as a spot check.
-Equilibrium and protocol self-play draw a fixed profile's actions from one
-sampler, ``_iid_actions``, that reads each episode's own stream as the
-engine does, in cache-sized blocks, so an episode is the one
-``play_episodes`` plays on its seed.  Each chunk of actions is reduced to
-per-episode joint action counts, and every payoff is taken from them.  In
-protocol self-play the protocol agents play the handshake on the engine,
-and ``_trigger_bound`` bounds each episode's regret accumulator from
-integer counts of the opponent's actions per block of stages, with a
-rounding slack.  An episode it clears cannot trip; every other one is
-played again, whole, by ``play_episodes``, so every fallback is the
-agents' own.
+``population.play_episodes``, and ic-eval replays each partner member's
+first episode of a chunk with ``run_episode`` as a spot check.
+Equilibrium and protocol self-play draw a fixed profile's actions with
+``_iid_actions``, from each episode's own stream as the engine does, as
+each seat's "action >= i" indicators on the raw draws; each chunk's joint
+action counts follow from them by inclusion-exclusion, and every payoff
+from the counts.  In protocol self-play the agents play the handshake on
+the engine, and ``_trigger_bound`` bounds each episode's regret
+accumulator from the opponent's action counts per block of stages; every
+episode it cannot clear is played again, whole, by ``play_episodes``.
 The mixture check runs as array passes over its cases, through the IC
 agent's own ``commitment_mixtures`` and ``partition_replies``.
 """
@@ -274,29 +270,26 @@ def _row_blocks(rows: int, cols: int):
     return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 
-def _draw_actions(keys: np.ndarray, cuts: np.ndarray, draw: int, stages: int) -> np.ndarray:
-    """``_choice`` of draws ``draw``, ``draw + 2``, ... of the streams with
-    ``keys``: (E, stages) actions, drawn a block of rows at a time."""
-    steps = np.arange(draw + 1, draw + 2 * stages + 1, 2, dtype=np.uint64) * np.uint64(GAMMA)
-    acts = np.empty((len(keys), stages), np.min_scalar_type(len(cuts)))
-    for block in _row_blocks(len(keys), stages):
-        z = keys[block, None] + steps
-        acts[block] = _choice(mix64_inplace(z, np.empty_like(z)), cuts)
-    return acts
+def _at_least(acts: np.ndarray, n: int) -> np.ndarray:
+    """The indicators (n - 1, E, S) of (E, S) actions among n: [i - 1] is action >= i."""
+    return acts >= np.arange(1, n)[:, None, None]
 
 
-def _joint_counts(row_acts: np.ndarray, col_acts: np.ndarray, n: int) -> np.ndarray:
-    """Per-episode joint action counts (E, n, n) of (E, stages) row and
-    column actions: [e, i, j] counts episode e's stages with actions (i, j).
-    One ``bincount`` per block of rows, over row * n + col offset by row."""
-    episodes, stages = row_acts.shape
-    counts = np.empty((episodes, n, n), np.int64)
-    for rows in _row_blocks(episodes, stages):
-        cells = np.multiply(row_acts[rows], n, dtype=np.intp)
-        cells += col_acts[rows]
-        cells += np.arange(len(cells))[:, None] * (n * n)
-        counts[rows] = np.bincount(cells.ravel(), minlength=len(cells) * n * n).reshape(-1, n, n)
-    return counts
+def _joint_counts(row_ge: np.ndarray, col_ge: np.ndarray) -> np.ndarray:
+    """Per-episode joint action counts (E, n, n) of the seats' indicators
+    of ``_at_least``: [e, i, j] counts episode e's stages with actions (i, j).
+    It is G[i, j] - G[i + 1, j] - G[i, j + 1] + G[i + 1, j + 1], for G[i, j]
+    the stages with row action >= i and column action >= j (none at i or j =
+    n), counted on the indicators packed 64 stages to a word."""
+    episodes, stages = row_ge.shape[1:]
+    words = []
+    for ge in (row_ge, col_ge):  # (n, words, E), from "action >= 0" on
+        bits = np.zeros((len(ge) + 1, episodes, -(-stages // 64) * 8), np.uint8)
+        bits[0, :, : -(-stages // 8)] = np.packbits(np.ones(stages, bool))
+        bits[1:, :, : -(-stages // 8)] = np.packbits(ge, axis=-1)
+        words.append(bits.view(np.uint64).transpose(0, 2, 1).copy())
+    G = np.bitwise_count(words[0][:, None] & words[1][None]).sum(axis=2, dtype=np.int64)
+    return np.diff(np.diff(G, axis=0, append=0), axis=1, append=0).transpose(2, 0, 1)
 
 
 def _count_payoffs(counts: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -309,29 +302,36 @@ def _count_payoffs(counts: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _iid_actions(keys: np.ndarray, p: np.ndarray, q: np.ndarray, first: int, stages: int):
     """The actions of stages ``first`` to ``first + stages - 1`` of i.i.d.
     self-play of the fixed mixed profile (``p``, ``q``) in the episodes whose
-    streams have ``keys``, yielded as (slice, row actions, column actions)
-    for SELFPLAY_CHUNK episodes at a time.  As in the engine, stage t's row
-    action samples ``p`` from draw 2 + 2t of its episode's stream and its
-    column action ``q`` from draw 3 + 2t."""
-    cuts_p, cuts_q = _choice_cuts(p), _choice_cuts(q)
+    streams have ``keys``, yielded for SELFPLAY_CHUNK episodes at a time as
+    (slice, row and column indicators of ``_at_least``) in buffers that the
+    next chunk overwrites.  As in the engine, stage t's row action samples
+    ``p`` from draw 2 + 2t of its episode's stream and its column action
+    ``q`` from draw 3 + 2t.  A ``_choice`` action counts the cuts at or
+    below its draw, so it is >= i iff its draw is >= cut i - 1."""
+    steps = (np.arange(stages, dtype=np.uint64) * 2 + 3 + 2 * first) * np.uint64(GAMMA)
+    seats = [(steps + np.uint64(s * GAMMA), _choice_cuts(sigma)) for s, sigma in ((0, p), (1, q))]
+    ge = np.zeros((2, len(p) - 1, min(SELFPLAY_CHUNK, len(keys)), stages), bool)
+    z, scratch = np.empty((2, max(1, ROW_BLOCK_CELLS // max(stages, 1)), stages), np.uint64)
     for start in range(0, len(keys), SELFPLAY_CHUNK):
         rows = slice(start, min(start + SELFPLAY_CHUNK, len(keys)))
-        yield (rows, _draw_actions(keys[rows], cuts_p, 2 + 2 * first, stages),
-               _draw_actions(keys[rows], cuts_q, 3 + 2 * first, stages))
+        for block in _row_blocks(rows.stop - start, stages):
+            for seat_ge, (offsets, cuts) in zip(ge, seats):
+                draws = np.add(keys[rows][block, None], offsets, out=z[: block.stop - block.start])
+                mix64_inplace(draws, scratch[: len(draws)])
+                for i, cut in enumerate(cuts):
+                    np.greater_equal(draws, cut, out=seat_ge[i, block])
+        yield rows, *ge[:, :, : rows.stop - start]
 
 
 def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray, keys: np.ndarray, T: int):
     """Realized and expected external regrets for both players over i.i.d.
     self-play episodes of a fixed mixed profile, whose actions
-    ``_iid_actions`` draws from the episode streams with ``keys``.
-
-    The chunks yield joint action counts.  The counterfactual and expected
-    payoffs are matrix products over all episodes at once, whose rounding
-    BLAS may choose by the number of rows.
-    """
+    ``_iid_actions`` draws from the episode streams with ``keys``.  The
+    counterfactual and expected payoffs are matrix products over all
+    episodes at once, whose rounding BLAS may choose by the number of rows."""
     counts = np.empty((len(keys), game.num_actions, game.num_actions), np.int64)
-    for rows, row_acts, col_acts in _iid_actions(keys, p, q, 0, T):
-        counts[rows] = _joint_counts(row_acts, col_acts, game.num_actions)
+    for rows, row_ge, col_ge in _iid_actions(keys, p, q, 0, T):
+        counts[rows] = _joint_counts(row_ge, col_ge)
     out = {}
     for player, joint, sigma, m in (
         ("row", counts, p, game.payoff_row),
@@ -381,12 +381,12 @@ def run_nash_selfplay(cfg: ExperimentConfig):
 
 
 def _trigger_bound(
-    m: np.ndarray, sigma: np.ndarray, opp_acts: np.ndarray, h_cf: np.ndarray, h_exp: float
+    m: np.ndarray, sigma: np.ndarray, opp_ge: np.ndarray, h_cf: np.ndarray, h_exp: float
 ) -> np.ndarray:
     """Per-episode upper bound on every value that a protocol agent's regret
-    accumulator takes while its opponent plays the (E, S) convention-stage
-    actions ``opp_acts``, rounding included, from integer counts of those
-    actions at the ends of each TRIGGER_BLOCK-stage block.
+    accumulator takes, rounding included, while its opponent plays the
+    convention-stage actions of the indicators ``opp_ge`` of ``_at_least``,
+    from integer counts of them at the ends of each TRIGGER_BLOCK stages.
 
     The agent's ``RegretKernel`` starts from the handshake's sums ``h_cf``
     and ``h_exp``, and at a stage where the opponent plays j adds m[:, j] to
@@ -404,24 +404,21 @@ def _trigger_bound(
     2 S max|m, v| + max|h_cf| + |h_exp|; and for K = S + n + 8,
     gamma_K = K u / (1 - K u) <= K eps, u = eps / 2, while K u <= 1/2.
     """
-    episodes, stages = opp_acts.shape
-    n = m.shape[0]
+    (_, episodes, stages), n = opp_ge.shape, len(m)
     table = np.vstack([m, _rowsum(sigma * m.T)])
     d = table[:n] - table[n]
     up, down = np.maximum(d, 0.0).T, np.minimum(d, 0.0).T
     starts = np.arange(0, stages, TRIGGER_BLOCK)
-    widths = np.diff(np.append(starts, stages))
     bound = np.empty(episodes)
     for rows in _row_blocks(episodes, stages):
-        acts = opp_acts[rows]
-        block = np.empty((len(acts), len(starts), n))  # opponent action counts per block
-        for j in range(1, n):
-            block[:, :, j] = np.add.reduceat(acts == j, starts, axis=1, dtype=np.int32)
-        block[:, :, 0] = widths - block[:, :, 1:].sum(axis=2)
+        at_least = np.zeros((n + 1, rows.stop - rows.start, len(starts)))  # per block
+        at_least[0] = np.diff(np.append(starts, stages))
+        at_least[1:n] = np.add.reduceat(opp_ge[:, rows], starts, axis=2, dtype=np.int32)
+        block = (at_least[:n] - at_least[1:]).transpose(1, 2, 0)  # opponent action counts
         hi = block.cumsum(axis=1).reshape(-1, n)  # a row per (episode, block)
         lo = hi - block.reshape(-1, n)
         at = hi @ up + lo @ down + (h_cf - h_exp)
-        bound[rows] = at.reshape(len(acts), -1).max(axis=1, initial=-np.inf)
+        bound[rows] = at.reshape(len(block), -1).max(axis=1, initial=-np.inf)
     size = 2 * stages * np.abs(table).max() + np.abs(h_cf).max() + abs(h_exp)
     return bound + (stages + n + 8) * np.finfo(float).eps * size
 
@@ -461,21 +458,21 @@ def run_si_selfplay(cfg: ExperimentConfig):
         A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
         h_row, h_col = ((kernel.counterfactual[jt], kernel.expected[jt]) for kernel in kernels)
 
-        def cleared(i_acts, j_acts):
-            return ((_trigger_bound(A, p, j_acts, *h_row) <= threshold)
-                    & (_trigger_bound(B, q, i_acts, *h_col) <= threshold))
+        def cleared(i_ge, j_ge):
+            return ((_trigger_bound(A, p, j_ge, *h_row) <= threshold)
+                    & (_trigger_bound(B, q, i_ge, *h_col) <= threshold))
 
         if p.max() > 1.0 - 1e-12 and q.max() > 1.0 - 1e-12:  # one path for all episodes
             i, j = int(p.argmax()), int(q.argmax())
-            if cleared(np.full((1, stages), i), np.full((1, stages), j))[0]:
+            if cleared(*(_at_least(np.full((1, stages), a), n) for a in (i, j)))[0]:
                 counts[ids, i, j] = stages
             else:
                 replay.append(ids)
             pure_episodes += len(ids)
             continue
-        for rows, i_acts, j_acts in _iid_actions(keys[ids], p, q, k, stages):
-            counts[ids[rows]] = _joint_counts(i_acts, j_acts, n)
-            replay.append(ids[rows][~cleared(i_acts, j_acts)])
+        for rows, i_ge, j_ge in _iid_actions(keys[ids], p, q, k, stages):
+            counts[ids[rows]] = _joint_counts(i_ge, j_ge)
+            replay.append(ids[rows][~cleared(i_ge, j_ge)])
 
     # The protocol agents play the episodes left to them again, whole.
     replay = np.concatenate(replay)
@@ -484,7 +481,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
     for part, agents, record in play_episodes(
             seat_specs, seat_specs, [mu.support[j] for j in joint_idx[replay].tolist()], ts, T,
             keys[replay], ct, record=True):
-        counts[replay[part]] = _joint_counts(record[k:, 0].T, record[k:, 1].T, n)
+        counts[replay[part]] = _joint_counts(*(_at_least(record[k:, s].T, n) for s in (0, 1)))
         fell[:, replay[part]] = [agent.fallback_stage for agent in agents]
     fallback = (fell >= 0).any(axis=0)
     # Every episode's payoffs: the handshake's, then its convention stages'
@@ -497,8 +494,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
 
     theta = np.array(mu.support, dtype=object)[joint_idx]
     csv = _csv("episode,theta1,theta2,avg_payoff_row,avg_payoff_col,fallback",
-               range(E), *theta.T, avg_pay_row, avg_pay_col,
-               fallback.astype(np.int8))
+               range(E), *theta.T, avg_pay_row, avg_pay_col, fallback.astype(np.int8))
     first = f", first at stage {fell[fell >= 0].min()}" if fallback.any() else ""
     results = [_freq_gate(
         cfg.kind, "handshake+convention completes without fallback w.p. >= 1-delta",

@@ -322,6 +322,8 @@ def auth_failure_probability(N: int, k: int, M: int) -> AuthFailure:
     is the literal expansion 1 - M/N^2k - 1/N + M/N^3k, whose 1/N
     term differs from the product.  Both are reported.
     """
+    if k < 0 or N < 1:
+        raise GameError(f"need handshake length k >= 0 and action count N >= 1, got k={k}, N={N}")
     if not (0 <= M <= N ** (2 * k)):
         raise GameError(f"M must be in [0, N^2k] = [0, {N ** (2 * k)}], got {M}")
     corrected = (1.0 - N ** (-k)) * (1.0 - M / N ** (2 * k))
@@ -364,8 +366,8 @@ def bound_report(
     delta: float,
     eps: float,
 ) -> BoundReport:
-    dk = delta_K(N, tilde_T, theta_count, K)
     auth = auth_failure_probability(N, k, M)
+    dk = delta_K(N, tilde_T, theta_count, K)
     return BoundReport(
         delta_K=dk,
         theorem42_bound=theorem42_bound(delta, eps, dk, T, tilde_T),

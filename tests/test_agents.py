@@ -121,6 +121,15 @@ def test_theorem26_params_frozen_values():
         theorem26_params(0.1, 2, 2, 2)
 
 
+def test_theorem26_params_refuse_a_negative_k_and_fewer_than_one_action():
+    assert theorem26_params(0.1, 10, 0, 1).eps0 > 0.0  # k = 0 and N = 1 are allowed
+    with pytest.raises(GameError, match="got k=-1, N=2"):
+        theorem26_params(0.1, 1000, -1, 2)
+    for N in (0, -2):
+        with pytest.raises(GameError, match=f"got k=2, N={N}"):
+            theorem26_params(0.1, 1000, 2, N)
+
+
 def test_protocol_threshold_frozen_value():
     p = theorem26_params(0.1, 1000, 2, 2)
     assert protocol_threshold(2, 1000, p.eps1, 2) == pytest.approx(

@@ -48,3 +48,23 @@ def test_an_unknown_fixture_is_a_one_line_error(tmp_path):
             "Error: unknown fixture 'nope'; choose from "
             "['coordination', 'four-types', 'pd', 'two-types']\n"
         )
+
+
+def test_verify_bounds_refuses_a_negative_k_and_no_actions():
+    # A negative k or no actions is a one-line error, with or without --eps,
+    # not an auth failure "probability" of -1 or a math domain error.
+    need = "need handshake length k >= 0 and action count N >= 1"
+    for args, message in ((["--k", "-1"], f"{need}, got k=-1, N=2"),
+                          (["--num-actions", "0"], f"{need}, got k=2, N=0")):
+        for eps in ([], ["--eps", "0.5"]):
+            result = CliRunner().invoke(main, ["verify-bounds", *args, *eps])
+            assert result.exit_code == 1, result.output
+            assert result.output == f"Error: {message}\n"
+
+
+def test_run_experiment_refuses_a_negative_k(tmp_path):
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "run-experiment", "--kind",
+                                       "si-selfplay", "--episodes", "10", "-T", "20", "--k", "-1"])
+    assert result.exit_code == 1, result.output
+    assert result.output == ("Error: need handshake length k >= 0 and action count N >= 1, "
+                             "got k=-1, N=2\n")

@@ -21,6 +21,9 @@ from cooplab.engine import (
     BatchMW,
     EpisodeStreams,
     RegretKernel,
+    _choice,
+    _choice_cuts,
+    _draws,
     play_batch,
 )
 from cooplab.equilibria import worst_pone_payoff
@@ -32,6 +35,7 @@ from cooplab.harness import (
     TRIGGER_BLOCK,
     ExperimentConfig,
     VerificationResult,
+    _at_least,
     _default_ic_mu,
     _trigger_bound,
     emit_curves,
@@ -126,8 +130,8 @@ def check_trigger_against_protocol_agent(ts, stages):
     for threshold in (0.5, 1.0, 2.0, 5.0):
         i_acts = rng.choice(2, size=(30, stages), p=prof.sigma_row)
         j_acts = rng.choice(2, size=(30, stages), p=prof.sigma_col)
-        bounds = {"row": _trigger_bound(A, prof.sigma_row, j_acts, ha, hexp_r),
-                  "col": _trigger_bound(B, prof.sigma_col, i_acts, hb, hexp_c)}
+        bounds = {"row": _trigger_bound(A, prof.sigma_row, _at_least(j_acts, 2), ha, hexp_r),
+                  "col": _trigger_bound(B, prof.sigma_col, _at_least(i_acts, 2), hb, hexp_c)}
         for seat, bound in bounds.items():
             for e in range(30):
                 first, accumulators = agent_first_trigger(
@@ -796,22 +800,61 @@ def test_freq_gate_floors_the_variance_at_one_over_n():
     assert gate.passed is False  # 0.1 > 0.05 + 0.0386
 
 
+def per_stage_tally(row, col, n):
+    """Joint action counts (E, n, n) of (E, stages) actions, stage by stage."""
+    tally = np.zeros((len(row), n, n), np.int64)
+    for e in range(len(row)):
+        for i, j in zip(row[e].tolist(), col[e].tolist()):
+            tally[e, i, j] += 1
+    return tally
+
+
+# Strategies over 2-5 actions whose cut lists are full, repeat a cut (a
+# zero-probability middle action) or stop short of n - 1 cuts (a
+# zero-probability last action, a pure strategy).
+CUT_LIST_STRATEGIES = [
+    ([0.3, 0.7], [1.0, 0.0]),
+    ([0.5, 0.0, 0.5], [0.2, 0.3, 0.5]),
+    ([0.0, 1.0, 0.0], [0.25, 0.75, 0.0]),
+    ([0.1, 0.2, 0.3, 0.4], [0.4, 0.0, 0.0, 0.6]),
+    ([0.2, 0.2, 0.0, 0.2, 0.4], [0.0, 0.5, 0.0, 0.5, 0.0]),
+]
+
+
 def test_joint_counts_equal_a_per_stage_tally(monkeypatch):
-    # play_batch records (stages, seats, episodes); its transposed seats are
-    # F-ordered (episodes, stages) views.  Row blocks of one cell, of a few
-    # rows and of all rows.
-    rng = np.random.default_rng(0)
-    for n in range(2, 6):
-        record = rng.integers(0, n, size=(70, 2, 40), dtype=np.uint8)
-        row, col = record[:, 0].T, record[:, 1].T
-        tally = np.zeros((40, n, n), np.int64)
-        for e in range(40):
-            for i, j in zip(row[e].tolist(), col[e].tolist()):
-                tally[e, i, j] += 1
-        for cells in (1, 250, 1 << 16):
-            monkeypatch.setattr(harness, "ROW_BLOCK_CELLS", cells)
-            assert np.array_equal(harness._joint_counts(row, col, n), tally)
-            c_row, c_col = np.ascontiguousarray(row), np.ascontiguousarray(col)
-            assert np.array_equal(harness._joint_counts(c_row, c_col, n), tally)
-    empty = np.zeros((3, 0), np.uint8)
-    assert np.array_equal(harness._joint_counts(empty, empty, 2), np.zeros((3, 2, 2)))
+    for p, q in CUT_LIST_STRATEGIES:
+        check_joint_counts(monkeypatch, np.array(p), np.array(q))
+
+
+def check_joint_counts(monkeypatch, p, q):
+    # The indicators of the replays' records: play_batch records (stages,
+    # seats, episodes), and its transposed seats are F-ordered (episodes,
+    # stages) views.
+    n = len(p)
+    rng = np.random.default_rng(n)
+    record = rng.integers(0, n, size=(70, 2, 40), dtype=np.uint8)
+    row, col = record[:, 0].T, record[:, 1].T
+    tally = per_stage_tally(row, col, n)
+    assert np.array_equal(harness._joint_counts(_at_least(row, n), _at_least(col, n)), tally)
+    c_row, c_col = np.ascontiguousarray(row), np.ascontiguousarray(col)
+    assert np.array_equal(harness._joint_counts(_at_least(c_row, n), _at_least(c_col, n)), tally)
+    empty = _at_least(np.zeros((3, 0), np.uint8), n)
+    assert np.array_equal(harness._joint_counts(empty, empty), np.zeros((3, n, n)))
+    # The sampler's indicators, in row blocks of one cell, of a few rows and
+    # of all rows, are those of _choice's actions on the same draws, and
+    # their counts the tally of those actions.
+    keys = rng.integers(0, 2**64, size=45, dtype=np.uint64)
+    z = _draws(keys, 2 + 2 * 3, 2 * 70)  # the draws of stages 3-72
+    acts = [_choice(z[seat::2].T, _choice_cuts(sigma)) for seat, sigma in ((0, p), (1, q))]
+    tally = per_stage_tally(*acts, n)
+    for cells in (1, 250, 1 << 16):
+        monkeypatch.setattr(harness, "ROW_BLOCK_CELLS", cells)
+        monkeypatch.setattr(harness, "SELFPLAY_CHUNK", 20)
+        stop = 0
+        for rows, row_ge, col_ge in harness._iid_actions(keys, p, q, 3, 70):
+            assert rows.start == stop
+            stop = rows.stop
+            assert np.array_equal(row_ge, _at_least(acts[0][rows], n))
+            assert np.array_equal(col_ge, _at_least(acts[1][rows], n))
+            assert np.array_equal(harness._joint_counts(row_ge, col_ge), tally[rows])
+        assert stop == len(keys)

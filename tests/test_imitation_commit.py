@@ -364,6 +364,15 @@ def test_auth_failure_probability_values():
         auth_failure_probability(2, 2, 17)
 
 
+def test_auth_failure_probability_refuses_a_negative_k_and_fewer_than_one_action():
+    # At k = -1 the product form would read -1; at N = 0 it divides by zero.
+    assert auth_failure_probability(1, 0, 1).corrected == 0.0
+    with pytest.raises(GameError, match="got k=-1, N=2"):
+        auth_failure_probability(2, -1, 0)
+    with pytest.raises(GameError, match="got k=2, N=0"):
+        auth_failure_probability(0, 2, 0)
+
+
 def test_bound_report_renders_all_quantities():
     report = bound_report(
         N=2, k=2, M=8, K=1000, tilde_T=10, T=100, theta_count=2, delta=0.05, eps=0.5

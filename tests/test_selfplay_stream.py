@@ -35,6 +35,7 @@ from cooplab.harness import (
     STREAM_TAGS,
     ExperimentConfig,
     _choice,
+    _at_least,
     _choice_cuts,
     _iid_actions,
     _mixture_statistics,
@@ -333,7 +334,7 @@ def test_trigger_bound_covers_every_accumulator(data, n, episodes, stages, scale
     sigma = data.draw(mixed_strategy(n))
     kernel = handshake_kernel(m, rng.integers(0, n, size=(handshake, 2)).tolist(), episodes)
     opp = runs_of_actions(rng, n, episodes, stages, run)
-    bound = harness._trigger_bound(m, sigma, opp, kernel.counterfactual[0].copy(),
+    bound = harness._trigger_bound(m, sigma, _at_least(opp, n), kernel.counterfactual[0].copy(),
                                    float(kernel.expected[0]))
     assert (bound >= agents_accumulators(kernel, sigma, opp).max(axis=1)).all()
 
@@ -355,7 +356,7 @@ def test_a_bound_from_block_end_counts_alone_fails_the_cover_check():
     opp = np.tile(np.repeat(np.array([1, 0], np.uint8), half), (3, 2))
     assert not bound_covers_the_agents(block_end_bound(m, sigma, opp, h_cf, 0.0), m, sigma, opp,
                                        h_cf)
-    bound = harness._trigger_bound(m, sigma, opp, h_cf, 0.0)
+    bound = harness._trigger_bound(m, sigma, _at_least(opp, 2), h_cf, 0.0)
     assert bound_covers_the_agents(bound, m, sigma, opp, h_cf)
     assert np.allclose(bound, half)
 
@@ -367,7 +368,7 @@ def test_count_bound_never_clears_a_handshake_over_the_threshold():
     # never exceed 2.  The bound counts the handshake's end too.
     m, sigma, h_cf = np.array([[-1.0, -1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), np.array([3.0, 0.0])
     opp = np.zeros((4, 100), dtype=np.uint8)
-    bound = harness._trigger_bound(m, sigma, opp, h_cf, 0.0)
+    bound = harness._trigger_bound(m, sigma, _at_least(opp, 2), h_cf, 0.0)
     assert bound_covers_the_agents(np.full(4, 2.0), m, sigma, opp, h_cf)
     assert (bound >= 3.0).all()
 
@@ -434,9 +435,16 @@ def test_nash_selfplay_is_fixed_mixed_agents_on_play_episodes(profile):
     fixed = lambda sigma: ([AgentSpec("FixedMixed", {"probs": sigma.tolist()})], [0] * len(keys))
     [(_, _, record)] = play_episodes(fixed(p), fixed(q), [("coord", "coord")] * len(keys), ts, 50,
                                      keys, record=True)
-    chunks = list(_iid_actions(keys, p, q, 0, 50))
-    acts = [np.concatenate([chunk[seat] for chunk in chunks]) for seat in (1, 2)]
-    assert np.array_equal(acts[0], record[:, 0].T) and np.array_equal(acts[1], record[:, 1].T)
+    # The sampler's indicators are those of the record's actions, chunk by
+    # chunk, and its chunks cover every episode in order.
+    stop = 0
+    for rows, row_ge, col_ge in _iid_actions(keys, p, q, 0, 50):
+        assert rows.start == stop
+        stop = rows.stop
+        assert np.array_equal(row_ge, _at_least(record[:, 0, rows].T, 2))
+        assert np.array_equal(col_ge, _at_least(record[:, 1, rows].T, 2))
+    assert stop == cfg.episodes
+    acts = [np.ascontiguousarray(record[:, seat].T) for seat in (0, 1)]
     regs = whole_run_selfplay_regrets(game, p, q, *acts)
     rows = [line.split(",") for line in artifacts["nash_selfplay.csv"].splitlines()[1:]]
     for r, (episode, player, realized, expected) in enumerate(rows):
