@@ -338,32 +338,37 @@ class BatchBestResponder(BatchAgent):
         self.stage += 1
 
 
+def _hedge(log_weights: np.ndarray) -> np.ndarray:
+    """Hedge's strategies of (rows, N) log-weights, renormalized by each
+    row's maximum so that long horizons cannot overflow."""
+    w = np.exp(log_weights - _rowmax(log_weights)[:, None])
+    return w / _rowsum(w)[:, None]
+
+
+def _check_eta(eta: np.ndarray) -> np.ndarray:
+    if (eta < 0).any():
+        raise GameError(f"eta must be >= 0, got {eta.min()}")
+    return eta
+
+
 class BatchMW(BatchAgent):
     """Multiplicative weights / Hedge over each episode's own payoff matrix:
     weight(a) ~ exp(eta * cumulative payoff of a against the opponent's
-    actions), kept as (E, N) log-weights renormalized at every ``act``, so
-    long horizons cannot overflow."""
+    actions), kept as (E, N) log-weights (``_hedge``)."""
 
     ROWS = ("_kernel", "eta", "log_weights")
 
     def __init__(self, matrices, eta):
-        eta = np.broadcast_to(np.asarray(eta, dtype=float), (len(matrices),))
-        if (eta < 0).any():
-            raise GameError(f"eta must be >= 0, got {eta.min()}")
+        eta = _check_eta(np.broadcast_to(np.asarray(eta, dtype=float), (len(matrices),)))
         self._kernel = RegretKernel(matrices)  # its payoff lookup
         self.eta = eta[:, None]
         self.log_weights = np.zeros(np.shape(matrices)[:2])
 
     def act(self, partner=None):
-        w = np.exp(self.log_weights - _rowmax(self.log_weights)[:, None])
-        return w / _rowsum(w)[:, None]
+        return _hedge(self.log_weights)
 
     def observe(self, own, opp):
-        self.learn(self._kernel.payoffs(opp))
-
-    def learn(self, payoffs: np.ndarray) -> None:
-        """The update for own payoffs (E, N) against the opponent's actions."""
-        self.log_weights += self.eta * payoffs
+        self.log_weights += self.eta * self._kernel.payoffs(opp)
 
 
 HANDSHAKE, CONVENTION, FALLBACK = 0, 1, 2
@@ -381,9 +386,13 @@ class BatchProtocol(BatchAgent):
     starts an MW fallback.  The accumulator uses the episode's own announced
     strategies and the opponent's realized actions from stage 0 (the +k of
     the threshold absorbs the handshake's share), and keeps accruing after a
-    fallback, so at the end it holds each episode's expected external regret."""
+    fallback, so at the end it holds each episode's expected external regret.
 
-    ROWS = ("own_code", "conventions", "kernel", "mw", "opp_prefix", "fallback_stage", "phase",
+    Only the fallen rows run MW: ``fallen`` holds their row indices, in the
+    order they fell, and ``mw_log_weights`` (F, N) their Hedge log-weights,
+    0 at the stage they fall."""
+
+    ROWS = ("own_code", "conventions", "kernel", "opp_prefix", "fallback_stage", "phase",
             "convention", "_sigma")
 
     def __init__(self, own_code, conventions, matrices, threshold: float, eta_fallback: float):
@@ -393,7 +402,7 @@ class BatchProtocol(BatchAgent):
         self.conventions = conventions
         self.threshold = threshold
         self.kernel = RegretKernel(matrices)
-        self.mw = BatchMW(matrices, eta_fallback)
+        self.eta = float(_check_eta(np.asarray(eta_fallback, dtype=float)))
         self._eye = np.eye(self.n)
         self.stage = 0
         self.opp_prefix = np.zeros(E, dtype=np.int64)
@@ -401,7 +410,8 @@ class BatchProtocol(BatchAgent):
         # Single-type spaces need no handshake; otherwise the convention is
         # chosen at stage k.
         self.phase = np.full(E, CONVENTION if self.k == 0 else HANDSHAKE, dtype=np.int8)
-        self.fallen = 0  # nonzero once some row may be in the fallback phase
+        self.fallen = np.zeros(0, dtype=np.intp)
+        self.mw_log_weights = np.zeros((0, self.n))
         self.convention = conventions[:, 0]
         self._sigma = None
 
@@ -410,26 +420,27 @@ class BatchProtocol(BatchAgent):
             out = self._eye.take(self.own_code[:, self.stage], axis=0)
         else:
             out = self.convention
-        if self.fallen:
-            out = np.where((self.phase == FALLBACK)[:, None], self.mw.act(), out)
+        if len(self.fallen):
+            out = out.copy()
+            out[self.fallen] = _hedge(self.mw_log_weights)
         self._sigma = out
         return out
 
     def _fall_back(self, rows: np.ndarray) -> None:
-        count = np.count_nonzero(rows)
-        if count:
-            self.fallen += count
-            self.phase[rows] = FALLBACK
-            self.fallback_stage[rows] = self.stage
-            self.mw.log_weights[rows] = 0.0
+        new = np.flatnonzero(rows)
+        if len(new):
+            self.phase[new] = FALLBACK
+            self.fallback_stage[new] = self.stage
+            self.fallen = np.concatenate((self.fallen, new))
+            fresh = np.zeros((len(new), self.n))
+            self.mw_log_weights = np.concatenate((self.mw_log_weights, fresh))
 
     def observe(self, own, opp):
         payoffs = self.kernel.payoffs(opp)
         self.kernel.update(self._sigma, payoffs)
-        if self.fallen:
+        if len(self.fallen):
             active = self.phase != FALLBACK
-            # Rows outside the fallback phase learn too; entering it resets them.
-            self.mw.learn(payoffs)
+            self.mw_log_weights += self.eta * payoffs[self.fallen]
         else:
             active = True
         handshake = self.stage < self.k
@@ -448,32 +459,43 @@ class BatchProtocol(BatchAgent):
         else:
             self._fall_back(active & (self.kernel.regret() > self.threshold))
 
+    def take(self, idx):
+        out = super().take(idx)
+        at = np.full(len(self.phase), -1)  # each row's place in the fallen rows
+        at[self.fallen] = np.arange(len(self.fallen))
+        at = at[idx]
+        out.fallen = np.flatnonzero(at >= 0)
+        out.mw_log_weights = self.mw_log_weights[at[out.fallen]]
+        return out
+
 
 class BatchAdaptive(BatchAgent):
-    """Strategy-aware column adversary against a learner with matrices
-    (E, own, opp): ``adaptive-min`` plays the column that minimizes the
-    learner's expected payoff, ``adaptive-regret`` the one that maximizes
-    its regret (best payoff in the column minus expected payoff); lowest
-    index on ties."""
+    """Strategy-aware column adversaries against a learner with matrices
+    (E, own, opp), of one kind or one per row (``kinds``): ``adaptive-min``
+    plays the column that minimizes the learner's expected payoff,
+    ``adaptive-regret`` the one that maximizes its regret (best payoff in the
+    column minus expected payoff); lowest index on ties.  Both maximize
+    ``target - value``, for targets 0 and the column's best payoff: negation
+    keeps ties, so the argmax is the argmin of the value."""
 
     KINDS = ("adaptive-min", "adaptive-regret")
-    ROWS = ("best", "_by_col")
+    ROWS = ("_target", "_by_col")
 
-    def __init__(self, kind: str, learner_matrices):
-        if kind not in self.KINDS:
-            raise GameError(f"unknown adaptive adversary {kind!r}")
-        self.kind = kind
+    def __init__(self, kinds, learner_matrices):
+        kinds = np.asarray(kinds)
+        unknown = set(kinds.ravel().tolist()) - set(self.KINDS)
+        if unknown:
+            raise GameError(f"unknown adaptive adversary {sorted(unknown)[0]!r}")
         m = np.asarray(learner_matrices, dtype=float)
-        self.best = m.max(axis=1)
+        regret = np.broadcast_to(kinds == "adaptive-regret", (len(m),))
+        self._target = np.where(regret[:, None], m.max(axis=1), 0.0)
         self._by_col = np.ascontiguousarray(m.transpose(0, 2, 1))
         self._eye = np.eye(m.shape[1])
 
     def act(self, partner=None):
         # Learner's expected payoff per column, summed over its actions in order.
         value = _rowsum(partner[:, None, :] * self._by_col)
-        if self.kind == "adaptive-min":
-            return self._eye.take(value.argmin(axis=1), axis=0)
-        return self._eye.take((self.best - value).argmax(axis=1), axis=0)
+        return self._eye.take((self._target - value).argmax(axis=1), axis=0)
 
 
 class BatchGroups(BatchAgent):

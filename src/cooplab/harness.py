@@ -10,7 +10,8 @@ rounding tolerance; the result derives its verdict from them by one rule
 Every draw is a draw of the engine's counter-based streams (``engine.py``),
 keyed by ``_keys`` from the run's seed and a tag of ``STREAM_TAGS``, and
 every categorical draw is the engine's inverse CDF (``engine._choice``).
-mw-regret plays its runs as one batch on the batched engine;
+mw-regret plays its runs as one batch on the batched engine, in
+adversary-kind order, against two adversary parts;
 si-consistency and ic-eval, its datasets included, play theirs through
 ``population.play_episodes``, and ic-eval replays each partner member's
 first episode of a chunk with ``run_episode`` as a spot check.
@@ -238,21 +239,27 @@ def run_mw_regret(cfg: ExperimentConfig):
     bound = math.sqrt((T / 2.0) * math.log(n))
     # Run r faces kind r mod 5.  Its stream draws its matrix, then the scripted
     # kinds' actions (random: T, constant: one); alternating plays 0, ..., n - 1.
+    # The runs play in kind order, kind i in rows at[i] to at[i + 1] - 1: the
+    # adaptive kinds as one part, the scripted kinds, cycled to T, as another.
     E, kinds = cfg.episodes, len(MW_ADVERSARIES)
     runs = [np.arange(i, E, kinds) for i in range(kinds)]
-    keys = _keys(cfg.seed, "mw-regret runs", E)
+    order = np.concatenate(runs)
+    at = np.cumsum([0] + [len(index) for index in runs])
+    keys = _keys(cfg.seed, "mw-regret runs", E)[order]
     A = ((_draws(keys, 0, n * n) >> np.uint64(11)) * _UNIT).T.reshape(E, n, n)
-    scripts = [_choice(_draws(keys[index], n * n, size).T, _choice_cuts(np.full(n, 1 / n)))
-               for index, size in zip(runs, (0, 0, T, 1, 0))]
-    scripts[4] = np.tile(np.arange(n), (len(runs[4]), 1))
-    adversaries = BatchGroups([
-        (index, BatchAdaptive(kind, A[index]) if kind in BatchAdaptive.KINDS
-         else BatchFixedSequence(script, n))
-        for index, kind, script in zip(runs, MW_ADVERSARIES, scripts) if len(index)
-    ], n)
+    script = np.empty((E - at[2], T), np.min_scalar_type(n - 1))  # the scripted kinds' rows
+    lo = at - at[2]  # kind i's first row in the script
+    cuts = _choice_cuts(np.full(n, 1 / n))
+    for i, size in ((2, T), (3, 1)):
+        script[lo[i] : lo[i + 1]] = _choice(_draws(keys[at[i] : at[i + 1]], n * n, size).T, cuts)
+    script[lo[4] :] = np.arange(T) % n
+    adaptive = BatchAdaptive(np.repeat(MW_ADVERSARIES[:2], np.diff(at[:3])), A[: at[2]])
+    parts = [(np.arange(at[2]), adaptive), (np.arange(at[2], E), BatchFixedSequence(script, n))]
     kernel = RegretKernel(A)
-    play_batch(BatchMW(A, default_eta(n, T)), adversaries, T, regret=kernel)
-    regrets = kernel.regret()
+    play_batch(BatchMW(A, default_eta(n, T)), BatchGroups([p for p in parts if len(p[0])], n),
+               T, regret=kernel)
+    regrets = np.empty(E)
+    regrets[order] = kernel.regret()
     csv = _csv("run,adversary,expected_regret,bound", range(E),
                np.resize(MW_ADVERSARIES, E), regrets, np.full(E, bound))
     result = _sure_gate(cfg.kind, f"expected regret <= sqrt((T/2) ln N) surely, N={n}",
@@ -326,18 +333,26 @@ def _iid_actions(keys: np.ndarray, p: np.ndarray, q: np.ndarray, first: int, sta
 def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray, keys: np.ndarray, T: int):
     """Realized and expected external regrets for both players over i.i.d.
     self-play episodes of a fixed mixed profile, whose actions
-    ``_iid_actions`` draws from the episode streams with ``keys``.  The
-    counterfactual and expected payoffs are matrix products over all
-    episodes at once, whose rounding BLAS may choose by the number of rows."""
+    ``_iid_actions`` draws from the episode streams with ``keys``."""
     counts = np.empty((len(keys), game.num_actions, game.num_actions), np.int64)
     for rows, row_ge, col_ge in _iid_actions(keys, p, q, 0, T):
         counts[rows] = _joint_counts(row_ge, col_ge)
+    return _count_regrets(game, p, q, counts)
+
+
+def _count_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray, counts: np.ndarray):
+    """Realized and expected external regrets for both players of the
+    episodes with joint action counts (E, row, col) under the profile (``p``,
+    ``q``).  The counterfactual and expected payoffs are matrix products over
+    all episodes at once, whose rounding BLAS may choose by the number of
+    rows and by the operand's layout, so the opponent counts are C-ordered
+    whatever the layout of ``counts``."""
     out = {}
     for player, joint, sigma, m in (
         ("row", counts, p, game.payoff_row),
         ("col", counts.transpose(0, 2, 1), q, game.payoff_col),
     ):
-        opp_counts = joint.sum(axis=1).astype(float)  # joint is [own, opp]
+        opp_counts = joint.sum(axis=1).astype(float, order="C")  # joint is [own, opp]
         best = (opp_counts @ m.T).max(axis=1)
         out[player] = (best - _count_payoffs(joint, m), best - opp_counts @ (sigma @ m))
     return out

@@ -290,8 +290,12 @@ def delta_K(N: int, tilde_T: int, theta_count: int, K: int) -> float:
     Uses the natural logarithm of K; a log(N) variant of this constant is
     sometimes quoted, which the bound report surfaces as a discrepancy note.
     """
-    if N < 1 or tilde_T < 1 or theta_count < 1 or K < 0:
-        raise GameError("all arguments must be positive (K may be 0)")
+    bad = [f"{name}={value}" for name, value, least in
+           (("N", N, 1), ("tilde_T", tilde_T, 1), ("theta_count", theta_count, 1), ("K", K, 0))
+           if value < least]
+    if bad:
+        raise GameError("need N, tilde_T and theta_count >= 1 and dataset size K >= 0, got "
+                        + ", ".join(bad))
     if K == 0:
         return float(tilde_T)
     return min(

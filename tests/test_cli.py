@@ -62,6 +62,15 @@ def test_verify_bounds_refuses_a_negative_k_and_no_actions():
             assert result.output == f"Error: {message}\n"
 
 
+def test_verify_bounds_names_the_argument_delta_K_refuses():
+    need = "need N, tilde_T and theta_count >= 1 and dataset size K >= 0"
+    for args, got in ((["--tilde-t", "0"], "tilde_T=0"), (["--theta-count", "0"], "theta_count=0"),
+                      (["--dataset-size", "-1"], "K=-1")):
+        result = CliRunner().invoke(main, ["verify-bounds", *args])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {need}, got {got}\n"
+
+
 def test_run_experiment_refuses_a_negative_k(tmp_path):
     result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "run-experiment", "--kind",
                                        "si-selfplay", "--episodes", "10", "-T", "20", "--k", "-1"])

@@ -612,6 +612,27 @@ def test_batch_groups_without_streams_as_in_mw_regret(data, n, E, T, grouped_sea
             assert np.array_equal(col.strategies[t][ids], part_col.strategies[t])
         assert np.array_equal(regret.regret()[ids], part_regret.regret())
 
+    # One adaptive adversary with a kind per row plays as each row's kind
+    # alone, as the scalar loop picks: the first column of least value for
+    # adaptive-min, of most regret for adaptive-regret.  Small integer
+    # payoffs make ties common.
+    if data.draw(st.booleans()):
+        A = rng.integers(0, 3, size=(E, n, n)).astype(float)
+    row_kinds = data.draw(st.lists(st.sampled_from(BatchAdaptive.KINDS), min_size=E, max_size=E))
+    learner, adversary = Recorder(BatchMW(A, 0.3)), Recorder(BatchAdaptive(row_kinds, A))
+    play_batch(learner, adversary, T)
+    for e, kind in enumerate(row_kinds):
+        alone = Recorder(BatchAdaptive(kind, A[e : e + 1]))
+        play_batch(BatchMW(A[e : e + 1], 0.3), alone, T)
+        best = A[e].max(axis=0)
+        for t in range(T):
+            sigma = learner.strategies[t][e].tolist()
+            value = [sum(sigma[a] * A[e, a, j] for a in range(n)) for j in range(n)]
+            pick = (min(range(n), key=value.__getitem__) if kind == "adaptive-min"
+                    else max(range(n), key=lambda j: best[j] - value[j]))
+            assert adversary.strategies[t][e].tolist() == np.eye(n)[pick].tolist()
+            assert np.array_equal(alone.strategies[t][0], adversary.strategies[t][e])
+
 
 def _halves(widths=(2, 2)):
     return [BatchFixedMixed(np.full((2, w), 1.0 / w)) for w in widths]
@@ -706,7 +727,17 @@ def test_every_kind_plays_alone_as_in_a_seat(kind, seat):
             assert agent.strategies[t][e].tolist() == alone[e][t].tolist()
 
     own, opp = record[:, mine].astype(np.intp), record[:, 1 - mine].astype(np.intp)
-    idx = np.array([5, 0, 5, 3, 6])
+    idx = np.array([5, 0, 6, 3, 0, 6, 2])
+    if kind == "Protocol":
+        # The takes carry the MW state of fallen rows: taken rows fall back at
+        # stages 4 and 10 (row seat) or at 8 (column seat), and row 0 (row
+        # seat) or row 6 (column seat), taken twice, has fallen back by the
+        # last take, at stage 11.
+        fell = np.full(len(seeds), -1)
+        for index, part in agent.agent.parts:
+            fell[index] = part.fallback_stage
+        assert sorted(set(fell[idx].tolist()) - {-1}) == ([4, 10] if seat == "row" else [8])
+        assert 0 <= fell[0 if seat == "row" else 6] <= 11
     for stage in (0, 4, 11):  # the take comes after the stage's act
         full = seat_agent(EpisodeStreams(seeds).agent_seeds[mine])
         for t in range(stage):

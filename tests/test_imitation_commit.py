@@ -339,8 +339,12 @@ def test_delta_K_closed_form():
     assert delta_K(2, 3, 2, 100000) == pytest.approx(0.5305156054258281, abs=1e-12)
     assert delta_K(2, 3, 2, 10) == 3.0  # trivial cap binds
     assert delta_K(2, 3, 2, 0) == 3.0
-    with pytest.raises(GameError):
-        delta_K(0, 3, 2, 10)
+    # Each refused argument is named with its value.
+    for args, got in (((0, 3, 2, 10), "N=0"), ((2, 0, 2, 10), "tilde_T=0"),
+                      ((2, 3, 0, 10), "theta_count=0"), ((2, 3, 2, -1), "K=-1"),
+                      ((2, 0, 2, -5), "tilde_T=0, K=-5")):
+        with pytest.raises(GameError, match=f"got {got}$"):
+            delta_K(*args)
 
 
 def test_delta_K_eventually_decreasing_in_K():

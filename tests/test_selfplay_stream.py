@@ -37,6 +37,7 @@ from cooplab.harness import (
     _choice,
     _at_least,
     _choice_cuts,
+    _count_regrets,
     _iid_actions,
     _mixture_statistics,
     _random_joint,
@@ -412,6 +413,22 @@ def test_selfplay_regrets_over_chunks_of_the_default_size():
     for player in ("row", "col"):
         for a, b in zip(got[player], want[player]):
             assert np.array_equal(a, b)
+
+
+def test_count_regrets_do_not_depend_on_the_layout_of_the_counts():
+    # BLAS may round a matrix product by its operand's strides, so the same
+    # counts, C- and F-ordered, must give the same regrets bit for bit.  The
+    # size is one at which F-ordered opponent counts rounded differently.
+    rng = np.random.default_rng(5)
+    game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
+    p, q = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.25, 0.25])
+    counts = rng.multinomial(77, np.full(9, 1 / 9), size=1234).reshape(1234, 3, 3)
+    fortran = np.asfortranarray(counts)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    got, want = _count_regrets(game, p, q, fortran), _count_regrets(game, p, q, counts)
+    for player in ("row", "col"):
+        for a, b in zip(got[player], want[player]):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("profile", [None, ([0.2, 0.8], [1.0, 0.0])], ids=["mixed", "given"])
