@@ -354,21 +354,26 @@ def _check_eta(eta: np.ndarray) -> np.ndarray:
 class BatchMW(BatchAgent):
     """Multiplicative weights / Hedge over each episode's own payoff matrix:
     weight(a) ~ exp(eta * cumulative payoff of a against the opponent's
-    actions), kept as (E, N) log-weights (``_hedge``)."""
+    actions), kept as (E, N) log-weights (``_hedge``).  Its ``kernel``
+    accrues its expected external regret on the strategies it announced."""
 
-    ROWS = ("_kernel", "eta", "log_weights")
+    ROWS = ("kernel", "eta", "log_weights", "sigma")
 
     def __init__(self, matrices, eta):
         eta = _check_eta(np.broadcast_to(np.asarray(eta, dtype=float), (len(matrices),)))
-        self._kernel = RegretKernel(matrices)  # its payoff lookup
+        self.kernel = RegretKernel(matrices)
         self.eta = eta[:, None]
         self.log_weights = np.zeros(np.shape(matrices)[:2])
+        self.sigma = None  # the strategies last announced
 
     def act(self, partner=None):
-        return _hedge(self.log_weights)
+        self.sigma = _hedge(self.log_weights)
+        return self.sigma
 
     def observe(self, own, opp):
-        self.log_weights += self.eta * self._kernel.payoffs(opp)
+        payoffs = self.kernel.payoffs(opp)
+        self.kernel.update(self.sigma, payoffs)
+        self.log_weights += self.eta * payoffs
 
 
 HANDSHAKE, CONVENTION, FALLBACK = 0, 1, 2
@@ -547,7 +552,6 @@ class BatchGroups(BatchAgent):
 
 def play_batch(row: BatchAgent, col: BatchAgent, T: int,
                streams: EpisodeStreams | None = None,
-               regret: RegretKernel | None = None,
                record: bool = False) -> np.ndarray | None:
     """Play T stages of E episodes in lockstep.
 
@@ -557,8 +561,7 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
     ``streams``, the column seat must announce pure strategies and plays
     their support, and the row seat's action is not sampled (None): for a
     learner whose own actions no agent reads, such as MW against the regret
-    adversaries.  ``regret``, if given, accrues the row seat's expected
-    external regret.
+    adversaries.
     """
     out = None
     for start in range(0, T, BLOCK):
@@ -578,8 +581,6 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
                         out = np.empty((T, 2, len(p)), dtype=np.min_scalar_type(p.shape[1] - 1))
                     out[start + s] = actions.reshape(2, -1)
                 a, b = actions[: len(p)], actions[len(p) :]
-            if regret is not None:
-                regret.update(p, regret.payoffs(b))
             row.observe(a, b)
             col.observe(b, a)
     return out

@@ -11,18 +11,19 @@ Every draw is a draw of the engine's counter-based streams (``engine.py``),
 keyed by ``_keys`` from the run's seed and a tag of ``STREAM_TAGS``, and
 every categorical draw is the engine's inverse CDF (``engine._choice``).
 mw-regret plays its runs as one batch on the batched engine, in
-adversary-kind order, against two adversary parts;
-si-consistency and ic-eval, its datasets included, play theirs through
-``population.play_episodes``, and ic-eval replays each partner member's
-first episode of a chunk with ``run_episode`` as a spot check.
+adversary-kind order, against two adversary parts, and reads each run's
+regret from the MW learner's own kernel; si-consistency and ic-eval, its
+datasets included, play theirs through ``population.play_episodes``, and
+ic-eval replays each partner member's first episode of a chunk with
+``run_episode`` as a spot check.
 Equilibrium and protocol self-play draw a fixed profile's actions with
 ``_iid_actions``, from each episode's own stream as the engine does, as
-each seat's "action >= i" indicators on the raw draws; each chunk's joint
-action counts follow from them by inclusion-exclusion, and every payoff
-from the counts.  In protocol self-play the agents play the handshake on
-the engine, and ``_trigger_bound`` bounds each episode's regret
-accumulator from the opponent's action counts per block of stages; every
-episode it cannot clear is played again, whole, by ``play_episodes``.
+each seat's "action >= i" indicators on the raw draws; ``_joint_counts``
+counts joint actions from them by inclusion-exclusion, per 64-stage word,
+and every payoff follows from the counts.  In protocol self-play the agents
+play the handshake on the engine, and ``_trigger_bound`` bounds each
+episode's regret accumulator from the opponent's action counts per word;
+every episode it cannot clear is played again, whole, by ``play_episodes``.
 The mixture check runs as array passes over its cases, through the IC
 agent's own ``commitment_mixtures`` and ``partition_replies``.
 """
@@ -66,7 +67,6 @@ from .engine import (
     BatchGroups,
     BatchMW,
     EpisodeStreams,
-    RegretKernel,
     _choice,
     _choice_cuts,
     _draws,
@@ -98,10 +98,8 @@ from .imitation_commit import (
 Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
 
 # The self-play kernels stream their random draws in blocks that stay in
-# cache.  None of these sizes changes an artifact; TRIGGER_BLOCK changes only
-# which si-selfplay episodes the agents replay.
+# cache; no block size changes an artifact.
 SELFPLAY_CHUNK = 500  # self-play episodes drawn and stepped at a time
-TRIGGER_BLOCK = 64  # stages per block of si-selfplay's count bound
 
 # The tags of ``_keys``.  The episodes of si-consistency and ic-eval keep
 # their keys, of the indices 0x434F0000 + r and 0x45560000 + e.
@@ -255,11 +253,10 @@ def run_mw_regret(cfg: ExperimentConfig):
     script[lo[4] :] = np.arange(T) % n
     adaptive = BatchAdaptive(np.repeat(MW_ADVERSARIES[:2], np.diff(at[:3])), A[: at[2]])
     parts = [(np.arange(at[2]), adaptive), (np.arange(at[2], E), BatchFixedSequence(script, n))]
-    kernel = RegretKernel(A)
-    play_batch(BatchMW(A, default_eta(n, T)), BatchGroups([p for p in parts if len(p[0])], n),
-               T, regret=kernel)
+    learner = BatchMW(A, default_eta(n, T))
+    play_batch(learner, BatchGroups([p for p in parts if len(p[0])], n), T)
     regrets = np.empty(E)
-    regrets[order] = kernel.regret()
+    regrets[order] = learner.kernel.regret()
     csv = _csv("run,adversary,expected_regret,bound", range(E),
                np.resize(MW_ADVERSARIES, E), regrets, np.full(E, bound))
     result = _sure_gate(cfg.kind, f"expected regret <= sqrt((T/2) ln N) surely, N={n}",
@@ -271,32 +268,29 @@ def run_mw_regret(cfg: ExperimentConfig):
 # Equilibrium self-play concentration (vectorized i.i.d. sampling)
 
 
-def _row_blocks(rows: int, cols: int):
-    """Slices of at most about ROW_BLOCK_CELLS cells of a (rows, cols) array."""
-    step = max(1, ROW_BLOCK_CELLS // max(cols, 1))
-    return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
-
-
 def _at_least(acts: np.ndarray, n: int) -> np.ndarray:
     """The indicators (n - 1, E, S) of (E, S) actions among n: [i - 1] is action >= i."""
     return acts >= np.arange(1, n)[:, None, None]
 
 
 def _joint_counts(row_ge: np.ndarray, col_ge: np.ndarray) -> np.ndarray:
-    """Per-episode joint action counts (E, n, n) of the seats' indicators
-    of ``_at_least``: [e, i, j] counts episode e's stages with actions (i, j).
-    It is G[i, j] - G[i + 1, j] - G[i, j + 1] + G[i + 1, j + 1], for G[i, j]
-    the stages with row action >= i and column action >= j (none at i or j =
-    n), counted on the indicators packed 64 stages to a word."""
+    """Per-word joint action counts (E, W, n, n) of the seats' indicators of
+    ``_at_least``, packed 64 stages to a word (W = ceil(S / 64)): [e, w, i, j]
+    counts episode e's stages 64 w to 64 w + 63 with actions (i, j).  It is
+    G[i, j] - G[i + 1, j] - G[i, j + 1] + G[i + 1, j + 1], for G[i, j] the
+    word's stages with row action >= i and column action >= j (none at i or
+    j = n), in uint8: the differences wrap modulo 256, and each count, in
+    [0, 64], comes out exact.  The words of an episode sum to its counts."""
     episodes, stages = row_ge.shape[1:]
     words = []
-    for ge in (row_ge, col_ge):  # (n, words, E), from "action >= 0" on
+    for ge in (row_ge, col_ge):  # (n, E, W), from "action >= 0" on
         bits = np.zeros((len(ge) + 1, episodes, -(-stages // 64) * 8), np.uint8)
         bits[0, :, : -(-stages // 8)] = np.packbits(np.ones(stages, bool))
         bits[1:, :, : -(-stages // 8)] = np.packbits(ge, axis=-1)
-        words.append(bits.view(np.uint64).transpose(0, 2, 1).copy())
-    G = np.bitwise_count(words[0][:, None] & words[1][None]).sum(axis=2, dtype=np.int64)
-    return np.diff(np.diff(G, axis=0, append=0), axis=1, append=0).transpose(2, 0, 1)
+        words.append(bits.view(np.uint64))
+    G = np.bitwise_count(words[0][:, None] & words[1][None])
+    zero = np.uint8(0)
+    return np.diff(np.diff(G, axis=0, append=zero), axis=1, append=zero).transpose(2, 3, 0, 1)
 
 
 def _count_payoffs(counts: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -318,12 +312,14 @@ def _iid_actions(keys: np.ndarray, p: np.ndarray, q: np.ndarray, first: int, sta
     steps = (np.arange(stages, dtype=np.uint64) * 2 + 3 + 2 * first) * np.uint64(GAMMA)
     seats = [(steps + np.uint64(s * GAMMA), _choice_cuts(sigma)) for s, sigma in ((0, p), (1, q))]
     ge = np.zeros((2, len(p) - 1, min(SELFPLAY_CHUNK, len(keys)), stages), bool)
+    # The draws are mixed in row blocks of about ROW_BLOCK_CELLS cells.
     z, scratch = np.empty((2, max(1, ROW_BLOCK_CELLS // max(stages, 1)), stages), np.uint64)
     for start in range(0, len(keys), SELFPLAY_CHUNK):
         rows = slice(start, min(start + SELFPLAY_CHUNK, len(keys)))
-        for block in _row_blocks(rows.stop - start, stages):
+        for r in range(0, rows.stop - start, len(z)):
+            block = slice(r, min(r + len(z), rows.stop - start))
             for seat_ge, (offsets, cuts) in zip(ge, seats):
-                draws = np.add(keys[rows][block, None], offsets, out=z[: block.stop - block.start])
+                draws = np.add(keys[rows][block, None], offsets, out=z[: block.stop - r])
                 mix64_inplace(draws, scratch[: len(draws)])
                 for i, cut in enumerate(cuts):
                     np.greater_equal(draws, cut, out=seat_ge[i, block])
@@ -336,7 +332,7 @@ def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray, keys: np
     ``_iid_actions`` draws from the episode streams with ``keys``."""
     counts = np.empty((len(keys), game.num_actions, game.num_actions), np.int64)
     for rows, row_ge, col_ge in _iid_actions(keys, p, q, 0, T):
-        counts[rows] = _joint_counts(row_ge, col_ge)
+        counts[rows] = _joint_counts(row_ge, col_ge).sum(axis=1)
     return _count_regrets(game, p, q, counts)
 
 
@@ -396,12 +392,12 @@ def run_nash_selfplay(cfg: ExperimentConfig):
 
 
 def _trigger_bound(
-    m: np.ndarray, sigma: np.ndarray, opp_ge: np.ndarray, h_cf: np.ndarray, h_exp: float
+    m: np.ndarray, sigma: np.ndarray, blocks: np.ndarray, h_cf: np.ndarray, h_exp: float
 ) -> np.ndarray:
     """Per-episode upper bound on every value that a protocol agent's regret
     accumulator takes, rounding included, while its opponent plays the
-    convention-stage actions of the indicators ``opp_ge`` of ``_at_least``,
-    from integer counts of them at the ends of each TRIGGER_BLOCK stages.
+    convention stages whose action counts per block of stages are
+    ``blocks`` (E, blocks, n): the 64-stage words of ``_joint_counts``.
 
     The agent's ``RegretKernel`` starts from the handshake's sums ``h_cf``
     and ``h_exp``, and at a stage where the opponent plays j adds m[:, j] to
@@ -419,21 +415,14 @@ def _trigger_bound(
     2 S max|m, v| + max|h_cf| + |h_exp|; and for K = S + n + 8,
     gamma_K = K u / (1 - K u) <= K eps, u = eps / 2, while K u <= 1/2.
     """
-    (_, episodes, stages), n = opp_ge.shape, len(m)
+    n = len(m)
     table = np.vstack([m, _rowsum(sigma * m.T)])
     d = table[:n] - table[n]
-    up, down = np.maximum(d, 0.0).T, np.minimum(d, 0.0).T
-    starts = np.arange(0, stages, TRIGGER_BLOCK)
-    bound = np.empty(episodes)
-    for rows in _row_blocks(episodes, stages):
-        at_least = np.zeros((n + 1, rows.stop - rows.start, len(starts)))  # per block
-        at_least[0] = np.diff(np.append(starts, stages))
-        at_least[1:n] = np.add.reduceat(opp_ge[:, rows], starts, axis=2, dtype=np.int32)
-        block = (at_least[:n] - at_least[1:]).transpose(1, 2, 0)  # opponent action counts
-        hi = block.cumsum(axis=1).reshape(-1, n)  # a row per (episode, block)
-        lo = hi - block.reshape(-1, n)
-        at = hi @ up + lo @ down + (h_cf - h_exp)
-        bound[rows] = at.reshape(len(block), -1).max(axis=1, initial=-np.inf)
+    hi = blocks.cumsum(axis=1, dtype=float).reshape(-1, n)  # a row per (episode, block)
+    lo = hi - blocks.reshape(-1, n)
+    at = hi @ np.maximum(d, 0.0).T + lo @ np.minimum(d, 0.0).T + (h_cf - h_exp)
+    bound = at.reshape(blocks.shape).max(axis=(1, 2), initial=-np.inf)
+    stages = blocks.sum(axis=(1, 2))
     size = 2 * stages * np.abs(table).max() + np.abs(h_cf).max() + abs(h_exp)
     return bound + (stages + n + 8) * np.finfo(float).eps * size
 
@@ -461,8 +450,9 @@ def run_si_selfplay(cfg: ExperimentConfig):
     play_batch(*seats, k, EpisodeStreams(np.zeros(len(mu.support), np.uint64)))
     kernels = [seat.kernel for seat in seats]
 
-    # Joint action counts of the convention stages.  The count bound clears
-    # an episode when neither seat can trip; the agents replay the others.
+    # Joint action counts of the convention stages, per 64-stage word.  The
+    # count bound clears an episode when neither seat can trip; the agents
+    # replay the others.
     stages = T - k
     counts = np.zeros((E, n, n), np.int64)
     replay, pure_episodes = [np.zeros(0, np.intp)], 0
@@ -472,22 +462,19 @@ def run_si_selfplay(cfg: ExperimentConfig):
         p, q = prof.sigma_row, prof.sigma_col
         A, B = ts.payoff_table[joint[0]], ts.payoff_table[joint[1]]
         h_row, h_col = ((kernel.counterfactual[jt], kernel.expected[jt]) for kernel in kernels)
-
-        def cleared(i_ge, j_ge):
-            return ((_trigger_bound(A, p, j_ge, *h_row) <= threshold)
-                    & (_trigger_bound(B, q, i_ge, *h_col) <= threshold))
-
         if p.max() > 1.0 - 1e-12 and q.max() > 1.0 - 1e-12:  # one path for all episodes
-            i, j = int(p.argmax()), int(q.argmax())
-            if cleared(*(_at_least(np.full((1, stages), a), n) for a in (i, j)))[0]:
-                counts[ids, i, j] = stages
-            else:
-                replay.append(ids)
+            # Its one row of counts, and their verdict, serve all its episodes.
+            chunks = [(ids, _joint_counts(*(_at_least(np.full((1, stages), s.argmax()), n)
+                                            for s in (p, q))))]
             pure_episodes += len(ids)
-            continue
-        for rows, i_ge, j_ge in _iid_actions(keys[ids], p, q, k, stages):
-            counts[ids[rows]] = _joint_counts(i_ge, j_ge)
-            replay.append(ids[rows][~cleared(i_ge, j_ge)])
+        else:
+            chunks = ((ids[rows], _joint_counts(i_ge, j_ge))
+                      for rows, i_ge, j_ge in _iid_actions(keys[ids], p, q, k, stages))
+        for at, blocks in chunks:  # (episodes, words, row action, column action)
+            counts[at] = blocks.sum(axis=1)
+            cleared = ((_trigger_bound(A, p, blocks.sum(axis=2), *h_row) <= threshold)
+                       & (_trigger_bound(B, q, blocks.sum(axis=3), *h_col) <= threshold))
+            replay.append(at[~np.broadcast_to(cleared, at.shape)])
 
     # The protocol agents play the episodes left to them again, whole.
     replay = np.concatenate(replay)
@@ -496,7 +483,8 @@ def run_si_selfplay(cfg: ExperimentConfig):
     for part, agents, record in play_episodes(
             seat_specs, seat_specs, [mu.support[j] for j in joint_idx[replay].tolist()], ts, T,
             keys[replay], ct, record=True):
-        counts[replay[part]] = _joint_counts(*(_at_least(record[k:, s].T, n) for s in (0, 1)))
+        words = _joint_counts(*(_at_least(record[k:, s].T, n) for s in (0, 1)))
+        counts[replay[part]] = words.sum(axis=1)
         fell[:, replay[part]] = [agent.fallback_stage for agent in agents]
     fallback = (fell >= 0).any(axis=0)
     # Every episode's payoffs: the handshake's, then its convention stages'
@@ -797,6 +785,9 @@ def run_flatten_check(cfg: ExperimentConfig):
 
 
 def _default_ic_mu(ts: TypeSpace) -> TypeDistribution:
+    if len(ts.types) < 2:
+        raise GameError(f"ic-eval's default joint-type distribution needs two types, the type "
+                        f"space has {len(ts.types)}; give one with --mu")
     g, d = ts.types[0], ts.types[1]
     return TypeDistribution(
         support=[(g, g), (g, d), (d, d)], weights=[0.25, 0.5, 0.25]

@@ -76,6 +76,7 @@ def test_mw_agent_long_horizon_no_overflow():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
     agent = BatchMW(A[None], eta=5.0)
     for _ in range(20000):
+        agent.act()  # announced first, as in play
         step(agent, 0, 0)
     probs = strategy(agent)
     assert probs[0] == pytest.approx(1.0)

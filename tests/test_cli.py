@@ -77,3 +77,20 @@ def test_run_experiment_refuses_a_negative_k(tmp_path):
     assert result.exit_code == 1, result.output
     assert result.output == ("Error: need handshake length k >= 0 and action count N >= 1, "
                              "got k=-1, N=2\n")
+
+
+def test_ic_eval_on_one_type_needs_a_joint_type_distribution(tmp_path):
+    # The default joint-type distribution pairs the first two types; with one
+    # type ic-eval asks for --mu, and runs with it.
+    ts, mu = tmp_path / "one.json", tmp_path / "mu.json"
+    ts.write_text(json.dumps({"num_actions": 2, "types": ["only"],
+                              "payoffs": {"only": [[1, 0], [0, 2]]}}))
+    mu.write_text(json.dumps({"support": [["only", "only"]], "weights": [1.0]}))
+    args = ["--out-dir", str(tmp_path), "run-experiment", "--kind", "ic-eval", "-T", "12",
+            "--type-space", str(ts)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.output == ("Error: ic-eval's default joint-type distribution needs two types, "
+                             "the type space has 1; give one with --mu\n")
+    result = CliRunner().invoke(main, [*args, "--mu", str(mu)])
+    assert result.exit_code == 0, result.output

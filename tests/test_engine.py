@@ -436,6 +436,7 @@ def test_batched_mw_matches_agent_state():
     for opp in ([0, 2, 1], [2, 2, 0], [1, 0, 1], [1, 1, 2], [0, 0, 0]):
         for agent, j in zip(agents, opp):
             agent.observe(0, j)
+        batch.act()  # announced first, as in play
         batch.observe(None, np.array(opp))
     assert np.allclose(batch.act(), [agent.act() for agent in agents], rtol=0, atol=1e-12)
 
@@ -542,26 +543,31 @@ def test_batch_groups_play_as_one_batch_per_part(data, episodes, grouped_seat, T
     def seated(own, other):
         return (own, other) if grouped_seat == "row" else (other, own)
 
+    def row_regret(row, record, ids):
+        """The row seat's expected external regret of its announced
+        strategies against the recorded column actions."""
+        regret = kernel(ids)
+        for t in range(T):
+            regret.update(row.strategies[t], regret.payoffs(record[t, 1]))
+        return regret.regret()
+
     grouped = Recorder(BatchGroups(
         [(ids, stack(kind, grouped_seat, ids)) for ids, kind in zip(index, kinds)], TS4.num_actions
     ))
     other = Recorder(stack(other_kind, other_seat, range(len(episodes))))
-    regret = kernel(range(len(episodes)))
-    record = play_batch(*seated(grouped, other), T, EpisodeStreams(seed_list), regret=regret,
-                        record=True)
+    record = play_batch(*seated(grouped, other), T, EpisodeStreams(seed_list), record=True)
+    regret = row_regret(seated(grouped, other)[0], record, range(len(episodes)))
 
     for ids, kind in zip(index, kinds):
         part = Recorder(stack(kind, grouped_seat, ids))
         partner = Recorder(stack(other_kind, other_seat, ids))
-        part_regret = kernel(ids)
         part_record = play_batch(*seated(part, partner), T,
-                                 EpisodeStreams([seed_list[e] for e in ids]),
-                                 regret=part_regret, record=True)
+                                 EpisodeStreams([seed_list[e] for e in ids]), record=True)
         assert np.array_equal(record[:, :, ids], part_record)
         for t in range(T):
             assert np.array_equal(grouped.strategies[t][ids], part.strategies[t])
             assert np.array_equal(other.strategies[t][ids], partner.strategies[t])
-        assert np.array_equal(regret.regret()[ids], part_regret.regret())
+        assert np.array_equal(regret[ids], row_regret(seated(part, partner)[0], part_record, ids))
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,17 +606,19 @@ def test_batch_groups_without_streams_as_in_mw_regret(data, n, E, T, grouped_sea
         row, col = Recorder(BatchGroups(parts, n)), Recorder(BatchAdaptive(adaptive, A))
     else:
         row, col = Recorder(BatchMW(A, 0.3)), Recorder(BatchGroups(parts, n))
-    regret = RegretKernel(A)
-    assert play_batch(row, col, T, regret=regret) is None
+    assert play_batch(row, col, T) is None
+    # The MW learners' own regret kernels, by episode.
+    regret = np.empty(E)
+    for ids, learner in parts if grouped_seat == "row" else [(range(E), row.agent)]:
+        regret[ids] = learner.kernel.regret()
 
     for i, ids in enumerate(index):
         part_row, part_col = map(Recorder, pair(i, ids))
-        part_regret = RegretKernel(A[ids])
-        play_batch(part_row, part_col, T, regret=part_regret)
+        play_batch(part_row, part_col, T)
         for t in range(T):
             assert np.array_equal(row.strategies[t][ids], part_row.strategies[t])
             assert np.array_equal(col.strategies[t][ids], part_col.strategies[t])
-        assert np.array_equal(regret.regret()[ids], part_regret.regret())
+        assert np.array_equal(regret[ids], part_row.agent.kernel.regret())
 
     # One adaptive adversary with a kind per row plays as each row's kind
     # alone, as the scalar loop picks: the first column of least value for

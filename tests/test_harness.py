@@ -20,7 +20,6 @@ from cooplab.engine import (
     BatchFixedSequence,
     BatchMW,
     EpisodeStreams,
-    RegretKernel,
     _choice,
     _choice_cuts,
     _draws,
@@ -32,7 +31,6 @@ from cooplab.harness import (
     EXPERIMENT_KINDS,
     MW_ADVERSARIES,
     STREAM_TAGS,
-    TRIGGER_BLOCK,
     ExperimentConfig,
     VerificationResult,
     _at_least,
@@ -130,8 +128,10 @@ def check_trigger_against_protocol_agent(ts, stages):
     for threshold in (0.5, 1.0, 2.0, 5.0):
         i_acts = rng.choice(2, size=(30, stages), p=prof.sigma_row)
         j_acts = rng.choice(2, size=(30, stages), p=prof.sigma_col)
-        bounds = {"row": _trigger_bound(A, prof.sigma_row, _at_least(j_acts, 2), ha, hexp_r),
-                  "col": _trigger_bound(B, prof.sigma_col, _at_least(i_acts, 2), hb, hexp_c)}
+        # The bound reads the opponent's action counts per 64-stage word.
+        words = harness._joint_counts(_at_least(i_acts, 2), _at_least(j_acts, 2))
+        bounds = {"row": _trigger_bound(A, prof.sigma_row, words.sum(axis=2), ha, hexp_r),
+                  "col": _trigger_bound(B, prof.sigma_col, words.sum(axis=3), hb, hexp_c)}
         for seat, bound in bounds.items():
             for e in range(30):
                 first, accumulators = agent_first_trigger(
@@ -147,9 +147,9 @@ def test_vectorized_trigger_matches_protocol_agent(ts2):
 
 
 def test_vectorized_trigger_matches_protocol_agent_beyond_one_block(ts2):
-    # Triggers that fall in later blocks of the stage scan, and its last,
-    # partial block.
-    check_trigger_against_protocol_agent(ts2, stages=2 * TRIGGER_BLOCK + 23)
+    # Triggers that fall in later 64-stage words, and in the last, partial
+    # word.
+    check_trigger_against_protocol_agent(ts2, stages=2 * 64 + 23)
 
 
 def lower_protocol_thresholds(monkeypatch, by):
@@ -572,9 +572,9 @@ def mw_regret_csv_by_adversary(cfg):
             script = np.tile(np.arange(n), (len(runs), 1))
         opponent = (BatchAdaptive(kind, A) if kind in BatchAdaptive.KINDS
                     else BatchFixedSequence(script, n))
-        kernel = RegretKernel(A)
-        play_batch(BatchMW(A, default_eta(n, T)), opponent, T, regret=kernel)
-        regrets[runs.start::runs.step] = kernel.regret()
+        learner = BatchMW(A, default_eta(n, T))
+        play_batch(learner, opponent, T)
+        regrets[runs.start::runs.step] = learner.kernel.regret()
     rows = ["run,adversary,expected_regret,bound"]
     rows += [f"{r},{MW_ADVERSARIES[r % len(MW_ADVERSARIES)]},{reg!r},{bound!r}"
              for r, reg in enumerate(regrets.tolist())]
@@ -809,6 +809,16 @@ def per_stage_tally(row, col, n):
     return tally
 
 
+def per_word_tally(row, col, n):
+    """Joint action counts (E, words, n, n) of (E, stages) actions in each
+    64 stages, stage by stage; the last word may be partial."""
+    tally = np.zeros((len(row), -(-row.shape[1] // 64), n, n), np.int64)
+    for e in range(len(row)):
+        for s, (i, j) in enumerate(zip(row[e].tolist(), col[e].tolist())):
+            tally[e, s // 64, i, j] += 1
+    return tally
+
+
 # Strategies over 2-5 actions whose cut lists are full, repeat a cut (a
 # zero-probability middle action) or stop short of n - 1 cuts (a
 # zero-probability last action, a pure strategy).
@@ -829,24 +839,31 @@ def test_joint_counts_equal_a_per_stage_tally(monkeypatch):
 def check_joint_counts(monkeypatch, p, q):
     # The indicators of the replays' records: play_batch records (stages,
     # seats, episodes), and its transposed seats are F-ordered (episodes,
-    # stages) views.
+    # stages) views.  Each 64-stage word's counts are those of its stages,
+    # the last word's too when it is partial, and the words of an episode
+    # add up to its counts.
     n = len(p)
     rng = np.random.default_rng(n)
-    record = rng.integers(0, n, size=(70, 2, 40), dtype=np.uint8)
-    row, col = record[:, 0].T, record[:, 1].T
-    tally = per_stage_tally(row, col, n)
-    assert np.array_equal(harness._joint_counts(_at_least(row, n), _at_least(col, n)), tally)
-    c_row, c_col = np.ascontiguousarray(row), np.ascontiguousarray(col)
-    assert np.array_equal(harness._joint_counts(_at_least(c_row, n), _at_least(c_col, n)), tally)
+    for stages in (1, 63, 64, 65, 70, 128, 130):
+        record = rng.integers(0, n, size=(stages, 2, 40), dtype=np.uint8)
+        row, col = record[:, 0].T, record[:, 1].T
+        tally = per_word_tally(row, col, n)
+        words = harness._joint_counts(_at_least(row, n), _at_least(col, n))
+        assert words.shape == (40, -(-stages // 64), n, n)
+        assert np.array_equal(words, tally)
+        assert np.array_equal(words.sum(axis=1), per_stage_tally(row, col, n))
+        c_row, c_col = np.ascontiguousarray(row), np.ascontiguousarray(col)
+        assert np.array_equal(harness._joint_counts(_at_least(c_row, n), _at_least(c_col, n)),
+                              tally)
     empty = _at_least(np.zeros((3, 0), np.uint8), n)
-    assert np.array_equal(harness._joint_counts(empty, empty), np.zeros((3, n, n)))
+    assert np.array_equal(harness._joint_counts(empty, empty), np.zeros((3, 0, n, n)))
     # The sampler's indicators, in row blocks of one cell, of a few rows and
     # of all rows, are those of _choice's actions on the same draws, and
     # their counts the tally of those actions.
     keys = rng.integers(0, 2**64, size=45, dtype=np.uint64)
     z = _draws(keys, 2 + 2 * 3, 2 * 70)  # the draws of stages 3-72
     acts = [_choice(z[seat::2].T, _choice_cuts(sigma)) for seat, sigma in ((0, p), (1, q))]
-    tally = per_stage_tally(*acts, n)
+    tally = per_word_tally(*acts, n)
     for cells in (1, 250, 1 << 16):
         monkeypatch.setattr(harness, "ROW_BLOCK_CELLS", cells)
         monkeypatch.setattr(harness, "SELFPLAY_CHUNK", 20)

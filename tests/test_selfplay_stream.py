@@ -268,11 +268,21 @@ def test_choice_never_draws_a_tolerance_level_negative_action():
 # si-selfplay count bound
 
 
+WORD = 64  # stages per packed word of _joint_counts: a block of the count bound
+
 STAGE_COUNTS = st.one_of(
-    st.integers(1, harness.TRIGGER_BLOCK - 1),
-    st.sampled_from([harness.TRIGGER_BLOCK, 2 * harness.TRIGGER_BLOCK]),
-    st.integers(harness.TRIGGER_BLOCK + 1, 3 * harness.TRIGGER_BLOCK + 5),
+    st.integers(1, WORD - 1),
+    st.sampled_from([WORD, 2 * WORD]),
+    st.integers(WORD + 1, 3 * WORD + 5),
 )
+
+
+def block_counts(opp, n):
+    """The opponent's action counts (episodes, blocks, n) in each WORD
+    stages of its (episodes, stages) actions: the count bound's input, by
+    one reduction per block."""
+    starts = np.arange(0, opp.shape[1], WORD)
+    return np.stack([np.add.reduceat(opp == j, starts, axis=1) for j in range(n)], axis=2)
 
 
 def handshake_kernel(m, handshake, episodes):
@@ -320,7 +330,7 @@ def runs_of_actions(rng, n, episodes, stages, run):
     episodes=st.integers(1, 8),
     stages=STAGE_COUNTS,
     scale=st.sampled_from([1.0, 30.0, 1e3]),
-    run=st.sampled_from([1, 5, harness.TRIGGER_BLOCK, 10**9]),
+    run=st.sampled_from([1, 5, WORD, 10**9]),
     handshake=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -335,15 +345,14 @@ def test_trigger_bound_covers_every_accumulator(data, n, episodes, stages, scale
     sigma = data.draw(mixed_strategy(n))
     kernel = handshake_kernel(m, rng.integers(0, n, size=(handshake, 2)).tolist(), episodes)
     opp = runs_of_actions(rng, n, episodes, stages, run)
-    bound = harness._trigger_bound(m, sigma, _at_least(opp, n), kernel.counterfactual[0].copy(),
-                                   float(kernel.expected[0]))
+    bound = harness._trigger_bound(m, sigma, block_counts(opp, n),
+                                   kernel.counterfactual[0].copy(), float(kernel.expected[0]))
     assert (bound >= agents_accumulators(kernel, sigma, opp).max(axis=1)).all()
 
 
 def block_end_bound(m, sigma, opp, h_cf, h_exp):
     """A count bound that takes every count at its block's end only."""
-    ends = np.append(np.arange(harness.TRIGGER_BLOCK, opp.shape[1], harness.TRIGGER_BLOCK),
-                     opp.shape[1]) - 1
+    ends = np.append(np.arange(WORD, opp.shape[1], WORD), opp.shape[1]) - 1
     hi = np.stack([np.cumsum(opp == j, axis=1)[:, ends] for j in range(len(m))], axis=2)
     return (hi @ (m - sigma @ m).T + (h_cf - h_exp)).max(axis=(1, 2))
 
@@ -351,13 +360,13 @@ def block_end_bound(m, sigma, opp, h_cf, h_exp):
 def test_a_bound_from_block_end_counts_alone_fails_the_cover_check():
     # With m = I and sigma = (1, 0) the accumulator is max(0, count_1 -
     # count_0).  In each block the opponent plays 1, then 0 as often, so it
-    # is back at 0 at every block end, but TRIGGER_BLOCK / 2 in between.
+    # is back at 0 at every block end, but WORD / 2 in between.
     m, sigma, h_cf = np.eye(2), np.array([1.0, 0.0]), np.zeros(2)
-    half = harness.TRIGGER_BLOCK // 2
+    half = WORD // 2
     opp = np.tile(np.repeat(np.array([1, 0], np.uint8), half), (3, 2))
     assert not bound_covers_the_agents(block_end_bound(m, sigma, opp, h_cf, 0.0), m, sigma, opp,
                                        h_cf)
-    bound = harness._trigger_bound(m, sigma, _at_least(opp, 2), h_cf, 0.0)
+    bound = harness._trigger_bound(m, sigma, block_counts(opp, 2), h_cf, 0.0)
     assert bound_covers_the_agents(bound, m, sigma, opp, h_cf)
     assert np.allclose(bound, half)
 
@@ -369,7 +378,7 @@ def test_count_bound_never_clears_a_handshake_over_the_threshold():
     # never exceed 2.  The bound counts the handshake's end too.
     m, sigma, h_cf = np.array([[-1.0, -1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), np.array([3.0, 0.0])
     opp = np.zeros((4, 100), dtype=np.uint8)
-    bound = harness._trigger_bound(m, sigma, _at_least(opp, 2), h_cf, 0.0)
+    bound = harness._trigger_bound(m, sigma, block_counts(opp, 2), h_cf, 0.0)
     assert bound_covers_the_agents(np.full(4, 2.0), m, sigma, opp, h_cf)
     assert (bound >= 3.0).all()
 
@@ -473,9 +482,18 @@ def test_nash_selfplay_is_fixed_mixed_agents_on_play_episodes(profile):
 def test_si_selfplay_csv_is_independent_of_block_sizes():
     cfg = dict(kind="si-selfplay", episodes=400, horizon=90, delta=0.9, k=2, seed=5,
                type_space=fixture_type_space("typespace_4.json"))
-    _, want = run_experiment(ExperimentConfig(**cfg))
-    with mock.patch.multiple(harness, SELFPLAY_CHUNK=7, TRIGGER_BLOCK=5, ROW_BLOCK_CELLS=100):
+    results, want = run_experiment(ExperimentConfig(**cfg))
+    assert "cleared by the count bound 0," not in results[0].detail
+    with mock.patch.multiple(harness, SELFPLAY_CHUNK=7, ROW_BLOCK_CELLS=100):
         _, got = run_experiment(ExperimentConfig(**cfg))
+    assert got == want
+    # A count bound that clears nothing leaves every episode to the agents,
+    # and each replayed episode is the one the sampler counted, so the CSV
+    # does not depend on which episodes the bound clears either.
+    clears_nothing = lambda m, sigma, blocks, h_cf, h_exp: np.full(len(blocks), np.inf)
+    with mock.patch.object(harness, "_trigger_bound", clears_nothing):
+        results, got = run_experiment(ExperimentConfig(**cfg))
+    assert "cleared by the count bound 0, replayed by the agents 400," in results[0].detail
     assert got == want
 
 
