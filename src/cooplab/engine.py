@@ -195,7 +195,9 @@ class RegretKernel:
     """Running expected external regret of one seat in E episodes: the
     cumulative counterfactual payoff of every own action (E, N) and the
     cumulative expected payoff of the announced strategies (E,), both
-    against the opponent's realized actions."""
+    against the opponent's realized actions.  The counterfactual sums are
+    also Hedge's cumulative payoffs: a learner keeps no running sum of its
+    own."""
 
     def __init__(self, matrices):
         m = np.asarray(matrices, dtype=float)  # (E, own, opp)
@@ -206,14 +208,12 @@ class RegretKernel:
         self.counterfactual = np.zeros((E, n))
         self.expected = np.zeros(E)
 
-    def payoffs(self, opp: np.ndarray) -> np.ndarray:
-        """Own payoff of every action against ``opp``, (E, N)."""
-        return self._by_opp.take(self._base + opp, axis=0)
-
-    def update(self, sigma: np.ndarray, payoffs: np.ndarray) -> None:
-        """Accrue one stage: ``payoffs`` is ``self.payoffs(opp)``."""
-        self.counterfactual += payoffs
-        self.expected += _rowsum(sigma * payoffs)
+    def update(self, sigma: np.ndarray, opp: np.ndarray) -> None:
+        """Accrue one stage of the announced strategies ``sigma`` (E, N)
+        against the opponent's actions ``opp`` (E,)."""
+        rows = self._by_opp.take(self._base + opp, axis=0)  # own payoffs against opp
+        self.counterfactual += rows
+        self.expected += _rowsum(sigma * rows)
 
     def regret(self) -> np.ndarray:
         return _rowmax(self.counterfactual) - self.expected
@@ -338,10 +338,10 @@ class BatchBestResponder(BatchAgent):
         self.stage += 1
 
 
-def _hedge(log_weights: np.ndarray) -> np.ndarray:
-    """Hedge's strategies of (rows, N) log-weights, renormalized by each
-    row's maximum so that long horizons cannot overflow."""
-    w = np.exp(log_weights - _rowmax(log_weights)[:, None])
+def _hedge(exponents: np.ndarray) -> np.ndarray:
+    """Hedge's strategies of (rows, N) exponents, eta times cumulative
+    payoffs, less each row's maximum so that long horizons cannot overflow."""
+    w = np.exp(exponents - _rowmax(exponents)[:, None])
     return w / _rowsum(w)[:, None]
 
 
@@ -354,29 +354,24 @@ def _check_eta(eta: np.ndarray) -> np.ndarray:
 class BatchMW(BatchAgent):
     """Multiplicative weights / Hedge over each episode's own payoff matrix:
     weight(a) ~ exp(eta * cumulative payoff of a against the opponent's
-    actions), kept as (E, N) log-weights (``_hedge``).  Its ``kernel``
-    accrues its expected external regret on the strategies it announced."""
+    actions) (``_hedge``).  The cumulative payoffs are its ``kernel``'s
+    counterfactual sums; the kernel also accrues its expected external
+    regret on the strategies it announced."""
 
-    ROWS = ("kernel", "eta", "log_weights", "sigma")
+    ROWS = ("kernel", "eta", "sigma")
 
     def __init__(self, matrices, eta):
         eta = _check_eta(np.broadcast_to(np.asarray(eta, dtype=float), (len(matrices),)))
         self.kernel = RegretKernel(matrices)
         self.eta = eta[:, None]
-        self.log_weights = np.zeros(np.shape(matrices)[:2])
         self.sigma = None  # the strategies last announced
 
     def act(self, partner=None):
-        self.sigma = _hedge(self.log_weights)
+        self.sigma = _hedge(self.eta * self.kernel.counterfactual)
         return self.sigma
 
     def observe(self, own, opp):
-        payoffs = self.kernel.payoffs(opp)
-        self.kernel.update(self.sigma, payoffs)
-        self.log_weights += self.eta * payoffs
-
-
-HANDSHAKE, CONVENTION, FALLBACK = 0, 1, 2
+        self.kernel.update(self.sigma, opp)
 
 
 class BatchProtocol(BatchAgent):
@@ -388,16 +383,20 @@ class BatchProtocol(BatchAgent):
     Phases move handshake -> convention -> fallback (or handshake ->
     fallback) and never return: an opponent prefix that cannot complete to a
     codeword of the type space, or a regret accumulator above ``threshold``,
-    starts an MW fallback.  The accumulator uses the episode's own announced
-    strategies and the opponent's realized actions from stage 0 (the +k of
-    the threshold absorbs the handshake's share), and keeps accruing after a
-    fallback, so at the end it holds each episode's expected external regret.
+    starts an MW fallback at ``fallback_stage`` (-1 until then).  A row is
+    in the fallback iff it has a fallback stage, else in the handshake while
+    ``stage < k`` and in the convention after.  The accumulator uses the
+    episode's own announced strategies and the opponent's realized actions
+    from stage 0 (the +k of the threshold absorbs the handshake's share),
+    and keeps accruing after a fallback, so at the end it holds each
+    episode's expected external regret.
 
     Only the fallen rows run MW: ``fallen`` holds their row indices, in the
-    order they fell, and ``mw_log_weights`` (F, N) their Hedge log-weights,
-    0 at the stage they fall."""
+    order they fell, and ``sums_at_fall`` (F, N) their kernel's
+    counterfactual sums at the stage they fell.  Their Hedge cumulative
+    payoffs are the sums accrued since."""
 
-    ROWS = ("own_code", "conventions", "kernel", "opp_prefix", "fallback_stage", "phase",
+    ROWS = ("own_code", "conventions", "kernel", "opp_prefix", "fallback_stage",
             "convention", "_sigma")
 
     def __init__(self, own_code, conventions, matrices, threshold: float, eta_fallback: float):
@@ -412,11 +411,10 @@ class BatchProtocol(BatchAgent):
         self.stage = 0
         self.opp_prefix = np.zeros(E, dtype=np.int64)
         self.fallback_stage = np.full(E, -1)
-        # Single-type spaces need no handshake; otherwise the convention is
-        # chosen at stage k.
-        self.phase = np.full(E, CONVENTION if self.k == 0 else HANDSHAKE, dtype=np.int8)
         self.fallen = np.zeros(0, dtype=np.intp)
-        self.mw_log_weights = np.zeros((0, self.n))
+        self.sums_at_fall = np.zeros((0, self.n))
+        # Single-type spaces need no handshake (k = 0); otherwise the
+        # convention is chosen at stage k.
         self.convention = conventions[:, 0]
         self._sigma = None
 
@@ -427,27 +425,21 @@ class BatchProtocol(BatchAgent):
             out = self.convention
         if len(self.fallen):
             out = out.copy()
-            out[self.fallen] = _hedge(self.mw_log_weights)
+            out[self.fallen] = _hedge(
+                self.eta * (self.kernel.counterfactual[self.fallen] - self.sums_at_fall))
         self._sigma = out
         return out
 
     def _fall_back(self, rows: np.ndarray) -> None:
         new = np.flatnonzero(rows)
         if len(new):
-            self.phase[new] = FALLBACK
             self.fallback_stage[new] = self.stage
             self.fallen = np.concatenate((self.fallen, new))
-            fresh = np.zeros((len(new), self.n))
-            self.mw_log_weights = np.concatenate((self.mw_log_weights, fresh))
+            self.sums_at_fall = np.concatenate((self.sums_at_fall, self.kernel.counterfactual[new]))
 
     def observe(self, own, opp):
-        payoffs = self.kernel.payoffs(opp)
-        self.kernel.update(self._sigma, payoffs)
-        if len(self.fallen):
-            active = self.phase != FALLBACK
-            self.mw_log_weights += self.eta * payoffs[self.fallen]
-        else:
-            active = True
+        self.kernel.update(self._sigma, opp)
+        active = self.fallback_stage < 0
         handshake = self.stage < self.k
         self.stage += 1
         if handshake:
@@ -459,18 +451,17 @@ class BatchProtocol(BatchAgent):
             self.opp_prefix = np.where(valid, prefix, 0)
             self._fall_back(active & ~valid)
             if self.stage == self.k:
-                self.phase[valid] = CONVENTION
                 self.convention = self.conventions[np.arange(len(valid)), self.opp_prefix]
         else:
             self._fall_back(active & (self.kernel.regret() > self.threshold))
 
     def take(self, idx):
         out = super().take(idx)
-        at = np.full(len(self.phase), -1)  # each row's place in the fallen rows
+        at = np.full(len(self.fallback_stage), -1)  # each row's place in the fallen rows
         at[self.fallen] = np.arange(len(self.fallen))
         at = at[idx]
         out.fallen = np.flatnonzero(at >= 0)
-        out.mw_log_weights = self.mw_log_weights[at[out.fallen]]
+        out.sums_at_fall = self.sums_at_fall[at[out.fallen]]
         return out
 
 

@@ -854,9 +854,7 @@ def run_ic_eval(cfg: ExperimentConfig):
             # Column payoff of every stage, B[own = col action, opp = row action],
             # summed over the stages in order.
             stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]
-            realized = np.zeros(len(members))
-            for pay in stage_pay:
-                realized += pay
+            realized = _rowsum(stage_pay.T)
             values[K][ids] = (T * tau_col[joint_ids[ids]] - realized) / T
 
     theta = np.array(mu.support, dtype=object)[np.tile(joint_ids, len(K_values))]
@@ -958,7 +956,7 @@ def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
         if not name.endswith(".csv") or curve is None:
             continue
         groups: dict[str, list[float]] = {}
-        try:  # skip an empty file, a missing column or a cell that is no number
+        try:  # skip an empty file, a missing column, a short row or a cell that is no number
             with open(os.path.join(results_dir, name)) as f:
                 header, *lines = f.read().splitlines()
             header = header.split(",")
@@ -968,7 +966,7 @@ def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
                 parts = line.split(",")
                 key = ",".join(parts[i] for i in x_cols)
                 groups.setdefault(key, []).append(float(parts[y_col]))
-        except ValueError:
+        except (ValueError, IndexError):
             continue
         if not groups:
             continue

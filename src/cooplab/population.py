@@ -100,6 +100,14 @@ def _param_json(obj) -> str:
     return getattr(obj, "content_hash", obj.__str__)()
 
 
+def _probability_weights(weights, what: str) -> list[float]:
+    """A ``what``'s ``weights`` as floats, checked to be a probability vector."""
+    w = _float_array(weights, f"{what} weights")
+    if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        raise GameError(f"{what} weights must be a probability vector")
+    return [float(x) for x in w]
+
+
 @dataclass
 class Population:
     """Distribution over agent templates (the partner population)."""
@@ -112,10 +120,7 @@ class Population:
             raise GameError("population must be nonempty")
         if len(self.weights) != len(self.members):
             raise GameError("population weights must match member count")
-        w = _float_array(self.weights, "population weights")
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise GameError("population weights must be a probability vector")
-        self.weights = [float(x) for x in w]
+        self.weights = _probability_weights(self.weights, "population")
 
     def content_hash(self) -> str:
         blob = json.dumps(
@@ -151,11 +156,8 @@ class TypeDistribution:
             if not (isinstance(s, (tuple, list)) and len(s) == 2
                     and all(isinstance(t, str) for t in s)):
                 raise GameError(f"joint type {s!r} is not a pair of type ids")
-        w = _float_array(self.weights, "type distribution weights")
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise GameError("type distribution weights must be a probability vector")
+        self.weights = _probability_weights(self.weights, "type distribution")
         self.support = [tuple(s) for s in self.support]
-        self.weights = [float(x) for x in w]
 
     def validate_types(self, type_space: TypeSpace) -> None:
         for a, b in self.support:

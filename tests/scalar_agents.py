@@ -337,6 +337,16 @@ class MWAgent(Agent):
             self.log_weights[a] += self.eta * self.matrix[a][opp_action]
 
 
+PHASES = ("handshake", "convention", "fallback")  # a protocol agent's phases, in order
+
+
+def batch_protocol_phases(agent) -> np.ndarray:
+    """The phase of every row of a ``BatchProtocol``, as an index into
+    ``PHASES``: the fallback iff the row has a fallback stage, else the
+    handshake while the agent's stage is below k and the convention after."""
+    return np.where(agent.fallback_stage >= 0, 2, int(agent.stage >= agent.k))
+
+
 class ProtocolAgent(Agent):
     """Handshake-then-convention agent with an expected-regret tripwire.
 

@@ -21,9 +21,11 @@ from cooplab.agents import (
     protocol_threshold,
     theorem26_params,
 )
-from cooplab.engine import CONVENTION, FALLBACK, HANDSHAKE, BatchBestResponder, BatchMW
+from cooplab.engine import BatchBestResponder, BatchMW, _hedge
 from cooplab.harness import fixture_path
-from scalar_agents import handshake_decode, handshake_prefix_valid
+from scalar_agents import PHASES, batch_protocol_phases, handshake_decode, handshake_prefix_valid
+
+HANDSHAKE, CONVENTION, FALLBACK = range(len(PHASES))
 
 
 def step(agent, own, opp):
@@ -70,6 +72,22 @@ def test_mw_agent_single_step():
     assert new[1] == pytest.approx(1 / (e + 1), abs=1e-12)
     with pytest.raises(GameError):
         BatchMW(np.eye(2)[None], -0.5)
+
+
+def test_mw_agent_plays_hedge_of_its_kernel_sums():
+    # At every stage the strategy is Hedge of eta times the kernel's
+    # counterfactual sums, and those sums are the payoff rows against the
+    # opponent's actions, added up stage by stage.
+    rng = np.random.default_rng(4)
+    A = rng.random((3, 3, 3))
+    eta = np.array([0.1, 0.7, 2.0])
+    agent = BatchMW(A, eta)
+    sums = np.zeros((3, 3))
+    for opp in rng.integers(0, 3, size=(50, 3)):
+        assert agent.act().tolist() == _hedge(eta[:, None] * agent.kernel.counterfactual).tolist()
+        agent.observe(None, opp)
+        sums += A[np.arange(3), :, opp]
+        assert agent.kernel.counterfactual.tolist() == sums.tolist()
 
 
 def test_mw_agent_long_horizon_no_overflow():
@@ -233,7 +251,8 @@ def test_protocol_selfplay_handshake_then_convention(ts2):
     # k=1: stage 0 transmits the type indices (gamma=0, delta=1).
     assert history[0] == (0, 1)
     assert ar.opp_prefix.tolist() == [1] and ac.opp_prefix.tolist() == [0]
-    assert ar.phase.tolist() == [CONVENTION] and ac.phase.tolist() == [CONVENTION]
+    assert batch_protocol_phases(ar).tolist() == [CONVENTION]
+    assert batch_protocol_phases(ac).tolist() == [CONVENTION]
     assert strategy(ar)[0] == pytest.approx(0.95)
     assert strategy(ac)[0] == pytest.approx(0.2)
 
@@ -248,10 +267,11 @@ def test_protocol_invalid_handshake_triggers_fallback(ts4):
     agent = make_protocol(ts3, "a", "row", T=40)
     strategy(agent)
     step(agent, agent.own_code[0, 0], 1)
-    assert agent.phase.tolist() == [HANDSHAKE]  # prefix (1,) can still complete to (1, 0)
+    # prefix (1,) can still complete to (1, 0)
+    assert batch_protocol_phases(agent).tolist() == [HANDSHAKE]
     strategy(agent)
     step(agent, agent.own_code[0, 1], 1)  # prefix (1, 1) -> index 3, invalid
-    assert agent.phase.tolist() == [FALLBACK]
+    assert batch_protocol_phases(agent).tolist() == [FALLBACK]
     assert sum(strategy(agent)) == pytest.approx(1.0)
 
 
@@ -259,11 +279,11 @@ def test_protocol_phase_monotonicity(ts4):
     rng = random.Random(9)
     for trial in range(20):
         agent = make_protocol(ts4, ts4.types[trial % 4], "row", T=60)
-        phases = [int(agent.phase[0])]
+        phases = [int(batch_protocol_phases(agent)[0])]
         for _ in range(60):
             a = sample(strategy(agent), rng)
             step(agent, a, rng.randrange(2))
-            phases.append(int(agent.phase[0]))
+            phases.append(int(batch_protocol_phases(agent)[0]))
         assert phases == sorted(phases)  # HANDSHAKE < CONVENTION < FALLBACK
 
 
@@ -279,7 +299,7 @@ def test_protocol_accumulator_uses_announced_strategies(ts2):
 def test_protocol_k0_single_type():
     ts1 = TypeSpace(types=("only",), payoff_table={"only": np.array([[2.0, 0.0], [0.0, 1.0]])})
     agent = build_agent(AgentSpec("Protocol", {"eps1": 0.2, "k": 0}), ts1, 20, "row", "only")
-    assert agent.phase.tolist() == [CONVENTION]
+    assert batch_protocol_phases(agent).tolist() == [CONVENTION]
     assert strategy(agent)[0] == pytest.approx(1.0)
 
 

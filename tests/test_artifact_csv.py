@@ -90,10 +90,13 @@ def test_csv_refuses_columns_of_unequal_length(cols):
 # test_selfplay_stream.py.  The agents replay 8 of si-selfplay's 200
 # episodes, none of which falls back; test_harness.py checks the replays
 # against play_episodes.  si-selfplay's digest changed once more when its
-# payoffs came to be summed from joint action counts.
+# payoffs came to be summed from joint action counts.  mw-regret's changed
+# when the MW learner came to read Hedge's cumulative payoffs from its regret
+# kernel's counterfactual sums, eta times a sum in place of a sum of eta
+# times each payoff row: its regrets moved by rounding only.
 PINNED = {
     "mw-regret": (dict(episodes=60, horizon=100, num_actions=3, seed=1),
-                  "3daef97de43b8fb958e822213d46ad26b3d9bf8d5b79f0b0d1907d9d9862208f"),
+                  "9f862bda0bf7187cbeb06004fee1032bfe34256ff79d77320e5efedc24daec5a"),
     "nash-selfplay": (dict(episodes=200, horizon=50, seed=2),
                       "0525d9143ac31763e1e57fd373442bdd5ae8cc96eabd5bacd4a9720447e5dc38"),
     "si-selfplay": (dict(episodes=200, horizon=100, delta=0.5, k=2, seed=3, type_space=TS4),

@@ -94,3 +94,25 @@ def test_ic_eval_on_one_type_needs_a_joint_type_distribution(tmp_path):
                              "the type space has 1; give one with --mu\n")
     result = CliRunner().invoke(main, [*args, "--mu", str(mu)])
     assert result.exit_code == 0, result.output
+
+
+def test_emit_curves_skips_a_csv_with_a_short_row(tmp_path):
+    # A truncated ic_eval.csv is skipped, as a missing column or a cell that
+    # is no number is; alone, it leaves nothing to aggregate.
+    truncated = "K,episode,theta1,theta2,avg_altruistic_regret\n100,0,a,b,0.5\n100,1\n"
+    (tmp_path / "ic_eval.csv").write_text(truncated)
+    (tmp_path / "mw_regret_N2.csv").write_text(
+        "run,adversary,expected_regret,bound\n0,constant,1.5,9.0\n1,constant,2.5,9.0\n"
+    )
+    result = CliRunner().invoke(main, ["emit-curves", "--results-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "wrote mw_regret_N2_curve.tsv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ic_eval.csv", "mw_regret_N2.csv", "mw_regret_N2_curve.tsv"]
+
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "ic_eval.csv").write_text(truncated)
+    result = CliRunner().invoke(main, ["emit-curves", "--results-dir", str(alone)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: no aggregatable CSV files found in {alone}\n"

@@ -16,7 +16,6 @@ from cooplab.agents import (
     default_eta,
 )
 from cooplab.engine import (
-    FALLBACK,
     BatchAdaptive,
     BatchAgent,
     BatchFixedMixed,
@@ -27,6 +26,7 @@ from cooplab.engine import (
     GAMMA,
     RegretKernel,
     ScalarStream,
+    _hedge,
     mix64,
     play_batch,
     sample_actions,
@@ -52,11 +52,13 @@ from cooplab.population import (
 from cooplab import engine, population
 from cooplab.regret import expected_external_regret
 from scalar_agents import (
+    PHASES,
     FixedMixedAgent,
     ImitateThenCommitAgent,
     MWAgent,
     ProtocolAgent,
     SplitMix64,
+    batch_protocol_phases,
     categorical,
     play_episode,
     policy_strategy,
@@ -87,8 +89,8 @@ class Recorder(BatchAgent):
     def observe(self, own, opp):
         self.agent.observe(own, opp)
         self.actions.append(np.array(own))
-        if hasattr(self.agent, "phase"):
-            self.phases.append(self.agent.phase.copy())
+        if hasattr(self.agent, "fallback_stage"):
+            self.phases.append(batch_protocol_phases(self.agent))
             kernel = self.agent.kernel
             self.accumulators.append((kernel.counterfactual.copy(), kernel.expected.copy()))
 
@@ -262,8 +264,7 @@ def test_batched_protocol_matches_scalar_episodes(episodes, adversary, k, extra_
                 cf, expected = row.accumulators[t]
                 assert cf[e].tolist() == agent.cum_counterfactual
                 assert expected[e] == agent.cum_expected
-            code = {"handshake": 0, "convention": 1, "fallback": FALLBACK}[agent.phase]
-            assert row.phases[t][e] == code
+            assert PHASES[row.phases[t][e]] == agent.phase
             if agent.phase == "fallback" and first_fallback < 0:
                 first_fallback = t + 1
         assert row.agent.fallback_stage[e] == first_fallback
@@ -548,7 +549,7 @@ def test_batch_groups_play_as_one_batch_per_part(data, episodes, grouped_seat, T
         strategies against the recorded column actions."""
         regret = kernel(ids)
         for t in range(T):
-            regret.update(row.strategies[t], regret.payoffs(record[t, 1]))
+            regret.update(row.strategies[t], record[t, 1])
         return regret.regret()
 
     grouped = Recorder(BatchGroups(
@@ -760,3 +761,54 @@ def test_every_kind_plays_alone_as_in_a_seat(kind, seat):
                     assert got[row].tolist() == alone[e][t].tolist()
             part.observe(own[t, idx], opp[t, idx])
 
+
+def test_fallen_protocol_rows_play_hedge_of_the_sums_since_their_fall():
+    # A fallen row announces Hedge of eta times its counterfactual sums less
+    # those at the stage it fell, both read from the sums recorded after
+    # every stage.  So do the rows of a take after stage 8's act, in which
+    # row 4 (fell at 7) and row 3 (falls at 10) are taken twice.
+    T, seeds = 40, [11, 2**40 + 3, 7, 2**63 + 1, 0, 99, 12345, 5]
+    E = len(seeds)
+    own_types = [TS4.types[e % 4] for e in range(E)]
+    opp_types = [TS4.types[(3 * e + 1) % 4] for e in range(E)]
+
+    def seats():
+        streams = EpisodeStreams(seeds)
+        row = build_agents(AgentSpec("Protocol", {"eps1": 0.1, "k": 2}), TS4, T, "row",
+                           own_types, streams.agent_seeds[0], CT4)
+        col = build_agents(AgentSpec("UniformRandom"), TS4, T, "col", opp_types,
+                           streams.agent_seeds[1], CT4)
+        return row, col, streams
+
+    row, col, streams = seats()
+    row = Recorder(row)
+    record = play_batch(row, col, T, streams, record=True)
+    fell = row.agent.fallback_stage
+    assert fell.tolist() == [3, -1, -1, 10, 7, -1, -1, 11]
+    # sums[t]: the counterfactual sums when stage t acts.
+    sums = [np.zeros((E, TS4.num_actions))] + [cf for cf, _ in row.accumulators]
+    eta = row.agent.eta
+
+    def assert_hedge_since_fall(strategies, episodes, t):
+        for r, e in enumerate(episodes):
+            if 0 <= fell[e] <= t:
+                want = _hedge(eta * (sums[t][e] - sums[fell[e]][e])[None])[0]
+                assert strategies[r].tolist() == want.tolist()
+
+    for t in range(T):
+        assert_hedge_since_fall(row.strategies[t], range(E), t)
+
+    idx = np.array([4, 3, 0, 4, 7, 1, 3])
+    full, _, _ = seats()
+    own, opp = record[:, 0].astype(np.intp), record[:, 1].astype(np.intp)
+    for t in range(8):
+        full.act()
+        full.observe(own[t], opp[t])
+    full.act()
+    part = full.take(idx)
+    assert part.fallen.tolist() == [0, 2, 3]  # episodes 4, 0, 4
+    for t in range(8, T):
+        if t > 8:
+            assert_hedge_since_fall(part.act(), idx, t)
+        part.observe(own[t, idx], opp[t, idx])
+    assert part.fallback_stage.tolist() == fell[idx].tolist()

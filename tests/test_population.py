@@ -63,7 +63,7 @@ def test_population_validation():
     with pytest.raises(GameError):
         Population(members=[AgentSpec("UniformRandom", {})], weights=[0.5])
     for bad in ([math.nan], [math.inf]):
-        with pytest.raises(GameError):
+        with pytest.raises(GameError, match="^population weights must be a probability vector$"):
             Population(members=[AgentSpec("UniformRandom", {})], weights=bad)
     pop = simple_population()
     assert pop.content_hash() == Population.from_dict(pop.to_dict()).content_hash()
@@ -81,7 +81,8 @@ def test_type_distribution_validation(ts2):
     with pytest.raises(GameError):
         TypeDistribution(support=[("gamma", "gamma")], weights=[0.9])
     for bad in ([math.nan, math.nan], [math.inf, 0.0]):
-        with pytest.raises(GameError):
+        with pytest.raises(GameError,
+                           match="^type distribution weights must be a probability vector$"):
             TypeDistribution(support=[("gamma", "gamma"), ("gamma", "delta")], weights=bad)
     mu = TypeDistribution.uniform(ts2)
     assert len(mu.support) == 4

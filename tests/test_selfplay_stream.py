@@ -291,7 +291,7 @@ def handshake_kernel(m, handshake, episodes):
     kernel = RegretKernel(np.broadcast_to(m, (episodes, *m.shape)))
     eye = np.eye(len(m))
     for own, opp in handshake:
-        kernel.update(np.tile(eye[own], (episodes, 1)), kernel.payoffs(np.full(episodes, opp)))
+        kernel.update(np.tile(eye[own], (episodes, 1)), np.full(episodes, opp))
     return kernel
 
 
@@ -301,7 +301,7 @@ def agents_accumulators(kernel, sigma, opp):
     announced = np.tile(sigma, (len(opp), 1))
     acc = np.empty(opp.shape)
     for s in range(opp.shape[1]):
-        kernel.update(announced, kernel.payoffs(opp[:, s]))
+        kernel.update(announced, opp[:, s])
         acc[:, s] = kernel.regret()
     return acc
 
