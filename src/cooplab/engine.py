@@ -2,7 +2,8 @@
 operation per stage instead of one Python loop per episode.
 
 Every agent kind is one batch agent class, an array state machine over the
-episodes: ``act(partner)`` returns the (E, N) announced strategies,
+episodes: ``act(partner)`` returns the (E, N) announced strategies (the
+adversaries of ``BatchAdaptive`` return their (E,) actions instead),
 ``observe(own, opp)`` takes the (E,) actions, and ``take(idx)`` copies the
 state of some episodes into an agent of their own.  ``agents.build_agents``
 builds the agent of one spec for many episodes, ``agents.build_agent`` for
@@ -340,9 +341,12 @@ class BatchBestResponder(BatchAgent):
 
 def _hedge(exponents: np.ndarray) -> np.ndarray:
     """Hedge's strategies of (rows, N) exponents, eta times cumulative
-    payoffs, less each row's maximum so that long horizons cannot overflow."""
-    w = np.exp(exponents - _rowmax(exponents)[:, None])
-    return w / _rowsum(w)[:, None]
+    payoffs, less each row's maximum so that long horizons cannot overflow.
+    Consumes its argument: the strategies are computed in ``exponents``, so
+    callers pass a temporary."""
+    exponents -= _rowmax(exponents)[:, None]
+    np.exp(exponents, out=exponents)
+    return np.divide(exponents, _rowsum(exponents)[:, None], out=exponents)
 
 
 def _check_eta(eta: np.ndarray) -> np.ndarray:
@@ -363,7 +367,7 @@ class BatchMW(BatchAgent):
     def __init__(self, matrices, eta):
         eta = _check_eta(np.broadcast_to(np.asarray(eta, dtype=float), (len(matrices),)))
         self.kernel = RegretKernel(matrices)
-        self.eta = eta[:, None]
+        self.eta = np.repeat(eta[:, None], self.kernel.counterfactual.shape[1], axis=1)  # (E, N)
         self.sigma = None  # the strategies last announced
 
     def act(self, partner=None):
@@ -466,18 +470,20 @@ class BatchProtocol(BatchAgent):
 
 
 class BatchAdaptive(BatchAgent):
-    """Strategy-aware column adversaries against a learner with matrices
-    (E, own, opp), of one kind or one per row (``kinds``): ``adaptive-min``
-    plays the column that minimizes the learner's expected payoff,
-    ``adaptive-regret`` the one that maximizes its regret (best payoff in the
-    column minus expected payoff); lowest index on ties.  Both maximize
+    """Column adversaries against a learner that announce their (E,) actions,
+    for ``play_batch`` without streams.  The first rows, one per learner
+    matrix (rows, own, opp), are of one kind or one per row (``kinds``):
+    ``adaptive-min`` plays the column that minimizes the learner's expected
+    payoff, ``adaptive-regret`` the one that maximizes its regret (best payoff
+    in the column minus expected payoff); lowest index on ties.  Both maximize
     ``target - value``, for targets 0 and the column's best payoff: negation
-    keeps ties, so the argmax is the argmin of the value."""
+    keeps ties, so the argmax is the argmin of the value.  The rows after them
+    play the pure actions of ``script`` (rows, L), cycled."""
 
     KINDS = ("adaptive-min", "adaptive-regret")
     ROWS = ("_target", "_by_col")
 
-    def __init__(self, kinds, learner_matrices):
+    def __init__(self, kinds, learner_matrices, script=None):
         kinds = np.asarray(kinds)
         unknown = set(kinds.ravel().tolist()) - set(self.KINDS)
         if unknown:
@@ -486,12 +492,30 @@ class BatchAdaptive(BatchAgent):
         regret = np.broadcast_to(kinds == "adaptive-regret", (len(m),))
         self._target = np.where(regret[:, None], m.max(axis=1), 0.0)
         self._by_col = np.ascontiguousarray(m.transpose(0, 2, 1))
-        self._eye = np.eye(m.shape[1])
+        self.script = np.zeros((0, 1), np.intp) if script is None else np.asarray(script)
+        self.stage = 0
 
     def act(self, partner=None):
+        k = len(self._target)
+        out = np.empty(k + len(self.script), np.intp)
         # Learner's expected payoff per column, summed over its actions in order.
-        value = _rowsum(partner[:, None, :] * self._by_col)
-        return self._eye.take((self._target - value).argmax(axis=1), axis=0)
+        value = _rowsum(partner[:k, None, :] * self._by_col)
+        np.subtract(self._target, value, out=value).argmax(axis=1, out=out[:k])
+        out[k:] = self.script[:, self.stage % self.script.shape[1]]
+        return out
+
+    def observe(self, own, opp):
+        self.stage += 1
+
+    def take(self, idx):
+        """As ``BatchAgent.take``, for ``idx`` whose scripted rows come last."""
+        idx = np.asarray(idx, dtype=np.intp)
+        scripted = idx >= len(self._target)
+        if (scripted[:-1] > scripted[1:]).any():
+            raise GameError("an adversary's scripted rows must follow its strategy-aware rows")
+        out = super().take(idx[~scripted])
+        out.script = self.script.take(idx[scripted] - len(self._target), axis=0)
+        return out
 
 
 class BatchGroups(BatchAgent):
@@ -549,10 +573,10 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
     With ``streams`` both seats' actions are sampled from their announced
     strategies, row then column, as ``run_episode`` does; with ``record``
     they are returned as a (T, 2, E) array of (row, col) actions.  Without
-    ``streams``, the column seat must announce pure strategies and plays
-    their support, and the row seat's action is not sampled (None): for a
-    learner whose own actions no agent reads, such as MW against the regret
-    adversaries.
+    ``streams``, the column seat announces its (E,) integer actions, not
+    strategies (``BatchAdaptive``), and plays them; the row seat's action is
+    not sampled (None): for a learner whose own actions no agent reads, such
+    as MW against the regret adversaries.
     """
     out = None
     for start in range(0, T, BLOCK):
@@ -563,7 +587,10 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
             p = row.act()
             q = col.act(p)
             if u is None:
-                a, b = None, q.argmax(axis=1)
+                if q.shape != p.shape[:1] or q.dtype.kind not in "iu":
+                    raise GameError(f"without streams the column seat announces its {len(p)} "
+                                    f"integer actions, not a {q.dtype} array of shape {q.shape}")
+                a, b = None, q
             else:
                 # Both seats in one call: rows of p, then rows of q.
                 actions = sample_actions(np.concatenate((p, q)), u[s])

@@ -11,11 +11,11 @@ Every draw is a draw of the engine's counter-based streams (``engine.py``),
 keyed by ``_keys`` from the run's seed and a tag of ``STREAM_TAGS``, and
 every categorical draw is the engine's inverse CDF (``engine._choice``).
 mw-regret plays its runs as one batch on the batched engine, in
-adversary-kind order, against two adversary parts, and reads each run's
-regret from the MW learner's own kernel; si-consistency and ic-eval, its
-datasets included, play theirs through ``population.play_episodes``, and
-ic-eval replays each partner member's first episode of a chunk with
-``run_episode`` as a spot check.
+adversary-kind order, against one adversary agent that announces its
+actions, and reads each run's regret from the MW learner's own kernel;
+si-consistency and ic-eval, its datasets included, play theirs through
+``population.play_episodes``, and ic-eval replays each partner member's
+first episode of a chunk with ``run_episode`` as a spot check.
 Equilibrium and protocol self-play draw a fixed profile's actions with
 ``_iid_actions``, from each episode's own stream as the engine does, as
 each seat's "action >= i" indicators on the raw draws; ``_joint_counts``
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -63,8 +64,6 @@ from .engine import (
     GAMMA,
     ROW_BLOCK_CELLS,
     BatchAdaptive,
-    BatchFixedSequence,
-    BatchGroups,
     BatchMW,
     EpisodeStreams,
     _choice,
@@ -234,11 +233,12 @@ MW_ADVERSARIES = ("adaptive-min", "adaptive-regret", "random", "constant", "alte
 def run_mw_regret(cfg: ExperimentConfig):
     n = cfg.num_actions
     T = cfg.horizon
+    eta = default_eta(n, T)  # refuses N < 2 before the bound takes ln N
     bound = math.sqrt((T / 2.0) * math.log(n))
     # Run r faces kind r mod 5.  Its stream draws its matrix, then the scripted
     # kinds' actions (random: T, constant: one); alternating plays 0, ..., n - 1.
-    # The runs play in kind order, kind i in rows at[i] to at[i + 1] - 1: the
-    # adaptive kinds as one part, the scripted kinds, cycled to T, as another.
+    # The runs play in kind order, kind i in rows at[i] to at[i + 1] - 1, against
+    # one adversary agent: the adaptive kinds, then the scripted ones cycled to T.
     E, kinds = cfg.episodes, len(MW_ADVERSARIES)
     runs = [np.arange(i, E, kinds) for i in range(kinds)]
     order = np.concatenate(runs)
@@ -251,10 +251,9 @@ def run_mw_regret(cfg: ExperimentConfig):
     for i, size in ((2, T), (3, 1)):
         script[lo[i] : lo[i + 1]] = _choice(_draws(keys[at[i] : at[i + 1]], n * n, size).T, cuts)
     script[lo[4] :] = np.arange(T) % n
-    adaptive = BatchAdaptive(np.repeat(MW_ADVERSARIES[:2], np.diff(at[:3])), A[: at[2]])
-    parts = [(np.arange(at[2]), adaptive), (np.arange(at[2], E), BatchFixedSequence(script, n))]
-    learner = BatchMW(A, default_eta(n, T))
-    play_batch(learner, BatchGroups([p for p in parts if len(p[0])], n), T)
+    learner = BatchMW(A, eta)
+    adversary = BatchAdaptive(np.repeat(MW_ADVERSARIES[:2], np.diff(at[:3])), A[: at[2]], script)
+    play_batch(learner, adversary, T)
     regrets = np.empty(E)
     regrets[order] = learner.kernel.regret()
     csv = _csv("run,adversary,expected_regret,bound", range(E),
@@ -947,7 +946,8 @@ _CURVES = {
 
 def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
     """Aggregate per-episode CSVs into (x, mean, ci) series, the columns of
-    each harness artifact set in ``_CURVES``."""
+    each harness artifact set in ``_CURVES``.  A malformed CSV, or one with
+    no rows, is skipped and named on stderr."""
     out_dir = out_dir or results_dir
     emitted = {}
     for name in sorted(os.listdir(results_dir)):
@@ -967,8 +967,9 @@ def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
                 key = ",".join(parts[i] for i in x_cols)
                 groups.setdefault(key, []).append(float(parts[y_col]))
         except (ValueError, IndexError):
-            continue
+            groups = {}
         if not groups:
+            print(f"skipped {name}: malformed or without rows", file=sys.stderr)
             continue
         rows = [f"{','.join(xs)}\tmean_{y}\tci99\tcount"]
         for key in groups:

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from cooplab.cli import main
@@ -79,6 +80,15 @@ def test_run_experiment_refuses_a_negative_k(tmp_path):
                              "got k=-1, N=2\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "1"])
+def test_mw_regret_refuses_fewer_than_two_actions(tmp_path, n):
+    # ln N is taken only after the step size's check refuses N < 2.
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path), "run-experiment", "--kind",
+                                       "mw-regret", "--num-actions", n])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: need N >= 2 and T >= 1, got N={n}, T=1000\n"
+
+
 def test_ic_eval_on_one_type_needs_a_joint_type_distribution(tmp_path):
     # The default joint-type distribution pairs the first two types; with one
     # type ic-eval asks for --mu, and runs with it.
@@ -106,7 +116,8 @@ def test_emit_curves_skips_a_csv_with_a_short_row(tmp_path):
     )
     result = CliRunner().invoke(main, ["emit-curves", "--results-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    assert result.output == "wrote mw_regret_N2_curve.tsv\n"
+    assert result.stdout == "wrote mw_regret_N2_curve.tsv\n"
+    assert result.stderr == "skipped ic_eval.csv: malformed or without rows\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "ic_eval.csv", "mw_regret_N2.csv", "mw_regret_N2_curve.tsv"]
 
@@ -115,4 +126,6 @@ def test_emit_curves_skips_a_csv_with_a_short_row(tmp_path):
     (alone / "ic_eval.csv").write_text(truncated)
     result = CliRunner().invoke(main, ["emit-curves", "--results-dir", str(alone)])
     assert result.exit_code == 1
-    assert result.output == f"Error: no aggregatable CSV files found in {alone}\n"
+    assert result.stdout == ""
+    assert result.stderr == ("skipped ic_eval.csv: malformed or without rows\n"
+                             f"Error: no aggregatable CSV files found in {alone}\n")

@@ -443,11 +443,11 @@ def test_batched_mw_matches_agent_state():
 
 
 class Announces(BatchAgent):
-    def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=float)
+    def __init__(self, announced):
+        self.announced = np.asarray(announced)
 
     def act(self, partner=None):
-        return self.probs
+        return self.announced
 
 
 @pytest.mark.parametrize("seat", ["row", "col"])
@@ -459,6 +459,19 @@ def test_play_batch_rejects_a_strategy_with_no_positive_entry(seat):
     row, col = (bad, good) if seat == "row" else (good, bad)
     with pytest.raises(GameError, match="no action of positive probability"):
         play_batch(row, col, 3, EpisodeStreams([5, 2**40]))
+
+
+@pytest.mark.parametrize("col", [
+    Announces([[0.0, 1.0], [1.0, 0.0]]),         # (E, N) strategies
+    Announces(np.eye(2, dtype=np.intp)),         # (E, N) one-hot integers
+    BatchFixedSequence([[0, 1], [1, 0]], 2),     # a spec-built agent's strategies
+    Announces([1, 0, 1]),                        # an action too many
+    Announces([1]),                              # an action too few
+    Announces([1.0, 0.0]),                       # actions of a float dtype
+])
+def test_play_batch_without_streams_needs_the_column_seats_integer_actions(col):
+    with pytest.raises(GameError, match="integer actions"):
+        play_batch(BatchMW(np.ones((2, 2, 2)), 0.3), col, 3)
 
 
 def test_flattened_seat_matches_scalar_episodes():
@@ -582,9 +595,11 @@ def test_batch_groups_play_as_one_batch_per_part(data, episodes, grouped_seat, T
 )
 def test_batch_groups_without_streams_as_in_mw_regret(data, n, E, T, grouped_seat, matrix_seed):
     # No streams: the row seat's action is None, which each part receives as
-    # None.  Grouped column seat: adaptive and scripted adversaries against one
-    # MW learner; grouped row seat: MW learners of several rates against one
-    # adaptive adversary.
+    # None.  Grouped row seat: MW learners of several rates against one
+    # adaptive adversary.  Column seat: one MW learner against one adversary
+    # agent of adaptive and scripted parts, which plays as each part alone;
+    # its strategy-aware rows come first, so the episodes are relabelled in
+    # that order.
     rng = np.random.default_rng(matrix_seed)
     A = rng.random((E, n, n))
     scripts = rng.integers(0, n, size=(E, data.draw(st.integers(1, 5))))
@@ -597,16 +612,25 @@ def test_batch_groups_without_streams_as_in_mw_regret(data, n, E, T, grouped_sea
     def pair(i, ids):
         if grouped_seat == "row":
             return BatchMW(A[ids], etas[i]), BatchAdaptive(adaptive, A[ids])
-        adversary = (BatchFixedSequence(scripts[ids], n) if kinds[i] == "script"
+        adversary = (BatchAdaptive((), A[:0], scripts[ids]) if kinds[i] == "script"
                      else BatchAdaptive(kinds[i], A[ids]))
         return BatchMW(A[ids], 0.3), adversary
 
-    pairs = [pair(i, ids) for i, ids in enumerate(index)]
-    parts = [(ids, p[0] if grouped_seat == "row" else p[1]) for ids, p in zip(index, pairs)]
     if grouped_seat == "row":
+        parts = [(ids, pair(i, ids)[0]) for i, ids in enumerate(index)]
         row, col = Recorder(BatchGroups(parts, n)), Recorder(BatchAdaptive(adaptive, A))
     else:
-        row, col = Recorder(BatchMW(A, 0.3)), Recorder(BatchGroups(parts, n))
+        aware = [kind != "script" for kind in kinds]
+        order = np.concatenate([ids for _, ids in sorted(zip(aware, index), key=lambda p: not p[0])])
+        A, scripts = A[order], scripts[order]
+        index = [np.argsort(order)[ids] for ids in index]
+        strategy_aware = sum(len(ids) for ids, a in zip(index, aware) if a)
+        row_kinds = np.empty(strategy_aware, dtype=object)
+        for ids, kind, a in zip(index, kinds, aware):
+            if a:
+                row_kinds[ids] = kind
+        row = Recorder(BatchMW(A, 0.3))
+        col = Recorder(BatchAdaptive(row_kinds, A[:strategy_aware], scripts[strategy_aware:]))
     assert play_batch(row, col, T) is None
     # The MW learners' own regret kernels, by episode.
     regret = np.empty(E)
@@ -639,8 +663,30 @@ def test_batch_groups_without_streams_as_in_mw_regret(data, n, E, T, grouped_sea
             value = [sum(sigma[a] * A[e, a, j] for a in range(n)) for j in range(n)]
             pick = (min(range(n), key=value.__getitem__) if kind == "adaptive-min"
                     else max(range(n), key=lambda j: best[j] - value[j]))
-            assert adversary.strategies[t][e].tolist() == np.eye(n)[pick].tolist()
+            assert adversary.strategies[t][e] == pick
             assert np.array_equal(alone.strategies[t][0], adversary.strategies[t][e])
+
+
+def test_adversary_take_plays_on_as_its_rows():
+    # Two strategy-aware rows, then two scripted ones; taken after 3 stages,
+    # with repeats, the rows play on as in the whole batch, the scripts
+    # still cycling.
+    rng = np.random.default_rng(4)
+    A = rng.random((4, 3, 3))
+    adversary = BatchAdaptive(["adaptive-min", "adaptive-regret"], A[:2], [[0, 2], [1, 1]])
+    learner = BatchMW(A, 0.5)
+    play_batch(learner, adversary, 3)
+    idx = [1, 1, 0, 3, 2, 3]
+    part_learner, part = learner.take(idx), adversary.take(idx)
+    for _ in range(4):
+        q = adversary.act(learner.act())
+        assert part.act(part_learner.act()).tolist() == q[idx].tolist()
+        learner.observe(None, q)
+        adversary.observe(q, None)
+        part_learner.observe(None, q[idx])
+        part.observe(q[idx], None)
+    with pytest.raises(GameError, match="scripted rows must follow"):
+        adversary.take([0, 2, 1])
 
 
 def _halves(widths=(2, 2)):
@@ -664,6 +710,11 @@ def test_batch_groups_reject_a_part_of_another_width():
     groups = BatchGroups(list(zip([[0, 2], [1, 3]], _halves((2, 3)))), 2)
     with pytest.raises(GameError, match="width 2"):
         groups.act()
+    # Adversaries that announce actions are parts of no width.
+    groups = BatchGroups([([0], BatchAdaptive("adaptive-min", np.ones((1, 2, 2)))),
+                          ([1], BatchAdaptive((), np.ones((0, 2, 2)), [[1]]))], 2)
+    with pytest.raises(GameError, match="width 2"):
+        groups.act(np.full((2, 2), 0.5))
 
 
 def test_batch_groups_return_a_single_whole_part_unwrapped():

@@ -17,7 +17,6 @@ from cooplab.agents import (
 )
 from cooplab.engine import (
     BatchAdaptive,
-    BatchFixedSequence,
     BatchMW,
     EpisodeStreams,
     _choice,
@@ -571,7 +570,7 @@ def mw_regret_csv_by_adversary(cfg):
         if kind == "alternating":
             script = np.tile(np.arange(n), (len(runs), 1))
         opponent = (BatchAdaptive(kind, A) if kind in BatchAdaptive.KINDS
-                    else BatchFixedSequence(script, n))
+                    else BatchAdaptive((), A[:0], script))
         learner = BatchMW(A, default_eta(n, T))
         play_batch(learner, opponent, T)
         regrets[runs.start::runs.step] = learner.kernel.regret()
@@ -582,9 +581,10 @@ def mw_regret_csv_by_adversary(cfg):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("episodes", [1, 3, 7, 12, 53])
+@pytest.mark.parametrize("episodes", [1, 2, 3, 7, 12, 53])
 def test_mw_regret_csv_matches_per_adversary_loop(episodes, n):
-    # Fewer runs than kinds, uneven runs per kind, and more.
+    # Fewer runs than kinds (1 and 2: no scripted adversary), uneven runs per
+    # kind, and more.
     cfg = ExperimentConfig(kind="mw-regret", episodes=episodes, horizon=41, num_actions=n,
                            seed=10 * episodes + n)
     _, artifacts = run_experiment(cfg)
