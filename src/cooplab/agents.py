@@ -207,12 +207,12 @@ class ConventionTable:
         out.validate(type_space)
         return out
 
-    def validate(self, type_space: TypeSpace, tol: float = 1e-7) -> None:
+    def validate(self, type_space: TypeSpace) -> None:
         for (a, b), prof in self.table.items():
             pone = _complete_pone(type_space.game(a, b))
             ok = any(
-                np.allclose(prof.sigma_row, m.sigma_row, atol=tol)
-                and np.allclose(prof.sigma_col, m.sigma_col, atol=tol)
+                np.allclose(prof.sigma_row, m.sigma_row, atol=1e-7)
+                and np.allclose(prof.sigma_col, m.sigma_col, atol=1e-7)
                 for m in pone.profiles
             )
             if not ok:

@@ -13,6 +13,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .game_core import GameError, TypeSpace
 from .equilibria import enumerate_nash, pareto_optimal_nash, worst_pone_payoff
@@ -136,6 +137,11 @@ def run_experiment_cmd(ctx, kind, episodes, horizon, delta, num_actions, k,
             raise GameError("--mu requires --type-space or --fixture")
         mu = _load_mu(mu_path, ts)
         mu.validate_types(ts)
+    # flatten-check reads its horizon and ic-eval its evaluation episode count
+    # from ``extra``: -T or --episodes, given on the command line, goes there.
+    option, key = {"flatten-check": ("horizon", "flatten_horizon"),
+                   "ic-eval": ("episodes", "eval_episodes")}.get(kind, (None, None))
+    given = option and ctx.get_parameter_source(option) is not ParameterSource.DEFAULT
     cfg = ExperimentConfig(
         kind=kind,
         episodes=episodes,
@@ -148,6 +154,7 @@ def run_experiment_cmd(ctx, kind, episodes, horizon, delta, num_actions, k,
         type_space=ts,
         mu=mu,
         out_dir=ctx.obj["out_dir"],
+        extra={key: ctx.params[option]} if given else {},
     )
     results, artifacts = run_experiment(cfg)
     for r in results:

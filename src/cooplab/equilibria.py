@@ -95,7 +95,7 @@ def _support_pairs(n: int, size: int) -> tuple:
     return gather, flat
 
 
-def enumerate_nash(game: BimatrixGame, max_actions: int = MAX_ACTIONS) -> NashEnumeration:
+def enumerate_nash(game: BimatrixGame) -> NashEnumeration:
     """All Nash equilibria of a nondegenerate game via support enumeration.
 
     Each support size k is one array pass over its C(n,k)^2 (row, column)
@@ -118,8 +118,8 @@ def enumerate_nash(game: BimatrixGame, max_actions: int = MAX_ACTIONS) -> NashEn
     only the band between and non-finite gains go to ``_deviation_gain``.
     """
     n = game.num_actions
-    if n > max_actions:
-        raise CapacityError(f"support enumeration capped at N={max_actions}, got N={n}")
+    if n > MAX_ACTIONS:
+        raise CapacityError(f"support enumeration capped at N={MAX_ACTIONS}, got N={n}")
     A, B = game.payoff_row, game.payoff_col
     # Each system is a submatrix of [[M, -1], [1, 0]]: M = B for p's, A for q's.
     systems = np.zeros((2, n + 1, n + 1))

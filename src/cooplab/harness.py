@@ -14,8 +14,9 @@ mw-regret plays its runs as one batch on the batched engine, in
 adversary-kind order, against one adversary agent that announces its
 actions, and reads each run's regret from the MW learner's own kernel;
 si-consistency and ic-eval, its datasets included, play theirs through
-``population.play_episodes``, and ic-eval replays each partner member's
-first episode of a chunk with ``run_episode`` as a spot check.
+``population.play_episodes``: ic-eval plays every K in one pass, one IC
+spec per K, and replays the first episode of each (K, partner member) pair
+of a chunk with ``run_episode`` as a spot check.
 Equilibrium and protocol self-play draw a fixed profile's actions with
 ``_iid_actions``, from each episode's own stream as the engine does, as
 each seat's "action >= i" indicators on the raw draws; ``_joint_counts``
@@ -833,33 +834,36 @@ def run_ic_eval(cfg: ExperimentConfig):
     partner_ids = _choice(z[eval_episodes:], _choice_cuts(np.asarray(pop.weights)))
     episode_seeds = derive_episode_seeds(cfg.seed, 0x45560000 + np.arange(eval_episodes))
 
+    # One pass over the evaluation episodes repeated K after K: the row seat
+    # holds one IC spec per K, keyed by K's index, and every K plays the same
+    # joint types, partners and seeds.  run_episode replays the first
+    # episode of each (K, partner member) pair of every chunk as a spot check.
+    ic_specs = [AgentSpec("IC", {"tilde_T": tilde_T, "policy": policies[K]}) for K in K_values]
+    K_at = np.repeat(np.arange(len(K_values)), eval_episodes)
+    joint_ids, partner_ids = np.tile(joint_ids, len(K_values)), np.tile(partner_ids, len(K_values))
+    episode_seeds = np.tile(episode_seeds, len(K_values))
     joints = [mu.support[j] for j in joint_ids]
-    values = {K: np.zeros(eval_episodes) for K in K_values}
+    regrets = np.zeros(len(joints))
+    for ids, _, record in play_episodes((ic_specs, K_at), (pop.members, partner_ids), joints, ts,
+                                        T, episode_seeds, ct, record=True):
+        pairs = list(zip(K_at[ids].tolist(), partner_ids[ids].tolist()))
+        for e in [pairs.index(pair) for pair in dict.fromkeys(pairs)]:  # first of each
+            i, m = pairs[e]
+            replay = run_episode(ic_specs[i], pop.members[m], ts, joints[ids.start + e], T,
+                                 int(episode_seeds[ids.start + e]), ct).history
+            if not np.array_equal(record[:, :, e], replay):
+                raise GameError("batched IC episode differs from its replay by run_episode")
+        # Column payoff of every stage, B[own = col action, opp = row action],
+        # summed over the stages in order.
+        stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]
+        realized = _rowsum(stage_pay.T)
+        regrets[ids] = (T * tau_col[joint_ids[ids]] - realized) / T
+    values = dict(zip(K_values, regrets.reshape(len(K_values), eval_episodes)))
 
-    # For each K the IC agents play every episode on fresh streams of the
-    # same seeds, and run_episode replays each partner member's first episode
-    # of every chunk as a spot check.
-    for K in K_values:
-        ic_spec = AgentSpec("IC", {"tilde_T": tilde_T, "policy": policies[K]})
-        for ids, _, record in play_episodes(([ic_spec], [0] * eval_episodes),
-                                            (pop.members, partner_ids), joints, ts, T,
-                                            episode_seeds, ct, record=True):
-            members = partner_ids[ids].tolist()
-            for e in [members.index(m) for m in dict.fromkeys(members)]:  # first of each
-                replay = run_episode(ic_spec, pop.members[members[e]], ts, joints[ids.start + e],
-                                     T, int(episode_seeds[ids.start + e]), ct).history
-                if not np.array_equal(record[:, :, e], replay):
-                    raise GameError("batched IC episode differs from its replay by run_episode")
-            # Column payoff of every stage, B[own = col action, opp = row action],
-            # summed over the stages in order.
-            stage_pay = payoff_col[joint_ids[ids], record[:, 1], record[:, 0]]
-            realized = _rowsum(stage_pay.T)
-            values[K][ids] = (T * tau_col[joint_ids[ids]] - realized) / T
-
-    theta = np.array(mu.support, dtype=object)[np.tile(joint_ids, len(K_values))]
+    theta = np.array(mu.support, dtype=object)[joint_ids]
     csv = _csv("K,episode,theta1,theta2,avg_altruistic_regret",
                np.repeat(K_values, eval_episodes), np.tile(np.arange(eval_episodes), len(K_values)),
-               *theta.T, np.concatenate([values[K] for K in K_values]))
+               *theta.T, regrets)
     mean_by_K = {K: float(values[K].mean()) for K in K_values}
     ci_by_K = {K: _ci99_mean(values[K]) for K in K_values}
 
@@ -944,11 +948,11 @@ _CURVES = {
 }
 
 
-def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
-    """Aggregate per-episode CSVs into (x, mean, ci) series, the columns of
-    each harness artifact set in ``_CURVES``.  A malformed CSV, or one with
-    no rows, is skipped and named on stderr."""
-    out_dir = out_dir or results_dir
+def emit_curves(results_dir) -> dict[str, str]:
+    """Aggregate the per-episode CSVs of ``results_dir`` into (x, mean, ci)
+    series beside them, the columns of each harness artifact set in
+    ``_CURVES``.  A malformed CSV, or one with no rows, is skipped and named
+    on stderr."""
     emitted = {}
     for name in sorted(os.listdir(results_dir)):
         stem = name[:-4]
@@ -977,7 +981,7 @@ def emit_curves(results_dir, out_dir=None) -> dict[str, str]:
             rows.append(f"{key}\t{float(vals.mean())!r}\t{_ci99_mean(vals)!r}\t{len(vals)}")
         out_name = stem + "_curve.tsv"
         text = "\n".join(rows) + "\n"
-        with open(os.path.join(out_dir, out_name), "w") as f:
+        with open(os.path.join(results_dir, out_name), "w") as f:
             f.write(text)
         emitted[out_name] = text
     if not emitted:

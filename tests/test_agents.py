@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cooplab
 from cooplab import agents
 from cooplab.game_core import GameError, GameFormatError, TypeSpace
 from cooplab.agents import (
@@ -446,3 +451,15 @@ def test_build_agents_own_types_equal_the_per_episode_substitution(ts2, data):
         assert np.array_equal(built[0].act(), built[1].act())
         for agent in built:
             agent.observe(acts, 1 - acts)
+
+
+@pytest.mark.parametrize("code", [
+    # The package root imports the modules that register these kinds.
+    "from cooplab.agents import AGENT_BUILDERS; assert {'IC', 'Flattened'} <= set(AGENT_BUILDERS)",
+    # and no more: the harness, and the regret module only it reads, stay out.
+    "import sys, cooplab; assert not {'cooplab.harness', 'cooplab.regret'} & set(sys.modules)",
+])
+def test_importing_the_package_in_a_fresh_interpreter(code):
+    src = str(Path(cooplab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -129,3 +129,33 @@ def test_emit_curves_skips_a_csv_with_a_short_row(tmp_path):
     assert result.stdout == ""
     assert result.stderr == ("skipped ic_eval.csv: malformed or without rows\n"
                              f"Error: no aggregatable CSV files found in {alone}\n")
+
+
+def test_flatten_check_walks_the_horizon_given_by_T(tmp_path):
+    # flatten-check reads its horizon from the kind option flatten_horizon;
+    # -T given on the command line sets it, and without -T the default
+    # horizon 3 stands.
+    args = ["--out-dir", str(tmp_path), "run-experiment", "--kind", "flatten-check"]
+    for flags, horizon in (([], 3), (["-T", "5"], 5)):
+        result = CliRunner().invoke(main, [*args, *flags])
+        assert result.exit_code == 0, result.output
+        assert f"TV, horizon={horizon}: " in result.output
+        rows = (tmp_path / "flatten_check.csv").read_text().splitlines()[1:]
+        assert [len(row.split(",")[0]) for row in rows] == [2 * horizon] * 4 ** horizon
+    # -T given at its default value is given too: the tree cap refuses it.
+    result = CliRunner().invoke(main, [*args, "-T", "1000"])
+    assert result.exit_code == 1, result.output
+    assert result.output == ("Error: history tree has 2^2000 leaves, above the cap 600000; "
+                             "use Monte-Carlo estimation instead\n")
+
+
+def test_ic_eval_evaluates_the_episodes_given_by_episodes(tmp_path):
+    # ic-eval reads its evaluation episode count from the kind option
+    # eval_episodes; --episodes given on the command line sets it, and
+    # without it the default 2 000 stands.
+    args = ["--out-dir", str(tmp_path), "run-experiment", "--kind", "ic-eval", "-T", "12"]
+    for flags, n in ((["--episodes", "7"], 7), ([], 2000)):
+        result = CliRunner().invoke(main, [*args, *flags])
+        assert result.exit_code == 0, result.output
+        assert result.output.count(f"(n={n}") == 2
+        assert len((tmp_path / "ic_eval.csv").read_text().splitlines()) == 3 * n + 1

@@ -676,8 +676,9 @@ def test_si_consistency_at_acceptance_size_is_one_batch():
 
 
 def test_ic_eval_csv_matches_episode_loop_in_chunks_that_split_members(ts2):
-    # Chunks of 37 episodes: each holds episodes of every member, and every
-    # chunk spot-checks each member's first episode in it.
+    # Chunks of 37 episodes: each holds episodes of every member, one chunk
+    # holds both K values, and every chunk spot-checks the first episode of
+    # each (K, member) pair in it.
     pop = Population(
         members=[
             AgentSpec("Protocol", {"eps1": 0.2, "k": 1}),
@@ -694,6 +695,37 @@ def test_ic_eval_csv_matches_episode_loop_in_chunks_that_split_members(ts2):
         patch.setattr(population, "EPISODE_BATCH", 37)
         _, artifacts = run_experiment(cfg)
     assert artifacts["ic_eval.csv"] == ic_eval_csv_by_episode_loop(cfg)
+
+
+def test_ic_eval_plays_every_K_in_one_pass(ts2, monkeypatch):
+    # The datasets of K = 30 and 300 are one play_batch each (K = 0 plays
+    # none); the evaluation of all three K is one more, over 3 x 500
+    # episodes, which replays one episode of each K's policy, in K order.
+    sizes, fitted, replayed = [], [], []
+
+    def counted(*args, **kwargs):
+        record = play_batch(*args, **kwargs)
+        sizes.append(record.shape[2])
+        return record
+
+    def fit(*args, **kwargs):
+        fitted.append(fit_imitation(*args, **kwargs))
+        return fitted[-1]
+
+    def replay(spec, *args):
+        replayed.append(spec.params["policy"])
+        return run_episode(spec, *args)
+
+    monkeypatch.setattr(population, "play_batch", counted)
+    monkeypatch.setattr(harness, "fit_imitation", fit)
+    monkeypatch.setattr(harness, "run_episode", replay)
+    cfg = ExperimentConfig(kind="ic-eval", horizon=14, k=1, tilde_T=5, delta=0.1, seed=6,
+                           type_space=ts2, extra={"K_values": [0, 30, 300], "eval_episodes": 500})
+    results, artifacts = run_experiment(cfg)
+    assert sizes == [30, 300, 1500]
+    assert len(fitted) == 3 and list(map(id, replayed)) == list(map(id, fitted))
+    assert [r.sample_count for r in results] == [500, 500]
+    assert len(artifacts["ic_eval.csv"].splitlines()) == 1501
 
 
 def test_emit_curves_of_mw_regret_average_expected_regret_per_adversary(tmp_path):
