@@ -26,6 +26,7 @@ from .agents import (
 from .population import Population, TypeDistribution, generate_dataset, write_dataset
 from .imitation_commit import bound_report
 from .harness import (
+    EXPERIMENT_FIELDS,
     EXPERIMENT_KINDS,
     ExperimentConfig,
     emit_curves,
@@ -113,6 +114,10 @@ def gen_data(ctx, ts_path, fixture, pop_path, mu_path, episodes, horizon, delta,
     click.echo(f"wrote {len(ds)} episodes (T={horizon}) to {out_path}")
 
 
+# The ExperimentConfig field of each run-experiment option not named after one.
+_OPTION_FIELDS = {"ts_path": "type_space", "fixture": "type_space", "mu_path": "mu"}
+
+
 @main.command("run-experiment")
 @click.option("--kind", required=True, type=click.Choice(EXPERIMENT_KINDS))
 @click.option("--episodes", default=1000, show_default=True)
@@ -128,6 +133,16 @@ def gen_data(ctx, ts_path, fixture, pop_path, mu_path, episodes, horizon, delta,
 def run_experiment_cmd(ctx, kind, episodes, horizon, delta, num_actions, k,
                        tilde_T, ts_path, fixture, mu_path):
     """Run one experiment batch, write its CSVs, and verify its bounds."""
+    # flatten-check reads its horizon and ic-eval its evaluation episode count
+    # from ``extra``: -T or --episodes, given on the command line, goes there.
+    option, key = {"flatten-check": ("horizon", "flatten_horizon"),
+                   "ic-eval": ("episodes", "eval_episodes")}.get(kind, (None, None))
+    # Any other option given, whose field the kind does not read, is refused.
+    unread = [p.opts for p in ctx.command.params if p.name not in ("kind", option)
+              and _OPTION_FIELDS.get(p.name, p.name) not in EXPERIMENT_FIELDS[kind]
+              and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+    if unread:
+        raise GameError(f"--kind {kind} does not read {', '.join('/'.join(o) for o in unread)}")
     ts = None
     if ts_path is not None or fixture is not None:
         ts = _load_type_space(ts_path, fixture)
@@ -137,10 +152,6 @@ def run_experiment_cmd(ctx, kind, episodes, horizon, delta, num_actions, k,
             raise GameError("--mu requires --type-space or --fixture")
         mu = _load_mu(mu_path, ts)
         mu.validate_types(ts)
-    # flatten-check reads its horizon and ic-eval its evaluation episode count
-    # from ``extra``: -T or --episodes, given on the command line, goes there.
-    option, key = {"flatten-check": ("horizon", "flatten_horizon"),
-                   "ic-eval": ("episodes", "eval_episodes")}.get(kind, (None, None))
     given = option and ctx.get_parameter_source(option) is not ParameterSource.DEFAULT
     cfg = ExperimentConfig(
         kind=kind,

@@ -9,6 +9,13 @@ state of some episodes into an agent of their own.  ``agents.build_agents``
 builds the agent of one spec for many episodes, ``agents.build_agent`` for
 one, and ``agents.build_seat`` one seat of any mix of kinds.
 
+``held(m)`` tells how many of the next m stages an agent's strategies stay
+as last announced, whatever is played, and ``play_batch`` steps a stretch
+that both seats hold at once (``observe_block``): ``BatchFixedMixed``
+always holds, ``BatchIC`` once it commits, ``BatchGroups`` while every part
+holds, and ``BatchProtocol`` in its convention up to the next check that
+its tripwire bound cannot clear, with every sum the per-stage one.
+
 Random-stream contract, identical to ``run_episode``'s: episode e's stream
 is counter-based SplitMix64 keyed by its seed, and its draw c is
 ``mix64(key + (c + 1) * GAMMA)``.  Draws 0 and 1, shifted to 63 bits, seed
@@ -22,6 +29,7 @@ actions therefore equal those of ``play_episode`` on a ``ScalarStream``.
 from __future__ import annotations
 
 import copy
+import math
 from itertools import chain
 
 import numpy as np
@@ -29,7 +37,7 @@ import numpy as np
 from .game_core import GameError
 
 # Stages whose uniforms are drawn at once: memory stays (2 * BLOCK, E)
-# whatever the horizon.
+# whatever the horizon.  A held stretch ends with its block.
 BLOCK = 16
 
 # Episodes stepped together by ``population.play_episodes``: the (T, 2, E)
@@ -130,11 +138,13 @@ class EpisodeStreams:
 
 def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample of one action per row of ``probs`` (E, N) from the
-    uniforms ``u`` (E,), with the skip and guard of ``_sample_action``."""
+    uniforms ``u`` (E,), with the skip and guard of ``_sample_action``; or,
+    for ``u`` a (stages, E) block, one action per row at every stage of a
+    stretch over which the rows hold, (stages, E)."""
     # The action is the number of running sums at or below u.  The sums run
-    # over the positive entries left to right, as _sample_action's do; a
-    # skipped entry leaves the sum unchanged, so the first sum above u always
-    # ends on a positive action.
+    # over the positive entries left to right, as _sample_action's do, once
+    # for every stage; a skipped entry leaves the sum unchanged, so the first
+    # sum above u always ends on a positive action.
     n = probs.shape[1]
     acc = np.maximum(probs[:, 0], 0.0)
     below = acc <= u
@@ -147,10 +157,13 @@ def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     # positive entry is not a strategy; play_episode's EpisodeTrace rejects
     # the action it samples from one.
     if np.count_nonzero(below):
-        positive = probs[below] > 0.0
+        hit = below.reshape(-1, len(probs)).any(axis=0)  # rows with such a draw
+        positive = probs[hit] > 0.0
         if not positive.any(axis=1).all():
             raise GameError("announced strategy has no action of positive probability")
-        actions[below] = (positive * np.arange(n)).max(axis=1)
+        last = np.zeros(len(probs), np.intp)
+        last[hit] = (positive * np.arange(n)).max(axis=1)
+        actions[below] = np.broadcast_to(last, below.shape)[below]
     return actions
 
 
@@ -216,6 +229,13 @@ class RegretKernel:
         self.counterfactual += rows
         self.expected += _rowsum(sigma * rows)
 
+    def payoffs(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For strategies ``sigma`` (E, N) held over stages: per episode and
+        opponent action, (E, N) each, the best own payoff, and the expected
+        payoff that ``update`` adds, with its products and addition order."""
+        by_opp = self._by_opp.reshape(len(sigma), -1, sigma.shape[1])
+        return _rowmax(by_opp), _rowsum(sigma[:, None, :] * by_opp)
+
     def regret(self) -> np.ndarray:
         return _rowmax(self.counterfactual) - self.expected
 
@@ -259,6 +279,18 @@ class BatchAgent:
     def observe(self, own, opp: np.ndarray) -> None:
         pass
 
+    def held(self, stages: int) -> int:
+        """How many of the next ``stages`` stages, this one included, the
+        strategies last announced stay unchanged, whatever is played: the
+        held stretch, at least 1.  ``play_batch`` steps a stretch of m > 1
+        stages with one ``act`` and one ``observe_block``."""
+        return 1
+
+    def observe_block(self, own, opp) -> None:
+        """Observe the (m, E) actions of a held stretch, stage by stage."""
+        for a, b in zip(own, opp):
+            self.observe(a, b)
+
     def take(self, idx) -> "BatchAgent":
         """The episodes at ``idx`` (an index array, repeats allowed) as an
         agent of their own, with copies of their state, the strategies last
@@ -278,6 +310,9 @@ class BatchFixedMixed(BatchAgent):
 
     def act(self, partner=None):
         return self.probs
+
+    def held(self, stages):
+        return stages
 
 
 class BatchFixedSequence(BatchAgent):
@@ -398,10 +433,39 @@ class BatchProtocol(BatchAgent):
     Only the fallen rows run MW: ``fallen`` holds their row indices, in the
     order they fell, and ``sums_at_fall`` (F, N) their kernel's
     counterfactual sums at the stage they fell.  Their Hedge cumulative
-    payoffs are the sums accrued since."""
+    payoffs are the sums accrued since.
 
-    ROWS = ("own_code", "conventions", "kernel", "opp_prefix", "fallback_stage",
-            "convention", "_sigma")
+    The tripwire is checked only where a bound cannot clear it.  When the
+    convention is chosen, ``RegretKernel.payoffs`` gives, per row and
+    opponent action j, the best own payoff m*[j] and the convention's
+    expected payoff V[j] (E, N); a stage against j raises a convention
+    row's accumulator by at most m*[j] - V[j], and ``delta`` is the largest
+    such increment.  After an exact check at stage s, with largest active
+    accumulator r, no row can cross the threshold in the next
+    w = floor((threshold - r - slack) / delta) stages (all of them if
+    delta <= 0), capped at L - 1, L = max(1, ROW_BLOCK_CELLS // E): the
+    stage s + w is checked exactly.  While no row has fallen, the rows
+    announce their conventions to that stage whatever is played (``held``),
+    and the agent only keeps the opponent's actions; ``kernel`` adds them in
+    stage by stage, in order, before anything reads it (a check, ``take``,
+    Hedge, the caller after play), so every sum, fallback stage and
+    strategy is the per-stage one, bit for bit, and the kept actions stay
+    within ROW_BLOCK_CELLS cells.
+
+    The slack covers rounding.  With u = eps / 2, after i <= w stages the
+    kernel's sums are i roundings from cf + sum m[:, j] and x + sum V[j],
+    off by at most gamma_i S_i each, S_i bounding |cf| + |x| + i max|m, V|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, section 4.2), and the accumulator rounds once more; r and delta
+    are each one rounding from exact.  So the computed accumulator is at most
+    r + i delta + (i + 2) eps S_i while i u <= 1/2 (gamma_i <= i eps).
+    After s stages |cf| and |x| are at most 2 s max|m, V|, so |r| and every
+    S_i are at most S = 2 (s + L)(max|m| + max|V|).  Computing w rounds
+    three times on values of size at most |threshold| + |r| + slack, which
+    adds at most 2 eps (|threshold| + S + slack).  For i < L all of it is
+    below slack = (L + 8) eps (S + |threshold|)."""
+
+    ROWS = ("own_code", "conventions", "opp_prefix", "fallback_stage", "convention", "_sigma")
 
     def __init__(self, own_code, conventions, matrices, threshold: float, eta_fallback: float):
         E, self.k = own_code.shape
@@ -409,7 +473,8 @@ class BatchProtocol(BatchAgent):
         self.own_code = own_code
         self.conventions = conventions
         self.threshold = threshold
-        self.kernel = RegretKernel(matrices)
+        self._kernel = RegretKernel(matrices)
+        self._kept = []  # the opponent's actions (stages, E) not yet in the kernel
         self.eta = float(_check_eta(np.asarray(eta_fallback, dtype=float)))
         self._eye = np.eye(self.n)
         self.stage = 0
@@ -417,10 +482,21 @@ class BatchProtocol(BatchAgent):
         self.fallback_stage = np.full(E, -1)
         self.fallen = np.zeros(0, dtype=np.intp)
         self.sums_at_fall = np.zeros((0, self.n))
+        self._sigma = None
         # Single-type spaces need no handshake (k = 0); otherwise the
         # convention is chosen at stage k.
         self.convention = conventions[:, 0]
-        self._sigma = None
+        if self.k == 0:
+            self._enter_convention()
+
+    @property
+    def kernel(self) -> RegretKernel:
+        """The regret kernel, with the kept stages added in one ``update``
+        at a time, in order: summing them first would round differently."""
+        for opp in chain.from_iterable(self._kept):
+            self._kernel.update(self.convention, opp)
+        self._kept = []
+        return self._kernel
 
     def act(self, partner=None):
         if self.stage < self.k:
@@ -434,6 +510,11 @@ class BatchProtocol(BatchAgent):
         self._sigma = out
         return out
 
+    def held(self, stages):
+        if self.stage < self.k or len(self.fallen):
+            return 1
+        return min(stages, self._check_at - self.stage + 1)
+
     def _fall_back(self, rows: np.ndarray) -> None:
         new = np.flatnonzero(rows)
         if len(new):
@@ -441,9 +522,33 @@ class BatchProtocol(BatchAgent):
             self.fallen = np.concatenate((self.fallen, new))
             self.sums_at_fall = np.concatenate((self.sums_at_fall, self.kernel.counterfactual[new]))
 
+    def _enter_convention(self) -> None:
+        self.convention = self.conventions[np.arange(len(self.opp_prefix)), self.opp_prefix]
+        best, expected = self._kernel.payoffs(self.convention)
+        self._delta = float((best - expected).max(initial=0.0))
+        self._size = float(np.abs(self._kernel._by_opp).max(initial=0.0)
+                           + np.abs(expected).max(initial=0.0))
+        self._window(self.kernel.regret())
+
+    def _window(self, regret: np.ndarray) -> None:
+        """Set the next stage to check from the accumulators of an exact check."""
+        span = max(1, ROW_BLOCK_CELLS // max(len(regret), 1))
+        r = float(np.where(self.fallback_stage < 0, regret, -np.inf).max(initial=-np.inf))
+        slack = (span + 8) * 2.0**-52 * (2 * (self.stage + span) * self._size + abs(self.threshold))
+        room = self.threshold - r - slack
+        if not room >= 0.0:  # NaN included
+            w = 0
+        elif room >= (span - 1) * self._delta:
+            w = span - 1
+        else:
+            w = math.floor(room / self._delta)
+        self._check_at = self.stage + w
+
     def observe(self, own, opp):
+        if self.stage >= self.k and not len(self.fallen):  # the convention holds
+            self.observe_block(own, opp[None])
+            return
         self.kernel.update(self._sigma, opp)
-        active = self.fallback_stage < 0
         handshake = self.stage < self.k
         self.stage += 1
         if handshake:
@@ -451,16 +556,29 @@ class BatchProtocol(BatchAgent):
             # prefix * N^(k - m) < |types|, i.e. prefix < ceil(|types| / N^(k - m)).
             limit = -(-self.num_types // self.n ** (self.k - self.stage))
             prefix = self.opp_prefix * self.n + opp
+            active = self.fallback_stage < 0
             valid = active & (prefix < limit)
             self.opp_prefix = np.where(valid, prefix, 0)
             self._fall_back(active & ~valid)
             if self.stage == self.k:
-                self.convention = self.conventions[np.arange(len(valid)), self.opp_prefix]
-        else:
-            self._fall_back(active & (self.kernel.regret() > self.threshold))
+                self._enter_convention()
+        elif self.stage > self._check_at:
+            self._check()
+
+    def observe_block(self, own, opp):
+        self._kept.append(opp)
+        self.stage += len(opp)
+        if self.stage > self._check_at:
+            self._check()
+
+    def _check(self) -> None:
+        regret = self.kernel.regret()
+        self._fall_back((self.fallback_stage < 0) & (regret > self.threshold))
+        self._window(regret)
 
     def take(self, idx):
         out = super().take(idx)
+        out._kernel, out._kept = self.kernel.take(idx), []
         at = np.full(len(self.fallback_stage), -1)  # each row's place in the fallen rows
         at[self.fallen] = np.arange(len(self.fallen))
         at = at[idx]
@@ -553,6 +671,15 @@ class BatchGroups(BatchAgent):
         for index, agent in self.parts:
             agent.observe(None if own is None else own[index], None if opp is None else opp[index])
 
+    def held(self, stages):
+        for _, agent in self.parts:
+            stages = agent.held(stages)
+        return stages
+
+    def observe_block(self, own, opp):
+        for index, agent in self.parts:
+            agent.observe_block(own[:, index], opp[:, index])
+
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.intp)
         parts = []
@@ -572,33 +699,50 @@ def play_batch(row: BatchAgent, col: BatchAgent, T: int,
 
     With ``streams`` both seats' actions are sampled from their announced
     strategies, row then column, as ``run_episode`` does; with ``record``
-    they are returned as a (T, 2, E) array of (row, col) actions.  Without
-    ``streams``, the column seat announces its (E,) integer actions, not
-    strategies (``BatchAdaptive``), and plays them; the row seat's action is
-    not sampled (None): for a learner whose own actions no agent reads, such
-    as MW against the regret adversaries.
+    they are returned as a (T, 2, E) array of (row, col) actions.  A
+    stretch of stages that both seats hold (``BatchAgent.held``), within
+    one block of BLOCK stages, is stepped as one: one ``act`` per seat, one
+    inverse-CDF sample of the stretch's (stages, E) uniforms, one record
+    write and one ``observe_block`` per seat.
+
+    Without ``streams``, every stage is stepped alone: the column seat
+    announces its (E,) integer actions, not strategies (``BatchAdaptive``),
+    and plays them; the row seat's action is not sampled (None): for a
+    learner whose own actions no agent reads, such as MW against the regret
+    adversaries.
     """
     out = None
-    for start in range(0, T, BLOCK):
-        stages = min(BLOCK, T - start)
-        # Row s holds stage s's row-seat draws, then its column-seat draws.
-        u = streams.uniforms(2 * stages).reshape(stages, -1) if streams is not None else None
-        for s in range(stages):
-            p = row.act()
-            q = col.act(p)
-            if u is None:
-                if q.shape != p.shape[:1] or q.dtype.kind not in "iu":
-                    raise GameError(f"without streams the column seat announces its {len(p)} "
-                                    f"integer actions, not a {q.dtype} array of shape {q.shape}")
-                a, b = None, q
-            else:
-                # Both seats in one call: rows of p, then rows of q.
-                actions = sample_actions(np.concatenate((p, q)), u[s])
-                if record:
-                    if out is None:
-                        out = np.empty((T, 2, len(p)), dtype=np.min_scalar_type(p.shape[1] - 1))
-                    out[start + s] = actions.reshape(2, -1)
-                a, b = actions[: len(p)], actions[len(p) :]
+    t = 0
+    while t < T:
+        p = row.act()
+        q = col.act(p)
+        if streams is None:
+            if q.shape != p.shape[:1] or q.dtype.kind not in "iu":
+                raise GameError(f"without streams the column seat announces its {len(p)} "
+                                f"integer actions, not a {q.dtype} array of shape {q.shape}")
+            row.observe(None, q)
+            col.observe(q, None)
+            t += 1
+            continue
+        s = t % BLOCK  # a stretch ends with its block: blocks start at multiples of BLOCK
+        if s == 0:
+            # Row s holds stage s's row-seat draws, then its column-seat draws.
+            u = streams.uniforms(2 * min(BLOCK, T - t)).reshape(-1, 2 * len(p))
+        m = row.held(len(u) - s)
+        if m > 1:
+            m = col.held(m)
+        # Both seats in one call: rows of p, then rows of q, at every stage.
+        actions = sample_actions(np.concatenate((p, q)), u[s] if m == 1 else u[s : s + m])
+        if record:
+            if out is None:
+                out = np.empty((T, 2, len(p)), dtype=np.min_scalar_type(p.shape[1] - 1))
+            out[t : t + m] = actions.reshape(m, 2, -1)
+        a, b = actions[..., : len(p)], actions[..., len(p) :]
+        if m == 1:
             row.observe(a, b)
             col.observe(b, a)
+        else:
+            row.observe_block(a, b)
+            col.observe_block(b, a)
+        t += m
     return out

@@ -896,18 +896,26 @@ def run_ic_eval(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # Dispatch and curve emission
 
-# Each kind's runner and the ``ExperimentConfig.extra`` keys it reads.
+# Each kind's runner, the ``ExperimentConfig`` fields it reads (``kind``,
+# ``extra`` and ``out_dir`` are ``run_experiment``'s) and the ``extra`` keys
+# it reads.
 _RUNNERS = {
-    "mw-regret": (run_mw_regret, ()),
-    "nash-selfplay": (run_nash_selfplay, ("profile",)),
-    "si-selfplay": (run_si_selfplay, ()),
-    "si-consistency": (run_si_consistency, ()),
-    "auth-failure": (run_auth_failure, ()),
-    "mixture-check": (run_mixture_check, ()),
-    "flatten-check": (run_flatten_check, ("flatten_horizon", "probe")),
-    "ic-eval": (run_ic_eval, ("K_values", "eval_episodes")),
+    "mw-regret": (run_mw_regret, ("episodes", "horizon", "num_actions", "seed"), ()),
+    "nash-selfplay": (run_nash_selfplay, ("episodes", "horizon", "delta", "seed", "type_space"),
+                      ("profile",)),
+    "si-selfplay": (run_si_selfplay,
+                    ("episodes", "horizon", "delta", "k", "seed", "type_space", "mu"), ()),
+    "si-consistency": (run_si_consistency,
+                       ("episodes", "horizon", "delta", "k", "seed", "type_space"), ()),
+    "auth-failure": (run_auth_failure, ("episodes", "num_actions", "seed"), ()),
+    "mixture-check": (run_mixture_check, ("episodes", "seed"), ()),
+    "flatten-check": (run_flatten_check, ("type_space", "population"),
+                      ("flatten_horizon", "probe")),
+    "ic-eval": (run_ic_eval, ("horizon", "delta", "k", "tilde_T", "seed", "type_space",
+                              "population", "mu"), ("K_values", "eval_episodes")),
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_FIELDS = {kind: fields for kind, (_, fields, _) in _RUNNERS.items()}
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -919,7 +927,7 @@ def run_experiment(cfg: ExperimentConfig):
         )
     if cfg.episodes <= 0:
         raise GameError("experiment needs a positive episode count")
-    runner, accepted = _RUNNERS[cfg.kind]
+    runner, _, accepted = _RUNNERS[cfg.kind]
     unknown = sorted(set(cfg.extra) - set(accepted))
     if unknown:
         raise GameError(

@@ -175,7 +175,9 @@ class BatchIC(BatchAgent):
     empirical joint play (the frequencies of its action pairs) with
     ``commitment_mixtures``, the function the mixture check verifies, and
     draws a component with ``draws`` (E,), its ``commitment_draws``.  It
-    holds that strategy to the end.  With ``tilde_T == T`` it is plain
+    holds that strategy to the end, so from ``tilde_T`` on ``held`` lets
+    ``play_batch`` step the stages that its partner holds too as one
+    stretch.  With ``tilde_T == T`` it is plain
     behaviour cloning: it imitates to the end and never commits.  The policy
     must carry the trie ``fit_imitation`` builds."""
 
@@ -222,6 +224,9 @@ class BatchIC(BatchAgent):
             self.joint[np.arange(len(a)), a, b] += 1.0
             self.node = self.policy.children[self.node, a * self.policy.num_actions + b]
         self.stage += 1
+
+    def held(self, stages):
+        return stages if self.stage >= self.tilde_T else 1
 
 
 def commitment_draws(seeds) -> np.ndarray:

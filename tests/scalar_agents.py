@@ -376,6 +376,7 @@ class ProtocolAgent(Agent):
         self.cum_counterfactual = [0.0] * self.n
         self.cum_expected = 0.0
         self.mw = None
+        self.fallback_stage = -1  # the first stage MW plays, once it does
         self.partner_type = None
         self.convention_strategy = None
         if self.k == 0:
@@ -393,6 +394,7 @@ class ProtocolAgent(Agent):
 
     def _enter_fallback(self):
         self.phase = "fallback"
+        self.fallback_stage = self.stage
         self.mw = MWAgent(self.matrix, self.eta_fallback)
 
     def act(self):

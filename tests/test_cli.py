@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from cooplab.cli import main
+from cooplab.harness import EXPERIMENT_KINDS
 
 
 def test_enumerate_eq_reports_worst_pareto_payoffs():
@@ -159,3 +160,54 @@ def test_ic_eval_evaluates_the_episodes_given_by_episodes(tmp_path):
         assert result.exit_code == 0, result.output
         assert result.output.count(f"(n={n}") == 2
         assert len((tmp_path / "ic_eval.csv").read_text().splitlines()) == 3 * n + 1
+
+
+@pytest.mark.parametrize("args, unread", [
+    (["--kind", "mixture-check", "--episodes", "50", "-T", "5"], "-T/--horizon"),
+    (["--kind", "nash-selfplay", "-T", "20", "--k", "3", "--tilde-t", "4"], "--k, --tilde-t"),
+    (["--kind", "flatten-check", "--num-actions", "5"], "--num-actions"),
+    (["--kind", "flatten-check", "--episodes", "1"], "--episodes"),
+    (["--kind", "auth-failure", "-T", "5", "--k", "7"], "-T/--horizon, --k"),
+    (["--kind", "si-consistency", "--fixture", "four-types", "--mu", "MU"], "--mu"),
+    # Given at its default value, a flag is given too.
+    (["--kind", "mw-regret", "--delta", "0.05"], "--delta"),
+])
+def test_run_experiment_refuses_a_flag_its_kind_does_not_read(tmp_path, args, unread):
+    # One line naming every such flag, and no run.
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"support": [["alpha", "beta"]], "weights": [1.0]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--out-dir", str(out), "run-experiment",
+                                       *[str(mu) if a == "MU" else a for a in args]])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: --kind {args[1]} does not read {unread}\n"
+    assert not out.exists()  # refused before the run
+
+
+def test_run_experiment_accepts_every_flag_its_kind_reads(tmp_path):
+    # Every kind, with every run-experiment flag it reads given, runs and
+    # passes its gates.
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"support": [["g", "g"], ["g", "d"]], "weights": [0.5, 0.5]}))
+    ts = tmp_path / "ts.json"
+    ts.write_text(json.dumps({"num_actions": 2, "types": ["g", "d"],
+                              "payoffs": {"g": [[1, 0], [0, 0.5]], "d": [[0.5, 0], [0, 1]]}}))
+    fixture = ["--type-space", str(ts)]
+    given = {
+        "mw-regret": ["--episodes", "5", "-T", "20", "--num-actions", "3"],
+        "nash-selfplay": ["--episodes", "50", "-T", "20", "--delta", "0.1", "--fixture", "pd"],
+        "si-selfplay": ["--episodes", "50", "-T", "20", "--delta", "0.1", "--k", "1", *fixture,
+                        "--mu", str(mu)],
+        "si-consistency": ["--episodes", "10", "-T", "20", "--delta", "0.1", "--k", "1",
+                           *fixture],
+        "auth-failure": ["--episodes", "20000", "--num-actions", "2"],
+        "mixture-check": ["--episodes", "20"],
+        "flatten-check": ["-T", "2", *fixture],
+        "ic-eval": ["--episodes", "50", "-T", "12", "--delta", "0.1", "--k", "1", "--tilde-t",
+                    "4", *fixture, "--mu", str(mu)],
+    }
+    assert sorted(given) == sorted(EXPERIMENT_KINDS)
+    for kind, args in given.items():
+        result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / kind), "run-experiment",
+                                           "--kind", kind, *args])
+        assert result.exit_code == 0, (kind, result.output)

@@ -1,6 +1,7 @@
 """The batched engine against the scalar reference agents of
 ``scalar_agents.py``: the same random streams, the same sampled actions and
 phase transitions, the same regrets."""
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from cooplab.agents import (
     AGENT_BUILDERS,
     AgentSpec,
+    build_agent,
     build_agents,
     build_convention_table,
     build_seat,
     default_eta,
+    tree_act_fn,
 )
 from cooplab.engine import (
     BatchAdaptive,
@@ -59,6 +62,7 @@ from scalar_agents import (
     ProtocolAgent,
     SplitMix64,
     batch_protocol_phases,
+    build_scalar,
     categorical,
     play_episode,
     policy_strategy,
@@ -205,14 +209,20 @@ def test_sample_actions_matches_scalar_sampler(probs, u):
     # A negative entry within check_mixed's tolerance is skipped like a zero.
     # A row with no positive entry is rejected, as the scalar loop's
     # EpisodeTrace rejects the action sampled from it.
+    # A (stages, E) block of uniforms, as a held stretch passes, samples
+    # every stage as the row of uniforms would.
     n = max(len(row) for row in probs)
     matrix = np.array([row + [0.0] * (n - len(row)) for row in probs])
+    block = np.array([[u], [0.0], [1.0 - 2**-53], [0.5 - 5e-14]]) + np.zeros(len(matrix))
     if not (matrix > 0.0).any(axis=1).all():
-        with pytest.raises(GameError, match="no action of positive probability"):
-            sample_actions(matrix, np.full(len(matrix), u))
+        for draws in (np.full(len(matrix), u), block):
+            with pytest.raises(GameError, match="no action of positive probability"):
+                sample_actions(matrix, draws)
         return
     got = sample_actions(matrix, np.full(len(matrix), u))
     assert got.tolist() == [_sample_action(row.tolist(), FixedDraw(u)) for row in matrix]
+    assert sample_actions(matrix, block).tolist() == [
+        [_sample_action(row.tolist(), FixedDraw(draw)) for row in matrix] for draw in block[:, 0]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -863,3 +873,162 @@ def test_fallen_protocol_rows_play_hedge_of_the_sums_since_their_fall():
             assert_hedge_since_fall(part.act(), idx, t)
         part.observe(own[t, idx], opp[t, idx])
     assert part.fallback_stage.tolist() == fell[idx].tolist()
+
+
+# ---------------------------------------------------------------------------
+# Held stretches: the stages that both seats hold, stepped as one
+
+
+class Stretches(BatchAgent):
+    """Passes calls through to a batch agent, holding as it holds, and keeps
+    the length of every stretch it observes."""
+
+    def __init__(self, agent):
+        self.agent, self.lengths = agent, []
+
+    def act(self, partner=None):
+        return self.agent.act(partner)
+
+    def held(self, stages):
+        return self.agent.held(stages)
+
+    def observe(self, own, opp):
+        self.lengths.append(1)
+        self.agent.observe(own, opp)
+
+    def observe_block(self, own, opp):
+        self.lengths.append(len(own))
+        self.agent.observe_block(own, opp)
+
+
+def scalar_episode(specs, ts, joint, T, seed):
+    """One episode of the scalar agents of ``specs`` (row, col) on the
+    stream of ``seed``: its trace and both agents after play."""
+    rng = SplitMix64(seed)
+    agent_seeds = rng.getrandbits63(), rng.getrandbits63()
+    agents = [build_scalar(spec, ts, T, seat, own, agent_seed, CT4)
+              for spec, seat, own, agent_seed in zip(specs, ("row", "col"), joint, agent_seeds)]
+    return play_episode(*agents, T, rng), agents
+
+
+def replayed_protocol(spec, joint, seat, T, history) -> ProtocolAgent:
+    """The scalar protocol agent of ``seat`` after observing ``history``."""
+    agent = build_scalar(spec, TS4, T, seat, joint[seat == "col"], 0, CT4)
+    for a, b in history:
+        agent.observe(*((a, b) if seat == "row" else (b, a)))
+    return agent
+
+
+def assert_protocol_rows_match(batch, agents, histories, seat):
+    """Every row of the batch protocol agent against its scalar agent after
+    the same stages: the fallback stage and, bit for bit, the kernel's
+    counterfactual sums over every stage (added up in stage order) and, for
+    a row that never fell, the scalar agent's sums (it stops accruing when
+    it falls)."""
+    kernel = batch.kernel
+    for e, (agent, history) in enumerate(zip(agents, histories)):
+        assert batch.fallback_stage[e] == agent.fallback_stage
+        sums = [0.0] * agent.n
+        for pair in history:
+            for a in range(agent.n):
+                sums[a] += agent.matrix[a][pair[seat == "row"]]
+        assert kernel.counterfactual[e].tolist() == sums
+        if agent.fallback_stage < 0:
+            assert kernel.counterfactual[e].tolist() == agent.cum_counterfactual
+            assert kernel.expected[e] == agent.cum_expected
+
+
+def test_held_protocols_play_as_the_scalar_agents():
+    # Both seats protocol agents on typespace_4 (k = 2), every joint type
+    # four times.  At eps1 = 0.3 and T = 12 the tripwire threshold is 2.14:
+    # after the handshake the bound clears the checks of stages 2-4, so the
+    # first window ends at stage 5, and rows of both seats trip at that
+    # check and fall back at stage 6.  The take after stage 3 comes inside
+    # that window, while its stages are kept out of the kernel.
+    T, k = 12, 2
+    spec = AgentSpec("Protocol", {"eps1": 0.3, "k": k})
+    joints = [(a, b) for a in TS4.types for b in TS4.types] * 4
+    seeds = derive_episode_seeds(7, np.arange(len(joints)))
+    streams = EpisodeStreams(seeds)
+    seats = [Stretches(build_agents(spec, TS4, T, seat, [joint[s] for joint in joints],
+                                    streams.agent_seeds[s], CT4))
+             for s, seat in enumerate(("row", "col"))]
+    first = play_batch(*seats, k + 2, streams, record=True)
+    assert [seat.agent._check_at for seat in seats] == [5, 5]
+    assert all(seat.agent._kept for seat in seats)
+    idx = np.array([5, 0, 63, 5, 17, 40])
+    taken = [seat.agent.take(idx) for seat in seats]
+    record = np.concatenate((first, play_batch(*seats, T - k - 2, streams, record=True)))
+    assert [max(seat.lengths) for seat in seats] == [2, 2]
+
+    episodes = [scalar_episode((spec, spec), TS4, joint, T, int(seed))
+                for joint, seed in zip(joints, seeds)]
+    for e, (trace, _) in enumerate(episodes):
+        assert record[:, :, e].tolist() == [list(pair) for pair in trace.history]
+    for s, (seat, part) in enumerate(zip(("row", "col"), taken)):
+        assert_protocol_rows_match(seats[s].agent, [agents[s] for _, agents in episodes],
+                                   [trace.history for trace, _ in episodes], seat)
+        assert (seats[s].agent.fallback_stage == 6).any()
+        histories = [episodes[e][0].history[: k + 2] for e in idx]
+        assert_protocol_rows_match(
+            part, [replayed_protocol(spec, joints[e], seat, T, h) for e, h in zip(idx, histories)],
+            histories, seat)
+
+
+def _protocol_dataset_policy(T, tilde_T):
+    pop = Population(members=[AgentSpec("Protocol", {"eps1": 0.3, "k": 2})], weights=[1.0])
+    dataset = generate_dataset(pop, TypeDistribution.uniform(TS4), TS4, 60, T, master_seed=3,
+                               convention_table=CT4)
+    return fit_imitation(dataset, tilde_T, seat="row")
+
+
+@pytest.mark.parametrize("partner", ["IC", "FixedMixed"])
+@pytest.mark.parametrize("eps1", [0.3, 0.8])
+def test_held_partners_of_protocol_agents_play_as_the_scalar_agents(partner, eps1):
+    # A row seat that holds, IC from tilde_T = 3 on or FixedMixed from the
+    # start, against protocol agents (k = 2) of the column seat: at
+    # eps1 = 0.3 some of them fall back, at 0.8 none do, and both seats
+    # hold the stretches the protocol agents' windows allow.
+    T, tilde_T = 12, 3
+    row_spec = (AgentSpec("IC", {"policy": _protocol_dataset_policy(T, tilde_T),
+                                 "tilde_T": tilde_T})
+                if partner == "IC" else AgentSpec("FixedMixed", {"probs": [0.3, 0.7]}))
+    col_spec = AgentSpec("Protocol", {"eps1": eps1, "k": 2})
+    joints = [(a, b) for a in TS4.types for b in TS4.types] * 2
+    seeds = derive_episode_seeds(11, np.arange(len(joints)))
+    streams = EpisodeStreams(seeds)
+    row, col = (Stretches(build_agents(spec, TS4, T, seat, [joint[s] for joint in joints],
+                                       streams.agent_seeds[s], CT4))
+                for s, (seat, spec) in enumerate((("row", row_spec), ("col", col_spec))))
+    record = play_batch(row, col, T, streams, record=True)
+    assert max(col.lengths) > 1
+
+    episodes = [scalar_episode((row_spec, col_spec), TS4, joint, T, int(seed))
+                for joint, seed in zip(joints, seeds)]
+    for e, (trace, _) in enumerate(episodes):
+        assert record[:, :, e].tolist() == [list(pair) for pair in trace.history]
+    assert_protocol_rows_match(col.agent, [agents[1] for _, agents in episodes],
+                               [trace.history for trace, _ in episodes], "col")
+    assert (col.agent.fallback_stage >= 0).any() == (eps1 == 0.3)
+
+
+def test_tree_act_fn_over_a_held_protocol_matches_the_scalar_agent():
+    # The tree walk steps the agent a depth at a time, with a take at every
+    # depth.  At eps1 = 0.3 and T = 8 (threshold 1.36) the bound clears the
+    # check of stage 2, the first after the handshake (k = 2), and some
+    # histories trip at the check of stage 3 and fall back at stage 4, inside
+    # the horizon of 5.
+    T, horizon = 8, 5
+    spec = AgentSpec("Protocol", {"eps1": 0.3, "k": 2})
+    joint = ("alpha", "alpha")
+    fn = tree_act_fn(build_agent(spec, TS4, T, "row", joint[0], 0, CT4), "row")
+    fell = set()
+    for t in range(horizon + 1):
+        for h in itertools.product(itertools.product(range(2), repeat=2), repeat=t):
+            agent = replayed_protocol(spec, joint, "row", T, h)
+            fell.add(agent.fallback_stage)
+            if agent.fallback_stage < 0:
+                assert fn(h) == agent.act()
+            else:
+                assert fn(h) == pytest.approx(agent.act(), rel=0, abs=1e-12)
+    assert fell == {-1, 4}

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -27,6 +28,7 @@ from cooplab.engine import (
 from cooplab.equilibria import worst_pone_payoff
 from cooplab.harness import (
     CONSISTENCY_ADVERSARIES,
+    EXPERIMENT_FIELDS,
     EXPERIMENT_KINDS,
     MW_ADVERSARIES,
     STREAM_TAGS,
@@ -507,8 +509,8 @@ def test_emit_curves_aggregates_groups(tmp_path):
         emit_curves(str(empty))
 
 
-def small_artifacts(ts2):
-    """The artifacts of every experiment kind at a tiny config."""
+def small_configs(ts2):
+    """A tiny config of every experiment kind."""
     ts4 = fixture_type_space("typespace_4.json")
     small = {
         "mw-regret": dict(episodes=6, horizon=20, num_actions=3),
@@ -522,10 +524,32 @@ def small_artifacts(ts2):
                         extra={"K_values": [10, 20], "eval_episodes": 5}),
     }
     assert set(small) == set(EXPERIMENT_KINDS)
+    return {kind: ExperimentConfig(kind=kind, seed=4, **kw) for kind, kw in small.items()}
+
+
+def small_artifacts(ts2):
+    """The artifacts of every experiment kind at a tiny config."""
     artifacts = {}
-    for kind, kw in small.items():
-        artifacts.update(run_experiment(ExperimentConfig(kind=kind, seed=4, **kw))[1])
+    for cfg in small_configs(ts2).values():
+        artifacts.update(run_experiment(cfg)[1])
     return artifacts
+
+
+def test_each_runner_reads_the_config_fields_its_kind_lists(ts2):
+    # The CLI refuses an option whose field a kind does not list: a runner
+    # reading a field that its kind leaves out would have its flag refused.
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind", "extra", "out_dir"}
+    read = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    for kind, cfg in small_configs(ts2).items():
+        read.clear()
+        harness._RUNNERS[kind][0](Recording(**vars(cfg)))
+        assert read & fields == set(EXPERIMENT_FIELDS[kind]), kind
 
 
 def test_every_artifact_value_parses_as_float(ts2):
