@@ -66,10 +66,17 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     """Count one seat's actions conditioned on (type, preceding history) over
     every episode prefix shorter than ``tilde_T``.
 
-    The prefix trie is built level by level over the action array: at depth
-    t one ``np.unique`` of the (parent node, pair code) numbers, or of the
-    own types at the root, numbers the nodes.  They are then renumbered in
-    order of first visit, episode by episode, which orders ``counts``."""
+    The prefix trie comes from one sort of the episodes by own type, then
+    the pair codes a * N + b of stages 0 to ``tilde_T`` - 1, packed into as
+    few int64 words as hold them.  The nodes at depth t are the runs of that
+    order over which the length-t prefix does not change; a flag "differs
+    from the row above", carried down from depth t - 1, marks their starts.
+    Nodes are renumbered in order of first visit, the least episode of each
+    run, which orders ``counts``."""
+    if seat not in ("row", "col"):
+        raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
+    if tilde_T < 0:
+        raise GameError(f"tilde_T must be >= 0, got {tilde_T}")
     T = dataset.metadata.get("T", 0)
     n = dataset.metadata.get("N")
     if n is None:
@@ -77,32 +84,44 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     if len(dataset) and tilde_T > T:
         raise GameError(f"tilde_T={tilde_T} exceeds dataset horizon T={T}")
     own = 0 if seat == "row" else 1  # the seat's type and action index
-    actions = np.asarray(dataset.actions)[:, : max(tilde_T, 0)].astype(np.intp)
+    actions = np.asarray(dataset.actions)[:, :tilde_T]
     if actions.size and not (0 <= actions.min() and actions.max() < n):
         raise GameError(f"dataset actions must be in [0, {n})")
+    actions = actions.astype(np.min_scalar_type(n - 1), copy=False)  # exact in int64 sums
     own_types = [joint[own] for joint in dataset.types]
     names = list(dict.fromkeys(own_types))
-    key = np.fromiter(map({t: i for i, t in enumerate(names)}.__getitem__, own_types),
-                      dtype=np.intp, count=len(own_types))  # at the root: own type codes
-    codes = actions[:, :, 0] * n + actions[:, :, 1]
-    visits = np.empty(codes.shape, dtype=np.intp)  # each episode's node at each depth
+    types = np.fromiter(map({t: i for i, t in enumerate(names)}.__getitem__, own_types),
+                        dtype=np.int64, count=len(own_types))
+    # The sort keys, most significant first: an int64 word takes digits while
+    # the product of their radixes is at most 2**63, so none overflows.
+    words, radix = [types], len(names)
+    for t in range(tilde_T):
+        if radix * n * n > 1 << 63:
+            words, radix = words + [np.zeros_like(types)], 1
+        words[-1] = (words[-1] * n + actions[:, t, 0]) * n + actions[:, t, 1]
+        radix *= n * n
+    order = np.lexsort(words[::-1])
     # Per node: its parent, its pair code (a root's: its own type code), its
-    # first episode and its depth.  Node 0 plays uniformly.
-    nodes, count = [np.array([[0], [0], [-1], [-1]])], 1
-    for t in range(codes.shape[1]):
-        uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        visits[:, t] = count + inverse.reshape(-1)
-        count += len(uniq)
-        nodes.append(np.stack([uniq // (n * n) * (t > 0), uniq % (n * n) if t else uniq, first,
-                               np.full_like(uniq, t)]))
-        key = visits[:, t] * (n * n) + codes[:, t]
+    # first episode and its depth; and its tally.  Node 0 plays uniformly.
+    nodes, tallies, count = [np.array([[0], [0], [-1], [-1]])], [np.ones((1, n))], 1
+    run = np.arange(len(order)) == 0  # the sorted row's prefix differs from the row above's
+    code, up, sorted_actions = types[order], np.zeros(len(order), np.intp), actions[order]
+    for t in range(tilde_T):
+        if t:  # the pair codes of stage t - 1
+            code = sorted_actions[:, t - 1, 0].astype(np.intp) * n + sorted_actions[:, t - 1, 1]
+        run[1:] |= code[1:] != code[:-1]
+        starts = np.flatnonzero(run)
+        node = np.cumsum(run) - 1  # each sorted row's node at depth t, from 0
+        nodes.append(np.stack([up[starts], code[starts], np.minimum.reduceat(order, starts),
+                               np.full(len(starts), t)]))
+        tallies.append(np.bincount(node * n + sorted_actions[:, t, own],
+                                   minlength=len(starts) * n).reshape(-1, n))
+        up, count = node + count, count + len(starts)
     parent, code, first, level = np.concatenate(nodes, axis=1)
     order = np.lexsort((level, first))
     rank = np.argsort(order)
-    visits, parent = rank[visits], rank[parent]
-    tally = np.bincount((visits * n + actions[:, :, own]).reshape(-1),
-                        minlength=count * n).reshape(-1, n).astype(float)
-    tally[0] = 1.0  # node 0: uniform, and its own child
+    parent = rank[parent]
+    tally = np.concatenate(tallies)[order]
     children = np.zeros((count, n * n), dtype=np.intp)
     inner = level > 0
     children[parent[inner], code[inner]] = rank[inner]

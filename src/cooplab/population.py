@@ -343,19 +343,21 @@ def write_dataset(dataset: Dataset, path) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(dataset.metadata, sort_keys=True).encode() + b"\n")
         if len(dataset):
-            f.write(_episode_lines(dataset))
+            f.writelines(_episode_lines(dataset))
 
 
 def _byte_table(texts) -> np.ndarray:
-    """(len(texts), width) uint8 rows of the ASCII ``texts``, NUL-padded."""
-    data = [text.encode() for text in texts]
-    return np.array(data).view(np.uint8).reshape(len(data), -1)
+    """The ASCII ``texts`` as (len(texts),) void items, NUL-padded to one width."""
+    table = np.array([text.encode() for text in texts])
+    return table.view(f"V{table.itemsize}")
 
 
-def _episode_lines(dataset: Dataset) -> bytes:
-    """The lines of a nonempty dataset, one gather from byte tables of each
-    line's opening, first action, further actions each after ", ", and its
-    joint type's closing, with the NUL padding dropped (JSON has no NUL)."""
+def _episode_lines(dataset: Dataset):
+    """The lines of a nonempty dataset, ``_ROW_BLOCK`` lines at a time.  A
+    block joins, row by row, each line's opening and one ``take`` from each
+    byte table, whose rows are single items: the first action, the further
+    actions each after ", ", and the joint type's closing.  The NUL padding
+    is dropped (JSON has no NUL)."""
     n = len(dataset)
     actions = np.asarray(dataset.actions).reshape(n, -1)
     top = int(actions.max(initial=0)) + 1
@@ -363,15 +365,19 @@ def _episode_lines(dataset: Dataset) -> bytes:
                      else np.unique(actions, return_inverse=True))
     codes = codes.reshape(actions.shape)
     joints: dict = {}
-    joint_codes = [joints.setdefault(joint, len(joints)) for joint in dataset.types]
-    parts = (
-        np.broadcast_to(_byte_table(['{"actions": [']), (n, 13)),
-        _byte_table([str(v) for v in values])[codes[:, :1]],
-        _byte_table([f", {v}" for v in values])[codes[:, 1:]],
-        _byte_table([f'], "theta1": {json.dumps(a)}, "theta2": {json.dumps(b)}}}\n'
-                     for a, b in joints])[joint_codes],
-    )
-    return np.hstack([part.reshape(n, -1) for part in parts]).tobytes().replace(b"\0", b"")
+    joint_codes = np.array([joints.setdefault(joint, len(joints)) for joint in dataset.types])
+    firsts = _byte_table([str(v) for v in values])
+    others = _byte_table([f", {v}" for v in values])
+    closings = _byte_table([f'], "theta1": {json.dumps(a)}, "theta2": {json.dumps(b)}}}\n'
+                            for a, b in joints])
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        block = codes[rows]
+        parts = (firsts.take(block[:, :1]), others.take(block[:, 1:]),
+                 closings.take(joint_codes[rows]))
+        yield np.hstack([np.broadcast_to(_OPENING, (len(block), _OPENING.size))]
+                        + [part.view(np.uint8).reshape(len(block), -1) for part in parts]
+                        ).tobytes().replace(b"\0", b"")
 
 
 def _reject_float(text: str):
@@ -389,7 +395,7 @@ _EPISODE_DECODER = json.JSONDecoder(parse_float=_reject_float)
 _OPENING = np.frombuffer(b'{"actions": [', dtype=np.uint8)
 _NAME = r'"([^"\\\x00-\x1f\x85\u2028\u2029]*)"'
 _CLOSING = rf'\], "theta1": {_NAME}, "theta2": {_NAME}\}}'  # compiled on first use
-_ROW_BLOCK = 4096  # lines per gather of line openings
+_ROW_BLOCK = 4096  # lines per gather, written or read
 
 
 def _canonical_episodes(body: str, T: int, N: int, n):

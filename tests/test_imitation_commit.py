@@ -127,6 +127,9 @@ def test_fit_imitation_matches_prefix_loop(data, n, T, seat):
 )
 @example(n=3, T=4, cut=2, K=0, seat="col", seed=0)
 @example(n=2, T=6, cut=6, K=0, seat="row", seed=0)
+# Three own types and 9**24 prefixes of 24 stages: 3 * 9**24 keys do not fit
+# one int64, so the sort keys take two words.
+@example(n=3, T=24, cut=24, K=60, seat="row", seed=1)
 def test_array_fit_equals_the_tuple_oracle(n, T, cut, K, seat, seed):
     # Mostly action 0, so that episodes share long prefixes and the trie is deep.
     rng = np.random.default_rng(seed)
@@ -136,8 +139,9 @@ def test_array_fit_equals_the_tuple_oracle(n, T, cut, K, seat, seed):
     tilde_T = min(cut, T)
     got = fit_imitation(dataset, tilde_T, seat=seat).counts
     expected = fit_by_prefix_loop(dataset, tilde_T, seat).counts
-    assert {key: v.tolist() for key, v in got.items()} == (
-        {key: v.tolist() for key, v in expected.items()}
+    # The same keys, in the same order, with the same counts.
+    assert [(key, v.tolist()) for key, v in got.items()] == (
+        [(key, v.tolist()) for key, v in expected.items()]
     )
 
 
@@ -177,6 +181,20 @@ def test_fit_imitation_rejects_actions_outside_the_action_set():
 def test_fit_imitation_rejects_long_cutoff():
     with pytest.raises(GameError):
         fit_imitation(make_dataset([("a", "b", ((0, 0),))], 1), tilde_T=5)
+
+
+def test_fit_imitation_rejects_an_unknown_seat_and_a_negative_cutoff():
+    dataset = make_dataset([("a", "b", ((0, 1), (1, 0)))], 2)
+    for seat in ("column", "Row", None):
+        with pytest.raises(GameError, match="^seat must be 'row' or 'col', got "):
+            fit_imitation(dataset, 2, seat=seat)
+    for tilde_T in (-1, -2):
+        with pytest.raises(GameError, match=f"^tilde_T must be >= 0, got {tilde_T}$"):
+            fit_imitation(dataset, tilde_T)
+    # No imitation at all stays a valid fit: only node 0, which plays uniformly.
+    empty = fit_imitation(dataset, 0, seat="col")
+    assert (empty.tilde_T, empty.seat, empty.counts, empty.roots) == (0, "col", {}, {})
+    assert empty.strategies.tolist() == [[0.5, 0.5]]
 
 
 def test_empirical_joint_frequencies():

@@ -301,14 +301,39 @@ type_names = st.text(alphabet=st.sampled_from(['a', 'Z', '"', '\\', ' ', '\xe9',
                      max_size=5)
 
 
+@st.composite
+def records(draw):
+    """An action count N, a horizon T, and per episode its 2T actions and its
+    joint type."""
+    N = draw(st.integers(min_value=2, max_value=12))
+    T = draw(st.integers(min_value=0, max_value=4))
+    K = draw(st.integers(min_value=0, max_value=6))
+    actions = draw(st.lists(st.lists(st.integers(0, N - 1), min_size=2 * T, max_size=2 * T),
+                            min_size=K, max_size=K))
+    return N, T, actions, draw(st.lists(st.tuples(type_names, type_names), min_size=K, max_size=K))
+
+
+def seeded_records(K, N, T=3):
+    """``records`` of K episodes from a seeded generator."""
+    rng = np.random.default_rng(K)
+    names = ["gamma", "delta"]
+    joints = rng.integers(0, len(names), size=(K, 2)).tolist()
+    return N, T, rng.integers(0, N, size=(K, 2 * T)).tolist(), [
+        (names[a], names[b]) for a, b in joints]
+
+
 @settings(max_examples=80, deadline=None)
-@given(N=st.integers(min_value=2, max_value=12), T=st.integers(min_value=0, max_value=4),
-       data=st.data())
-def test_write_dataset_lines_are_json_dumps_of_each_record(tmp_path_factory, N, T, data):
-    K = data.draw(st.integers(min_value=0, max_value=6))
-    actions = data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=2 * T, max_size=2 * T),
-                                 min_size=K, max_size=K))
-    types = data.draw(st.lists(st.tuples(type_names, type_names), min_size=K, max_size=K))
+@given(records=records())
+# Blocks of written lines: one short of a block, one block, one line into the
+# second, one into the third; and two-digit actions.
+@example(records=seeded_records(population._ROW_BLOCK - 1, 2))
+@example(records=seeded_records(population._ROW_BLOCK, 2))
+@example(records=seeded_records(population._ROW_BLOCK + 1, 2))
+@example(records=seeded_records(2 * population._ROW_BLOCK + 1, 2))
+@example(records=seeded_records(population._ROW_BLOCK + 1, 12))
+def test_write_dataset_lines_are_json_dumps_of_each_record(tmp_path_factory, records):
+    N, T, actions, types = records
+    K = len(actions)
     metadata = {"version": 1, "T": T, "N": N, "n": K, "name": "\xe9\""}
     ds = Dataset(np.array(actions, dtype=np.uint8).reshape(K, T, 2), types, metadata)
     path = tmp_path_factory.mktemp("w") / "ds.jsonl"
