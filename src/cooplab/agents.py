@@ -270,33 +270,33 @@ def _need(params: dict, key: str, kind: str):
 @dataclass
 class BuildContext:
     """What a kind's builder reads besides the spec: per episode, its own
-    type (None where the spec needs none) and its agent seed.  ``types``
-    lists the distinct own types, in order of first episode."""
+    type's code ``own`` (an index into ``type_space.types``, -1 where the
+    spec needs none) and its agent seed."""
 
+    kind: str
     type_space: TypeSpace
     T: int
     seat: str
-    own_types: list
+    own: np.ndarray
     seeds: np.ndarray
     convention_table: ConventionTable | None = None
 
-    def __post_init__(self):
-        index = {t: i for i, t in enumerate(dict.fromkeys(self.own_types))}
-        self.types = list(index)
-        self._type_rows = np.fromiter(map(index.__getitem__, self.own_types), np.intp)
-
     def per_type(self, values) -> np.ndarray:
-        """Per episode, the entry of ``values`` (one per ``types``) for its
-        own type, as one array."""
-        return np.asarray(values)[self._type_rows]
+        """Per episode, the entry of ``values`` (one per type of the type
+        space) for its own type, as one array; refused for an episode with
+        no own type."""
+        if self.own.size and self.own.min() < 0:
+            raise GameError(f"{self.kind} agent needs an own type")
+        return np.asarray(values).take(self.own, axis=0)
 
     def matrices(self) -> np.ndarray:
         """Each episode's own payoff matrix, (E, N, N)."""
-        return self.per_type([self.type_space.payoff_table[t] for t in self.types])
+        ts = self.type_space
+        return self.per_type([ts.payoff_table[t] for t in ts.types])
 
     def rows(self, values) -> np.ndarray:
         """``values`` repeated for every episode."""
-        return np.broadcast_to(values, (len(self.own_types), len(values)))
+        return np.broadcast_to(values, (len(self.own), len(values)))
 
 
 def _build_mw(spec, ctx):
@@ -328,15 +328,17 @@ def _build_protocol(spec, ctx):
     eta = spec.params.get("eta_fallback")
     if eta is None:
         eta = default_eta(n, max(ctx.T - k, 1))
-    codes = [handshake_encode(ts.type_index(own), k, n) for own in ctx.types]
-    conventions = [
-        [table.strategy_for((own, t) if seat == "row" else (t, own), seat) for t in ts.types]
-        for own in ctx.types
-    ]
+    matrices = ctx.matrices()
+    # Tables for the own types that occur only: k and the table need not fit the others.
+    occurs = np.bincount(ctx.own, minlength=len(ts.types)).tolist()
+    codes = [handshake_encode(i, k, n) if occurs[i] else [0] * k for i in range(len(occurs))]
+    conventions = [[table.strategy_for((own, t) if seat == "row" else (t, own), seat)
+                    if occurs[i] else np.zeros(n) for t in ts.types]
+                   for i, own in enumerate(ts.types)]
     return BatchProtocol(
         ctx.per_type(np.array(codes, dtype=np.intp).reshape(len(codes), k)),
         ctx.per_type(conventions),
-        ctx.matrices(),
+        matrices,
         protocol_threshold(k, ctx.T, eps1, n) if k < ctx.T else 0.0,
         eta,
     )
@@ -358,7 +360,7 @@ def _build_grim_trigger(spec, ctx):
     opp_coop = coop if opp_coop is None else int(opp_coop)
     if not all(0 <= a < n for a in (coop, punish, opp_coop)):
         raise GameError("GrimTrigger action out of range")
-    return BatchGrimTrigger(n, coop, punish, opp_coop, len(ctx.own_types))
+    return BatchGrimTrigger(n, coop, punish, opp_coop, len(ctx.own))
 
 
 AGENT_BUILDERS: dict[str, Callable] = {
@@ -385,30 +387,36 @@ def build_agents(
     type_space: TypeSpace,
     T: int,
     seat: str,
-    own_types,
+    own,
     seeds,
     convention_table: ConventionTable | None = None,
 ) -> BatchAgent:
     """The batch agent of ``spec`` for E episodes on one seat: per episode,
-    ``own_types`` holds its own type and ``seeds`` its agent seed.  An own
-    type of None stands for the spec's (population members are usually
-    type-agnostic templates whose type is drawn per episode)."""
+    ``own`` holds its own type's code, an index into ``type_space.types``,
+    and ``seeds`` its agent seed.  A code of -1 stands for the spec's own
+    type (population members are usually type-agnostic templates whose type
+    is drawn per episode); a kind that reads the type refuses it where the
+    spec has none."""
     if spec.kind not in AGENT_BUILDERS:
         raise GameError(f"unknown agent kind {spec.kind!r}")
     if seat not in ("row", "col"):
         raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
-    ctx = BuildContext(type_space, T, seat, own_types, np.asarray(seeds), convention_table)
-    if None in ctx.types and spec.own_type is not None:  # the spec's type, gathered by row
-        types = np.array([spec.own_type if t is None else t for t in ctx.types], object)
-        ctx = BuildContext(type_space, T, seat, ctx.per_type(types).tolist(), ctx.seeds,
-                           convention_table)
-    for t in ctx.types:
-        if t is None:
-            if spec.kind in ("MW", "Protocol", "BestResponder"):
-                raise GameError(f"{spec.kind} agent needs an own type")
-        elif t not in type_space.payoff_table:
-            raise GameError(f"own type {t!r} is not in the type space")
+    own, count = np.asarray(own), len(type_space.types)
+    if own.size and own.dtype.kind not in "iu":
+        raise GameError(f"own types are integer codes into the type space's types, got {own.dtype}")
+    own = own.astype(np.intp)
+    if own.size and not -1 <= own.min() <= own.max() < count:
+        raise GameError(f"own type codes must be in [-1, {count}), got {own.min()} to {own.max()}")
+    if spec.own_type is not None:
+        own[own < 0] = _own_code(type_space, spec.own_type)
+    ctx = BuildContext(spec.kind, type_space, T, seat, own, np.asarray(seeds), convention_table)
     return AGENT_BUILDERS[spec.kind](spec, ctx)
+
+
+def _own_code(type_space: TypeSpace, own_type: str) -> int:
+    if own_type not in type_space.payoff_table:
+        raise GameError(f"own type {own_type!r} is not in the type space")
+    return type_space.types.index(own_type)
 
 
 def build_agent(
@@ -420,9 +428,10 @@ def build_agent(
     seed: int = 0,
     convention_table: ConventionTable | None = None,
 ) -> BatchAgent:
-    """The batch agent of ``spec`` for one episode: ``build_agents`` with
-    E = 1."""
-    return build_agents(spec, type_space, T, seat, [own_type], [seed], convention_table)
+    """The batch agent of ``spec`` for one episode of the own type named
+    ``own_type`` (None for the spec's): ``build_agents`` with E = 1."""
+    code = -1 if own_type is None else _own_code(type_space, own_type)
+    return build_agents(spec, type_space, T, seat, [code], [seed], convention_table)
 
 
 def build_seat(
@@ -431,22 +440,23 @@ def build_seat(
     type_space: TypeSpace,
     T: int,
     seat: str,
-    own_types,
+    own,
     seeds,
     convention_table: ConventionTable | None = None,
 ) -> BatchAgent:
     """One seat of E episodes of any mix of specs.  Per episode, ``keys``
     holds the key of its spec in ``specs`` (such as a population member's
-    index), ``own_types`` its own type and ``seeds`` its agent seed (a row of
-    ``EpisodeStreams.agent_seeds``).  The episodes of each key, in episode
-    order, form one ``BatchGroups`` part built by one ``build_agents``."""
-    keys, seeds, own_types = np.asarray(keys), np.asarray(seeds), np.asarray(own_types, object)
+    index), ``own`` its own type's code (as ``build_agents`` takes it) and
+    ``seeds`` its agent seed (a row of ``EpisodeStreams.agent_seeds``).  The
+    episodes of each key, in episode order, form one ``BatchGroups`` part
+    built by one ``build_agents``."""
+    keys, seeds, own = np.asarray(keys), np.asarray(seeds), np.asarray(own)
     order = np.argsort(keys, kind="stable")  # by key, and by episode within a key
     at = np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1
     parts = sorted(np.split(order, at), key=lambda index: index[0]) if len(order) else []
     return BatchGroups(
-        [(index, build_agents(specs[keys[index[0]].item()], type_space, T, seat,
-                              own_types[index].tolist(), seeds[index], convention_table))
+        [(index, build_agents(specs[keys[index[0]].item()], type_space, T, seat, own[index],
+                              seeds[index], convention_table))
          for index in parts],
         type_space.num_actions,
     )

@@ -151,7 +151,7 @@ def run_experiment_cmd(ctx, kind, episodes, horizon, delta, num_actions, k,
         if ts is None:
             raise GameError("--mu requires --type-space or --fixture")
         mu = _load_mu(mu_path, ts)
-        mu.validate_types(ts)
+        mu.codes(ts)  # refuses a joint type outside the type space
     given = option and ctx.get_parameter_source(option) is not ParameterSource.DEFAULT
     cfg = ExperimentConfig(
         kind=kind,

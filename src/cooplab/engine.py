@@ -443,14 +443,16 @@ class BatchProtocol(BatchAgent):
     such increment.  After an exact check at stage s, with largest active
     accumulator r, no row can cross the threshold in the next
     w = floor((threshold - r - slack) / delta) stages (all of them if
-    delta <= 0), capped at L - 1, L = max(1, ROW_BLOCK_CELLS // E): the
-    stage s + w is checked exactly.  While no row has fallen, the rows
-    announce their conventions to that stage whatever is played (``held``),
-    and the agent only keeps the opponent's actions; ``kernel`` adds them in
-    stage by stage, in order, before anything reads it (a check, ``take``,
-    Hedge, the caller after play), so every sum, fallback stage and
-    strategy is the per-stage one, bit for bit, and the kept actions stay
-    within ROW_BLOCK_CELLS cells.
+    delta <= 0), capped at L - 1: the stage s + w is checked exactly.  While
+    no row has fallen, the rows announce their conventions to that stage
+    whatever is played (``held``), and the agent only keeps copies of the
+    opponent's actions in the record's dtype; ``kernel`` adds them in stage
+    by stage, in order, before anything reads it (a check, ``take``, Hedge,
+    the caller after play), so every sum, fallback stage and strategy is the
+    per-stage one, bit for bit.  L = max(1, 8 ROW_BLOCK_CELLS // (E itemsize))
+    keeps them within the bytes of ROW_BLOCK_CELLS intp cells: at E = 2 000
+    and N <= 256, 262 stages, so a chunk of 40 or 80 stages whose bound
+    clears the horizon sums nothing after the handshake unless it is read.
 
     The slack covers rounding.  With u = eps / 2, after i <= w stages the
     kernel's sums are i roundings from cf + sum m[:, j] and x + sum V[j],
@@ -475,6 +477,7 @@ class BatchProtocol(BatchAgent):
         self.threshold = threshold
         self._kernel = RegretKernel(matrices)
         self._kept = []  # the opponent's actions (stages, E) not yet in the kernel
+        self._kept_dtype = np.min_scalar_type(self.n - 1)
         self.eta = float(_check_eta(np.asarray(eta_fallback, dtype=float)))
         self._eye = np.eye(self.n)
         self.stage = 0
@@ -532,7 +535,7 @@ class BatchProtocol(BatchAgent):
 
     def _window(self, regret: np.ndarray) -> None:
         """Set the next stage to check from the accumulators of an exact check."""
-        span = max(1, ROW_BLOCK_CELLS // max(len(regret), 1))
+        span = max(1, ROW_BLOCK_CELLS * 8 // (max(len(regret), 1) * self._kept_dtype.itemsize))
         r = float(np.where(self.fallback_stage < 0, regret, -np.inf).max(initial=-np.inf))
         slack = (span + 8) * 2.0**-52 * (2 * (self.stage + span) * self._size + abs(self.threshold))
         room = self.threshold - r - slack
@@ -566,7 +569,7 @@ class BatchProtocol(BatchAgent):
             self._check()
 
     def observe_block(self, own, opp):
-        self._kept.append(opp)
+        self._kept.append(opp.astype(self._kept_dtype))  # not a view of both seats' actions
         self.stage += len(opp)
         if self.stage > self._check_at:
             self._check()
@@ -643,10 +646,9 @@ class BatchGroups(BatchAgent):
     ``play_batch`` of its own.  A single part is returned as it is."""
 
     def __new__(cls, parts, n: int):
-        # Plain lists: the check loads no numpy code that play does not.
-        indices = [np.asarray(index, dtype=np.intp).tolist() for index, _ in parts]
-        covered = sorted(chain.from_iterable(indices))
-        if not indices or not all(indices) or covered != list(range(len(covered))):
+        indices = [np.asarray(index, dtype=np.intp).reshape(-1) for index, _ in parts]
+        covered = np.concatenate(indices or [[-1]])  # a partition covers 0 .. E - 1 once each
+        if not all(map(len, indices)) or covered.min() < 0 or (np.bincount(covered) != 1).any():
             raise GameError("batch groups must partition the episodes into nonempty parts")
         if len(parts) == 1:
             return parts[0][1]
@@ -655,7 +657,9 @@ class BatchGroups(BatchAgent):
         for index, (_, agent) in zip(indices, parts):
             # Evenly spaced increasing episodes are read through a view.
             view = slice(index[0], index[-1] + 1, index[1] - index[0] if len(index) > 1 else 1)
-            self.parts.append((view if covered[view] == index else np.array(index), agent))
+            regular = view.step > 0 and np.array_equal(
+                np.arange(*view.indices(len(covered))), index)
+            self.parts.append((view if regular else index, agent))
         return self
 
     def act(self, partner=None):

@@ -436,7 +436,7 @@ def run_si_selfplay(cfg: ExperimentConfig):
     threshold = protocol_threshold(k, T, params.eps1, n)
     ct = build_convention_table(ts)
     mu = cfg.mu or TypeDistribution.uniform(ts)
-    mu.validate_types(ts)
+    support = mu.codes(ts)
     joint_idx = _choice(_draws(_keys(cfg.seed, "si-selfplay joint types")[0], 0, E),
                         _choice_cuts(np.asarray(mu.weights)))
     keys = _keys(cfg.seed, "si-selfplay episodes", E)
@@ -445,8 +445,8 @@ def run_si_selfplay(cfg: ExperimentConfig):
     # pure handshake (any stream samples it); their regret kernels then hold
     # its counterfactual and realized payoffs.
     spec = AgentSpec("Protocol", {"eps1": params.eps1, "k": k})
-    seats = [build_agents(spec, ts, T, seat, [joint[s] for joint in mu.support],
-                          [0] * len(mu.support), ct) for s, seat in enumerate(("row", "col"))]
+    seats = [build_agents(spec, ts, T, seat, support[:, s], [0] * len(support), ct)
+             for s, seat in enumerate(("row", "col"))]
     play_batch(*seats, k, EpisodeStreams(np.zeros(len(mu.support), np.uint64)))
     kernels = [seat.kernel for seat in seats]
 
@@ -481,8 +481,8 @@ def run_si_selfplay(cfg: ExperimentConfig):
     fell = np.full((2, E), -1)  # each seat's fallback stage
     seat_specs = ([spec], np.zeros(len(replay), np.int8))
     for part, agents, record in play_episodes(
-            seat_specs, seat_specs, [mu.support[j] for j in joint_idx[replay].tolist()], ts, T,
-            keys[replay], ct, record=True):
+            seat_specs, seat_specs, support[joint_idx[replay]], ts, T, keys[replay], ct,
+            record=True):
         words = _joint_counts(*(_at_least(record[k:, s].T, n) for s in (0, 1)))
         counts[replay[part]] = words.sum(axis=1)
         fell[:, replay[part]] = [agent.fallback_stage for agent in agents]
@@ -547,23 +547,22 @@ def run_si_consistency(cfg: ExperimentConfig):
     # Draws 2r and 2r + 1 pick run r's protocol and adversary types.
     z = _draws(_keys(cfg.seed, "si-consistency joint types")[0], 0, 2 * len(kinds))
     uniform = np.full(len(ts.types), 1 / len(ts.types))
-    types = np.array(ts.types, dtype=object)[_choice(z, _choice_cuts(uniform))]
-    joints = list(zip(types[0::2].tolist(), types[1::2].tolist()))
+    codes = _choice(z, _choice_cuts(uniform)).reshape(-1, 2)
 
     # Runs are stepped in chunks of run order, whatever their adversary kinds:
     # the acceptance config's 1 000 runs are one play_batch.  Against three
     # batches of 334 this took the benchmark's zoo-loop wall_s from 0.345 to
     # 0.263 s (medians of 10 pairs on a shared 2-core VM).
-    regrets = np.empty(len(joints))
-    fallback_stages = np.empty(len(joints), dtype=np.int64)
-    seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(len(joints)))
-    for runs, (row, _), _ in play_episodes(([proto_spec], [0] * len(joints)), (adversaries, kinds),
-                                           joints, ts, T, seeds, ct):
+    regrets = np.empty(len(codes))
+    fallback_stages = np.empty(len(codes), dtype=np.int64)
+    seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(len(codes)))
+    for runs, (row, _), _ in play_episodes(([proto_spec], [0] * len(codes)), (adversaries, kinds),
+                                           codes, ts, T, seeds, ct):
         regrets[runs] = row.kernel.regret()
         fallback_stages[runs] = row.fallback_stage
     csv = _csv("run,adversary,theta_protocol,theta_adversary,expected_regret,bound",
-               range(len(joints)), [CONSISTENCY_ADVERSARIES[c] for c in kinds],
-               *np.array(joints, dtype=object).T, regrets, np.full(len(joints), bound))
+               range(len(codes)), [CONSISTENCY_ADVERSARIES[c] for c in kinds],
+               *np.array(ts.types, dtype=object)[codes].T, regrets, np.full(len(codes), bound))
     result = _sure_gate(
         cfg.kind, "protocol expected regret <= k + eps1(T-k) + sqrt(((T-k)/2) ln N) surely",
         regrets, bound, f"{runs_each} runs per adversary, {len(regrets)} of {cfg.episodes} "
@@ -807,7 +806,7 @@ def run_ic_eval(cfg: ExperimentConfig):
         members=[AgentSpec("Protocol", {"eps1": params.eps1, "k": k})], weights=[1.0]
     )
     mu = cfg.mu or _default_ic_mu(ts)
-    mu.validate_types(ts)
+    support = mu.codes(ts)
     K_values = list(cfg.extra.get("K_values", (100, 1000, 10000)))
     eval_episodes = cfg.extra.get("eval_episodes", 2000)
     if not K_values or not all(isinstance(K, numbers.Integral) and K >= 0 for K in K_values):
@@ -842,14 +841,14 @@ def run_ic_eval(cfg: ExperimentConfig):
     K_at = np.repeat(np.arange(len(K_values)), eval_episodes)
     joint_ids, partner_ids = np.tile(joint_ids, len(K_values)), np.tile(partner_ids, len(K_values))
     episode_seeds = np.tile(episode_seeds, len(K_values))
-    joints = [mu.support[j] for j in joint_ids]
-    regrets = np.zeros(len(joints))
-    for ids, _, record in play_episodes((ic_specs, K_at), (pop.members, partner_ids), joints, ts,
-                                        T, episode_seeds, ct, record=True):
+    regrets = np.zeros(len(joint_ids))
+    for ids, _, record in play_episodes((ic_specs, K_at), (pop.members, partner_ids),
+                                        support[joint_ids], ts, T, episode_seeds, ct, record=True):
         pairs = list(zip(K_at[ids].tolist(), partner_ids[ids].tolist()))
         for e in [pairs.index(pair) for pair in dict.fromkeys(pairs)]:  # first of each
             i, m = pairs[e]
-            replay = run_episode(ic_specs[i], pop.members[m], ts, joints[ids.start + e], T,
+            replay = run_episode(ic_specs[i], pop.members[m], ts,
+                                 mu.support[joint_ids[ids.start + e]], T,
                                  int(episode_seeds[ids.start + e]), ct).history
             if not np.array_equal(record[:, :, e], replay):
                 raise GameError("batched IC episode differs from its replay by run_episode")

@@ -88,10 +88,10 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     if actions.size and not (0 <= actions.min() and actions.max() < n):
         raise GameError(f"dataset actions must be in [0, {n})")
     actions = actions.astype(np.min_scalar_type(n - 1), copy=False)  # exact in int64 sums
-    own_types = [joint[own] for joint in dataset.types]
-    names = list(dict.fromkeys(own_types))
-    types = np.fromiter(map({t: i for i, t in enumerate(names)}.__getitem__, own_types),
-                        dtype=np.int64, count=len(own_types))
+    index: dict = {}  # own type -> code
+    of_joint = [index.setdefault(joint[own], len(index)) for joint in dataset.joints]
+    names = list(index)
+    types = np.array(of_joint, dtype=np.int64).take(np.asarray(dataset.codes, dtype=np.intp))
     # The sort keys, most significant first: an int64 word takes digits while
     # the product of their radixes is at most 2**63, so none overflows.
     words, radix = [types], len(names)
@@ -198,12 +198,12 @@ class BatchIC(BatchAgent):
     ``play_batch`` step the stages that its partner holds too as one
     stretch.  With ``tilde_T == T`` it is plain
     behaviour cloning: it imitates to the end and never commits.  The policy
-    must carry the trie ``fit_imitation`` builds."""
+    must carry the trie ``fit_imitation`` builds; ``roots`` (E,) holds each
+    episode's root node, its own type's (``policy.roots``)."""
 
     ROWS = ("draws", "node", "joint", "commitment")
 
-    def __init__(self, policy: ImitationPolicy, tilde_T: int, T: int, own_types, seat: str,
-                 draws):
+    def __init__(self, policy: ImitationPolicy, tilde_T: int, T: int, roots, seat: str, draws):
         # The commitment divides by tilde_T.
         if not 0 < tilde_T <= T:
             raise GameError(f"need 0 < tilde_T <= T, got tilde_T={tilde_T}, T={T}")
@@ -215,8 +215,7 @@ class BatchIC(BatchAgent):
         self.tilde_T = tilde_T
         self.seat = seat
         self.draws = np.asarray(draws, dtype=float)
-        roots = {t: policy.roots.get(t, 0) for t in dict.fromkeys(own_types)}
-        self.node = np.fromiter(map(roots.__getitem__, own_types), np.intp, len(own_types))
+        self.node = np.asarray(roots, dtype=np.intp)
         n = policy.num_actions
         self.joint = np.zeros((len(self.node), n, n))  # (row, col) counts
         self.stage = 0
@@ -256,8 +255,10 @@ def commitment_draws(seeds) -> np.ndarray:
 
 def ImitateThenCommitAgent(policy: ImitationPolicy, tilde_T: int, T: int, own_type: str,
                            seat: str = "row", seed: int = 0) -> BatchIC:
-    """The one-episode ``BatchIC`` with agent seed ``seed``."""
-    return BatchIC(policy, tilde_T, T, [own_type], seat, commitment_draws([seed]))
+    """The one-episode ``BatchIC`` of the own type named ``own_type``, with
+    agent seed ``seed``."""
+    return BatchIC(policy, tilde_T, T, [(policy.roots or {}).get(own_type, 0)], seat,
+                   commitment_draws([seed]))
 
 
 # Fits of dataset files keyed by (sha256 of the file, tilde_T, seat), oldest
@@ -274,7 +275,7 @@ def _fit_file(path, tilde_T: int, seat: str) -> ImitationPolicy:
         data = f.read()
     key = (hashlib.sha256(data).hexdigest(), tilde_T, seat)
     if key not in _FITS:
-        dataset = parse_dataset(data.decode(), path)
+        dataset = parse_dataset(data, path)
         if len(_FITS) >= _FITS_KEPT:
             del _FITS[next(iter(_FITS))]
         _FITS[key] = fit_imitation(dataset, tilde_T, seat=seat)
@@ -298,7 +299,8 @@ def _build_ic(spec: AgentSpec, ctx: BuildContext) -> BatchIC:
         ours = recorded == ts.content_hash()
     if not ours or policy.num_actions != ts.num_actions:
         raise GameError(f"{path or 'IC policy'}: dataset was generated on another type space")
-    return BatchIC(policy, tilde_T, ctx.T, ctx.own_types, ctx.seat, commitment_draws(ctx.seeds))
+    roots = ctx.per_type([(policy.roots or {}).get(t, 0) for t in ts.types])
+    return BatchIC(policy, tilde_T, ctx.T, roots, ctx.seat, commitment_draws(ctx.seeds))
 
 
 register_agent_kind("IC", _build_ic)

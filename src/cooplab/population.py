@@ -39,6 +39,7 @@ from .engine import (
     _MASK64,
     EPISODE_BATCH,
     GAMMA,
+    ROW_BLOCK_CELLS,
     BatchAgent,
     EpisodeStreams,
     ScalarStream,
@@ -159,10 +160,13 @@ class TypeDistribution:
         self.weights = _probability_weights(self.weights, "type distribution")
         self.support = [tuple(s) for s in self.support]
 
-    def validate_types(self, type_space: TypeSpace) -> None:
+    def codes(self, type_space: TypeSpace) -> np.ndarray:
+        """The support as (len(support), 2) indices into ``type_space.types``."""
+        index = {t: i for i, t in enumerate(type_space.types)}
         for a, b in self.support:
-            if a not in type_space.types or b not in type_space.types:
+            if a not in index or b not in index:
                 raise GameError(f"joint type ({a!r}, {b!r}) not in the type space")
+        return np.array([[index[a], index[b]] for a, b in self.support], np.intp).reshape(-1, 2)
 
     @classmethod
     def uniform(cls, type_space: TypeSpace) -> "TypeDistribution":
@@ -188,15 +192,21 @@ def _fields(data, what: str, *keys) -> list[list]:
 @dataclass(eq=False)
 class Dataset:
     """Self-play episodes: ``actions[e, t]`` is the (row, col) action pair of
-    stage t of episode e, an (n, T, 2) integer array, and ``types[e]`` its
-    joint type.  The learner sees no strategy records."""
+    stage t of episode e, an (n, T, 2) integer array, and ``joints[codes[e]]``
+    its joint type.  The learner sees no strategy records."""
 
     actions: np.ndarray
-    types: list[tuple[str, str]]
+    joints: list[tuple[str, str]]
+    codes: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.types)
+        return len(self.codes)
+
+    @property
+    def types(self) -> list[tuple[str, str]]:
+        """Per episode, its joint type."""
+        return [self.joints[c] for c in np.asarray(self.codes).tolist()]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Dataset) and self.types == other.types
@@ -268,18 +278,22 @@ def run_episode(
     return play_episode(agent_row, agent_col, T, rng)
 
 
-def play_episodes(row, col, joints, type_space: TypeSpace, T: int, seeds,
+def play_episodes(row, col, codes, type_space: TypeSpace, T: int, seeds,
                   convention_table: ConventionTable | None = None, record: bool = False):
-    """Play one episode per joint type of ``joints`` on the streams of
-    ``run_episode`` keyed by ``seeds``, ``EPISODE_BATCH`` at a time in order.
-    ``row`` and ``col`` are each seat's ``(specs, keys)`` of ``build_seat``.
-    Yields per chunk its slice, its ``[row, col]`` agents and the
-    ``play_batch`` record, and drops them before it builds the next."""
-    for start in range(0, len(joints), EPISODE_BATCH):
+    """Play one episode per joint type of ``codes``, (E, 2) indices into
+    ``type_space.types``, on the streams of ``run_episode`` keyed by
+    ``seeds``, ``EPISODE_BATCH`` at a time in order.  ``row`` and ``col``
+    are each seat's ``(specs, keys)`` of ``build_seat``.  Yields per chunk
+    its slice, its ``[row, col]`` agents and the ``play_batch`` record, and
+    drops them before it builds the next."""
+    codes = np.asarray(codes)
+    if codes.shape[1:] != (2,):
+        raise GameError(f"joint type codes are an (E, 2) array, got shape {codes.shape}")
+    for start in range(0, len(codes), EPISODE_BATCH):
         ids = slice(start, start + EPISODE_BATCH)
         streams = EpisodeStreams(seeds[ids])
         agents = [
-            build_seat(specs, keys[ids], type_space, T, seat, [joint[s] for joint in joints[ids]],
+            build_seat(specs, keys[ids], type_space, T, seat, codes[ids, s],
                        streams.agent_seeds[s], convention_table)
             for s, (seat, (specs, keys)) in enumerate((("row", row), ("col", col)))
         ]
@@ -304,23 +318,23 @@ def generate_dataset(
     ``run_episode``'s."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
-    mu.validate_types(type_space)
+    support = mu.codes(type_space)
     # Draws 2e, 2e + 1 and 2n + e of the draw stream pick episode e's members and type.
     z = _draws(tagged_seeds(master_seed, _DRAW_STREAM)[0], 0, 3 * n)
     member_idx = _choice(z[: 2 * n].reshape(n, 2), _choice_cuts(np.asarray(pop.weights)))
     joint_idx = _choice(z[2 * n :], _choice_cuts(np.asarray(mu.weights)))
-    joints = [mu.support[j] for j in joint_idx.tolist()]
     seeds = derive_episode_seeds(master_seed, np.arange(n))
     N = type_space.num_actions
     actions = np.empty((n, T, 2), dtype=np.min_scalar_type(N - 1))  # as play_batch records
     seats = [(pop.members, member_idx[:, s]) for s in (0, 1)]
-    for ids, _, record in play_episodes(*seats, joints, type_space, T, seeds, convention_table,
-                                        record=True):
+    for ids, _, record in play_episodes(*seats, support[joint_idx], type_space, T, seeds,
+                                        convention_table, record=True):
         if record is not None:  # None for T = 0
             actions[ids] = record.transpose(2, 0, 1)
     return Dataset(
         actions,
-        joints,
+        list(mu.support),
+        joint_idx.astype(np.intp),
         metadata={
             "version": DATASET_VERSION,
             "T": T,
@@ -364,17 +378,15 @@ def _episode_lines(dataset: Dataset):
     values, codes = ((range(top), actions) if top <= 1 << 16  # every value up to the largest
                      else np.unique(actions, return_inverse=True))
     codes = codes.reshape(actions.shape)
-    joints: dict = {}
-    joint_codes = np.array([joints.setdefault(joint, len(joints)) for joint in dataset.types])
     firsts = _byte_table([str(v) for v in values])
     others = _byte_table([f", {v}" for v in values])
     closings = _byte_table([f'], "theta1": {json.dumps(a)}, "theta2": {json.dumps(b)}}}\n'
-                            for a, b in joints])
+                            for a, b in dataset.joints])
     for lo in range(0, n, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         block = codes[rows]
         parts = (firsts.take(block[:, :1]), others.take(block[:, 1:]),
-                 closings.take(joint_codes[rows]))
+                 closings.take(dataset.codes[rows]))
         yield np.hstack([np.broadcast_to(_OPENING, (len(block), _OPENING.size))]
                         + [part.view(np.uint8).reshape(len(block), -1) for part in parts]
                         ).tobytes().replace(b"\0", b"")
@@ -398,13 +410,14 @@ _CLOSING = rf'\], "theta1": {_NAME}, "theta2": {_NAME}\}}'  # compiled on first 
 _ROW_BLOCK = 4096  # lines per gather, written or read
 
 
-def _canonical_episodes(body: str, T: int, N: int, n):
-    """The (n, T, 2) actions and the types of ``body`` when it is ``n``
-    lines, each ending with a newline and of the single-digit form above
-    with every action below N; else None."""
-    data = body.encode("utf-8", "surrogatepass")
-    b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
+def _canonical_episodes(data: bytes, body: int, T: int, N: int, n):
+    """The (n, T, 2) actions, the distinct joint types and each episode's
+    code into them, when ``data`` from byte ``body`` on is ``n`` lines, each
+    ending with a newline and of the single-digit form above with every
+    action below N; else None."""
+    b, step = np.frombuffer(data, dtype=np.uint8)[body:], ROW_BLOCK_CELLS * 8
+    ends = np.concatenate([np.zeros(0, np.intp)] + [  # the bytes of ROW_BLOCK_CELLS intps at a time
+        np.flatnonzero(b[lo:lo + step] == 10) + lo for lo in range(0, b.size, step)])
     if len(ends) != n or b.size != (int(ends[-1]) + 1 if len(ends) else 0):
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -420,34 +433,46 @@ def _canonical_episodes(body: str, T: int, N: int, n):
                 or (groups[:, :-1, 2] != ord(" ")).any() or digits.max(initial=0) >= min(N, 10)):
             return None
         actions[lo:lo + len(block)] = digits
-    closings = [data[s:e] for s, e in zip((starts + head).tolist(), ends.tolist())]
-    joints = {}
-    for closing in dict.fromkeys(closings):
-        match = re.fullmatch(_CLOSING, closing.decode("utf-8", "surrogatepass"))
-        if match is None:
+    # The closings of each width w: the 8-byte words that end each line, the
+    # bytes before its closing zeroed, told apart by a hash checked row by
+    # row; then one match per distinct closing.
+    widths, codes, joints = ends - starts - head, np.empty(len(ends), np.intp), []
+    for w in np.unique(widths).tolist():
+        rows, span = np.flatnonzero(widths == w), -(-(w + 1) // 8) * 8
+        window = np.lib.stride_tricks.sliding_window_view(b, span)[ends[rows] + 1 - span]
+        window[:, : span - w - 1] = 0
+        words = window.view(np.uint64)
+        key = words @ np.uint64(GAMMA) ** np.arange(span // 8, dtype=np.uint64)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        matches = [re.fullmatch(_CLOSING, closing.tobytes().decode())
+                   for closing in window[first, span - w - 1 : span - 1]]
+        if not np.array_equal(words, words[first[inverse]]) or None in matches:
             return None
-        joints[closing] = match.groups()
-    return actions.reshape(len(ends), T, 2), list(map(joints.__getitem__, closings))
+        codes[rows] = inverse.reshape(-1) + len(joints)
+        joints += [match.groups() for match in matches]
+    return actions.reshape(len(ends), T, 2), joints, codes
 
 
 def read_dataset(path) -> Dataset:
     """Load a dataset written by ``write_dataset``.  Every action must be an
     integer in [0, N)."""
-    with open(path) as f:
+    with open(path, "rb") as f:
         return parse_dataset(f.read(), path)
 
 
-def parse_dataset(text: str, path) -> Dataset:
-    """``read_dataset`` of the text of the file at ``path``.  A body of the
-    lines ``write_dataset`` writes, with every action a single digit, is read
-    in one pass over its bytes: the line ends, then per block of lines one
-    gather of their openings, which checks the layout and yields the actions
-    at fixed offsets, then one match per distinct closing for the types.  Any
-    other body, or one that fails a check, is read line by line, which gives
-    every error message and line number."""
-    head, _, body = text.partition("\n")
+def parse_dataset(data: bytes, path) -> Dataset:
+    """``read_dataset`` of the UTF-8 bytes ``data`` of the file at ``path``.
+    A body of the lines ``write_dataset`` writes, with every action a single
+    digit, is read in one pass over the bytes, copying none: the line ends,
+    then per block of lines one gather of their openings, which checks the
+    layout and yields the actions at fixed offsets, then per closing width
+    one gather and one match per distinct closing.  Any other body, or one
+    that fails a check, is decoded and read line by line, which gives every
+    error message and line number."""
+    end = data.find(b"\n")
+    head = (data if end < 0 else data[:end]).decode()
     one_pass = head.splitlines() == [head]  # the header is the first line
-    lines = [head] if one_pass else text.splitlines()
+    lines = [head] if one_pass else data.decode().splitlines()
     if not lines:
         raise GameFormatError(f"{path}: empty dataset file")
     try:
@@ -464,11 +489,12 @@ def parse_dataset(text: str, path) -> Dataset:
                 f"{path}: line 1: header {key} must be an integer >= {low}, got {value!r}"
             )
     if one_pass:
-        episodes = _canonical_episodes(body, T, N, metadata.get("n"))
+        episodes = _canonical_episodes(data, len(data) if end < 0 else end + 1, T, N,
+                                       metadata.get("n"))
         if episodes is not None:
             return Dataset(*episodes, metadata)
-        lines = text.splitlines()
-    rows, types = [], []
+        lines = data.decode().splitlines()
+    rows, joints, codes = [], {}, []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -482,7 +508,7 @@ def parse_dataset(text: str, path) -> Dataset:
                 raise ValueError("actions must be integers, not booleans")
             if not all(type(x) is int and 0 <= x < N for x in actions):
                 raise ValueError(f"actions must be integers in [0, {N})")
-            types.append((rec["theta1"], rec["theta2"]))
+            codes.append(joints.setdefault((rec["theta1"], rec["theta2"]), len(joints)))
             rows.append(actions)
         except (KeyError, TypeError, ValueError) as exc:
             raise GameFormatError(f"{path}: line {i}: {exc}") from exc
@@ -491,7 +517,7 @@ def parse_dataset(text: str, path) -> Dataset:
             f"{path}: header promises {metadata.get('n')} episodes, found {len(rows)}"
         )
     actions = np.array(rows, dtype=np.min_scalar_type(N - 1)).reshape(len(rows), T, 2)
-    return Dataset(actions, types, metadata)
+    return Dataset(actions, list(joints), np.array(codes, dtype=np.intp), metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +563,14 @@ class BatchFlattened(BatchAgent):
 
 def _build_flattened(spec: AgentSpec, ctx: BuildContext) -> BatchFlattened:
     members = [
-        build_agents(AgentSpec.from_dict(m), ctx.type_space, ctx.T, ctx.seat, ctx.own_types,
+        build_agents(AgentSpec.from_dict(m), ctx.type_space, ctx.T, ctx.seat, ctx.own,
                      ctx.seeds, ctx.convention_table)
         for m in _need(spec.params, "members", "Flattened")
     ]
     weights = _float_array(_need(spec.params, "weights", "Flattened"), "Flattened weights")
     if not members or weights.shape != (len(members),):
         raise GameError("Flattened needs one weight per member, and at least one member")
-    return BatchFlattened(members, np.tile(weights, (len(ctx.own_types), 1)))
+    return BatchFlattened(members, np.tile(weights, (len(ctx.own), 1)))
 
 
 register_agent_kind("Flattened", _build_flattened)

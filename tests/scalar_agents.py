@@ -576,12 +576,32 @@ def run_episode(row_spec, col_spec, ts, joint_type, T, seed, convention_table=No
     return play_episode(row, col, T, rng)
 
 
+def type_codes(ts, names) -> np.ndarray:
+    """The codes of the own types ``names`` in ``ts.types``, -1 for None:
+    what ``build_agents`` and ``build_seat`` take."""
+    return np.array([-1 if t is None else ts.types.index(t) for t in names], dtype=np.intp)
+
+
+def joint_codes(ts, joints) -> np.ndarray:
+    """The (E, 2) codes of the joint types ``joints``: what ``play_episodes``
+    takes."""
+    return type_codes(ts, [t for joint in joints for t in joint]).reshape(-1, 2)
+
+
+def named_dataset(actions, types, metadata) -> Dataset:
+    """The Dataset whose episode e has the joint type ``types[e]``: the
+    distinct joint types in order of first episode, and each episode's code."""
+    index: dict = {}
+    codes = [index.setdefault(tuple(joint), len(index)) for joint in types]
+    return Dataset(actions, list(index), np.array(codes, dtype=np.intp), metadata)
+
+
 def tuple_dataset(episodes, T, n, metadata=None) -> Dataset:
     """The dataset of (theta_row, theta_col, history) episodes, each history a
     tuple of T (row, col) action pairs; a minimal header by default."""
     actions = np.array([history for _, _, history in episodes], dtype=np.intp)
-    return Dataset(actions.reshape(len(episodes), T, 2), [(a, b) for a, b, _ in episodes],
-                   metadata or {"version": 1, "T": T, "N": n, "n": len(episodes)})
+    return named_dataset(actions.reshape(len(episodes), T, 2), [(a, b) for a, b, _ in episodes],
+                         metadata or {"version": 1, "T": T, "N": n, "n": len(episodes)})
 
 
 def episode_tuples(dataset) -> list:

@@ -401,17 +401,18 @@ def test_build_seat_parts_equal_the_per_episode_grouping(ts2, data, named):
     specs = SEAT_SPECS
     if named:
         keys, specs = ["wxyz"[key] for key in keys], dict(zip("wxyz", SEAT_SPECS))
-    own_types = data.draw(st.lists(st.sampled_from(ts2.types), min_size=len(keys),
+    # Own types are codes into ts2.types.
+    own_types = data.draw(st.lists(st.integers(0, len(ts2.types) - 1), min_size=len(keys),
                                    max_size=len(keys)))
     seeds = np.arange(len(keys), dtype=np.uint64) * 7
     calls = []
 
     def recorded(spec, type_space, T, seat, own, agent_seeds, table):
-        calls.append((spec, list(own), agent_seeds.tolist()))
+        calls.append((spec, own.tolist(), agent_seeds.tolist()))
         return build_agents(spec, type_space, T, seat, own, agent_seeds, table)
 
     with mock.patch.object(agents, "build_agents", recorded):
-        seat = build_seat(specs, keys, ts2, 5, "row", own_types, seeds)
+        seat = build_seat(specs, keys, ts2, 5, "row", np.array(own_types), seeds)
     assert calls == [(specs[key], [own_types[e] for e in index], seeds[index].tolist())
                      for key, index in loop_parts(keys)]
     parts = getattr(seat, "parts", [(slice(None), seat)])  # one part is its own agent
@@ -425,15 +426,17 @@ def test_build_agents_own_types_equal_the_per_episode_substitution(ts2, data):
     kind = data.draw(st.sampled_from(["MW", "Protocol", "BestResponder", "UniformRandom"]))
     spec = AgentSpec(kind, {"eps1": 0.1, "k": 1} if kind == "Protocol" else {},
                      data.draw(st.sampled_from([None, *ts2.types])))
-    own_types = data.draw(st.lists(st.sampled_from([None, *ts2.types]), min_size=1,
+    # Own types are codes into ts2.types; -1 stands for the spec's.
+    own_types = data.draw(st.lists(st.integers(-1, len(ts2.types) - 1), min_size=1,
                                    max_size=30))
-    # The own types as build_agents once substituted them, episode by episode.
-    substituted = [spec.own_type if t is None else t for t in own_types]
+    # The codes with the spec's own type put in, episode by episode.
+    spec_code = -1 if spec.own_type is None else ts2.types.index(spec.own_type)
+    substituted = [spec_code if t == -1 else t for t in own_types]
     seeds = np.arange(len(own_types), dtype=np.uint64)
     builder, contexts, built = agents.AGENT_BUILDERS[kind], [], []
 
     def recorded(spec, ctx):
-        contexts.append((ctx.own_types, ctx.types))
+        contexts.append(ctx.own.tolist())
         return builder(spec, ctx)
 
     with mock.patch.dict(agents.AGENT_BUILDERS, {kind: recorded}):
@@ -445,7 +448,7 @@ def test_build_agents_own_types_equal_the_per_episode_substitution(ts2, data):
     if isinstance(built[1], str):  # an episode with no own type for a kind that needs one
         assert built == [built[1]] * 2
         return
-    assert contexts == [(substituted, list(dict.fromkeys(substituted)))] * 2
+    assert contexts == [substituted] * 2
     acts = np.arange(len(own_types)) % 2
     for _ in range(3):
         assert np.array_equal(built[0].act(), built[1].act())

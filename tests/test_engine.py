@@ -16,6 +16,7 @@ from cooplab.agents import (
     build_convention_table,
     build_seat,
     default_eta,
+    theorem26_params,
     tree_act_fn,
 )
 from cooplab.engine import (
@@ -64,6 +65,7 @@ from scalar_agents import (
     batch_protocol_phases,
     build_scalar,
     categorical,
+    type_codes,
     play_episode,
     policy_strategy,
     run_episode,
@@ -244,9 +246,9 @@ def test_batched_protocol_matches_scalar_episodes(episodes, adversary, k, extra_
     proto = AgentSpec("Protocol", {"eps1": eps1, "k": k})
     adv = AgentSpec(adversary)
     streams = EpisodeStreams([seed for seed, _, _ in episodes])
-    row = Recorder(build_agents(proto, TS4, T, "row", [a for _, a, _ in episodes],
+    row = Recorder(build_agents(proto, TS4, T, "row", type_codes(TS4, [a for _, a, _ in episodes]),
                                 streams.agent_seeds[0], CT4))
-    col = Recorder(build_agents(adv, TS4, T, "col", [b for _, _, b in episodes],
+    col = Recorder(build_agents(adv, TS4, T, "col", type_codes(TS4, [b for _, _, b in episodes]),
                                 streams.agent_seeds[1], CT4))
     play_batch(row, col, T, streams)
     regrets = row.agent.kernel.regret()
@@ -310,7 +312,8 @@ def test_batched_ic_matches_scalar_agent(data, n, T, K, seat, episode_seeds):
     streams = EpisodeStreams(episode_seeds)
     ic_seeds = streams.agent_seeds[0 if seat == "row" else 1]
     draws = commitment_draws(ic_seeds)
-    ic = Recorder(BatchIC(policy, tilde_T, T, own_types, seat, draws))
+    roots = [policy.roots.get(t, 0) for t in own_types]
+    ic = Recorder(BatchIC(policy, tilde_T, T, roots, seat, draws))
     partner = BatchFixedMixed([partner_probs] * len(episode_seeds))
     row, col = (ic, partner) if seat == "row" else (partner, ic)
     record = play_batch(row, col, T, streams, record=True)
@@ -339,11 +342,11 @@ def test_batched_ic_rejects_the_horizons_the_scalar_agent_rejects():
     policy = fit_imitation(tuple_dataset([], 4, 2), 2)
     for tilde_T, T in ((0, 4), (5, 4)):
         with pytest.raises(GameError):
-            BatchIC(policy, tilde_T, T, ["a"], "row", [0.5])
+            BatchIC(policy, tilde_T, T, [0], "row", [0.5])
     with pytest.raises(GameError):
         ImitateThenCommitAgent(policy, 5, 4, "a")
     with pytest.raises(GameError):
-        BatchIC(policy, 2, 4, ["a"], "col", [0.5])
+        BatchIC(policy, 2, 4, [0], "col", [0.5])
 
 
 def test_batched_ic_with_tilde_T_equal_to_T_imitates_to_the_end():
@@ -353,7 +356,7 @@ def test_batched_ic_with_tilde_T_equal_to_T_imitates_to_the_end():
     episodes = [("a", "a", ((0, 1), (1, 1), (1, 0), (0, 0))),
                 ("a", "a", ((1, 1), (0, 1), (0, 0), (1, 0)))]
     policy = fit_imitation(tuple_dataset(episodes, T, 2), T)
-    ic = Recorder(BatchIC(policy, T, T, ["a", "a"], "row", [0.5, 0.5]))
+    ic = Recorder(BatchIC(policy, T, T, [policy.roots["a"]] * 2, "row", [0.5, 0.5]))
     partner = BatchFixedSequence([[1, 1, 0, 0], [1, 1, 0, 0]], 2)
     record = play_batch(ic, partner, T, EpisodeStreams([1, 2]), record=True)
     assert ic.agent.commitment is None
@@ -370,7 +373,7 @@ def test_batched_ic_refuses_a_policy_without_a_trie():
     policy = ImitationPolicy(num_actions=2, tilde_T=2, counts={("a", ()): np.array([1.0, 3.0])})
     ImitateThenCommitAgent(policy, 2, 4, own_type="a")
     with pytest.raises(GameError):
-        BatchIC(policy, 2, 4, ["a"], "row", [0.5])
+        BatchIC(policy, 2, 4, [0], "row", [0.5])
 
 
 def _mw_expected_regret(A, T, eta, adversary, rng):
@@ -503,7 +506,8 @@ def test_flattened_seat_matches_scalar_episodes():
     for flattened, atol in ((learners, 1e-12), (zoo, 0.0)):
         streams = EpisodeStreams([seed for seed, _, _ in episodes])
         seats = [
-            Recorder(build_agents(spec, TS4, T, seat, [episode[1 + s] for episode in episodes],
+            Recorder(build_agents(spec, TS4, T, seat,
+                                  type_codes(TS4, [episode[1 + s] for episode in episodes]),
                                   streams.agent_seeds[s], CT4))
             for s, (spec, seat) in enumerate(((flattened, "row"), (fixed, "col")))
         ]
@@ -559,7 +563,8 @@ def test_batch_groups_play_as_one_batch_per_part(data, episodes, grouped_seat, T
 
     def stack(kind, seat, ids):
         own_types = [episodes[e][1 if seat == "row" else 2] for e in ids]
-        return build_agents(GROUP_SPECS[kind], TS4, T, seat, own_types, [0] * len(ids), CT4)
+        return build_agents(GROUP_SPECS[kind], TS4, T, seat, type_codes(TS4, own_types),
+                            [0] * len(ids), CT4)
 
     def kernel(ids):
         return RegretKernel([TS4.payoff_table[episodes[e][1]] for e in ids])
@@ -775,7 +780,7 @@ def test_every_kind_plays_alone_as_in_a_seat(kind, seat):
     T, mine = 20, 0 if seat == "row" else 1
     seeds = [11, 2**40 + 3, 7, 2**63 + 1, 0, 99, 12345]
     joints = [(TS4.types[e % 4], TS4.types[(3 * e + 1) % 4]) for e in range(len(seeds))]
-    own_types = [joint[mine] for joint in joints]
+    own_types = type_codes(TS4, [joint[mine] for joint in joints])
 
     def seat_agent(agent_seeds):
         return build_seat([spec, spec], [0, 1, 1, 0, 1, 1, 0], TS4, T, seat, own_types,
@@ -783,7 +788,8 @@ def test_every_kind_plays_alone_as_in_a_seat(kind, seat):
 
     streams = EpisodeStreams(seeds)
     agent = Recorder(seat_agent(streams.agent_seeds[mine]))
-    other = build_agents(partner, TS4, T, ("col", "row")[mine], [j[1 - mine] for j in joints],
+    other = build_agents(partner, TS4, T, ("col", "row")[mine],
+                         type_codes(TS4, [j[1 - mine] for j in joints]),
                          streams.agent_seeds[1 - mine], CT4)
     record = play_batch(*((agent, other) if seat == "row" else (other, agent)), T, streams,
                         record=True)
@@ -830,8 +836,8 @@ def test_fallen_protocol_rows_play_hedge_of_the_sums_since_their_fall():
     # row 4 (fell at 7) and row 3 (falls at 10) are taken twice.
     T, seeds = 40, [11, 2**40 + 3, 7, 2**63 + 1, 0, 99, 12345, 5]
     E = len(seeds)
-    own_types = [TS4.types[e % 4] for e in range(E)]
-    opp_types = [TS4.types[(3 * e + 1) % 4] for e in range(E)]
+    own_types = np.arange(E) % 4
+    opp_types = (3 * np.arange(E) + 1) % 4
 
     def seats():
         streams = EpisodeStreams(seeds)
@@ -950,7 +956,7 @@ def test_held_protocols_play_as_the_scalar_agents():
     joints = [(a, b) for a in TS4.types for b in TS4.types] * 4
     seeds = derive_episode_seeds(7, np.arange(len(joints)))
     streams = EpisodeStreams(seeds)
-    seats = [Stretches(build_agents(spec, TS4, T, seat, [joint[s] for joint in joints],
+    seats = [Stretches(build_agents(spec, TS4, T, seat, type_codes(TS4, [j[s] for j in joints]),
                                     streams.agent_seeds[s], CT4))
              for s, seat in enumerate(("row", "col"))]
     first = play_batch(*seats, k + 2, streams, record=True)
@@ -975,6 +981,55 @@ def test_held_protocols_play_as_the_scalar_agents():
             histories, seat)
 
 
+@pytest.mark.parametrize("E, eps1", [(2000, None), (20_000, 0.15)])
+def test_protocol_self_play_keeps_its_tripwire_within_the_byte_budget(monkeypatch, E, eps1):
+    # ic-eval's dataset chunk: protocol self-play on typespace_2 at T = 40,
+    # k = 1 and the eps1 of delta = 0.1.  Its bound clears the whole horizon
+    # after the handshake, so the kernels add nothing until they are read.
+    # At E = 20 000 and eps1 = 0.15 the byte budget cuts the window to 26
+    # stages, and rows of both seats fall back.  Either way the kept actions
+    # stay within the budget, and the records, fallback stages and kernel
+    # sums are bit for bit those of per-stage stepping (a window of one).
+    T, k = 40, 1
+    ts = fixture_type_space("typespace_2.json")
+    spec = AgentSpec("Protocol", {"eps1": eps1 or theorem26_params(0.1, T, k, 2).eps1, "k": k})
+    codes = np.array([[0, 0], [0, 1], [1, 1]])[np.arange(E) % 3]
+    seeds = derive_episode_seeds(3, np.arange(E))
+    budget, kept, updates = engine.ROW_BLOCK_CELLS * 8, [], []
+    update, observe_block = RegretKernel.update, engine.BatchProtocol.observe_block
+
+    def counted(self, sigma, opp):
+        updates.append(len(opp))
+        update(self, sigma, opp)
+
+    def measured(self, own, opp):
+        observe_block(self, own, opp)
+        kept.append(sum(block.nbytes for block in self._kept))
+
+    monkeypatch.setattr(RegretKernel, "update", counted)
+    monkeypatch.setattr(engine.BatchProtocol, "observe_block", measured)
+
+    def play():
+        streams = EpisodeStreams(seeds)
+        seats = [build_agents(spec, ts, T, seat, codes[:, s], streams.agent_seeds[s],
+                              build_convention_table(ts))
+                 for s, seat in enumerate(("row", "col"))]
+        return play_batch(*seats, T, streams, record=True), seats
+
+    record, seats = play()
+    assert len(updates) == 2 if E == 2000 else len(updates) > 2  # 2: the handshake stage
+    assert 0 < max(kept) <= budget
+    fell = [seat.fallback_stage for seat in seats]
+    assert all((f >= 0).any() for f in fell) == (E > 2000)
+    monkeypatch.setattr(engine, "ROW_BLOCK_CELLS", 0)  # every stage checked
+    expected, stepped = play()
+    assert np.array_equal(record, expected)
+    for seat, other in zip(seats, stepped):
+        assert np.array_equal(seat.fallback_stage, other.fallback_stage)
+        for name in ("counterfactual", "expected"):
+            assert getattr(seat.kernel, name).tobytes() == getattr(other.kernel, name).tobytes()
+
+
 def _protocol_dataset_policy(T, tilde_T):
     pop = Population(members=[AgentSpec("Protocol", {"eps1": 0.3, "k": 2})], weights=[1.0])
     dataset = generate_dataset(pop, TypeDistribution.uniform(TS4), TS4, 60, T, master_seed=3,
@@ -997,7 +1052,7 @@ def test_held_partners_of_protocol_agents_play_as_the_scalar_agents(partner, eps
     joints = [(a, b) for a in TS4.types for b in TS4.types] * 2
     seeds = derive_episode_seeds(11, np.arange(len(joints)))
     streams = EpisodeStreams(seeds)
-    row, col = (Stretches(build_agents(spec, TS4, T, seat, [joint[s] for joint in joints],
+    row, col = (Stretches(build_agents(spec, TS4, T, seat, type_codes(TS4, [j[s] for j in joints]),
                                        streams.agent_seeds[s], CT4))
                 for s, (seat, spec) in enumerate((("row", row_spec), ("col", col_spec))))
     record = play_batch(row, col, T, streams, record=True)

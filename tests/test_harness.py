@@ -58,8 +58,10 @@ from scalar_agents import (
     SplitMix64,
     build_scalar,
     categorical,
+    joint_codes,
     play_episode,
     tagged_stream,
+    type_codes,
 )
 
 
@@ -201,7 +203,8 @@ def si_selfplay_by_play_episodes(cfg):
     actions = np.empty((E, 2, T), np.uint8)
     fell, first = np.zeros(E, dtype=bool), T
     seat = ([spec], np.zeros(E, np.intp))
-    for ids, seats, record in play_episodes(seat, seat, joints, ts, T, seeds, table, record=True):
+    for ids, seats, record in play_episodes(seat, seat, joint_codes(ts, joints), ts, T, seeds,
+                                            table, record=True):
         actions[ids] = record.transpose(2, 1, 0)
         stages = np.stack([agent.fallback_stage for agent in seats])
         fell[ids] = (stages >= 0).any(axis=0)
@@ -640,9 +643,10 @@ def si_consistency_csv_by_adversary(cfg, batch=125):
             runs = range(run_id + start, run_id + start + len(chunk))
             seeds = derive_episode_seeds(cfg.seed, 0x434F0000 + np.arange(runs.start, runs.stop))
             streams = EpisodeStreams(seeds)
-            protocol = build_agents(proto_spec, ts, T, "row", [a for a, _ in chunk],
+            protocol = build_agents(proto_spec, ts, T, "row", type_codes(ts, [a for a, _ in chunk]),
                                     streams.agent_seeds[0], ct)
-            opponent = build_agents(AgentSpec(adversary, {}), ts, T, "col", [b for _, b in chunk],
+            opponent = build_agents(AgentSpec(adversary, {}), ts, T, "col",
+                                    type_codes(ts, [b for _, b in chunk]),
                                     streams.agent_seeds[1], ct)
             play_batch(protocol, opponent, T, streams)
             for r, (a, b), reg in zip(runs, chunk, protocol.kernel.regret().tolist()):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cooplab.agents import AgentSpec
+from cooplab.agents import AgentSpec, build_agents
 from cooplab.game_core import GameError, TypeSpace
 from cooplab.population import Dataset, Population
 from cooplab.imitation_commit import (
-    BatchIC,
     ImitateThenCommitAgent,
     ImitationPolicy,
     auth_failure_probability,
@@ -26,8 +25,10 @@ from scalar_agents import (
     episode_tuples,
     mixture_from_joint,
     policy_strategy,
+    named_dataset,
     sample_component,
     tuple_dataset,
+    type_codes,
 )
 
 
@@ -135,7 +136,7 @@ def test_array_fit_equals_the_tuple_oracle(n, T, cut, K, seat, seed):
     rng = np.random.default_rng(seed)
     actions = np.where(rng.random((K, T, 2)) < 0.7, 0, rng.integers(0, n, size=(K, T, 2)))
     types = [tuple(joint) for joint in rng.choice(["a", "b", "c"], size=(K, 2)).tolist()]
-    dataset = Dataset(actions.astype(np.uint8), types, {"version": 1, "T": T, "N": n, "n": K})
+    dataset = named_dataset(actions.astype(np.uint8), types, {"version": 1, "T": T, "N": n, "n": K})
     tilde_T = min(cut, T)
     got = fit_imitation(dataset, tilde_T, seat=seat).counts
     expected = fit_by_prefix_loop(dataset, tilde_T, seat).counts
@@ -147,7 +148,7 @@ def test_array_fit_equals_the_tuple_oracle(n, T, cut, K, seat, seed):
 
 def fit_random(seed):
     rng = np.random.default_rng(seed)
-    dataset = Dataset(rng.integers(0, 2, size=(50, 6, 2)), [("a", "b")] * 50,
+    dataset = Dataset(rng.integers(0, 2, size=(50, 6, 2)), [("a", "b")], np.zeros(50, np.intp),
                       {"version": 1, "T": 6, "N": 2, "n": 50})
     return fit_imitation(dataset, 4)
 
@@ -410,8 +411,12 @@ def test_bound_report_renders_all_quantities():
 @settings(max_examples=100, deadline=None)
 @given(own_types=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=30))
 def test_batch_ic_roots_equal_the_per_episode_lookup(own_types):
-    # "c" is missing from the policy and starts at node 0.
+    # The IC builder gathers each episode's root from one per type of the
+    # type space; "c" is missing from the policy and starts at node 0.
+    ts = TypeSpace(types=("a", "b", "c"), payoff_table={t: np.eye(2) for t in "abc"})
     episodes = [("a", "x", ((0, 0), (1, 1))), ("b", "x", ((1, 0), (0, 1)))]
     policy = fit_imitation(make_dataset(episodes, 2), tilde_T=2)
-    agent = BatchIC(policy, 2, 4, own_types, "row", np.full(len(own_types), 0.5))
+    policy.type_space_hash = ts.content_hash()
+    agent = build_agents(AgentSpec("IC", {"policy": policy, "tilde_T": 2}), ts, 4, "row",
+                         type_codes(ts, own_types), np.arange(len(own_types)))
     assert agent.node.tolist() == [policy.roots.get(t, 0) for t in own_types]

@@ -27,6 +27,7 @@ from cooplab.population import (
     flatten_population,
     generate_dataset,
     play_episode,
+    play_episodes,
     read_dataset,
     run_episode,
     write_dataset,
@@ -87,9 +88,10 @@ def test_type_distribution_validation(ts2):
     mu = TypeDistribution.uniform(ts2)
     assert len(mu.support) == 4
     assert sum(mu.weights) == pytest.approx(1.0)
+    assert mu.codes(ts2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     bad = TypeDistribution(support=[("gamma", "zeta")], weights=[1.0])
-    with pytest.raises(GameError):
-        bad.validate_types(ts2)
+    with pytest.raises(GameError, match="not in the type space"):
+        bad.codes(ts2)
     # A support entry that is not a pair of type ids, given or loaded; a
     # loaded distribution without its support.
     for support in ([("gamma", "gamma", "delta")], ["gd"], [("gamma", 1)]):
@@ -258,7 +260,7 @@ def test_read_dataset_parses_canonical_lines_in_one_pass_and_others_alike(tmp_pa
         assert len(decoded) == 2, name
     # An action of two digits sends a canonical file line by line.
     wide = Dataset(np.array([[[1, 10], [0, 0]], [[11, 1], [2, 0]]], dtype=np.uint8),
-                   [("a", "b"), ("b", "b")], {"N": 12, "T": 2, "n": 2, "version": 1})
+                   [("a", "b"), ("b", "b")], np.arange(2), {"N": 12, "T": 2, "n": 2, "version": 1})
     write_dataset(wide, p)
     decoded.clear()
     assert read_dataset(p) == wide
@@ -292,6 +294,69 @@ def test_dataset_files_keep_their_pinned_bytes(ts2, tmp_path):
                            convention_table=TABLES[id(TS4)])
     write_dataset(ds4, tmp_path / "ts4.jsonl")
     assert hashlib.sha256((tmp_path / "ts4.jsonl").read_bytes()).hexdigest() == TS4_SHA256
+
+
+def test_typespace_4_datasets_read_in_one_pass_with_closings_of_every_width(tmp_path,
+                                                                            monkeypatch):
+    # beta is one byte narrower than alpha, gamma and delta, so the 16 joint
+    # types' closings have three widths.  The file reads back in one pass to
+    # the same joint type per episode, and writes back byte for byte.
+    pop = Population([AgentSpec("Protocol", {"eps1": 0.2, "k": 2}), AgentSpec("MW")], [0.6, 0.4])
+    ds = generate_dataset(pop, TypeDistribution.uniform(TS4), TS4, 300, 6, master_seed=8,
+                          convention_table=TABLES[id(TS4)])
+    assert len(set(ds.types)) == 16
+    decoded = []
+    decoder = population._EPISODE_DECODER
+    monkeypatch.setattr(population, "_EPISODE_DECODER", SimpleNamespace(
+        decode=lambda line: decoded.append(line) or decoder.decode(line)))
+    write_dataset(ds, tmp_path / "ts4.jsonl")
+    read = read_dataset(tmp_path / "ts4.jsonl")
+    assert decoded == []
+    assert read.types == ds.types and read == ds
+    assert sorted(read.joints) == sorted(set(ds.types))
+    write_dataset(read, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "ts4.jsonl").read_bytes()
+    # Closings that share a hash are told apart row by row: with a hash of
+    # the last eight bytes only, (alpha, beta) and (gamma, beta) collide, and
+    # the file is read line by line to the same dataset.
+    monkeypatch.setattr(population, "GAMMA", 0)
+    assert read_dataset(tmp_path / "ts4.jsonl") == ds
+    assert len(decoded) == len(ds)
+
+
+def test_type_names_and_codes_are_checked_at_the_boundary(ts2):
+    # A name outside the type space, in a distribution's support or as a
+    # one-episode agent's own type; a code outside [-1, 2), or not an
+    # integer, for a seat or a run of episodes.
+    with pytest.raises(GameError, match="not in the type space"):
+        TypeDistribution([("gamma", "zeta")], [1.0]).codes(ts2)
+    with pytest.raises(GameError, match="not in the type space"):
+        build_agent(AgentSpec("UniformRandom"), ts2, 4, own_type="zeta")
+    spec = AgentSpec("UniformRandom")
+    for bad, message in (([0, 2], "got 0 to 2"), ([-2, 0], "got -2 to 0")):
+        with pytest.raises(GameError, match=rf"must be in \[-1, 2\), {message}"):
+            build_agents(spec, ts2, 4, "row", bad, [0, 0])
+    with pytest.raises(GameError, match="integer codes"):
+        build_agents(spec, ts2, 4, "row", ["gamma"], [0])
+    seat = ([spec], [0, 0])
+    with pytest.raises(GameError, match=r"must be in \[-1, 2\), got 1 to 2"):
+        list(play_episodes(seat, seat, [[0, 1], [1, 2]], ts2, 3, np.arange(2, dtype=np.uint64)))
+    with pytest.raises(GameError, match="an .E, 2. array"):
+        list(play_episodes(seat, seat, [0, 1], ts2, 3, np.arange(2, dtype=np.uint64)))
+
+
+def test_an_ic_agent_with_no_own_type_is_refused(ts2):
+    # It would play the uniform root and commit on that: the IC builder reads
+    # each episode's root by its own type, and refuses an episode without one.
+    ds = generate_dataset(simple_population(), TypeDistribution.uniform(ts2), ts2, 40, 10,
+                          master_seed=2)
+    spec = AgentSpec("IC", {"tilde_T": 4, "policy": imitation_commit.fit_imitation(ds, 4)})
+    with pytest.raises(GameError, match="IC agent needs an own type"):
+        build_agent(spec, ts2, 10, "row", None)
+    with pytest.raises(GameError, match="IC agent needs an own type"):
+        build_agents(spec, ts2, 10, "row", [0, -1, 1], [0, 1, 2])
+    assert build_agent(AgentSpec("IC", {**spec.params}, "delta"), ts2, 10).node.tolist() == [
+        spec.params["policy"].roots["delta"]]
 
 
 # Type names with quotes, backslashes, controls, line breaks and non-ASCII
@@ -335,7 +400,8 @@ def test_write_dataset_lines_are_json_dumps_of_each_record(tmp_path_factory, rec
     N, T, actions, types = records
     K = len(actions)
     metadata = {"version": 1, "T": T, "N": N, "n": K, "name": "\xe9\""}
-    ds = Dataset(np.array(actions, dtype=np.uint8).reshape(K, T, 2), types, metadata)
+    ds = scalar_agents.named_dataset(np.array(actions, dtype=np.uint8).reshape(K, T, 2), types,
+                                     metadata)
     path = tmp_path_factory.mktemp("w") / "ds.jsonl"
     write_dataset(ds, path)
     lines = path.read_bytes().decode().split("\n")
@@ -345,7 +411,7 @@ def test_write_dataset_lines_are_json_dumps_of_each_record(tmp_path_factory, rec
         for (a, b), row in zip(types, actions)
     ]
     # A CRLF after the header makes the reader go line by line.
-    crlf = population.parse_dataset(path.read_text().replace("\n", "\r\n", 1), path)
+    crlf = population.parse_dataset(path.read_bytes().replace(b"\n", b"\r\n", 1), path)
     assert read_dataset(path) == ds == crlf
 
 
@@ -380,8 +446,8 @@ def test_read_dataset_gives_what_the_line_reader_gives(tmp_path_factory, N, T, d
                                min_size=K, max_size=K))
     metadata = {"version": 1, "T": T, "N": N, "n": K}
     path = tmp_path_factory.mktemp("r") / "ds.jsonl"
-    write_dataset(Dataset(np.array(actions, dtype=np.uint8).reshape(K, T, 2), types, metadata),
-                  path)
+    write_dataset(scalar_agents.named_dataset(np.array(actions, dtype=np.uint8).reshape(K, T, 2),
+                                              types, metadata), path)
     blob = path.read_bytes()
     rng = data.draw(st.randoms(use_true_random=True))
     for at in range(-1, len(blob) + 1):  # -1: the file as written
@@ -392,7 +458,8 @@ def test_read_dataset_gives_what_the_line_reader_gives(tmp_path_factory, N, T, d
         except UnicodeDecodeError:
             continue
         # A CRLF after the header makes the reader go line by line.
-        expected = read_or_error(population.parse_dataset, text.replace("\n", "\r\n", 1), path)
+        expected = read_or_error(population.parse_dataset,
+                                 text.replace("\n", "\r\n", 1).encode(), path)
         got = read_or_error(read_dataset, path)
         assert got == expected, (at, byte)
         if isinstance(got, Dataset):
@@ -463,16 +530,16 @@ def test_ic_agent_checks_the_types_of_a_policy_with_no_type_space_hash(ts2):
 
     spec2 = hashless(ts2)
     policy = spec2.params["policy"]
-    agent = build_agents(spec2, ts2, 4, "row", ["gamma", "delta"], [0, 1])
+    agent = build_agents(spec2, ts2, 4, "row", [0, 1], [0, 1])  # gamma, delta
     want = policy.strategies[[policy.roots["gamma"], policy.roots["delta"]]]
     assert np.array_equal(agent.act(), want) and not (want == 0.5).all()
-    for own in ("alpha", "gamma"):
+    for own in (0, 2):  # alpha, gamma
         with pytest.raises(GameError, match="another type space"):
             build_agents(spec2, TS4, 4, "row", [own], [0])
     spec4 = hashless(TS4)
-    assert build_agents(spec4, TS4, 4, "row", ["alpha"], [0]).act() is not None
+    assert build_agents(spec4, TS4, 4, "row", [0], [0]).act() is not None
     with pytest.raises(GameError, match="another type space"):
-        build_agents(spec4, ts2, 4, "row", ["gamma"], [0])
+        build_agents(spec4, ts2, 4, "row", [0], [0])
 
 
 def test_ic_agents_fit_a_dataset_file_once_per_seat(ts2, tmp_path, monkeypatch):
@@ -684,7 +751,8 @@ def dataset_by_pairing(pop, mu, ts, n, T, master_seed, convention_table, size=20
             ids = batch[f : f + c].tolist()
             part = EpisodeStreams(seeds[ids])
             rows, cols = (
-                build_agents(pop.members[m], ts, T, seat, [joints[j][s] for j in ids],
+                build_agents(pop.members[m], ts, T, seat,
+                             scalar_agents.type_codes(ts, [joints[j][s] for j in ids]),
                              part.agent_seeds[s], convention_table)
                 for s, (m, seat) in enumerate(((r, "row"), (cc, "col")))
             )

@@ -48,7 +48,7 @@ from cooplab.harness import (
 from cooplab.equilibria import enumerate_nash
 from cooplab.imitation_commit import COMPONENT_TOL, commitment_mixtures, partition_replies
 from cooplab.population import Population, derive_episode_seeds, flatten_population, play_episodes
-from scalar_agents import column_partition, mixture_from_joint
+from scalar_agents import column_partition, joint_codes, mixture_from_joint
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +459,8 @@ def test_nash_selfplay_is_fixed_mixed_agents_on_play_episodes(profile):
     tag = STREAM_TAGS["nash-selfplay episodes"]
     keys = derive_episode_seeds(cfg.seed, (tag << 32) + np.arange(cfg.episodes))
     fixed = lambda sigma: ([AgentSpec("FixedMixed", {"probs": sigma.tolist()})], [0] * len(keys))
-    [(_, _, record)] = play_episodes(fixed(p), fixed(q), [("coord", "coord")] * len(keys), ts, 50,
-                                     keys, record=True)
+    codes = joint_codes(ts, [("coord", "coord")] * len(keys))
+    [(_, _, record)] = play_episodes(fixed(p), fixed(q), codes, ts, 50, keys, record=True)
     # The sampler's indicators are those of the record's actions, chunk by
     # chunk, and its chunks cover every episode in order.
     stop = 0
