@@ -171,12 +171,6 @@ class TypeSpace:
     def num_actions(self) -> int:
         return next(iter(self.payoff_table.values())).shape[0]
 
-    def type_index(self, type_id: str) -> int:
-        try:
-            return self.types.index(type_id)
-        except ValueError:
-            raise GameError(f"unknown type {type_id!r}") from None
-
     def game(self, theta_row: str, theta_col: str) -> BimatrixGame:
         """Assemble the bimatrix game for a joint type."""
         if theta_row not in self.payoff_table or theta_col not in self.payoff_table:
@@ -321,27 +315,6 @@ def _tree_levels(act_row: ActFn, act_col: ActFn, n: int, T: int):
         if depth + 1 < T:
             hs = [hs[k] + steps[r] for k, r in zip(parent.tolist(), pair.tolist())]
     yield codes, probs, None, None
-
-
-def exact_episode_value(
-    act_row: ActFn,
-    act_col: ActFn,
-    game: BimatrixGame,
-    T: int,
-) -> tuple[float, float]:
-    """Exact expected total payoffs of two behavioral strategies over T stages.
-
-    Sums each node's probability times its expected stage payoff over the
-    full history tree.  Strategies are queried as functions of the history
-    only, so any deterministically-replayable agent qualifies.
-    """
-    v1 = v2 = 0.0
-    A, B = game.payoff_row, game.payoff_col
-    for _, probs, P, Q in _tree_levels(act_row, act_col, game.num_actions, T):
-        if P is not None:
-            v1 += float(probs @ ((P @ A) * Q).sum(axis=1))
-            v2 += float(probs @ ((Q @ B) * P).sum(axis=1))
-    return v1, v2
 
 
 class HistoryDistribution(Mapping):

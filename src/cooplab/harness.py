@@ -821,8 +821,9 @@ def run_ic_eval(cfg: ExperimentConfig):
     policies = {}
     for K in K_values:
         # The K-episode dataset's master seed: draw K of the stream, to 62 bits.
+        # Its episodes are played only to tilde_T, the stages the fit reads.
         master = _draws(_keys(cfg.seed, "ic-eval dataset seeds")[0], K, 1)[0] >> np.uint64(2)
-        ds = generate_dataset(pop, mu, ts, K, T, master_seed=int(master), convention_table=ct)
+        ds = generate_dataset(pop, mu, ts, K, T, int(master), ct, stages=tilde_T)
         policies[K] = fit_imitation(ds, tilde_T, seat="row")
 
     # Common random numbers across K: identical type draws, partner draws and

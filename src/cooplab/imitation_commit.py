@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,28 +22,38 @@ from .population import Dataset, parse_dataset
 COMPONENT_TOL = 1e-12
 
 
-@dataclass(eq=False)
 class ImitationPolicy:
     """Empirical action frequencies keyed by (own type, history prefix).
 
     ``seat`` records which seat's actions were counted; histories are stored
-    in (row, col) order regardless of seat.
+    in (row, col) order regardless of seat.  A hand-built policy gives its
+    ``counts``.  ``fit_imitation`` gives instead the prefix trie it walked,
+    which ``BatchIC`` steps: ``roots[own_type]`` is a node, ``strategies[v]``
+    its strategy, ``tally[v]`` its action counts and ``children[v, a * N +
+    b]`` its child after the pair (a, b).  Node 0, the child of every pair
+    that leads to no key, plays uniformly.  Equality and ``content_hash``
+    leave out ``type_space_hash``, the dataset header's."""
 
-    ``fit_imitation`` keeps the prefix trie it walked, which ``BatchIC``
-    steps: ``roots[own_type]`` is a node, ``strategies[v]`` its strategy and
-    ``children[v, a * N + b]`` its child after the pair (a, b).  Node 0, the
-    child of every pair that leads to no key, plays uniformly.  Equality and
-    ``content_hash`` leave out ``type_space_hash``, the dataset header's.
-    """
+    def __init__(self, num_actions: int, tilde_T: int, seat: str = "row", counts=None, *,
+                 roots=None, strategies=None, children=None, tally=None, type_space_hash=None):
+        self.num_actions, self.tilde_T, self.seat = num_actions, tilde_T, seat
+        self.roots, self.strategies, self.children, self.tally = roots, strategies, children, tally
+        self.type_space_hash = type_space_hash
+        if counts is not None or tally is None:
+            self.counts = {} if counts is None else counts
 
-    num_actions: int
-    tilde_T: int
-    seat: str = "row"
-    counts: dict[tuple[str, History], np.ndarray] = field(default_factory=dict)
-    roots: dict[str, int] | None = field(default=None, repr=False)
-    strategies: np.ndarray | None = field(default=None, repr=False)
-    children: np.ndarray | None = field(default=None, repr=False)
-    type_space_hash: str | None = field(default=None, repr=False)
+    @cached_property
+    def counts(self) -> dict[tuple[str, History], np.ndarray]:
+        """Derived from the trie on first read: per node from node 1, its key,
+        which extends its parent's by the node's pair, and its tally."""
+        n, names = self.num_actions, {v: name for name, v in self.roots.items()}
+        links = np.zeros((2, len(self.children)), np.intp)  # each node's parent and pair
+        up, pair = np.nonzero(self.children)  # a root's stay 0: it is no node's child
+        links[:, self.children[up, pair]] = up, pair
+        pairs, keys = [divmod(c, n) for c in range(n * n)], [None]
+        for v, (p, c) in enumerate(links.T[1:].tolist(), start=1):
+            keys.append((keys[p][0], keys[p][1] + (pairs[c],)) if p else (names[v], ()))
+        return dict(zip(keys[1:], self.tally[1:]))
 
     def __eq__(self, other) -> bool:
         """Equal action count, cutoff, seat and counts, array by array."""
@@ -72,19 +83,20 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     order over which the length-t prefix does not change; a flag "differs
     from the row above", carried down from depth t - 1, marks their starts.
     Nodes are renumbered in order of first visit, the least episode of each
-    run, which orders ``counts``."""
+    run, which orders ``counts``, derived only when read.  ``tilde_T`` may
+    not exceed the stages the dataset holds (fewer than T in a short one)."""
     if seat not in ("row", "col"):
         raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
     if tilde_T < 0:
         raise GameError(f"tilde_T must be >= 0, got {tilde_T}")
-    T = dataset.metadata.get("T", 0)
     n = dataset.metadata.get("N")
     if n is None:
         raise GameError("dataset metadata missing action count N")
-    if len(dataset) and tilde_T > T:
-        raise GameError(f"tilde_T={tilde_T} exceeds dataset horizon T={T}")
+    actions = np.asarray(dataset.actions)
+    if len(dataset) and tilde_T > actions.shape[1]:
+        raise GameError(f"tilde_T={tilde_T} exceeds the dataset's {actions.shape[1]} stages")
     own = 0 if seat == "row" else 1  # the seat's type and action index
-    actions = np.asarray(dataset.actions)[:, :tilde_T]
+    actions = actions[:, :tilde_T]
     if actions.size and not (0 <= actions.min() and actions.max() < n):
         raise GameError(f"dataset actions must be in [0, {n})")
     actions = actions.astype(np.min_scalar_type(n - 1), copy=False)  # exact in int64 sums
@@ -125,15 +137,10 @@ def fit_imitation(dataset: Dataset, tilde_T: int, seat: str = "row") -> Imitatio
     children = np.zeros((count, n * n), dtype=np.intp)
     inner = level > 0
     children[parent[inner], code[inner]] = rank[inner]
-    # Each key extends its parent's, which comes first.
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    keys = [None]
-    for p, c, t in zip(*(x[order[1:]].tolist() for x in (parent, code, level))):
-        keys.append((keys[p][0], keys[p][1] + (pairs[c],)) if t else (names[c], ()))
-    roots = {key[0]: v for v, key in enumerate(keys[1:], start=1) if not key[1]}
-    strategies = tally / tally.sum(axis=1, keepdims=True)
-    return ImitationPolicy(n, tilde_T, seat, dict(zip(keys[1:], tally[1:])), roots=roots,
-                           strategies=strategies, children=children,
+    at = np.flatnonzero(level[order] == 0)  # the roots, in node order
+    roots = dict(zip([names[c] for c in code[order[at]].tolist()], at.tolist()))
+    return ImitationPolicy(n, tilde_T, seat, roots=roots, children=children, tally=tally,
+                           strategies=tally / tally.sum(axis=1, keepdims=True),
                            type_space_hash=dataset.metadata.get("type_space_hash"))
 
 

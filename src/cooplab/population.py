@@ -191,9 +191,9 @@ def _fields(data, what: str, *keys) -> list[list]:
 
 @dataclass(eq=False)
 class Dataset:
-    """Self-play episodes: ``actions[e, t]`` is the (row, col) action pair of
-    stage t of episode e, an (n, T, 2) integer array, and ``joints[codes[e]]``
-    its joint type.  The learner sees no strategy records."""
+    """Self-play episodes: ``actions[e, t]``, an (n, S, 2) integer array of
+    the first S <= T stages, is episode e's (row, col) action pair at stage
+    t, and ``joints[codes[e]]`` its joint type (the learner sees no strategy)."""
 
     actions: np.ndarray
     joints: list[tuple[str, str]]
@@ -278,17 +278,28 @@ def run_episode(
     return play_episode(agent_row, agent_col, T, rng)
 
 
+def _stages(T: int, stages: int | None) -> int:
+    """The stages to play of agents built for horizon T: all T by default."""
+    if stages is not None and not 0 <= stages <= T:
+        raise GameError(f"need 0 <= stages <= T, got stages={stages}, T={T}")
+    return T if stages is None else stages
+
+
 def play_episodes(row, col, codes, type_space: TypeSpace, T: int, seeds,
-                  convention_table: ConventionTable | None = None, record: bool = False):
+                  convention_table: ConventionTable | None = None, record: bool = False,
+                  stages: int | None = None):
     """Play one episode per joint type of ``codes``, (E, 2) indices into
     ``type_space.types``, on the streams of ``run_episode`` keyed by
     ``seeds``, ``EPISODE_BATCH`` at a time in order.  ``row`` and ``col``
-    are each seat's ``(specs, keys)`` of ``build_seat``.  Yields per chunk
-    its slice, its ``[row, col]`` agents and the ``play_batch`` record, and
-    drops them before it builds the next."""
+    are each seat's ``(specs, keys)`` of ``build_seat``.  The agents are
+    built for horizon T and play its first ``stages`` stages (all T by
+    default), which are those of the whole episode: stage t's draws are
+    keyed by t.  Yields per chunk its slice, its ``[row, col]`` agents and
+    the ``play_batch`` record, and drops them before it builds the next."""
     codes = np.asarray(codes)
     if codes.shape[1:] != (2,):
         raise GameError(f"joint type codes are an (E, 2) array, got shape {codes.shape}")
+    stages = _stages(T, stages)
     for start in range(0, len(codes), EPISODE_BATCH):
         ids = slice(start, start + EPISODE_BATCH)
         streams = EpisodeStreams(seeds[ids])
@@ -297,7 +308,7 @@ def play_episodes(row, col, codes, type_space: TypeSpace, T: int, seeds,
                        streams.agent_seeds[s], convention_table)
             for s, (seat, (specs, keys)) in enumerate((("row", row), ("col", col)))
         ]
-        yield ids, agents, play_batch(*agents, T, streams, record=record)
+        yield ids, agents, play_batch(*agents, stages, streams, record=record)
         del streams, agents
 
 
@@ -309,15 +320,18 @@ def generate_dataset(
     T: int,
     master_seed: int,
     convention_table: ConventionTable | None = None,
+    stages: int | None = None,
 ) -> Dataset:
     """Self-play dataset: per episode, two members drawn i.i.d. from the
     population and a joint type drawn from mu.
 
     Episodes run on the batched engine (``play_episodes``), each seat one
     batch agent grouped by population member, so the histories are
-    ``run_episode``'s."""
+    ``run_episode``'s.  Only the first ``stages`` (all T by default) are
+    played and kept, as in the full dataset; the header keeps T."""
     if n < 0:
         raise GameError(f"episode count must be >= 0, got {n}")
+    stages = _stages(T, stages)
     support = mu.codes(type_space)
     # Draws 2e, 2e + 1 and 2n + e of the draw stream pick episode e's members and type.
     z = _draws(tagged_seeds(master_seed, _DRAW_STREAM)[0], 0, 3 * n)
@@ -325,11 +339,11 @@ def generate_dataset(
     joint_idx = _choice(z[2 * n :], _choice_cuts(np.asarray(mu.weights)))
     seeds = derive_episode_seeds(master_seed, np.arange(n))
     N = type_space.num_actions
-    actions = np.empty((n, T, 2), dtype=np.min_scalar_type(N - 1))  # as play_batch records
+    actions = np.empty((n, stages, 2), dtype=np.min_scalar_type(N - 1))  # as play_batch records
     seats = [(pop.members, member_idx[:, s]) for s in (0, 1)]
     for ids, _, record in play_episodes(*seats, support[joint_idx], type_space, T, seeds,
-                                        convention_table, record=True):
-        if record is not None:  # None for T = 0
+                                        convention_table, record=True, stages=stages):
+        if record is not None:  # None for no stages
             actions[ids] = record.transpose(2, 0, 1)
     return Dataset(
         actions,
@@ -353,7 +367,11 @@ def generate_dataset(
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Write the metadata header, then per episode the bytes of
-    ``json.dumps({"actions": ..., "theta1": ..., "theta2": ...}, sort_keys=True)``."""
+    ``json.dumps({"actions": ..., "theta1": ..., "theta2": ...}, sort_keys=True)``.
+    A dataset must hold all T stages of its header: a short one is refused."""
+    stored, T = np.shape(dataset.actions)[1], dataset.metadata.get("T")
+    if stored != T:
+        raise GameError(f"the dataset holds {stored} stages, its header's horizon is T={T}")
     with open(path, "wb") as f:
         f.write(json.dumps(dataset.metadata, sort_keys=True).encode() + b"\n")
         if len(dataset):

@@ -11,6 +11,8 @@ seeds from the episode seed first, as the engine does.
 The per-case commitment mixture, ``mixture_from_joint`` with its
 ``CommitmentMixture.replies`` and ``column_partition``, is the oracle of the
 batched ``imitation_commit.commitment_mixtures`` and ``partition_replies``.
+``exact_episode_value`` sums exact expected payoffs on ``game_core``'s tree
+walker.
 """
 from __future__ import annotations
 
@@ -27,7 +29,14 @@ from cooplab.agents import (
     handshake_encode,
     protocol_threshold,
 )
-from cooplab.game_core import PROB_TOL, EpisodeTrace, GameError, _float_array, check_mixed
+from cooplab.game_core import (
+    PROB_TOL,
+    EpisodeTrace,
+    GameError,
+    _float_array,
+    _tree_levels,
+    check_mixed,
+)
 from cooplab.imitation_commit import COMPONENT_TOL, fit_imitation
 from cooplab.population import Dataset, _sample_action, derive_episode_seed, read_dataset
 
@@ -73,6 +82,23 @@ def policy_strategy(policy, own_type: str, history) -> np.ndarray:
     if c is None:
         return np.full(policy.num_actions, 1.0 / policy.num_actions)
     return c / c.sum()
+
+
+def exact_episode_value(act_row, act_col, game, T: int) -> tuple[float, float]:
+    """Exact expected total payoffs of two behavioral strategies over T stages.
+
+    Sums each node's probability times its expected stage payoff over the
+    full history tree of ``game_core``'s walker.  Strategies are queried as
+    functions of the history only, so any deterministically-replayable agent
+    qualifies.
+    """
+    v1 = v2 = 0.0
+    A, B = game.payoff_row, game.payoff_col
+    for _, probs, P, Q in _tree_levels(act_row, act_col, game.num_actions, T):
+        if P is not None:
+            v1 += float(probs @ ((P @ A) * Q).sum(axis=1))
+            v2 += float(probs @ ((Q @ B) * P).sum(axis=1))
+    return v1, v2
 
 
 BR_TOL = 1e-12
@@ -370,7 +396,7 @@ class ProtocolAgent(Agent):
         if eta_fallback is None:
             eta_fallback = default_eta(self.n, max(self.T - self.k, 1))
         self.eta_fallback = eta_fallback
-        self.own_code = handshake_encode(type_space.type_index(own_type), self.k, self.n)
+        self.own_code = handshake_encode(type_space.types.index(own_type), self.k, self.n)
         self.stage = 0
         self.opp_digits: list[int] = []
         self.cum_counterfactual = [0.0] * self.n

@@ -28,7 +28,13 @@ from cooplab.agents import (
 )
 from cooplab.engine import BatchBestResponder, BatchMW, _hedge
 from cooplab.harness import fixture_path
-from scalar_agents import PHASES, batch_protocol_phases, handshake_decode, handshake_prefix_valid
+from scalar_agents import (
+    PHASES,
+    ProtocolAgent,
+    batch_protocol_phases,
+    handshake_decode,
+    handshake_prefix_valid,
+)
 
 HANDSHAKE, CONVENTION, FALLBACK = range(len(PHASES))
 
@@ -118,6 +124,16 @@ def test_handshake_code_roundtrip():
     assert handshake_decode([2, 0], 4, 2) is None  # digit out of range
     with pytest.raises(GameError):
         handshake_encode(4, 2, 2)
+
+
+def test_scalar_protocol_codes_its_type_by_its_index(ts2):
+    # The scalar protocol's handshake is the codeword of its own type's index
+    # in the type space; a type the space does not hold is refused.
+    table = build_convention_table(ts2)
+    agent = ProtocolAgent("delta", "row", ts2, table, 2, 10, 0.1)
+    assert ts2.types.index("delta") == 1 and agent.own_code == handshake_encode(1, 2, 2)
+    with pytest.raises(KeyError):
+        ProtocolAgent("epsilon", "row", ts2, table, 2, 10, 0.1)
 
 
 def test_handshake_prefix_validity():

@@ -32,8 +32,8 @@ from scalar_agents import (
 )
 
 
-def make_dataset(episodes, T, n=2):
-    return tuple_dataset(episodes, T, n)
+def make_dataset(episodes, T, n=2, metadata=None):
+    return tuple_dataset(episodes, T, n, metadata)
 
 
 def test_fit_imitation_counts_frequencies():
@@ -161,6 +161,41 @@ def test_imitation_policies_compare_by_content():
     assert (first == "policy") is False and (first == first.counts) is False
 
 
+def three_types_dataset():
+    rng = np.random.default_rng(7)
+    return Dataset(rng.integers(0, 3, size=(40, 5, 2)), [("a", "b"), ("b", "a"), ("c", "c")],
+                   rng.integers(0, 3, size=40), {"version": 1, "T": 5, "N": 3, "n": 40})
+
+
+def test_content_hash_of_a_fixed_fit_is_pinned():
+    # Digests taken when fit_imitation still built every key as it fit.
+    assert fit_random(1).content_hash() == (
+        "c6375fdfe23584e0b97a09298eb1bfbf324c4a043adc13cd88e1e77a0ef7f4c9")
+    fits = {seat: fit_imitation(three_types_dataset(), 3, seat=seat) for seat in ("row", "col")}
+    assert fits["row"].content_hash() == (
+        "10bdbc477cfe60b9c0e069ed2e02b463b41a6bc1bd0728732ad7208bbc26b2ce")
+    assert fits["col"].content_hash() == (
+        "60704577e73b8f472121ce9bf638e157abe2fafe5d9e80352e666237c5a3df8e")
+    assert [(seat, list(fit.roots.items()), len(fit.counts)) for seat, fit in fits.items()] == [
+        ("row", [("b", 1), ("c", 4), ("a", 11)], 59), ("col", [("a", 1), ("c", 4), ("b", 11)], 59)]
+
+
+@pytest.mark.parametrize("seat", ["row", "col"])
+def test_a_fitted_policy_equals_a_hand_built_one_with_its_counts(seat):
+    dataset = three_types_dataset()
+    fitted, hand = fit_imitation(dataset, 3, seat=seat), fit_by_prefix_loop(dataset, 3, seat)
+    assert "counts" not in vars(fitted)  # no key is built by the fit
+    assert fitted == hand and hand == fitted and not fitted != hand
+    assert fitted.content_hash() == hand.content_hash()
+    assert list(fitted.counts) == list(hand.counts)
+    # The counts are derived once and kept: a second read is the same object.
+    assert fitted.counts is fitted.counts and "counts" in vars(fitted)
+    assert {v.dtype for v in fitted.counts.values()} == {np.dtype(float)}
+    other = fit_by_prefix_loop(dataset, 3, seat)
+    next(iter(other.counts.values()))[0] += 1.0  # the same keys, one count apart
+    assert fitted != other and other != fitted
+
+
 def test_population_hash_of_an_ic_member_hashes_the_policy_content(monkeypatch):
     first, again, other = fit_random(1), fit_random(1), fit_random(2)
     assert first is not again and list(first.counts) != list(other.counts)
@@ -182,6 +217,15 @@ def test_fit_imitation_rejects_actions_outside_the_action_set():
 def test_fit_imitation_rejects_long_cutoff():
     with pytest.raises(GameError):
         fit_imitation(make_dataset([("a", "b", ((0, 0),))], 1), tilde_T=5)
+
+
+def test_fit_imitation_refuses_a_cutoff_past_the_stages_a_short_dataset_holds():
+    # The header's horizon is 6, but only 3 stages were played and kept.
+    episodes = [("a", "b", ((0, 1), (1, 1), (0, 0)))]
+    short = make_dataset(episodes, 3, metadata={"version": 1, "T": 6, "N": 2, "n": 1})
+    assert fit_imitation(short, 3) == fit_imitation(make_dataset(episodes, 3), 3)
+    with pytest.raises(GameError, match="^tilde_T=4 exceeds the dataset's 3 stages$"):
+        fit_imitation(short, 4)
 
 
 def test_fit_imitation_rejects_an_unknown_seat_and_a_negative_cutoff():

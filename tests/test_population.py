@@ -158,6 +158,52 @@ def test_dataset_roundtrip_byte_identical(ts2, tmp_path):
     assert restored.metadata["T"] == 7
 
 
+def test_write_dataset_refuses_a_dataset_short_of_its_horizon(ts2, tmp_path):
+    mu = TypeDistribution.uniform(ts2)
+    ds = generate_dataset(simple_population(), mu, ts2, 5, 8, master_seed=4, stages=3)
+    assert ds.actions.shape == (5, 3, 2) and ds.metadata["T"] == 8
+    with pytest.raises(GameError, match="^the dataset holds 3 stages, its header's horizon is T=8"):
+        write_dataset(ds, tmp_path / "short.jsonl")
+    assert not (tmp_path / "short.jsonl").exists()
+    for stages in (-1, 9):
+        with pytest.raises(GameError, match=f"^need 0 <= stages <= T, got stages={stages}, T=8$"):
+            generate_dataset(simple_population(), mu, ts2, 5, 8, master_seed=4, stages=stages)
+
+
+@pytest.mark.parametrize("tilde_T", [10, 21])
+def test_episodes_played_to_tilde_T_are_the_full_episodes_cut_there(tmp_path, tilde_T):
+    # Stage t's draws are keyed by t, and a held stretch steps as its stages
+    # would one by one, so the first tilde_T stages do not depend on how many
+    # follow.  Neither 10 nor 21 is a multiple of BLOCK (16); 21 crosses a
+    # block.  At eps1 = 0.1 protocol rows fall back all through them.
+    table, mu, T = TABLES[id(TS2)], TypeDistribution.uniform(TS2), 40
+    source = Population([AgentSpec("Protocol", {"eps1": 0.2}), AgentSpec("MW")], [0.5, 0.5])
+    path = tmp_path / "ic.jsonl"  # each seat's IC agents fit it for their seat
+    write_dataset(generate_dataset(source, mu, TS2, 200, T, 3, table), path)
+    members = [AgentSpec("Protocol", {"eps1": 0.1}), AgentSpec("MW"),
+               AgentSpec("IC", {"dataset_path": str(path), "tilde_T": 10})]
+    pop = Population(members, [0.4, 0.3, 0.3])
+    full = generate_dataset(pop, mu, TS2, 300, T, 17, table)
+    short = generate_dataset(pop, mu, TS2, 300, T, 17, table, stages=tilde_T)
+    assert short.actions.shape == (300, tilde_T, 2) and short.metadata == full.metadata
+    assert np.array_equal(short.actions, full.actions[:, :tilde_T])
+    assert short.types == full.types
+    # A protocol row seat against every member: the same records, and the
+    # same fallback stages up to tilde_T.
+    rng = np.random.default_rng(0)
+    codes, partners = rng.integers(0, 2, size=(300, 2)), rng.integers(0, 3, size=300)
+    seeds = derive_episode_seeds(11, np.arange(300))
+    runs = [next(play_episodes(([members[0]], np.zeros(300, int)), (members, partners), codes,
+                               TS2, T, seeds, table, record=True, stages=stages))
+            for stages in (tilde_T, T)]
+    (_, (cut, _), record), (_, (whole, _), whole_record) = runs
+    assert np.array_equal(record, whole_record[:tilde_T])
+    fell = whole.fallback_stage
+    assert cut.fallback_stage.tolist() == np.where(fell <= tilde_T, fell, -1).tolist()
+    assert len(set(cut.fallback_stage.tolist())) > 5  # fallbacks at several stages
+    assert (fell > tilde_T).any()
+
+
 def test_read_dataset_error_reporting(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text("")

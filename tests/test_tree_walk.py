@@ -16,7 +16,6 @@ from cooplab.game_core import (
     GameError,
     TypeSpace,
     check_mixed,
-    exact_episode_value,
     history_distribution,
 )
 from cooplab.agents import (
@@ -29,7 +28,7 @@ from cooplab.agents import (
 from cooplab.population import Population, flatten_population
 from cooplab.imitation_commit import fit_imitation
 from cooplab.harness import fixture_path
-from scalar_agents import tuple_dataset
+from scalar_agents import exact_episode_value, tuple_dataset
 
 
 TS2 = TypeSpace.from_file(fixture_path("typespace_2.json"))
