@@ -12,9 +12,14 @@ one, and ``agents.build_seat`` one seat of any mix of kinds.
 ``held(m)`` tells how many of the next m stages an agent's strategies stay
 as last announced, whatever is played, and ``play_batch`` steps a stretch
 that both seats hold at once (``observe_block``): ``BatchFixedMixed``
-always holds, ``BatchIC`` once it commits, ``BatchGroups`` while every part
-holds, and ``BatchProtocol`` in its convention up to the next check that
-its tripwire bound cannot clear, with every sum the per-stage one.
+always holds, ``BatchIC`` once it commits, and ``BatchProtocol`` in its
+convention up to the next check that its tripwire bound cannot clear, with
+every sum the per-stage one.  A seat of several parts (``BatchGroups``)
+steps a stage at a time.
+
+Self-play of a fixed mixed profile needs no agents: ``_iid_actions`` draws
+its actions, ``_joint_counts`` counts them per 64-stage word, and
+``_trigger_bound`` bounds a protocol agent's regret from those counts.
 
 Random-stream contract, identical to ``run_episode``'s: episode e's stream
 is counter-based SplitMix64 keyed by its seed, and its draw c is
@@ -40,8 +45,9 @@ from .game_core import GameError
 # whatever the horizon.  A held stretch ends with its block.
 BLOCK = 16
 
-# Episodes stepped together by ``population.play_episodes``: the (T, 2, E)
-# action records stay bounded whatever the episode count.
+# Episodes stepped together by ``population.play_episodes``, and drawn
+# together by ``_iid_actions``: the (T, 2, E) action records and the (n - 1,
+# E, T) indicators stay bounded whatever the episode count.
 EPISODE_BATCH = 2000
 
 # ---------------------------------------------------------------------------
@@ -184,6 +190,62 @@ def _choice(z: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     for c in cuts:
         acts += z >= c
     return acts
+
+
+# ---------------------------------------------------------------------------
+# Self-play of a fixed mixed profile without agents, and its joint counts.
+
+
+def _at_least(acts: np.ndarray, n: int) -> np.ndarray:
+    """The indicators (n - 1, E, S) of (E, S) actions among n: [i - 1] is action >= i."""
+    return acts >= np.arange(1, n)[:, None, None]
+
+
+def _joint_counts(row_ge: np.ndarray, col_ge: np.ndarray) -> np.ndarray:
+    """Per-word joint action counts (E, W, n, n) of the seats' indicators of
+    ``_at_least``, packed 64 stages to a word (W = ceil(S / 64)): [e, w, i, j]
+    counts episode e's stages 64 w to 64 w + 63 with actions (i, j).  It is
+    G[i, j] - G[i + 1, j] - G[i, j + 1] + G[i + 1, j + 1], for G[i, j] the
+    word's stages with row action >= i and column action >= j (none at i or
+    j = n), in uint8: the differences wrap modulo 256, and each count, in
+    [0, 64], comes out exact.  The words of an episode sum to its counts."""
+    episodes, stages = row_ge.shape[1:]
+    words = []
+    for ge in (row_ge, col_ge):  # (n, E, W), from "action >= 0" on
+        bits = np.zeros((len(ge) + 1, episodes, -(-stages // 64) * 8), np.uint8)
+        bits[0, :, : -(-stages // 8)] = np.packbits(np.ones(stages, bool))
+        bits[1:, :, : -(-stages // 8)] = np.packbits(ge, axis=-1)
+        words.append(bits.view(np.uint64))
+    G = np.bitwise_count(words[0][:, None] & words[1][None])
+    zero = np.uint8(0)
+    return np.diff(np.diff(G, axis=0, append=zero), axis=1, append=zero).transpose(2, 3, 0, 1)
+
+
+def _iid_actions(keys: np.ndarray, p: np.ndarray, q: np.ndarray, first: int, stages: int):
+    """The actions of stages ``first`` to ``first + stages - 1`` of i.i.d.
+    self-play of the fixed mixed profile (``p``, ``q``) in the episodes whose
+    streams have ``keys``, yielded for EPISODE_BATCH episodes at a time (the
+    batch of ``play_episodes``) as (slice, row and column indicators of
+    ``_at_least``) in buffers that the next chunk overwrites.  As in
+    ``play_batch``, stage t's row action samples ``p`` from draw 2 + 2t of
+    its episode's stream and its column action ``q`` from draw 3 + 2t.  A
+    ``_choice`` action counts the cuts at or below its draw, so it is >= i
+    iff its draw is >= cut i - 1."""
+    steps = (np.arange(stages, dtype=np.uint64) * 2 + 3 + 2 * first) * np.uint64(GAMMA)
+    seats = [(steps + np.uint64(s * GAMMA), _choice_cuts(sigma)) for s, sigma in ((0, p), (1, q))]
+    ge = np.zeros((2, len(p) - 1, min(EPISODE_BATCH, len(keys)), stages), bool)
+    # The draws are mixed in row blocks of about ROW_BLOCK_CELLS cells.
+    z, scratch = np.empty((2, max(1, ROW_BLOCK_CELLS // max(stages, 1)), stages), np.uint64)
+    for start in range(0, len(keys), EPISODE_BATCH):
+        rows = slice(start, min(start + EPISODE_BATCH, len(keys)))
+        for r in range(0, rows.stop - start, len(z)):
+            block = slice(r, min(r + len(z), rows.stop - start))
+            for seat_ge, (offsets, cuts) in zip(ge, seats):
+                draws = np.add(keys[rows][block, None], offsets, out=z[: block.stop - r])
+                mix64_inplace(draws, scratch[: len(draws)])
+                for i, cut in enumerate(cuts):
+                    np.greater_equal(draws, cut, out=seat_ge[i, block])
+        yield rows, *ge[:, :, : rows.stop - start]
 
 
 # Reductions over the short action axis, one numpy call per action: faster
@@ -590,6 +652,42 @@ class BatchProtocol(BatchAgent):
         return out
 
 
+def _trigger_bound(
+    m: np.ndarray, sigma: np.ndarray, blocks: np.ndarray, h_cf: np.ndarray, h_exp: float
+) -> np.ndarray:
+    """Per-episode upper bound on every value that a protocol agent's regret
+    accumulator takes, rounding included, while its opponent plays the
+    convention stages whose action counts per block of stages are
+    ``blocks`` (E, blocks, n): the 64-stage words of ``_joint_counts``.
+
+    The agent's ``RegretKernel`` starts from the handshake's sums ``h_cf``
+    and ``h_exp``, and at a stage where the opponent plays j adds m[:, j] to
+    its counterfactual sums and v[j] = ``_rowsum(sigma * m[:, j])`` to its
+    expected payoff; its accumulator is max_a counterfactual[a] - expected.
+    With d[a, j] = m[a, j] - v[j], exactly on the computed v, that is
+    max_a (h_cf[a] - h_exp + sum_j d[a, j] count_j).  Counts never
+    decrease, so in a block each count_j lies in [lo_j, hi_j], its values at
+    the ends of the blocks before and through it, and max(d lo_j, d hi_j)
+    bounds its term.  The slack covers rounding by the recursive-summation
+    error bound (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., 2002, section 4.2): the agent's accumulator is S + 1 roundings
+    from exact, this bound n + 4, and the slack's own computation and
+    addition at most 3 more, all on values of size at most
+    2 S max|m, v| + max|h_cf| + |h_exp|; and for K = S + n + 8,
+    gamma_K = K u / (1 - K u) <= K eps, u = eps / 2, while K u <= 1/2.
+    """
+    n = len(m)
+    table = np.vstack([m, _rowsum(sigma * m.T)])
+    d = table[:n] - table[n]
+    hi = blocks.cumsum(axis=1, dtype=float).reshape(-1, n)  # a row per (episode, block)
+    lo = hi - blocks.reshape(-1, n)
+    at = hi @ np.maximum(d, 0.0).T + lo @ np.minimum(d, 0.0).T + (h_cf - h_exp)
+    bound = at.reshape(blocks.shape).max(axis=(1, 2), initial=-np.inf)
+    stages = blocks.sum(axis=(1, 2))
+    size = 2 * stages * np.abs(table).max() + np.abs(h_cf).max() + abs(h_exp)
+    return bound + (stages + n + 8) * np.finfo(float).eps * size
+
+
 class BatchAdaptive(BatchAgent):
     """Column adversaries against a learner that announce their (E,) actions,
     for ``play_batch`` without streams.  The first rows, one per learner
@@ -674,15 +772,6 @@ class BatchGroups(BatchAgent):
     def observe(self, own, opp):
         for index, agent in self.parts:
             agent.observe(None if own is None else own[index], None if opp is None else opp[index])
-
-    def held(self, stages):
-        for _, agent in self.parts:
-            stages = agent.held(stages)
-        return stages
-
-    def observe_block(self, own, opp):
-        for index, agent in self.parts:
-            agent.observe_block(own[:, index], opp[:, index])
 
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.intp)

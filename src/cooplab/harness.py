@@ -17,14 +17,14 @@ si-consistency and ic-eval, its datasets included, play theirs through
 ``population.play_episodes``: ic-eval plays every K in one pass, one IC
 spec per K, and replays the first episode of each (K, partner member) pair
 of a chunk with ``run_episode`` as a spot check.
-Equilibrium and protocol self-play draw a fixed profile's actions with
-``_iid_actions``, from each episode's own stream as the engine does, as
-each seat's "action >= i" indicators on the raw draws; ``_joint_counts``
-counts joint actions from them by inclusion-exclusion, per 64-stage word,
-and every payoff follows from the counts.  In protocol self-play the agents
-play the handshake on the engine, and ``_trigger_bound`` bounds each
-episode's regret accumulator from the opponent's action counts per word;
-every episode it cannot clear is played again, whole, by ``play_episodes``.
+Equilibrium and protocol self-play draw a fixed profile's actions with the
+engine's ``_iid_actions``, count them per 64-stage word with
+``_joint_counts``, and take every payoff and regret from the counts
+(``_count_payoffs``, ``_count_regrets``).  In protocol self-play the agents
+play the handshake on the engine, and the engine's ``_trigger_bound``
+bounds each episode's regret accumulator from the opponent's action counts
+per word; every episode it cannot clear is played again, whole, by
+``play_episodes``.
 The mixture check runs as array passes over its cases, through the IC
 agent's own ``commitment_mixtures`` and ``partition_replies``.
 """
@@ -62,16 +62,17 @@ from .agents import (
 )
 from .engine import (
     _UNIT,
-    GAMMA,
-    ROW_BLOCK_CELLS,
     BatchAdaptive,
     BatchMW,
     EpisodeStreams,
+    _at_least,
     _choice,
     _choice_cuts,
     _draws,
+    _iid_actions,
+    _joint_counts,
     _rowsum,
-    mix64_inplace,
+    _trigger_bound,
     play_batch,
 )
 from .population import (
@@ -96,10 +97,6 @@ from .imitation_commit import (
 )
 
 Z99 = 2.5758293035489004  # one-sided 99% normal quantile (two-sided 98%)
-
-# The self-play kernels stream their random draws in blocks that stay in
-# cache; no block size changes an artifact.
-SELFPLAY_CHUNK = 500  # self-play episodes drawn and stepped at a time
 
 # The tags of ``_keys``.  The episodes of si-consistency and ic-eval keep
 # their keys, of the indices 0x434F0000 + r and 0x45560000 + e.
@@ -268,62 +265,11 @@ def run_mw_regret(cfg: ExperimentConfig):
 # Equilibrium self-play concentration (vectorized i.i.d. sampling)
 
 
-def _at_least(acts: np.ndarray, n: int) -> np.ndarray:
-    """The indicators (n - 1, E, S) of (E, S) actions among n: [i - 1] is action >= i."""
-    return acts >= np.arange(1, n)[:, None, None]
-
-
-def _joint_counts(row_ge: np.ndarray, col_ge: np.ndarray) -> np.ndarray:
-    """Per-word joint action counts (E, W, n, n) of the seats' indicators of
-    ``_at_least``, packed 64 stages to a word (W = ceil(S / 64)): [e, w, i, j]
-    counts episode e's stages 64 w to 64 w + 63 with actions (i, j).  It is
-    G[i, j] - G[i + 1, j] - G[i, j + 1] + G[i + 1, j + 1], for G[i, j] the
-    word's stages with row action >= i and column action >= j (none at i or
-    j = n), in uint8: the differences wrap modulo 256, and each count, in
-    [0, 64], comes out exact.  The words of an episode sum to its counts."""
-    episodes, stages = row_ge.shape[1:]
-    words = []
-    for ge in (row_ge, col_ge):  # (n, E, W), from "action >= 0" on
-        bits = np.zeros((len(ge) + 1, episodes, -(-stages // 64) * 8), np.uint8)
-        bits[0, :, : -(-stages // 8)] = np.packbits(np.ones(stages, bool))
-        bits[1:, :, : -(-stages // 8)] = np.packbits(ge, axis=-1)
-        words.append(bits.view(np.uint64))
-    G = np.bitwise_count(words[0][:, None] & words[1][None])
-    zero = np.uint8(0)
-    return np.diff(np.diff(G, axis=0, append=zero), axis=1, append=zero).transpose(2, 3, 0, 1)
-
-
 def _count_payoffs(counts: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Per-episode payoff totals of joint counts (E, own, opp) under the
     [own, opp] payoffs ``m`` (one matrix, or one per episode): the n * n
     products added left to right in row-major order."""
     return _rowsum((counts * m).reshape(len(counts), -1))
-
-
-def _iid_actions(keys: np.ndarray, p: np.ndarray, q: np.ndarray, first: int, stages: int):
-    """The actions of stages ``first`` to ``first + stages - 1`` of i.i.d.
-    self-play of the fixed mixed profile (``p``, ``q``) in the episodes whose
-    streams have ``keys``, yielded for SELFPLAY_CHUNK episodes at a time as
-    (slice, row and column indicators of ``_at_least``) in buffers that the
-    next chunk overwrites.  As in the engine, stage t's row action samples
-    ``p`` from draw 2 + 2t of its episode's stream and its column action
-    ``q`` from draw 3 + 2t.  A ``_choice`` action counts the cuts at or
-    below its draw, so it is >= i iff its draw is >= cut i - 1."""
-    steps = (np.arange(stages, dtype=np.uint64) * 2 + 3 + 2 * first) * np.uint64(GAMMA)
-    seats = [(steps + np.uint64(s * GAMMA), _choice_cuts(sigma)) for s, sigma in ((0, p), (1, q))]
-    ge = np.zeros((2, len(p) - 1, min(SELFPLAY_CHUNK, len(keys)), stages), bool)
-    # The draws are mixed in row blocks of about ROW_BLOCK_CELLS cells.
-    z, scratch = np.empty((2, max(1, ROW_BLOCK_CELLS // max(stages, 1)), stages), np.uint64)
-    for start in range(0, len(keys), SELFPLAY_CHUNK):
-        rows = slice(start, min(start + SELFPLAY_CHUNK, len(keys)))
-        for r in range(0, rows.stop - start, len(z)):
-            block = slice(r, min(r + len(z), rows.stop - start))
-            for seat_ge, (offsets, cuts) in zip(ge, seats):
-                draws = np.add(keys[rows][block, None], offsets, out=z[: block.stop - r])
-                mix64_inplace(draws, scratch[: len(draws)])
-                for i, cut in enumerate(cuts):
-                    np.greater_equal(draws, cut, out=seat_ge[i, block])
-        yield rows, *ge[:, :, : rows.stop - start]
 
 
 def _selfplay_regrets(game: BimatrixGame, p: np.ndarray, q: np.ndarray, keys: np.ndarray, T: int):
@@ -389,42 +335,6 @@ def run_nash_selfplay(cfg: ExperimentConfig):
 
 # ---------------------------------------------------------------------------
 # Protocol self-play (compatibility: convention payoffs reached w.h.p.)
-
-
-def _trigger_bound(
-    m: np.ndarray, sigma: np.ndarray, blocks: np.ndarray, h_cf: np.ndarray, h_exp: float
-) -> np.ndarray:
-    """Per-episode upper bound on every value that a protocol agent's regret
-    accumulator takes, rounding included, while its opponent plays the
-    convention stages whose action counts per block of stages are
-    ``blocks`` (E, blocks, n): the 64-stage words of ``_joint_counts``.
-
-    The agent's ``RegretKernel`` starts from the handshake's sums ``h_cf``
-    and ``h_exp``, and at a stage where the opponent plays j adds m[:, j] to
-    its counterfactual sums and v[j] = ``_rowsum(sigma * m[:, j])`` to its
-    expected payoff; its accumulator is max_a counterfactual[a] - expected.
-    With d[a, j] = m[a, j] - v[j], exactly on the computed v, that is
-    max_a (h_cf[a] - h_exp + sum_j d[a, j] count_j).  Counts never
-    decrease, so in a block each count_j lies in [lo_j, hi_j], its values at
-    the ends of the blocks before and through it, and max(d lo_j, d hi_j)
-    bounds its term.  The slack covers rounding by the recursive-summation
-    error bound (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., 2002, section 4.2): the agent's accumulator is S + 1 roundings
-    from exact, this bound n + 4, and the slack's own computation and
-    addition at most 3 more, all on values of size at most
-    2 S max|m, v| + max|h_cf| + |h_exp|; and for K = S + n + 8,
-    gamma_K = K u / (1 - K u) <= K eps, u = eps / 2, while K u <= 1/2.
-    """
-    n = len(m)
-    table = np.vstack([m, _rowsum(sigma * m.T)])
-    d = table[:n] - table[n]
-    hi = blocks.cumsum(axis=1, dtype=float).reshape(-1, n)  # a row per (episode, block)
-    lo = hi - blocks.reshape(-1, n)
-    at = hi @ np.maximum(d, 0.0).T + lo @ np.minimum(d, 0.0).T + (h_cf - h_exp)
-    bound = at.reshape(blocks.shape).max(axis=(1, 2), initial=-np.inf)
-    stages = blocks.sum(axis=(1, 2))
-    size = 2 * stages * np.abs(table).max() + np.abs(h_cf).max() + abs(h_exp)
-    return bound + (stages + n + 8) * np.finfo(float).eps * size
 
 
 def run_si_selfplay(cfg: ExperimentConfig):

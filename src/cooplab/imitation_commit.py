@@ -23,24 +23,21 @@ COMPONENT_TOL = 1e-12
 
 
 class ImitationPolicy:
-    """Empirical action frequencies keyed by (own type, history prefix).
+    """Empirical action frequencies keyed by (own type, history prefix), as
+    the prefix trie that ``fit_imitation`` walked and ``BatchIC`` steps.
 
     ``seat`` records which seat's actions were counted; histories are stored
-    in (row, col) order regardless of seat.  A hand-built policy gives its
-    ``counts``.  ``fit_imitation`` gives instead the prefix trie it walked,
-    which ``BatchIC`` steps: ``roots[own_type]`` is a node, ``strategies[v]``
-    its strategy, ``tally[v]`` its action counts and ``children[v, a * N +
-    b]`` its child after the pair (a, b).  Node 0, the child of every pair
-    that leads to no key, plays uniformly.  Equality and ``content_hash``
-    leave out ``type_space_hash``, the dataset header's."""
+    in (row, col) order regardless of seat.  ``roots[own_type]`` is a node,
+    ``strategies[v]`` its strategy, ``tally[v]`` its action counts and
+    ``children[v, a * N + b]`` its child after the pair (a, b).  Node 0, the
+    child of every pair that leads to no key, plays uniformly.  Equality and
+    ``content_hash`` leave out ``type_space_hash``, the dataset header's."""
 
-    def __init__(self, num_actions: int, tilde_T: int, seat: str = "row", counts=None, *,
-                 roots=None, strategies=None, children=None, tally=None, type_space_hash=None):
+    def __init__(self, num_actions: int, tilde_T: int, seat: str = "row", *, roots, strategies,
+                 children, tally, type_space_hash=None):
         self.num_actions, self.tilde_T, self.seat = num_actions, tilde_T, seat
         self.roots, self.strategies, self.children, self.tally = roots, strategies, children, tally
         self.type_space_hash = type_space_hash
-        if counts is not None or tally is None:
-            self.counts = {} if counts is None else counts
 
     @cached_property
     def counts(self) -> dict[tuple[str, History], np.ndarray]:
@@ -204,9 +201,8 @@ class BatchIC(BatchAgent):
     holds that strategy to the end, so from ``tilde_T`` on ``held`` lets
     ``play_batch`` step the stages that its partner holds too as one
     stretch.  With ``tilde_T == T`` it is plain
-    behaviour cloning: it imitates to the end and never commits.  The policy
-    must carry the trie ``fit_imitation`` builds; ``roots`` (E,) holds each
-    episode's root node, its own type's (``policy.roots``)."""
+    behaviour cloning: it imitates to the end and never commits.  ``roots``
+    (E,) holds each episode's root node, its own type's (``policy.roots``)."""
 
     ROWS = ("draws", "node", "joint", "commitment")
 
@@ -216,8 +212,6 @@ class BatchIC(BatchAgent):
             raise GameError(f"need 0 < tilde_T <= T, got tilde_T={tilde_T}, T={T}")
         if seat != policy.seat:
             raise GameError(f"policy was fit for seat {policy.seat!r}, agent seated {seat!r}")
-        if policy.children is None:
-            raise GameError("policy has no prefix trie: fit it with fit_imitation")
         self.policy = policy
         self.tilde_T = tilde_T
         self.seat = seat
@@ -264,7 +258,7 @@ def ImitateThenCommitAgent(policy: ImitationPolicy, tilde_T: int, T: int, own_ty
                            seat: str = "row", seed: int = 0) -> BatchIC:
     """The one-episode ``BatchIC`` of the own type named ``own_type``, with
     agent seed ``seed``."""
-    return BatchIC(policy, tilde_T, T, [(policy.roots or {}).get(own_type, 0)], seat,
+    return BatchIC(policy, tilde_T, T, [policy.roots.get(own_type, 0)], seat,
                    commitment_draws([seed]))
 
 
@@ -301,12 +295,12 @@ def _build_ic(spec: AgentSpec, ctx: BuildContext) -> BatchIC:
         policy = _fit_file(path, tilde_T, ctx.seat)
     recorded = policy.type_space_hash
     if recorded is None and path is None:
-        ours = set(policy.roots or ()) == set(ts.types)
+        ours = set(policy.roots) == set(ts.types)
     else:
         ours = recorded == ts.content_hash()
     if not ours or policy.num_actions != ts.num_actions:
         raise GameError(f"{path or 'IC policy'}: dataset was generated on another type space")
-    roots = ctx.per_type([(policy.roots or {}).get(t, 0) for t in ts.types])
+    roots = ctx.per_type([policy.roots.get(t, 0) for t in ts.types])
     return BatchIC(policy, tilde_T, ctx.T, roots, ctx.seat, commitment_draws(ctx.seeds))
 
 

@@ -111,7 +111,8 @@ def _probability_weights(weights, what: str) -> list[float]:
 
 @dataclass
 class Population:
-    """Distribution over agent templates (the partner population)."""
+    """Distribution over agent templates (the partner population).  A
+    member names no own type: each episode draws its own."""
 
     members: list[AgentSpec]
     weights: list[float]
@@ -119,6 +120,10 @@ class Population:
     def __post_init__(self):
         if not self.members:
             raise GameError("population must be nonempty")
+        for m in self.members:
+            if m.own_type is not None:
+                raise GameError(f"population member {m.kind} names own_type {m.own_type!r}; "
+                                "each episode draws its own type")
         if len(self.weights) != len(self.members):
             raise GameError("population weights must match member count")
         self.weights = _probability_weights(self.weights, "population")

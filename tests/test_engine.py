@@ -44,7 +44,7 @@ from cooplab.harness import (
     fixture_type_space,
     run_experiment,
 )
-from cooplab.imitation_commit import BatchIC, ImitationPolicy, commitment_draws, fit_imitation
+from cooplab.imitation_commit import BatchIC, commitment_draws, fit_imitation
 from cooplab.population import (
     Population,
     TypeDistribution,
@@ -365,15 +365,6 @@ def test_batched_ic_with_tilde_T_equal_to_T_imitates_to_the_end():
         for t in range(T):
             expected = policy_strategy(policy, "a", history[:t])
             assert ic.strategies[t][e].tolist() == expected.tolist()
-
-
-def test_batched_ic_refuses_a_policy_without_a_trie():
-    # The scalar agent plays a policy made by hand; the batched one needs the
-    # trie that only fit_imitation builds.
-    policy = ImitationPolicy(num_actions=2, tilde_T=2, counts={("a", ()): np.array([1.0, 3.0])})
-    ImitateThenCommitAgent(policy, 2, 4, own_type="a")
-    with pytest.raises(GameError):
-        BatchIC(policy, 2, 4, [0], "row", [0.5])
 
 
 def _mw_expected_regret(A, T, eta, adversary, rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cooplab.game_core import GameError, TypeSpace
-from cooplab import agents, harness, population
+from cooplab import agents, engine, harness, population
 from cooplab.agents import (
     AgentSpec,
     build_agents,
@@ -20,9 +20,13 @@ from cooplab.engine import (
     BatchAdaptive,
     BatchMW,
     EpisodeStreams,
+    _at_least,
     _choice,
     _choice_cuts,
     _draws,
+    _iid_actions,
+    _joint_counts,
+    _trigger_bound,
     play_batch,
 )
 from cooplab.equilibria import worst_pone_payoff
@@ -34,9 +38,7 @@ from cooplab.harness import (
     STREAM_TAGS,
     ExperimentConfig,
     VerificationResult,
-    _at_least,
     _default_ic_mu,
-    _trigger_bound,
     emit_curves,
     fixture_type_space,
     run_experiment,
@@ -132,7 +134,7 @@ def check_trigger_against_protocol_agent(ts, stages):
         i_acts = rng.choice(2, size=(30, stages), p=prof.sigma_row)
         j_acts = rng.choice(2, size=(30, stages), p=prof.sigma_col)
         # The bound reads the opponent's action counts per 64-stage word.
-        words = harness._joint_counts(_at_least(i_acts, 2), _at_least(j_acts, 2))
+        words = _joint_counts(_at_least(i_acts, 2), _at_least(j_acts, 2))
         bounds = {"row": _trigger_bound(A, prof.sigma_row, words.sum(axis=2), ha, hexp_r),
                   "col": _trigger_bound(B, prof.sigma_col, words.sum(axis=3), hb, hexp_c)}
         for seat, bound in bounds.items():
@@ -244,7 +246,7 @@ def si_selfplay_on_play_episodes(cfg, lowered):
 def test_si_selfplay_equals_protocol_agents_on_the_engine(monkeypatch, lowered, chunk):
     lower_protocol_thresholds(monkeypatch, lowered)
     if chunk:
-        monkeypatch.setattr(harness, "SELFPLAY_CHUNK", chunk)
+        monkeypatch.setattr(engine, "EPISODE_BATCH", chunk)
     cfg = ExperimentConfig(kind="si-selfplay", episodes=2000, horizon=60, delta=0.9, k=2,
                            seed=5, type_space=fixture_type_space("typespace_4.json"))
     si_selfplay_on_play_episodes(cfg, lowered)
@@ -289,7 +291,7 @@ def test_si_selfplay_csv_is_independent_of_the_chunk_size(monkeypatch):
             lower_protocol_thresholds(patch, lowered)
             csvs = []
             for chunk in (37, 500, 10**6):
-                patch.setattr(harness, "SELFPLAY_CHUNK", chunk)
+                patch.setattr(engine, "EPISODE_BATCH", chunk)
                 csvs.append(si_selfplay_on_play_episodes(cfg, lowered))
         assert csvs[0] == csvs[1] == csvs[2]
 
@@ -908,15 +910,14 @@ def check_joint_counts(monkeypatch, p, q):
         record = rng.integers(0, n, size=(stages, 2, 40), dtype=np.uint8)
         row, col = record[:, 0].T, record[:, 1].T
         tally = per_word_tally(row, col, n)
-        words = harness._joint_counts(_at_least(row, n), _at_least(col, n))
+        words = _joint_counts(_at_least(row, n), _at_least(col, n))
         assert words.shape == (40, -(-stages // 64), n, n)
         assert np.array_equal(words, tally)
         assert np.array_equal(words.sum(axis=1), per_stage_tally(row, col, n))
         c_row, c_col = np.ascontiguousarray(row), np.ascontiguousarray(col)
-        assert np.array_equal(harness._joint_counts(_at_least(c_row, n), _at_least(c_col, n)),
-                              tally)
+        assert np.array_equal(_joint_counts(_at_least(c_row, n), _at_least(c_col, n)), tally)
     empty = _at_least(np.zeros((3, 0), np.uint8), n)
-    assert np.array_equal(harness._joint_counts(empty, empty), np.zeros((3, 0, n, n)))
+    assert np.array_equal(_joint_counts(empty, empty), np.zeros((3, 0, n, n)))
     # The sampler's indicators, in row blocks of one cell, of a few rows and
     # of all rows, are those of _choice's actions on the same draws, and
     # their counts the tally of those actions.
@@ -925,13 +926,13 @@ def check_joint_counts(monkeypatch, p, q):
     acts = [_choice(z[seat::2].T, _choice_cuts(sigma)) for seat, sigma in ((0, p), (1, q))]
     tally = per_word_tally(*acts, n)
     for cells in (1, 250, 1 << 16):
-        monkeypatch.setattr(harness, "ROW_BLOCK_CELLS", cells)
-        monkeypatch.setattr(harness, "SELFPLAY_CHUNK", 20)
+        monkeypatch.setattr(engine, "ROW_BLOCK_CELLS", cells)
+        monkeypatch.setattr(engine, "EPISODE_BATCH", 20)
         stop = 0
-        for rows, row_ge, col_ge in harness._iid_actions(keys, p, q, 3, 70):
+        for rows, row_ge, col_ge in _iid_actions(keys, p, q, 3, 70):
             assert rows.start == stop
             stop = rows.stop
             assert np.array_equal(row_ge, _at_least(acts[0][rows], n))
             assert np.array_equal(col_ge, _at_least(acts[1][rows], n))
-            assert np.array_equal(harness._joint_counts(row_ge, col_ge), tally[rows])
+            assert np.array_equal(_joint_counts(row_ge, col_ge), tally[rows])
         assert stop == len(keys)

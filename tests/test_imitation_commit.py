@@ -63,18 +63,18 @@ def test_fit_imitation_unseen_keys_uniform_and_col_seat():
 def fit_by_prefix_loop(dataset, tilde_T, seat):
     """The counting loop fit_imitation ran on tuple histories before its trie
     walk, kept as its oracle: one numpy increment per stage, keyed by the
-    whole prefix."""
+    whole prefix.  Returns the counts, a plain dict in order of first visit."""
     n = dataset.metadata["N"]
-    policy = ImitationPolicy(num_actions=n, tilde_T=tilde_T, seat=seat)
+    counts = {}
     own = 0 if seat == "row" else 1
     for episode in episode_tuples(dataset):
         history = episode[2]
         for t in range(min(tilde_T, len(history))):
             key = (episode[own], history[:t])
-            if key not in policy.counts:
-                policy.counts[key] = np.zeros(n)
-            policy.counts[key][history[t][own]] += 1.0
-    return policy
+            if key not in counts:
+                counts[key] = np.zeros(n)
+            counts[key][history[t][own]] += 1.0
+    return counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,22 +94,20 @@ def test_fit_imitation_matches_prefix_loop(data, n, T, seat):
     tilde_T = data.draw(st.integers(min_value=0, max_value=T))
     dataset = make_dataset(episodes, T, n)
     fitted = fit_imitation(dataset, tilde_T, seat=seat)
-    oracle = fit_by_prefix_loop(dataset, tilde_T, seat)
-    got, expected = fitted.counts, oracle.counts
+    got, expected = fitted.counts, fit_by_prefix_loop(dataset, tilde_T, seat)
     assert list(got) == list(expected)  # same keys, in the same order
     assert all(got[key].tolist() == expected[key].tolist() for key in expected)
     # The fitted trie: every key's path from its type's root reaches a node of
     # its own with the key's strategy, and every other pair leads to node 0.
     assert len(fitted.strategies) == len(expected) + 1
-    assert fitted.strategies[0].tolist() == policy_strategy(oracle, "never-seen", ()).tolist()
+    assert fitted.strategies[0].tolist() == [1.0 / n] * n
     reached = set()
     for own_type, history in expected:
         node = fitted.roots[own_type]
         for a, b in history:
             node = fitted.children[node, a * n + b]
-        assert node != 0 and fitted.strategies[node].tolist() == (
-            policy_strategy(oracle, own_type, history).tolist()
-        )
+        c = expected[own_type, history]
+        assert node != 0 and fitted.strategies[node].tolist() == (c / c.sum()).tolist()
         reached.add(node)
     assert reached == set(range(1, len(expected) + 1))
     assert set(fitted.roots) == {own_type for own_type, history in expected if not history}
@@ -139,7 +137,7 @@ def test_array_fit_equals_the_tuple_oracle(n, T, cut, K, seat, seed):
     dataset = named_dataset(actions.astype(np.uint8), types, {"version": 1, "T": T, "N": n, "n": K})
     tilde_T = min(cut, T)
     got = fit_imitation(dataset, tilde_T, seat=seat).counts
-    expected = fit_by_prefix_loop(dataset, tilde_T, seat).counts
+    expected = fit_by_prefix_loop(dataset, tilde_T, seat)
     # The same keys, in the same order, with the same counts.
     assert [(key, v.tolist()) for key, v in got.items()] == (
         [(key, v.tolist()) for key, v in expected.items()]
@@ -181,18 +179,23 @@ def test_content_hash_of_a_fixed_fit_is_pinned():
 
 
 @pytest.mark.parametrize("seat", ["row", "col"])
-def test_a_fitted_policy_equals_a_hand_built_one_with_its_counts(seat):
+def test_fitted_policies_compare_by_their_derived_counts(seat):
     dataset = three_types_dataset()
-    fitted, hand = fit_imitation(dataset, 3, seat=seat), fit_by_prefix_loop(dataset, 3, seat)
+    fitted, again = fit_imitation(dataset, 3, seat=seat), fit_imitation(dataset, 3, seat=seat)
     assert "counts" not in vars(fitted)  # no key is built by the fit
-    assert fitted == hand and hand == fitted and not fitted != hand
-    assert fitted.content_hash() == hand.content_hash()
-    assert list(fitted.counts) == list(hand.counts)
+    assert fitted == again and again == fitted and not fitted != again
+    assert fitted.content_hash() == again.content_hash()
+    oracle = fit_by_prefix_loop(dataset, 3, seat)
+    assert list(fitted.counts) == list(oracle)
+    assert all(np.array_equal(fitted.counts[key], c) for key, c in oracle.items())
     # The counts are derived once and kept: a second read is the same object.
     assert fitted.counts is fitted.counts and "counts" in vars(fitted)
     assert {v.dtype for v in fitted.counts.values()} == {np.dtype(float)}
-    other = fit_by_prefix_loop(dataset, 3, seat)
-    next(iter(other.counts.values()))[0] += 1.0  # the same keys, one count apart
+    # One more episode, a copy of the first: the same keys, some counts apart.
+    longer = Dataset(np.concatenate([dataset.actions, dataset.actions[:1]]), dataset.joints,
+                     np.append(dataset.codes, dataset.codes[0]), dict(dataset.metadata, n=41))
+    other = fit_imitation(longer, 3, seat=seat)
+    assert list(other.counts) == list(fitted.counts)
     assert fitted != other and other != fitted
 
 

@@ -58,6 +58,17 @@ def simple_population():
     )
 
 
+def test_population_refuses_a_member_that_names_its_own_type():
+    # Every runner gives each episode's members the episode's own types, so
+    # a member's own_type would change the population's hash, and with it a
+    # dataset header, but no action.
+    typed = {"members": [{"kind": "MW", "own_type": "delta"}], "weights": [1.0]}
+    for make in (lambda: Population([AgentSpec("MW", own_type="delta")], [1.0]),
+                 lambda: Population.from_dict(typed)):
+        with pytest.raises(GameError, match="^population member MW names own_type 'delta'; "):
+            make()
+
+
 def test_population_validation():
     with pytest.raises(GameError):
         Population(members=[], weights=[])

@@ -14,12 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cooplab import harness
+from cooplab import engine, harness
 from cooplab.agents import AgentSpec, build_agent, build_convention_table, tree_act_fn
 from cooplab.engine import (
     BatchFixedMixed,
     EpisodeStreams,
     RegretKernel,
+    _at_least,
+    _choice,
+    _choice_cuts,
+    _iid_actions,
+    _trigger_bound,
     play_batch,
     sample_actions,
 )
@@ -34,11 +39,7 @@ from cooplab.game_core import (
 from cooplab.harness import (
     STREAM_TAGS,
     ExperimentConfig,
-    _choice,
-    _at_least,
-    _choice_cuts,
     _count_regrets,
-    _iid_actions,
     _mixture_statistics,
     _random_joint,
     _selfplay_regrets,
@@ -345,8 +346,8 @@ def test_trigger_bound_covers_every_accumulator(data, n, episodes, stages, scale
     sigma = data.draw(mixed_strategy(n))
     kernel = handshake_kernel(m, rng.integers(0, n, size=(handshake, 2)).tolist(), episodes)
     opp = runs_of_actions(rng, n, episodes, stages, run)
-    bound = harness._trigger_bound(m, sigma, block_counts(opp, n),
-                                   kernel.counterfactual[0].copy(), float(kernel.expected[0]))
+    bound = _trigger_bound(m, sigma, block_counts(opp, n),
+                           kernel.counterfactual[0].copy(), float(kernel.expected[0]))
     assert (bound >= agents_accumulators(kernel, sigma, opp).max(axis=1)).all()
 
 
@@ -366,7 +367,7 @@ def test_a_bound_from_block_end_counts_alone_fails_the_cover_check():
     opp = np.tile(np.repeat(np.array([1, 0], np.uint8), half), (3, 2))
     assert not bound_covers_the_agents(block_end_bound(m, sigma, opp, h_cf, 0.0), m, sigma, opp,
                                        h_cf)
-    bound = harness._trigger_bound(m, sigma, block_counts(opp, 2), h_cf, 0.0)
+    bound = _trigger_bound(m, sigma, block_counts(opp, 2), h_cf, 0.0)
     assert bound_covers_the_agents(bound, m, sigma, opp, h_cf)
     assert np.allclose(bound, half)
 
@@ -378,7 +379,7 @@ def test_count_bound_never_clears_a_handshake_over_the_threshold():
     # never exceed 2.  The bound counts the handshake's end too.
     m, sigma, h_cf = np.array([[-1.0, -1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), np.array([3.0, 0.0])
     opp = np.zeros((4, 100), dtype=np.uint8)
-    bound = harness._trigger_bound(m, sigma, block_counts(opp, 2), h_cf, 0.0)
+    bound = _trigger_bound(m, sigma, block_counts(opp, 2), h_cf, 0.0)
     assert bound_covers_the_agents(np.full(4, 2.0), m, sigma, opp, h_cf)
     assert (bound >= 3.0).all()
 
@@ -402,7 +403,7 @@ def test_selfplay_regrets_equal_whole_run(gp, episodes, T, chunk, cells, seed):
     # block sizes.
     game, p, q = gp
     keys = np.random.default_rng(seed).integers(0, 2**64, size=episodes, dtype=np.uint64)
-    with mock.patch.multiple(harness, SELFPLAY_CHUNK=chunk, ROW_BLOCK_CELLS=cells):
+    with mock.patch.multiple(engine, EPISODE_BATCH=chunk, ROW_BLOCK_CELLS=cells):
         got = _selfplay_regrets(game, p, q, keys, T)
     want = whole_run_selfplay_regrets(game, p, q, *selfplay_on_the_engine(p, q, keys, T))
     for player in ("row", "col"):
@@ -411,14 +412,14 @@ def test_selfplay_regrets_equal_whole_run(gp, episodes, T, chunk, cells, seed):
 
 
 def test_selfplay_regrets_over_chunks_of_the_default_size():
-    # 1234 episodes: two full chunks and a partial one.
+    # 4321 episodes: two full chunks and a partial one.
     rng = np.random.default_rng(0)
     game = BimatrixGame(rng.random((3, 3)), rng.random((3, 3)))
     p, q = np.array([0.2, 0.0, 0.8]), np.array([0.5, 0.25, 0.25])
-    assert 1234 % harness.SELFPLAY_CHUNK
-    keys = rng.integers(0, 2**64, size=1234, dtype=np.uint64)
-    got = _selfplay_regrets(game, p, q, keys, 50)
-    want = whole_run_selfplay_regrets(game, p, q, *selfplay_on_the_engine(p, q, keys, 50))
+    assert 4321 // engine.EPISODE_BATCH == 2 and 4321 % engine.EPISODE_BATCH
+    keys = rng.integers(0, 2**64, size=4321, dtype=np.uint64)
+    got = _selfplay_regrets(game, p, q, keys, 20)
+    want = whole_run_selfplay_regrets(game, p, q, *selfplay_on_the_engine(p, q, keys, 20))
     for player in ("row", "col"):
         for a, b in zip(got[player], want[player]):
             assert np.array_equal(a, b)
@@ -442,11 +443,11 @@ def test_count_regrets_do_not_depend_on_the_layout_of_the_counts():
 
 @pytest.mark.parametrize("profile", [None, ([0.2, 0.8], [1.0, 0.0])], ids=["mixed", "given"])
 def test_nash_selfplay_is_fixed_mixed_agents_on_play_episodes(profile):
-    # 1234 episodes: two full chunks and a partial one.  Episode e is the one
+    # 4321 episodes: two full chunks and a partial one.  Episode e is the one
     # play_episodes plays on its seed, and its regrets are that episode's.
-    assert 1234 % harness.SELFPLAY_CHUNK
+    assert 4321 // engine.EPISODE_BATCH == 2 and 4321 % engine.EPISODE_BATCH
     ts = fixture_type_space("coordination_2x2.json")
-    cfg = ExperimentConfig(kind="nash-selfplay", episodes=1234, horizon=50, seed=8, type_space=ts,
+    cfg = ExperimentConfig(kind="nash-selfplay", episodes=4321, horizon=50, seed=8, type_space=ts,
                            extra={} if profile is None else {"profile": profile})
     _, artifacts = run_experiment(cfg)
     game = normalize_game(ts.game("coord", "coord"))
@@ -460,7 +461,9 @@ def test_nash_selfplay_is_fixed_mixed_agents_on_play_episodes(profile):
     keys = derive_episode_seeds(cfg.seed, (tag << 32) + np.arange(cfg.episodes))
     fixed = lambda sigma: ([AgentSpec("FixedMixed", {"probs": sigma.tolist()})], [0] * len(keys))
     codes = joint_codes(ts, [("coord", "coord")] * len(keys))
-    [(_, _, record)] = play_episodes(fixed(p), fixed(q), codes, ts, 50, keys, record=True)
+    record = np.empty((50, 2, cfg.episodes), np.uint8)
+    for ids, _, part in play_episodes(fixed(p), fixed(q), codes, ts, 50, keys, record=True):
+        record[:, :, ids] = part
     # The sampler's indicators are those of the record's actions, chunk by
     # chunk, and its chunks cover every episode in order.
     stop = 0
@@ -484,7 +487,7 @@ def test_si_selfplay_csv_is_independent_of_block_sizes():
                type_space=fixture_type_space("typespace_4.json"))
     results, want = run_experiment(ExperimentConfig(**cfg))
     assert "cleared by the count bound 0," not in results[0].detail
-    with mock.patch.multiple(harness, SELFPLAY_CHUNK=7, ROW_BLOCK_CELLS=100):
+    with mock.patch.multiple(engine, EPISODE_BATCH=7, ROW_BLOCK_CELLS=100):
         _, got = run_experiment(ExperimentConfig(**cfg))
     assert got == want
     # A count bound that clears nothing leaves every episode to the agents,
