@@ -465,15 +465,16 @@ def build_seat(
 def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:
     """Turn a one-episode batch agent into a function of the (row, col)
     history, for the exact tree walk, which asks for the histories a depth at
-    a time, from the root down.
+    a time, from the root down, in any order within a depth.
 
     The first history asked at depth d + 1 builds the children of every
     history asked at depth d at once: one ``take`` repeats each parent's row
     for its N^2 children, one ``observe`` steps them by their last action
-    pair and one ``act`` announces.  Every history costs one lookup of its
-    parent.  A history asked after a deeper one, or whose parent was not
-    asked, raises ``GameError``.  ``nodes`` holds the strategy of every
-    history asked so far."""
+    pair and one ``act`` announces; one dict then maps each parent to the row
+    of its first child.  Every history costs one lookup of its parent.  A
+    history asked after a deeper one, or whose parent was not asked, raises
+    ``GameError``.  ``nodes`` lists the strategy of every history asked so
+    far, in the order asked."""
     if seat not in ("row", "col"):
         raise GameError(f"seat must be 'row' or 'col', got {seat!r}")
     root = agent.act()[0].tolist()
@@ -481,35 +482,35 @@ def tree_act_fn(agent: BatchAgent, seat: str = "row") -> ActFn:
     own, opp = np.divmod(np.arange(n * n), n)  # child i: the pair (i // n, i % n)
     if seat == "col":
         own, opp = opp, own
-    nodes: dict[History, list] = {}
+    nodes = []
     depth = -1  # the depth asked last
     level = agent  # the agent whose rows are the histories of that depth
-    asked = {}  # those histories, each with its row of ``level``
+    asked, rows = [], []  # those histories and their rows of ``level``, as asked
     # Per history of the depth above, the row of its first child; the root
     # is row 0 under ``()[:-1]``, itself.
     firsts = {(): 0}
     strategies = [root]  # the strategy of every row of ``level``
 
     def act(history: History):
-        nonlocal depth, level, asked, firsts, strategies
+        nonlocal depth, level, asked, rows, firsts, strategies
         if len(history) != depth:
             if len(history) != depth + 1:
                 raise GameError(f"history {history} asked out of depth order; the walk asks "
                                 "a depth at a time, from the root down")
             if history:
-                rows = list(asked.values())
                 level = level.take(np.repeat(rows, n * n))
                 level.observe(np.tile(own, len(rows)), np.tile(opp, len(rows)))
                 strategies = level.act().tolist()
-                firsts = {h: i * n * n for i, h in enumerate(asked)}
-            depth, asked = len(history), {}
+                firsts = dict(zip(asked, range(0, len(rows) * n * n, n * n)))
+            depth, asked, rows = len(history), [], []
         first = firsts.get(history[:-1])
         if first is None:
             raise GameError(f"history {history} asked before its parent")
         row = first + history[-1][0] * n + history[-1][1] if history else 0
-        found = nodes[history] = strategies[row]
-        asked[history] = row
-        return found
+        asked.append(history)
+        rows.append(row)
+        nodes.append(strategies[row])
+        return strategies[row]
 
     act.nodes = nodes
     return act

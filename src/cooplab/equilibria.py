@@ -98,13 +98,15 @@ def _support_pairs(n: int, size: int) -> tuple:
 def enumerate_nash(game: BimatrixGame) -> NashEnumeration:
     """All Nash equilibria of a nondegenerate game via support enumeration.
 
-    Each support size k is one array pass over its C(n,k)^2 (row, column)
-    support pairs in canonical order: both players' (k+1)x(k+1) indifference
-    systems are solved as one stack, p from the column player's and q from the
-    row player's.  Valid distributions with no profitable outside deviation are
-    kept; interior probabilities below ``EQ_TOL`` are rejected (the smaller
-    support finds the same equilibrium).  Singular systems and repeated
-    profiles set ``degenerate``: the set may then be incomplete.
+    Each support size k solves its C(n,k)^2 (row, column) support pairs in
+    canonical order as one stack of both players' (k+1)x(k+1) indifference
+    systems, p from the column player's and q from the row player's.  The
+    valid candidates of every size, in size order, then go through one pass:
+    normalisation, the deviation test and the duplicate check.  Valid
+    distributions with no profitable outside deviation are kept; interior
+    probabilities below ``EQ_TOL`` are rejected (the smaller support finds
+    the same equilibrium).  Singular systems and repeated profiles set
+    ``degenerate``: the set may then be incomplete.
 
     The deviation test is batched too and keeps exactly what ``_deviation_gain``
     keeps.  For p, q >= 0 summing to 1 + O(nu), u = 2^-53, a length-n dot
@@ -126,34 +128,35 @@ def enumerate_nash(game: BimatrixGame) -> NashEnumeration:
     systems[:, :n, :n], systems[:, :n, n], systems[:, n, :n] = (B, A), -1.0, 1.0
     slack = 8 * (n + 2) * 2.0**-52 * (np.abs(A).max() + np.abs(B).max())
     result = NashEnumeration(profiles=[])
-    seen = set()
+    candidates = []
     for size in range(1, n + 1):
         gather, flat = _support_pairs(n, size)
         sol = _solve_stack(systems[gather]).reshape(2, -1, size + 1)
         solved = np.isfinite(sol).all(axis=(0, 2))
         if size > 1 and not solved.all():
             result.degenerate = True
-        keep = solved & (sol[..., :size].min(axis=(0, 2)) >= EQ_TOL)
-        pq = np.zeros((2, len(keep), n))
+        pq = np.zeros((2, len(solved), n))
         pq.put(flat, sol[..., :size])
-        pq = pq[:, keep]
-        pq /= pq.sum(axis=2, keepdims=True)
-        P, Q = pq
-        rv, cv = Q @ A.T, P @ B.T
-        gain = np.maximum(rv.max(1) - (P * rv).sum(1), cv.max(1) - (Q * cv).sum(1))
-        passed = gain <= EQ_TOL - slack
-        for i in (~passed & ~(gain > EQ_TOL + slack)).nonzero()[0]:
-            passed[i] = _deviation_gain(game, P[i], Q[i]) <= EQ_TOL
-        # Python floats hash and compare like the float64 scalars they come from.
-        keys = np.round(np.concatenate([P, Q], axis=1)[passed], 9).tolist()
-        for i, key in zip(passed.nonzero()[0], map(tuple, keys)):
-            if key in seen:
-                result.degenerate = True
-                continue
-            seen.add(key)
-            # expected_payoff's arithmetic; P[i] and Q[i] are valid by construction.
-            result.profiles.append(EquilibriumProfile(
-                P[i], Q[i], float(P[i] @ A @ Q[i]), float(Q[i] @ B @ P[i])))
+        candidates.append(pq[:, solved & (sol[..., :size].min(axis=(0, 2)) >= EQ_TOL)])
+    pq = np.concatenate(candidates, axis=1)
+    pq /= pq.sum(axis=2, keepdims=True)
+    P, Q = pq
+    rv, cv = Q @ A.T, P @ B.T
+    gain = np.maximum(rv.max(1) - (P * rv).sum(1), cv.max(1) - (Q * cv).sum(1))
+    passed = gain <= EQ_TOL - slack
+    for i in (~passed & ~(gain > EQ_TOL + slack)).nonzero()[0]:
+        passed[i] = _deviation_gain(game, P[i], Q[i]) <= EQ_TOL
+    # Python floats hash and compare like the float64 scalars they come from.
+    keys = np.round(np.concatenate([P, Q], axis=1)[passed], 9).tolist()
+    seen = set()
+    for i, key in zip(passed.nonzero()[0], map(tuple, keys)):
+        if key in seen:
+            result.degenerate = True
+            continue
+        seen.add(key)
+        # expected_payoff's arithmetic; P[i] and Q[i] are valid by construction.
+        result.profiles.append(EquilibriumProfile(
+            P[i], Q[i], float(P[i] @ A @ Q[i]), float(Q[i] @ B @ P[i])))
     return result
 
 

@@ -628,15 +628,17 @@ def _default_flatten_population() -> Population:
 def _history_labels(codes: np.ndarray, n: int, T: int) -> list[str]:
     """The CSV labels ("a1b1a2b2...") of increasing length-T history codes.
     Each depth's labels extend their parents' labels, one per distinct
-    prefix code."""
+    prefix: the codes being increasing, a prefix starts where it differs
+    from the code before, and its parent is the number of the depth above's
+    prefixes started by then."""
     pair = [f"{a}{b}" for a in range(n) for b in range(n)]
-    prefixes, labels = np.zeros(1, dtype=np.int64), [""]
+    labels, parent = [""], np.zeros(len(codes), dtype=np.intp)
     for depth in range(1, T + 1):
-        level = np.unique(codes // (n * n) ** (T - depth))
-        parent, last = np.divmod(level, n * n)
-        at = np.searchsorted(prefixes, parent).tolist()
-        labels = [labels[i] + pair[r] for i, r in zip(at, last.tolist())]
-        prefixes = level
+        prefix = codes // (n * n) ** (T - depth)
+        starts = np.diff(prefix, prepend=-1) != 0
+        at, last = parent[starts].tolist(), (prefix[starts] % (n * n)).tolist()
+        labels = [labels[i] + pair[r] for i, r in zip(at, last)]
+        parent = np.cumsum(starts) - 1
     return labels
 
 

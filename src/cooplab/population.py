@@ -112,7 +112,8 @@ def _probability_weights(weights, what: str) -> list[float]:
 @dataclass
 class Population:
     """Distribution over agent templates (the partner population).  A
-    member names no own type: each episode draws its own."""
+    member names no own type, nor does any member of a Flattened member, at
+    any depth: each episode draws its own."""
 
     members: list[AgentSpec]
     weights: list[float]
@@ -120,10 +121,13 @@ class Population:
     def __post_init__(self):
         if not self.members:
             raise GameError("population must be nonempty")
-        for m in self.members:
+        specs = list(self.members)
+        for m in specs:  # a Flattened member's members join the list
             if m.own_type is not None:
                 raise GameError(f"population member {m.kind} names own_type {m.own_type!r}; "
                                 "each episode draws its own type")
+            if m.kind == "Flattened":
+                specs += map(AgentSpec.from_dict, m.params.get("members", ()))
         if len(self.weights) != len(self.members):
             raise GameError("population weights must match member count")
         self.weights = _probability_weights(self.weights, "population")

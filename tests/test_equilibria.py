@@ -15,6 +15,8 @@ from cooplab.equilibria import (
     EquilibriumProfile,
     NashEnumeration,
     _deviation_gain,
+    _solve_stack,
+    _support_pairs,
     enumerate_nash,
     is_nash,
     pareto_optimal_nash,
@@ -321,6 +323,54 @@ def bimatrix_games(draw):
 @given(game=bimatrix_games())
 def test_batched_enumeration_equals_per_support_loop(game):
     assert_same_enumeration(enumerate_nash(game), reference_enumerate_nash(game))
+
+
+def per_size_enumerate_nash(game):
+    """Support enumeration with one full array pass per support size: each
+    size's stacked solve, validity mask, normalisation, deviation test and
+    duplicate check run before the next size's."""
+    n = game.num_actions
+    A, B = game.payoff_row, game.payoff_col
+    systems = np.zeros((2, n + 1, n + 1))
+    systems[:, :n, :n], systems[:, :n, n], systems[:, n, :n] = (B, A), -1.0, 1.0
+    slack = 8 * (n + 2) * 2.0**-52 * (np.abs(A).max() + np.abs(B).max())
+    result = NashEnumeration(profiles=[])
+    seen = set()
+    for size in range(1, n + 1):
+        gather, flat = _support_pairs(n, size)
+        sol = _solve_stack(systems[gather]).reshape(2, -1, size + 1)
+        solved = np.isfinite(sol).all(axis=(0, 2))
+        if size > 1 and not solved.all():
+            result.degenerate = True
+        keep = solved & (sol[..., :size].min(axis=(0, 2)) >= EQ_TOL)
+        pq = np.zeros((2, len(keep), n))
+        pq.put(flat, sol[..., :size])
+        pq = pq[:, keep]
+        pq /= pq.sum(axis=2, keepdims=True)
+        P, Q = pq
+        rv, cv = Q @ A.T, P @ B.T
+        gain = np.maximum(rv.max(1) - (P * rv).sum(1), cv.max(1) - (Q * cv).sum(1))
+        passed = gain <= EQ_TOL - slack
+        for i in (~passed & ~(gain > EQ_TOL + slack)).nonzero()[0]:
+            passed[i] = _deviation_gain(game, P[i], Q[i]) <= EQ_TOL
+        keys = np.round(np.concatenate([P, Q], axis=1)[passed], 9).tolist()
+        for i, key in zip(passed.nonzero()[0], map(tuple, keys)):
+            if key in seen:
+                result.degenerate = True
+                continue
+            seen.add(key)
+            result.profiles.append(EquilibriumProfile(
+                P[i], Q[i], float(P[i] @ A @ Q[i]), float(Q[i] @ B @ P[i])))
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(game=bimatrix_games())
+def test_one_pass_over_all_sizes_equals_a_pass_per_size(game):
+    # Integer-valued games are often degenerate: singular systems, and one
+    # profile found at two sizes, where the order of the sizes decides which
+    # one is kept.
+    assert_same_enumeration(enumerate_nash(game), per_size_enumerate_nash(game))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,25 @@ def test_population_refuses_a_member_that_names_its_own_type():
             make()
 
 
+def test_population_refuses_a_flattened_member_whose_members_name_an_own_type():
+    # The runners drop a nested own_type as they would a top-level one: on
+    # typespace_2 the population's hash changed and no action did.
+    typed = {"kind": "MW", "own_type": "delta"}
+    once = {"kind": "Flattened", "params": {"members": [typed], "weights": [1.0]}}
+    twice = {"kind": "Flattened", "params": {
+        "members": [{"kind": "UniformRandom"}, once], "weights": [0.5, 0.5]}}
+    for member in (once, twice):
+        data = {"members": [{"kind": "UniformRandom"}, member], "weights": [0.5, 0.5]}
+        for make in (lambda: Population([AgentSpec.from_dict(m) for m in data["members"]],
+                                        data["weights"]),
+                     lambda: Population.from_dict(data)):
+            with pytest.raises(GameError, match="^population member MW names own_type 'delta'; "):
+                make()
+    untyped = {"members": [flatten_population(Population([AgentSpec("MW")], [1.0])).to_dict()],
+               "weights": [1.0]}
+    assert Population.from_dict(untyped).to_dict() == untyped
+
+
 def test_population_validation():
     with pytest.raises(GameError):
         Population(members=[], weights=[])

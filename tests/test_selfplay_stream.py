@@ -713,6 +713,32 @@ def test_flatten_check_refuses_history_labels_that_collide():
         run_experiment(cfg)
 
 
+def unique_history_labels(codes, n, T):
+    """Labels of increasing history codes with one ``np.unique`` per depth,
+    each prefix finding its parent by ``searchsorted``."""
+    pair = [f"{a}{b}" for a in range(n) for b in range(n)]
+    prefixes, labels = np.zeros(1, dtype=np.int64), [""]
+    for depth in range(1, T + 1):
+        level = np.unique(codes // (n * n) ** (T - depth))
+        parent, last = np.divmod(level, n * n)
+        at = np.searchsorted(prefixes, parent).tolist()
+        labels = [labels[i] + pair[r] for i, r in zip(at, last.tolist())]
+        prefixes = level
+    return labels
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("T", range(1, 7))
+def test_history_labels_equal_a_unique_and_searchsorted_construction(n, T):
+    rng = np.random.default_rng([n, T])
+    size = (n * n) ** T
+    code_sets = [np.flatnonzero(rng.random(size) < density) for density in (1.0, 0.5, 0.01)]
+    code_sets += [np.sort(rng.choice(size, 3, replace=False)), rng.integers(size, size=1),
+                  np.array([0, size - 1]), np.zeros(0, dtype=np.int64)]
+    for codes in code_sets:
+        assert harness._history_labels(codes, n, T) == unique_history_labels(codes, n, T)
+
+
 # Recorded from the dict-keyed flatten check this one replaced.
 FLATTEN_H7_SHA256 = "219875f0d2dc568e541d3870905bfe79aadf212263046ec106fe95ff54008553"
 

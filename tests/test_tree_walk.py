@@ -362,6 +362,39 @@ def test_tree_act_fn_matches_replay(name, seat):
 
 
 @pytest.mark.parametrize("name", sorted(AGENTS))
+@pytest.mark.parametrize("seat", ["row", "col"])
+def test_tree_act_fn_answers_a_depth_asked_in_any_order(name, seat):
+    horizon = 4
+    fn = tree_act_fn(_build(name, seat, horizon), seat)
+    oracle = replay_act_fn(lambda: _build(name, seat, horizon), seat)
+    rng = random.Random(f"{name} {seat}")
+    answers = []
+    for depth in range(horizon + 1):
+        level = list(itertools.product(itertools.product(range(2), repeat=2), repeat=depth))
+        rng.shuffle(level)
+        for h in level:
+            answers.append(fn(h))
+            assert answers[-1] == oracle(h), h
+    assert fn.nodes == answers
+    # The refusals hold in any order: half of depth 1 asked, a child of the
+    # other half is refused, and then the asked half's children still answer.
+    fresh = tree_act_fn(_build(name, seat, horizon), seat)
+    level = list(itertools.product(range(2), repeat=2))
+    rng.shuffle(level)
+    for h in [()] + [(pair,) for pair in level[:2]]:
+        assert fresh(h) == oracle(h)
+    with pytest.raises(GameError, match="before its parent"):
+        fresh((level[3], (1, 1)))
+    for pair in level[:2]:
+        for h in [(pair, (1, 0)), (pair, (0, 1))]:
+            assert fresh(h) == oracle(h)
+    with pytest.raises(GameError, match="out of depth order"):
+        fresh((level[0],))
+    with pytest.raises(GameError, match="out of depth order"):
+        fresh((level[0], (1, 0), (0, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(AGENTS))
 def test_clone_shares_no_state_with_its_parent(name):
     # A clone is a take of the parent's rows, here its one row twice.
     parent = _build(name, "row", 6)
